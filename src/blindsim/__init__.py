@@ -7,7 +7,7 @@ The package provides:
 * a small load-store ISA whose semantics propagate blindedness tags with
   a handful of precision special cases (:mod:`blindsim.isa`),
 * a deterministic fetch-decode-execute machine with an observable event
-  trace, pluggable cache policy, and unblindable MMIO regions
+  trace, a direct-mapped cache, and unblindable MMIO regions
   (:mod:`blindsim.machine`),
 * an assembler/disassembler and a binary program-image format
   (:mod:`blindsim.assembler`),

@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 
 from .assembler import ProgramImage, render_instruction
 from .isa import (
-    ARITHMETIC,
     DecodeError,
     DecodedInstruction,
     Mode,
@@ -40,6 +39,7 @@ from .isa import (
     decode,
     encode,
     instruction_semantics,
+    random_instruction,
 )
 from .machine import Fault, LoadError, MachineConfig, boot_image, run, step
 from .model import (
@@ -135,9 +135,6 @@ class AbsMemory:
         cells = dict(self.cells)
         cells[address] = value
         return AbsMemory(cells, self.rest)
-
-    def weak_write(self, address: int, value: AbsVal) -> AbsMemory:
-        return self.write(address, join(self.read(address), value))
 
     def weak_write_everywhere(self, value: AbsVal) -> AbsMemory:
         cells = {a: join(v, value) for a, v in self.cells.items()}
@@ -743,24 +740,6 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
-def _random_valid_instruction_word(rng: random.Random) -> int:
-    op = rng.choice(list(Opcode))
-    r = lambda: rng.randrange(REG_COUNT)
-    if op is Opcode.HALT:
-        d = DecodedInstruction(op, (), ())
-    elif op is Opcode.STORE:
-        d = DecodedInstruction(op, (r(), r()), ())
-    elif op is Opcode.LOAD:
-        d = DecodedInstruction(op, (r(),), (r(),))
-    elif op is Opcode.BZ:
-        d = DecodedInstruction(op, (r(), r()), ("pc",))
-    elif op in ARITHMETIC:
-        d = DecodedInstruction(op, (r(), r()), (r(),))
-    else:
-        d = DecodedInstruction(op, (r(),), ())
-    return encode(d)
-
-
 def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
     """Fresh payload for every blinded word; equivalent by construction.
 
@@ -798,7 +777,7 @@ def generate_equivalent_pair(
 
     def word() -> TaggedWord:
         if rng.random() < instruction_bias:
-            return TaggedWord(_random_valid_instruction_word(rng), rng.random() < 0.15)
+            return TaggedWord(encode(random_instruction(rng)), rng.random() < 0.15)
         value = rng.randrange(memory_words) if rng.random() < 0.5 else rng.getrandbits(64)
         return TaggedWord(value, rng.random() < blind_p)
 

@@ -33,13 +33,16 @@ from .protocol import (
     ErrorResponse,
     ExportRequest,
     ImportRequest,
+    ProtocolError,
     ResultResponse,
     ServerSession,
     VerifyError,
     decode_frame,
     encode_frame,
     make_device_keypair,
+    max_frame_length,
     parse_compute_result,
+    read_frame,
 )
 
 USAGE_ERROR = 2
@@ -299,6 +302,7 @@ class _SocketTransport:
         client_sock, server_sock = socket.socketpair()
         self._client = client_sock
         self._file = client_sock.makefile("rwb")
+        self._max_length = max_frame_length(session.cfg.memory_words)
         server_file = server_sock.makefile("rwb")
 
         def serve():
@@ -314,9 +318,10 @@ class _SocketTransport:
     def round_trip(self, frame: bytes) -> bytes:
         self._file.write(frame)
         self._file.flush()
-        header = self._file.read(4)
-        length = int.from_bytes(header, "big")
-        return header + self._file.read(length)
+        reply = read_frame(self._file, self._max_length)
+        if reply is None:
+            raise ProtocolError("server closed the stream mid-frame")
+        return reply
 
     def close(self) -> None:
         self._file.close()

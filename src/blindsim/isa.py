@@ -23,6 +23,7 @@ Arithmetic is modular 2**64.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence, Union
@@ -226,6 +227,30 @@ def decode(word: int) -> DecodedInstruction:
     # BLND / RBLND
     absent(b1, "output"), absent(b3, "input2")
     return DecodedInstruction(op, (reg(b2, "address"),), ())
+
+
+_OPCODES = tuple(Opcode)
+
+
+def random_instruction(rng: random.Random) -> DecodedInstruction:
+    """A uniformly random well-formed instruction.
+
+    Draws the opcode, then the register indices in operand order (inputs
+    before outputs), so a seeded ``rng`` always yields the same stream.
+    """
+    op = rng.choice(_OPCODES)
+    r = lambda: rng.randrange(REG_COUNT)
+    if op is Opcode.HALT:
+        return DecodedInstruction(op, (), ())
+    if op is Opcode.STORE:
+        return DecodedInstruction(op, (r(), r()), ())
+    if op is Opcode.LOAD:
+        return DecodedInstruction(op, (r(),), (r(),))
+    if op is Opcode.BZ:
+        return DecodedInstruction(op, (r(), r()), (PC,))
+    if op in ARITHMETIC:
+        return DecodedInstruction(op, (r(), r()), (r(),))
+    return DecodedInstruction(op, (r(),), ())
 
 
 # ---------------------------------------------------------------------------

@@ -28,14 +28,12 @@ from .isa import (
     ControlKind,
     DecodeError,
     MemKind,
-    MemoryOperation,
     Mode,
     Opcode,
     decode,
     instruction_semantics,
 )
 from .model import (
-    CacheAssignments,
     FaultKind,
     MemoryImage,
     Status,
@@ -44,7 +42,6 @@ from .model import (
 )
 
 SemanticsFn = Callable[..., tuple]
-CachePolicyFn = Callable[[CacheAssignments, MemoryOperation], CacheAssignments]
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,23 +151,6 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Cache policy
-# ---------------------------------------------------------------------------
-
-
-def direct_mapped_policy(
-    cache: CacheAssignments, op: MemoryOperation
-) -> CacheAssignments:
-    """Default policy: line = address mod line-count, ignoring op kind.
-
-    Any replacement policy is safe here as long as it looks only at the
-    operation's address, which by construction is never blinded-derived.
-    """
-    line = op.address % len(cache)
-    return cache.assign(line, op.address)
-
-
-# ---------------------------------------------------------------------------
 # Step
 # ---------------------------------------------------------------------------
 
@@ -185,29 +165,38 @@ def _terminal_fault(
     )
 
 
+def _tagged(w: TaggedWord) -> TaggedWord:
+    return w
+
+
+def _untagged(w: TaggedWord) -> TaggedWord:
+    return TaggedWord(w.value, False) if w.blinded else w
+
+
 def step(
     s: SystemState,
     cfg: MachineConfig,
     cycle: int = 0,
     semantics: SemanticsFn = instruction_semantics,
-    cache_policy: CachePolicyFn = direct_mapped_policy,
 ) -> tuple[SystemState, tuple[TraceEvent, ...]]:
     """Execute one instruction; requires ``s.status is RUNNING``.
 
-    ``cycle`` stamps the emitted events.  ``semantics`` and
-    ``cache_policy`` are pluggable so the test harness can study broken
-    variants; the defaults implement the shipped policy.
+    ``cycle`` stamps the emitted events.  ``semantics`` is pluggable so
+    the test harness can study broken variants; the default implements
+    the shipped policy.  Every word enters through ``view``: itself, or a
+    clear copy under ``tag_logic=False``, so no tag check fires there.
     """
     if s.status is not Status.RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
+    view = _tagged if cfg.tag_logic else _untagged
     events: list[TraceEvent] = []
     mem_size = len(s.memory)
 
     if not 0 <= s.pc < mem_size:
         return _terminal_fault(s, FaultKind.OUT_OF_RANGE, cycle, events)
 
-    instr = s.memory[s.pc]
-    if cfg.tag_logic and instr.blinded:
+    instr = view(s.memory[s.pc])
+    if instr.blinded:
         # Trap to the handler at address 0; the payload never reaches the
         # decoder, so the trace shows only the (tag-derived) fault signal.
         events.append(Fault(cycle, FaultKind.BLINDED_INSTRUCTION_FETCH))
@@ -219,9 +208,7 @@ def step(
     except DecodeError:
         return _terminal_fault(s, FaultKind.DECODE_ERROR, cycle, events)
 
-    inputs = [s.registers[i] for i in d.inputs]
-    if not cfg.tag_logic:
-        inputs = [TaggedWord(w.value, False) for w in inputs]
+    inputs = [view(s.registers[i]) for i in d.inputs]
     outputs, memops, control = semantics(d, inputs, cfg.mode)
 
     # Control resolution first; a trap leaves everything but pc untouched.
@@ -243,8 +230,8 @@ def step(
         if not 0 <= op.address < mem_size:
             return _terminal_fault(s, FaultKind.OUT_OF_RANGE, cycle, events)
         if op.kind is MemKind.STORE:
-            value = s.registers[op.register]
-            if cfg.tag_logic and value.blinded and cfg.is_unblindable(op.address):
+            value = view(s.registers[op.register])
+            if value.blinded and cfg.is_unblindable(op.address):
                 return _terminal_fault(
                     s, FaultKind.BLINDED_STORE_TO_UNBLINDABLE, cycle, events
                 )
@@ -254,8 +241,8 @@ def step(
     # the payload must not even be bounds-checked.
     tag_edit: tuple[int, bool] | None = None
     if d.opcode in (Opcode.BLND, Opcode.RBLND):
-        addr_word = s.registers[d.inputs[0]]
-        if not (cfg.tag_logic and addr_word.blinded):
+        addr_word = view(s.registers[d.inputs[0]])
+        if not addr_word.blinded:
             if not 0 <= addr_word.value < mem_size:
                 return _terminal_fault(s, FaultKind.OUT_OF_RANGE, cycle, events)
             if cfg.tag_logic:
@@ -268,47 +255,27 @@ def step(
     # Commit: register writes, then memory operations in order.
     registers = s.registers
     for designator, value in zip(d.outputs, outputs):
-        if not cfg.tag_logic:
-            value = TaggedWord(value.value, False)
         registers = registers.write(designator, value)
 
     memory = s.memory
     cache = s.cache
     for op in memops:
         if op.kind is MemKind.STORE:
-            value = registers[op.register]
-            if not cfg.tag_logic:
-                value = TaggedWord(value.value, False)
-            memory = memory.store(op.address, value)
+            memory = memory.store(op.address, view(registers[op.register]))
         else:
-            loaded = memory[op.address]
-            if not cfg.tag_logic:
-                loaded = TaggedWord(loaded.value, False)
-            registers = registers.write(op.register, loaded)
+            registers = registers.write(op.register, view(memory[op.address]))
         events.append(MemAccess(cycle, op.kind, op.address))
-        new_cache = cache_policy(cache, op)
-        changed = [
-            i
-            for i in range(len(new_cache))
-            if (new_cache.addresses[i], new_cache.valid[i])
-            != (cache.addresses[i], cache.valid[i])
-        ]
-        if changed:
-            for i in changed:
-                events.append(CacheUpdate(cycle, i, new_cache.addresses[i]))
+        # Direct-mapped: the line depends only on the (clear) address.  A
+        # repeat access reports the first valid line holding the address,
+        # which a random initial state may also place in a lower line.
+        line = op.address % len(cache)
+        held = (op.address, True)
+        if (cache.addresses[line], cache.valid[line]) == held:
+            line = list(zip(cache.addresses, cache.valid)).index(held)
         else:
-            # Policy kept its assignments (e.g. repeat access in a
-            # direct-mapped cache); report the line serving the address.
-            for i in range(len(new_cache)):
-                if new_cache.valid[i] and new_cache.addresses[i] == op.address:
-                    events.append(CacheUpdate(cycle, i, op.address))
-                    break
-        cache = new_cache
-        if (
-            op.kind is MemKind.STORE
-            and cfg.mmio_console is not None
-            and op.address == cfg.mmio_console
-        ):
+            cache = cache.assign(line, op.address)
+        events.append(CacheUpdate(cycle, line, op.address))
+        if op.kind is MemKind.STORE and op.address == cfg.mmio_console:
             events.append(MmioWrite(cycle, registers[op.register].value))
 
     if tag_edit is not None:
@@ -384,7 +351,6 @@ def run(
     cfg: MachineConfig,
     max_steps: int,
     semantics: SemanticsFn = instruction_semantics,
-    cache_policy: CachePolicyFn = direct_mapped_policy,
 ) -> RunResult:
     """Iterate :func:`step` until halt, fault, trap loop, or step budget.
 
@@ -402,7 +368,7 @@ def run(
             return RunResult(s, tuple(trace), RunOutcome.HALTED, n)
         if s.status is Status.FAULTED:
             return RunResult(s, tuple(trace), RunOutcome.FAULTED, n)
-        nxt, events = step(s, cfg, cycle=n, semantics=semantics, cache_policy=cache_policy)
+        nxt, events = step(s, cfg, cycle=n, semantics=semantics)
         trace.extend(events)
         trapped = (
             nxt.pc == 0

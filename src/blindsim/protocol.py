@@ -268,20 +268,27 @@ def decode_frame(frame: bytes) -> Message:
     raise ProtocolError(f"unknown frame type {ftype}")
 
 
-def write_frame(stream, msg: Message) -> None:
-    stream.write(encode_frame(msg))
-    stream.flush()
+def max_frame_length(memory_words: int) -> int:
+    """Largest legal length field for a machine of ``memory_words`` words:
+    a compute image with one segment per word (25 bytes a word), with
+    room for headers, handshake frames and error messages."""
+    return 256 + 25 * memory_words
 
 
-def read_frame(stream) -> Message:
+def read_frame(stream, max_length: int) -> bytes | None:
+    """One raw frame from a binary stream; None if the stream ends first.
+    Raises ProtocolError, before reading the body, on a length field
+    above ``max_length``."""
     header = stream.read(4)
     if len(header) != 4:
-        raise ProtocolError("stream closed mid-frame")
+        return None
     (length,) = struct.unpack(">I", header)
+    if length > max_length:
+        raise ProtocolError(f"frame length {length} exceeds the limit of {max_length}")
     body = stream.read(length)
     if len(body) != length:
-        raise ProtocolError("stream closed mid-frame")
-    return decode_frame(header + body)
+        return None
+    return header + body
 
 
 # ---------------------------------------------------------------------------
@@ -544,17 +551,19 @@ class ServerSession:
             return encode_frame(ErrorResponse(f"{type(exc).__name__}: {exc}"))
 
     def serve_stream(self, stream) -> None:
-        """Answer frames from a duplex binary stream until it closes."""
+        """Answer frames from a duplex binary stream until it closes; an
+        oversized frame gets an error reply and ends the session."""
+        max_length = max_frame_length(self.cfg.memory_words)
         while True:
             try:
-                header = stream.read(4)
+                frame = read_frame(stream, max_length)
+            except ProtocolError as exc:
+                stream.write(encode_frame(ErrorResponse(str(exc))))
+                stream.flush()
+                return
             except (OSError, ValueError):
                 return
-            if len(header) != 4:
+            if frame is None:
                 return
-            (length,) = struct.unpack(">I", header)
-            body = stream.read(length)
-            if len(body) != length:
-                return
-            stream.write(self.handle_frame(header + body))
+            stream.write(self.handle_frame(frame))
             stream.flush()

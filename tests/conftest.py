@@ -4,29 +4,7 @@ from __future__ import annotations
 
 import random
 
-from blindsim.isa import ARITHMETIC, PC, DecodedInstruction, Opcode, encode
-from blindsim.model import REG_COUNT, TaggedWord
-
-
-def random_instruction(rng: random.Random) -> DecodedInstruction:
-    """A uniformly random well-formed instruction."""
-    op = rng.choice(list(Opcode))
-    r = lambda: rng.randrange(REG_COUNT)
-    if op is Opcode.HALT:
-        return DecodedInstruction(op, (), ())
-    if op is Opcode.STORE:
-        return DecodedInstruction(op, (r(), r()), ())
-    if op is Opcode.LOAD:
-        return DecodedInstruction(op, (r(),), (r(),))
-    if op is Opcode.BZ:
-        return DecodedInstruction(op, (r(), r()), (PC,))
-    if op in ARITHMETIC:
-        return DecodedInstruction(op, (r(), r()), (r(),))
-    return DecodedInstruction(op, (r(),), ())
-
-
-def random_instruction_word(rng: random.Random) -> int:
-    return encode(random_instruction(rng))
+from blindsim.model import TaggedWord
 
 
 def random_word(rng: random.Random, blind_p: float = 0.4, small_p: float = 0.3) -> TaggedWord:

@@ -16,11 +16,9 @@ from blindsim.assembler import (
     disassemble,
     encode_image,
 )
-from blindsim.isa import decode
+from blindsim.isa import decode, random_instruction
 from blindsim.machine import LoadError, MachineConfig, boot_image
 from blindsim.model import TaggedWord, blinded, clear
-
-from conftest import random_instruction
 
 
 def diag_positions(source):

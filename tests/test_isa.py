@@ -22,10 +22,11 @@ from blindsim.isa import (
     decode,
     encode,
     instruction_semantics,
+    random_instruction,
 )
 from blindsim.model import FaultKind, blinded, clear, list_equiv
 
-from conftest import random_instruction, random_word, twin_word
+from conftest import random_word, twin_word
 
 
 class TestEncode:

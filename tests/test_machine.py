@@ -1,6 +1,7 @@
-"""Step semantics, trace events, cache policy, and the run driver."""
+"""Step semantics, trace events, the direct-mapped cache, and the run driver."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,10 +9,10 @@ from blindsim.isa import (
     PC,
     DecodedInstruction,
     MemKind,
-    MemoryOperation,
     Mode,
     Opcode,
     encode,
+    random_instruction,
 )
 from blindsim.machine import (
     CacheUpdate,
@@ -22,7 +23,6 @@ from blindsim.machine import (
     MemAccess,
     MmioWrite,
     RunOutcome,
-    direct_mapped_policy,
     format_event,
     format_trace,
     run,
@@ -41,7 +41,7 @@ from blindsim.model import (
     state_equiv,
 )
 
-from conftest import random_instruction_word, random_word, twin_word
+from conftest import random_word, twin_word
 
 
 def iw(op, ins=(), outs=()):
@@ -280,25 +280,53 @@ class TestTagEdits:
         assert nxt.status is Status.FAULTED and nxt.fault is FaultKind.OUT_OF_RANGE
 
 
+def access(cache, kind, address, mem_size=64):
+    """One LOAD or STORE of ``address`` through ``step`` with the given
+    cache; returns the new cache and the CacheUpdate events."""
+    if kind is MemKind.STORE:
+        instr = iw(Opcode.STORE, (1, 2))
+    else:
+        instr = iw(Opcode.LOAD, (1,), (2,))
+    s = replace(make_state([instr], regs={1: clear(address)}, mem_size=mem_size), cache=cache)
+    nxt, events = step(s, MachineConfig(memory_words=mem_size, cache_lines=len(cache)))
+    return nxt.cache, [e for e in events if isinstance(e, CacheUpdate)]
+
+
 class TestCachePolicy:
     def test_direct_mapped_example(self):
         cache = CacheAssignments.empty(16)
-        op = MemoryOperation(MemKind.STORE, 0x23, 1)
-        new = direct_mapped_policy(cache, op)
+        new, updates = access(cache, MemKind.STORE, 0x23)
         assert new.addresses[3] == 0x23 and new.valid[3]
-        assert new.addresses[:3] == cache.addresses[:3]
+        assert new == cache.assign(3, 0x23)  # no other line touched
+        assert updates == [CacheUpdate(0, 3, 0x23)]
 
     def test_same_line_overwrites(self):
-        cache = CacheAssignments.empty(8)
-        cache = direct_mapped_policy(cache, MemoryOperation(MemKind.LOAD, 0x08, 1))
-        cache = direct_mapped_policy(cache, MemoryOperation(MemKind.STORE, 0x10, 2))
+        cache, first = access(CacheAssignments.empty(8), MemKind.LOAD, 0x08)
+        cache, second = access(cache, MemKind.STORE, 0x10)
         assert cache.addresses[0] == 0x10
+        assert first == [CacheUpdate(0, 0, 0x08)] and second == [CacheUpdate(0, 0, 0x10)]
 
     def test_kind_agnostic(self):
         cache = CacheAssignments.empty(8)
-        a = direct_mapped_policy(cache, MemoryOperation(MemKind.LOAD, 0x0C, 1))
-        b = direct_mapped_policy(cache, MemoryOperation(MemKind.STORE, 0x0C, 2))
-        assert a == b
+        assert access(cache, MemKind.LOAD, 0x0C) == access(cache, MemKind.STORE, 0x0C)
+
+    @pytest.mark.parametrize(
+        "lower_valid, home_address, line",
+        [
+            (True, 0x0B, 1),  # repeat access: the lowest line holding it
+            (False, 0x0B, 3),  # an invalid lower line does not count
+            (True, 0x13, 3),  # a miss always fills the home line
+        ],
+    )
+    def test_line_reported_when_address_held_twice(self, lower_valid, home_address, line):
+        # 0x0B % 8 == 3; line 1 also holds 0x0B, as a random state may.
+        cache = CacheAssignments(
+            (0, 0x0B, 0, home_address, 0, 0, 0, 0),
+            (False, lower_valid, False, True, False, False, False, False),
+        )
+        new, updates = access(cache, MemKind.LOAD, 0x0B)
+        assert new == cache.assign(3, 0x0B)
+        assert updates == [CacheUpdate(0, line, 0x0B)]
 
     def test_repeat_access_still_traces(self):
         s = make_state(
@@ -361,7 +389,7 @@ class TestRun:
     def _random_run(seed):
         rng = random.Random(seed)
         mem = tuple(
-            TaggedWord(random_instruction_word(rng), rng.random() < 0.1)
+            TaggedWord(encode(random_instruction(rng)), rng.random() < 0.1)
             if rng.random() < 0.7
             else random_word(rng, blind_p=0.2)
             for _ in range(32)
@@ -395,7 +423,7 @@ class TestStepSafety:
         instr_blind_p = 0.12
         for _ in range(mem_size):
             if rng.random() < 0.65:
-                w = TaggedWord(random_instruction_word(rng), rng.random() < instr_blind_p)
+                w = TaggedWord(encode(random_instruction(rng)), rng.random() < instr_blind_p)
             else:
                 w = random_word(rng, blind_p=0.35)
             mem1.append(w)
@@ -485,6 +513,42 @@ class TestReferenceMachine:
         )
         nxt, _ = step(s, cfg)
         assert nxt.registers[3] == clear(9)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "words, regs, where, expected",
+        [
+            pytest.param(
+                [iw(Opcode.LOAD, (1,), (2,)), HALT, blinded(0x77)],
+                {1: clear(2)}, "r2", clear(0x77), id="blinded-word-loads-clear",
+            ),
+            pytest.param(
+                [iw(Opcode.STORE, (1, 2)), HALT],
+                {1: clear(25), 2: blinded(7)}, "m25", clear(7), id="store-to-unblindable",
+            ),
+            pytest.param(
+                [iw(Opcode.BLND, (1,)), HALT, clear(0x55)],
+                {1: clear(2)}, "m2", clear(0x55), id="blnd-no-tag-edit",
+            ),
+            pytest.param(
+                [iw(Opcode.RBLND, (1,)), HALT, blinded(0x55)],
+                {1: clear(2)}, "m2", blinded(0x55), id="rblnd-not-refused",
+            ),
+        ],
+    )
+    def test_tag_policy_does_not_apply(self, mode, words, regs, where, expected):
+        cfg = MachineConfig(
+            mode=mode,
+            memory_words=32,
+            cache_lines=8,
+            unblindable_ranges=((24, 28),),
+            tag_logic=False,
+        )
+        nxt, events = step(make_state(words, regs=regs), cfg)
+        assert nxt.status is Status.RUNNING and nxt.pc == 1
+        assert not any(isinstance(e, Fault) for e in events)
+        store = nxt.registers if where[0] == "r" else nxt.memory
+        assert store[int(where[1:])] == expected
 
     def test_taint_free_program_matches_policy_machine(self):
         prog = [

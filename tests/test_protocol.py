@@ -1,15 +1,16 @@
 """Handshake agreement, evidence verification, framing, and the session loop."""
 
+import io
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blindsim.assembler import assemble, decode_image, encode_image
+from blindsim.assembler import ProgramImage, Segment, assemble, decode_image, encode_image
 from blindsim.corpus import demo_add_one
 from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
-from blindsim.isa import Mode
+from blindsim.isa import DecodedInstruction, Mode, Opcode, encode
 from blindsim.machine import MachineConfig
 from blindsim.protocol import (
     Claims,
@@ -26,8 +27,11 @@ from blindsim.protocol import (
     decode_frame,
     encode_frame,
     make_device_keypair,
+    max_frame_length,
     parse_compute_result,
+    read_frame,
 )
+from blindsim.model import clear
 
 DEV_PRIV, DEV_PUB = make_device_keypair(seed=7)
 
@@ -275,3 +279,87 @@ class TestServerSession:
             )
         assert len(session.traces) == 3
         assert all(t == session.traces[0] for t in session.traces)
+
+
+class RecordingStream:
+    """Duplex stream over canned input that records every read size."""
+
+    def __init__(self, data: bytes):
+        self._in = io.BytesIO(data)
+        self.out = io.BytesIO()
+        self.reads: list[int] = []
+
+    def read(self, n: int) -> bytes:
+        self.reads.append(n)
+        return self._in.read(n)
+
+    def write(self, data: bytes) -> None:
+        self.out.write(data)
+
+    def flush(self) -> None:
+        pass
+
+    def replies(self) -> list:
+        data, frames = self.out.getvalue(), []
+        while data:
+            n = 4 + int.from_bytes(data[:4], "big")
+            frames.append(decode_frame(data[:n]))
+            data = data[n:]
+        return frames
+
+
+def header(length: int) -> bytes:
+    return length.to_bytes(4, "big")
+
+
+class TestStreamFraming:
+    MEM = 64
+
+    def make_session(self):
+        cfg = MachineConfig(memory_words=self.MEM, cache_lines=8)
+        return ServerSession(DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32), cfg, seed=3)
+
+    def test_oversized_header_gets_error_without_body_read(self):
+        session = self.make_session()
+        stream = RecordingStream(header(0xFFFFFFFF) + bytes(256) + encode_frame(ExportRequest(0, 1)))
+        session.serve_stream(stream)
+        replies = stream.replies()
+        assert len(replies) == 1 and isinstance(replies[0], ErrorResponse)
+        assert max(stream.reads) <= max_frame_length(self.MEM)
+
+    def test_largest_legal_frames_get_normal_replies(self):
+        session = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
+        # Every word in a segment of its own is the largest image that loads.
+        words = [clear(encode(DecodedInstruction(Opcode.HALT, (), ())))]
+        words += [clear(i) for i in range(1, self.MEM)]
+        image = ProgramImage(0, tuple(Segment(i, (w,)) for i, w in enumerate(words)))
+        frames = [
+            encode_frame(ImportRequest(0, client_encrypt(key, range(self.MEM), counter=0))),
+            encode_frame(ComputeRequest(0, encode_image(image))),
+            encode_frame(ExportRequest(0, self.MEM)),
+        ]
+        assert len(frames[1]) - 4 <= max_frame_length(self.MEM)
+        stream = RecordingStream(b"".join(frames))
+        session.serve_stream(stream)
+        imported, computed, exported = stream.replies()
+        assert imported == ResultResponse(b"")
+        assert parse_compute_result(computed.payload) == ("halted", 1)
+        assert client_decrypt(key, exported.payload) == tuple(w.value for w in words)
+        out = io.BytesIO(stream.out.getvalue())
+        for _ in range(3):
+            assert read_frame(out, max_frame_length(self.MEM)) is not None
+
+    def test_read_frame_at_and_over_the_cap(self):
+        cap = max_frame_length(self.MEM)
+        frame = header(cap) + bytes(cap)
+        assert read_frame(io.BytesIO(frame), cap) == frame
+        stream = RecordingStream(header(cap + 1) + bytes(cap + 1))
+        with pytest.raises(ProtocolError):
+            read_frame(stream, cap)
+        assert stream.reads == [4]
+
+    @pytest.mark.parametrize("data", [b"", b"\x00\x00", header(8) + b"\x06abc"])
+    def test_read_frame_returns_none_on_a_short_read(self, data):
+        assert read_frame(io.BytesIO(data), max_frame_length(self.MEM)) is None

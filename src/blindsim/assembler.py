@@ -30,22 +30,10 @@ import re
 import struct
 from dataclasses import dataclass
 
-from .isa import PC, DecodedInstruction, DecodeError, Opcode, decode, encode
+from .isa import REG, SHAPES, DecodedInstruction, DecodeError, decode, encode
 from .model import MASK64, REG_COUNT, TaggedWord
 
-_MNEMONIC_ARITY = {
-    "halt": 0,
-    "store": 2,
-    "load": 2,
-    "bz": 2,
-    "add": 3,
-    "sub": 3,
-    "mul": 3,
-    "and": 3,
-    "xor": 3,
-    "blnd": 1,
-    "rblnd": 1,
-}
+_MNEMONICS = {op.name.lower(): op for op in SHAPES}
 
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_]\w*):")
 _NAME_RE = re.compile(r"^[A-Za-z_]\w*$")
@@ -188,15 +176,16 @@ class _Assembler:
             self.err(line_no, col, f"unknown directive {head!r}")
 
     def instruction(self, line_no: int, col: int, head: str, args) -> None:
+        """Operands are the register output, if any, then the inputs."""
         mnemonic = head.lower()
-        if mnemonic not in _MNEMONIC_ARITY:
+        op = _MNEMONICS.get(mnemonic)
+        if op is None:
             self.err(line_no, col, f"unknown mnemonic {head!r}")
             return
-        arity = _MNEMONIC_ARITY[mnemonic]
+        n_inputs, outputs = SHAPES[op]
+        arity = n_inputs + (outputs == (REG,))
         if len(args) != arity:
-            self.err(
-                line_no, col, f"{mnemonic} takes {arity} operand(s), got {len(args)}"
-            )
+            self.err(line_no, col, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
             return
         regs = []
         for tok, tok_col in args:
@@ -204,20 +193,9 @@ class _Assembler:
             if r is None:
                 return
             regs.append(r)
-        op = Opcode[mnemonic.upper()] if mnemonic != "halt" else Opcode.HALT
-        if mnemonic == "halt":
-            d = DecodedInstruction(op, (), ())
-        elif mnemonic == "store":
-            d = DecodedInstruction(op, (regs[0], regs[1]), ())
-        elif mnemonic == "load":
-            d = DecodedInstruction(op, (regs[1],), (regs[0],))
-        elif mnemonic == "bz":
-            d = DecodedInstruction(op, (regs[0], regs[1]), (PC,))
-        elif mnemonic in ("blnd", "rblnd"):
-            d = DecodedInstruction(op, (regs[0],), ())
-        else:
-            d = DecodedInstruction(op, (regs[1], regs[2]), (regs[0],))
-        self.emit(line_no, col, d)
+        if outputs == (REG,):
+            outputs = (regs.pop(0),)
+        self.emit(line_no, col, DecodedInstruction(op, tuple(regs), outputs))
 
     def emit(self, line_no: int, col: int, payload) -> None:
         if self.address > MASK64:
@@ -291,18 +269,11 @@ def assemble(source: str) -> ProgramImage:
 
 def render_instruction(d: DecodedInstruction) -> str:
     """Canonical assembly text for one decoded instruction."""
-    op = d.opcode
-    if op is Opcode.HALT:
-        return "halt"
-    if op is Opcode.STORE:
-        return f"store r{d.inputs[0]}, r{d.inputs[1]}"
-    if op is Opcode.LOAD:
-        return f"load r{d.outputs[0]}, r{d.inputs[0]}"
-    if op is Opcode.BZ:
-        return f"bz r{d.inputs[0]}, r{d.inputs[1]}"
-    if op in (Opcode.BLND, Opcode.RBLND):
-        return f"{op.name.lower()} r{d.inputs[0]}"
-    return f"{op.name.lower()} r{d.outputs[0]}, r{d.inputs[0]}, r{d.inputs[1]}"
+    mnemonic = d.opcode.name.lower()
+    regs = (d.outputs if SHAPES[d.opcode][1] == (REG,) else ()) + d.inputs
+    if not regs:
+        return mnemonic
+    return f"{mnemonic} " + ", ".join(f"r{r}" for r in regs)
 
 
 def disassemble(image: ProgramImage) -> str:
@@ -354,7 +325,7 @@ def encode_image(image: ProgramImage) -> bytes:
 
 def decode_image(data: bytes) -> ProgramImage:
     """Parse the binary image format; strict about magic, version,
-    truncation, trailing bytes, and segment overlap."""
+    truncation, trailing bytes, empty segments, and segment overlap."""
     view = memoryview(data)
     pos = 0
 
@@ -375,6 +346,8 @@ def decode_image(data: bytes) -> ProgramImage:
     segments = []
     for _ in range(seg_count):
         base, count = struct.unpack("<QQ", take(16))
+        if count == 0:
+            raise ImageFormatError("empty segment")
         if count > (len(view) - pos) // 8:
             raise ImageFormatError("truncated image")
         values = struct.unpack(f"<{count}Q", take(8 * count))

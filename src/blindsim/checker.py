@@ -631,6 +631,15 @@ class _Analysis:
                         worklist.append(succ_pc)
 
 
+def _check_segments(image: ProgramImage, sig: TaintSignature) -> None:
+    for index in sig.segments:
+        if not 0 <= index < len(image.segments):
+            raise ValueError(
+                f"signature names segment s{index}, but the image has "
+                f"{len(image.segments)} segment(s)"
+            )
+
+
 def signature_state(
     image: ProgramImage,
     sig: TaintSignature,
@@ -642,8 +651,11 @@ def signature_state(
 
     Signature-clear registers get value 0 by default or a random clear
     value with ``randomize_clear`` (any clear value is consistent);
-    blinded ones always get fresh random payloads.
+    blinded ones always get fresh random payloads.  Raises ValueError when
+    the signature names a segment the image lacks.
     """
+    _check_segments(image, sig)
+
     def clear_value() -> int:
         return rng.getrandbits(64) if randomize_clear else 0
 
@@ -673,7 +685,6 @@ def _replay_candidate(
     sig: TaintSignature,
     cfg: MachineConfig,
     finding: Finding,
-    max_steps: int,
     seed: int,
 ) -> Witness | None:
     rng = random.Random(seed)
@@ -682,7 +693,7 @@ def _replay_candidate(
             initial = signature_state(image, sig, cfg, rng)
         except LoadError:
             return None  # image does not fit this machine; stay MAY_FAULT
-        result = run(initial, cfg, max_steps)
+        result = run(initial, cfg, 10_000)
         for event in result.trace:
             if isinstance(event, Fault) and event.kind is finding.fault:
                 return Witness(initial, event.kind, result.steps, finding.pc)
@@ -693,7 +704,6 @@ def analyze(
     image: ProgramImage,
     sig: TaintSignature,
     cfg: MachineConfig,
-    replay_steps: int = 10_000,
     seed: int = 0,
     max_iterations: int | None = None,
 ) -> ComplianceReport:
@@ -703,7 +713,9 @@ def analyze(
     MAY_FAULT: something was unresolvable or only possibly faulting.
     DEFINITELY_FAULTS: a finding was confirmed by concretely replaying a
     signature-consistent input to the fault; the witness is attached.
+    Raises ValueError when the signature names a segment the image lacks.
     """
+    _check_segments(image, sig)
     analysis = _Analysis(image, sig, cfg)
     analysis.run(max_iterations)
     findings = tuple(analysis.findings.values())
@@ -711,7 +723,7 @@ def analyze(
     witness = None
     for finding in findings:
         if finding.definite and finding.fault is not None:
-            witness = _replay_candidate(image, sig, cfg, finding, replay_steps, seed)
+            witness = _replay_candidate(image, sig, cfg, finding, seed)
             if witness is not None:
                 break
 
@@ -767,7 +779,6 @@ def generate_equivalent_pair(
     memory_words: int = 64,
     cache_lines: int = 8,
     registers: int = REG_COUNT,
-    instruction_bias: float = 0.65,
     blind_p: float = 0.3,
 ) -> tuple[SystemState, SystemState]:
     """A random state and an equivalent twin differing only in blinded
@@ -776,7 +787,7 @@ def generate_equivalent_pair(
     rng = random.Random(seed)
 
     def word() -> TaggedWord:
-        if rng.random() < instruction_bias:
+        if rng.random() < 0.65:
             return TaggedWord(encode(random_instruction(rng)), rng.random() < 0.15)
         value = rng.randrange(memory_words) if rng.random() < 0.5 else rng.getrandbits(64)
         return TaggedWord(value, rng.random() < blind_p)

@@ -218,11 +218,10 @@ def cmd_check(args) -> int:
     try:
         image = _load_image(args.image)
         sig = checker.parse_signature(args.sig)
+        report = checker.analyze(image, sig, cfg, seed=args.seed)
     except (OSError, ImageFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-    report = checker.analyze(image, sig, cfg, seed=args.seed)
     sys.stdout.write(report.format())
 
     dynamic = None

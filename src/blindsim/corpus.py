@@ -121,22 +121,14 @@ result:
 """
 
 
-def add_one_pipeline(
-    n: int = 4,
-    values: tuple[int, ...] | None = None,
-    data_label: bool = True,
-) -> str:
+def _add_one_loop(n: int, data: str, result: str) -> str:
     """Looped pipeline: result[i] = data[i] + 1 for i in [0, n).
 
-    With ``values`` given they are embedded as blinded words; otherwise the
-    data region is left zeroed (the protocol demo fills it via import).
-    Exercises loads, stores, a counted loop, and an unconditional jump.
+    ``data`` and ``result`` are the pool words holding the two base
+    addresses (labels or numbers); the pool is the last statement, so a
+    caller may append the regions the labels name.  Exercises loads,
+    stores, a counted loop, and an unconditional jump.
     """
-    if values is not None:
-        assert len(values) == n
-        data_words = "\n".join(f"    .word {v:#x} blinded" for v in values)
-    else:
-        data_words = "\n".join("    .word 0" for _ in range(n))
     return f"""
 .entry start
 .word pool
@@ -169,12 +161,19 @@ done:
     halt
 pool:
     .word 1
-    .word data
-    .word result
+    .word {data}
+    .word {result}
     .word {n:#x}
     .word loop
     .word done
-data:
+"""
+
+
+def add_one_pipeline(n: int, values: tuple[int, ...]) -> str:
+    """The add-one loop over ``values`` embedded as blinded words."""
+    assert len(values) == n
+    data_words = "\n".join(f"    .word {v:#x} blinded" for v in values)
+    return _add_one_loop(n, "data", "result") + f"""data:
 {data_words}
 result:
 {chr(10).join("    .word 0" for _ in range(n))}
@@ -182,47 +181,10 @@ result:
 
 
 def demo_add_one(n: int, data_base: int = 0x100, result_base: int = 0x180) -> str:
-    """Protocol-demo pipeline: result[i] = data[i] + 1 over externally
-    imported data.  The image carries only code and pool, so loading it
-    never clobbers the imported region."""
-    return f"""
-.entry start
-.word pool
-start:
-    load r10, r0
-    load r11, r10       # constant 1
-    add  r10, r10, r11
-    load r12, r10       # data pointer
-    add  r10, r10, r11
-    load r13, r10       # result pointer
-    add  r10, r10, r11
-    load r14, r10       # n
-    add  r10, r10, r11
-    load r15, r10       # &loop
-    add  r10, r10, r11
-    load r16, r10       # &done
-    xor  r17, r17, r17  # i = 0
-loop:
-    sub  r18, r17, r14
-    bz   r18, r16
-    load r2, r12
-    add  r3, r2, r11
-    store r13, r3
-    add  r12, r12, r11
-    add  r13, r13, r11
-    add  r17, r17, r11
-    xor  r18, r18, r18
-    bz   r18, r15
-done:
-    halt
-pool:
-    .word 1
-    .word {data_base:#x}
-    .word {result_base:#x}
-    .word {n:#x}
-    .word loop
-    .word done
-"""
+    """Protocol-demo pipeline: the add-one loop over externally imported
+    data.  The image carries only code and pool, so loading it never
+    clobbers the imported region."""
+    return _add_one_loop(n, f"{data_base:#x}", f"{result_base:#x}")
 
 
 def add_one_unrolled(n: int = 3, values: tuple[int, ...] | None = None) -> str:
@@ -382,7 +344,7 @@ def curated_corpus() -> tuple[CorpusEntry, ...]:
         CorpusEntry("branchless-select", branchless_select(), blinded_regs=(1, 2)),
         CorpusEntry("compare-accumulate", compare_accumulate()),
         CorpusEntry("compare-accumulate-unequal", compare_accumulate(ys=(3, 5, 8, 9))),
-        CorpusEntry("add-one-looped", add_one_pipeline(values=(10, 20, 30, 40))),
+        CorpusEntry("add-one-looped", add_one_pipeline(4, (10, 20, 30, 40))),
         CorpusEntry("add-one-unrolled", add_one_unrolled()),
         CorpusEntry("fault-blinded-branch", blinded_branch_fault(), safe=False),
         CorpusEntry("fault-blinded-load", blinded_load_fault(), safe=False),

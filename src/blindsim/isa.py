@@ -136,47 +136,45 @@ HALT_CONTROL = Control(ControlKind.HALT)
 #   bytes 4-7: reserved, must be zero
 # ---------------------------------------------------------------------------
 
+#: Marks a register output in :data:`SHAPES`.
+REG = "reg"
 
-def _operand_layout(d: DecodedInstruction) -> tuple[int, int, int]:
-    """(byte1, byte2, byte3) for a well-formed instruction; raises EncodeError."""
-    op, ins, outs = d.opcode, d.inputs, d.outputs
+#: Operand shape of every opcode: (input count, outputs), where outputs
+#: is (), (PC,) or (REG,).  Encoding, decoding, random instructions and
+#: assembly text all follow this table.
+SHAPES: dict[Opcode, tuple[int, tuple[str, ...]]] = {
+    Opcode.HALT: (0, ()),
+    Opcode.STORE: (2, ()),
+    Opcode.LOAD: (1, (REG,)),
+    Opcode.BZ: (2, (PC,)),
+    **{op: (2, (REG,)) for op in ARITHMETIC},
+    Opcode.BLND: (1, ()),
+    Opcode.RBLND: (1, ()),
+}
 
-    def reg(i: int) -> int:
-        if not isinstance(i, int) or not 0 <= i < REG_COUNT:
-            raise EncodeError(f"register index out of range: {i!r}")
-        return i
+_BY_BYTE = {int(op): (op, n, outs) for op, (n, outs) in SHAPES.items()}
+_PADDING = (_ABSENT, _ABSENT)
 
-    if op is Opcode.HALT:
-        if ins or outs:
-            raise EncodeError("halt takes no operands")
-        return _ABSENT, _ABSENT, _ABSENT
-    if op is Opcode.STORE:
-        if len(ins) != 2 or outs:
-            raise EncodeError("store takes two inputs and no outputs")
-        return _ABSENT, reg(ins[0]), reg(ins[1])
-    if op is Opcode.LOAD:
-        if len(ins) != 1 or len(outs) != 1 or outs[0] == PC:
-            raise EncodeError("load takes one input and one register output")
-        return reg(outs[0]), reg(ins[0]), _ABSENT
-    if op is Opcode.BZ:
-        if len(ins) != 2 or outs != (PC,):
-            raise EncodeError("bz takes two inputs and writes pc")
-        return _ABSENT, reg(ins[0]), reg(ins[1])
-    if op in ARITHMETIC:
-        if len(ins) != 2 or len(outs) != 1 or outs[0] == PC:
-            raise EncodeError(f"{op.name.lower()} takes two inputs and one output")
-        return reg(outs[0]), reg(ins[0]), reg(ins[1])
-    if op in (Opcode.BLND, Opcode.RBLND):
-        if len(ins) != 1 or outs:
-            raise EncodeError(f"{op.name.lower()} takes one input and no outputs")
-        return _ABSENT, reg(ins[0]), _ABSENT
-    raise EncodeError(f"unknown opcode {op!r}")
+
+def _register(i: int) -> int:
+    if not isinstance(i, int) or not 0 <= i < REG_COUNT:
+        raise EncodeError(f"register index out of range: {i!r}")
+    return i
 
 
 def encode(d: DecodedInstruction) -> int:
-    """Pack a decoded instruction into its 64-bit word."""
-    b1, b2, b3 = _operand_layout(d)
-    return int(d.opcode) | (b1 << 8) | (b2 << 16) | (b3 << 24)
+    """Pack a decoded instruction into its 64-bit word; raises EncodeError
+    unless its operands have its opcode's shape."""
+    shape = _BY_BYTE.get(d.opcode)
+    if shape is None:
+        raise EncodeError(f"unknown opcode {d.opcode!r}")
+    op, n_inputs, outputs = shape
+    pc_ok = outputs != (PC,) or d.outputs == (PC,)
+    if len(d.inputs) != n_inputs or len(d.outputs) != len(outputs) or not pc_ok:
+        raise EncodeError(f"{op.name.lower()} takes {n_inputs} input(s) and outputs {outputs}")
+    out = _register(d.outputs[0]) if outputs == (REG,) else _ABSENT
+    b2, b3 = (*map(_register, d.inputs), *_PADDING)[:2]
+    return int(op) | (out << 8) | (b2 << 16) | (b3 << 24)
 
 
 def decode(word: int) -> DecodedInstruction:
@@ -186,47 +184,22 @@ def decode(word: int) -> DecodedInstruction:
     >= REG_COUNT, and wrong absent-operand markers.  Depends only on the
     word, never on tags.
     """
-    if not 0 <= word <= MASK64:
-        raise DecodeError(f"instruction word out of range: {word:#x}")
-    if word >> 32:
-        raise DecodeError("reserved bytes are nonzero")
-    b0 = word & 0xFF
-    b1 = (word >> 8) & 0xFF
-    b2 = (word >> 16) & 0xFF
-    b3 = (word >> 24) & 0xFF
-    try:
-        op = Opcode(b0)
-    except ValueError:
-        raise DecodeError(f"unknown opcode byte {b0:#04x}") from None
-
-    def reg(b: int, slot: str) -> int:
-        if b >= REG_COUNT:
-            raise DecodeError(f"{slot} register index {b:#04x} out of range")
-        return b
-
-    def absent(b: int, slot: str) -> None:
-        if b != _ABSENT:
-            raise DecodeError(f"{slot} byte must be 0xff, got {b:#04x}")
-
-    if op is Opcode.HALT:
-        absent(b1, "output"), absent(b2, "input1"), absent(b3, "input2")
-        return DecodedInstruction(op, (), ())
-    if op is Opcode.STORE:
-        absent(b1, "output")
-        return DecodedInstruction(op, (reg(b2, "address"), reg(b3, "source")), ())
-    if op is Opcode.LOAD:
-        absent(b3, "input2")
-        return DecodedInstruction(op, (reg(b2, "address"),), (reg(b1, "destination"),))
-    if op is Opcode.BZ:
-        absent(b1, "output")
-        return DecodedInstruction(op, (reg(b2, "condition"), reg(b3, "target")), (PC,))
-    if op in ARITHMETIC:
-        return DecodedInstruction(
-            op, (reg(b2, "input1"), reg(b3, "input2")), (reg(b1, "output"),)
-        )
-    # BLND / RBLND
-    absent(b1, "output"), absent(b3, "input2")
-    return DecodedInstruction(op, (reg(b2, "address"),), ())
+    if not 0 <= word < 1 << 32:
+        raise DecodeError(f"{word:#x} is out of range or has nonzero reserved bytes")
+    shape = _BY_BYTE.get(word & 0xFF)
+    if shape is None:
+        raise DecodeError(f"unknown opcode byte {word & 0xFF:#04x}")
+    op, n_inputs, outputs = shape
+    out = (word >> 8) & 0xFF
+    operands = ((word >> 16) & 0xFF, word >> 24)
+    inputs = operands[:n_inputs]
+    if any(b >= REG_COUNT for b in inputs) or operands[n_inputs:] != _PADDING[n_inputs:]:
+        raise DecodeError(f"input bytes of {word:#x} do not fit {op.name.lower()}")
+    if outputs == (REG,) and out < REG_COUNT:
+        outputs = (out,)
+    elif outputs == (REG,) or out != _ABSENT:
+        raise DecodeError(f"output byte of {word:#x} does not fit {op.name.lower()}")
+    return DecodedInstruction(op, inputs, outputs)
 
 
 _OPCODES = tuple(Opcode)
@@ -239,18 +212,11 @@ def random_instruction(rng: random.Random) -> DecodedInstruction:
     before outputs), so a seeded ``rng`` always yields the same stream.
     """
     op = rng.choice(_OPCODES)
-    r = lambda: rng.randrange(REG_COUNT)
-    if op is Opcode.HALT:
-        return DecodedInstruction(op, (), ())
-    if op is Opcode.STORE:
-        return DecodedInstruction(op, (r(), r()), ())
-    if op is Opcode.LOAD:
-        return DecodedInstruction(op, (r(),), (r(),))
-    if op is Opcode.BZ:
-        return DecodedInstruction(op, (r(), r()), (PC,))
-    if op in ARITHMETIC:
-        return DecodedInstruction(op, (r(), r()), (r(),))
-    return DecodedInstruction(op, (r(),), ())
+    n_inputs, outputs = SHAPES[op]
+    inputs = tuple(rng.randrange(REG_COUNT) for _ in range(n_inputs))
+    if outputs == (REG,):
+        outputs = (rng.randrange(REG_COUNT),)
+    return DecodedInstruction(op, inputs, outputs)
 
 
 # ---------------------------------------------------------------------------

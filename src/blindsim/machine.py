@@ -338,6 +338,9 @@ class RunOutcome(Enum):
     STEP_LIMIT = "step-limit"
 
 
+_OUTCOMES = {Status.HALTED: RunOutcome.HALTED, Status.FAULTED: RunOutcome.FAULTED}
+
+
 @dataclass(frozen=True, slots=True)
 class RunResult:
     state: SystemState
@@ -363,11 +366,8 @@ def run(
         raise ValueError("max_steps must be positive")
     trace: list[TraceEvent] = []
     trapped_unchanged = 0
-    for n in range(max_steps):
-        if s.status is Status.HALTED:
-            return RunResult(s, tuple(trace), RunOutcome.HALTED, n)
-        if s.status is Status.FAULTED:
-            return RunResult(s, tuple(trace), RunOutcome.FAULTED, n)
+    n = 0
+    while n < max_steps and s.status is Status.RUNNING:
         nxt, events = step(s, cfg, cycle=n, semantics=semantics)
         trace.extend(events)
         trapped = (
@@ -380,10 +380,6 @@ def run(
         if trapped_unchanged >= 2:
             return RunResult(nxt, tuple(trace), RunOutcome.FAULT_LOOP, n + 1)
         s = nxt
-    if s.status is Status.HALTED:
-        outcome = RunOutcome.HALTED
-    elif s.status is Status.FAULTED:
-        outcome = RunOutcome.FAULTED
-    else:
-        outcome = RunOutcome.STEP_LIMIT
-    return RunResult(s, tuple(trace), outcome, max_steps)
+        n += 1
+    outcome = _OUTCOMES.get(s.status, RunOutcome.STEP_LIMIT)
+    return RunResult(s, tuple(trace), outcome, n)

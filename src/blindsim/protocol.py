@@ -275,6 +275,11 @@ def max_frame_length(memory_words: int) -> int:
     return 256 + 25 * memory_words
 
 
+def _check_length(length: int, max_length: int) -> None:
+    if length > max_length:
+        raise ProtocolError(f"frame length {length} exceeds the limit of {max_length}")
+
+
 def read_frame(stream, max_length: int) -> bytes | None:
     """One raw frame from a binary stream; None if the stream ends first.
     Raises ProtocolError, before reading the body, on a length field
@@ -283,8 +288,7 @@ def read_frame(stream, max_length: int) -> bytes | None:
     if len(header) != 4:
         return None
     (length,) = struct.unpack(">I", header)
-    if length > max_length:
-        raise ProtocolError(f"frame length {length} exceeds the limit of {max_length}")
+    _check_length(length, max_length)
     body = stream.read(length)
     if len(body) != length:
         return None
@@ -351,26 +355,21 @@ class ClientHandshake:
     """Client side: emit a hello, then verify the device's reply.
 
     ``finish`` raises :class:`VerifyError` unless the evidence signature
-    checks out under the expected device key, the claims satisfy the
-    client's policy, and the transcript hash matches what this client
-    actually sent.
+    checks out under the expected device key, the claims show taint
+    extensions, a certified OS, the expected AEAD scheme and (when one is
+    required) the policy mode, and the transcript hash matches what this
+    client actually sent.
     """
 
     def __init__(
         self,
         device_public: bytes,
         seed: int | bytes,
-        require_taint_extensions: bool = True,
-        require_os_certified: bool = True,
         required_mode: Mode | None = None,
-        expected_scheme: str = AEAD_SCHEME,
     ):
         self._device_public = Ed25519PublicKey.from_public_bytes(device_public)
         self._private = _derive_private(_seed_bytes(seed), b"client-eph")
-        self._require_taint_extensions = require_taint_extensions
-        self._require_os_certified = require_os_certified
         self._required_mode = required_mode
-        self._expected_scheme = expected_scheme
         self._hello_frame: bytes | None = None
 
     def hello(self) -> bytes:
@@ -390,13 +389,13 @@ class ClientHandshake:
         ev = msg.evidence
 
         claims = ev.claims
-        if self._require_taint_extensions and not claims.has_taint_extensions:
+        if not claims.has_taint_extensions:
             raise VerifyError("device lacks taint-tracking extensions")
-        if self._require_os_certified and not claims.os_certified:
+        if not claims.os_certified:
             raise VerifyError("device OS is not certified")
         if self._required_mode is not None and claims.policy_mode is not self._required_mode:
             raise VerifyError(f"device runs {claims.policy_mode.value} mode")
-        if claims.aead_scheme != self._expected_scheme:
+        if claims.aead_scheme != AEAD_SCHEME:
             raise VerifyError(f"unexpected AEAD scheme {claims.aead_scheme!r}")
 
         expected_hash = _transcript_hash(self._hello_frame, msg.ephemeral_public, claims)
@@ -510,7 +509,10 @@ class ServerSession:
         self.traces: list[str] = []
 
     def handle_frame(self, frame: bytes) -> bytes:
+        """Answer one raw frame; a frame over :func:`max_frame_length` gets
+        an error reply before it is decoded."""
         try:
+            _check_length(len(frame) - 4, max_frame_length(self.cfg.memory_words))
             msg = decode_frame(frame)
         except ProtocolError as exc:
             return encode_frame(ErrorResponse(str(exc)))

@@ -240,6 +240,11 @@ class TestImageFormat:
         s = boot_image(image, MachineConfig(memory_words=16, cache_lines=2))
         assert all(w == clear(0) for w in s.memory)
 
+    def test_empty_segment_rejected(self):
+        empty = ProgramImage(0, (Segment(0, (clear(1),)), Segment(5, ())))
+        with pytest.raises(ImageFormatError, match="empty segment"):
+            decode_image(encode_image(empty))
+
     def test_overlapping_segments_rejected(self):
         bad = ProgramImage(0, (Segment(0, (clear(1), clear(2))), Segment(1, (clear(3),))))
         with pytest.raises(ImageFormatError, match="overlap"):

@@ -104,7 +104,7 @@ pool:
         assert analyze(image, EMPTY_SIG, allowed).verdict is Verdict.COMPLIANT
 
     def test_looped_pipeline_is_conservative_may_fault(self):
-        report = analyze(assemble(add_one_pipeline(values=(1, 2, 3, 4))), EMPTY_SIG, HW)
+        report = analyze(assemble(add_one_pipeline(4, (1, 2, 3, 4))), EMPTY_SIG, HW)
         assert report.verdict is Verdict.MAY_FAULT
         assert any(f.unresolved for f in report.findings)
 
@@ -142,7 +142,7 @@ start:
         assert report.verdict is Verdict.DEFINITELY_FAULTS
 
     def test_fixpoint_bound_reported(self):
-        image = assemble(add_one_pipeline(values=(1, 2, 3, 4)))
+        image = assemble(add_one_pipeline(4, (1, 2, 3, 4)))
         report = analyze(image, EMPTY_SIG, HW, max_iterations=3)
         assert report.bound_exceeded
         assert report.verdict is Verdict.MAY_FAULT
@@ -155,6 +155,18 @@ start:
         assert "bz r2, r0" in text
 
 
+def finding(report, reason):
+    (match,) = [f for f in report.findings if f.reason == reason]
+    return match
+
+
+def assert_witness_replays(report, cfg):
+    w = report.witness
+    assert w is not None
+    result = run(w.initial, cfg, 10_000)
+    assert w.fault in [e.kind for e in result.trace if isinstance(e, Fault)]
+
+
 class TestWitnessValidity:
     def test_witness_replays_to_real_fault(self):
         for source, cfg in [
@@ -165,12 +177,92 @@ class TestWitnessValidity:
                 MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),)),
             ),
         ]:
-            report = analyze(assemble(source), EMPTY_SIG, cfg)
-            w = report.witness
-            assert w is not None
-            result = run(w.initial, cfg, 10_000)
-            kinds = [e.kind for e in result.trace if isinstance(e, Fault)]
-            assert w.fault in kinds
+            assert_witness_replays(analyze(assemble(source), EMPTY_SIG, cfg), cfg)
+
+
+def pool_program(body, pool_words):
+    """``body`` runs with r1 = pool base and r2 = the first pool word."""
+    words = "\n".join(f"    .word {w}" for w in pool_words)
+    return f"""
+.entry start
+.word pool
+start:
+    load r1, r0
+    load r2, r1
+{body}
+    halt
+pool:
+{words}
+"""
+
+
+class TestFindingPaths:
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_top_address(self, cfg):
+        image = assemble(".entry 0\nload r2, r1\nhalt\n")
+        report = analyze(image, parse_signature("r1=T"), cfg)
+        assert report.verdict is Verdict.MAY_FAULT
+        if cfg.mode is Mode.HARDWARE:
+            f = finding(report, "memory address may be blinded")
+            assert f.fault is FaultKind.BLINDED_ADDRESS and not f.definite
+        else:
+            f = finding(report, "memory address may be blinded (no-op in model mode)")
+            assert f.fault is None
+        assert finding(report, "load address unresolved").unresolved
+
+    @pytest.mark.parametrize(
+        "instruction, reason",
+        [
+            ("store r2, r1", "store address out of range"),
+            ("load r3, r2", "load address out of range"),
+            ("blnd r2", "tag-edit address out of range"),
+        ],
+    )
+    def test_constant_address_out_of_range(self, instruction, reason):
+        report = analyze(assemble(pool_program(f"    {instruction}", [100])), EMPTY_SIG, HW)
+        f = finding(report, reason)
+        assert f.fault is FaultKind.OUT_OF_RANGE and f.definite
+        assert report.verdict is Verdict.DEFINITELY_FAULTS
+        assert report.witness.fault is FaultKind.OUT_OF_RANGE
+        assert_witness_replays(report, HW)
+
+    @pytest.mark.parametrize("sig, definite", [("", True), ("r3=C", False)])
+    def test_branch_target_out_of_range(self, sig, definite):
+        # r3 is a clear zero at boot, so the branch must be taken; a
+        # clear-unknown r3 may also fall through to the halt.
+        report = analyze(assemble(pool_program("    bz r3, r2", [100])), parse_signature(sig), HW)
+        f = finding(report, "branch target out of range")
+        assert f.fault is FaultKind.OUT_OF_RANGE and f.definite is definite
+        if definite:
+            assert report.verdict is Verdict.DEFINITELY_FAULTS
+            assert_witness_replays(report, HW)
+        else:
+            assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_possibly_blinded_store_into_unblindable_range(self):
+        cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),))
+        image = assemble(pool_program("    store r2, r5", [48]))
+        report = analyze(image, parse_signature("r5=T"), cfg)
+        f = finding(report, "possibly blinded store into an unblindable range")
+        assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_execution_runs_off_the_end_of_memory(self):
+        image = assemble(".entry 63\n.org 63\nxor r1, r1, r1\n")
+        report = analyze(image, EMPTY_SIG, HW)
+        f = finding(report, "execution runs off the end of memory")
+        assert f.fault is FaultKind.OUT_OF_RANGE and f.definite
+        assert report.verdict is Verdict.DEFINITELY_FAULTS
+        assert_witness_replays(report, HW)
+
+    def test_image_too_large_to_replay_stays_may_fault(self):
+        # The blinded branch is a definite finding, but the segment at 100
+        # does not fit a 64-word machine, so no witness can be booted.
+        image = assemble(".entry 0\nbz r1, r0\n.org 100\n.word 5\n")
+        report = analyze(image, parse_signature("r1=B"), HW)
+        f = finding(report, "blinded value controls a branch")
+        assert f.fault is FaultKind.BLINDED_BRANCH and f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
 
 class TestSignatureParsing:
@@ -187,6 +279,15 @@ class TestSignatureParsing:
         for bad in ("r1", "x3=B", "r99=B", "r1=Q"):
             with pytest.raises(ValueError):
                 parse_signature(bad)
+
+    def test_signature_naming_an_absent_segment_is_rejected(self):
+        image = assemble(add_one_unrolled())
+        cfg = MachineConfig(memory_words=64)
+        sig = parse_signature("s7=B")
+        with pytest.raises(ValueError, match="s7"):
+            analyze(image, sig, cfg)
+        with pytest.raises(ValueError, match="s7"):
+            signature_state(image, sig, cfg, random.Random(0))
 
     def test_signature_state_consistency(self):
         image = assemble(branchless_select())

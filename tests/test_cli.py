@@ -172,6 +172,16 @@ class TestCheck:
         assert main(["check", img, "--sig", "bogus"]) == 2
 
 
+    def test_signature_naming_an_absent_segment_usage_error(self, work, capsys):
+        tmp, write = work
+        src = write("p.asm", ".entry 0\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
+        assert main(["check", img, "--sig", "s7=B"]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "s7" in captured.err
+        assert "verdict" not in captured.out
+
 class TestDemoProtocol:
     def _plain(self, write, name, words):
         return write(name, " ".join(str(w) for w in words) + "\n")

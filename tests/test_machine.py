@@ -370,6 +370,16 @@ class TestRun:
         r = run(s, CFG, max_steps=17)
         assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == 17
 
+    @pytest.mark.parametrize(
+        "max_steps, outcome",
+        [(1, RunOutcome.STEP_LIMIT), (2, RunOutcome.HALTED), (3, RunOutcome.HALTED)],
+    )
+    def test_halt_on_the_last_allowed_step(self, max_steps, outcome):
+        s = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT])
+        r = run(s, CFG, max_steps=max_steps)
+        assert r.outcome is outcome and r.steps == min(max_steps, 2)
+        assert r.state.status is (Status.HALTED if outcome is RunOutcome.HALTED else Status.RUNNING)
+
     def test_faulted_outcome(self):
         s = make_state([clear(0x7F)])
         r = run(s, CFG, max_steps=5)

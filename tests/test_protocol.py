@@ -2,6 +2,7 @@
 
 import io
 import random
+import struct
 
 import pytest
 from hypothesis import given
@@ -350,6 +351,17 @@ class TestStreamFraming:
         out = io.BytesIO(stream.out.getvalue())
         for _ in range(3):
             assert read_frame(out, max_frame_length(self.MEM)) is not None
+
+    def test_handle_frame_refuses_an_oversized_frame_before_decoding(self):
+        # 20,000 empty segments: 320,018 image bytes that load no word.
+        session = self.make_session()
+        image = struct.pack("<4sHQI", b"BLIM", 1, 5, 20_000) + struct.pack("<QQ", 5, 0) * 20_000
+        frame = encode_frame(ComputeRequest(5, image))
+        assert len(frame) - 4 > max_frame_length(self.MEM)
+        reply = decode_frame(session.handle_frame(frame))
+        assert isinstance(reply, ErrorResponse)
+        assert "exceeds the limit" in reply.message
+        assert session.traces == []
 
     def test_read_frame_at_and_over_the_cap(self):
         cap = max_frame_length(self.MEM)

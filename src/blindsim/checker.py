@@ -18,9 +18,12 @@ with the signature, that demonstrably reaches the fault.
 The dynamic side generates pairs of states that agree on everything
 observable and differ only in blinded payloads, runs them in lockstep,
 and checks after every step that they are still equivalent and produced
-identical trace events.  On failure it shrinks the payload delta to a
-minimal counterexample.  With raw unblinding disabled (the default) the
-shipped semantics never fails this check; broken variants fail fast.
+identical trace events.  Equivalence is checked by unwinding: since the
+pair was equivalent before the step, it suffices to compare pc, status,
+fault and whatever either side wrote.  On failure it shrinks the payload
+delta to a minimal counterexample.  With raw unblinding disabled (the
+default) the shipped semantics never fails this check; broken variants
+fail fast.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .isa import (
     instruction_semantics,
     random_instruction,
 )
-from .machine import Fault, LoadError, MachineConfig, boot_image, run, step
+from .machine import Effect, Fault, ListMachine, LoadError, MachineConfig, boot_image, run
 from .model import (
     MASK64,
     REG_COUNT,
@@ -53,6 +56,7 @@ from .model import (
     SystemState,
     TaggedWord,
     state_equiv,
+    value_equiv,
 )
 
 # ---------------------------------------------------------------------------
@@ -778,7 +782,6 @@ def generate_equivalent_pair(
     seed: int,
     memory_words: int = 64,
     cache_lines: int = 8,
-    registers: int = REG_COUNT,
     blind_p: float = 0.3,
 ) -> tuple[SystemState, SystemState]:
     """A random state and an equivalent twin differing only in blinded
@@ -799,7 +802,7 @@ def generate_equivalent_pair(
                 rng.randrange(memory_words) if rng.random() < 0.5 else rng.getrandbits(64),
                 rng.random() < blind_p,
             )
-            for _ in range(registers)
+            for _ in range(REG_COUNT)
         )
     )
     cache = CacheAssignments(
@@ -855,6 +858,29 @@ class NoninterferenceResult:
     counterexample: Counterexample | None = None
 
 
+def _unwinding_holds(m1: ListMachine, m2: ListMachine, e1: Effect, e2: Effect) -> bool:
+    """``state_equiv`` of the post-states, given equivalent pre-states.
+
+    Only what a step wrote can have changed, so beyond pc, status and
+    fault it suffices to compare the cache lines, registers and memory
+    words that either side wrote (Goguen-Meseguer unwinding on the
+    self-composed pair).
+    """
+    if (m1.pc, m1.status, m1.fault) != (m2.pc, m2.status, m2.fault):
+        return False
+    for e in (e1, e2):
+        for line, _ in e.lines:
+            if m1.addresses[line] != m2.addresses[line] or m1.valid[line] != m2.valid[line]:
+                return False
+        for i, _ in e.registers:
+            if not value_equiv(m1.registers[i], m2.registers[i]):
+                return False
+        for a, _ in e.memory:
+            if not value_equiv(m1.memory[a], m2.memory[a]):
+                return False
+    return True
+
+
 def _lockstep_divergence(
     s1: SystemState,
     s2: SystemState,
@@ -862,19 +888,26 @@ def _lockstep_divergence(
     steps: int,
     semantics,
 ) -> tuple[int, str] | None:
-    """(step, reason) of the first divergence, or None."""
+    """(step, reason) of the first divergence, or None.
+
+    Both sides step in place; after each step the events and
+    :func:`_unwinding_holds` stand in for a full ``state_equiv``, which
+    runs once at the end as a cross-check.
+    """
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
+    m1, m2 = ListMachine(s1), ListMachine(s2)
     for k in range(steps):
-        if s1.status is not Status.RUNNING or s2.status is not Status.RUNNING:
-            return None  # both stopped (equivalence already guarantees same way)
-        n1, e1 = step(s1, cfg, cycle=k, semantics=semantics)
-        n2, e2 = step(s2, cfg, cycle=k, semantics=semantics)
-        if e1 != e2:
-            return k, f"trace events diverge: {e1!r} != {e2!r}"
-        if not state_equiv(n1, n2):
+        if m1.status is not Status.RUNNING or m2.status is not Status.RUNNING:
+            break  # both stopped (equivalence already guarantees same way)
+        e1 = m1.step(cfg, k, semantics)
+        e2 = m2.step(cfg, k, semantics)
+        if e1.events != e2.events:
+            return k, f"trace events diverge: {e1.events!r} != {e2.events!r}"
+        if not _unwinding_holds(m1, m2, e1, e2):
             return k, "successor states not equivalent"
-        s1, s2 = n1, n2
+    if not state_equiv(m1.state(), m2.state()):
+        raise RuntimeError("unwinding check passed a pair that state_equiv rejects")
     return None
 
 
@@ -924,6 +957,13 @@ def check_noninterference(
     """Run ``trials`` equivalent pairs in lockstep for up to ``steps``
     steps each, asserting state equivalence and trace equality after
     every step.
+
+    Both sides commit in place.  Because they were equivalent before a
+    step, comparing pc, status, fault and the cache lines, registers and
+    memory words either side wrote is exactly ``state_equiv`` of the
+    successors (the Goguen-Meseguer unwinding condition on the
+    self-composed pair).  A full ``state_equiv`` at the end of each
+    trial cross-checks this and raises RuntimeError if it ever disagrees.
 
     With ``program`` given, pairs are built over the loaded image
     (blinded image words and ``blinded_regs`` get fresh payloads);

@@ -1,6 +1,7 @@
 """Static analysis verdicts, witness replay, and the lockstep harness."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -30,8 +31,10 @@ from blindsim.corpus import (
     trivial_halt,
 )
 from blindsim.isa import Mode, Opcode, instruction_semantics
-from blindsim.machine import Fault, MachineConfig, run
+from blindsim.machine import Fault, MachineConfig, run, step
 from blindsim.model import FaultKind, Status, TaggedWord, state_equiv
+
+import mutants
 
 HW = MachineConfig(memory_words=64, cache_lines=8)
 MODEL = MachineConfig(mode=Mode.MODEL, memory_words=64, cache_lines=8)
@@ -414,6 +417,133 @@ class TestNoninterference:
                 r2 = run(s2, cfg, 200)
                 assert format_trace(r1.trace) == format_trace(r2.trace), entry.name
                 assert r1.outcome is r2.outcome
+
+
+def reference_lockstep(s1, s2, cfg, steps, semantics):
+    """Lockstep through public ``step`` with a full ``state_equiv`` after
+    every step: (step, reason) of the first divergence, or None."""
+    if not state_equiv(s1, s2):
+        return 0, "initial states not equivalent"
+    for k in range(steps):
+        if s1.status is not Status.RUNNING or s2.status is not Status.RUNNING:
+            return None
+        n1, e1 = step(s1, cfg, cycle=k, semantics=semantics)
+        n2, e2 = step(s2, cfg, cycle=k, semantics=semantics)
+        if e1 != e2:
+            return k, f"trace events diverge: {e1!r} != {e2!r}"
+        if not state_equiv(n1, n2):
+            return k, "successor states not equivalent"
+        s1, s2 = n1, n2
+    return None
+
+
+def payload_delta(s1, s2):
+    return [
+        (kind, i)
+        for kind, xs, ys in (("r", s1.registers, s2.registers), ("m", s1.memory, s2.memory))
+        for i, (a, b) in enumerate(zip(xs, ys))
+        if a.blinded and b.blinded and a.value != b.value
+    ]
+
+
+def reference_check(program, trials, steps, cfg, seed, semantics, blinded_regs=()):
+    """``check_noninterference`` rebuilt on :func:`reference_lockstep`:
+    (passed, trials, (trial, step, reason, delta_words, pair) or None)."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        if program is not None:
+            s1, s2 = pair_for_program(program, cfg, rng, blinded_regs)
+        else:
+            s1, s2 = generate_equivalent_pair(
+                rng.getrandbits(48), memory_words=cfg.memory_words, cache_lines=cfg.cache_lines
+            )
+        divergence = reference_lockstep(s1, s2, cfg, steps, semantics)
+        if divergence is not None:
+            current = s2
+            for kind, i in payload_delta(s1, s2):
+                if kind == "r":
+                    candidate = replace(current, registers=current.registers.write(i, s1.registers[i]))
+                else:
+                    candidate = replace(current, memory=current.memory.store(i, s1.memory[i]))
+                if reference_lockstep(s1, candidate, cfg, steps, semantics) is not None:
+                    current = candidate
+            found = (trial, *divergence, len(payload_delta(s1, current)), (s1, current))
+            return False, trial + 1, found
+    return True, trials, None
+
+
+class TestUnwindingMatchesFullEquivalence:
+    """The harness compares only what each step wrote; a reference that
+    calls ``state_equiv`` after every step must agree on every verdict
+    and counterexample."""
+
+    @staticmethod
+    def assert_same_as_reference(program, trials, steps, cfg, seed, semantics, blinded_regs=()):
+        result = check_noninterference(
+            program, trials=trials, steps=steps, cfg=cfg, seed=seed,
+            semantics=semantics, blinded_regs=blinded_regs,
+        )
+        passed, n, found = reference_check(program, trials, steps, cfg, seed, semantics, blinded_regs)
+        assert (result.passed, result.trials) == (passed, n)
+        ce = result.counterexample
+        if found is None:
+            assert ce is None
+        else:
+            assert (ce.trial, ce.step, ce.reason, ce.delta_words, ce.initial_pair) == found
+        return result
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "mutant",
+        [mutants.add_drops_taint, mutants.bz_ignores_blinded_condition, mutants.cache_sees_blinded_addresses],
+        ids=lambda f: f.__name__,
+    )
+    def test_mutants(self, mutant, mode):
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+        caught = 0
+        for seed in range(3):
+            result = self.assert_same_as_reference(None, 200, 64, cfg, seed, mutant)
+            caught += not result.passed
+        for source in (blinded_branch_fault(), blinded_load_fault()):
+            result = self.assert_same_as_reference(assemble(source), 100, 64, cfg, 62, mutant)
+            caught += not result.passed
+        # this mutant differs from the shipped semantics in model mode only
+        applies = mutant is not mutants.cache_sees_blinded_addresses or mode is Mode.MODEL
+        assert (caught > 0) == applies
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_divergence_only_the_state_shows(self, mode):
+        # Raw unblinding clears a tag in memory, and this variant writes a
+        # register on one side only; neither shows in the trace events.
+        def add_skips_write_on_odd_secret(d, inputs, mode):
+            outs, memops, control = instruction_semantics(d, inputs, mode)
+            if d.opcode is Opcode.ADD and any(w.blinded and w.value & 1 for w in inputs):
+                return (), memops, control
+            return outs, memops, control
+
+        raw = MachineConfig(mode=mode, memory_words=64, cache_lines=8, allow_raw_unblind=True)
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+        reasons = set()
+        for seed in range(3):
+            for c, semantics in ((raw, instruction_semantics), (cfg, add_skips_write_on_odd_secret)):
+                result = self.assert_same_as_reference(None, 200, 64, c, seed, semantics)
+                reasons.add(result.counterexample and result.counterexample.reason)
+        assert "successor states not equivalent" in reasons
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_passing_corpus_programs(self, mode):
+        for entry in curated_corpus():
+            cfg = MachineConfig(
+                mode=mode,
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+            )
+            result = self.assert_same_as_reference(
+                assemble(entry.source), 8, 200, cfg, 13, instruction_semantics, entry.blinded_regs
+            )
+            assert result.passed, entry.name
 
 
 class TestSoundnessSpotCheck:

@@ -5,10 +5,15 @@ from dataclasses import replace
 
 import pytest
 
+from blindsim.assembler import assemble
+from blindsim.checker import generate_equivalent_pair, pair_for_program
+from blindsim.corpus import curated_corpus
 from blindsim.isa import (
+    NEXT,
     PC,
     DecodedInstruction,
     MemKind,
+    MemoryOperation,
     Mode,
     Opcode,
     encode,
@@ -23,6 +28,7 @@ from blindsim.machine import (
     MemAccess,
     MmioWrite,
     RunOutcome,
+    RunResult,
     format_event,
     format_trace,
     run,
@@ -188,6 +194,26 @@ class TestStep:
         halted, _ = step(s, CFG)
         with pytest.raises(ValueError):
             step(halted, CFG)
+
+    def test_memory_operations_see_earlier_writes_in_the_step(self):
+        # A semantics may return several memory operations; each sees the
+        # writes made before it in the same step, and a repeat access to
+        # a line this step filled reports that line.
+        def store_then_load(d, inputs, mode):
+            return (), (
+                MemoryOperation(MemKind.STORE, 0x0B, 2),
+                MemoryOperation(MemKind.LOAD, 0x0B, 4),
+                MemoryOperation(MemKind.STORE, 0x0C, 4),
+            ), NEXT
+
+        s = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT], regs={2: blinded(0x55)})
+        nxt, events = step(s, CFG, semantics=store_then_load)
+        assert nxt.memory[0x0B] == blinded(0x55) and nxt.memory[0x0C] == blinded(0x55)
+        assert nxt.registers[4] == blinded(0x55)
+        assert [e for e in events if isinstance(e, CacheUpdate)] == [
+            CacheUpdate(0, 3, 0x0B), CacheUpdate(0, 3, 0x0B), CacheUpdate(0, 4, 0x0C),
+        ]
+        assert run(s, CFG, max_steps=1, semantics=store_then_load).state == nxt
 
 
 class TestUnblindableAndMmio:
@@ -418,6 +444,104 @@ class TestRun:
     def test_max_steps_must_be_positive(self):
         with pytest.raises(ValueError):
             run(make_state([HALT]), CFG, max_steps=0)
+
+    def test_input_state_is_left_unchanged(self):
+        program = [iw(Opcode.STORE, (1, 2)), iw(Opcode.LOAD, (1,), (3,)), HALT]
+        regs = {1: clear(0x13), 2: blinded(7)}
+        s = make_state(program, regs=regs)
+        r = run(s, CFG, max_steps=10)
+        assert r.state.memory[0x13] == blinded(7) and r.state.registers[3] == blinded(7)
+        assert s == make_state(program, regs=regs)
+
+    def test_control_trap_at_zero_fault_loops(self):
+        # bz r1, r2 at pc 0 with a blinded condition traps back to itself
+        s = make_state([iw(Opcode.BZ, (1, 2), (PC,))], regs={1: blinded(0)})
+        r = run(s, CFG, max_steps=100)
+        assert r.outcome is RunOutcome.FAULT_LOOP and r.steps == 2
+        assert r.trace == (
+            Fetch(0, 0, s.memory[0].value), Fault(0, FaultKind.BLINDED_BRANCH),
+            Fetch(1, 0, s.memory[0].value), Fault(1, FaultKind.BLINDED_BRANCH),
+        )
+        assert r.state == s
+
+    def test_step_between_traps_resets_the_trap_count(self):
+        # pc 1 traps to 0; the add at 0 falls through to 1, which traps again
+        s = make_state(
+            [iw(Opcode.ADD, (3, 4), (5,)), iw(Opcode.BZ, (1, 2), (PC,))],
+            regs={1: blinded(0)},
+            pc=1,
+        )
+        r = run(s, CFG, max_steps=9)
+        assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == 9
+        assert sum(isinstance(e, Fault) for e in r.trace) == 5
+
+
+def fold_of_step(s, cfg, max_steps):
+    """Reference ``run``: a fold of the copying :func:`step`, with the
+    trap-loop rule stated over whole states."""
+    trace = []
+    trapped_unchanged = 0
+    n = 0
+    while n < max_steps and s.status is Status.RUNNING:
+        nxt, events = step(s, cfg, cycle=n)
+        trace.extend(events)
+        trapped = (
+            nxt.pc == 0
+            and nxt.status is Status.RUNNING
+            and any(isinstance(e, Fault) for e in events)
+            and replace(nxt, pc=s.pc) == s
+        )
+        trapped_unchanged = trapped_unchanged + 1 if trapped else 0
+        if trapped_unchanged >= 2:
+            return RunResult(nxt, tuple(trace), RunOutcome.FAULT_LOOP, n + 1)
+        s = nxt
+        n += 1
+    outcome = {Status.HALTED: RunOutcome.HALTED, Status.FAULTED: RunOutcome.FAULTED}
+    return RunResult(s, tuple(trace), outcome.get(s.status, RunOutcome.STEP_LIMIT), n)
+
+
+class TestRunMatchesStepFold:
+    """``run`` commits in place; a fold of ``step`` copies.  Both must give
+    the same final state, trace, outcome and step count."""
+
+    CONFIGS = [
+        dict(mode=mode, tag_logic=tag_logic, allow_raw_unblind=raw)
+        for mode in Mode
+        for tag_logic in (True, False)
+        for raw in (False, True)
+    ]
+
+    @pytest.mark.parametrize("options", CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_random_states(self, options):
+        cfg = MachineConfig(
+            memory_words=64,
+            cache_lines=8,
+            unblindable_ranges=((40, 48), (60, 62)),
+            mmio_console=41,
+            **options,
+        )
+        outcomes = set()
+        for seed in range(60):
+            s, _ = generate_equivalent_pair(seed, memory_words=64, cache_lines=8)
+            r = run(s, cfg, max_steps=120)
+            assert r == fold_of_step(s, cfg, max_steps=120), seed
+            outcomes.add(r.outcome)
+        assert len(outcomes) >= 2
+
+    @pytest.mark.parametrize("options", CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
+    def test_corpus_programs(self, options):
+        rng = random.Random(41)
+        for entry in curated_corpus():
+            cfg = MachineConfig(
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+                **options,
+            )
+            s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
+            r = run(s, cfg, max_steps=400)
+            assert r == fold_of_step(s, cfg, max_steps=400), entry.name
 
 
 class TestStepSafety:

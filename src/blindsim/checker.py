@@ -4,7 +4,7 @@ The static side answers "can this program fault under the tag policy,
 given which inputs are blinded?" by abstract interpretation over the
 domain
 
-    BOTTOM < CONST(v) < CLEAR < TOP,   BLINDED < TOP
+    CONST(v) < CLEAR < TOP,   BLINDED < TOP
 
 per register and per memory word.  Constant tracking is load-bearing: it
 resolves branch targets (the ISA has no immediates, so targets come from
@@ -35,6 +35,7 @@ from typing import Mapping, Sequence
 
 from .assembler import ProgramImage, render_instruction
 from .isa import (
+    ALU,
     DecodeError,
     DecodedInstruction,
     Mode,
@@ -65,7 +66,6 @@ from .model import (
 
 
 class AbsKind(Enum):
-    BOTTOM = "bottom"
     CONST = "const"
     CLEAR = "clear"
     BLINDED = "blinded"
@@ -83,7 +83,6 @@ class AbsVal:
         return self.kind.name.title()
 
 
-BOTTOM = AbsVal(AbsKind.BOTTOM)
 CLEAR_UNKNOWN = AbsVal(AbsKind.CLEAR)
 BLINDED_ANY = AbsVal(AbsKind.BLINDED)
 TOP = AbsVal(AbsKind.TOP)
@@ -93,18 +92,14 @@ def const(value: int) -> AbsVal:
     return AbsVal(AbsKind.CONST, value & MASK64)
 
 
+_CLEARISH = (AbsKind.CONST, AbsKind.CLEAR)
+
+
 def join(a: AbsVal, b: AbsVal) -> AbsVal:
     if a == b:
         return a
-    if a.kind is AbsKind.BOTTOM:
-        return b
-    if b.kind is AbsKind.BOTTOM:
-        return a
-    clearish = (AbsKind.CONST, AbsKind.CLEAR)
-    if a.kind in clearish and b.kind in clearish:
+    if a.kind in _CLEARISH and b.kind in _CLEARISH:
         return CLEAR_UNKNOWN
-    if a.kind is AbsKind.BLINDED and b.kind is AbsKind.BLINDED:
-        return BLINDED_ANY
     return TOP
 
 
@@ -163,9 +158,6 @@ class AbsMemory:
         keys = set(self.cells) | set(other.cells)
         return all(self.read(a) == other.read(a) for a in keys)
 
-    def __hash__(self):
-        raise TypeError("AbsMemory is mutable state, not hashable")
-
 
 @dataclass(frozen=True)
 class AbsState:
@@ -177,9 +169,6 @@ class AbsState:
             tuple(join(a, b) for a, b in zip(self.regs, other.regs)),
             self.mem.merge(other.mem),
         )
-
-    def __eq__(self, other) -> bool:
-        return self.regs == other.regs and self.mem == other.mem
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +282,15 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 
 
+# The word an addressed opcode names, as it appears in finding reasons.
+_ADDRESS_KIND = {
+    Opcode.STORE: "store",
+    Opcode.LOAD: "load",
+    Opcode.BLND: "tag-edit",
+    Opcode.RBLND: "tag-edit",
+}
+
+
 def _arith_transfer(d: DecodedInstruction, a: AbsVal, b: AbsVal) -> AbsVal:
     op = d.opcode
     if op in (Opcode.SUB, Opcode.XOR) and d.inputs[0] == d.inputs[1]:
@@ -300,14 +298,7 @@ def _arith_transfer(d: DecodedInstruction, a: AbsVal, b: AbsVal) -> AbsVal:
     if op in (Opcode.MUL, Opcode.AND) and (is_clear_zero(a) or is_clear_zero(b)):
         return const(0)
     if a.kind is AbsKind.CONST and b.kind is AbsKind.CONST:
-        fn = {
-            Opcode.ADD: lambda x, y: x + y,
-            Opcode.SUB: lambda x, y: x - y,
-            Opcode.MUL: lambda x, y: x * y,
-            Opcode.AND: lambda x, y: x & y,
-            Opcode.XOR: lambda x, y: x ^ y,
-        }[op]
-        return const(fn(a.const, b.const))
+        return const(ALU[op](a.const, b.const))
     if op in (Opcode.MUL, Opcode.AND):
         if must_be_blinded(a) or must_be_blinded(b):
             other = b if must_be_blinded(a) else a
@@ -378,8 +369,6 @@ class _Analysis:
     def flow(self, pc: int, state: AbsState) -> list[tuple[int, AbsState]]:
         """Successor (pc, state) pairs for one abstract step."""
         word = state.mem.read(pc)
-        if word.kind is AbsKind.BOTTOM:
-            return []
         if may_be_blinded(word):
             self.report(
                 pc,
@@ -408,12 +397,10 @@ class _Analysis:
 
         if op is Opcode.HALT:
             return []
-        if op in (Opcode.STORE, Opcode.LOAD):
-            return self._flow_memory(pc, d, text, state)
+        if op in _ADDRESS_KIND:
+            return self._flow_addressed(pc, d, text, state)
         if op is Opcode.BZ:
             return self._flow_branch(pc, d, text, state)
-        if op in (Opcode.BLND, Opcode.RBLND):
-            return self._flow_tag_edit(pc, d, text, state)
         # arithmetic
         a, b = state.regs[d.inputs[0]], state.regs[d.inputs[1]]
         value = _arith_transfer(d, a, b)
@@ -430,101 +417,91 @@ class _Analysis:
             return []
         return [(pc + 1, state)]
 
-    def _address_paths(
-        self, pc: int, text: str, addr: AbsVal
-    ) -> tuple[bool, bool]:
-        """(may_trap, may_proceed) for a memory-address operand, with
-        findings reported."""
+    def _flow_addressed(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
+        """STORE, LOAD, BLND and RBLND under the address rule: a secret
+        never chooses an address, and the address must be in range."""
+        addr = state.regs[d.inputs[0]]
+        hardware = self.cfg.mode is Mode.HARDWARE
         if must_be_blinded(addr):
-            if self.cfg.mode is Mode.HARDWARE:
+            if hardware:
                 self.report(
                     pc, text, "blinded value used as a memory address",
                     fault=FaultKind.BLINDED_ADDRESS, definite=True,
                 )
-                return True, False
+                return [(0, state)]
             self.report(
                 pc, text,
                 "blinded value used as a memory address (no-op in model mode)",
             )
-            return False, True  # no-op: proceeds with no effect
+            return self._next(pc, text, state)
+        out: list[tuple[int, AbsState]] = []
+        # A TOP address may be blinded: a possible trap in hardware mode, a
+        # possible no-op in model mode, whose unchanged state is one more
+        # successor.
+        maybe_noop = False
         if addr.kind is AbsKind.TOP:
-            if self.cfg.mode is Mode.HARDWARE:
+            if hardware:
                 self.report(
                     pc, text, "memory address may be blinded",
                     fault=FaultKind.BLINDED_ADDRESS,
                 )
-                return True, True
-            self.report(pc, text, "memory address may be blinded (no-op in model mode)")
-            return False, True
-        return False, True
-
-    def _flow_memory(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
-        addr = state.regs[d.inputs[0]]
-        may_trap, may_proceed = self._address_paths(pc, text, addr)
-        out: list[tuple[int, AbsState]] = []
-        if may_trap:
-            out.append((0, state))
-        if not may_proceed:
-            return out
-        if must_be_blinded(addr):  # model mode: a definite no-op
-            out.extend(self._next(pc, text, state))
-            return out
-        # The access may be a no-op when the address might still be blinded
-        # (TOP in model mode); effects then join with the unchanged state.
-        maybe_noop = addr.kind is AbsKind.TOP and self.cfg.mode is Mode.MODEL
-
-        if d.opcode is Opcode.STORE:
-            value = state.regs[d.inputs[1]]
-            if addr.kind is AbsKind.CONST:
-                if addr.const >= self.cfg.memory_words:
-                    self.report(
-                        pc, text, "store address out of range",
-                        fault=FaultKind.OUT_OF_RANGE, definite=True,
-                    )
-                    return out
-                if self.cfg.is_unblindable(addr.const):
-                    if must_be_blinded(value):
-                        self.report(
-                            pc, text, "blinded store into an unblindable range",
-                            fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
-                            definite=True,
-                        )
-                        return out
-                    if value.kind is AbsKind.TOP:
-                        self.report(
-                            pc, text,
-                            "possibly blinded store into an unblindable range",
-                            fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
-                        )
-                mem = state.mem.write(addr.const, value)
+                out.append((0, state))
             else:
-                self.report(pc, text, "store address unresolved", unresolved=True)
-                if self.cfg.unblindable_ranges and may_be_blinded(value):
+                self.report(pc, text, "memory address may be blinded (no-op in model mode)")
+                maybe_noop = True
+
+        op = d.opcode
+        kind = _ADDRESS_KIND[op]
+        known = addr.kind is AbsKind.CONST
+        value = state.regs[d.inputs[1]] if op is Opcode.STORE else None
+        if op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
+            self.report(
+                pc, text, "raw unblinding is disabled and faults",
+                fault=FaultKind.DECODE_ERROR, definite=addr.kind is not AbsKind.TOP,
+            )
+        elif known and addr.const >= self.cfg.memory_words:
+            self.report(
+                pc, text, f"{kind} address out of range",
+                fault=FaultKind.OUT_OF_RANGE, definite=True,
+            )
+        elif (
+            value is not None and known and must_be_blinded(value)
+            and self.cfg.is_unblindable(addr.const)
+        ):
+            self.report(
+                pc, text, "blinded store into an unblindable range",
+                fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE, definite=True,
+            )
+        else:
+            if not known:
+                self.report(pc, text, f"{kind} address unresolved", unresolved=True)
+            if op is Opcode.STORE and may_be_blinded(value):
+                if known and self.cfg.is_unblindable(addr.const):
                     self.report(
-                        pc, text,
-                        "possibly blinded store may hit an unblindable range",
+                        pc, text, "possibly blinded store into an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
                     )
-                mem = state.mem.weak_write_everywhere(value)
-            out.extend(self._next(pc, text, AbsState(state.regs, mem)))
-            return out
-
-        # LOAD
-        regs = list(state.regs)
-        dst = d.outputs[0]
-        if addr.kind is AbsKind.CONST:
-            if addr.const >= self.cfg.memory_words:
-                self.report(
-                    pc, text, "load address out of range",
-                    fault=FaultKind.OUT_OF_RANGE, definite=True,
-                )
-                return out
-            regs[dst] = state.mem.read(addr.const)
-        else:
-            self.report(pc, text, "load address unresolved", unresolved=True)
-            loaded = state.mem.join_all()
-            regs[dst] = join(loaded, regs[dst]) if maybe_noop else loaded
-        out.extend(self._next(pc, text, AbsState(tuple(regs), state.mem)))
+                elif not known and self.cfg.unblindable_ranges:
+                    self.report(
+                        pc, text, "possibly blinded store may hit an unblindable range",
+                        fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
+                    )
+            regs, mem = state.regs, state.mem
+            if op is Opcode.LOAD:
+                dst = d.outputs[0]
+                loaded = mem.read(addr.const) if known else mem.join_all()
+                regs = regs[:dst] + (loaded,) + regs[dst + 1 :]
+            else:
+                if op is Opcode.BLND:
+                    value = BLINDED_ANY
+                elif op is Opcode.RBLND:
+                    # raw unblinding keeps a clear word and clears any other
+                    old = mem.read(addr.const) if known else CLEAR_UNKNOWN
+                    value = old if old.kind in _CLEARISH else CLEAR_UNKNOWN
+                mem = mem.write(addr.const, value) if known else mem.weak_write_everywhere(value)
+            out.extend(self._next(pc, text, AbsState(regs, mem)))
+        if maybe_noop:
+            out.extend(self._next(pc, text, state))
         return out
 
     def _flow_branch(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
@@ -560,49 +537,6 @@ class _Analysis:
                 self.report(pc, text, "branch target unresolved", unresolved=True)
         if may_fall:
             out.extend(self._next(pc, text, state))
-        return out
-
-    def _flow_tag_edit(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
-        addr = state.regs[d.inputs[0]]
-        may_trap, may_proceed = self._address_paths(pc, text, addr)
-        out: list[tuple[int, AbsState]] = []
-        if may_trap:
-            out.append((0, state))
-        if not may_proceed:
-            return out
-        if must_be_blinded(addr):  # model mode: a definite no-op
-            out.extend(self._next(pc, text, state))
-            return out
-        maybe_noop = addr.kind is AbsKind.TOP and self.cfg.mode is Mode.MODEL
-
-        if d.opcode is Opcode.RBLND and not self.cfg.allow_raw_unblind:
-            self.report(
-                pc, text, "raw unblinding is disabled and faults",
-                fault=FaultKind.DECODE_ERROR,
-                definite=addr.kind in (AbsKind.CONST, AbsKind.CLEAR),
-            )
-            if maybe_noop:
-                out.extend(self._next(pc, text, state))
-            return out
-
-        blind = d.opcode is Opcode.BLND
-        if addr.kind is AbsKind.CONST:
-            if addr.const >= self.cfg.memory_words:
-                self.report(
-                    pc, text, "tag-edit address out of range",
-                    fault=FaultKind.OUT_OF_RANGE, definite=True,
-                )
-                return out
-            old = state.mem.read(addr.const)
-            new = BLINDED_ANY if blind else (
-                old if old.kind in (AbsKind.CONST, AbsKind.CLEAR) else CLEAR_UNKNOWN
-            )
-            mem = state.mem.write(addr.const, new)
-        else:
-            self.report(pc, text, "tag-edit address unresolved", unresolved=True)
-            edit = BLINDED_ANY if blind else CLEAR_UNKNOWN
-            mem = state.mem.weak_write_everywhere(edit)
-        out.extend(self._next(pc, text, AbsState(state.regs, mem)))
         return out
 
     # -- fixpoint -----------------------------------------------------------

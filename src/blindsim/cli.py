@@ -189,7 +189,7 @@ def cmd_disasm(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _machine_config(args)
+    cfg = args.cfg
     try:
         image = _load_image(args.image)
         state = machine.boot_image(image, cfg)
@@ -214,7 +214,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = _machine_config(args)
+    cfg = args.cfg
     try:
         image = _load_image(args.image)
         sig = checker.parse_signature(args.sig)
@@ -336,7 +336,7 @@ def _demo_session(
     session_seed: int,
 ) -> tuple[tuple[int, ...], str]:
     """One full client session; returns (decrypted words, server trace)."""
-    cfg = _machine_config(args)
+    cfg = args.cfg
     device_priv, device_pub = make_device_keypair(seed=args.seed)
     engine = EncryptionEngine(root_key=b"\x5a" * 32)
     claims = Claims(policy_mode=cfg.mode)
@@ -439,6 +439,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    if hasattr(args, "mem_words"):  # a command that takes the machine flags
+        try:
+            args.cfg = _machine_config(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return USAGE_ERROR
     handlers = {
         "asm": cmd_asm,
         "disasm": cmd_disasm,

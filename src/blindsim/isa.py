@@ -223,7 +223,7 @@ def random_instruction(rng: random.Random) -> DecodedInstruction:
 # Semantics
 # ---------------------------------------------------------------------------
 
-_ALU = {
+ALU = {
     Opcode.ADD: lambda a, b: (a + b) & MASK64,
     Opcode.SUB: lambda a, b: (a - b) & MASK64,
     Opcode.MUL: lambda a, b: (a * b) & MASK64,
@@ -290,5 +290,5 @@ def instruction_semantics(
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
         return (CLEAR_ZERO,), (), NEXT
-    value = _ALU[op](a.value, b.value)
+    value = ALU[op](a.value, b.value)
     return (TaggedWord(value, a.blinded or b.blinded),), (), NEXT

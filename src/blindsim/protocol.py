@@ -27,7 +27,7 @@ Wire format, shared by handshake and session traffic:
     ERROR        (7): utf-8 message
 
     claims := taint_extensions(u8) || os_certified(u8) || mode(u8)
-              || aead scheme id(u8)
+              || aead scheme id(u8, always 1: chacha20poly1305)
 
 All multi-byte integers big-endian; parsers reject trailing bytes.
 """
@@ -67,8 +67,7 @@ _TRANSCRIPT_LABEL = b"blindsim-handshake-v1"
 _EVIDENCE_LABEL = b"blindsim-evidence-v1"
 _SESSION_INFO = b"blindsim-session-v1"
 
-_SCHEME_IDS = {AEAD_SCHEME: 1}
-_SCHEME_NAMES = {v: k for k, v in _SCHEME_IDS.items()}
+_SCHEME_ID = 1  # AEAD_SCHEME, the only scheme
 
 _MODE_IDS = {Mode.MODEL: 0, Mode.HARDWARE: 1}
 _MODE_NAMES = {v: k for k, v in _MODE_IDS.items()}
@@ -104,17 +103,14 @@ class Claims:
     has_taint_extensions: bool = True
     os_certified: bool = True
     policy_mode: Mode = Mode.HARDWARE
-    aead_scheme: str = AEAD_SCHEME
 
     def encode(self) -> bytes:
-        if self.aead_scheme not in _SCHEME_IDS:
-            raise ProtocolError(f"unknown AEAD scheme {self.aead_scheme!r}")
         return bytes(
             [
                 1 if self.has_taint_extensions else 0,
                 1 if self.os_certified else 0,
                 _MODE_IDS[self.policy_mode],
-                _SCHEME_IDS[self.aead_scheme],
+                _SCHEME_ID,
             ]
         )
 
@@ -124,9 +120,9 @@ class Claims:
             raise ProtocolError("claims must be 4 bytes")
         if data[0] > 1 or data[1] > 1:
             raise ProtocolError("boolean claim out of range")
-        if data[2] not in _MODE_NAMES or data[3] not in _SCHEME_NAMES:
+        if data[2] not in _MODE_NAMES or data[3] != _SCHEME_ID:
             raise ProtocolError("unknown mode or scheme id")
-        return cls(bool(data[0]), bool(data[1]), _MODE_NAMES[data[2]], _SCHEME_NAMES[data[3]])
+        return cls(bool(data[0]), bool(data[1]), _MODE_NAMES[data[2]])
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,12 +332,12 @@ def _transcript_hash(client_hello_frame: bytes, hsm_eph: bytes, claims: Claims) 
     return h.digest()
 
 
-def _derive_session_key(shared: bytes, transcript_hash: bytes, scheme: str) -> SessionKey:
+def _derive_session_key(shared: bytes, transcript_hash: bytes) -> SessionKey:
     kdf = HKDF(
         algorithm=hashes.SHA256(),
         length=32,
         salt=transcript_hash,
-        info=_SESSION_INFO + scheme.encode(),
+        info=_SESSION_INFO + AEAD_SCHEME.encode(),
     )
     return SessionKey.from_bytes(kdf.derive(shared))
 
@@ -356,9 +352,9 @@ class ClientHandshake:
 
     ``finish`` raises :class:`VerifyError` unless the evidence signature
     checks out under the expected device key, the claims show taint
-    extensions, a certified OS, the expected AEAD scheme and (when one is
-    required) the policy mode, and the transcript hash matches what this
-    client actually sent.
+    extensions, a certified OS and (when one is required) the policy
+    mode, the transcript hash matches what this client actually sent, and
+    the device ephemeral is not a low-order point.
     """
 
     def __init__(
@@ -395,8 +391,6 @@ class ClientHandshake:
             raise VerifyError("device OS is not certified")
         if self._required_mode is not None and claims.policy_mode is not self._required_mode:
             raise VerifyError(f"device runs {claims.policy_mode.value} mode")
-        if claims.aead_scheme != AEAD_SCHEME:
-            raise VerifyError(f"unexpected AEAD scheme {claims.aead_scheme!r}")
 
         expected_hash = _transcript_hash(self._hello_frame, msg.ephemeral_public, claims)
         if ev.transcript_hash != expected_hash:
@@ -408,10 +402,12 @@ class ClientHandshake:
         except InvalidSignature:
             raise VerifyError("evidence signature invalid") from None
 
-        shared = self._private.exchange(
-            X25519PublicKey.from_public_bytes(msg.ephemeral_public)
-        )
-        return _derive_session_key(shared, ev.transcript_hash, claims.aead_scheme)
+        peer = X25519PublicKey.from_public_bytes(msg.ephemeral_public)
+        try:
+            shared = self._private.exchange(peer)
+        except ValueError:  # an all-zero shared secret
+            raise VerifyError("device ephemeral is a low-order point") from None
+        return _derive_session_key(shared, ev.transcript_hash)
 
 
 class HsmResponder:
@@ -452,10 +448,12 @@ class HsmResponder:
         signature = self._private.sign(
             _EVIDENCE_LABEL + self._claims.encode() + transcript_hash
         )
-        shared = private.exchange(
-            X25519PublicKey.from_public_bytes(msg.ephemeral_public)
-        )
-        key = _derive_session_key(shared, transcript_hash, self._claims.aead_scheme)
+        peer = X25519PublicKey.from_public_bytes(msg.ephemeral_public)
+        try:
+            shared = private.exchange(peer)
+        except ValueError:  # an all-zero shared secret
+            raise ProtocolError("client ephemeral is a low-order point") from None
+        key = _derive_session_key(shared, transcript_hash)
         if self._engine is not None:
             self._engine.install_session_key(key)
         hello = HsmHello(

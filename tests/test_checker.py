@@ -200,9 +200,19 @@ pool:
 
 
 class TestFindingPaths:
-    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
-    def test_top_address(self, cfg):
-        image = assemble(".entry 0\nload r2, r1\nhalt\n")
+    @pytest.mark.parametrize(
+        "instruction, unresolved, cfg",
+        [
+            pytest.param("load r2, r1", "load address unresolved", HW, id="hardware"),
+            pytest.param("load r2, r1", "load address unresolved", MODEL, id="model"),
+            pytest.param("store r1, r2", "store address unresolved", HW, id="store-hardware"),
+            pytest.param("store r1, r2", "store address unresolved", MODEL, id="store-model"),
+            pytest.param("blnd r1", "tag-edit address unresolved", HW, id="blnd-hardware"),
+            pytest.param("blnd r1", "tag-edit address unresolved", MODEL, id="blnd-model"),
+        ],
+    )
+    def test_top_address(self, instruction, unresolved, cfg):
+        image = assemble(f".entry 0\n{instruction}\nhalt\n")
         report = analyze(image, parse_signature("r1=T"), cfg)
         assert report.verdict is Verdict.MAY_FAULT
         if cfg.mode is Mode.HARDWARE:
@@ -210,8 +220,118 @@ class TestFindingPaths:
             assert f.fault is FaultKind.BLINDED_ADDRESS and not f.definite
         else:
             f = finding(report, "memory address may be blinded (no-op in model mode)")
-            assert f.fault is None
-        assert finding(report, "load address unresolved").unresolved
+            assert f.fault is None and not f.definite
+        f = finding(report, unresolved)
+        assert f.unresolved and f.fault is None and not f.definite
+
+    @pytest.mark.parametrize("instruction", ["store r1, r2", "blnd r1", "rblnd r1"])
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_blinded_address(self, instruction, cfg):
+        # the address rule comes before the rblnd refusal: a blinded
+        # address traps or is a no-op, whatever the opcode
+        image = assemble(f".entry 0\n{instruction}\nhalt\n")
+        report = analyze(image, parse_signature("r1=B"), cfg)
+        if cfg.mode is Mode.HARDWARE:
+            f = finding(report, "blinded value used as a memory address")
+            assert f.fault is FaultKind.BLINDED_ADDRESS and f.definite
+            assert report.verdict is Verdict.DEFINITELY_FAULTS
+            assert report.witness.fault is FaultKind.BLINDED_ADDRESS
+            assert_witness_replays(report, cfg)
+        else:
+            f = finding(report, "blinded value used as a memory address (no-op in model mode)")
+            assert f.fault is None and not f.definite
+            assert report.findings == (f,)
+            assert report.verdict is Verdict.COMPLIANT and report.witness is None
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_rblnd_refused_under_a_top_address(self, cfg):
+        # In model mode a blinded r1 makes the rblnd a no-op, so the blinded
+        # branch after it is reachable; in hardware mode it never is.
+        image = assemble(".entry 0\nrblnd r1\nbz r2, r0\nhalt\n")
+        report = analyze(image, parse_signature("r1=T,r2=B"), cfg)
+        f = finding(report, "raw unblinding is disabled and faults")
+        assert f.fault is FaultKind.DECODE_ERROR and not f.definite
+        branch = [x for x in report.findings if x.reason == "blinded value controls a branch"]
+        if cfg.mode is Mode.HARDWARE:
+            f = finding(report, "memory address may be blinded")
+            assert f.fault is FaultKind.BLINDED_ADDRESS and not f.definite
+            assert branch == []
+            assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+        else:
+            f = finding(report, "memory address may be blinded (no-op in model mode)")
+            assert f.fault is None and not f.definite
+            assert branch[0].fault is FaultKind.BLINDED_BRANCH and branch[0].definite
+            assert report.verdict is Verdict.DEFINITELY_FAULTS
+            assert report.witness.fault is FaultKind.BLINDED_BRANCH
+            assert_witness_replays(report, cfg)
+
+    @pytest.mark.parametrize(
+        "instruction, next_fetch",
+        [
+            ("blnd r1", "instruction fetch may read a blinded word"),
+            ("rblnd r1", "instruction word unresolved"),
+        ],
+    )
+    def test_tag_edit_address_unresolved(self, instruction, next_fetch):
+        # A clear address the analysis cannot pin down may edit any word,
+        # the next instruction included: blnd may blind it, rblnd leaves it
+        # clear but unknown.
+        cfg = replace(HW, allow_raw_unblind=True)
+        image = assemble(f".entry 0\n{instruction}\nhalt\n")
+        report = analyze(image, parse_signature("r1=C"), cfg)
+        f = finding(report, "tag-edit address unresolved")
+        assert f.unresolved and f.fault is None and not f.definite
+        (f,) = [x for x in report.findings if x.reason == next_fetch and x.pc == 1]
+        assert not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_instruction_word_unresolved(self):
+        report = analyze(assemble(".entry 0\nhalt\n"), parse_signature("s0=C"), HW)
+        f = finding(report, "instruction word unresolved")
+        assert f.unresolved and f.fault is None and not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_top_branch_condition(self):
+        report = analyze(assemble(".entry 1\nhalt\nbz r1, r0\nhalt\n"), parse_signature("r1=T"), HW)
+        f = finding(report, "branch condition or target may be blinded")
+        assert f.fault is FaultKind.BLINDED_BRANCH and not f.definite
+        assert report.findings == (f,)
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_branch_target_unresolved(self):
+        # r0 is a clear zero, so the branch is taken to wherever r1 points
+        report = analyze(assemble(".entry 0\nbz r0, r1\nhalt\n"), parse_signature("r1=C"), HW)
+        f = finding(report, "branch target unresolved")
+        assert f.unresolved and f.fault is None and not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    @pytest.mark.parametrize(
+        "instruction, sig, branch",
+        [
+            # a clear-unknown or TOP partner may be a clear zero, which
+            # absorbs a blinded operand: the product may be clear
+            ("mul r3, r1, r2", "r1=B,r2=C", "branch condition or target may be blinded"),
+            ("and r3, r1, r2", "r1=C,r2=B", "branch condition or target may be blinded"),
+            ("and r3, r1, r2", "r1=B,r2=T", "branch condition or target may be blinded"),
+            ("mul r3, r1, r2", "r1=T,r2=C", "branch condition or target may be blinded"),
+            ("mul r3, r1, r2", "r1=B,r2=B", "blinded value controls a branch"),
+            ("and r3, r1, r2", "r1=C,r2=C", None),
+        ],
+    )
+    def test_absorbing_operand(self, instruction, sig, branch):
+        image = assemble(f".entry 1\nhalt\n{instruction}\nbz r3, r0\nhalt\n")
+        report = analyze(image, parse_signature(sig), HW)
+        if branch is None:
+            assert report.findings == ()
+            assert report.verdict is Verdict.COMPLIANT
+            return
+        (f,) = report.findings
+        assert f.reason == branch and f.fault is FaultKind.BLINDED_BRANCH
+        if f.definite:
+            assert report.verdict is Verdict.DEFINITELY_FAULTS
+            assert_witness_replays(report, HW)
+        else:
+            assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
     @pytest.mark.parametrize(
         "instruction, reason",
@@ -247,6 +367,15 @@ class TestFindingPaths:
         image = assemble(pool_program("    store r2, r5", [48]))
         report = analyze(image, parse_signature("r5=T"), cfg)
         f = finding(report, "possibly blinded store into an unblindable range")
+        assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+    def test_possibly_blinded_store_may_hit_an_unblindable_range(self):
+        cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),))
+        image = assemble(".entry 0\nstore r1, r2\nhalt\n")
+        report = analyze(image, parse_signature("r1=C,r2=B"), cfg)
+        assert finding(report, "store address unresolved").unresolved
+        f = finding(report, "possibly blinded store may hit an unblindable range")
         assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and not f.definite
         assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 

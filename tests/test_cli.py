@@ -5,7 +5,14 @@ import json
 import pytest
 
 from blindsim.cli import main
-from blindsim.corpus import blinded_branch_fault, branchless_select, demo_add_one
+from blindsim.corpus import (
+    blinded_branch_fault,
+    blinded_store_unblindable_fault,
+    branchless_select,
+    demo_add_one,
+    mmio_report,
+    rblnd_refused,
+)
 from blindsim.assembler import assemble, decode_image, encode_image
 
 
@@ -263,3 +270,71 @@ class TestUsage:
         img = str(tmp / "p.img")
         main(["asm", src, "-o", img])
         assert main(["run", img, "--unblindable", "badrange"]) == 2
+
+
+def assembled(write, tmp, source):
+    img = str(tmp / "p.img")
+    assert main(["asm", write("p.asm", source), "-o", img]) == 0
+    return img
+
+
+class TestMachineFlags:
+    SMALL = ["--mem-words", "64", "--cache-lines", "8"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--unblindable", "50..40"],
+            ["--unblindable", "8..16", "--unblindable", "12..20"],
+            ["--mem-words", "0"],
+            ["--mmio-console", "1000", "--mem-words", "64"],
+        ],
+        ids=["reversed-range", "overlapping-ranges", "no-memory", "console-out-of-memory"],
+    )
+    @pytest.mark.parametrize("command", ["run", "check", "demo-protocol"])
+    def test_invalid_machine_is_a_usage_error(self, work, capsys, command, flags):
+        tmp, write = work
+        target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
+            assembled(write, tmp, ".entry 0\nhalt\n")
+        )
+        capsys.readouterr()
+        assert main([command, target, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
+    def test_unblindable_range(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, blinded_store_unblindable_fault(48))
+        assert main(["run", img, *self.SMALL]) == 0
+        assert main(["run", img, *self.SMALL, "--unblindable", "48..52"]) == 1
+        assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
+
+    def test_mmio_console_is_unblindable_on_its_own(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, mmio_report(48, 32))
+        trace = tmp / "console.trace"
+        flags = [*self.SMALL, "--mmio-console", "48"]
+        assert main(["run", img, *flags, "--trace", str(trace)]) == 0
+        assert "kind=mmio value=0x1" in trace.read_text()
+        capsys.readouterr()
+        assert main(["run", img, *flags, "--blind-word", "32=5"]) == 1
+        assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("word", ["0x40=1", "5"], ids=["out-of-range", "no-value"])
+    def test_bad_blind_word(self, work, capsys, word):
+        tmp, write = work
+        img = assembled(write, tmp, ".entry 0\nhalt\n")
+        capsys.readouterr()
+        assert main(["run", img, *self.SMALL, "--blind-word", word]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    def test_allow_raw_unblind_fails_noninterference(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, rblnd_refused())
+        capsys.readouterr()
+        code = main(["check", img, *self.SMALL, "--allow-raw-unblind", "--trials", "20"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("verdict: compliant\n")
+        assert "non-interference: FAIL at trial 0 step 1" in out

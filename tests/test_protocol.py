@@ -5,6 +5,7 @@ import random
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,11 +15,15 @@ from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
 from blindsim.isa import DecodedInstruction, Mode, Opcode, encode
 from blindsim.machine import MachineConfig
 from blindsim.protocol import (
+    _EVIDENCE_LABEL,
+    AttestationEvidence,
     Claims,
+    ClientHello,
     ClientHandshake,
     ComputeRequest,
     ErrorResponse,
     ExportRequest,
+    HsmHello,
     HsmResponder,
     ImportRequest,
     ProtocolError,
@@ -31,10 +36,13 @@ from blindsim.protocol import (
     max_frame_length,
     parse_compute_result,
     read_frame,
+    _transcript_hash,
 )
 from blindsim.model import clear
 
 DEV_PRIV, DEV_PUB = make_device_keypair(seed=7)
+# The all-zero X25519 point: any exchange with it gives an all-zero secret.
+LOW_ORDER_HELLO = encode_frame(ClientHello(bytes(32)))
 
 
 def loopback(seed_c=1, seed_h=2, claims=Claims(), **client_kwargs):
@@ -142,6 +150,21 @@ class TestHandshake:
         key = client.finish(reply)
         assert engine.current_key_id == key.key_id
 
+    def test_low_order_device_ephemeral_rejected(self):
+        # correctly signed evidence over an all-zero device ephemeral
+        client = ClientHandshake(DEV_PUB, seed=1)
+        hello = client.hello()
+        claims = Claims()
+        transcript = _transcript_hash(hello, bytes(32), claims)
+        signature = Ed25519PrivateKey.from_private_bytes(DEV_PRIV).sign(
+            _EVIDENCE_LABEL + claims.encode() + transcript
+        )
+        reply = encode_frame(
+            HsmHello(bytes(32), AttestationEvidence(claims, transcript, signature))
+        )
+        with pytest.raises(VerifyError, match="low-order"):
+            client.finish(reply)
+
     def test_finish_before_hello(self):
         client = ClientHandshake(DEV_PUB, seed=1)
         with pytest.raises(ProtocolError):
@@ -203,6 +226,12 @@ class TestFraming:
             "error": ErrorResponse(blob.decode(errors="replace")),
         }[kind]
         assert decode_frame(encode_frame(msg)) == msg
+
+    def test_claims_scheme_byte_is_fixed(self):
+        assert Claims().encode()[3] == 1
+        for scheme in (0, 2, 255):
+            with pytest.raises(ProtocolError):
+                Claims.parse(bytes([1, 1, 1, scheme]))
 
     def test_claims_roundtrip(self):
         for ext in (False, True):
@@ -268,6 +297,14 @@ class TestServerSession:
         session, _ = self.make_session()
         reply = decode_frame(session.handle_frame(b"\x00\x00\x00\x01\x63"))
         assert isinstance(reply, ErrorResponse)
+
+    def test_low_order_hello_errors_and_session_continues(self):
+        session, _ = self.make_session()
+        reply = decode_frame(session.handle_frame(LOW_ORDER_HELLO))
+        assert isinstance(reply, ErrorResponse) and "low-order" in reply.message
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
+        assert session.engine.current_key_id == key.key_id
 
     def test_computes_are_observable_per_run(self):
         session, _ = self.make_session()
@@ -351,6 +388,16 @@ class TestStreamFraming:
         out = io.BytesIO(stream.out.getvalue())
         for _ in range(3):
             assert read_frame(out, max_frame_length(self.MEM)) is not None
+
+    def test_serve_stream_answers_a_low_order_hello_and_keeps_serving(self):
+        session = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        stream = RecordingStream(LOW_ORDER_HELLO + client.hello())
+        session.serve_stream(stream)
+        refused, accepted = stream.replies()
+        assert isinstance(refused, ErrorResponse) and "low-order" in refused.message
+        key = client.finish(encode_frame(accepted))
+        assert session.engine.current_key_id == key.key_id
 
     def test_handle_frame_refuses_an_oversized_frame_before_decoding(self):
         # 20,000 empty segments: 320,018 image bytes that load no word.

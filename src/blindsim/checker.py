@@ -454,15 +454,15 @@ class _Analysis:
         kind = _ADDRESS_KIND[op]
         known = addr.kind is AbsKind.CONST
         value = state.regs[d.inputs[1]] if op is Opcode.STORE else None
-        if op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
-            self.report(
-                pc, text, "raw unblinding is disabled and faults",
-                fault=FaultKind.DECODE_ERROR, definite=addr.kind is not AbsKind.TOP,
-            )
-        elif known and addr.const >= self.cfg.memory_words:
+        if known and addr.const >= self.cfg.memory_words:
             self.report(
                 pc, text, f"{kind} address out of range",
                 fault=FaultKind.OUT_OF_RANGE, definite=True,
+            )
+        elif op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
+            self.report(
+                pc, text, "raw unblinding is disabled and faults",
+                fault=FaultKind.DECODE_ERROR, definite=addr.kind is not AbsKind.TOP,
             )
         elif (
             value is not None and known and must_be_blinded(value)
@@ -831,6 +831,9 @@ def _lockstep_divergence(
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
     m1, m2 = ListMachine(s1), ListMachine(s2)
+    # Equivalent states fetch the same clear word, so one decode serves
+    # both sides; the slot's value check keeps a divergent fetch correct.
+    m2.decoded = m1.decoded
     for k in range(steps):
         if m1.status is not Status.RUNNING or m2.status is not Status.RUNNING:
             break  # both stopped (equivalence already guarantees same way)

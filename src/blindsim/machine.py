@@ -7,9 +7,11 @@ writes, the memory writes (a BLND/RBLND tag edit is one more), the cache
 line assignments and the observable events.  ``_commit`` writes an effect
 into lists.  :func:`step` copies only the parts an effect writes and
 returns a new state; :func:`run` and the lockstep harness keep a
-:class:`ListMachine` and commit in place, so a store costs O(1).  Every
-instruction costs exactly one cycle, so execution time is data-independent
-by construction.
+:class:`ListMachine` and commit in place, so a store costs O(1).  A
+:class:`ListMachine` also keeps one decode slot per address, used only
+while the fetched word equals the word it was decoded from, so
+self-modifying code needs no invalidation rule.  Every instruction costs
+exactly one cycle, so execution time is data-independent by construction.
 
 Policy violations take two shapes.  Tag violations at a branch or (in
 hardware mode) at a memory address trap to the handler at address 0: pc is
@@ -214,6 +216,17 @@ def _latest(words: Sequence[TaggedWord], writes: list, index: int) -> TaggedWord
     return words[index]
 
 
+def _holds(
+    addresses: Sequence[int], valid: Sequence[bool], lines: list, line: int, address: int
+) -> bool:
+    """Whether ``line`` validly holds ``address`` after this step's
+    pending ``lines`` assignments."""
+    for i, a in reversed(lines):
+        if i == line:
+            return a == address
+    return valid[line] and addresses[line] == address
+
+
 def _effect(
     pc: int,
     registers: Sequence[TaggedWord],
@@ -223,12 +236,18 @@ def _effect(
     cfg: MachineConfig,
     cycle: int,
     semantics: SemanticsFn,
+    decoded: dict | None = None,
 ) -> Effect:
-    """The one definition of a step's semantics; reads its inputs only.
+    """The one definition of a step's semantics; it writes no state.
 
     Every word enters through ``view``: itself, or a clear copy under
     ``tag_logic=False``, so no tag check fires there.  Every check that
     can stop the step runs before the first write is decided.
+
+    ``decoded`` is an optional decode slot per address, ``{pc: (word,
+    DecodedInstruction)}``, that this step may refill.  A slot is used
+    only when the fetched word equals the stored word, so it is never a
+    state input: it skips a decode, and nothing else.
     """
     view = _tagged if cfg.tag_logic else _untagged
     mem_size = len(memory)
@@ -242,11 +261,18 @@ def _effect(
         # decoder, so the trace shows only the (tag-derived) fault signal.
         return _stop(0, Status.RUNNING, None, Fault(cycle, FaultKind.BLINDED_INSTRUCTION_FETCH))
 
-    fetch = Fetch(cycle, pc, instr.value)
-    try:
-        d = decode(instr.value)
-    except DecodeError:
-        return _terminal(pc, fetch, FaultKind.DECODE_ERROR)
+    word = instr.value
+    fetch = Fetch(cycle, pc, word)
+    slot = decoded.get(pc) if decoded is not None else None
+    if slot is not None and slot[0] == word:
+        d = slot[1]
+    else:
+        try:
+            d = decode(word)
+        except DecodeError:
+            return _terminal(pc, fetch, FaultKind.DECODE_ERROR)
+        if decoded is not None:
+            decoded[pc] = (word, d)
 
     inputs = [view(registers[i]) for i in d.inputs]
     outputs, memops, control = semantics(d, inputs, cfg.mode)
@@ -287,7 +313,6 @@ def _effect(
     mem_writes: list[tuple[int, TaggedWord]] = []
     lines: list[tuple[int, int]] = []
     events: list[TraceEvent] = [fetch]
-    held = list(zip(addresses, valid)) if memops else []
     for op in memops:
         address = op.address
         if op.kind is MemKind.STORE:
@@ -299,11 +324,10 @@ def _effect(
         # Direct-mapped: the line depends only on the (clear) address.  A
         # repeat access reports the first valid line holding the address,
         # which a random initial state may also place in a lower line.
-        line = address % len(held)
-        if held[line] == (address, True):
-            line = held.index((address, True))
+        line = address % len(addresses)
+        if _holds(addresses, valid, lines, line, address):
+            line = next(i for i in range(line + 1) if _holds(addresses, valid, lines, i, address))
         else:
-            held[line] = (address, True)
             lines.append((line, address))
         events.append(CacheUpdate(cycle, line, address))
         if op.kind is MemKind.STORE and address == cfg.mmio_console:
@@ -374,9 +398,12 @@ class ListMachine:
 
     :func:`run` and the lockstep harness step through this; the
     :class:`SystemState` it was built from is never modified.
+    ``decoded`` holds one decode slot per executed address (at most
+    ``memory_words``); it is not part of the state, so two machines may
+    share one.
     """
 
-    __slots__ = ("pc", "registers", "memory", "addresses", "valid", "status", "fault")
+    __slots__ = ("pc", "registers", "memory", "addresses", "valid", "status", "fault", "decoded")
 
     def __init__(self, s: SystemState) -> None:
         self.pc = s.pc
@@ -386,12 +413,13 @@ class ListMachine:
         self.valid = list(s.cache.valid)
         self.status = s.status
         self.fault = s.fault
+        self.decoded: dict = {}
 
     def step(self, cfg: MachineConfig, cycle: int, semantics: SemanticsFn) -> Effect:
         """Decide one step's effect and commit it; requires RUNNING."""
         eff = _effect(
             self.pc, self.registers, self.memory, self.addresses, self.valid,
-            cfg, cycle, semantics,
+            cfg, cycle, semantics, self.decoded,
         )
         _commit(eff, self.registers, self.memory, self.addresses, self.valid)
         self.pc, self.status, self.fault = eff.pc, eff.status, eff.fault

@@ -486,7 +486,9 @@ class ServerSession:
 
     Owns a machine state and an engine; every compute run's trace is
     retained in :attr:`traces` (this is exactly what an observer at the
-    server can see).
+    server can see).  Import, compute and export are refused until this
+    session's own handshake has succeeded, even if the engine already
+    holds a key from another session.
     """
 
     def __init__(
@@ -505,6 +507,7 @@ class ServerSession:
         self.state = SystemState.initial(cfg.memory_words, cfg.cache_lines)
         self.max_steps = max_steps
         self.traces: list[str] = []
+        self.handshake_done = False
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Answer one raw frame; a frame over :func:`max_frame_length` gets
@@ -517,7 +520,11 @@ class ServerSession:
         try:
             if isinstance(msg, ClientHello):
                 reply, _ = self.responder.respond(frame)
+                self.handshake_done = True
                 return reply
+            requests = (ImportRequest, ComputeRequest, ExportRequest)
+            if isinstance(msg, requests) and not self.handshake_done:
+                return encode_frame(ErrorResponse(f"{type(msg).__name__} before the session handshake"))
             if isinstance(msg, ImportRequest):
                 self.state = replace(
                     self.state,

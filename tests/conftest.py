@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from blindsim import machine
 from blindsim.model import TaggedWord
 
 
@@ -17,3 +20,17 @@ def random_word(rng: random.Random, blind_p: float = 0.4, small_p: float = 0.3) 
 def twin_word(rng: random.Random, w: TaggedWord) -> TaggedWord:
     """Equivalent word: same tag, fresh payload if blinded."""
     return TaggedWord(rng.getrandbits(64), True) if w.blinded else w
+
+
+@pytest.fixture
+def decode_calls(monkeypatch) -> list[int]:
+    """Every word the machine decodes from now on, in call order."""
+    calls: list[int] = []
+    real = machine.decode
+
+    def counting(word: int):
+        calls.append(word)
+        return real(word)
+
+    monkeypatch.setattr(machine, "decode", counting)
+    return calls

@@ -31,7 +31,7 @@ from blindsim.corpus import (
     trivial_halt,
 )
 from blindsim.isa import Mode, Opcode, instruction_semantics
-from blindsim.machine import Fault, MachineConfig, run, step
+from blindsim.machine import Fault, Fetch, MachineConfig, boot_image, run, step
 from blindsim.model import FaultKind, Status, TaggedWord, state_equiv
 
 import mutants
@@ -349,6 +349,18 @@ class TestFindingPaths:
         assert report.witness.fault is FaultKind.OUT_OF_RANGE
         assert_witness_replays(report, HW)
 
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_refused_rblnd_out_of_range_is_a_range_fault(self, cfg):
+        # The machine bounds-checks a tag-edit address before it refuses a
+        # raw unblind, so the range fault is the one that happens.
+        report = analyze(assemble(pool_program("    rblnd r2", [100])), EMPTY_SIG, cfg)
+        f = finding(report, "tag-edit address out of range")
+        assert f.fault is FaultKind.OUT_OF_RANGE and f.definite
+        assert report.findings == (f,)
+        assert report.verdict is Verdict.DEFINITELY_FAULTS
+        assert report.witness.fault is FaultKind.OUT_OF_RANGE
+        assert_witness_replays(report, cfg)
+
     @pytest.mark.parametrize("sig, definite", [("", True), ("r3=C", False)])
     def test_branch_target_out_of_range(self, sig, definite):
         # r3 is a clear zero at boot, so the branch must be taken; a
@@ -519,6 +531,18 @@ class TestNoninterference:
         # the minimized pair still demonstrates the divergence
         s1, s2 = ce.initial_pair
         assert state_equiv(s1, s2)
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_a_pair_shares_one_decode_per_address(self, cfg, decode_calls):
+        # Both sides of a pair step the same code, so each trial decodes
+        # every executed address once, not once per side.
+        image = assemble(add_one_pipeline(4, (10, 20, 30, 40)))
+        trace = run(boot_image(image, cfg), cfg, 1000).trace
+        fetched = {e.pc for e in trace if isinstance(e, Fetch)}
+        decode_calls.clear()
+        result = check_noninterference(image, trials=3, steps=1000, cfg=cfg, seed=2)
+        assert result.passed
+        assert len(decode_calls) == 3 * len(fetched)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from blindsim.machine import (
     MmioWrite,
     RunOutcome,
     RunResult,
+    boot_image,
     format_event,
     format_trace,
     run,
@@ -354,6 +355,24 @@ class TestCachePolicy:
         assert new == cache.assign(3, 0x0B)
         assert updates == [CacheUpdate(0, line, 0x0B)]
 
+    def test_line_reported_after_this_step_evicts_a_lower_copy(self):
+        # Lines 1 and 3 both hold 0x0B; the first operation evicts line 1,
+        # so the repeat access to 0x0B reports its home line.
+        def evict_then_load(d, inputs, mode):
+            return (), (
+                MemoryOperation(MemKind.STORE, 0x09, 2),
+                MemoryOperation(MemKind.LOAD, 0x0B, 4),
+            ), NEXT
+
+        cache = CacheAssignments((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), (False, True, False, True) + (False,) * 4)
+        s = replace(make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT]), cache=cache)
+        nxt, events = step(s, CFG, semantics=evict_then_load)
+        assert [e for e in events if isinstance(e, CacheUpdate)] == [
+            CacheUpdate(0, 1, 0x09), CacheUpdate(0, 3, 0x0B),
+        ]
+        assert nxt.cache == cache.assign(1, 0x09)
+        assert run(s, CFG, max_steps=1, semantics=evict_then_load).state == nxt
+
     def test_repeat_access_still_traces(self):
         s = make_state(
             [iw(Opcode.STORE, (1, 2)), iw(Opcode.STORE, (1, 2)), HALT],
@@ -542,6 +561,76 @@ class TestRunMatchesStepFold:
             s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
             r = run(s, cfg, max_steps=400)
             assert r == fold_of_step(s, cfg, max_steps=400), entry.name
+
+
+class TestDecodeSlot:
+    """``run`` decodes a word once per address and reuses it while the
+    fetched word is unchanged; a changed or blinded word is never served
+    from the slot."""
+
+    def test_self_modifying_code_runs_the_new_instruction(self):
+        # Word 1 is an add; the loop stores an xor over it and jumps back.
+        # The xor sets r7, so the branch at 3 falls through to the halt.
+        xor = iw(Opcode.XOR, (7, 4), (7,))
+        prog = [
+            iw(Opcode.LOAD, (5,), (1,)),
+            iw(Opcode.ADD, (3, 4), (3,)),
+            iw(Opcode.STORE, (6, 1)),
+            iw(Opcode.BZ, (7, 6), (PC,)),
+            HALT,
+        ]
+        s = make_state(prog + [0] * 15 + [xor], regs={4: clear(1), 5: clear(20), 6: clear(1)})
+        r = run(s, CFG, max_steps=50)
+        assert r.outcome is RunOutcome.HALTED
+        assert r.state.registers[3] == clear(1) and r.state.registers[7] == clear(1)
+        assert [e.word for e in r.trace if isinstance(e, Fetch) and e.pc == 1] == [prog[1], xor]
+        assert r == fold_of_step(s, CFG, max_steps=50)
+
+    # Word 1 adds one to r3 and is then blinded by the blnd at 4; the jump
+    # back fetches it blinded, so it traps to 0, whose rblnd unblinds it.
+    # The second add makes r3 == 2 and the branch at 3 goes to the halt.
+    BLINDED_AFTER_DECODE = [
+        iw(Opcode.RBLND, (6,)),
+        iw(Opcode.ADD, (3, 4), (3,)),
+        iw(Opcode.SUB, (3, 10), (9,)),
+        iw(Opcode.BZ, (9, 11), (PC,)),
+        iw(Opcode.BLND, (6,)),
+        iw(Opcode.BZ, (7, 6), (PC,)),
+        HALT,
+    ]
+    REGS = {4: clear(1), 6: clear(1), 10: clear(2), 11: clear(6)}
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "tag_logic, raw, outcome, traps",
+        [
+            pytest.param(True, True, RunOutcome.HALTED, 1, id="rblnd-runs-it-again"),
+            pytest.param(True, False, RunOutcome.FAULTED, 1, id="rblnd-refused"),
+            pytest.param(False, False, RunOutcome.HALTED, 0, id="no-tag-logic"),
+        ],
+    )
+    def test_word_blinded_after_decode_traps(self, mode, tag_logic, raw, outcome, traps):
+        cfg = MachineConfig(
+            mode=mode, memory_words=32, cache_lines=8, tag_logic=tag_logic, allow_raw_unblind=raw
+        )
+        s = make_state(self.BLINDED_AFTER_DECODE, regs=self.REGS, pc=1)
+        r = run(s, cfg, max_steps=50)
+        assert r.outcome is outcome
+        faults = [e.kind for e in r.trace if isinstance(e, Fault)]
+        assert faults.count(FaultKind.BLINDED_INSTRUCTION_FETCH) == traps
+        if outcome is RunOutcome.HALTED:
+            assert r.state.registers[3] == clear(2)
+        else:
+            assert r.state.fault is FaultKind.DECODE_ERROR and r.state.pc == 0
+        assert r == fold_of_step(s, cfg, max_steps=50)
+
+    def test_run_decodes_each_executed_address_once(self, decode_calls):
+        cfg = MachineConfig(memory_words=64, cache_lines=8)
+        image = assemble(next(e.source for e in curated_corpus() if e.name == "add-one-looped"))
+        r = run(boot_image(image, cfg), cfg, max_steps=1000)
+        fetched = [e.pc for e in r.trace if isinstance(e, Fetch)]
+        assert r.outcome is RunOutcome.HALTED and len(fetched) > 2 * len(set(fetched))
+        assert len(decode_calls) == len(set(fetched))
 
 
 class TestStepSafety:

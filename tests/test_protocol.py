@@ -275,6 +275,39 @@ class TestServerSession:
         reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(0, b"x" * 40))))
         assert isinstance(reply, ErrorResponse)
 
+    @pytest.mark.parametrize(
+        "request_", [ImportRequest(0, b"x" * 40), ExportRequest(0, 1)], ids=["import", "export"]
+    )
+    def test_request_before_handshake_names_the_handshake(self, request_):
+        session, _ = self.make_session()
+        reply = decode_frame(session.handle_frame(encode_frame(request_)))
+        assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
+
+    def test_compute_before_handshake_errors_without_running(self):
+        session, _ = self.make_session()
+        image = assemble(".entry 0\nhalt\n")
+        frame = encode_frame(ComputeRequest(0, encode_image(image)))
+        reply = decode_frame(session.handle_frame(frame))
+        assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
+        assert session.traces == []
+
+    def test_a_refused_hello_is_no_handshake(self):
+        session, _ = self.make_session()
+        session.handle_frame(LOW_ORDER_HELLO)
+        reply = decode_frame(session.handle_frame(encode_frame(ExportRequest(0, 1))))
+        assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
+
+    def test_handshake_is_per_session_not_per_engine(self):
+        # Two sessions on one engine: one handshake serves only its own.
+        first, cfg = self.make_session()
+        second = ServerSession(DEV_PRIV, Claims(), first.engine, cfg, seed=4)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(first.handle_frame(client.hello()))
+        reply = decode_frame(second.handle_frame(encode_frame(ExportRequest(0, 1))))
+        assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
+        reply = decode_frame(first.handle_frame(encode_frame(ExportRequest(0, 1))))
+        assert isinstance(reply, ResultResponse)
+
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()
         client = ClientHandshake(DEV_PUB, seed=21)

@@ -815,6 +815,9 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, e1: Effect, e2: Effect) -
     return True
 
 
+_RUNNING = Status.RUNNING  # bound once: the pair loop reads it twice a pair-step
+
+
 def _lockstep_divergence(
     s1: SystemState,
     s2: SystemState,
@@ -835,7 +838,7 @@ def _lockstep_divergence(
     # both sides; the slot's value check keeps a divergent fetch correct.
     m2.decoded = m1.decoded
     for k in range(steps):
-        if m1.status is not Status.RUNNING or m2.status is not Status.RUNNING:
+        if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
         e1 = m1.step(cfg, k, semantics)
         e2 = m2.step(cfg, k, semantics)

@@ -166,8 +166,12 @@ class EncryptionEngine:
 
         Returns the updated memory; the input memory is untouched on any
         failure, and no intermediate state with clear plaintext exists.
+        Only a client-direction nonce for the current key is accepted, so
+        the engine's own export cannot be reflected back into memory.
         """
         key = self._require_key()
+        if envelope[:4] != bytes([_DIR_CLIENT]) + key.key_id[:3]:
+            raise AuthError("envelope nonce is not a client nonce for the current key")
         plaintext = open_envelope(key.key, envelope)
         if len(plaintext) % 8:
             raise AuthError("plaintext length is not a multiple of 8")

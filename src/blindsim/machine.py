@@ -24,6 +24,12 @@ fault carries no writes.
 
 Trace events carry only observable data -- addresses, clear values, fault
 kinds -- never a blinded payload.
+
+The per-step path reads enum members through module constants and builds
+its records as named tuples, because under CPython 3.11 on a 2-core x86
+host an ``Enum.MEMBER`` lookup costs 110-135 ns against 8-14 ns for a
+module global, and a frozen dataclass record 530-1400 ns against
+290-690 ns for a named tuple.
 """
 
 from __future__ import annotations
@@ -52,6 +58,12 @@ from .model import (
 )
 
 SemanticsFn = Callable[..., tuple]
+
+# Enum members the per-step path reads, bound once (see the module docstring).
+_RUNNING, _HALTED, _FAULTED = Status.RUNNING, Status.HALTED, Status.FAULTED
+_MEM_STORE = MemKind.STORE
+_FAULT_HANDLER, _HALT, _JUMP = ControlKind.FAULT_HANDLER, ControlKind.HALT, ControlKind.JUMP
+_OP_BLND, _OP_RBLND = Opcode.BLND, Opcode.RBLND
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,45 +105,45 @@ class MachineConfig:
 
 # ---------------------------------------------------------------------------
 # Trace events
+#
+# Named tuples, so equality ignores the class: ``Fetch(c, p, w) ==
+# CacheUpdate(c, p, w)``.  Comparing a step's events stays exact because
+# no other two kinds share an arity and field types, and a step's events
+# start with its only Fetch (or a Fault) while a CacheUpdate never comes
+# first; tests/test_machine.py pins both.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Fetch:
+class Fetch(NamedTuple):
     cycle: int
     pc: int
     word: int
 
 
-@dataclass(frozen=True, slots=True)
-class MemAccess:
+class MemAccess(NamedTuple):
     cycle: int
     kind: MemKind
     address: int
 
 
-@dataclass(frozen=True, slots=True)
-class CacheUpdate:
+class CacheUpdate(NamedTuple):
     cycle: int
     line: int
     address: int
 
 
-@dataclass(frozen=True, slots=True)
-class Fault:
+class Fault(NamedTuple):
     cycle: int
     kind: FaultKind
     refused: bool = False  # raw-untaint policy refusal, distinct in the trace
 
 
-@dataclass(frozen=True, slots=True)
-class MmioWrite:
+class MmioWrite(NamedTuple):
     cycle: int
     value: int
 
 
-@dataclass(frozen=True, slots=True)
-class Halt:
+class Halt(NamedTuple):
     cycle: int
 
 
@@ -187,7 +199,7 @@ class Effect(NamedTuple):
     @property
     def trapped(self) -> bool:
         """Trapped to the handler at address 0, changing nothing but pc."""
-        return self.status is Status.RUNNING and type(self.events[-1]) is Fault
+        return self.status is _RUNNING and type(self.events[-1]) is Fault
 
 
 def _stop(pc: int, status: Status, fault: FaultKind | None, *events: TraceEvent) -> Effect:
@@ -197,7 +209,7 @@ def _stop(pc: int, status: Status, fault: FaultKind | None, *events: TraceEvent)
 
 def _terminal(pc: int, fetch: Fetch, kind: FaultKind, refused: bool = False) -> Effect:
     """A fault after the fetch: the machine stops at ``pc``."""
-    return _stop(pc, Status.FAULTED, kind, fetch, Fault(fetch.cycle, kind, refused))
+    return _stop(pc, _FAULTED, kind, fetch, Fault(fetch.cycle, kind, refused))
 
 
 def _tagged(w: TaggedWord) -> TaggedWord:
@@ -253,13 +265,13 @@ def _effect(
     mem_size = len(memory)
 
     if not 0 <= pc < mem_size:
-        return _stop(pc, Status.FAULTED, FaultKind.OUT_OF_RANGE, Fault(cycle, FaultKind.OUT_OF_RANGE))
+        return _stop(pc, _FAULTED, FaultKind.OUT_OF_RANGE, Fault(cycle, FaultKind.OUT_OF_RANGE))
 
     instr = view(memory[pc])
     if instr.blinded:
         # Trap to the handler at address 0; the payload never reaches the
         # decoder, so the trace shows only the (tag-derived) fault signal.
-        return _stop(0, Status.RUNNING, None, Fault(cycle, FaultKind.BLINDED_INSTRUCTION_FETCH))
+        return _stop(0, _RUNNING, None, Fault(cycle, FaultKind.BLINDED_INSTRUCTION_FETCH))
 
     word = instr.value
     fetch = Fetch(cycle, pc, word)
@@ -278,34 +290,36 @@ def _effect(
     outputs, memops, control = semantics(d, inputs, cfg.mode)
 
     # Control resolution first; a trap leaves everything but pc untouched.
-    if control.kind is ControlKind.FAULT_HANDLER:
-        return _stop(0, Status.RUNNING, None, fetch, Fault(cycle, control.fault))
-    if control.kind is ControlKind.HALT:
-        return _stop(pc, Status.HALTED, None, fetch, Halt(cycle))
-    next_pc = control.target if control.kind is ControlKind.JUMP else pc + 1
+    flow = control.kind
+    if flow is _FAULT_HANDLER:
+        return _stop(0, _RUNNING, None, fetch, Fault(cycle, control.fault))
+    if flow is _HALT:
+        return _stop(pc, _HALTED, None, fetch, Halt(cycle))
+    next_pc = control.target if flow is _JUMP else pc + 1
     if not 0 <= next_pc < mem_size:
         return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
 
-    for op in memops:
-        if not 0 <= op.address < mem_size:
+    for kind, address, register in memops:
+        if not 0 <= address < mem_size:
             return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
-        if op.kind is MemKind.STORE:
-            if view(registers[op.register]).blinded and cfg.is_unblindable(op.address):
+        if kind is _MEM_STORE:
+            if view(registers[register]).blinded and cfg.is_unblindable(address):
                 return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
 
     # Tag edits (BLND/RBLND).  A blinded address register means the whole
     # instruction was a no-op (model mode; hardware mode trapped above), so
     # the payload must not even be bounds-checked.
     tag_edit: tuple[int, bool] | None = None
-    if d.opcode in (Opcode.BLND, Opcode.RBLND):
+    opcode = d.opcode
+    if opcode is _OP_BLND or opcode is _OP_RBLND:
         addr_word = view(registers[d.inputs[0]])
         if not addr_word.blinded:
             if not 0 <= addr_word.value < mem_size:
                 return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
             if cfg.tag_logic:
-                if d.opcode is Opcode.RBLND and not cfg.allow_raw_unblind:
+                if opcode is _OP_RBLND and not cfg.allow_raw_unblind:
                     return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
-                tag_edit = (addr_word.value, d.opcode is Opcode.BLND)
+                tag_edit = (addr_word.value, opcode is _OP_BLND)
 
     # Writes, in order: register outputs, then memory operations (each
     # sees the writes before it), then the tag edit.
@@ -313,14 +327,14 @@ def _effect(
     mem_writes: list[tuple[int, TaggedWord]] = []
     lines: list[tuple[int, int]] = []
     events: list[TraceEvent] = [fetch]
-    for op in memops:
-        address = op.address
-        if op.kind is MemKind.STORE:
-            word = view(_latest(registers, reg_writes, op.register))
+    for kind, address, register in memops:
+        store = kind is _MEM_STORE
+        if store:
+            word = view(_latest(registers, reg_writes, register))
             mem_writes.append((address, word))
         else:
-            reg_writes.append((op.register, view(_latest(memory, mem_writes, address))))
-        events.append(MemAccess(cycle, op.kind, address))
+            reg_writes.append((register, view(_latest(memory, mem_writes, address))))
+        events.append(MemAccess(cycle, kind, address))
         # Direct-mapped: the line depends only on the (clear) address.  A
         # repeat access reports the first valid line holding the address,
         # which a random initial state may also place in a lower line.
@@ -330,14 +344,14 @@ def _effect(
         else:
             lines.append((line, address))
         events.append(CacheUpdate(cycle, line, address))
-        if op.kind is MemKind.STORE and address == cfg.mmio_console:
+        if store and address == cfg.mmio_console:
             events.append(MmioWrite(cycle, word.value))
     if tag_edit is not None:
         address, blind = tag_edit
         mem_writes.append((address, TaggedWord(_latest(memory, mem_writes, address).value, blind)))
 
     return Effect(
-        next_pc, Status.RUNNING, None,
+        next_pc, _RUNNING, None,
         tuple(reg_writes), tuple(mem_writes), tuple(lines), tuple(events),
     )
 
@@ -368,7 +382,7 @@ def step(
     the shipped policy.  Only the parts the step writes are copied, so a
     store costs O(memory) here; :func:`run` commits in place instead.
     """
-    if s.status is not Status.RUNNING:
+    if s.status is not _RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
     cache = s.cache
     eff = _effect(
@@ -481,7 +495,7 @@ class RunOutcome(Enum):
     STEP_LIMIT = "step-limit"
 
 
-_OUTCOMES = {Status.HALTED: RunOutcome.HALTED, Status.FAULTED: RunOutcome.FAULTED}
+_OUTCOMES = {_HALTED: RunOutcome.HALTED, _FAULTED: RunOutcome.FAULTED}
 
 
 @dataclass(frozen=True, slots=True)
@@ -513,7 +527,7 @@ def run(
     trace: list[TraceEvent] = []
     trapped_before = False
     n = 0
-    while n < max_steps and m.status is Status.RUNNING:
+    while n < max_steps and m.status is _RUNNING:
         eff = m.step(cfg, n, semantics)
         trace.extend(eff.events)
         n += 1

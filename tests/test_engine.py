@@ -21,6 +21,7 @@ from blindsim.engine import (
     client_decrypt,
     client_encrypt,
     key_id_for,
+    seal_envelope,
     words_to_bytes,
 )
 from blindsim.model import MemoryImage, blinded, clear
@@ -63,18 +64,21 @@ class TestOracleItself:
 
 class TestImportExport:
     def test_import_of_export_is_identity_with_tags(self):
-        engine, _ = make_engine()
+        # An export is opened and re-sealed by the client: the engine
+        # imports only client-direction envelopes.
+        engine, session = make_engine()
         mem = MemoryImage(tuple(clear(v) for v in range(16)))
-        envelope = engine.export_region(mem, src=4, n=3)
+        words = client_decrypt(session, engine.export_region(mem, src=4, n=3))
+        envelope = client_encrypt(session, words, counter=0)
         out = engine.import_region(mem, dst=10, envelope=envelope)
         assert [w.value for w in out.words[10:13]] == [4, 5, 6]
         assert all(w.blinded for w in out.words[10:13])
         assert out.words[:10] == mem.words[:10]
 
     def test_flipped_tag_bit_leaves_memory_unchanged(self):
-        engine, _ = make_engine()
+        engine, session = make_engine()
         mem = MemoryImage.zeros(8)
-        envelope = bytearray(engine.export_region(mem, 0, 2))
+        envelope = bytearray(client_encrypt(session, [0, 0], counter=0))
         envelope[-1] ^= 0x80
         with pytest.raises(AuthError):
             engine.import_region(mem, 0, bytes(envelope))
@@ -120,11 +124,11 @@ class TestImportExport:
         assert e1[:12] != e2[:12]
 
     def test_range_errors(self):
-        engine, _ = make_engine()
+        engine, session = make_engine()
         mem = MemoryImage.zeros(4)
         with pytest.raises(RangeError):
             engine.export_region(mem, 2, 3)
-        envelope = engine.export_region(mem, 0, 3)
+        envelope = client_encrypt(session, [0, 0, 0], counter=0)
         with pytest.raises(RangeError):
             engine.import_region(mem, 2, envelope)
 
@@ -136,18 +140,37 @@ class TestImportExport:
 
     def test_import_rejects_misaligned_plaintext(self):
         engine, session = make_engine()
-        nonce = bytes(12)
+        nonce = bytes([0x43]) + session.key_id[:3] + struct.pack(">Q", 0)
         body = aead_oracle.aead_encrypt(session.key, nonce, b"12345")
         with pytest.raises(AuthError):
             engine.import_region(MemoryImage.zeros(4), 0, nonce + body)
 
     def test_import_is_all_or_nothing_region(self):
-        engine, _ = make_engine()
+        engine, session = make_engine()
         mem = MemoryImage(tuple(clear(v) for v in range(8)))
-        envelope = engine.export_region(mem, 0, 4)
+        envelope = client_encrypt(session, range(4), counter=0)
         out = engine.import_region(mem, 4, envelope)
         # the full region is blinded; no partially-clear plaintext exists
         assert all(w.blinded for w in out.words[4:8])
+
+    def test_reflected_export_is_refused(self):
+        # The engine's own export authenticates under the session key, but
+        # its nonce has the engine direction: it must not land as blinded
+        # words.
+        engine, _ = make_engine()
+        mem = MemoryImage(tuple(clear(v) for v in range(8)))
+        envelope = engine.export_region(mem, 0, 4)
+        with pytest.raises(AuthError):
+            engine.import_region(mem, 4, envelope)
+
+    def test_client_nonce_of_another_key_is_refused(self):
+        engine, session = make_engine()
+        other = SessionKey.from_bytes(b"O" * 32)
+        assert other.key_id[:3] != session.key_id[:3]
+        nonce = bytes([0x43]) + other.key_id[:3] + struct.pack(">Q", 0)
+        envelope = seal_envelope(session.key, nonce, words_to_bytes([1, 2]))
+        with pytest.raises(AuthError):
+            engine.import_region(MemoryImage.zeros(4), 0, envelope)
 
 
 class TestNonceDiscipline:

@@ -1,6 +1,7 @@
 """Step semantics, trace events, the direct-mapped cache, and the run driver."""
 
 import random
+import typing
 from dataclasses import replace
 
 import pytest
@@ -9,14 +10,18 @@ from blindsim.assembler import assemble
 from blindsim.checker import generate_equivalent_pair, pair_for_program
 from blindsim.corpus import curated_corpus
 from blindsim.isa import (
+    HALT_CONTROL,
     NEXT,
     PC,
+    Control,
+    ControlKind,
     DecodedInstruction,
     MemKind,
     MemoryOperation,
     Mode,
     Opcode,
     encode,
+    instruction_semantics,
     random_instruction,
 )
 from blindsim.machine import (
@@ -29,6 +34,7 @@ from blindsim.machine import (
     MmioWrite,
     RunOutcome,
     RunResult,
+    TraceEvent,
     boot_image,
     format_event,
     format_trace,
@@ -717,6 +723,128 @@ class TestTraceFormat:
     def test_format_trace_joins_lines(self):
         t = format_trace([Halt(0)])
         assert t == "cycle=0 kind=halt\n"
+
+
+# One instance of each per-step record and its golden repr; a lockstep
+# divergence reason embeds the events' repr.  TestTraceFormat pins the
+# trace line of each event kind.
+RECORDS = [
+    (Fetch(3, 5, 0x3020104), "Fetch(cycle=3, pc=5, word=50462980)"),
+    (MemAccess(4, MemKind.STORE, 0x23),
+     "MemAccess(cycle=4, kind=<MemKind.STORE: 'store'>, address=35)"),
+    (CacheUpdate(4, 3, 0x23), "CacheUpdate(cycle=4, line=3, address=35)"),
+    (Fault(5, FaultKind.BLINDED_BRANCH),
+     "Fault(cycle=5, kind=<FaultKind.BLINDED_BRANCH: 'blinded-branch'>, refused=False)"),
+    (Fault(5, FaultKind.DECODE_ERROR, refused=True),
+     "Fault(cycle=5, kind=<FaultKind.DECODE_ERROR: 'decode-error'>, refused=True)"),
+    (MmioWrite(6, 0x2A), "MmioWrite(cycle=6, value=42)"),
+    (Halt(7), "Halt(cycle=7)"),
+    (MemoryOperation(MemKind.LOAD, 8, 2),
+     "MemoryOperation(kind=<MemKind.LOAD: 'load'>, address=8, register=2)"),
+    (Control.jump(64), "Control(kind=<ControlKind.JUMP: 'jump'>, target=64, fault=None)"),
+    (Control.fault_handler(FaultKind.BLINDED_ADDRESS),
+     "Control(kind=<ControlKind.FAULT_HANDLER: 'fault-handler'>, target=None, "
+     "fault=<FaultKind.BLINDED_ADDRESS: 'blinded-address'>)"),
+]
+RECORD_IDS = [f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(RECORDS)]
+
+
+class TestRecordContract:
+    """Trace events, memory operations and controls are immutable,
+    hashable values whose repr never changes."""
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_golden_repr(self, record, text):
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_immutable_and_hashable(self, record, text):
+        twin = type(record)(*(getattr(record, f) for f in _fields(type(record))))
+        assert twin == record and hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        for name in _fields(type(record)):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        assert record == twin
+
+    def test_defaults_and_shared_controls(self):
+        assert Fault(1, FaultKind.OUT_OF_RANGE).refused is False
+        assert Control(ControlKind.NEXT) == Control(ControlKind.NEXT, None, None)
+        assert NEXT.kind is ControlKind.NEXT and HALT_CONTROL.kind is ControlKind.HALT
+        halt = DecodedInstruction(Opcode.HALT, (), ())
+        assert instruction_semantics(halt, [])[2] is HALT_CONTROL
+        add = DecodedInstruction(Opcode.ADD, (1, 2), (3,))
+        assert instruction_semantics(add, [clear(1), clear(2)])[2] is NEXT
+
+
+def _fields(kind) -> tuple[str, ...]:
+    return tuple(typing.get_type_hints(kind))
+
+
+def _step_events_are_ordered(events) -> None:
+    """A step's events start with its fetch (or a fault before any fetch),
+    so never with a cache update, and hold no second fetch."""
+    assert events and type(events[0]) in (Fetch, Fault), events
+    assert not any(type(e) is Fetch for e in events[1:]), events
+
+
+class TestEventEqualityIsExact:
+    """Events are compared with ``==`` (the lockstep's ``e1.events !=
+    e2.events``), which for named tuples ignores the class.  That loses
+    nothing only while Fetch and CacheUpdate are the one pair of kinds
+    with equal shapes, and they never share a position in a step."""
+
+    def test_only_fetch_and_cache_update_share_a_shape(self):
+        kinds = typing.get_args(TraceEvent)
+        assert len(kinds) == 6
+        shapes = {}
+        for kind in kinds:
+            hints = typing.get_type_hints(kind)
+            shapes.setdefault(tuple(hints.values()), set()).add(kind)
+        shared = [group for group in shapes.values() if len(group) > 1]
+        assert shared == [{Fetch, CacheUpdate}]
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("tag_logic", [True, False])
+    def test_single_steps_from_random_pairs(self, mode, tag_logic):
+        cfg = MachineConfig(
+            mode=mode,
+            memory_words=64,
+            cache_lines=8,
+            unblindable_ranges=((40, 48),),
+            mmio_console=41,
+            tag_logic=tag_logic,
+        )
+        seen = set()
+        for seed in range(400):
+            for s in generate_equivalent_pair(seed, memory_words=64, cache_lines=8):
+                _, events = step(s, cfg, cycle=seed)
+                _step_events_are_ordered(events)
+                seen.update(map(type, events))
+        assert {Fetch, MemAccess, CacheUpdate, Fault, Halt} <= seen
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_corpus_runs(self, mode):
+        rng = random.Random(5)
+        seen = set()
+        for entry in curated_corpus():
+            cfg = MachineConfig(
+                mode=mode,
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+            )
+            s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
+            r = run(s, cfg, max_steps=400)
+            by_cycle: dict[int, list] = {}
+            for e in r.trace:
+                by_cycle.setdefault(e.cycle, []).append(e)
+            assert sorted(by_cycle) == list(range(r.steps)), entry.name
+            for events in by_cycle.values():
+                _step_events_are_ordered(events)
+            seen.update(map(type, r.trace))
+        assert {Fetch, MemAccess, CacheUpdate, Fault, Halt} <= seen
 
 
 class TestReferenceMachine:

@@ -9,13 +9,18 @@ ordinary clear data.  On a context switch the OS can *seal* the current
 key (encrypt it under a device-internal root key) and later load a sealed
 key back; it never sees key material in the clear.
 
-Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Nonces are
-counter-derived and direction-scoped so client and engine never collide
-under the shared session key, and the export counter travels inside
-sealed blobs to survive context switches:
+Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Session
+nonces are counter-derived and direction-scoped so client and engine never
+collide under the shared session key, and the export counter travels
+inside sealed blobs to survive context switches:
 
     nonce = direction(1) || key_id[:3] || counter u64 BE
-    direction: 0x43 client->engine, 0x45 engine->client, 0x53 sealing
+    direction: 0x43 client->engine, 0x45 engine->client
+
+Engines sharing a root key share no counter, so sealing uses a synthetic
+IV (after RFC 5297 and RFC 8452) that loading recomputes: nonce = 0x53 ||
+HMAC-SHA256(iv_key, SEAL_LABEL || body)[:11], with ``iv_key`` derived from
+the root key under its own label.  The same body seals to the same blob.
 
 Envelope layout: ``nonce(12) || ciphertext || tag(16)``.
 """
@@ -23,6 +28,7 @@ Envelope layout: ``nonce(12) || ciphertext || tag(16)``.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +44,7 @@ TAG_LEN = 16
 KEY_ID_LEN = 16
 
 SEAL_LABEL = b"SEAL"
+_SEAL_IV_LABEL = b"blindsim-seal-iv"
 
 _DIR_CLIENT = 0x43
 _DIR_ENGINE = 0x45
@@ -137,9 +144,9 @@ class EncryptionEngine:
         if len(root_key) != KEY_LEN:
             raise ValueError(f"root key must be {KEY_LEN} bytes")
         self._root_key = root_key
+        self._seal_iv_key = hmac.digest(root_key, _SEAL_IV_LABEL, "sha256")
         self._current: SessionKey | None = None
         self._export_counter = 0
-        self._seal_counter = 0
 
     @property
     def current_key_id(self) -> bytes | None:
@@ -201,14 +208,15 @@ class EncryptionEngine:
 
     # -- key management ----------------------------------------------------
 
+    def _seal_iv(self, body: bytes) -> bytes:
+        return bytes([_DIR_SEAL]) + hmac.digest(self._seal_iv_key, SEAL_LABEL + body, "sha256")[:11]
+
     def seal_current_key(self) -> SealedKey:
         """Encrypt the session key (and its export counter) under the root
         key and clear the slot."""
         key = self._require_key()
         body = key.key + key.key_id + struct.pack(">Q", self._export_counter)
-        nonce = _nonce(_DIR_SEAL, b"\x00" * 3, self._seal_counter)
-        self._seal_counter += 1
-        blob = seal_envelope(self._root_key, nonce, body, aad=SEAL_LABEL)
+        blob = seal_envelope(self._root_key, self._seal_iv(body), body, aad=SEAL_LABEL)
         sealed = SealedKey(blob=blob, key_id=key.key_id)
         self._current = None
         self._export_counter = 0
@@ -217,6 +225,8 @@ class EncryptionEngine:
     def load_sealed_key(self, sealed: SealedKey) -> None:
         """Authenticate a sealed blob and make it the current session key."""
         body = open_envelope(self._root_key, sealed.blob, aad=SEAL_LABEL)
+        if not hmac.compare_digest(sealed.blob[:NONCE_LEN], self._seal_iv(body)):
+            raise AuthError("sealed blob nonce is not its synthetic IV")
         if len(body) != KEY_LEN + KEY_ID_LEN + 8:
             raise AuthError("sealed blob has the wrong shape")
         key = body[:KEY_LEN]

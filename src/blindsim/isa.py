@@ -209,21 +209,30 @@ def decode(word: int) -> DecodedInstruction:
     return DecodedInstruction(op, inputs, outputs)
 
 
-_OPCODES = tuple(Opcode)
+def _draw_plan(op: Opcode) -> tuple[int, tuple[int, ...]]:
+    """``op``'s word with the undrawn operand bytes absent, and the shifts
+    of the register bytes to draw: inputs, then a register output."""
+    n_inputs, outputs = SHAPES[op]
+    shifts = (16, 24)[:n_inputs] + ((8,) if outputs == (REG,) else ())
+    return int(op) | sum(_ABSENT << s for s in (8, 16, 24) if s not in shifts), shifts
+
+
+_DRAWS = tuple(_draw_plan(op) for op in Opcode)
+
+
+def random_instruction_word(rng: random.Random) -> int:
+    """The word of a uniformly random well-formed instruction, drawn in the
+    one defined order: the opcode, then the register indices in operand
+    order (inputs before outputs), so a seeded ``rng`` yields one stream."""
+    word, shifts = rng.choice(_DRAWS)
+    for shift in shifts:
+        word |= rng.randrange(REG_COUNT) << shift
+    return word
 
 
 def random_instruction(rng: random.Random) -> DecodedInstruction:
-    """A uniformly random well-formed instruction.
-
-    Draws the opcode, then the register indices in operand order (inputs
-    before outputs), so a seeded ``rng`` always yields the same stream.
-    """
-    op = rng.choice(_OPCODES)
-    n_inputs, outputs = SHAPES[op]
-    inputs = tuple(rng.randrange(REG_COUNT) for _ in range(n_inputs))
-    if outputs == (REG,):
-        outputs = (rng.randrange(REG_COUNT),)
-    return DecodedInstruction(op, inputs, outputs)
+    """:func:`random_instruction_word`, decoded."""
+    return decode(random_instruction_word(rng))
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,10 @@ def list_equiv(xs: Sequence[TaggedWord], ys: Sequence[TaggedWord]) -> bool:
     """Pointwise value equivalence; lengths must match."""
     if len(xs) != len(ys):
         return False
-    return all(
-        b.blinded if a.blinded else (not b.blinded and a.value == b.value)
-        for a, b in zip(xs, ys)
-    )
+    for a, b in zip(xs, ys):
+        if not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
+            return False
+    return True
 
 
 def state_equiv(s1: SystemState, s2: SystemState) -> bool:

@@ -16,7 +16,7 @@ from blindsim.assembler import (
     disassemble,
     encode_image,
 )
-from blindsim.isa import decode, random_instruction
+from blindsim.isa import decode, random_instruction, random_instruction_word
 from blindsim.machine import LoadError, MachineConfig, boot_image
 from blindsim.model import TaggedWord, blinded, clear
 
@@ -182,9 +182,7 @@ class TestDisassemble:
             words = []
             for _ in range(rng.randint(1, 12)):
                 if rng.random() < 0.6:
-                    from blindsim.isa import encode
-
-                    words.append(TaggedWord(encode(random_instruction(rng)), False))
+                    words.append(TaggedWord(random_instruction_word(rng), False))
                 else:
                     words.append(
                         TaggedWord(rng.getrandbits(64), rng.random() < 0.3)

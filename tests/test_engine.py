@@ -11,6 +11,7 @@ import struct
 import pytest
 
 from blindsim.engine import (
+    SEAL_LABEL,
     AuthError,
     EncryptionEngine,
     NoKeyError,
@@ -273,6 +274,36 @@ class TestSealing:
 
         for c in clients:
             assert client_decrypt(c["key"], c["ct"]) == c["data"]
+
+    def test_engines_sharing_a_root_seal_under_different_nonces(self):
+        # Two fresh (or restarted) engines must not reuse a nonce under
+        # the root key for different keys.
+        blob_a = make_engine(key=b"A" * 32)[0].seal_current_key().blob
+        blob_b = make_engine(key=b"B" * 32)[0].seal_current_key().blob
+        assert blob_a[0] == blob_b[0] == 0x53
+        assert blob_a[:12] != blob_b[:12]
+
+    def test_blob_under_another_blobs_nonce_is_refused(self):
+        # Authentic under the root key, but its nonce is not the one its
+        # body determines: the nonce of another valid blob.
+        root = b"R" * 32
+        engine, session = make_engine(root=root)
+        other = make_engine(root=root, key=b"O" * 32)[0].seal_current_key()
+        body = session.key + session.key_id + struct.pack(">Q", 0)
+        forged = seal_envelope(root, other.blob[:12], body, aad=SEAL_LABEL)
+        with pytest.raises(AuthError):
+            engine.load_sealed_key(SealedKey(forged, session.key_id))
+
+    def test_same_body_seals_to_same_blob(self):
+        # A synthetic IV is a function of the body: sealing is deterministic.
+        engine, session = make_engine()
+        first = engine.seal_current_key()
+        engine.install_session_key(session)
+        assert engine.seal_current_key() == first == make_engine()[0].seal_current_key()
+        mem = MemoryImage(tuple(clear(v) for v in range(4)))
+        engine.load_sealed_key(first)
+        engine.export_region(mem, 0, 4)
+        assert engine.seal_current_key().blob != first.blob  # the counter moved
 
 
 class TestKeyHygiene:

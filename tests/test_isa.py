@@ -12,6 +12,8 @@ from blindsim.isa import (
     ARITHMETIC,
     NEXT,
     PC,
+    REG,
+    SHAPES,
     Control,
     ControlKind,
     DecodeError,
@@ -25,8 +27,9 @@ from blindsim.isa import (
     encode,
     instruction_semantics,
     random_instruction,
+    random_instruction_word,
 )
-from blindsim.model import FaultKind, blinded, clear, list_equiv
+from blindsim.model import REG_COUNT, FaultKind, blinded, clear, list_equiv
 
 from conftest import random_word, twin_word
 
@@ -137,6 +140,22 @@ class TestRandomInstruction:
         assert h.hexdigest() == (
             "74889c4a7c89f302e0d5427e304499350807c8b560ae0951fe733ff50343d171"
         )
+
+    def test_word_draw_is_the_instruction_draw(self):
+        # The documented order, spelled out: opcode, inputs, register output.
+        def by_shape(rng):
+            op = rng.choice(tuple(Opcode))
+            n_inputs, outputs = SHAPES[op]
+            inputs = tuple(rng.randrange(REG_COUNT) for _ in range(n_inputs))
+            if outputs == (REG,):
+                outputs = (rng.randrange(REG_COUNT),)
+            return encode(DecodedInstruction(op, inputs, outputs))
+
+        words, decoded, spelled = (random.Random(31) for _ in range(3))
+        for _ in range(10_000):
+            word = random_instruction_word(words)
+            assert word == encode(random_instruction(decoded)) == by_shape(spelled)
+        assert words.getstate() == decoded.getstate() == spelled.getstate()
 
 
 class TestSpecialCases:

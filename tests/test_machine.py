@@ -22,7 +22,7 @@ from blindsim.isa import (
     Opcode,
     encode,
     instruction_semantics,
-    random_instruction,
+    random_instruction_word,
 )
 from blindsim.machine import (
     CacheUpdate,
@@ -450,7 +450,7 @@ class TestRun:
     def _random_run(seed):
         rng = random.Random(seed)
         mem = tuple(
-            TaggedWord(encode(random_instruction(rng)), rng.random() < 0.1)
+            TaggedWord(random_instruction_word(rng), rng.random() < 0.1)
             if rng.random() < 0.7
             else random_word(rng, blind_p=0.2)
             for _ in range(32)
@@ -652,7 +652,7 @@ class TestStepSafety:
         instr_blind_p = 0.12
         for _ in range(mem_size):
             if rng.random() < 0.65:
-                w = TaggedWord(encode(random_instruction(rng)), rng.random() < instr_blind_p)
+                w = TaggedWord(random_instruction_word(rng), rng.random() < instr_blind_p)
             else:
                 w = random_word(rng, blind_p=0.35)
             mem1.append(w)

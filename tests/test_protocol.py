@@ -6,7 +6,7 @@ import struct
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blindsim.assembler import ProgramImage, Segment, assemble, decode_image, encode_image
@@ -350,6 +350,77 @@ class TestServerSession:
             )
         assert len(session.traces) == 3
         assert all(t == session.traces[0] for t in session.traces)
+
+
+# A handshaken session on a small machine, and valid frames for it.
+FUZZ_CFG = MachineConfig(memory_words=128, cache_lines=8)
+
+
+def fuzz_session():
+    engine = EncryptionEngine(b"F" * 32)
+    session = ServerSession(DEV_PRIV, Claims(), engine, FUZZ_CFG, seed=3, max_steps=500)
+    client = ClientHandshake(DEV_PUB, seed=21)
+    return session, client.finish(session.handle_frame(client.hello()))
+
+
+_, FUZZ_KEY = fuzz_session()
+FUZZ_IMAGE = assemble(demo_add_one(3, data_base=0x40, result_base=0x60))
+VALID_FRAMES = {
+    "import": encode_frame(ImportRequest(0x40, client_encrypt(FUZZ_KEY, (5, 10, 20), counter=0))),
+    "compute": encode_frame(ComputeRequest(FUZZ_IMAGE.entry_pc, encode_image(FUZZ_IMAGE))),
+    "export": encode_frame(ExportRequest(0x60, 3)),
+}
+# Import and compute bodies: address u64, payload length u32, payload.
+PAYLOAD_TYPES = {VALID_FRAMES["import"][4], VALID_FRAMES["compute"][4]}
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def mutate(frame: bytes, mutations, reframe: bool) -> bytes:
+    """Flip bits, truncate and extend; ``reframe`` then rewrites the length
+    fields to fit, so the mutations also reach the body, engine and image
+    decoders."""
+    data = bytearray(frame)
+    for kind, *args in mutations:
+        if kind == "flip" and data:
+            data[args[0] % len(data)] ^= 1 << args[1]
+        elif kind == "truncate":
+            del data[args[0] % (len(data) + 1):]
+        elif kind == "extend":
+            data += args[0]
+    if reframe and len(data) >= 4:
+        data[:4] = struct.pack(">I", len(data) - 4)
+    if reframe and len(data) >= 17 and data[4] in PAYLOAD_TYPES:
+        data[13:17] = struct.pack(">I", len(data) - 17)
+    return bytes(data)
+
+
+class TestHandleFrameFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(sorted(VALID_FRAMES)), min_size=1, max_size=3),
+        st.lists(MUTATIONS, min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_mutated_frames_get_frame_replies(self, kinds, mutations, reframe):
+        session, key = fuzz_session()
+        for kind in kinds:
+            decode_frame(session.handle_frame(mutate(VALID_FRAMES[kind], mutations, reframe)))
+        reply = decode_frame(session.handle_frame(VALID_FRAMES["export"]))
+        assert isinstance(reply, ResultResponse)
+        if session.engine.current_key_id == key.key_id:
+            assert len(client_decrypt(key, reply.payload)) == 3
+
+    def test_valid_frames_run_the_session(self):
+        # The unmutated frames do what the fuzzer's baseline assumes.
+        session, key = fuzz_session()
+        for kind in ("import", "compute", "export"):
+            reply = decode_frame(session.handle_frame(VALID_FRAMES[kind]))
+            assert isinstance(reply, ResultResponse)
+        assert client_decrypt(key, reply.payload) == (6, 11, 21)
 
 
 class RecordingStream:

@@ -35,15 +35,10 @@ program = [
     instr(Opcode.STORE, (4, 3)),       # mem[r4] = r3
     instr(Opcode.HALT),
 ]
-memory = s.memory
-for i, w in enumerate(program):
-    memory = memory.store(i, w)
-registers = (
-    s.registers.write(1, blinded(40))  # a secret input
-    .write(2, clear(2))
-    .write(4, clear(0x10))
+s = s.edit(
+    registers=[(1, blinded(40)), (2, clear(2)), (4, clear(0x10))],  # r1 is a secret input
+    memory=list(enumerate(program)),
 )
-s = SystemState(pc=0, registers=registers, memory=memory, cache=s.cache)
 
 result = run(s, cfg, max_steps=10)
 print(f"outcome: {result.outcome.value}")
@@ -53,12 +48,7 @@ print("what the observer sees -- addresses and fault signals, no payloads:")
 print(format_trace(result.trace))
 
 print("== a blinded word reached by pc traps to the handler at 0 ==")
-s2 = SystemState(
-    pc=3,
-    registers=registers,
-    memory=memory.store(3, blinded(0x1234)).store(0, instr(Opcode.HALT)),
-    cache=s.cache,
-)
+s2 = s.edit(pc=3, memory=[(3, blinded(0x1234)), (0, instr(Opcode.HALT))])
 result = run(s2, cfg, max_steps=10)
 print(format_trace(result.trace))
 
@@ -67,8 +57,7 @@ mmio_cfg = MachineConfig(
     memory_words=32, cache_lines=8,
     unblindable_ranges=((0x18, 0x1C),), mmio_console=0x18,
 )
-registers = registers.write(4, clear(0x18))
-s3 = SystemState(pc=0, registers=registers, memory=memory, cache=s.cache)
+s3 = s.edit(registers=[(4, clear(0x18))])
 result = run(s3, mmio_cfg, max_steps=10)
 print(f"outcome: {result.outcome.value} ({result.state.fault.value})")
 assert result.state.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE

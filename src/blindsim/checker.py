@@ -589,34 +589,28 @@ def signature_state(
     """A concrete state consistent with the signature.
 
     Signature-clear registers get value 0 by default or a random clear
-    value with ``randomize_clear`` (any clear value is consistent);
-    blinded ones always get fresh random payloads.  Raises ValueError when
-    the signature names a segment the image lacks.
+    value with ``randomize_clear`` (any clear value is consistent); a
+    signature-clear segment keeps its payloads and drops its tags.  Every
+    other named register and word gets a fresh blinded payload.  Raises
+    ValueError when the signature names a segment the image lacks.
     """
     _check_segments(image, sig)
-
-    def clear_value() -> int:
-        return rng.getrandbits(64) if randomize_clear else 0
-
-    s = boot_image(image, cfg)
-    memory = s.memory
+    memory = []
     for seg_index, seg in enumerate(image.segments):
         tag = sig.segments.get(seg_index)
         if tag is None:
             continue
-        for offset in range(len(seg.words)):
-            addr = seg.base + offset
+        for addr, w in enumerate(seg.words, seg.base):
             if tag is SigTag.CLEAR:
-                memory = memory.retag(addr, False)
+                memory.append((addr, TaggedWord(w.value, False)))
             else:
-                memory = memory.store(addr, TaggedWord(rng.getrandbits(64), True))
-    registers = s.registers
-    for index, tag in sig.registers.items():
-        if tag is SigTag.CLEAR:
-            registers = registers.write(index, TaggedWord(clear_value(), False))
-        else:
-            registers = registers.write(index, TaggedWord(rng.getrandbits(64), True))
-    return replace(s, memory=memory, registers=registers)
+                memory.append((addr, TaggedWord(rng.getrandbits(64), True)))
+    registers = [
+        (index, TaggedWord(rng.getrandbits(64) if randomize_clear else 0, False)
+         if tag is SigTag.CLEAR else TaggedWord(rng.getrandbits(64), True))
+        for index, tag in sig.registers.items()
+    ]
+    return boot_image(image, cfg).edit(registers=registers, memory=memory)
 
 
 def _replay_candidate(
@@ -745,10 +739,9 @@ def generate_equivalent_pair(
 
 def _booted(image: ProgramImage, cfg: MachineConfig, blinded_regs: tuple[int, ...]) -> SystemState:
     """The booted image with ``blinded_regs`` holding blinded zeros."""
-    s = boot_image(image, cfg)
-    for index in blinded_regs:
-        s = replace(s, registers=s.registers.write(index, TaggedWord(0, True)))
-    return s
+    return boot_image(image, cfg).edit(
+        registers=[(index, TaggedWord(0, True)) for index in blinded_regs]
+    )
 
 
 def pair_for_program(
@@ -856,8 +849,8 @@ def _payload_delta(s1: SystemState, s2: SystemState) -> list[tuple[str, int]]:
 
 def _with_payload_from(s2: SystemState, s1: SystemState, kind: str, index: int) -> SystemState:
     if kind == "r":
-        return replace(s2, registers=s2.registers.write(index, s1.registers[index]))
-    return replace(s2, memory=s2.memory.store(index, s1.memory[index]))
+        return s2.edit(registers=[(index, s1.registers[index])])
+    return s2.edit(memory=[(index, s1.memory[index])])
 
 
 def shrink_pair(

@@ -12,7 +12,6 @@ import json
 import socket
 import sys
 import threading
-from dataclasses import replace
 
 from . import checker, corpus, machine
 from .assembler import (
@@ -25,7 +24,7 @@ from .assembler import (
 )
 from .engine import EncryptionEngine, client_decrypt, client_encrypt
 from .isa import Mode
-from .model import TaggedWord, snapshot
+from .model import blinded, snapshot
 from .protocol import (
     Claims,
     ClientHandshake,
@@ -196,13 +195,11 @@ def cmd_run(args) -> int:
     except (OSError, ImageFormatError, machine.LoadError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    memory = state.memory
-    for addr, value in args.blind_word:
+    for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
             print(f"error: --blind-word address {addr:#x} out of range", file=sys.stderr)
             return USAGE_ERROR
-        memory = memory.store(addr, TaggedWord(value & (1 << 64) - 1, True))
-    state = replace(state, memory=memory)
+    state = state.edit(memory=[(addr, blinded(value)) for addr, value in args.blind_word])
 
     result = machine.run(state, cfg, args.max_steps)
     if args.trace:

@@ -4,13 +4,13 @@ A step is split in two.  ``_effect`` is the one definition of its
 semantics: a pure function of (pc, registers, memory, cache, config) that
 returns an :class:`Effect` -- the next pc, status and fault, the register
 writes, the memory writes (a BLND/RBLND tag edit is one more), the cache
-line assignments and the observable events.  ``_commit`` writes an effect
-into lists.  :func:`step` copies only the parts an effect writes and
-returns a new state; :func:`run` and the lockstep harness keep a
-:class:`ListMachine` and commit in place, so a store costs O(1).  A
-:class:`ListMachine` also keeps one decode slot per address, used only
-while the fetched word equals the word it was decoded from, so
-self-modifying code needs no invalidation rule.  Every instruction costs
+line assignments and the observable events.  :func:`step` writes an
+effect with :meth:`SystemState.edit`, which copies only the parts it
+writes; :func:`run` and the lockstep harness keep a :class:`ListMachine`
+and commit in place, so a store costs O(1).  A :class:`ListMachine` also
+keeps one decode slot per address, used only while the fetched word
+equals the word it was decoded from, so self-modifying code needs no
+invalidation rule.  Every instruction costs
 exactly one cycle, so execution time is data-independent by construction.
 
 Policy violations take two shapes.  Tag violations at a branch or (in
@@ -356,19 +356,6 @@ def _effect(
     )
 
 
-def _commit(eff: Effect, registers: list, memory: list, addresses: list, valid: list) -> None:
-    """Write an effect's register, memory and line writes in place.
-
-    Only the parts the effect writes need to be lists."""
-    for i, w in eff.registers:
-        registers[i] = w
-    for a, w in eff.memory:
-        memory[a] = w
-    for line, a in eff.lines:
-        addresses[line] = a
-        valid[line] = True
-
-
 def step(
     s: SystemState,
     cfg: MachineConfig,
@@ -379,8 +366,9 @@ def step(
 
     ``cycle`` stamps the emitted events.  ``semantics`` is pluggable so
     the test harness can study broken variants; the default implements
-    the shipped policy.  Only the parts the step writes are copied, so a
-    store costs O(memory) here; :func:`run` commits in place instead.
+    the shipped policy.  The effect is written with
+    :meth:`SystemState.edit`, so only the parts the step writes are copied
+    and a store costs O(memory) here; :func:`run` commits in place instead.
     """
     if s.status is not _RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
@@ -389,22 +377,8 @@ def step(
         s.pc, s.registers.regs, s.memory.words, cache.addresses, cache.valid,
         cfg, cycle, semantics,
     )
-    regs = list(s.registers.regs) if eff.registers else s.registers.regs
-    words = list(s.memory.words) if eff.memory else s.memory.words
-    addresses = list(cache.addresses) if eff.lines else cache.addresses
-    valid = list(cache.valid) if eff.lines else cache.valid
-    _commit(eff, regs, words, addresses, valid)
-    return (
-        SystemState(
-            pc=eff.pc,
-            registers=RegisterFile(tuple(regs)) if eff.registers else s.registers,
-            memory=MemoryImage(tuple(words)) if eff.memory else s.memory,
-            cache=CacheAssignments(tuple(addresses), tuple(valid)) if eff.lines else cache,
-            status=eff.status,
-            fault=eff.fault,
-        ),
-        eff.events,
-    )
+    nxt = s.edit(eff.pc, eff.registers, eff.memory, eff.lines, eff.status, eff.fault)
+    return nxt, eff.events
 
 
 class ListMachine:
@@ -430,12 +404,18 @@ class ListMachine:
         self.decoded: dict = {}
 
     def step(self, cfg: MachineConfig, cycle: int, semantics: SemanticsFn) -> Effect:
-        """Decide one step's effect and commit it; requires RUNNING."""
+        """Decide one step's effect and commit it in place; requires RUNNING."""
         eff = _effect(
             self.pc, self.registers, self.memory, self.addresses, self.valid,
             cfg, cycle, semantics, self.decoded,
         )
-        _commit(eff, self.registers, self.memory, self.addresses, self.valid)
+        for i, w in eff.registers:
+            self.registers[i] = w
+        for a, w in eff.memory:
+            self.memory[a] = w
+        for line, a in eff.lines:
+            self.addresses[line] = a
+            self.valid[line] = True
         self.pc, self.status, self.fault = eff.pc, eff.status, eff.fault
         return eff
 

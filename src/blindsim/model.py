@@ -8,8 +8,9 @@ everything an observer could see: program counter, cache line assignments,
 halt/fault status, the tag bits themselves, and the payloads of clear
 words.  Blinded payloads are free to differ.
 
-All state types here are immutable; updates return new values that share
-unmodified structure with the originals.
+All state types here are immutable.  :meth:`SystemState.edit` is the one
+way to write words into a state: it returns a new state that copies each
+written component once and shares the others.
 """
 
 from __future__ import annotations
@@ -89,12 +90,6 @@ class RegisterFile:
     def __getitem__(self, index: int) -> TaggedWord:
         return self.regs[index]
 
-    def write(self, index: int, word: TaggedWord) -> RegisterFile:
-        if not 0 <= index < len(self.regs):
-            raise IndexError(f"register index {index} out of range")
-        r = self.regs
-        return RegisterFile(r[:index] + (word,) + r[index + 1:])
-
 
 @dataclass(frozen=True, slots=True)
 class MemoryImage:
@@ -120,14 +115,12 @@ class MemoryImage:
         return self.words[address]
 
     def store(self, address: int, word: TaggedWord) -> MemoryImage:
+        """Kept only for the benchmark's traced step, which replays each
+        store; write words into a state with :meth:`SystemState.edit`."""
         if not 0 <= address < len(self.words):
             raise IndexError(f"address {address:#x} out of range")
         w = self.words
         return MemoryImage(w[:address] + (word,) + w[address + 1:])
-
-    def retag(self, address: int, blinded: bool) -> MemoryImage:
-        """Set or clear the tag of one word, payload untouched."""
-        return self.store(address, TaggedWord(self.words[address].value, blinded))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,13 +136,6 @@ class CacheAssignments:
 
     def __len__(self) -> int:
         return len(self.addresses)
-
-    def assign(self, line: int, address: int) -> CacheAssignments:
-        a, v = self.addresses, self.valid
-        return CacheAssignments(
-            a[:line] + (address,) + a[line + 1:],
-            v[:line] + (True,) + v[line + 1:],
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,6 +169,48 @@ class SystemState:
             memory=MemoryImage.zeros(memory_words),
             cache=CacheAssignments.empty(cache_lines),
         )
+
+    def edit(
+        self,
+        pc: int | None = None,
+        registers: Sequence[tuple[int, TaggedWord]] = (),
+        memory: Sequence[tuple[int, TaggedWord]] = (),
+        lines: Sequence[tuple[int, int]] = (),
+        status: Status | None = None,
+        fault: FaultKind | None = None,
+    ) -> SystemState:
+        """This state with some writes: the one way to write words into a state.
+
+        Writes are (index, value) pairs applied in order, as in a step's
+        effect; a line write also makes its line valid.  Each written
+        component is copied once and the others are shared; a field given
+        as None is kept.  An index outside its component raises IndexError.
+        """
+        regs, mem, cache = self.registers, self.memory, self.cache
+        if registers:
+            regs = RegisterFile(_written(regs.regs, registers))
+        if memory:
+            mem = MemoryImage(_written(mem.words, memory))
+        if lines:
+            cache = CacheAssignments(
+                _written(cache.addresses, lines),
+                _written(cache.valid, [(line, True) for line, _ in lines]),
+            )
+        return SystemState(
+            self.pc if pc is None else pc, regs, mem, cache,
+            self.status if status is None else status,
+            self.fault if fault is None else fault,
+        )
+
+
+def _written(items: tuple, writes: Sequence[tuple[int, object]]) -> tuple:
+    """``items`` with ``writes`` applied in order, as a new tuple."""
+    out = list(items)
+    for index, value in writes:
+        if not 0 <= index < len(out):
+            raise IndexError(f"index {index} out of range for {len(out)} entries")
+        out[index] = value
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

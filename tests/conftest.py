@@ -1,10 +1,11 @@
-"""Shared randomized-state generators for the test suite."""
+"""Shared randomized-state generators and byte mutations for the test suite."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from blindsim import machine
 from blindsim.model import TaggedWord
@@ -34,3 +35,25 @@ def decode_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(machine, "decode", counting)
     return calls
+
+
+#: One edit of a valid encoding: flip a bit, truncate, or append bytes.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 7)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+)
+
+
+def mutated(data: bytes, mutations) -> bytearray:
+    """``data`` with each of ``mutations`` (drawn from MUTATIONS) applied
+    in order."""
+    out = bytearray(data)
+    for kind, *args in mutations:
+        if kind == "flip" and out:
+            out[args[0] % len(out)] ^= 1 << args[1]
+        elif kind == "truncate":
+            del out[args[0] % (len(out) + 1):]
+        elif kind == "extend":
+            out += args[0]
+    return out

@@ -169,12 +169,7 @@ def test_a2_special_case_taint_rules():
             checks += 1
     cfg = MachineConfig(memory_words=16, cache_lines=2)
     s = boot_image(assemble(".entry 1\nhalt\nbz r1, r2\n"), cfg)
-    s = s.__class__(
-        pc=1,
-        registers=s.registers.write(1, blinded(0)),
-        memory=s.memory,
-        cache=s.cache,
-    )
+    s = s.edit(pc=1, registers=[(1, blinded(0))])
     nxt, events = step(s, cfg)
     assert nxt.pc == 0 and nxt.status is Status.RUNNING
     assert Fault(0, FaultKind.BLINDED_BRANCH) in events
@@ -510,11 +505,8 @@ def test_a8_compatibility():
                 mmio_console=entry.mmio_console,
                 tag_logic=False,
             )
-            s = boot_image(image, cfg)
-            regs = s.registers
-            for i in entry.blinded_regs:  # same inputs, just not blinded
-                regs = regs.write(i, clear(13))
-            s = s.__class__(pc=s.pc, registers=regs, memory=s.memory, cache=s.cache)
+            # same inputs, just not blinded
+            s = boot_image(image, cfg).edit(registers=[(i, clear(13)) for i in entry.blinded_regs])
 
             policy = run(s, cfg, 1000)
             reference = run(s, ref_cfg, 1000)

@@ -16,9 +16,12 @@ from blindsim.assembler import (
     disassemble,
     encode_image,
 )
+from blindsim.corpus import curated_corpus
 from blindsim.isa import decode, random_instruction, random_instruction_word
 from blindsim.machine import LoadError, MachineConfig, boot_image
 from blindsim.model import TaggedWord, blinded, clear
+
+from conftest import MUTATIONS, mutated
 
 
 def diag_positions(source):
@@ -247,6 +250,20 @@ class TestImageFormat:
         bad = ProgramImage(0, (Segment(0, (clear(1), clear(2))), Segment(1, (clear(3),))))
         with pytest.raises(ImageFormatError, match="overlap"):
             decode_image(encode_image(bad))
+
+
+CORPUS_IMAGES = [encode_image(assemble(entry.source)) for entry in curated_corpus()]
+
+
+class TestImageFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(CORPUS_IMAGES), st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_image_decodes_or_raises_image_format_error(self, data, mutations):
+        try:
+            image = decode_image(bytes(mutated(data, mutations)))
+        except ImageFormatError:
+            return
+        assert decode_image(encode_image(image)) == image
 
 
 class TestLoading:

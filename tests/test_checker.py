@@ -444,6 +444,36 @@ class TestSignatureParsing:
         s = signature_state(image, sig, HW, rng, randomize_clear=True)
         assert not s.registers[2].blinded
 
+    def test_signature_states_are_pinned(self):
+        # Every draw signature_state makes, in order, and what it builds:
+        # a change to either changes this digest.  A clear segment keeps
+        # each word's payload and drops its tag.
+        h = hashlib.sha256()
+        rng = random.Random(2025)
+        cleared = 0
+        for entry in curated_corpus():
+            image = assemble(entry.source)
+            last = len(image.segments) - 1
+            sigs = [
+                "r1=B,r2=C,r5=C", "s0=C", "s0=B,r3=C", f"s{last}=C,r1=B,r2=T", f"s{last}=T,r4=C",
+            ]
+            for mode in Mode:
+                cfg = MachineConfig(mode=mode, memory_words=entry.memory_words, cache_lines=8)
+                for text in sigs:
+                    for randomize_clear in (False, True):
+                        s = signature_state(image, parse_signature(text), cfg, rng, randomize_clear)
+                        h.update(repr(s).encode())
+                        if text == "s0=C":
+                            seg = image.segments[0]
+                            for offset, w in enumerate(seg.words):
+                                assert s.memory[seg.base + offset] == TaggedWord(w.value, False)
+                                cleared += w.blinded
+        h.update(repr(rng.random()).encode())
+        assert cleared > 0
+        assert h.hexdigest() == (
+            "e5e018c00d3b44898d0ce81cdccead0795a340f8e3105f6b4e2d168d450bf7e9"
+        )
+
 
 class TestEquivalentPairs:
     def test_pairs_equivalent_by_construction(self):
@@ -642,9 +672,9 @@ def reference_check(program, trials, steps, cfg, seed, semantics, blinded_regs=(
             current = s2
             for kind, i in payload_delta(s1, s2):
                 if kind == "r":
-                    candidate = replace(current, registers=current.registers.write(i, s1.registers[i]))
+                    candidate = current.edit(registers=[(i, s1.registers[i])])
                 else:
-                    candidate = replace(current, memory=current.memory.store(i, s1.memory[i]))
+                    candidate = current.edit(memory=[(i, s1.memory[i])])
                 if reference_lockstep(s1, candidate, cfg, steps, semantics) is not None:
                     current = candidate
             found = (trial, *divergence, len(payload_delta(s1, current)), (s1, current))

@@ -30,11 +30,7 @@ def run_program(source, mode=Mode.HARDWARE, regs=None, mem=64, max_steps=500,
         unblindable_ranges=tuple(unblindable),
         mmio_console=mmio,
     )
-    s = boot_image(assemble(source), cfg)
-    rf = s.registers
-    for i, w in (regs or {}).items():
-        rf = rf.write(i, w)
-    s = s.__class__(pc=s.pc, registers=rf, memory=s.memory, cache=s.cache)
+    s = boot_image(assemble(source), cfg).edit(registers=list((regs or {}).items()))
     return run(s, cfg, max_steps), cfg
 
 
@@ -173,13 +169,7 @@ class TestFaultPrograms:
             memory_words=64, cache_lines=8,
             unblindable_ranges=((48, 52),), mmio_console=48,
         )
-        s = boot_image(assemble(src), cfg)
-        s = s.__class__(
-            pc=s.pc,
-            registers=s.registers,
-            memory=s.memory.store(32, blinded(5)),
-            cache=s.cache,
-        )
+        s = boot_image(assemble(src), cfg).edit(memory=[(32, blinded(5))])
         r = run(s, cfg, 100)
         assert r.outcome is RunOutcome.FAULTED
         assert r.state.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE

@@ -9,11 +9,14 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blindsim.engine import (
     SEAL_LABEL,
     AuthError,
     EncryptionEngine,
+    EngineError,
     NoKeyError,
     RangeError,
     SealedKey,
@@ -28,6 +31,7 @@ from blindsim.engine import (
 from blindsim.model import MemoryImage, blinded, clear
 
 import aead_oracle
+from conftest import MUTATIONS, mutated
 
 RFC_KEY = bytes.fromhex(
     "808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9f"
@@ -337,3 +341,25 @@ class TestWordCodec:
     def test_misaligned_rejected(self):
         with pytest.raises(ValueError):
             bytes_to_words(b"123")
+
+
+FUZZ_ROOT = b"F" * 32
+FUZZ_SEALED = make_engine(root=FUZZ_ROOT)[0].seal_current_key()
+FUZZ_MEMORY = MemoryImage(tuple(clear(v) for v in range(4)))
+
+
+class TestSealedBlobFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_blob_is_refused_or_loads_the_original_key(self, mutations):
+        engine = EncryptionEngine(FUZZ_ROOT)
+        blob = bytes(mutated(FUZZ_SEALED.blob, mutations))
+        try:
+            engine.load_sealed_key(SealedKey(blob, FUZZ_SEALED.key_id))
+        except EngineError:
+            assert engine.current_key_id is None
+            return
+        # The original key and export counter: the same first export.
+        original = EncryptionEngine(FUZZ_ROOT)
+        original.load_sealed_key(FUZZ_SEALED)
+        assert engine.export_region(FUZZ_MEMORY, 0, 4) == original.export_region(FUZZ_MEMORY, 0, 4)

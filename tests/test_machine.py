@@ -68,15 +68,12 @@ def make_state(words, regs=None, mem_size=32, pc=0):
     mem = [clear(0)] * mem_size
     for i, w in enumerate(words):
         mem[i] = w if isinstance(w, TaggedWord) else clear(w)
-    rf = RegisterFile.zeros()
-    for i, w in (regs or {}).items():
-        rf = rf.write(i, w)
     return SystemState(
         pc=pc,
-        registers=rf,
+        registers=RegisterFile.zeros(),
         memory=MemoryImage(tuple(mem)),
         cache=CacheAssignments.empty(8),
-    )
+    ).edit(registers=list((regs or {}).items()))
 
 
 CFG = MachineConfig(memory_words=32, cache_lines=8)
@@ -162,12 +159,10 @@ class TestStep:
         assert nxt.registers == s.registers and nxt.memory == s.memory
 
     def test_pc_increment_out_of_range_faults(self):
-        s = make_state([0] * 32, pc=31)
-        s = SystemState(
+        s = make_state(
+            [0] * 31 + [iw(Opcode.ADD, (1, 2), (3,))],
+            regs={1: clear(1), 2: clear(1)},
             pc=31,
-            registers=s.registers.write(1, clear(1)).write(2, clear(1)),
-            memory=s.memory.store(31, clear(iw(Opcode.ADD, (1, 2), (3,)))),
-            cache=s.cache,
         )
         nxt, _ = step(s, CFG)
         assert nxt.status is Status.FAULTED and nxt.fault is FaultKind.OUT_OF_RANGE
@@ -195,6 +190,20 @@ class TestStep:
         nxt, _ = step(s, CFG)
         assert nxt.status is Status.FAULTED and nxt.fault is FaultKind.OUT_OF_RANGE
         assert nxt.memory == s.memory
+
+    def test_step_shares_what_it_does_not_write(self):
+        # A step copies only the components its effect writes.
+        add = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT], regs={1: clear(4)})
+        nxt, _ = step(add, CFG)
+        assert nxt.memory is add.memory and nxt.cache is add.cache
+        assert nxt.registers[3] == clear(4)
+        store = make_state([iw(Opcode.STORE, (1, 2)), HALT], regs={1: clear(0x13)})
+        nxt, _ = step(store, CFG)
+        assert nxt.registers is store.registers and nxt.memory is not store.memory
+        trap = make_state([HALT, blinded(0)], pc=1)
+        nxt, _ = step(trap, CFG)
+        assert nxt.registers is trap.registers and nxt.memory is trap.memory
+        assert nxt.cache is trap.cache
 
     def test_requires_running(self):
         s = make_state([HALT])
@@ -330,7 +339,10 @@ class TestCachePolicy:
         cache = CacheAssignments.empty(16)
         new, updates = access(cache, MemKind.STORE, 0x23)
         assert new.addresses[3] == 0x23 and new.valid[3]
-        assert new == cache.assign(3, 0x23)  # no other line touched
+        # no other line touched
+        assert new == CacheAssignments(
+            (0,) * 3 + (0x23,) + (0,) * 12, (False,) * 3 + (True,) + (False,) * 12
+        )
         assert updates == [CacheUpdate(0, 3, 0x23)]
 
     def test_same_line_overwrites(self):
@@ -358,7 +370,7 @@ class TestCachePolicy:
             (False, lower_valid, False, True, False, False, False, False),
         )
         new, updates = access(cache, MemKind.LOAD, 0x0B)
-        assert new == cache.assign(3, 0x0B)
+        assert new == CacheAssignments((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), cache.valid)
         assert updates == [CacheUpdate(0, line, 0x0B)]
 
     def test_line_reported_after_this_step_evicts_a_lower_copy(self):
@@ -376,7 +388,7 @@ class TestCachePolicy:
         assert [e for e in events if isinstance(e, CacheUpdate)] == [
             CacheUpdate(0, 1, 0x09), CacheUpdate(0, 3, 0x0B),
         ]
-        assert nxt.cache == cache.assign(1, 0x09)
+        assert nxt.cache == CacheAssignments((0, 0x09, 0, 0x0B, 0, 0, 0, 0), cache.valid)
         assert run(s, CFG, max_steps=1, semantics=evict_then_load).state == nxt
 
     def test_repeat_access_still_traces(self):
@@ -695,8 +707,7 @@ class TestStepSafety:
         cfg = MachineConfig(memory_words=32, cache_lines=8, allow_raw_unblind=True)
         prog = [iw(Opcode.RBLND, (1,)), HALT]
         s1 = make_state(prog + [blinded(0x11)], regs={1: clear(2)})
-        s1 = SystemState(0, s1.registers, s1.memory.store(2, blinded(0x11)), s1.cache)
-        s2 = SystemState(0, s1.registers, s1.memory.store(2, blinded(0x22)), s1.cache)
+        s2 = s1.edit(memory=[(2, blinded(0x22))])
         assert state_equiv(s1, s2)
         n1, _ = step(s1, cfg)
         n2, _ = step(s2, cfg)

@@ -126,35 +126,14 @@ class TestListEquiv:
 class TestStateEquiv:
     def test_blinded_payload_may_differ(self):
         rng = random.Random(11)
-        s1 = random_state(rng)
         # Force at least one blinded memory word, then vary only its payload.
-        s1 = SystemState(
-            pc=s1.pc,
-            registers=s1.registers,
-            memory=s1.memory.store(3, blinded(0xAAAA)),
-            cache=s1.cache,
-            status=s1.status,
-            fault=s1.fault,
-        )
-        s2 = SystemState(
-            pc=s1.pc,
-            registers=s1.registers,
-            memory=s1.memory.store(3, blinded(0x5555)),
-            cache=s1.cache,
-            status=s1.status,
-            fault=s1.fault,
-        )
+        s1 = random_state(rng).edit(memory=[(3, blinded(0xAAAA))])
+        s2 = s1.edit(memory=[(3, blinded(0x5555))])
         assert state_equiv(s1, s2)
 
     def test_pc_difference(self):
         s = SystemState.initial(8, 2, 4)
-        t = SystemState(
-            pc=s.pc + 1,
-            registers=s.registers,
-            memory=s.memory,
-            cache=s.cache,
-        )
-        assert not state_equiv(s, t)
+        assert not state_equiv(s, s.edit(pc=s.pc + 1))
 
     def test_reflexive(self):
         rng = random.Random(5)
@@ -175,34 +154,16 @@ class TestStateEquiv:
 
     def test_clear_value_difference_detected(self):
         s = SystemState.initial(8, 2, 4)
-        t = SystemState(
-            pc=s.pc,
-            registers=s.registers,
-            memory=s.memory.store(2, clear(9)),
-            cache=s.cache,
-        )
-        assert not state_equiv(s, t)
+        assert not state_equiv(s, s.edit(memory=[(2, clear(9))]))
 
     def test_tag_difference_detected(self):
         s = SystemState.initial(8, 2, 4)
-        t = SystemState(
-            pc=s.pc,
-            registers=s.registers,
-            memory=s.memory.store(2, blinded(0)),
-            cache=s.cache,
-        )
-        assert not state_equiv(s, t)
+        assert not state_equiv(s, s.edit(memory=[(2, blinded(0))]))
 
 
 class TestRedact:
     def test_blinded_register_zeroed(self):
-        s = SystemState.initial(8, 2, 4)
-        s = SystemState(
-            pc=s.pc,
-            registers=s.registers.write(3, blinded(42)),
-            memory=s.memory,
-            cache=s.cache,
-        )
+        s = SystemState.initial(8, 2, 4).edit(registers=[(3, blinded(42))])
         r = redact(s)
         assert r.registers[3] == blinded(0)
         assert r.registers[0] == clear(0)
@@ -230,12 +191,10 @@ class TestRedact:
 
 class TestSnapshot:
     def test_golden(self):
-        s = SystemState.initial(8, cache_lines=2, registers=4, pc=1)
-        s = SystemState(
-            pc=1,
-            registers=s.registers.write(2, blinded(42)).write(3, clear(7)),
-            memory=s.memory.store(5, clear(0x10)).store(6, blinded(0)),
-            cache=s.cache.assign(1, 0x23),
+        s = SystemState.initial(8, cache_lines=2, registers=4, pc=1).edit(
+            registers=[(2, blinded(42)), (3, clear(7))],
+            memory=[(5, clear(0x10)), (6, blinded(0))],
+            lines=[(1, 0x23)],
             status=Status.HALTED,
         )
         assert snapshot(s) == (
@@ -249,14 +208,8 @@ class TestSnapshot:
         )
 
     def test_fault_status_word(self):
-        s = SystemState.initial(4, 2, 2)
-        s = SystemState(
-            pc=0,
-            registers=s.registers,
-            memory=s.memory,
-            cache=s.cache,
-            status=Status.FAULTED,
-            fault=FaultKind.BLINDED_BRANCH,
+        s = SystemState.initial(4, 2, 2).edit(
+            status=Status.FAULTED, fault=FaultKind.BLINDED_BRANCH
         )
         assert snapshot(s).splitlines()[-1] == "status=faulted:blinded-branch"
 
@@ -279,11 +232,6 @@ class TestContainers:
         assert clear(1 << 64).value == 0
         assert blinded(-1).value == MASK64
 
-    def test_register_write_out_of_range(self):
-        rf = RegisterFile.zeros(4)
-        with pytest.raises(IndexError):
-            rf.write(4, clear(1))
-
     def test_memory_store_out_of_range(self):
         m = MemoryImage.zeros(4)
         with pytest.raises(IndexError):
@@ -295,24 +243,65 @@ class TestContainers:
         assert m[1] == clear(0) and m2[1] == clear(5)
         assert m2[0] is m[0]
 
-    def test_retag_preserves_payload(self):
-        m = MemoryImage.zeros(4).store(2, clear(9))
-        m2 = m.retag(2, True)
-        assert m2[2] == blinded(9)
-        assert m2.retag(2, False)[2] == clear(9)
+
+class TestEdit:
+    """``SystemState.edit``, the one way to write words into a state."""
+
+    @staticmethod
+    def state() -> SystemState:
+        return SystemState.initial(8, cache_lines=4, registers=4, pc=2)
+
+    @pytest.mark.parametrize(
+        "component, index, value",
+        [
+            pytest.param("registers", -1, clear(1), id="register-below"),
+            pytest.param("registers", 4, clear(1), id="register-above"),
+            pytest.param("memory", -1, clear(1), id="memory-below"),
+            pytest.param("memory", 8, clear(1), id="memory-above"),
+            pytest.param("lines", -1, 0x23, id="line-below"),
+            pytest.param("lines", 4, 0x23, id="line-above"),
+        ],
+    )
+    def test_out_of_range_index_raises(self, component, index, value):
+        with pytest.raises(IndexError):
+            self.state().edit(**{component: [(index, value)]})
+
+    def test_writes_apply_in_order(self):
+        s = self.state().edit(
+            registers=[(1, clear(5)), (1, blinded(6))],
+            memory=[(7, blinded(1)), (0, clear(2)), (7, clear(3))],
+            lines=[(3, 0x23), (3, 0x0B)],
+        )
+        assert s.registers == RegisterFile((clear(0), blinded(6), clear(0), clear(0)))
+        assert s.memory == MemoryImage((clear(2),) + (clear(0),) * 6 + (clear(3),))
+        assert s.cache == CacheAssignments((0, 0, 0, 0x0B), (False, False, False, True))
+        assert s.pc == 2 and s.status is Status.RUNNING
+
+    def test_line_write_makes_the_line_valid(self):
+        s = self.state().edit(lines=[(1, 0)])
+        assert s.cache == CacheAssignments((0,) * 4, (False, True, False, False))
+
+    def test_input_unchanged_and_unwritten_components_shared(self):
+        s = random_state(random.Random(3))
+        t = s.edit(memory=[(2, clear(9))])
+        assert s == random_state(random.Random(3))
+        assert t.memory[2] == clear(9) and t.memory[0] is s.memory[0]
+        assert t.registers is s.registers and t.cache is s.cache
+        u = s.edit(pc=1, registers=[(0, clear(1))], lines=[(0, 5)])
+        assert u.memory is s.memory and (u.status, u.fault) == (s.status, s.fault)
+        assert s.edit() == s and s.edit().memory is s.memory
+
+    def test_status_and_fault_are_set_or_kept(self):
+        s = self.state().edit(status=Status.FAULTED, fault=FaultKind.OUT_OF_RANGE)
+        assert (s.pc, s.status, s.fault) == (2, Status.FAULTED, FaultKind.OUT_OF_RANGE)
+        assert s.edit(pc=0) == SystemState(0, s.registers, s.memory, s.cache, s.status, s.fault)
 
 
 @settings(max_examples=50)
 @given(st.integers(0, MASK64), st.booleans())
 def test_snapshot_word_roundtrip_via_format(value, tag):
     # The snapshot is a serialization of (value, tag): both survive in text.
-    s = SystemState.initial(2, 2, 1)
-    s = SystemState(
-        pc=0,
-        registers=s.registers.write(0, TaggedWord(value, tag)),
-        memory=s.memory,
-        cache=s.cache,
-    )
+    s = SystemState.initial(2, 2, 1).edit(registers=[(0, TaggedWord(value, tag))])
     text = snapshot(s)
     if value == 0 and not tag:
         assert "r0=" not in text

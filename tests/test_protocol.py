@@ -40,6 +40,8 @@ from blindsim.protocol import (
 )
 from blindsim.model import clear
 
+from conftest import MUTATIONS, mutated
+
 DEV_PRIV, DEV_PUB = make_device_keypair(seed=7)
 # The all-zero X25519 point: any exchange with it gives an all-zero secret.
 LOW_ORDER_HELLO = encode_frame(ClientHello(bytes(32)))
@@ -372,25 +374,13 @@ VALID_FRAMES = {
 }
 # Import and compute bodies: address u64, payload length u32, payload.
 PAYLOAD_TYPES = {VALID_FRAMES["import"][4], VALID_FRAMES["compute"][4]}
-MUTATIONS = st.one_of(
-    st.tuples(st.just("flip"), st.integers(0, 1 << 16), st.integers(0, 7)),
-    st.tuples(st.just("truncate"), st.integers(0, 1 << 16)),
-    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
-)
 
 
 def mutate(frame: bytes, mutations, reframe: bool) -> bytes:
     """Flip bits, truncate and extend; ``reframe`` then rewrites the length
     fields to fit, so the mutations also reach the body, engine and image
     decoders."""
-    data = bytearray(frame)
-    for kind, *args in mutations:
-        if kind == "flip" and data:
-            data[args[0] % len(data)] ^= 1 << args[1]
-        elif kind == "truncate":
-            del data[args[0] % (len(data) + 1):]
-        elif kind == "extend":
-            data += args[0]
+    data = mutated(frame, mutations)
     if reframe and len(data) >= 4:
         data[:4] = struct.pack(">I", len(data) - 4)
     if reframe and len(data) >= 17 and data[4] in PAYLOAD_TYPES:

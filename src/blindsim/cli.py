@@ -2,6 +2,7 @@
 end-to-end protocol demo.
 
 Exit codes: 0 success, 1 policy or verification failure, 2 usage error.
+:func:`main` is the one place that turns an error into an exit code.
 All commands are deterministic given the same inputs and seeds.
 """
 
@@ -16,7 +17,6 @@ import threading
 from . import checker, corpus, machine
 from .assembler import (
     AssemblyError,
-    ImageFormatError,
     assemble,
     decode_image,
     disassemble,
@@ -151,11 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_asm(args) -> int:
-    try:
-        source = open(args.input).read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    with open(args.input) as fh:
+        source = fh.read()
     try:
         image = assemble(source)
     except AssemblyError as exc:
@@ -173,12 +170,7 @@ def _load_image(path: str):
 
 
 def cmd_disasm(args) -> int:
-    try:
-        image = _load_image(args.input)
-    except (OSError, ImageFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    text = disassemble(image)
+    text = disassemble(_load_image(args.input))
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -189,16 +181,10 @@ def cmd_disasm(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = args.cfg
-    try:
-        image = _load_image(args.image)
-        state = machine.boot_image(image, cfg)
-    except (OSError, ImageFormatError, machine.LoadError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    state = machine.boot_image(_load_image(args.image), cfg)
     for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
-            print(f"error: --blind-word address {addr:#x} out of range", file=sys.stderr)
-            return USAGE_ERROR
+            raise ValueError(f"--blind-word address {addr:#x} out of range")
     state = state.edit(memory=[(addr, blinded(value)) for addr, value in args.blind_word])
 
     result = machine.run(state, cfg, args.max_steps)
@@ -212,24 +198,21 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = args.cfg
-    try:
-        image = _load_image(args.image)
-        sig = checker.parse_signature(args.sig)
-        report = checker.analyze(image, sig, cfg, seed=args.seed)
-    except (OSError, ImageFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    image = _load_image(args.image)
+    sig = checker.parse_signature(args.sig)
+    report = checker.analyze(image, sig, cfg, seed=args.seed)
     sys.stdout.write(report.format())
 
     dynamic = None
     if args.trials > 0:
-        try:
-            dynamic = checker.check_noninterference(
-                image, trials=args.trials, steps=args.steps, cfg=cfg, seed=args.seed
-            )
-        except machine.LoadError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        # Registers that may be blinded get fresh payloads on each side.
+        blinded_regs = tuple(
+            sorted(r for r, tag in sig.registers.items() if tag is not checker.SigTag.CLEAR)
+        )
+        dynamic = checker.check_noninterference(
+            image, trials=args.trials, steps=args.steps, cfg=cfg, seed=args.seed,
+            blinded_regs=blinded_regs,
+        )
         if dynamic.passed:
             print(f"non-interference: pass ({dynamic.trials} trials)")
         else:
@@ -326,11 +309,7 @@ class _SocketTransport:
 
 
 def _demo_session(
-    plaintext: tuple[int, ...],
-    image_bytes: bytes,
-    entry: int,
-    args,
-    session_seed: int,
+    plaintext: tuple[int, ...], image_bytes: bytes, entry: int, args
 ) -> tuple[tuple[int, ...], str]:
     """One full client session; returns (decrypted words, server trace)."""
     cfg = args.cfg
@@ -338,7 +317,7 @@ def _demo_session(
     engine = EncryptionEngine(root_key=b"\x5a" * 32)
     claims = Claims(policy_mode=cfg.mode)
     session = ServerSession(
-        device_priv, claims, engine, cfg, seed=session_seed, max_steps=args.max_steps
+        device_priv, claims, engine, cfg, seed=args.seed, max_steps=args.max_steps
     )
     transport = (
         _SocketTransport(session)
@@ -346,7 +325,7 @@ def _demo_session(
         else _MemoryTransport(session)
     )
     try:
-        client = ClientHandshake(device_pub, seed=session_seed + 1, required_mode=cfg.mode)
+        client = ClientHandshake(device_pub, seed=args.seed + 1, required_mode=cfg.mode)
         key = client.finish(transport.round_trip(client.hello()))
 
         def request(msg):
@@ -366,25 +345,21 @@ def _demo_session(
         output = client_decrypt(key, envelope)
     finally:
         transport.close()
-    return output, session.traces[0] if session.traces else ""
+    return output, session.traces[-1]
 
 
 def cmd_demo_protocol(args) -> int:
-    try:
-        plaintext = _read_words(args.plaintext)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    plaintext = _read_words(args.plaintext)
     if not plaintext:
-        print("error: empty plaintext", file=sys.stderr)
-        return USAGE_ERROR
+        raise ValueError("empty plaintext")
+    plaintexts = [plaintext]
+    if args.dual:
+        plaintexts.append(_read_words(args.dual))
+        if len(plaintexts[1]) != len(plaintext):
+            raise ValueError("--dual plaintext must have the same length")
 
     if args.program:
-        try:
-            image = _load_image(args.program)
-        except (OSError, ImageFormatError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+        image = _load_image(args.program)
     else:
         image = assemble(
             corpus.demo_add_one(
@@ -393,40 +368,20 @@ def cmd_demo_protocol(args) -> int:
         )
     image_bytes = encode_image(image)
 
-    try:
-        output, trace = _demo_session(plaintext, image_bytes, image.entry_pc, args, args.seed)
-    except VerifyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAILURE
-    print("result:", " ".join(str(w) for w in output))
-    if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(trace)
+    traces = []
+    for words, label, suffix in zip(plaintexts, ("result:", "result2:"), ("", ".b")):
+        output, trace = _demo_session(words, image_bytes, image.entry_pc, args)
+        print(label, " ".join(str(w) for w in output))
+        if args.trace:
+            with open(args.trace + suffix, "w") as fh:
+                fh.write(trace)
+        traces.append(trace)
 
     if args.dual:
-        try:
-            plaintext2 = _read_words(args.dual)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
-        if len(plaintext2) != len(plaintext):
-            print("error: --dual plaintext must have the same length", file=sys.stderr)
-            return USAGE_ERROR
-        try:
-            output2, trace2 = _demo_session(
-                plaintext2, image_bytes, image.entry_pc, args, args.seed
-            )
-        except VerifyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return FAILURE
-        print("result2:", " ".join(str(w) for w in output2))
-        if args.trace:
-            with open(args.trace + ".b", "w") as fh:
-                fh.write(trace2)
-        if trace != trace2:
+        if traces[0] != traces[1]:
             print("TRACES DIFFER: blinded data influenced observable behavior")
             return FAILURE
-        print(f"traces: byte-identical ({len(trace.splitlines())} events)")
+        print(f"traces: byte-identical ({len(traces[0].splitlines())} events)")
     return 0
 
 
@@ -436,12 +391,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    if hasattr(args, "mem_words"):  # a command that takes the machine flags
-        try:
-            args.cfg = _machine_config(args)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
     handlers = {
         "asm": cmd_asm,
         "disasm": cmd_disasm,
@@ -449,7 +398,16 @@ def main(argv=None) -> int:
         "check": cmd_check,
         "demo-protocol": cmd_demo_protocol,
     }
-    return handlers[args.command](args)
+    try:
+        if hasattr(args, "mem_words"):  # a command that takes the machine flags
+            args.cfg = _machine_config(args)
+        return handlers[args.command](args)
+    except (OSError, ValueError) as exc:  # bad file, image, flag or signature
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except (VerifyError, ProtocolError) as exc:  # the protocol run failed
+        print(f"error: {exc}", file=sys.stderr)
+        return FAILURE
 
 
 if __name__ == "__main__":

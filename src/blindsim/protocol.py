@@ -58,8 +58,8 @@ from cryptography.hazmat.primitives.serialization import (
 )
 
 from . import machine
-from .assembler import ImageFormatError, decode_image
-from .engine import AEAD_SCHEME, EncryptionEngine, EngineError, SessionKey
+from .assembler import decode_image
+from .engine import AEAD_SCHEME, EncryptionEngine, SessionKey
 from .isa import Mode
 from .model import Status, SystemState
 
@@ -296,12 +296,6 @@ def read_frame(stream, max_length: int) -> bytes | None:
 # ---------------------------------------------------------------------------
 
 
-def _seed_bytes(seed: int | bytes) -> bytes:
-    if isinstance(seed, int):
-        return seed.to_bytes(32, "big")
-    return seed
-
-
 def _derive_private(seed: bytes, label: bytes) -> X25519PrivateKey:
     material = hashlib.sha256(label + seed).digest()
     return X25519PrivateKey.from_private_bytes(material)
@@ -311,13 +305,10 @@ def _public_bytes(private: X25519PrivateKey) -> bytes:
     return private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
 
 
-def make_device_keypair(seed: int | bytes | None = None) -> tuple[bytes, bytes]:
-    """(private, public) Ed25519 device identity, optionally deterministic."""
-    if seed is None:
-        private = Ed25519PrivateKey.generate()
-    else:
-        material = hashlib.sha256(b"device-key" + _seed_bytes(seed)).digest()
-        private = Ed25519PrivateKey.from_private_bytes(material)
+def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
+    """(private, public) Ed25519 device identity, deterministic in ``seed``."""
+    material = hashlib.sha256(b"device-key" + seed.to_bytes(32, "big")).digest()
+    private = Ed25519PrivateKey.from_private_bytes(material)
     priv = private.private_bytes(Encoding.Raw, PrivateFormat.Raw, NoEncryption())
     pub = private.public_key().public_bytes(Encoding.Raw, PublicFormat.Raw)
     return priv, pub
@@ -360,11 +351,11 @@ class ClientHandshake:
     def __init__(
         self,
         device_public: bytes,
-        seed: int | bytes,
+        seed: int,
         required_mode: Mode | None = None,
     ):
         self._device_public = Ed25519PublicKey.from_public_bytes(device_public)
-        self._private = _derive_private(_seed_bytes(seed), b"client-eph")
+        self._private = _derive_private(seed.to_bytes(32, "big"), b"client-eph")
         self._required_mode = required_mode
         self._hello_frame: bytes | None = None
 
@@ -422,12 +413,12 @@ class HsmResponder:
         self,
         device_private: bytes,
         claims: Claims,
-        seed: int | bytes,
+        seed: int,
         engine: EncryptionEngine | None = None,
     ):
         self._private = Ed25519PrivateKey.from_private_bytes(device_private)
         self._claims = claims
-        self._seed = _seed_bytes(seed)
+        self._seed = seed.to_bytes(32, "big")
         self._engine = engine
         self._sessions = 0
 
@@ -467,6 +458,8 @@ class HsmResponder:
 # Server session: the request loop behind the protocol demo
 # ---------------------------------------------------------------------------
 
+_KEPT_TRACES = 16  # a session keeps the traces of its latest computes only
+
 _OUTCOME_IDS = {"halted": 0, "faulted": 1, "fault-loop": 2, "step-limit": 3}
 _OUTCOME_NAMES = {v: k for k, v in _OUTCOME_IDS.items()}
 
@@ -481,14 +474,19 @@ def parse_compute_result(payload: bytes) -> tuple[str, int]:
     return _OUTCOME_NAMES[payload[0]], struct.unpack(">Q", payload[1:])[0]
 
 
+def _error_frame(exc: Exception) -> bytes:
+    return encode_frame(ErrorResponse(f"{type(exc).__name__}: {exc}"))
+
+
 class ServerSession:
     """One client's session: handshake once, then import/compute/export.
 
-    Owns a machine state and an engine; every compute run's trace is
-    retained in :attr:`traces` (this is exactly what an observer at the
-    server can see).  Import, compute and export are refused until this
-    session's own handshake has succeeded, even if the engine already
-    holds a key from another session.
+    Owns a machine state and an engine; the traces of the latest
+    ``_KEPT_TRACES`` compute runs are kept in :attr:`traces`, oldest
+    first (this is exactly what an observer at the server can see).
+    Import, compute and export are refused until this session's own
+    handshake has succeeded, even if the engine already holds a key from
+    another session.
     """
 
     def __init__(
@@ -497,10 +495,12 @@ class ServerSession:
         claims: Claims,
         engine: EncryptionEngine,
         cfg,
-        seed: int | bytes,
+        seed: int,
         max_steps: int = 100_000,
     ):
         assert isinstance(cfg, machine.MachineConfig)
+        if max_steps <= 0:
+            raise ValueError("max_steps must be positive")
         self.cfg = cfg
         self.engine = engine
         self.responder = HsmResponder(device_private, claims, seed, engine=engine)
@@ -510,14 +510,12 @@ class ServerSession:
         self.handshake_done = False
 
     def handle_frame(self, frame: bytes) -> bytes:
-        """Answer one raw frame; a frame over :func:`max_frame_length` gets
-        an error reply before it is decoded."""
+        """Answer one raw frame.  Any exception becomes an error reply that
+        names its class, so no frame can stop the session; a frame over
+        :func:`max_frame_length` is refused before it is decoded."""
         try:
             _check_length(len(frame) - 4, max_frame_length(self.cfg.memory_words))
             msg = decode_frame(frame)
-        except ProtocolError as exc:
-            return encode_frame(ErrorResponse(str(exc)))
-        try:
             if isinstance(msg, ClientHello):
                 reply, _ = self.responder.respond(frame)
                 self.handshake_done = True
@@ -543,6 +541,7 @@ class ServerSession:
                 result = machine.run(self.state, self.cfg, self.max_steps)
                 self.state = result.state
                 self.traces.append(machine.format_trace(result.trace))
+                del self.traces[:-_KEPT_TRACES]
                 return encode_frame(
                     ResultResponse(
                         encode_compute_result(result.outcome.value, result.steps)
@@ -554,8 +553,8 @@ class ServerSession:
                 )
                 return encode_frame(ResultResponse(envelope))
             return encode_frame(ErrorResponse(f"unexpected message {type(msg).__name__}"))
-        except (EngineError, ImageFormatError, machine.LoadError, ProtocolError) as exc:
-            return encode_frame(ErrorResponse(f"{type(exc).__name__}: {exc}"))
+        except Exception as exc:
+            return _error_frame(exc)
 
     def serve_stream(self, stream) -> None:
         """Answer frames from a duplex binary stream until it closes; an
@@ -565,7 +564,7 @@ class ServerSession:
             try:
                 frame = read_frame(stream, max_length)
             except ProtocolError as exc:
-                stream.write(encode_frame(ErrorResponse(str(exc))))
+                stream.write(_error_frame(exc))
                 stream.flush()
                 return
             except (OSError, ValueError):

@@ -139,6 +139,29 @@ class TestDiagnostics:
         src = "bogus r1\nadd r1, r2\n"
         assert diag_positions(src) == diag_positions(src)
 
+    @pytest.mark.parametrize(
+        "source, position, message",
+        [
+            (".org\n", (1, 1), ".org takes one address"),
+            ("halt\n  .org 1, 2\n", (2, 3), ".org takes one address"),
+            (".word\n", (1, 1), ".word takes one value"),
+            (".word 1 2 blinded\n", (1, 1), ".word takes one value"),
+            (".entry\n", (1, 1), ".entry takes one address"),
+            (".entry 1 2\n", (1, 1), ".entry takes one address"),
+            ("halt\n.text\n", (2, 1), "unknown directive '.text'"),
+            (".word 12abc\n", (1, 7), "bad value '12abc'"),
+            (".org 0xffffffffffffffff\nhalt\n  halt\n", (3, 3), "address overflows 64 bits"),
+            (".entry start\nhalt\n", (1, 8), "undefined label 'start'"),
+        ],
+        ids=[
+            "org-no-arg", "org-two-args", "word-no-arg", "word-two-args",
+            "entry-no-arg", "entry-two-args", "unknown-directive", "bad-value",
+            "address-past-2**64", "undefined-entry-label",
+        ],
+    )
+    def test_directive_and_value_errors(self, source, position, message):
+        assert diag_positions(source) == [(*position, message)]
+
 
 class TestDisassemble:
     def test_simple_listing(self):
@@ -251,6 +274,13 @@ class TestImageFormat:
         with pytest.raises(ImageFormatError, match="overlap"):
             decode_image(encode_image(bad))
 
+    def test_segment_past_the_address_space_rejected(self):
+        last = ProgramImage(0, (Segment((1 << 64) - 1, (clear(1),)),))
+        assert decode_image(encode_image(last)) == last
+        bad = ProgramImage(0, (Segment((1 << 64) - 1, (clear(1), clear(2))),))
+        with pytest.raises(ImageFormatError, match="overflows the address space"):
+            decode_image(encode_image(bad))
+
 
 CORPUS_IMAGES = [encode_image(assemble(entry.source)) for entry in curated_corpus()]
 
@@ -266,7 +296,23 @@ class TestImageFuzz:
         assert decode_image(encode_image(image)) == image
 
 
-class TestLoading:
+CORPUS_SOURCES = [entry.source for entry in curated_corpus()]
+
+
+class TestAssemblyTextFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CORPUS_SOURCES), st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_source_assembles_or_gives_positioned_diagnostics(self, source, mutations):
+        text = bytes(mutated(source.encode(), mutations)).decode(errors="replace")
+        try:
+            assemble(text)
+        except AssemblyError as exc:
+            lines = text.splitlines()
+            assert exc.diagnostics
+            for d in exc.diagnostics:
+                assert 1 <= d.line <= len(lines)
+                assert 1 <= d.column <= len(lines[d.line - 1])
+
     def test_boot_image_sets_entry_and_words(self):
         image = assemble(".entry 1\n.word 8\nhalt\n.org 8\n.word 7 blinded\n")
         cfg = MachineConfig(memory_words=16, cache_lines=2)

@@ -338,3 +338,120 @@ class TestMachineFlags:
         out = capsys.readouterr().out
         assert out.startswith("verdict: compliant\n")
         assert "non-interference: FAIL at trial 0 step 1" in out
+
+
+ERROR_FILES = {
+    "halt.img": encode_image(assemble(".entry 0\nhalt\n")),
+    "big.img": encode_image(assemble(".entry 0\nhalt\n.org 0x800\n.word 1\n")),
+    "bad.img": b"NOPE",
+    "short.img": encode_image(assemble("halt\n"))[:-3],
+    "fault.img": encode_image(assemble(".entry 0\n.word 0x7f\n")),
+    "pt.txt": b"1 2\n",
+    "pt3.txt": b"1 2 3\n",
+    "empty.txt": b"\n",
+    "words.txt": b"1 xyz\n",
+}
+SMALL = "--mem-words 64 --cache-lines 8"
+DEMO = "--mem-words 1024"
+NO_FILE = "error: [Errno 2] No such file or directory: '@{}'"
+
+
+def run_cli(tmp, command):
+    """``main`` on ``command`` split at spaces, with ``@`` naming files in ``tmp``."""
+    for name, data in ERROR_FILES.items():
+        (tmp / name).write_bytes(data)
+    return main([word.replace("@", f"{tmp}/") for word in command.split()])
+
+
+class TestErrorPaths:
+    """Every refused input gives one ``error:`` line on stderr and its exit
+    code: 2 for a bad file, image, flag or signature, 1 when the protocol
+    run itself fails."""
+
+    @pytest.mark.parametrize(
+        "command, code, line",
+        [
+            ("asm @missing.asm -o @x.img", 2, NO_FILE.format("missing.asm")),
+            ("disasm @missing.img", 2, NO_FILE.format("missing.img")),
+            ("disasm @bad.img", 2, "error: bad magic"),
+            ("run @missing.img", 2, NO_FILE.format("missing.img")),
+            ("run @short.img", 2, "error: truncated image"),
+            (f"run @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
+            (f"run @halt.img {SMALL} --blind-word 0x40=1", 2, "error: --blind-word address 0x40 out of range"),
+            ("run @halt.img --mem-words 0", 2, "error: memory_words and cache_lines must be positive"),
+            ("check @missing.img", 2, NO_FILE.format("missing.img")),
+            ("check @bad.img", 2, "error: bad magic"),
+            ("check @halt.img --sig bogus", 2, "error: bad signature entry 'bogus'"),
+            ("check @halt.img --sig s7=B", 2, "error: signature names segment s7, but the image has 1 segment(s)"),
+            (f"check @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
+            ("demo-protocol @missing.txt", 2, NO_FILE.format("missing.txt")),
+            ("demo-protocol @words.txt", 2, "error: invalid literal for int() with base 0: 'xyz'"),
+            ("demo-protocol @empty.txt", 2, "error: empty plaintext"),
+            (f"demo-protocol @pt.txt --program @missing.img {DEMO}", 2, NO_FILE.format("missing.img")),
+            (f"demo-protocol @pt.txt --program @bad.img {DEMO}", 2, "error: bad magic"),
+            (f"demo-protocol @pt.txt --dual @missing.txt {DEMO}", 2, NO_FILE.format("missing.txt")),
+            (f"demo-protocol @pt.txt --dual @words.txt {DEMO}", 2, "error: invalid literal for int() with base 0: 'xyz'"),
+            (f"demo-protocol @pt.txt --dual @pt3.txt {DEMO}", 2, "error: --dual plaintext must have the same length"),
+            ("demo-protocol @pt.txt --mem-words 0", 2, "error: memory_words and cache_lines must be positive"),
+            (f"demo-protocol @pt.txt --program @fault.img {DEMO}", 1, "error: computation did not halt: faulted after 1 steps"),
+            (
+                f"demo-protocol @pt.txt --program @big.img {DEMO}", 1,
+                "error: server: LoadError: segment [0x800, 0x801) exceeds memory of 0x400 words",
+            ),
+        ],
+    )
+    def test_one_error_line_and_exit_code(self, tmp_path, capsys, command, code, line):
+        assert run_cli(tmp_path, command) == code
+        assert capsys.readouterr().err == line.replace("@", f"{tmp_path}/") + "\n"
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("run @halt.img --max-steps 0", "error: max_steps must be positive"),
+            ("check @halt.img --steps 0", "error: trials and steps must be positive"),
+            (f"demo-protocol @pt.txt {DEMO} --max-steps 0", "error: max_steps must be positive"),
+            (
+                f"demo-protocol @pt.txt {DEMO} --max-steps 0 --transport socket",
+                "error: max_steps must be positive",
+            ),
+        ],
+        ids=["run", "check", "demo-memory", "demo-socket"],
+    )
+    def test_a_step_budget_below_one_is_a_usage_error(self, tmp_path, capsys, command, line):
+        assert run_cli(tmp_path, command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+
+    @pytest.mark.parametrize(
+        "dual", ["missing.txt", "words.txt", "pt3.txt"], ids=["missing", "bad-word", "other-length"]
+    )
+    def test_dual_inputs_are_checked_before_any_session(self, tmp_path, capsys, dual):
+        trace = tmp_path / "demo.trace"
+        assert run_cli(tmp_path, f"demo-protocol @pt.txt --dual @{dual} {DEMO} --trace {trace}") == 2
+        assert capsys.readouterr().out == ""
+        assert not trace.exists()
+
+
+# Stores a secret register word, unblinds it with a raw RBLND, loads it
+# back and branches on it: its control flow depends on r1.
+LEAKS_R1 = "store r12, r1\nrblnd r12\nload r2, r12\nbz r2, r13\nhalt\n"
+
+
+class TestCheckSignature:
+    def test_blinded_signature_registers_vary_in_the_lockstep(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, LEAKS_R1)
+        capsys.readouterr()
+        flags = ["--allow-raw-unblind", "--mem-words", "64", "--cache-lines", "8"]
+        assert main(["check", img, *flags, "--sig", "r1=B"]) == 1
+        assert "non-interference: FAIL at trial 0" in capsys.readouterr().out
+        assert main(["check", img, *flags, "--sig", "r1=T"]) == 1
+        assert "non-interference: FAIL at trial 0" in capsys.readouterr().out
+
+    def test_clear_signature_registers_stay_fixed(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, LEAKS_R1)
+        capsys.readouterr()
+        flags = ["--allow-raw-unblind", "--mem-words", "64", "--cache-lines", "8"]
+        main(["check", img, *flags, "--sig", "r1=C"])
+        assert "non-interference: pass (200 trials)" in capsys.readouterr().out

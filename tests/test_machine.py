@@ -449,6 +449,14 @@ class TestRun:
         assert r.outcome is RunOutcome.FAULTED
         assert r.state.fault is FaultKind.DECODE_ERROR
 
+    @pytest.mark.parametrize("pc", [32, 1 << 40], ids=["one-past-the-end", "far-out"])
+    def test_pc_outside_memory_faults_at_once(self, pc):
+        r = run(make_state([HALT], pc=pc), CFG, max_steps=5)
+        assert r.outcome is RunOutcome.FAULTED and r.steps == 1
+        assert r.trace == (Fault(0, FaultKind.OUT_OF_RANGE),)
+        assert r.state.status is Status.FAULTED and r.state.fault is FaultKind.OUT_OF_RANGE
+        assert r.state.pc == pc
+
     def test_determinism_1000_random_programs(self):
         rng = random.Random(555)
         for _ in range(1000):

@@ -13,6 +13,7 @@ from blindsim.assembler import ProgramImage, Segment, assemble, decode_image, en
 from blindsim.corpus import demo_add_one
 from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
 from blindsim.isa import DecodedInstruction, Mode, Opcode, encode
+from blindsim import machine
 from blindsim.machine import MachineConfig
 from blindsim.protocol import (
     _EVIDENCE_LABEL,
@@ -235,6 +236,15 @@ class TestFraming:
             with pytest.raises(ProtocolError):
                 Claims.parse(bytes([1, 1, 1, scheme]))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", bytes(8), bytes(10), bytes([4]) + bytes(8), bytes([255]) + bytes(8)],
+        ids=["empty", "short", "long", "unknown-outcome", "outcome-255"],
+    )
+    def test_bad_compute_result_rejected(self, payload):
+        with pytest.raises(ProtocolError, match="bad compute result"):
+            parse_compute_result(payload)
+
     def test_claims_roundtrip(self):
         for ext in (False, True):
             for os_ok in (False, True):
@@ -353,6 +363,50 @@ class TestServerSession:
         assert len(session.traces) == 3
         assert all(t == session.traces[0] for t in session.traces)
 
+    def test_only_the_newest_traces_are_kept(self):
+        session, _ = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
+        for n in range(1, 21):
+            # n adds before the halt: each compute leaves a longer trace.
+            image = assemble("add r1, r1, r1\n" * n + "halt\n")
+            session.handle_frame(encode_frame(ComputeRequest(0, encode_image(image))))
+        assert len(session.traces) == 16
+        # The 5th through the 20th compute, oldest first: n + 1 fetches each.
+        assert [t.count("kind=fetch") for t in session.traces] == list(range(6, 22))
+        assert isinstance(session.traces, list)
+
+    @pytest.mark.parametrize("kind", ["result", "hsm-hello"])
+    def test_a_reply_frame_from_the_client_is_unexpected(self, kind):
+        session, _ = self.make_session()
+        if kind == "result":
+            frame = encode_frame(ResultResponse(b""))
+        else:
+            frame, _ = HsmResponder(DEV_PRIV, Claims(), seed=2).respond(ClientHandshake(DEV_PUB, seed=1).hello())
+        reply = decode_frame(session.handle_frame(frame))
+        assert isinstance(reply, ErrorResponse) and "unexpected message" in reply.message
+
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_a_step_budget_below_one_is_refused(self, max_steps):
+        cfg = MachineConfig(memory_words=64, cache_lines=8)
+        with pytest.raises(ValueError, match="max_steps must be positive"):
+            ServerSession(DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32), cfg, seed=3, max_steps=max_steps)
+
+    def test_an_unexpected_exception_is_answered_and_the_session_serves_on(self, monkeypatch):
+        session, key = fuzz_session()
+        session.handle_frame(VALID_FRAMES["import"])
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("the run broke")
+
+        monkeypatch.setattr(machine, "run", broken)
+        reply = decode_frame(session.handle_frame(VALID_FRAMES["compute"]))
+        assert reply == ErrorResponse("RuntimeError: the run broke")
+        assert session.traces == []
+        reply = decode_frame(session.handle_frame(VALID_FRAMES["export"]))
+        assert isinstance(reply, ResultResponse)
+        assert len(client_decrypt(key, reply.payload)) == 3
+
 
 # A handshaken session on a small machine, and valid frames for it.
 FUZZ_CFG = MachineConfig(memory_words=128, cache_lines=8)
@@ -411,6 +465,21 @@ class TestHandleFrameFuzz:
             reply = decode_frame(session.handle_frame(VALID_FRAMES[kind]))
             assert isinstance(reply, ResultResponse)
         assert client_decrypt(key, reply.payload) == (6, 11, 21)
+
+
+CLAIMS = [Claims(ext, os_ok, mode).encode() for ext in (False, True) for os_ok in (False, True) for mode in Mode]
+
+
+class TestClaimsFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(CLAIMS), st.lists(MUTATIONS, min_size=1, max_size=4))
+    def test_mutated_claims_parse_to_the_same_bytes_or_raise(self, data, mutations):
+        data = bytes(mutated(data, mutations))
+        try:
+            claims = Claims.parse(data)
+        except ProtocolError:
+            return
+        assert claims.encode() == data
 
 
 class RecordingStream:

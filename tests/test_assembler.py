@@ -313,6 +313,8 @@ class TestAssemblyTextFuzz:
                 assert 1 <= d.line <= len(lines)
                 assert 1 <= d.column <= len(lines[d.line - 1])
 
+
+class TestLoading:
     def test_boot_image_sets_entry_and_words(self):
         image = assemble(".entry 1\n.word 8\nhalt\n.org 8\n.word 7 blinded\n")
         cfg = MachineConfig(memory_words=16, cache_lines=2)

@@ -118,11 +118,13 @@ class _Assembler:
         return value & MASK64
 
     def parse_register(self, tok: str, line: int, col: int) -> int | None:
+        # Leading zeros are allowed (r01 is r1), so only the last two
+        # digits may be nonzero; int() never sees a long digit string.
         m = re.match(r"^r(\d+)$", tok)
-        if not m or int(m.group(1)) >= REG_COUNT:
+        if not m or any(map(int, m.group(1)[:-2])) or int(m.group(1)[-2:]) >= REG_COUNT:
             self.err(line, col, f"bad register {tok!r} (expected r0..r{REG_COUNT - 1})")
             return None
-        return int(m.group(1))
+        return int(m.group(1)[-2:])
 
     def first_pass(self, source: str) -> None:
         for line_no, raw in enumerate(source.splitlines(), start=1):

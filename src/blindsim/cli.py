@@ -201,8 +201,9 @@ def cmd_check(args) -> int:
     image = _load_image(args.image)
     sig = checker.parse_signature(args.sig)
     report = checker.analyze(image, sig, cfg, seed=args.seed)
-    sys.stdout.write(report.format())
 
+    # Both halves run before anything is printed, so a bad --steps
+    # leaves stdout empty; --trials 0 runs only the static analysis.
     dynamic = None
     if args.trials > 0:
         # Registers that may be blinded get fresh payloads on each side.
@@ -213,6 +214,9 @@ def cmd_check(args) -> int:
             image, trials=args.trials, steps=args.steps, cfg=cfg, seed=args.seed,
             blinded_regs=blinded_regs,
         )
+
+    sys.stdout.write(report.format())
+    if dynamic is not None:
         if dynamic.passed:
             print(f"non-interference: pass ({dynamic.trials} trials)")
         else:

@@ -19,8 +19,9 @@ inside sealed blobs to survive context switches:
 
 Engines sharing a root key share no counter, so sealing uses a synthetic
 IV (after RFC 5297 and RFC 8452) that loading recomputes: nonce = 0x53 ||
-HMAC-SHA256(iv_key, SEAL_LABEL || body)[:11], with ``iv_key`` derived from
-the root key under its own label.  The same body seals to the same blob.
+HMAC-SHA256(iv_key, SEAL_LABEL || body)[:11], with ``iv_key`` =
+HMAC-SHA256(root_key, "blindsim-seal-iv").  The same body seals to the
+same blob.
 
 Envelope layout: ``nonce(12) || ciphertext || tag(16)``.
 """

@@ -4,7 +4,11 @@ A step is split in two.  ``_effect`` is the one definition of its
 semantics: a pure function of (pc, registers, memory, cache, config) that
 returns an :class:`Effect` -- the next pc, status and fault, the register
 writes, the memory writes (a BLND/RBLND tag edit is one more), the cache
-line assignments and the observable events.  :func:`step` writes an
+line assignments and the observable events.  A step makes at most one
+memory operation, as every instruction of the ISA does, and every read in
+it -- the stored register, the loaded word, the word a BLND/RBLND retags,
+the cache line -- sees the state before the step; a ``semantics`` that
+returns more than one operation raises ValueError.  :func:`step` writes an
 effect with :meth:`SystemState.edit`, which copies only the parts it
 writes; :func:`run` and the lockstep harness keep a :class:`ListMachine`
 and commit in place, so a store costs O(1).  A :class:`ListMachine` also
@@ -220,25 +224,6 @@ def _untagged(w: TaggedWord) -> TaggedWord:
     return TaggedWord(w.value, False) if w.blinded else w
 
 
-def _latest(words: Sequence[TaggedWord], writes: list, index: int) -> TaggedWord:
-    """``words[index]`` as seen after the writes this step already made."""
-    for i, w in reversed(writes):
-        if i == index:
-            return w
-    return words[index]
-
-
-def _holds(
-    addresses: Sequence[int], valid: Sequence[bool], lines: list, line: int, address: int
-) -> bool:
-    """Whether ``line`` validly holds ``address`` after this step's
-    pending ``lines`` assignments."""
-    for i, a in reversed(lines):
-        if i == line:
-            return a == address
-    return valid[line] and addresses[line] == address
-
-
 def _effect(
     pc: int,
     registers: Sequence[TaggedWord],
@@ -248,15 +233,17 @@ def _effect(
     cfg: MachineConfig,
     cycle: int,
     semantics: SemanticsFn,
-    decoded: dict | None = None,
+    decoded: dict,
 ) -> Effect:
     """The one definition of a step's semantics; it writes no state.
 
     Every word enters through ``view``: itself, or a clear copy under
-    ``tag_logic=False``, so no tag check fires there.  Every check that
-    can stop the step runs before the first write is decided.
+    ``tag_logic=False``, so no tag check fires there.  Every read sees the
+    state before the step, and a step that stops returns before any of
+    its writes reach the :class:`Effect`.  A step makes at most one memory
+    operation; a semantics that returns more raises ValueError.
 
-    ``decoded`` is an optional decode slot per address, ``{pc: (word,
+    ``decoded`` is a decode slot per address, ``{pc: (word,
     DecodedInstruction)}``, that this step may refill.  A slot is used
     only when the fetched word equals the stored word, so it is never a
     state input: it skips a decode, and nothing else.
@@ -275,7 +262,7 @@ def _effect(
 
     word = instr.value
     fetch = Fetch(cycle, pc, word)
-    slot = decoded.get(pc) if decoded is not None else None
+    slot = decoded.get(pc)
     if slot is not None and slot[0] == word:
         d = slot[1]
     else:
@@ -283,11 +270,12 @@ def _effect(
             d = decode(word)
         except DecodeError:
             return _terminal(pc, fetch, FaultKind.DECODE_ERROR)
-        if decoded is not None:
-            decoded[pc] = (word, d)
+        decoded[pc] = (word, d)
 
     inputs = [view(registers[i]) for i in d.inputs]
     outputs, memops, control = semantics(d, inputs, cfg.mode)
+    if len(memops) > 1:
+        raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
 
     # Control resolution first; a trap leaves everything but pc untouched.
     flow = control.kind
@@ -299,61 +287,51 @@ def _effect(
     if not 0 <= next_pc < mem_size:
         return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
 
-    for kind, address, register in memops:
+    # Writes, in order: register outputs, then the memory operation, then
+    # the tag edit.
+    reg_writes = tuple(zip(d.outputs, outputs))
+    mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
+    lines: tuple[tuple[int, int], ...] = ()
+    events: tuple[TraceEvent, ...] = (fetch,)
+    if memops:
+        ((kind, address, register),) = memops
         if not 0 <= address < mem_size:
             return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
-        if kind is _MEM_STORE:
-            if view(registers[register]).blinded and cfg.is_unblindable(address):
-                return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
-
-    # Tag edits (BLND/RBLND).  A blinded address register means the whole
-    # instruction was a no-op (model mode; hardware mode trapped above), so
-    # the payload must not even be bounds-checked.
-    tag_edit: tuple[int, bool] | None = None
-    opcode = d.opcode
-    if opcode is _OP_BLND or opcode is _OP_RBLND:
-        addr_word = view(registers[d.inputs[0]])
-        if not addr_word.blinded:
-            if not 0 <= addr_word.value < mem_size:
-                return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
-            if cfg.tag_logic:
-                if opcode is _OP_RBLND and not cfg.allow_raw_unblind:
-                    return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
-                tag_edit = (addr_word.value, opcode is _OP_BLND)
-
-    # Writes, in order: register outputs, then memory operations (each
-    # sees the writes before it), then the tag edit.
-    reg_writes = list(zip(d.outputs, outputs))
-    mem_writes: list[tuple[int, TaggedWord]] = []
-    lines: list[tuple[int, int]] = []
-    events: list[TraceEvent] = [fetch]
-    for kind, address, register in memops:
-        store = kind is _MEM_STORE
-        if store:
-            word = view(_latest(registers, reg_writes, register))
-            mem_writes.append((address, word))
-        else:
-            reg_writes.append((register, view(_latest(memory, mem_writes, address))))
-        events.append(MemAccess(cycle, kind, address))
         # Direct-mapped: the line depends only on the (clear) address.  A
         # repeat access reports the first valid line holding the address,
         # which a random initial state may also place in a lower line.
         line = address % len(addresses)
-        if _holds(addresses, valid, lines, line, address):
-            line = next(i for i in range(line + 1) if _holds(addresses, valid, lines, i, address))
+        if valid[line] and addresses[line] == address:
+            line = next(i for i in range(line + 1) if valid[i] and addresses[i] == address)
         else:
-            lines.append((line, address))
-        events.append(CacheUpdate(cycle, line, address))
-        if store and address == cfg.mmio_console:
-            events.append(MmioWrite(cycle, word.value))
-    if tag_edit is not None:
-        address, blind = tag_edit
-        mem_writes.append((address, TaggedWord(_latest(memory, mem_writes, address).value, blind)))
+            lines = ((line, address),)
+        events += (MemAccess(cycle, kind, address), CacheUpdate(cycle, line, address))
+        if kind is _MEM_STORE:
+            word = view(registers[register])
+            if word.blinded and cfg.is_unblindable(address):
+                return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+            mem_writes = ((address, word),)
+            if address == cfg.mmio_console:
+                events += (MmioWrite(cycle, word.value),)
+        else:
+            reg_writes += ((register, view(memory[address])),)
 
-    return Effect(
-        next_pc, _RUNNING, None,
-        tuple(reg_writes), tuple(mem_writes), tuple(lines), tuple(events),
-    )
+    # Tag edits (BLND/RBLND).  A blinded address register means the whole
+    # instruction was a no-op (model mode; hardware mode trapped above), so
+    # the payload must not even be bounds-checked.
+    opcode = d.opcode
+    if opcode is _OP_BLND or opcode is _OP_RBLND:
+        addr_word = view(registers[d.inputs[0]])
+        if not addr_word.blinded:
+            address = addr_word.value
+            if not 0 <= address < mem_size:
+                return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
+            if cfg.tag_logic:
+                if opcode is _OP_RBLND and not cfg.allow_raw_unblind:
+                    return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
+                mem_writes += ((address, TaggedWord(memory[address].value, opcode is _OP_BLND)),)
+
+    return Effect(next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events)
 
 
 def step(
@@ -375,7 +353,7 @@ def step(
     cache = s.cache
     eff = _effect(
         s.pc, s.registers.regs, s.memory.words, cache.addresses, cache.valid,
-        cfg, cycle, semantics,
+        cfg, cycle, semantics, {},
     )
     nxt = s.edit(eff.pc, eff.registers, eff.memory, eff.lines, eff.status, eff.fault)
     return nxt, eff.events

@@ -106,6 +106,17 @@ class TestDiagnostics:
         [(line, col, msg)] = diag_positions("add r1, r2, r32\n")
         assert (line, col) == (1, 13) and "bad register" in msg
 
+    def test_a_register_name_past_the_int_digit_limit_is_a_diagnostic(self):
+        # 5,000 digits exceed int()'s string conversion limit.
+        [(line, col, msg)] = diag_positions("halt\nadd r1, r2, r" + "9" * 5000 + "\n")
+        assert (line, col) == (2, 13) and "bad register" in msg
+
+    @pytest.mark.parametrize(
+        "name", ["r01", "r" + "0" * 5000 + "1", "r\u0661"], ids=["r01", "r0...01", "arabic-indic"]
+    )
+    def test_leading_zeros_and_unicode_digits_name_a_register(self, name):
+        assert assemble(f"add {name}, r2, r3\n") == assemble("add r1, r2, r3\n")
+
     def test_duplicate_label(self):
         [(line, col, msg)] = diag_positions("x:\nhalt\nx:\n")
         assert line == 3 and "duplicate label" in msg

@@ -421,6 +421,13 @@ class TestErrorPaths:
         assert run_cli(tmp_path, command) == 2
         captured = capsys.readouterr()
         assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    def test_zero_trials_runs_only_the_static_analysis(self, tmp_path, capsys):
+        assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials 0 --steps 0") == 0
+        captured = capsys.readouterr()
+        assert "verdict: compliant" in captured.out and "non-interference" not in captured.out
+        assert captured.err == ""
 
     @pytest.mark.parametrize(
         "dual", ["missing.txt", "words.txt", "pt3.txt"], ids=["missing", "bad-word", "other-length"]

@@ -5,6 +5,7 @@ The AEAD cross-checks use the independent RFC-construction oracle in
 so agreement between the two is meaningful.
 """
 
+import hmac
 import random
 import struct
 
@@ -308,6 +309,40 @@ class TestSealing:
         engine.load_sealed_key(first)
         engine.export_region(mem, 0, 4)
         assert engine.seal_current_key().blob != first.blob  # the counter moved
+
+
+def sealed_under(root, body):
+    """``body`` sealed under ``root`` by the synthetic-IV construction in
+    the engine's module docstring."""
+    iv_key = hmac.digest(root, b"blindsim-seal-iv", "sha256")
+    nonce = b"\x53" + hmac.digest(iv_key, SEAL_LABEL + body, "sha256")[:11]
+    return seal_envelope(root, nonce, body, aad=SEAL_LABEL)
+
+
+class TestSealedBody:
+    """Authentic blobs whose bodies the engine itself would never seal."""
+
+    ROOT = b"R" * 32
+
+    def test_construction_matches_the_engine(self):
+        engine, session = make_engine(root=self.ROOT)
+        body = session.key + session.key_id + struct.pack(">Q", 0)
+        assert sealed_under(self.ROOT, body) == engine.seal_current_key().blob
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"K" * 32 + key_id_for(b"K" * 32) + struct.pack(">Q", 0) + b"\0", "wrong shape"),
+            (b"K" * 32 + key_id_for(b"O" * 32) + struct.pack(">Q", 0), "key identifier mismatch"),
+        ],
+        ids=["wrong-length", "key-id-mismatch"],
+    )
+    def test_bad_body_is_refused_and_the_slot_kept(self, body, message):
+        engine, session = make_engine(root=self.ROOT, key=b"S" * 32)
+        engine.export_region(MemoryImage.zeros(4), 0, 4)
+        with pytest.raises(AuthError, match=message):
+            engine.load_sealed_key(SealedKey(sealed_under(self.ROOT, body), session.key_id))
+        assert engine.current_key_id == session.key_id and engine.export_counter == 1
 
 
 class TestKeyHygiene:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from blindsim.assembler import assemble
-from blindsim.checker import generate_equivalent_pair, pair_for_program
+from blindsim.checker import check_noninterference, generate_equivalent_pair, pair_for_program
 from blindsim.corpus import curated_corpus
 from blindsim.isa import (
     HALT_CONTROL,
@@ -211,25 +211,25 @@ class TestStep:
         with pytest.raises(ValueError):
             step(halted, CFG)
 
-    def test_memory_operations_see_earlier_writes_in_the_step(self):
-        # A semantics may return several memory operations; each sees the
-        # writes made before it in the same step, and a repeat access to
-        # a line this step filled reports that line.
+    def test_a_semantics_with_two_memory_operations_is_refused(self):
+        # Every instruction makes at most one memory access, and a step
+        # reads only the state before it; a semantics that asks for two
+        # operations is refused, whichever driver steps it.
         def store_then_load(d, inputs, mode):
             return (), (
                 MemoryOperation(MemKind.STORE, 0x0B, 2),
                 MemoryOperation(MemKind.LOAD, 0x0B, 4),
-                MemoryOperation(MemKind.STORE, 0x0C, 4),
             ), NEXT
 
-        s = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT], regs={2: blinded(0x55)})
-        nxt, events = step(s, CFG, semantics=store_then_load)
-        assert nxt.memory[0x0B] == blinded(0x55) and nxt.memory[0x0C] == blinded(0x55)
-        assert nxt.registers[4] == blinded(0x55)
-        assert [e for e in events if isinstance(e, CacheUpdate)] == [
-            CacheUpdate(0, 3, 0x0B), CacheUpdate(0, 3, 0x0B), CacheUpdate(0, 4, 0x0C),
-        ]
-        assert run(s, CFG, max_steps=1, semantics=store_then_load).state == nxt
+        image = assemble("add r3, r1, r2\nhalt\n")
+        s = boot_image(image, CFG).edit(registers=[(2, blinded(0x55))])
+        with pytest.raises(ValueError, match="at most one memory operation"):
+            step(s, CFG, semantics=store_then_load)
+        with pytest.raises(ValueError, match="at most one memory operation"):
+            run(s, CFG, max_steps=1, semantics=store_then_load)
+        with pytest.raises(ValueError, match="at most one memory operation"):
+            check_noninterference(image, trials=1, steps=1, cfg=CFG, semantics=store_then_load)
+        assert s == boot_image(image, CFG).edit(registers=[(2, blinded(0x55))])
 
 
 class TestUnblindableAndMmio:
@@ -372,24 +372,6 @@ class TestCachePolicy:
         new, updates = access(cache, MemKind.LOAD, 0x0B)
         assert new == CacheAssignments((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), cache.valid)
         assert updates == [CacheUpdate(0, line, 0x0B)]
-
-    def test_line_reported_after_this_step_evicts_a_lower_copy(self):
-        # Lines 1 and 3 both hold 0x0B; the first operation evicts line 1,
-        # so the repeat access to 0x0B reports its home line.
-        def evict_then_load(d, inputs, mode):
-            return (), (
-                MemoryOperation(MemKind.STORE, 0x09, 2),
-                MemoryOperation(MemKind.LOAD, 0x0B, 4),
-            ), NEXT
-
-        cache = CacheAssignments((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), (False, True, False, True) + (False,) * 4)
-        s = replace(make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT]), cache=cache)
-        nxt, events = step(s, CFG, semantics=evict_then_load)
-        assert [e for e in events if isinstance(e, CacheUpdate)] == [
-            CacheUpdate(0, 1, 0x09), CacheUpdate(0, 3, 0x0B),
-        ]
-        assert nxt.cache == CacheAssignments((0, 0x09, 0, 0x0B, 0, 0, 0, 0), cache.valid)
-        assert run(s, CFG, max_steps=1, semantics=evict_then_load).state == nxt
 
     def test_repeat_access_still_traces(self):
         s = make_state(

@@ -38,6 +38,8 @@ from typing import Mapping, Sequence
 from .assembler import ProgramImage, render_instruction
 from .isa import (
     ALU,
+    SELF_ZEROING,
+    ZERO_ABSORBING,
     DecodeError,
     DecodedInstruction,
     Mode,
@@ -294,13 +296,13 @@ _ADDRESS_KIND = {
 
 def _arith_transfer(d: DecodedInstruction, a: AbsVal, b: AbsVal) -> AbsVal:
     op = d.opcode
-    if op in (Opcode.SUB, Opcode.XOR) and d.inputs[0] == d.inputs[1]:
+    if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
         return const(0)
-    if op in (Opcode.MUL, Opcode.AND) and (is_clear_zero(a) or is_clear_zero(b)):
+    if op in ZERO_ABSORBING and (is_clear_zero(a) or is_clear_zero(b)):
         return const(0)
     if a.kind is AbsKind.CONST and b.kind is AbsKind.CONST:
         return const(ALU[op](a.const, b.const))
-    if op in (Opcode.MUL, Opcode.AND):
+    if op in ZERO_ABSORBING:
         if must_be_blinded(a) or must_be_blinded(b):
             other = b if must_be_blinded(a) else a
             # a clear-unknown partner might be zero, which would clear the

@@ -10,7 +10,9 @@ order:
 
 * STORE/LOAD/BLND/RBLND whose address register is blinded either become
   no-ops (``Mode.MODEL``) or trap (``Mode.HARDWARE``) -- a secret must
-  never choose a memory address.
+  never choose a memory address.  With a clear address each returns its
+  one memory operation: a load, a store, or a tag edit (``BLIND`` /
+  ``UNBLIND``), which the machine applies without touching the cache.
 * SUB/XOR with both operands naming the same register yield a clear zero:
   the result carries no information about the input.
 * MUL/AND with a *clear* zero operand yield a clear zero for the same
@@ -90,13 +92,15 @@ class DecodedInstruction:
 class MemKind(Enum):
     LOAD = "load"
     STORE = "store"
+    BLIND = "blind"
+    UNBLIND = "unblind"
 
 
 class MemoryOperation(NamedTuple):
-    """A load or store between a register and a word address.
-
-    The address is always taken from a clear input; semantics for blinded
-    addresses never emit an operation.
+    """A step's one access to a word address: LOAD and STORE move a word
+    between ``register`` and memory; BLIND and UNBLIND set or clear its
+    tag, and ``register`` is the address register.  The address is always
+    a clear input; semantics for blinded addresses emit no operation.
     """
 
     kind: MemKind
@@ -247,6 +251,10 @@ ALU = {
     Opcode.XOR: lambda a, b: a ^ b,
 }
 
+#: SUB/XOR of a register with itself, and MUL/AND with a clear zero operand, give a clear zero.
+SELF_ZEROING = frozenset((Opcode.SUB, Opcode.XOR))
+ZERO_ABSORBING = frozenset((Opcode.MUL, Opcode.AND))
+
 CLEAR_ZERO = TaggedWord(0, False)
 
 # Enum members and opcode sets the per-step path reads, bound once (see
@@ -254,9 +262,8 @@ CLEAR_ZERO = TaggedWord(0, False)
 _OP_HALT, _OP_STORE, _OP_LOAD, _OP_BZ = Opcode.HALT, Opcode.STORE, Opcode.LOAD, Opcode.BZ
 _MODEL = Mode.MODEL
 _MEM_STORE, _MEM_LOAD = MemKind.STORE, MemKind.LOAD
-_ADDRESSED = frozenset((Opcode.STORE, Opcode.LOAD, Opcode.BLND, Opcode.RBLND))
-_SELF_ZEROING = frozenset((Opcode.SUB, Opcode.XOR))
-_ZERO_ABSORBING = frozenset((Opcode.MUL, Opcode.AND))
+_TAG_EDITS = {Opcode.BLND: MemKind.BLIND, Opcode.RBLND: MemKind.UNBLIND}
+_ADDRESSED = frozenset((Opcode.STORE, Opcode.LOAD, *_TAG_EDITS))
 _ADDRESS_TRAP = Control.fault_handler(FaultKind.BLINDED_ADDRESS)
 _BRANCH_TRAP = Control.fault_handler(FaultKind.BLINDED_BRANCH)
 
@@ -297,9 +304,8 @@ def instruction_semantics(
         if op is _OP_LOAD:
             memop = MemoryOperation(_MEM_LOAD, addr.value, d.outputs[0])
             return (), (memop,), NEXT
-        # BLND/RBLND edit a tag in place; the machine applies the edit, and
-        # no memory operation is emitted (nothing reaches the cache).
-        return (), (), NEXT
+        memop = MemoryOperation(_TAG_EDITS[op], addr.value, d.inputs[0])
+        return (), (memop,), NEXT
 
     if op is _OP_BZ:
         cond, target = inputs
@@ -311,9 +317,9 @@ def instruction_semantics(
 
     # Arithmetic.
     a, b = inputs
-    if op in _SELF_ZEROING and d.inputs[0] == d.inputs[1]:
+    if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
         return (CLEAR_ZERO,), (), NEXT
-    if op in _ZERO_ABSORBING and (
+    if op in ZERO_ABSORBING and (
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
         return (CLEAR_ZERO,), (), NEXT

@@ -3,18 +3,18 @@
 A step is split in two.  ``_effect`` is the one definition of its
 semantics: a pure function of (pc, registers, memory, cache, config) that
 returns an :class:`Effect` -- the next pc, status and fault, the register
-writes, the memory writes (a BLND/RBLND tag edit is one more), the cache
-line assignments and the observable events.  A step makes at most one
-memory operation, as every instruction of the ISA does, and every read in
-it -- the stored register, the loaded word, the word a BLND/RBLND retags,
-the cache line -- sees the state before the step; a ``semantics`` that
-returns more than one operation raises ValueError.  :func:`step` writes an
-effect with :meth:`SystemState.edit`, which copies only the parts it
-writes; :func:`run` and the lockstep harness keep a :class:`ListMachine`
-and commit in place, so a store costs O(1).  A :class:`ListMachine` also
-keeps one decode slot per address, used only while the fetched word
-equals the word it was decoded from, so self-modifying code needs no
-invalidation rule.  Every instruction costs
+writes, the memory writes, the cache line assignments and the observable
+events.  It reads no opcode: the semantics gives a step's one memory
+operation -- a load, a store, or a tag edit, which retags a word in place
+and reaches no cache line.  Every read in a step -- the stored register,
+the loaded word, the retagged word, the cache line -- sees the state
+before it; a ``semantics`` returning more operations raises ValueError.
+:func:`step` writes an effect with :meth:`SystemState.edit`, which copies
+only the parts it writes; :func:`run` and the lockstep harness keep a
+:class:`ListMachine` and commit in place, so a store costs O(1).  A
+:class:`ListMachine` also keeps one decode slot per address, used only
+while the fetched word equals the word it was decoded from, so
+self-modifying code needs no invalidation rule.  Every instruction costs
 exactly one cycle, so execution time is data-independent by construction.
 
 Policy violations take two shapes.  Tag violations at a branch or (in
@@ -38,7 +38,7 @@ module global, and a frozen dataclass record 530-1400 ns against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
@@ -47,7 +47,6 @@ from .isa import (
     DecodeError,
     MemKind,
     Mode,
-    Opcode,
     decode,
     instruction_semantics,
 )
@@ -65,9 +64,9 @@ SemanticsFn = Callable[..., tuple]
 
 # Enum members the per-step path reads, bound once (see the module docstring).
 _RUNNING, _HALTED, _FAULTED = Status.RUNNING, Status.HALTED, Status.FAULTED
-_MEM_STORE = MemKind.STORE
+_MEM_STORE, _MEM_LOAD = MemKind.STORE, MemKind.LOAD
+_MEM_BLIND, _MEM_UNBLIND = MemKind.BLIND, MemKind.UNBLIND
 _FAULT_HANDLER, _HALT, _JUMP = ControlKind.FAULT_HANDLER, ControlKind.HALT, ControlKind.JUMP
-_OP_BLND, _OP_RBLND = Opcode.BLND, Opcode.RBLND
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +184,7 @@ class Effect(NamedTuple):
     """Everything one step does, decided before anything is written.
 
     ``registers`` and ``memory`` are (index, word) writes in commit order
-    (a BLND/RBLND tag edit is the last memory write); ``lines`` are
+    (a tag edit is the one memory write of its step); ``lines`` are
     (line, address) cache assignments, each making its line valid.  A
     step that traps, halts or faults writes nothing.  A named tuple, since
     one is built per step and it builds in a third of a frozen
@@ -287,8 +286,7 @@ def _effect(
     if not 0 <= next_pc < mem_size:
         return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
 
-    # Writes, in order: register outputs, then the memory operation, then
-    # the tag edit.
+    # Writes, in order: register outputs, then the memory operation.
     reg_writes = tuple(zip(d.outputs, outputs))
     mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
     lines: tuple[tuple[int, int], ...] = ()
@@ -297,39 +295,31 @@ def _effect(
         ((kind, address, register),) = memops
         if not 0 <= address < mem_size:
             return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
-        # Direct-mapped: the line depends only on the (clear) address.  A
-        # repeat access reports the first valid line holding the address,
-        # which a random initial state may also place in a lower line.
-        line = address % len(addresses)
-        if valid[line] and addresses[line] == address:
-            line = next(i for i in range(line + 1) if valid[i] and addresses[i] == address)
-        else:
-            lines = ((line, address),)
-        events += (MemAccess(cycle, kind, address), CacheUpdate(cycle, line, address))
-        if kind is _MEM_STORE:
-            word = view(registers[register])
-            if word.blinded and cfg.is_unblindable(address):
-                return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
-            mem_writes = ((address, word),)
-            if address == cfg.mmio_console:
-                events += (MmioWrite(cycle, word.value),)
-        else:
-            reg_writes += ((register, view(memory[address])),)
-
-    # Tag edits (BLND/RBLND).  A blinded address register means the whole
-    # instruction was a no-op (model mode; hardware mode trapped above), so
-    # the payload must not even be bounds-checked.
-    opcode = d.opcode
-    if opcode is _OP_BLND or opcode is _OP_RBLND:
-        addr_word = view(registers[d.inputs[0]])
-        if not addr_word.blinded:
-            address = addr_word.value
-            if not 0 <= address < mem_size:
-                return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
-            if cfg.tag_logic:
-                if opcode is _OP_RBLND and not cfg.allow_raw_unblind:
-                    return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
-                mem_writes += ((address, TaggedWord(memory[address].value, opcode is _OP_BLND)),)
+        if kind is _MEM_STORE or kind is _MEM_LOAD:
+            # Direct-mapped: the line depends only on the (clear) address.  A repeat
+            # access reports the first valid line holding the address, which a
+            # random initial state may also place in a lower line.
+            line = address % len(addresses)
+            if valid[line] and addresses[line] == address:
+                line = next(i for i in range(line + 1) if valid[i] and addresses[i] == address)
+            else:
+                lines = ((line, address),)
+            events += (MemAccess(cycle, kind, address), CacheUpdate(cycle, line, address))
+            if kind is _MEM_STORE:
+                word = view(registers[register])
+                if word.blinded and cfg.is_unblindable(address):
+                    return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+                mem_writes = ((address, word),)
+                if address == cfg.mmio_console:
+                    events += (MmioWrite(cycle, word.value),)
+            else:
+                reg_writes += ((register, view(memory[address])),)
+        elif cfg.tag_logic:
+            # A tag edit retags the word in place: it reaches no cache line
+            # and emits no event, and the untagged machine ignores it.
+            if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
+                return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
+            mem_writes = ((address, TaggedWord(memory[address].value, kind is _MEM_BLIND)),)
 
     return Effect(next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events)
 
@@ -419,20 +409,21 @@ class LoadError(ValueError):
 
 def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
     """Write an image's segments over existing memory; pc defaults to the
-    image's entry point.  Registers, cache, and untouched words remain."""
-    words = list(s.memory.words)
-    size = len(words)
+    image's entry point.  Registers, cache, status and untouched words
+    remain."""
+    size = len(s.memory)
     for seg in image.segments:
         if seg.base + len(seg.words) > size:
             raise LoadError(
                 f"segment [{seg.base:#x}, {seg.base + len(seg.words):#x}) "
                 f"exceeds memory of {size:#x} words"
             )
-        words[seg.base: seg.base + len(seg.words)] = seg.words
     entry = image.entry_pc if pc is None else pc
     if not 0 <= entry < size:
         raise LoadError(f"entry pc {entry:#x} out of range")
-    return replace(s, pc=entry, memory=MemoryImage(tuple(words)))
+    return s.edit(pc=entry, memory=[
+        (address, w) for seg in image.segments for address, w in enumerate(seg.words, seg.base)
+    ])
 
 
 def boot_image(image, cfg: MachineConfig, pc: int | None = None) -> SystemState:

@@ -9,8 +9,9 @@ halt/fault status, the tag bits themselves, and the payloads of clear
 words.  Blinded payloads are free to differ.
 
 All state types here are immutable.  :meth:`SystemState.edit` is the one
-way to write words into a state: it returns a new state that copies each
-written component once and shares the others.
+way to change a state: it returns a new state that copies each written
+component once and shares the others, and it sets status and fault
+together.  Every state has :data:`REG_COUNT` registers.
 """
 
 from __future__ import annotations
@@ -73,13 +74,13 @@ ZERO = TaggedWord(0, False)
 
 @dataclass(frozen=True, slots=True)
 class RegisterFile:
-    """Fixed-length array of tagged words; length is set at construction."""
+    """The :data:`REG_COUNT` tagged registers of a machine state."""
 
     regs: tuple[TaggedWord, ...]
 
     @classmethod
-    def zeros(cls, count: int = REG_COUNT) -> RegisterFile:
-        return cls((ZERO,) * count)
+    def zeros(cls) -> RegisterFile:
+        return cls((ZERO,) * REG_COUNT)
 
     def __len__(self) -> int:
         return len(self.regs)
@@ -143,9 +144,9 @@ class SystemState:
     """Complete machine state between steps.
 
     ``pc`` is a plain integer, deliberately untaggable: control flow is
-    visible state and may never hold secrets.  ``status`` transitions are
-    monotone (RUNNING may become HALTED or FAULTED, never the reverse);
-    ``fault`` is set exactly when status is FAULTED.
+    visible state and may never hold secrets.  A step moves ``status``
+    only from RUNNING to HALTED or FAULTED (a server restarts a machine
+    with :meth:`edit`); ``fault`` is set exactly when status is FAULTED.
     """
 
     pc: int
@@ -156,19 +157,10 @@ class SystemState:
     fault: FaultKind | None = None
 
     @classmethod
-    def initial(
-        cls,
-        memory_words: int,
-        cache_lines: int = 16,
-        registers: int = REG_COUNT,
-        pc: int = 0,
-    ) -> SystemState:
-        return cls(
-            pc=pc,
-            registers=RegisterFile.zeros(registers),
-            memory=MemoryImage.zeros(memory_words),
-            cache=CacheAssignments.empty(cache_lines),
-        )
+    def initial(cls, memory_words: int, cache_lines: int = 16, pc: int = 0) -> SystemState:
+        """All words clear zeros, no valid cache line, RUNNING."""
+        regs, mem = RegisterFile.zeros(), MemoryImage.zeros(memory_words)
+        return cls(pc, regs, mem, CacheAssignments.empty(cache_lines))
 
     def edit(
         self,
@@ -179,13 +171,21 @@ class SystemState:
         status: Status | None = None,
         fault: FaultKind | None = None,
     ) -> SystemState:
-        """This state with some writes: the one way to write words into a state.
+        """This state with some writes: the one way to change a state.
 
         Writes are (index, value) pairs applied in order, as in a step's
         effect; a line write also makes its line valid.  Each written
-        component is copied once and the others are shared; a field given
-        as None is kept.  An index outside its component raises IndexError.
+        component is copied once and the others are shared; a ``pc`` given
+        as None is kept.  A ``status`` sets ``fault`` with it, so a status
+        without a fault means no fault; with no status both are kept, or
+        only the fault replaced.  An index outside its component raises
+        IndexError, and a result with a fault but not FAULTED, or FAULTED
+        without a fault, raises ValueError.
         """
+        if status is None:
+            status, fault = self.status, (self.fault if fault is None else fault)
+        if (status is Status.FAULTED) != (fault is not None):
+            raise ValueError(f"status {status.value} does not fit fault {fault and fault.value}")
         regs, mem, cache = self.registers, self.memory, self.cache
         if registers:
             regs = RegisterFile(_written(regs.regs, registers))
@@ -196,11 +196,7 @@ class SystemState:
                 _written(cache.addresses, lines),
                 _written(cache.valid, [(line, True) for line, _ in lines]),
             )
-        return SystemState(
-            self.pc if pc is None else pc, regs, mem, cache,
-            self.status if status is None else status,
-            self.fault if fault is None else fault,
-        )
+        return SystemState(self.pc if pc is None else pc, regs, mem, cache, status, fault)
 
 
 def _written(items: tuple, writes: Sequence[tuple[int, object]]) -> tuple:

@@ -460,16 +460,17 @@ class HsmResponder:
 
 _KEPT_TRACES = 16  # a session keeps the traces of its latest computes only
 
-_OUTCOME_IDS = {"halted": 0, "faulted": 1, "fault-loop": 2, "step-limit": 3}
-_OUTCOME_NAMES = {v: k for k, v in _OUTCOME_IDS.items()}
+# An outcome's byte is its place in RunOutcome: halted 0, faulted 1,
+# fault-loop 2, step-limit 3.
+_OUTCOME_NAMES = tuple(outcome.value for outcome in machine.RunOutcome)
 
 
 def encode_compute_result(outcome: str, steps: int) -> bytes:
-    return bytes([_OUTCOME_IDS[outcome]]) + struct.pack(">Q", steps)
+    return bytes([_OUTCOME_NAMES.index(outcome)]) + struct.pack(">Q", steps)
 
 
 def parse_compute_result(payload: bytes) -> tuple[str, int]:
-    if len(payload) != 9 or payload[0] not in _OUTCOME_NAMES:
+    if len(payload) != 9 or payload[0] >= len(_OUTCOME_NAMES):
         raise ProtocolError("bad compute result")
     return _OUTCOME_NAMES[payload[0]], struct.unpack(">Q", payload[1:])[0]
 
@@ -533,10 +534,8 @@ class ServerSession:
                 return encode_frame(ResultResponse(b""))
             if isinstance(msg, ComputeRequest):
                 image = decode_image(msg.image)
-                self.state = replace(
-                    machine.overlay_image(self.state, image, pc=msg.entry),
-                    status=Status.RUNNING,
-                    fault=None,
+                self.state = machine.overlay_image(self.state, image, pc=msg.entry).edit(
+                    status=Status.RUNNING
                 )
                 result = machine.run(self.state, self.cfg, self.max_steps)
                 self.state = result.state

@@ -57,6 +57,15 @@ def cache_sees_blinded_addresses(d, inputs, mode=Mode.HARDWARE):
     return instruction_semantics(d, inputs, mode)
 
 
+def tag_edit_at_blinded_address(d, inputs, mode=Mode.HARDWARE):
+    """Model-mode BLND/RBLND with a blinded address retags the word the
+    secret payload names instead of doing nothing."""
+    if mode is Mode.MODEL and d.opcode in (Opcode.BLND, Opcode.RBLND) and inputs[0].blinded:
+        kind = MemKind.BLIND if d.opcode is Opcode.BLND else MemKind.UNBLIND
+        return (), (MemoryOperation(kind, inputs[0].value, d.inputs[0]),), NEXT
+    return instruction_semantics(d, inputs, mode)
+
+
 class ExportLeaksKeyEngine(EncryptionEngine):
     """Export reuses session-key bytes as the nonce, leaking them into the
     exported artifact."""

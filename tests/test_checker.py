@@ -705,7 +705,12 @@ class TestUnwindingMatchesFullEquivalence:
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
         "mutant",
-        [mutants.add_drops_taint, mutants.bz_ignores_blinded_condition, mutants.cache_sees_blinded_addresses],
+        [
+            mutants.add_drops_taint,
+            mutants.bz_ignores_blinded_condition,
+            mutants.cache_sees_blinded_addresses,
+            mutants.tag_edit_at_blinded_address,
+        ],
         ids=lambda f: f.__name__,
     )
     def test_mutants(self, mutant, mode):
@@ -717,8 +722,9 @@ class TestUnwindingMatchesFullEquivalence:
         for source in (blinded_branch_fault(), blinded_load_fault()):
             result = self.assert_same_as_reference(assemble(source), 100, 64, cfg, 62, mutant)
             caught += not result.passed
-        # this mutant differs from the shipped semantics in model mode only
-        applies = mutant is not mutants.cache_sees_blinded_addresses or mode is Mode.MODEL
+        # these mutants differ from the shipped semantics in model mode only
+        model_only = (mutants.cache_sees_blinded_addresses, mutants.tag_edit_at_blinded_address)
+        applies = mutant not in model_only or mode is Mode.MODEL
         assert (caught > 0) == applies
 
     @pytest.mark.parametrize("mode", list(Mode))

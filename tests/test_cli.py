@@ -15,6 +15,8 @@ from blindsim.corpus import (
 )
 from blindsim.assembler import assemble, decode_image, encode_image
 
+import mutants
+
 
 @pytest.fixture
 def work(tmp_path):
@@ -241,6 +243,29 @@ class TestDemoProtocol:
         assert code == 0
         assert "result: 11 21" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("leaky", [False, True], ids=["shipped-engine", "import-writes-clear"])
+    def test_dual_reports_traces_that_differ(self, work, capsys, monkeypatch, leaky):
+        # An import that forgets to blind lets the console print the
+        # imported word, so the two sessions' traces differ.
+        if leaky:
+            monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
+        tmp, write = work
+        img = write("report.img", encode_image(assemble(mmio_report(48, 32))), binary=True)
+        pt1 = self._plain(write, "a.txt", [5])
+        pt2 = self._plain(write, "b.txt", [900])
+        code = main([
+            "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "64",
+            "--mmio-console", "48", "--data-base", "32", "--result-base", "40",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        differ = "TRACES DIFFER: blinded data influenced observable behavior\n"
+        if leaky:
+            assert captured.out == "result: 0\nresult2: 0\n" + differ
+        else:
+            assert differ not in captured.out
+            assert captured.err == "error: computation did not halt: faulted after 9 steps\n"
+
     def test_length_mismatch_usage_error(self, work):
         tmp, write = work
         pt1 = self._plain(write, "a.txt", [1, 2])
@@ -428,6 +453,22 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert "verdict: compliant" in captured.out and "non-interference" not in captured.out
         assert captured.err == ""
+
+    def test_a_negative_trial_count_is_a_usage_error(self, tmp_path, capsys):
+        assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials -3 --steps -1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --trials must not be negative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("trials", ["0", "25"])
+    def test_an_image_too_large_for_the_machine_is_a_usage_error(self, tmp_path, capsys, trials):
+        # The static analysis alone would call it compliant: its entry
+        # segment does not fit, so the analysis sees a halt at address 100.
+        (tmp_path / "far.img").write_bytes(encode_image(assemble(".entry 100\n.org 100\nhalt\n")))
+        assert run_cli(tmp_path, f"check @far.img {SMALL} --trials {trials}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: segment [0x64, 0x65) exceeds memory of 0x40 words\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "dual", ["missing.txt", "words.txt", "pt3.txt"], ids=["missing", "bad-word", "other-length"]

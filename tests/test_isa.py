@@ -262,10 +262,14 @@ class TestSpecialCases:
             _, _, control = instruction_semantics(d, [blinded(4)], Mode.HARDWARE)
             assert control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
 
-    def test_blnd_clear_address_no_memop(self):
-        d = DecodedInstruction(Opcode.BLND, (1,), ())
-        outs, memops, control = instruction_semantics(d, [clear(4)])
-        assert outs == () and memops == () and control is NEXT
+    def test_blnd_rblnd_clear_address_emit_a_tag_edit(self):
+        # The tag edit names the address register, not a data register.
+        for op, kind in ((Opcode.BLND, MemKind.BLIND), (Opcode.RBLND, MemKind.UNBLIND)):
+            d = DecodedInstruction(op, (1,), ())
+            for mode in Mode:
+                outs, memops, control = instruction_semantics(d, [clear(4)], mode)
+                assert outs == () and control is NEXT
+                assert memops == (MemoryOperation(kind, 4, 1),)
 
     def test_halt(self):
         d = DecodedInstruction(Opcode.HALT, (), ())

@@ -54,6 +54,7 @@ from blindsim.model import (
     state_equiv,
 )
 
+import mutants
 from conftest import random_word, twin_word
 
 
@@ -320,6 +321,23 @@ class TestTagEdits:
         s = make_state([iw(Opcode.BLND, (1,))], regs={1: clear(99)})
         nxt, _ = step(s, CFG)
         assert nxt.status is Status.FAULTED and nxt.fault is FaultKind.OUT_OF_RANGE
+
+    def test_the_machine_applies_whatever_tag_edit_the_semantics_emits(self):
+        # The address rule lives in the semantics alone, so a semantics
+        # that emits the tag edit at a secret address leaks, and the
+        # model-mode lockstep catches it: the two sides' payloads retag
+        # different words, or one of them is out of range and faults.
+        s = make_state([iw(Opcode.BLND, (1,)), HALT, clear(0x55)], regs={1: blinded(2)})
+        nxt, events = step(s, CFG_MODEL, semantics=mutants.tag_edit_at_blinded_address)
+        assert nxt.memory[2] == blinded(0x55) and events == (Fetch(0, 0, s.memory[0].value),)
+        image = assemble("blnd r1\nhalt\n")
+        shipped = check_noninterference(image, trials=200, steps=4, cfg=CFG_MODEL, blinded_regs=(1,))
+        assert shipped.passed
+        mutant = check_noninterference(
+            image, trials=200, steps=4, cfg=CFG_MODEL, blinded_regs=(1,),
+            semantics=mutants.tag_edit_at_blinded_address,
+        )
+        assert not mutant.passed and mutant.counterexample.step == 0
 
 
 def access(cache, kind, address, mem_size=64):

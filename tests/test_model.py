@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from blindsim.model import (
     MASK64,
+    REG_COUNT,
     CacheAssignments,
     FaultKind,
     MemoryImage,
@@ -132,7 +133,7 @@ class TestStateEquiv:
         assert state_equiv(s1, s2)
 
     def test_pc_difference(self):
-        s = SystemState.initial(8, 2, 4)
+        s = SystemState.initial(8, 2)
         assert not state_equiv(s, s.edit(pc=s.pc + 1))
 
     def test_reflexive(self):
@@ -153,24 +154,24 @@ class TestStateEquiv:
             assert state_equiv(s, v) == state_equiv(v, s)
 
     def test_clear_value_difference_detected(self):
-        s = SystemState.initial(8, 2, 4)
+        s = SystemState.initial(8, 2)
         assert not state_equiv(s, s.edit(memory=[(2, clear(9))]))
 
     def test_tag_difference_detected(self):
-        s = SystemState.initial(8, 2, 4)
+        s = SystemState.initial(8, 2)
         assert not state_equiv(s, s.edit(memory=[(2, blinded(0))]))
 
 
 class TestRedact:
     def test_blinded_register_zeroed(self):
-        s = SystemState.initial(8, 2, 4).edit(registers=[(3, blinded(42))])
+        s = SystemState.initial(8, 2).edit(registers=[(3, blinded(42))])
         r = redact(s)
         assert r.registers[3] == blinded(0)
         assert r.registers[0] == clear(0)
         assert r.memory == s.memory and r.cache == s.cache and r.pc == s.pc
 
     def test_identity_on_clear_states(self):
-        s = SystemState.initial(8, 2, 4)
+        s = SystemState.initial(8, 2)
         assert redact(s) == s
 
     def test_idempotent_and_equivalent(self):
@@ -191,7 +192,7 @@ class TestRedact:
 
 class TestSnapshot:
     def test_golden(self):
-        s = SystemState.initial(8, cache_lines=2, registers=4, pc=1).edit(
+        s = SystemState.initial(8, cache_lines=2, pc=1).edit(
             registers=[(2, blinded(42)), (3, clear(7))],
             memory=[(5, clear(0x10)), (6, blinded(0))],
             lines=[(1, 0x23)],
@@ -208,7 +209,7 @@ class TestSnapshot:
         )
 
     def test_fault_status_word(self):
-        s = SystemState.initial(4, 2, 2).edit(
+        s = SystemState.initial(4, 2).edit(
             status=Status.FAULTED, fault=FaultKind.BLINDED_BRANCH
         )
         assert snapshot(s).splitlines()[-1] == "status=faulted:blinded-branch"
@@ -249,13 +250,13 @@ class TestEdit:
 
     @staticmethod
     def state() -> SystemState:
-        return SystemState.initial(8, cache_lines=4, registers=4, pc=2)
+        return SystemState.initial(8, cache_lines=4, pc=2)
 
     @pytest.mark.parametrize(
         "component, index, value",
         [
             pytest.param("registers", -1, clear(1), id="register-below"),
-            pytest.param("registers", 4, clear(1), id="register-above"),
+            pytest.param("registers", REG_COUNT, clear(1), id="register-above"),
             pytest.param("memory", -1, clear(1), id="memory-below"),
             pytest.param("memory", 8, clear(1), id="memory-above"),
             pytest.param("lines", -1, 0x23, id="line-below"),
@@ -272,7 +273,7 @@ class TestEdit:
             memory=[(7, blinded(1)), (0, clear(2)), (7, clear(3))],
             lines=[(3, 0x23), (3, 0x0B)],
         )
-        assert s.registers == RegisterFile((clear(0), blinded(6), clear(0), clear(0)))
+        assert s.registers == RegisterFile((clear(0), blinded(6)) + (clear(0),) * (REG_COUNT - 2))
         assert s.memory == MemoryImage((clear(2),) + (clear(0),) * 6 + (clear(3),))
         assert s.cache == CacheAssignments((0, 0, 0, 0x0B), (False, False, False, True))
         assert s.pc == 2 and s.status is Status.RUNNING
@@ -296,12 +297,34 @@ class TestEdit:
         assert (s.pc, s.status, s.fault) == (2, Status.FAULTED, FaultKind.OUT_OF_RANGE)
         assert s.edit(pc=0) == SystemState(0, s.registers, s.memory, s.cache, s.status, s.fault)
 
+    def test_a_status_without_a_fault_clears_the_fault(self):
+        faulted = self.state().edit(status=Status.FAULTED, fault=FaultKind.OUT_OF_RANGE)
+        restarted = faulted.edit(status=Status.RUNNING)
+        assert (restarted.status, restarted.fault) == (Status.RUNNING, None)
+        assert faulted.edit(fault=FaultKind.DECODE_ERROR).fault is FaultKind.DECODE_ERROR
+
+    @pytest.mark.parametrize(
+        "status", [None, Status.RUNNING, Status.HALTED], ids=["kept", "running", "halted"]
+    )
+    def test_a_fault_without_faulted_is_refused(self, status):
+        with pytest.raises(ValueError, match="does not fit fault out-of-range"):
+            self.state().edit(status=status, fault=FaultKind.OUT_OF_RANGE)
+
+    def test_faulted_without_a_fault_is_refused(self):
+        with pytest.raises(ValueError, match="status faulted does not fit fault None"):
+            self.state().edit(status=Status.FAULTED)
+
+    def test_every_state_has_reg_count_registers(self):
+        assert len(self.state().registers) == REG_COUNT == len(RegisterFile.zeros())
+        with pytest.raises(TypeError):
+            SystemState.initial(8, 2, registers=4)
+
 
 @settings(max_examples=50)
 @given(st.integers(0, MASK64), st.booleans())
 def test_snapshot_word_roundtrip_via_format(value, tag):
     # The snapshot is a serialization of (value, tag): both survive in text.
-    s = SystemState.initial(2, 2, 1).edit(registers=[(0, TaggedWord(value, tag))])
+    s = SystemState.initial(2, 2).edit(registers=[(0, TaggedWord(value, tag))])
     text = snapshot(s)
     if value == 0 and not tag:
         assert "r0=" not in text

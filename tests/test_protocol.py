@@ -14,7 +14,7 @@ from blindsim.corpus import demo_add_one
 from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
 from blindsim.isa import DecodedInstruction, Mode, Opcode, encode
 from blindsim import machine
-from blindsim.machine import MachineConfig
+from blindsim.machine import MachineConfig, RunOutcome
 from blindsim.protocol import (
     _EVIDENCE_LABEL,
     AttestationEvidence,
@@ -32,6 +32,7 @@ from blindsim.protocol import (
     ServerSession,
     VerifyError,
     decode_frame,
+    encode_compute_result,
     encode_frame,
     make_device_keypair,
     max_frame_length,
@@ -39,7 +40,7 @@ from blindsim.protocol import (
     read_frame,
     _transcript_hash,
 )
-from blindsim.model import clear
+from blindsim.model import Status, clear
 
 from conftest import MUTATIONS, mutated
 
@@ -244,6 +245,15 @@ class TestFraming:
     def test_bad_compute_result_rejected(self, payload):
         with pytest.raises(ProtocolError, match="bad compute result"):
             parse_compute_result(payload)
+
+    def test_compute_result_bytes_are_pinned(self):
+        # The wire byte of an outcome is its place in RunOutcome.
+        names = [outcome.value for outcome in RunOutcome]
+        assert names == ["halted", "faulted", "fault-loop", "step-limit"]
+        for byte, name in enumerate(names):
+            payload = encode_compute_result(name, 7)
+            assert payload == bytes([byte]) + (7).to_bytes(8, "big")
+            assert parse_compute_result(payload) == (name, 7)
 
     def test_claims_roundtrip(self):
         for ext in (False, True):
@@ -551,6 +561,16 @@ class TestStreamFraming:
         out = io.BytesIO(stream.out.getvalue())
         for _ in range(3):
             assert read_frame(out, max_frame_length(self.MEM)) is not None
+
+    def test_a_compute_restarts_a_faulted_machine_with_no_fault(self):
+        session = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
+        for source, outcome in (("rblnd r1\nhalt\n", "faulted"), ("halt\n", "halted")):
+            image = assemble(source)
+            reply = decode_frame(session.handle_frame(encode_frame(ComputeRequest(0, encode_image(image)))))
+            assert parse_compute_result(reply.payload) == (outcome, 1)
+        assert (session.state.status, session.state.fault) == (Status.HALTED, None)
 
     def test_serve_stream_answers_a_low_order_hello_and_keeps_serving(self):
         session = self.make_session()

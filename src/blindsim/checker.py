@@ -26,6 +26,9 @@ default) the shipped semantics never fails this check; broken variants
 fail fast.  Drawing is a large share of a short trial, so a program is
 booted once per check and words are drawn packed (1.2 us each, against
 3.8 us through ``DecodedInstruction`` and ``encode``; CPython 3.11, x86).
+Bounded integers are drawn through ``isa._below``, ``randrange``'s own
+rejection loop on ``getrandbits`` at half its cost, and one decode slot
+serves every trial of a check.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .assembler import ProgramImage, render_instruction
@@ -44,6 +48,7 @@ from .isa import (
     DecodedInstruction,
     Mode,
     Opcode,
+    _below,
     decode,
     instruction_semantics,
     random_instruction_word,
@@ -687,18 +692,26 @@ def analyze(
 # ---------------------------------------------------------------------------
 
 
+# The small blinded payloads a redraw picks; a TaggedWord is immutable,
+# so every redraw shares them.
+_SMALL_BLINDED = tuple(TaggedWord(v, True) for v in range(4))
+
+
 def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
     """Fresh payload for every blinded word; equivalent by construction.
 
     Payloads are biased toward small values (including zero) so that
     payload-sensitive bugs -- branching on a secret, absorbing on zero --
-    actually get exercised.
+    actually get exercised.  Each blinded word draws ``rng.random()``,
+    then a 64-bit payload or, as ``rng.randrange(4)`` would, a value
+    below 4; the four small payloads are shared words.
     """
-    rand, randrange, getrandbits = rng.random, rng.randrange, rng.getrandbits
+    rand, getrandbits = rng.random, rng.getrandbits
 
     def redraw(words: Sequence[TaggedWord]) -> tuple[TaggedWord, ...]:
         return tuple([
-            TaggedWord(getrandbits(64) if rand() < 0.7 else randrange(4), True)
+            (TaggedWord(getrandbits(64), True) if rand() < 0.7
+             else _SMALL_BLINDED[_below(getrandbits, 4)])
             if w.blinded else w
             for w in words
         ])
@@ -710,6 +723,13 @@ def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
     )
 
 
+@lru_cache(maxsize=1)
+def _small_words(memory_words: int) -> tuple[tuple[TaggedWord, TaggedWord], ...]:
+    """(clear, blinded) words of every value below ``memory_words``, kept
+    for the latest size only."""
+    return tuple((TaggedWord(v, False), TaggedWord(v, True)) for v in range(memory_words))
+
+
 def generate_equivalent_pair(
     seed: int,
     memory_words: int = 64,
@@ -718,13 +738,20 @@ def generate_equivalent_pair(
 ) -> tuple[SystemState, SystemState]:
     """A random state and an equivalent twin differing only in blinded
     payloads.  Memory is biased toward valid instruction words and small
-    values so that runs do something interesting before dying."""
+    values so that runs do something interesting before dying.
+
+    Bounded integers are drawn as ``rng.randrange`` would draw them (see
+    :func:`~blindsim.isa.random_instruction_word`), so a seed gives the
+    same pair as it always has; small-value words are shared.  Raises
+    ValueError for ``memory_words <= 0``."""
     rng = random.Random(seed)
-    rand, randrange, getrandbits = rng.random, rng.randrange, rng.getrandbits
+    rand, getrandbits = rng.random, rng.getrandbits
+    small = _small_words(memory_words)
 
     def data() -> TaggedWord:
-        value = randrange(memory_words) if rand() < 0.5 else getrandbits(64)
-        return TaggedWord(value, rand() < blind_p)
+        if rand() < 0.5:
+            return small[_below(getrandbits, memory_words)][rand() < blind_p]
+        return TaggedWord(getrandbits(64), rand() < blind_p)
 
     memory = MemoryImage(tuple([
         TaggedWord(random_instruction_word(rng), rand() < 0.15) if rand() < 0.65 else data()
@@ -732,10 +759,12 @@ def generate_equivalent_pair(
     ]))
     regs = RegisterFile(tuple([data() for _ in range(REG_COUNT)]))
     cache = CacheAssignments(
-        tuple([randrange(memory_words) for _ in range(cache_lines)]),
+        tuple([_below(getrandbits, memory_words) for _ in range(cache_lines)]),
         tuple([rand() < 0.5 for _ in range(cache_lines)]),
     )
-    s1 = SystemState(pc=randrange(memory_words), registers=regs, memory=memory, cache=cache)
+    s1 = SystemState(
+        pc=_below(getrandbits, memory_words), registers=regs, memory=memory, cache=cache
+    )
     return s1, rerandomize_blinded(s1, rng)
 
 
@@ -811,19 +840,21 @@ def _lockstep_divergence(
     cfg: MachineConfig,
     steps: int,
     semantics,
+    decoded: dict,
 ) -> tuple[int, str] | None:
     """(step, reason) of the first divergence, or None.
 
     Both sides step in place; after each step the events and
     :func:`_unwinding_holds` stand in for a full ``state_equiv``, which
-    runs once at the end as a cross-check.
+    runs once at the end as a cross-check.  ``decoded`` is the decode
+    slot both sides use (see :class:`~blindsim.machine.ListMachine`).
     """
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
     m1, m2 = ListMachine(s1), ListMachine(s2)
     # Equivalent states fetch the same clear word, so one decode serves
     # both sides; the slot's value check keeps a divergent fetch correct.
-    m2.decoded = m1.decoded
+    m1.decoded = m2.decoded = decoded
     for k in range(steps):
         if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
@@ -864,10 +895,15 @@ def shrink_pair(
 ) -> tuple[SystemState, SystemState]:
     """Greedy minimization: revert blinded payload differences one at a
     time while the pair still diverges."""
+    return _shrink(s1, s2, cfg, steps, semantics, {})
+
+
+def _shrink(s1, s2, cfg, steps, semantics, decoded: dict) -> tuple[SystemState, SystemState]:
+    """:func:`shrink_pair`, its re-runs sharing the decode slot ``decoded``."""
     current = s2
     for kind, index in _payload_delta(s1, s2):
         candidate = _with_payload_from(current, s1, kind, index)
-        if _lockstep_divergence(s1, candidate, cfg, steps, semantics) is not None:
+        if _lockstep_divergence(s1, candidate, cfg, steps, semantics, decoded) is not None:
             current = candidate
     return s1, current
 
@@ -897,11 +933,17 @@ def check_noninterference(
     ``blinded_regs`` get fresh payloads); without it, fully random
     machines are generated.  A failure is shrunk to a minimal payload
     delta before reporting.
+
+    One decode slot serves both sides and every trial of the call,
+    shrinking included: a slot is used only while the fetched word
+    equals the word it holds, so each address is decoded once per
+    distinct word rather than once per trial.
     """
     if trials <= 0 or steps <= 0:
         raise ValueError("trials and steps must be positive")
     rng = random.Random(seed)
     booted = None if program is None else _booted(program, cfg, blinded_regs)
+    decoded: dict = {}
     for trial in range(trials):
         if booted is not None:
             s1 = rerandomize_blinded(booted, rng)
@@ -912,10 +954,10 @@ def check_noninterference(
                 memory_words=cfg.memory_words,
                 cache_lines=cfg.cache_lines,
             )
-        divergence = _lockstep_divergence(s1, s2, cfg, steps, semantics)
+        divergence = _lockstep_divergence(s1, s2, cfg, steps, semantics, decoded)
         if divergence is not None:
             at_step, reason = divergence
-            m1, m2 = shrink_pair(s1, s2, cfg, steps, semantics)
+            m1, m2 = _shrink(s1, s2, cfg, steps, semantics, decoded)
             return NoninterferenceResult(
                 passed=False,
                 trials=trial + 1,

@@ -24,7 +24,7 @@ from .assembler import (
 )
 from .engine import EncryptionEngine, client_decrypt, client_encrypt
 from .isa import Mode
-from .model import blinded, snapshot
+from .model import SystemState, blinded, snapshot, state_equiv
 from .protocol import (
     Claims,
     ClientHandshake,
@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_machine_flags(p)
     p.add_argument("--program", default=None, help="program image (default: add-one)")
     p.add_argument("--dual", default=None, metavar="PATH",
-                   help="second plaintext; assert both runs trace identically")
+                   help="second plaintext; assert both runs trace identically "
+                        "and end in equivalent states")
     p.add_argument("--seed", type=_int, default=0)
     p.add_argument("--trace", default=None, metavar="PATH")
     p.add_argument("--transport", choices=["memory", "socket"], default="memory")
@@ -317,8 +318,9 @@ class _SocketTransport:
 
 def _demo_session(
     plaintext: tuple[int, ...], image_bytes: bytes, entry: int, args
-) -> tuple[tuple[int, ...], str]:
-    """One full client session; returns (decrypted words, server trace)."""
+) -> tuple[tuple[int, ...], str, SystemState]:
+    """One full client session; returns (decrypted words, server trace,
+    server's final state)."""
     cfg = args.cfg
     device_priv, device_pub = make_device_keypair(seed=args.seed)
     engine = EncryptionEngine(root_key=b"\x5a" * 32)
@@ -352,7 +354,7 @@ def _demo_session(
         output = client_decrypt(key, envelope)
     finally:
         transport.close()
-    return output, session.traces[-1]
+    return output, session.traces[-1], session.state
 
 
 def cmd_demo_protocol(args) -> int:
@@ -375,18 +377,22 @@ def cmd_demo_protocol(args) -> int:
         )
     image_bytes = encode_image(image)
 
-    traces = []
+    traces, states = [], []
     for words, label, suffix in zip(plaintexts, ("result:", "result2:"), ("", ".b")):
-        output, trace = _demo_session(words, image_bytes, image.entry_pc, args)
+        output, trace, state = _demo_session(words, image_bytes, image.entry_pc, args)
         print(label, " ".join(str(w) for w in output))
         if args.trace:
             with open(args.trace + suffix, "w") as fh:
                 fh.write(trace)
         traces.append(trace)
+        states.append(state)
 
     if args.dual:
         if traces[0] != traces[1]:
             print("TRACES DIFFER: blinded data influenced observable behavior")
+            return FAILURE
+        if not state_equiv(*states):
+            print("STATES DIFFER: blinded data reached clear state")
             return FAILURE
         print(f"traces: byte-identical ({len(traces[0].splitlines())} events)")
     return 0

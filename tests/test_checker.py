@@ -504,6 +504,11 @@ class TestEquivalentPairs:
         assert with_blinded > 900
         assert differing / with_blinded >= 0.99
 
+    @pytest.mark.parametrize("memory_words", [0, -1])
+    def test_a_machine_without_memory_is_refused(self, memory_words):
+        with pytest.raises(ValueError):
+            generate_equivalent_pair(0, memory_words=memory_words)
+
     def test_rerandomize_preserves_equivalence(self):
         rng = random.Random(8)
         s1, _ = generate_equivalent_pair(5)
@@ -591,15 +596,59 @@ class TestNoninterference:
 
     @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
     def test_a_pair_shares_one_decode_per_address(self, cfg, decode_calls):
-        # Both sides of a pair step the same code, so each trial decodes
-        # every executed address once, not once per side.
+        # Both sides of a pair and every trial of one check step the same
+        # code through one decode slot, so the check decodes every executed
+        # address once, not once per side or per trial.
         image = assemble(add_one_pipeline(4, (10, 20, 30, 40)))
         trace = run(boot_image(image, cfg), cfg, 1000).trace
         fetched = {e.pc for e in trace if isinstance(e, Fetch)}
         decode_calls.clear()
         result = check_noninterference(image, trials=3, steps=1000, cfg=cfg, seed=2)
         assert result.passed
-        assert len(decode_calls) == 3 * len(fetched)
+        assert len(decode_calls) == len(fetched)
+
+    # The add at ``patch`` runs once, is overwritten by the word at
+    # ``newcode`` and runs again as that add, which sets r7 so the branch
+    # falls through to the halt.  Every trial boots the old word again.
+    SELF_MODIFYING = """
+.entry start
+.word pool
+start:
+    load r10, r0
+    load r11, r10       # constant 1
+    add  r10, r10, r11
+    load r12, r10       # &patch
+    add  r10, r10, r11
+    load r13, r10       # &newcode
+    load r14, r13       # the word that replaces patch
+patch:
+    add  r3, r3, r1     # r1 is blinded
+    store r12, r14
+    bz   r7, r12        # r7 == 0: run patch again
+    halt
+newcode:
+    add  r7, r7, r11
+pool:
+    .word 1
+    .word patch
+    .word newcode
+"""
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_code_overwritten_in_one_trial_is_decoded_again_in_the_next(self, cfg, decode_calls):
+        image = assemble(self.SELF_MODIFYING)
+        trace = run(boot_image(image, cfg), cfg, 100).trace
+        fetches = [e for e in trace if isinstance(e, Fetch)]
+        old, new = (e.word for e in fetches if e.pc == 8)  # patch
+        decode_calls.clear()
+        result = check_noninterference(
+            image, trials=4, steps=100, cfg=cfg, seed=3, blinded_regs=(1,)
+        )
+        assert (result.passed, result.trials, result.counterexample) == (True, 4, None)
+        # Each trial fetches the booted word at patch, which the slot no
+        # longer holds, and then the stored one.
+        assert decode_calls.count(old) == decode_calls.count(new) == 4
+        assert len(decode_calls) == len({e.pc for e in fetches}) + 1 + 2 * 3
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

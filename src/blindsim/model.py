@@ -139,6 +139,13 @@ class CacheAssignments:
         return len(self.addresses)
 
 
+def check_machine_size(memory_words: int, cache_lines: int) -> None:
+    """Raise ValueError unless a machine has at least one memory word and
+    one cache line: a load or store with no line has nowhere to go."""
+    if memory_words <= 0 or cache_lines <= 0:
+        raise ValueError("memory_words and cache_lines must be positive")
+
+
 @dataclass(frozen=True, slots=True)
 class SystemState:
     """Complete machine state between steps.
@@ -158,7 +165,9 @@ class SystemState:
 
     @classmethod
     def initial(cls, memory_words: int, cache_lines: int = 16, pc: int = 0) -> SystemState:
-        """All words clear zeros, no valid cache line, RUNNING."""
+        """All words clear zeros, no valid cache line, RUNNING; raises
+        ValueError unless both sizes are positive."""
+        check_machine_size(memory_words, cache_lines)
         regs, mem = RegisterFile.zeros(), MemoryImage.zeros(memory_words)
         return cls(pc, regs, mem, CacheAssignments.empty(cache_lines))
 

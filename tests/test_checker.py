@@ -509,6 +509,13 @@ class TestEquivalentPairs:
         with pytest.raises(ValueError):
             generate_equivalent_pair(0, memory_words=memory_words)
 
+    @pytest.mark.parametrize("cache_lines", [0, -3])
+    def test_a_machine_without_a_cache_line_is_refused(self, cache_lines):
+        # As MachineConfig refuses it: a load or store on such a state
+        # crashed run with ZeroDivisionError.
+        with pytest.raises(ValueError, match="memory_words and cache_lines must be positive"):
+            generate_equivalent_pair(0, memory_words=64, cache_lines=cache_lines)
+
     def test_rerandomize_preserves_equivalence(self):
         rng = random.Random(8)
         s1, _ = generate_equivalent_pair(5)

@@ -23,13 +23,16 @@ from blindsim.isa import (
     Opcode,
     encode,
     instruction_semantics,
+    random_instruction,
     random_instruction_word,
 )
 from blindsim.machine import (
     CacheUpdate,
+    Effect,
     Fault,
     Fetch,
     Halt,
+    ListMachine,
     MachineConfig,
     MemAccess,
     MmioWrite,
@@ -640,6 +643,52 @@ class TestRunDigest:
         assert h.hexdigest() == (
             "058fbb13097d3a8b091ac68bf537fd4b0a82b2d232d182ec2a395206dfcefe88"
         )
+
+
+def _whole(record, kinds) -> None:
+    assert type(record) in kinds, record
+    assert len(record) == len(type(record)._fields), record
+
+
+class TestRecordsAreWhole:
+    """The per-step path builds records with ``tuple.__new__``, which
+    checks no arity and fills no default, so a record built short would
+    fail only where a missing field is read."""
+
+    def test_effects_and_events_of_runs(self):
+        kinds = set(typing.get_args(TraceEvent))
+        steps = 0
+        for s, cfg, max_steps in _pinned_runs():
+            m = ListMachine(s)
+            for cycle in range(max_steps):
+                if m.status is not Status.RUNNING:
+                    break
+                eff = m.step(cfg, cycle, instruction_semantics)
+                _whole(eff, {Effect})
+                for e in eff.events:
+                    _whole(e, kinds)
+                steps += 1
+            for e in run(s, cfg, max_steps).trace:
+                _whole(e, kinds)
+        assert steps > 10_000
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_semantics_of_random_instructions(self, mode):
+        rng = random.Random(14)
+        controls, memops = set(), set()
+        for _ in range(5000):
+            d = random_instruction(rng)
+            inputs = [
+                TaggedWord(rng.choice((0, 1, 9, rng.getrandbits(64))), rng.random() < 0.3)
+                for _ in d.inputs
+            ]
+            _, ops, control = instruction_semantics(d, inputs, mode)
+            for op in ops:
+                _whole(op, {MemoryOperation})
+                memops.add(op.kind)
+            _whole(control, {Control})
+            controls.add(control.kind)
+        assert controls == set(ControlKind) and memops == set(MemKind)
 
 
 class TestDecodeSlot:

@@ -244,6 +244,13 @@ class TestContainers:
         assert m[1] == clear(0) and m2[1] == clear(5)
         assert m2[0] is m[0]
 
+    @pytest.mark.parametrize("memory_words, cache_lines", [(64, 0), (64, -3), (0, 8)])
+    def test_a_machine_without_a_cache_line_or_memory_is_refused(self, memory_words, cache_lines):
+        # As MachineConfig refuses it: a load or store on a state with no
+        # cache line crashed run with ZeroDivisionError.
+        with pytest.raises(ValueError, match="memory_words and cache_lines must be positive"):
+            SystemState.initial(memory_words, cache_lines)
+
 
 class TestEdit:
     """``SystemState.edit``, the one way to write words into a state."""

@@ -668,8 +668,6 @@ class TestRecordsAreWhole:
                 for e in eff.events:
                     _whole(e, kinds)
                 steps += 1
-            for e in run(s, cfg, max_steps).trace:
-                _whole(e, kinds)
         assert steps > 10_000
 
     @pytest.mark.parametrize("mode", list(Mode))

@@ -29,7 +29,7 @@ enum members through module constants and builds its named tuples with
 ``Enum.MEMBER`` lookup costs 110-135 ns against 8-14 ns for a module
 global, and a named tuple's generated ``__new__`` 300-610 ns against
 150-230 ns through ``tuple.__new__``, which fills no default, so every
-field is given.
+field is given.  An ALU result is built with :func:`~blindsim.model._word`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence, Union
 
-from .model import MASK64, REG_COUNT, FaultKind, TaggedWord
+from .model import MASK64, REG_COUNT, FaultKind, TaggedWord, _word
 
 
 class Opcode(IntEnum):
@@ -357,4 +357,4 @@ def instruction_semantics(
     ):
         return (CLEAR_ZERO,), (), NEXT
     value = ALU[op](a.value, b.value)
-    return (TaggedWord(value, a.blinded or b.blinded),), (), NEXT
+    return (_word(value, a.blinded or b.blinded),), (), NEXT

@@ -37,7 +37,20 @@ a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
 300-610 ns against 150-230 ns through ``tuple.__new__``, which fills no
 default and checks no arity, so every field is given.  The records stay
 named tuples, with the same fields, reprs and public constructors.  With
-``tag_logic`` on, a word is read as stored, with no call per read.
+``tag_logic`` on, a word is read as stored, with no call per read, and a
+word a step makes is built with :func:`~blindsim.model._word`.
+
+:meth:`ListMachine.step` unpacks its effect once and runs a commit loop
+only for a component the effect writes, so a step that writes nothing
+pays for three truth tests and the pc, status and fault.  Such steps
+are common in lockstep checks: over one op of the benchmark's
+``check-corpus-64`` workload, 62 % of 23,016 steps write nothing and
+51 % are blinded-fetch traps.
+
+:func:`run` and :func:`step` refuse a state whose sizes differ from the
+config's (:func:`check_state_fits`): a step reads the sizes from the
+state, so a mismatch would run on the state's sizes, or divide by zero
+with no cache line.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ from .isa import (
     instruction_semantics,
 )
 from .model import (
+    REG_COUNT,
     CacheAssignments,
     FaultKind,
     MemoryImage,
@@ -62,6 +76,7 @@ from .model import (
     Status,
     SystemState,
     TaggedWord,
+    _word,
     check_machine_size,
 )
 
@@ -115,6 +130,18 @@ class MachineConfig:
 
     def is_unblindable(self, address: int) -> bool:
         return any(start <= address < end for start, end in self.unblindable_ranges)
+
+
+def check_state_fits(s: SystemState, cfg: MachineConfig) -> None:
+    """Raise ValueError unless ``s`` has ``cfg.memory_words`` words,
+    ``cfg.cache_lines`` cache lines and :data:`REG_COUNT` registers."""
+    words, lines, regs = len(s.memory), len(s.cache), len(s.registers)
+    if (words, lines, regs) != (cfg.memory_words, cfg.cache_lines, REG_COUNT):
+        raise ValueError(
+            f"a state of {words} words, {lines} cache lines and {regs} registers does not fit "
+            f"a machine of {cfg.memory_words} words, {cfg.cache_lines} cache lines and "
+            f"{REG_COUNT} registers"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +237,21 @@ class Effect(NamedTuple):
     events: tuple[TraceEvent, ...]
 
 
-def _stop(pc: int, status: Status, fault: FaultKind | None, *events: TraceEvent) -> Effect:
+def _stop(
+    pc: int, status: Status, fault: FaultKind | None, events: tuple[TraceEvent, ...]
+) -> Effect:
     """A step that writes nothing: a trap, a halt or a fault."""
     return _new(Effect, (pc, status, fault, (), (), (), events))
 
 
 def _terminal(pc: int, fetch: Fetch, kind: FaultKind, refused: bool = False) -> Effect:
     """A fault after the fetch: the machine stops at ``pc``."""
-    return _stop(pc, _FAULTED, kind, fetch, _new(Fault, (fetch.cycle, kind, refused)))
+    return _stop(pc, _FAULTED, kind, (fetch, _new(Fault, (fetch.cycle, kind, refused))))
 
 
 def _untagged(w: TaggedWord) -> TaggedWord:
     """The word as the untagged reference machine reads it: clear."""
-    return TaggedWord(w.value, False) if w.blinded else w
+    return _word(w.value, False) if w.blinded else w
 
 
 def _effect(
@@ -256,13 +285,13 @@ def _effect(
     mem_size = len(memory)
 
     if not 0 <= pc < mem_size:
-        return _stop(pc, _FAULTED, _OUT_OF_RANGE, _new(Fault, (cycle, _OUT_OF_RANGE, False)))
+        return _stop(pc, _FAULTED, _OUT_OF_RANGE, (_new(Fault, (cycle, _OUT_OF_RANGE, False)),))
 
     instr = memory[pc]
     if instr.blinded and tags:
         # Trap to the handler at address 0; the payload never reaches the
         # decoder, so the trace shows only the (tag-derived) fault signal.
-        return _stop(0, _RUNNING, None, _new(Fault, (cycle, _BLINDED_FETCH, False)))
+        return _stop(0, _RUNNING, None, (_new(Fault, (cycle, _BLINDED_FETCH, False)),))
 
     word = instr.value
     fetch = _new(Fetch, (cycle, pc, word))
@@ -287,9 +316,9 @@ def _effect(
     # Control resolution first; a trap leaves everything but pc untouched.
     flow = control.kind
     if flow is _FAULT_HANDLER:
-        return _stop(0, _RUNNING, None, fetch, _new(Fault, (cycle, control.fault, False)))
+        return _stop(0, _RUNNING, None, (fetch, _new(Fault, (cycle, control.fault, False))))
     if flow is _HALT:
-        return _stop(pc, _HALTED, None, fetch, _new(Halt, (cycle,)))
+        return _stop(pc, _HALTED, None, (fetch, _new(Halt, (cycle,))))
     next_pc = control.target if flow is _JUMP else pc + 1
     if not 0 <= next_pc < mem_size:
         return _terminal(pc, fetch, _OUT_OF_RANGE)
@@ -333,7 +362,7 @@ def _effect(
             # and emits no event, and the untagged machine ignores it.
             if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
                 return _terminal(pc, fetch, _DECODE_ERROR, refused=True)
-            mem_writes = ((address, TaggedWord(memory[address].value, kind is _MEM_BLIND)),)
+            mem_writes = ((address, _word(memory[address].value, kind is _MEM_BLIND)),)
 
     return _new(Effect, (next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events))
 
@@ -351,9 +380,11 @@ def step(
     the shipped policy.  The effect is written with
     :meth:`SystemState.edit`, so only the parts the step writes are copied
     and a store costs O(memory) here; :func:`run` commits in place instead.
+    Raises ValueError unless ``s`` fits ``cfg`` (:func:`check_state_fits`).
     """
     if s.status is not _RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
+    check_state_fits(s, cfg)
     cache = s.cache
     eff = _effect(
         s.pc, s.registers.regs, s.memory.words, cache.addresses, cache.valid,
@@ -391,14 +422,20 @@ class ListMachine:
             self.pc, self.registers, self.memory, self.addresses, self.valid,
             cfg, cycle, semantics, self.decoded,
         )
-        for i, w in eff.registers:
-            self.registers[i] = w
-        for a, w in eff.memory:
-            self.memory[a] = w
-        for line, a in eff.lines:
-            self.addresses[line] = a
-            self.valid[line] = True
-        self.pc, self.status, self.fault = eff.pc, eff.status, eff.fault
+        self.pc, self.status, self.fault, reg_writes, mem_writes, lines, _ = eff
+        if reg_writes:
+            registers = self.registers
+            for i, w in reg_writes:
+                registers[i] = w
+        if mem_writes:
+            memory = self.memory
+            for a, w in mem_writes:
+                memory[a] = w
+        if lines:
+            addresses, valid = self.addresses, self.valid
+            for line, a in lines:
+                addresses[line] = a
+                valid[line] = True
         return eff
 
     def state(self) -> SystemState:
@@ -482,10 +519,12 @@ def run(
     consecutive steps that both trap to address 0 (a trap changes
     nothing but pc) -- the handler itself is stuck, e.g. because word 0
     is blinded.  Deterministic: identical inputs produce bitwise-identical
-    traces.
+    traces.  Raises ValueError unless ``s`` fits ``cfg``
+    (:func:`check_state_fits`).
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
+    check_state_fits(s, cfg)
     m = ListMachine(s)
     trace: list[TraceEvent] = []
     trapped_before = False

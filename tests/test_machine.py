@@ -8,7 +8,12 @@ from dataclasses import replace
 import pytest
 
 from blindsim.assembler import assemble
-from blindsim.checker import check_noninterference, generate_equivalent_pair, pair_for_program
+from blindsim.checker import (
+    check_noninterference,
+    generate_equivalent_pair,
+    pair_for_program,
+    shrink_pair,
+)
 from blindsim.corpus import CorpusEntry, curated_corpus, mmio_report
 from blindsim.isa import (
     HALT_CONTROL,
@@ -524,6 +529,40 @@ class TestRun:
         r = run(s, CFG, max_steps=9)
         assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == 9
         assert sum(isinstance(e, Fault) for e in r.trace) == 5
+
+
+class TestStateMustFitConfig:
+    """``run``, ``step`` and ``shrink_pair`` take a machine's sizes from its
+    config; a state of other sizes ran on its own sizes, and one with no
+    cache line crashed at its first load with ZeroDivisionError."""
+
+    CFG = MachineConfig(memory_words=64, cache_lines=8)
+    CASES = ["no cache line", "4 of 8 cache lines", "16 of 64 words", "4 registers"]
+
+    @staticmethod
+    def misfit(case: str) -> SystemState:
+        s = SystemState.initial(64, 8)
+        return {
+            "no cache line": replace(s, cache=CacheAssignments((), ())),
+            "4 of 8 cache lines": SystemState.initial(64, 4),
+            "16 of 64 words": SystemState.initial(16, 8),
+            "4 registers": replace(s, registers=RegisterFile(s.registers.regs[:4])),
+        }[case].edit(memory=[(0, clear(iw(Opcode.LOAD, (1,), (2,))))])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_and_step_refuse(self, case):
+        s = self.misfit(case)
+        with pytest.raises(ValueError, match="does not fit"):
+            run(s, self.CFG, 3)
+        with pytest.raises(ValueError, match="does not fit"):
+            step(s, self.CFG)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_shrink_pair_refuses(self, case):
+        fits = SystemState.initial(64, 8)
+        for pair in ((self.misfit(case), fits), (fits, self.misfit(case))):
+            with pytest.raises(ValueError, match="does not fit"):
+                shrink_pair(*pair, self.CFG, 3, instruction_semantics)
 
 
 def fold_of_step(s, cfg, max_steps):

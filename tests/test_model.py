@@ -1,6 +1,7 @@
 """Properties of tagged words, state equivalence, and redaction."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from blindsim.model import (
     Status,
     SystemState,
     TaggedWord,
+    _word,
     blinded,
     clear,
     list_equiv,
@@ -27,6 +29,26 @@ from blindsim.model import (
 
 words = st.builds(TaggedWord, st.integers(0, MASK64), st.booleans())
 word_lists = st.lists(words, max_size=8)
+
+
+@st.composite
+def aliased_pairs(draw) -> tuple[list[TaggedWord], list[TaggedWord]]:
+    """Two lists over one small pool of words: one list twice, or a list
+    and a copy of it whose entries are each the same object, an equal but
+    distinct word, or another pool word, perhaps with one more word."""
+    pool = draw(st.lists(words, min_size=1, max_size=4))
+    index = st.integers(0, len(pool) - 1)
+    xs = [pool[i] for i in draw(st.lists(index, max_size=8))]
+    if draw(st.booleans()):
+        return xs, xs
+    ys = []
+    for x in xs:
+        how = draw(st.sampled_from(("same", "copy", "other")))
+        if how == "copy":
+            x = TaggedWord(x.value, x.blinded)
+        ys.append(pool[draw(index)] if how == "other" else x)
+    ys += [pool[i] for i in draw(st.lists(index, max_size=1))]
+    return (xs, ys) if draw(st.booleans()) else (ys, xs)
 
 
 def random_state(rng: random.Random, regs: int = 8, mem: int = 16, lines: int = 4) -> SystemState:
@@ -122,6 +144,12 @@ class TestListEquiv:
             value_equiv(a, b) for a, b in zip(xs, ys)
         )
         assert list_equiv(xs, ys) == expected
+
+    @given(aliased_pairs())
+    def test_shared_words_agree_with_value_equiv(self, pair):
+        # list_equiv passes a shared word without reading it.
+        xs, ys = pair
+        assert list_equiv(xs, ys) == (len(xs) == len(ys) and all(map(value_equiv, xs, ys)))
 
 
 class TestStateEquiv:
@@ -228,6 +256,27 @@ class TestContainers:
             TaggedWord(1 << 64)
         with pytest.raises(ValueError):
             TaggedWord(-1)
+
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_word_builder_makes_a_tagged_word(self, blind):
+        rng = random.Random(11)
+        for value in [0, MASK64, *(rng.getrandbits(64) for _ in range(100)), *range(8)]:
+            w, ref = _word(value, blind), TaggedWord(value, blind)
+            assert type(w) is TaggedWord
+            assert (repr(w), hash(w)) == (repr(ref), hash(ref)) and w == ref
+            with pytest.raises(FrozenInstanceError):
+                w.value = 1
+            with pytest.raises(FrozenInstanceError):
+                w.blinded = not blind
+
+    @pytest.mark.parametrize("blind", [False, True])
+    @pytest.mark.parametrize("value", [-1, 1 << 64])
+    def test_word_builder_refuses_what_the_constructor_refuses(self, value, blind):
+        with pytest.raises(ValueError) as ref:
+            TaggedWord(value, blind)
+        with pytest.raises(ValueError) as built:
+            _word(value, blind)
+        assert str(built.value) == str(ref.value)
 
     def test_constructors_mask(self):
         assert clear(1 << 64).value == 0

@@ -12,7 +12,10 @@ key back; it never sees key material in the clear.
 Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Session
 nonces are counter-derived and direction-scoped so client and engine never
 collide under the shared session key, and the export counter travels
-inside sealed blobs to survive context switches:
+inside sealed blobs to survive context switches.  The engine keeps the
+next export counter of every key id it has held, a high-water mark that
+installing, sealing and loading never lower, so loading a stale blob of
+a key cannot wind its counter back:
 
     nonce = direction(1) || key_id[:3] || counter u64 BE
     direction: 0x43 client->engine, 0x45 engine->client
@@ -147,7 +150,8 @@ class EncryptionEngine:
         self._root_key = root_key
         self._seal_iv_key = hmac.digest(root_key, _SEAL_IV_LABEL, "sha256")
         self._current: SessionKey | None = None
-        self._export_counter = 0
+        # Next export counter per key id: the high-water mark, never lowered.
+        self._counters: dict[bytes, int] = {}
 
     @property
     def current_key_id(self) -> bytes | None:
@@ -155,12 +159,13 @@ class EncryptionEngine:
 
     @property
     def export_counter(self) -> int:
-        return self._export_counter
+        """The current key's next export counter; 0 with no key loaded."""
+        return self._counters.get(self._current.key_id, 0) if self._current else 0
 
     def install_session_key(self, key: SessionKey) -> None:
-        """Trusted call used by the attestation module after key agreement."""
+        """Trusted call used by the attestation module after key agreement.
+        A key this engine has held before resumes at its counter's mark."""
         self._current = key
-        self._export_counter = 0
 
     def _require_key(self) -> SessionKey:
         if self._current is None:
@@ -203,9 +208,9 @@ class EncryptionEngine:
         if src < 0 or n < 0 or src + n > len(memory):
             raise RangeError(f"export of {n} words at {src:#x} exceeds memory")
         payload = words_to_bytes(w.value for w in memory.words[src: src + n])
-        nonce = _nonce(_DIR_ENGINE, key.key_id, self._export_counter)
-        self._export_counter += 1
-        return seal_envelope(key.key, nonce, payload)
+        counter = self._counters.get(key.key_id, 0)
+        self._counters[key.key_id] = counter + 1
+        return seal_envelope(key.key, _nonce(_DIR_ENGINE, key.key_id, counter), payload)
 
     # -- key management ----------------------------------------------------
 
@@ -216,15 +221,15 @@ class EncryptionEngine:
         """Encrypt the session key (and its export counter) under the root
         key and clear the slot."""
         key = self._require_key()
-        body = key.key + key.key_id + struct.pack(">Q", self._export_counter)
+        body = key.key + key.key_id + struct.pack(">Q", self.export_counter)
         blob = seal_envelope(self._root_key, self._seal_iv(body), body, aad=SEAL_LABEL)
-        sealed = SealedKey(blob=blob, key_id=key.key_id)
         self._current = None
-        self._export_counter = 0
-        return sealed
+        return SealedKey(blob=blob, key_id=key.key_id)
 
     def load_sealed_key(self, sealed: SealedKey) -> None:
-        """Authenticate a sealed blob and make it the current session key."""
+        """Authenticate a sealed blob and make it the current session key.
+        Its export counter is the larger of the blob's and this engine's
+        mark for the key, so a stale blob cannot make a nonce repeat."""
         body = open_envelope(self._root_key, sealed.blob, aad=SEAL_LABEL)
         if not hmac.compare_digest(sealed.blob[:NONCE_LEN], self._seal_iv(body)):
             raise AuthError("sealed blob nonce is not its synthetic IV")
@@ -236,4 +241,4 @@ class EncryptionEngine:
         if key_id != key_id_for(key):
             raise AuthError("sealed key identifier mismatch")
         self._current = SessionKey(key, key_id)
-        self._export_counter = counter
+        self._counters[key_id] = max(counter, self._counters.get(key_id, 0))

@@ -40,6 +40,19 @@ named tuples, with the same fields, reprs and public constructors.  With
 ``tag_logic`` on, a word is read as stored, with no call per read, and a
 word a step makes is built with :func:`~blindsim.model._word`.
 
+A step also makes no per-call frame or iterator of its own.  With
+``tag_logic`` on it reads its input registers by count -- an instruction
+has 0, 1 or 2 -- into a list display rather than a comprehension; it
+pairs its register write with a conditional rather than
+``tuple(zip(...))``; and :meth:`MachineConfig.is_unblindable` and the
+cache-hit rescan are plain loops rather than ``any`` or ``next`` over a
+generator.  On the same host a two-register comprehension costs about
+235 ns against 95 ns for the display, ``tuple(zip(...))`` 400 ns against
+125 ns, and ``any`` over one range 600 ns against 165 ns.  Trace lines
+come from one table of ``%``-formats keyed by event class, so
+:func:`format_trace` makes one lookup per event instead of a chain of
+``isinstance`` tests inside a generator.
+
 :meth:`ListMachine.step` unpacks its effect once and runs a commit loop
 only for a component the effect writes, so a step that writes nothing
 pays for three truth tests and the pc, status and fault.  Such steps
@@ -129,7 +142,10 @@ class MachineConfig:
             raise ValueError("mmio_console must lie in an unblindable range")
 
     def is_unblindable(self, address: int) -> bool:
-        return any(start <= address < end for start, end in self.unblindable_ranges)
+        for start, end in self.unblindable_ranges:
+            if start <= address < end:
+                return True
+        return False
 
 
 def check_state_fits(s: SystemState, cfg: MachineConfig) -> None:
@@ -191,26 +207,57 @@ class Halt(NamedTuple):
 TraceEvent = Fetch | MemAccess | CacheUpdate | Fault | MmioWrite | Halt
 
 
-def format_event(e: TraceEvent) -> str:
-    """One stable line per event; the byte-level comparison unit."""
-    if isinstance(e, Fetch):
-        return f"cycle={e.cycle} kind=fetch pc={e.pc:#x} word={e.word:#x}"
-    if isinstance(e, MemAccess):
-        return f"cycle={e.cycle} kind={e.kind.value} addr={e.address:#x}"
-    if isinstance(e, CacheUpdate):
-        return f"cycle={e.cycle} kind=cache line={e.line:#x} addr={e.address:#x}"
-    if isinstance(e, Fault):
-        base = f"cycle={e.cycle} kind=fault fault={e.kind.value}"
-        return f"{base} refused=0x1" if e.refused else base
-    if isinstance(e, MmioWrite):
-        return f"cycle={e.cycle} kind=mmio value={e.value:#x}"
-    if isinstance(e, Halt):
-        return f"cycle={e.cycle} kind=halt"
+def _mem_access_line(e: MemAccess) -> str:
+    return "cycle=%d kind=%s addr=%#x" % (e[0], e[1]._value_, e[2])
+
+
+def _fault_line(e: Fault) -> str:
+    line = "cycle=%d kind=fault fault=%s" % (e[0], e[1]._value_)
+    return line + " refused=0x1" if e[2] else line
+
+
+# The one definition of each event's line, by event class.  Named tuples
+# are tuples, so a ``%``-format takes an event as its argument tuple;
+# ``_value_`` reads an enum member's value without the ``value``
+# property's call.
+_LINES: dict[type, Callable[..., str]] = {
+    Fetch: "cycle=%d kind=fetch pc=%#x word=%#x".__mod__,
+    MemAccess: _mem_access_line,
+    CacheUpdate: "cycle=%d kind=cache line=%#x addr=%#x".__mod__,
+    Fault: _fault_line,
+    MmioWrite: "cycle=%d kind=mmio value=%#x".__mod__,
+    Halt: "cycle=%d kind=halt".__mod__,
+}
+
+
+def _line_of(e: object) -> Callable[..., str]:
+    """The line format of ``e``'s event class, or of the event class it
+    derives from; TypeError for anything else."""
+    for cls in type(e).__mro__:
+        line = _LINES.get(cls)
+        if line is not None:
+            return line
     raise TypeError(f"unknown event {e!r}")
 
 
+def format_event(e: TraceEvent) -> str:
+    """One stable line per event, without its newline; the byte-level
+    comparison unit.  The line comes from the format table keyed by
+    event class (a subclass formats as its event class); any other
+    object raises TypeError."""
+    return _line_of(e)(e)
+
+
 def format_trace(events: Sequence[TraceEvent]) -> str:
-    return "".join(format_event(e) + "\n" for e in events)
+    """Each event's :func:`format_event` line followed by a newline.  One
+    table lookup per event, by its exact class, with a fallback to
+    :func:`format_event`'s for a subclass or an unknown object."""
+    lines = _LINES.get
+    out: list[str] = []
+    for e in events:
+        out.append((lines(type(e)) or _line_of(e))(e))
+    out.append("")
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +352,15 @@ def _effect(
             return _terminal(pc, fetch, _DECODE_ERROR)
         decoded[pc] = (word, d)
 
-    if tags:
-        inputs = [registers[i] for i in d.inputs]
+    ops = d.inputs
+    if not tags:
+        inputs = [_untagged(registers[i]) for i in ops]
+    elif len(ops) == 2:
+        inputs = [registers[ops[0]], registers[ops[1]]]
+    elif ops:
+        inputs = [registers[ops[0]]]
     else:
-        inputs = [_untagged(registers[i]) for i in d.inputs]
+        inputs = []
     outputs, memops, control = semantics(d, inputs, cfg.mode)
     if len(memops) > 1:
         raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
@@ -324,7 +376,9 @@ def _effect(
         return _terminal(pc, fetch, _OUT_OF_RANGE)
 
     # Writes, in order: register outputs, then the memory operation.
-    reg_writes = tuple(zip(d.outputs, outputs))
+    # ``zip(d.outputs, outputs)`` without the iterator: an instruction has
+    # at most one output designator.
+    reg_writes = ((d.outputs[0], outputs[0]),) if outputs and d.outputs else ()
     mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
     lines: tuple[tuple[int, int], ...] = ()
     events: tuple[TraceEvent, ...] = (fetch,)
@@ -338,7 +392,10 @@ def _effect(
             # random initial state may also place in a lower line.
             line = address % len(addresses)
             if valid[line] and addresses[line] == address:
-                line = next(i for i in range(line + 1) if valid[i] and addresses[i] == address)
+                for i in range(line + 1):
+                    if valid[i] and addresses[i] == address:
+                        line = i
+                        break
             else:
                 lines = ((line, address),)
             events += (

@@ -487,7 +487,10 @@ class ServerSession:
     first (this is exactly what an observer at the server can see).
     Import, compute and export are refused until this session's own
     handshake has succeeded, even if the engine already holds a key from
-    another session.
+    another session.  The handshake records the session's key id, and
+    import and export are refused unless the engine holds that key: a
+    handshake of another session on the same engine installs its own key,
+    and switching back is the OS's job (seal and load).
     """
 
     def __init__(
@@ -508,7 +511,7 @@ class ServerSession:
         self.state = SystemState.initial(cfg.memory_words, cfg.cache_lines)
         self.max_steps = max_steps
         self.traces: list[str] = []
-        self.handshake_done = False
+        self.key_id: bytes | None = None  # set by this session's handshake
 
     def handle_frame(self, frame: bytes) -> bytes:
         """Answer one raw frame.  Any exception becomes an error reply that
@@ -518,12 +521,17 @@ class ServerSession:
             _check_length(len(frame) - 4, max_frame_length(self.cfg.memory_words))
             msg = decode_frame(frame)
             if isinstance(msg, ClientHello):
-                reply, _ = self.responder.respond(frame)
-                self.handshake_done = True
+                reply, key = self.responder.respond(frame)
+                self.key_id = key.key_id
                 return reply
             requests = (ImportRequest, ComputeRequest, ExportRequest)
-            if isinstance(msg, requests) and not self.handshake_done:
+            if isinstance(msg, requests) and self.key_id is None:
                 return encode_frame(ErrorResponse(f"{type(msg).__name__} before the session handshake"))
+            keyed = (ImportRequest, ExportRequest)
+            if isinstance(msg, keyed) and self.engine.current_key_id != self.key_id:
+                return encode_frame(
+                    ErrorResponse(f"{type(msg).__name__} while the engine holds another key")
+                )
             if isinstance(msg, ImportRequest):
                 self.state = replace(
                     self.state,

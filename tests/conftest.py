@@ -3,12 +3,25 @@
 from __future__ import annotations
 
 import random
+import warnings
 
 import pytest
 from hypothesis import strategies as st
 
 from blindsim import machine
 from blindsim.model import TaggedWord
+
+# Hypothesis's pytest plugin imports this module to explain a failing
+# test, and it imports libcst when libcst is installed; libcst raises a
+# DeprecationWarning on import, which ``-W error`` turns into a pytest
+# INTERNALERROR that hides the failure.  Import it once here with that
+# warning ignored for this import only.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def random_word(rng: random.Random, blind_p: float = 0.4, small_p: float = 0.3) -> TaggedWord:

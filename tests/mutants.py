@@ -74,7 +74,6 @@ class ExportLeaksKeyEngine(EncryptionEngine):
         key = self._require_key()
         payload = words_to_bytes(w.value for w in memory.words[src: src + n])
         nonce = key.key[:12]
-        self._export_counter += 1
         return seal_envelope(key.key, nonce, payload)
 
 

@@ -198,6 +198,40 @@ class TestNonceDiscipline:
         n2 = engine.export_region(mem, 0, 1)[:12]
         assert n1 != n2
 
+    def test_a_stale_blob_does_not_wind_the_counter_back(self):
+        # Seal at counter 0, load, export, then load the counter-0 blob
+        # again: the next export must not reuse the first export's nonce.
+        engine, _ = make_engine()
+        mem = MemoryImage(tuple(clear(v) for v in range(4)))
+        stale = engine.seal_current_key()
+        engine.load_sealed_key(stale)
+        first = engine.export_region(mem, 0, 2)
+        engine.load_sealed_key(stale)
+        assert engine.export_counter == 1
+        second = engine.export_region(mem, 2, 2)
+        assert first[:12] != second[:12]
+        engine.seal_current_key()
+        engine.load_sealed_key(stale)
+        assert engine.export_counter == 2
+
+    def test_reinstalling_a_key_keeps_its_counter(self):
+        engine, session = make_engine()
+        mem = MemoryImage.zeros(4)
+        first = engine.export_region(mem, 0, 1)
+        engine.install_session_key(session)
+        assert engine.export_counter == 1
+        assert engine.export_region(mem, 0, 1)[:12] != first[:12]
+
+    def test_a_blob_ahead_of_the_mark_raises_it(self):
+        # A blob from another engine on the same root key, three exports on.
+        ahead, session = make_engine()
+        for _ in range(3):
+            ahead.export_region(MemoryImage.zeros(4), 0, 1)
+        engine, _ = make_engine()
+        engine.export_region(MemoryImage.zeros(4), 0, 1)
+        engine.load_sealed_key(ahead.seal_current_key())
+        assert engine.current_key_id == session.key_id and engine.export_counter == 3
+
     def test_client_and_engine_nonce_spaces_disjoint(self):
         _, session = make_engine()
         client_nonce = client_encrypt(session, [0], counter=0)[:12]

@@ -287,6 +287,12 @@ class TestUnblindableAndMmio:
         with pytest.raises(ValueError):
             MachineConfig(memory_words=16, mmio_console=3)
 
+    def test_is_unblindable_at_range_edges(self):
+        cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((40, 41), (8, 12)))
+        assert [a for a in range(-1, 65) if cfg.is_unblindable(a)] == [8, 9, 10, 11, 40]
+        bare = MachineConfig(memory_words=64, cache_lines=8)
+        assert not any(bare.is_unblindable(a) for a in range(-1, 65))
+
 
 class TestTagEdits:
     def test_blnd_sets_tag(self):
@@ -881,6 +887,50 @@ class TestTraceFormat:
     def test_format_trace_joins_lines(self):
         t = format_trace([Halt(0)])
         assert t == "cycle=0 kind=halt\n"
+        assert format_trace([]) == ""
+
+    @staticmethod
+    def every_event() -> list:
+        """One event of every class, every MemKind and every FaultKind
+        (refused both ways), at the smallest and largest word values."""
+        events = []
+        for cycle, v in ((0, 0), (2**40 + 3, 2**64 - 1)):
+            events += [Fetch(cycle, v, v), CacheUpdate(cycle, v, v), MmioWrite(cycle, v), Halt(cycle)]
+            events += [MemAccess(cycle, kind, v) for kind in MemKind]
+            events += [Fault(cycle, kind, refused) for kind in FaultKind for refused in (False, True)]
+        return events
+
+    def test_trace_lines_are_event_lines(self):
+        events = self.every_event()
+        lines = [format_event(e) for e in events]
+        assert len(set(lines)) == len(events)
+        for e, line in zip(events, lines):
+            assert format_trace([e]) == line + "\n"
+        assert format_trace(events) == "".join(line + "\n" for line in lines)
+
+    def test_extreme_values(self):
+        big = 2**64 - 1
+        assert (
+            format_event(Fetch(2**40, big, big))
+            == "cycle=1099511627776 kind=fetch pc=0xffffffffffffffff word=0xffffffffffffffff"
+        )
+        assert format_event(MemAccess(0, MemKind.UNBLIND, 0)) == "cycle=0 kind=unblind addr=0x0"
+        assert format_event(MmioWrite(0, big)) == "cycle=0 kind=mmio value=0xffffffffffffffff"
+
+    def test_a_subclass_formats_as_its_event_class(self):
+        class Refetch(Fetch):
+            pass
+
+        e = Refetch(3, 5, 0x3020104)
+        assert format_event(e) == "cycle=3 kind=fetch pc=0x5 word=0x3020104"
+        assert format_trace([Halt(2), e]) == "cycle=2 kind=halt\n" + format_event(e) + "\n"
+
+    @pytest.mark.parametrize("other", [object(), (3, 5, 7), "cycle"], ids=["object", "tuple", "str"])
+    def test_an_unknown_object_raises_type_error(self, other):
+        with pytest.raises(TypeError, match="unknown event"):
+            format_event(other)
+        with pytest.raises(TypeError, match="unknown event"):
+            format_trace([Halt(0), other])
 
 
 # One instance of each per-step record and its golden repr; a lockstep

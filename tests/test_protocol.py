@@ -330,6 +330,29 @@ class TestServerSession:
         reply = decode_frame(first.handle_frame(encode_frame(ExportRequest(0, 1))))
         assert isinstance(reply, ResultResponse)
 
+    def test_import_and_export_need_the_sessions_own_key(self):
+        # Sessions A and B on one engine: B's handshake installs B's key,
+        # under which A's export would leave for client B to read.
+        a, cfg = self.make_session()
+        b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
+        client_a, client_b = ClientHandshake(DEV_PUB, seed=21), ClientHandshake(DEV_PUB, seed=22)
+        key_a = client_a.finish(a.handle_frame(client_a.hello()))
+        envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
+        reply = decode_frame(a.handle_frame(encode_frame(ImportRequest(8, envelope))))
+        assert isinstance(reply, ResultResponse)
+        sealed_a = a.engine.seal_current_key()
+        client_b.finish(b.handle_frame(client_b.hello()))
+        for request_ in (ExportRequest(8, 2), ImportRequest(16, envelope)):
+            reply = decode_frame(a.handle_frame(encode_frame(request_)))
+            assert isinstance(reply, ErrorResponse) and "another key" in reply.message
+        assert a.state.memory.words[16].value == 0
+        # Switched back by sealing B's key and loading A's, A's export
+        # opens under A's key.
+        a.engine.seal_current_key()
+        a.engine.load_sealed_key(sealed_a)
+        reply = decode_frame(a.handle_frame(encode_frame(ExportRequest(8, 2))))
+        assert client_decrypt(key_a, reply.payload) == (0xA11CE, 0x5EC7E7)
+
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()
         client = ClientHandshake(DEV_PUB, seed=21)

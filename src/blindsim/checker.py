@@ -6,7 +6,9 @@ domain
 
     CONST(v) < CLEAR < TOP,   BLINDED < TOP
 
-per register and per memory word.  Constant tracking is load-bearing: it
+per register and per memory word.  A known clear constant is held as its
+``int`` and every other class as its ``SigTag`` member, the tag a
+signature names it by.  Constant tracking is load-bearing: it
 resolves branch targets (the ISA has no immediates, so targets come from
 constant pools) and models the clear-zero absorption of MUL/AND.  The
 analysis is deliberately conservative -- whenever it cannot resolve an
@@ -68,7 +70,6 @@ from .machine import (
     run,
 )
 from .model import (
-    MASK64,
     REG_COUNT,
     CacheAssignments,
     FaultKind,
@@ -87,54 +88,25 @@ from .model import (
 # ---------------------------------------------------------------------------
 
 
-class AbsKind(Enum):
-    CONST = "const"
-    CLEAR = "clear"
-    BLINDED = "blinded"
-    TOP = "top"
+class SigTag(Enum):
+    CLEAR = "C"
+    BLINDED = "B"
+    TOP = "T"
 
 
-@dataclass(frozen=True, slots=True)
-class AbsVal:
-    kind: AbsKind
-    const: int | None = None
-
-    def __repr__(self) -> str:
-        if self.kind is AbsKind.CONST:
-            return f"Const({self.const:#x})"
-        return self.kind.name.title()
+# An abstract word is a known clear constant, held as its ``int``, or the
+# tag of any other class.  A tag is a plain ``Enum`` member, so it never
+# equals a constant; a constant is tested with ``type(v) is int``.
+AbsWord = int | SigTag
+CLEAR, BLINDED, TOP = SigTag.CLEAR, SigTag.BLINDED, SigTag.TOP
 
 
-CLEAR_UNKNOWN = AbsVal(AbsKind.CLEAR)
-BLINDED_ANY = AbsVal(AbsKind.BLINDED)
-TOP = AbsVal(AbsKind.TOP)
-
-
-def const(value: int) -> AbsVal:
-    return AbsVal(AbsKind.CONST, value & MASK64)
-
-
-_CLEARISH = (AbsKind.CONST, AbsKind.CLEAR)
-
-
-def join(a: AbsVal, b: AbsVal) -> AbsVal:
+def join(a: AbsWord, b: AbsWord) -> AbsWord:
     if a == b:
         return a
-    if a.kind in _CLEARISH and b.kind in _CLEARISH:
-        return CLEAR_UNKNOWN
+    if (type(a) is int or a is CLEAR) and (type(b) is int or b is CLEAR):
+        return CLEAR
     return TOP
-
-
-def may_be_blinded(v: AbsVal) -> bool:
-    return v.kind in (AbsKind.BLINDED, AbsKind.TOP)
-
-
-def must_be_blinded(v: AbsVal) -> bool:
-    return v.kind is AbsKind.BLINDED
-
-
-def is_clear_zero(v: AbsVal) -> bool:
-    return v.kind is AbsKind.CONST and v.const == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +117,23 @@ def is_clear_zero(v: AbsVal) -> bool:
 class AbsMemory:
     __slots__ = ("cells", "rest")
 
-    def __init__(self, cells: dict[int, AbsVal], rest: AbsVal):
+    def __init__(self, cells: dict[int, AbsWord], rest: AbsWord):
         self.cells = cells
         self.rest = rest
 
-    def read(self, address: int) -> AbsVal:
+    def read(self, address: int) -> AbsWord:
         return self.cells.get(address, self.rest)
 
-    def write(self, address: int, value: AbsVal) -> AbsMemory:
+    def write(self, address: int, value: AbsWord) -> AbsMemory:
         cells = dict(self.cells)
         cells[address] = value
         return AbsMemory(cells, self.rest)
 
-    def weak_write_everywhere(self, value: AbsVal) -> AbsMemory:
+    def weak_write_everywhere(self, value: AbsWord) -> AbsMemory:
         cells = {a: join(v, value) for a, v in self.cells.items()}
         return AbsMemory(cells, join(self.rest, value))
 
-    def join_all(self) -> AbsVal:
+    def join_all(self) -> AbsWord:
         out = self.rest
         for v in self.cells.values():
             out = join(out, v)
@@ -183,7 +155,7 @@ class AbsMemory:
 
 @dataclass(frozen=True)
 class AbsState:
-    regs: tuple[AbsVal, ...]
+    regs: tuple[AbsWord, ...]
     mem: AbsMemory
 
     def merge(self, other: AbsState) -> AbsState:
@@ -196,19 +168,6 @@ class AbsState:
 # ---------------------------------------------------------------------------
 # Signatures, findings, reports
 # ---------------------------------------------------------------------------
-
-
-class SigTag(Enum):
-    CLEAR = "C"
-    BLINDED = "B"
-    TOP = "T"
-
-
-_SIG_ABS = {
-    SigTag.CLEAR: CLEAR_UNKNOWN,
-    SigTag.BLINDED: BLINDED_ANY,
-    SigTag.TOP: TOP,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,33 +272,24 @@ _ADDRESS_KIND = {
 }
 
 
-def _arith_transfer(d: DecodedInstruction, a: AbsVal, b: AbsVal) -> AbsVal:
+def _arith_transfer(d: DecodedInstruction, a: AbsWord, b: AbsWord) -> AbsWord:
     op = d.opcode
     if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
-        return const(0)
-    if op in ZERO_ABSORBING and (is_clear_zero(a) or is_clear_zero(b)):
-        return const(0)
-    if a.kind is AbsKind.CONST and b.kind is AbsKind.CONST:
-        return const(ALU[op](a.const, b.const))
-    if op in ZERO_ABSORBING:
-        if must_be_blinded(a) or must_be_blinded(b):
-            other = b if must_be_blinded(a) else a
-            # a clear-unknown partner might be zero, which would clear the
-            # result; only a known-nonzero or blinded partner keeps it
-            # definitely blinded
-            if must_be_blinded(other) or (
-                other.kind is AbsKind.CONST and other.const != 0
-            ):
-                return BLINDED_ANY
+        return 0
+    if op in ZERO_ABSORBING and (a == 0 or b == 0):
+        return 0
+    if type(a) is int and type(b) is int:
+        return ALU[op](a, b)
+    if a is BLINDED or b is BLINDED:
+        # a CLEAR or TOP partner might be a clear zero, which would clear the
+        # product; a nonzero constant or blinded partner keeps it blinded
+        other = b if a is BLINDED else a
+        if op in ZERO_ABSORBING and (other is CLEAR or other is TOP):
             return TOP
-        if a.kind is AbsKind.TOP or b.kind is AbsKind.TOP:
-            return TOP
-        return CLEAR_UNKNOWN
-    if must_be_blinded(a) or must_be_blinded(b):
-        return BLINDED_ANY
-    if a.kind is AbsKind.TOP or b.kind is AbsKind.TOP:
+        return BLINDED
+    if a is TOP or b is TOP:
         return TOP
-    return CLEAR_UNKNOWN
+    return CLEAR
 
 
 class _Analysis:
@@ -370,45 +320,45 @@ class _Analysis:
     # -- entry state --------------------------------------------------------
 
     def entry_state(self) -> AbsState:
-        regs = [const(0)] * REG_COUNT
+        regs: list[AbsWord] = [0] * REG_COUNT
         for index, tag in self.sig.registers.items():
-            regs[index] = _SIG_ABS[tag]
-        cells: dict[int, AbsVal] = {}
+            regs[index] = tag
+        cells: dict[int, AbsWord] = {}
         for seg_index, seg in enumerate(self.image.segments):
             override = self.sig.segments.get(seg_index)
             for offset, word in enumerate(seg.words):
                 if override is not None:
-                    value = _SIG_ABS[override]
+                    value = override
                 elif word.blinded:
-                    value = BLINDED_ANY
+                    value = BLINDED
                 else:
-                    value = const(word.value)
+                    value = word.value
                 cells[seg.base + offset] = value
-        return AbsState(tuple(regs), AbsMemory(cells, const(0)))
+        return AbsState(tuple(regs), AbsMemory(cells, 0))
 
     # -- transfer -----------------------------------------------------------
 
     def flow(self, pc: int, state: AbsState) -> list[tuple[int, AbsState]]:
         """Successor (pc, state) pairs for one abstract step."""
         word = state.mem.read(pc)
-        if may_be_blinded(word):
+        if word is BLINDED or word is TOP:
             self.report(
                 pc,
                 "<fetch>",
                 "instruction fetch may read a blinded word",
                 fault=FaultKind.BLINDED_INSTRUCTION_FETCH,
-                definite=must_be_blinded(word),
+                definite=word is BLINDED,
             )
             return [(0, state)]  # trap to the handler, nothing else changes
-        if word.kind is not AbsKind.CONST:
+        if type(word) is not int:
             self.report(pc, "<fetch>", "instruction word unresolved", unresolved=True)
             return []
         try:
-            d = decode(word.const)
+            d = decode(word)
         except DecodeError:
             self.report(
                 pc,
-                f".word {word.const:#x}",
+                f".word {word:#x}",
                 "instruction does not decode",
                 fault=FaultKind.DECODE_ERROR,
                 definite=True,
@@ -444,7 +394,7 @@ class _Analysis:
         never chooses an address, and the address must be in range."""
         addr = state.regs[d.inputs[0]]
         hardware = self.cfg.mode is Mode.HARDWARE
-        if must_be_blinded(addr):
+        if addr is BLINDED:
             if hardware:
                 self.report(
                     pc, text, "blinded value used as a memory address",
@@ -461,7 +411,7 @@ class _Analysis:
         # possible no-op in model mode, whose unchanged state is one more
         # successor.
         maybe_noop = False
-        if addr.kind is AbsKind.TOP:
+        if addr is TOP:
             if hardware:
                 self.report(
                     pc, text, "memory address may be blinded",
@@ -474,9 +424,9 @@ class _Analysis:
 
         op = d.opcode
         kind = _ADDRESS_KIND[op]
-        known = addr.kind is AbsKind.CONST
+        known = type(addr) is int
         value = state.regs[d.inputs[1]] if op is Opcode.STORE else None
-        if known and addr.const >= self.cfg.memory_words:
+        if known and addr >= self.cfg.memory_words:
             self.report(
                 pc, text, f"{kind} address out of range",
                 fault=FaultKind.OUT_OF_RANGE, definite=True,
@@ -484,11 +434,10 @@ class _Analysis:
         elif op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
             self.report(
                 pc, text, "raw unblinding is disabled and faults",
-                fault=FaultKind.DECODE_ERROR, definite=addr.kind is not AbsKind.TOP,
+                fault=FaultKind.DECODE_ERROR, definite=addr is not TOP,
             )
         elif (
-            value is not None and known and must_be_blinded(value)
-            and self.cfg.is_unblindable(addr.const)
+            value is BLINDED and known and self.cfg.is_unblindable(addr)
         ):
             self.report(
                 pc, text, "blinded store into an unblindable range",
@@ -497,8 +446,8 @@ class _Analysis:
         else:
             if not known:
                 self.report(pc, text, f"{kind} address unresolved", unresolved=True)
-            if op is Opcode.STORE and may_be_blinded(value):
-                if known and self.cfg.is_unblindable(addr.const):
+            if value is BLINDED or value is TOP:
+                if known and self.cfg.is_unblindable(addr):
                     self.report(
                         pc, text, "possibly blinded store into an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
@@ -511,16 +460,16 @@ class _Analysis:
             regs, mem = state.regs, state.mem
             if op is Opcode.LOAD:
                 dst = d.outputs[0]
-                loaded = mem.read(addr.const) if known else mem.join_all()
+                loaded = mem.read(addr) if known else mem.join_all()
                 regs = regs[:dst] + (loaded,) + regs[dst + 1 :]
             else:
                 if op is Opcode.BLND:
-                    value = BLINDED_ANY
+                    value = BLINDED
                 elif op is Opcode.RBLND:
-                    # raw unblinding keeps a clear word and clears any other
-                    old = mem.read(addr.const) if known else CLEAR_UNKNOWN
-                    value = old if old.kind in _CLEARISH else CLEAR_UNKNOWN
-                mem = mem.write(addr.const, value) if known else mem.weak_write_everywhere(value)
+                    # raw unblinding keeps a known constant and clears any other
+                    old = mem.read(addr) if known else CLEAR
+                    value = old if type(old) is int else CLEAR
+                mem = mem.write(addr, value) if known else mem.weak_write_everywhere(value)
             out.extend(self._next(pc, text, AbsState(regs, mem)))
         if maybe_noop:
             out.extend(self._next(pc, text, state))
@@ -530,31 +479,31 @@ class _Analysis:
         cond = state.regs[d.inputs[0]]
         target = state.regs[d.inputs[1]]
         out: list[tuple[int, AbsState]] = []
-        if must_be_blinded(cond) or must_be_blinded(target):
+        if cond is BLINDED or target is BLINDED:
             self.report(
                 pc, text, "blinded value controls a branch",
                 fault=FaultKind.BLINDED_BRANCH, definite=True,
             )
             return [(0, state)]
-        if cond.kind is AbsKind.TOP or target.kind is AbsKind.TOP:
+        if cond is TOP or target is TOP:
             self.report(
                 pc, text, "branch condition or target may be blinded",
                 fault=FaultKind.BLINDED_BRANCH,
             )
             out.append((0, state))
 
-        may_take = not (cond.kind is AbsKind.CONST and cond.const != 0)
-        may_fall = not (cond.kind is AbsKind.CONST and cond.const == 0)
+        may_take = type(cond) is not int or cond == 0
+        may_fall = type(cond) is not int or cond != 0
         if may_take:
-            if target.kind is AbsKind.CONST:
-                if target.const >= self.cfg.memory_words:
+            if type(target) is int:
+                if target >= self.cfg.memory_words:
                     self.report(
                         pc, text, "branch target out of range",
                         fault=FaultKind.OUT_OF_RANGE,
                         definite=not may_fall,
                     )
                 else:
-                    out.append((target.const, state))
+                    out.append((target, state))
             else:
                 self.report(pc, text, "branch target unresolved", unresolved=True)
         if may_fall:

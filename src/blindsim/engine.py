@@ -164,7 +164,11 @@ class EncryptionEngine:
 
     def install_session_key(self, key: SessionKey) -> None:
         """Trusted call used by the attestation module after key agreement.
-        A key this engine has held before resumes at its counter's mark."""
+        A key this engine has held before resumes at its counter's mark.
+        Raises EngineError while the slot holds another key: the OS seals
+        it first, so no key is thrown away unsealed."""
+        if self._current is not None and self._current.key_id != key.key_id:
+            raise EngineError("the engine holds another session key; seal it first")
         self._current = key
 
     def _require_key(self) -> SessionKey:

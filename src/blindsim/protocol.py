@@ -406,7 +406,9 @@ class HsmResponder:
 
     Each response uses a fresh ephemeral (a replayed hello still yields a
     new session key).  The derived key is handed straight to the engine
-    when one is attached.
+    when one is attached; while the engine holds another key the hello is
+    refused with its ``EngineError``, before anything is signed and
+    without using up an ephemeral.
     """
 
     def __init__(
@@ -431,14 +433,10 @@ class HsmResponder:
             raise ProtocolError("expected a client hello")
 
         eph_seed = self._seed + struct.pack(">Q", self._sessions)
-        self._sessions += 1
         private = _derive_private(eph_seed, b"hsm-eph")
         eph_public = _public_bytes(private)
 
         transcript_hash = _transcript_hash(client_hello_frame, eph_public, self._claims)
-        signature = self._private.sign(
-            _EVIDENCE_LABEL + self._claims.encode() + transcript_hash
-        )
         peer = X25519PublicKey.from_public_bytes(msg.ephemeral_public)
         try:
             shared = private.exchange(peer)
@@ -447,6 +445,10 @@ class HsmResponder:
         key = _derive_session_key(shared, transcript_hash)
         if self._engine is not None:
             self._engine.install_session_key(key)
+        self._sessions += 1
+        signature = self._private.sign(
+            _EVIDENCE_LABEL + self._claims.encode() + transcript_hash
+        )
         hello = HsmHello(
             eph_public,
             AttestationEvidence(self._claims, transcript_hash, signature),
@@ -488,9 +490,10 @@ class ServerSession:
     Import, compute and export are refused until this session's own
     handshake has succeeded, even if the engine already holds a key from
     another session.  The handshake records the session's key id, and
-    import and export are refused unless the engine holds that key: a
-    handshake of another session on the same engine installs its own key,
-    and switching back is the OS's job (seal and load).
+    import and export are refused unless the engine holds that key.  A
+    handshake is refused while the engine holds another key, so switching
+    sessions is the OS's job: it seals the current key before another
+    session's handshake, and loads a sealed key to switch back.
     """
 
     def __init__(

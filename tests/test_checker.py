@@ -14,9 +14,11 @@ from blindsim.checker import (
     analyze,
     check_noninterference,
     generate_equivalent_pair,
+    join,
     pair_for_program,
     parse_signature,
     rerandomize_blinded,
+    shrink_pair,
     signature_state,
 )
 from blindsim.corpus import (
@@ -31,7 +33,7 @@ from blindsim.corpus import (
     rblnd_refused,
     trivial_halt,
 )
-from blindsim.isa import Mode, Opcode, instruction_semantics
+from blindsim.isa import ARITHMETIC, Mode, Opcode, instruction_semantics
 from blindsim.machine import Fault, Fetch, MachineConfig, boot_image, run, step
 from blindsim.model import FaultKind, Status, TaggedWord, state_equiv
 
@@ -334,6 +336,38 @@ class TestFindingPaths:
         else:
             assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
+    # Each operand class a transfer sees: a clear zero (an unnamed
+    # register), a signature tag, or K, a nonzero constant loaded from word
+    # 0 (the halt word, 0xffffff00).
+    OPERAND_CLASSES = ("0", "C", "B", "T", "K")
+
+    @staticmethod
+    def transfer_case(op, a, b):
+        """``op r3, r1, r2`` on operands of classes ``a`` and ``b`` (the
+        aliased ``op r3, r1, r1`` when ``b`` is None), then ``bz r3, r0``."""
+        operands = ((1, a),) if b is None else ((1, a), (2, b))
+        loads = "".join(f"load r{i}, r0\n" for i, kind in operands if kind == "K")
+        second = "r1" if b is None else "r2"
+        image = assemble(f".entry 1\nhalt\n{loads}{op} r3, r1, {second}\nbz r3, r0\nhalt\n")
+        sig = TaintSignature({i: SigTag(kind) for i, kind in operands if kind in ("C", "B", "T")})
+        return image, sig
+
+    def test_arithmetic_transfers_are_pinned(self):
+        # The branch on r3 reports the class of each ALU result; the digest
+        # covers every report field, the replayed witness included.
+        h = hashlib.sha256()
+        for op in ARITHMETIC:
+            for a in self.OPERAND_CLASSES:
+                for b in (*self.OPERAND_CLASSES, None):
+                    image, sig = self.transfer_case(op.name.lower(), a, b)
+                    for cfg in (HW, MODEL):
+                        r = analyze(image, sig, cfg)
+                        fields = (r.verdict, r.findings, r.iterations, r.bound_exceeded, r.witness)
+                        h.update(repr(fields).encode())
+        assert h.hexdigest() == (
+            "80c237aaaefcaf357a9f02dcb7db15419a99b2875e5b47d25c3c4bdff3df6b06"
+        )
+
     @pytest.mark.parametrize(
         "instruction, reason",
         [
@@ -408,6 +442,32 @@ class TestFindingPaths:
         f = finding(report, "blinded value controls a branch")
         assert f.fault is FaultKind.BLINDED_BRANCH and f.definite
         assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
+
+class TestJoin:
+    WORDS = (0, 1, 2**64 - 1, SigTag.CLEAR, SigTag.BLINDED, SigTag.TOP)
+
+    @staticmethod
+    def below(a, b):
+        """a is below b in CONST(v) < CLEAR < TOP, BLINDED < TOP."""
+        return a == b or b is SigTag.TOP or (type(a) is int and b is SigTag.CLEAR)
+
+    def test_join_is_a_semilattice(self):
+        for a in self.WORDS:
+            assert join(a, a) == a
+            for b in self.WORDS:
+                assert join(a, b) == join(b, a)
+                for c in self.WORDS:
+                    assert join(join(a, b), c) == join(a, join(b, c))
+
+    def test_join_is_the_least_upper_bound(self):
+        for a in self.WORDS:
+            for b in self.WORDS:
+                j = join(a, b)
+                assert self.below(a, j) and self.below(b, j)
+                for c in self.WORDS:
+                    if self.below(a, c) and self.below(b, c):
+                        assert self.below(j, c)
 
 
 class TestSignatureParsing:
@@ -600,6 +660,21 @@ class TestNoninterference:
         # the minimized pair still demonstrates the divergence
         s1, s2 = ce.initial_pair
         assert state_equiv(s1, s2)
+
+    def test_shrink_pair_keeps_a_minimal_pair_and_shrinks_a_wide_one(self):
+        mutant = mutants.add_drops_taint
+        result = check_noninterference(None, trials=200, steps=64, cfg=HW, seed=0, semantics=mutant)
+        s1, s2 = result.counterexample.initial_pair
+        assert shrink_pair(s1, s2, HW, 64, mutant) == (s1, s2)
+        assert reference_lockstep(s1, s2, HW, 64, mutant) is not None
+        assert len(payload_delta(s1, s2)) == result.counterexample.delta_words >= 1
+        # Every blinded payload redrawn: the shrunk pair still diverges on
+        # fewer differing words.
+        wide = rerandomize_blinded(s1, random.Random(0))
+        assert reference_lockstep(s1, wide, HW, 64, mutant) is not None
+        t1, t2 = shrink_pair(s1, wide, HW, 64, mutant)
+        assert t1 == s1 and reference_lockstep(t1, t2, HW, 64, mutant) is not None
+        assert 1 <= len(payload_delta(t1, t2)) < len(payload_delta(s1, wide))
 
     @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
     def test_a_pair_shares_one_decode_per_address(self, cfg, decode_calls):

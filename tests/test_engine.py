@@ -222,6 +222,21 @@ class TestNonceDiscipline:
         assert engine.export_counter == 1
         assert engine.export_region(mem, 0, 1)[:12] != first[:12]
 
+    def test_another_key_is_refused_until_the_slot_is_sealed(self):
+        engine, session = make_engine()
+        other = SessionKey.from_bytes(b"O" * 32)
+        with pytest.raises(EngineError, match="another session key"):
+            engine.install_session_key(other)
+        assert engine.current_key_id == session.key_id
+        sealed = engine.seal_current_key()
+        engine.install_session_key(other)
+        assert engine.current_key_id == other.key_id
+        with pytest.raises(EngineError):
+            engine.install_session_key(session)
+        engine.seal_current_key()
+        engine.load_sealed_key(sealed)
+        assert engine.current_key_id == session.key_id
+
     def test_a_blob_ahead_of_the_mark_raises_it(self):
         # A blob from another engine on the same root key, three exports on.
         ahead, session = make_engine()

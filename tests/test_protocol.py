@@ -353,6 +353,28 @@ class TestServerSession:
         reply = decode_frame(a.handle_frame(encode_frame(ExportRequest(8, 2))))
         assert client_decrypt(key_a, reply.payload) == (0xA11CE, 0x5EC7E7)
 
+    def test_a_second_hello_is_refused_until_the_key_is_sealed(self):
+        # B's hello on A's engine would throw A's key away unsealed.
+        a, cfg = self.make_session()
+        b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
+        client_a = ClientHandshake(DEV_PUB, seed=21)
+        key_a = client_a.finish(a.handle_frame(client_a.hello()))
+        envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
+        a.handle_frame(encode_frame(ImportRequest(8, envelope)))
+        reply = decode_frame(b.handle_frame(ClientHandshake(DEV_PUB, seed=22).hello()))
+        assert isinstance(reply, ErrorResponse) and "EngineError" in reply.message
+        assert b.key_id is None and a.engine.current_key_id == key_a.key_id
+        reply = decode_frame(a.handle_frame(encode_frame(ExportRequest(8, 2))))
+        assert client_decrypt(key_a, reply.payload) == (0xA11CE, 0x5EC7E7)
+        # Once the OS seals A's key, B's hello succeeds with the bytes it
+        # gets on a fresh engine: the refused hello used up no ephemeral.
+        a.engine.seal_current_key()
+        client_b = ClientHandshake(DEV_PUB, seed=22)
+        accepted = b.handle_frame(client_b.hello())
+        assert a.engine.current_key_id == client_b.finish(accepted).key_id == b.key_id
+        fresh = ServerSession(DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32), cfg, seed=4)
+        assert fresh.handle_frame(ClientHandshake(DEV_PUB, seed=22).hello()) == accepted
+
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()
         client = ClientHandshake(DEV_PUB, seed=21)

@@ -199,15 +199,22 @@ def parse_signature(text: str) -> TaintSignature:
             except ValueError:
                 raise ValueError(f"bad taint tag {tag_text!r} in {part!r}") from None
             name = name.strip().lower()
-            if name.startswith("r") and name[1:].isdigit():
-                index = int(name[1:])
-                if index >= REG_COUNT:
-                    raise ValueError(f"register out of range in {part!r}")
-                registers[index] = tag
-            elif name.startswith("s") and name[1:].isdigit():
-                segments[int(name[1:])] = tag
-            else:
+            kind, digits = name[:1], name[1:]
+            if kind not in ("r", "s") or not digits.isdecimal():
                 raise ValueError(f"bad signature entry {part!r}")
+            if kind == "r":
+                table, limit, what = registers, REG_COUNT, "register"
+            else:  # an image counts its segments in a u32
+                table, limit, what = segments, 1 << 32, "segment"
+            # Leading zeros are allowed (r01 is r1); int() never sees more
+            # digits than a u32 has.
+            digits = digits.lstrip("0") or "0"
+            if len(digits) > 10 or int(digits) >= limit:
+                raise ValueError(f"{what} out of range in {part!r}")
+            index = int(digits)
+            if index in table:
+                raise ValueError(f"signature names {kind}{index} twice")
+            table[index] = tag
     return TaintSignature(registers, segments)
 
 

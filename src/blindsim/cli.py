@@ -137,7 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dual", default=None, metavar="PATH",
                    help="second plaintext; assert both runs trace identically "
                         "and end in equivalent states")
-    p.add_argument("--seed", type=_int, default=0)
+    p.add_argument("--seed", type=_int, default=0,
+                   help="seed of the device key and the server's ephemerals; "
+                        "the client's is SEED+1, so 0 <= SEED < 2**256 - 1")
     p.add_argument("--trace", default=None, metavar="PATH")
     p.add_argument("--transport", choices=["memory", "socket"], default="memory")
     p.add_argument("--data-base", type=_int, default=0x100)

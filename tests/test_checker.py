@@ -481,9 +481,31 @@ class TestSignatureParsing:
         assert not sig.registers and not sig.segments
 
     def test_errors(self):
-        for bad in ("r1", "x3=B", "r99=B", "r1=Q"):
+        for bad in ("r1", "x3=B", "r99=B", "r1=Q", "r²=B", "s4294967296=B"):
             with pytest.raises(ValueError):
                 parse_signature(bad)
+
+    def test_leading_zeros_name_the_same_index(self):
+        sig = parse_signature("r01=B,s000=C,r0=T")
+        assert sig.registers == {1: SigTag.BLINDED, 0: SigTag.TOP}
+        assert sig.segments == {0: SigTag.CLEAR}
+
+    @pytest.mark.parametrize("text", ["r1=B,r1=C", "r1=B,r01=B", "s0=T,s00=C"])
+    def test_a_register_or_segment_named_twice_is_refused(self, text):
+        with pytest.raises(ValueError, match="twice"):
+            parse_signature(text)
+
+    def test_a_later_entry_cannot_clear_a_blinded_branch_operand(self):
+        # The first entry alone makes the branch on r1 a definite fault.
+        image = assemble("bz r1, r2\nhalt\n")
+        assert analyze(image, parse_signature("r1=B"), HW).verdict is Verdict.DEFINITELY_FAULTS
+        with pytest.raises(ValueError, match="signature names r1 twice"):
+            parse_signature("r1=B,r1=C")
+
+    @pytest.mark.parametrize("kind, what", [("r", "register"), ("s", "segment")])
+    def test_an_index_past_ints_digit_limit_is_out_of_range(self, kind, what):
+        with pytest.raises(ValueError, match=f"^{what} out of range in "):
+            parse_signature(f"{kind}{'9' * 5000}=B")
 
     def test_signature_naming_an_absent_segment_is_rejected(self):
         image = assemble(add_one_unrolled())

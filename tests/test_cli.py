@@ -426,6 +426,11 @@ class TestErrorPaths:
             ("check @bad.img", 2, "error: bad magic"),
             ("check @halt.img --sig bogus", 2, "error: bad signature entry 'bogus'"),
             ("check @halt.img --sig s7=B", 2, "error: signature names segment s7, but the image has 1 segment(s)"),
+            ("check @halt.img --sig r1=B,r01=C", 2, "error: signature names r1 twice"),
+            pytest.param(
+                f"check @halt.img --sig r{'9' * 5000}=B", 2, f"error: register out of range in 'r{'9' * 5000}=B'",
+                id="check-register-past-int-digit-limit",
+            ),
             (f"check @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
             ("demo-protocol @missing.txt", 2, NO_FILE.format("missing.txt")),
             ("demo-protocol @words.txt", 2, "error: invalid literal for int() with base 0: 'xyz'"),
@@ -464,6 +469,15 @@ class TestErrorPaths:
         assert run_cli(tmp_path, command) == 2
         captured = capsys.readouterr()
         assert captured.err == line + "\n"
+        assert captured.out == ""
+
+    # The client's seed is SEED + 1, so 2**256 - 1 is out of range too.
+    @pytest.mark.parametrize("transport", ["memory", "socket"])
+    @pytest.mark.parametrize("seed", [-1, 2**256 - 1], ids=["negative", "2**256-1"])
+    def test_a_seed_outside_256_bits_is_a_usage_error(self, tmp_path, capsys, seed, transport):
+        assert run_cli(tmp_path, f"demo-protocol @pt.txt {DEMO} --seed {seed} --transport {transport}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be in [0, 2**256)\n"
         assert captured.out == ""
 
     def test_zero_trials_runs_only_the_static_analysis(self, tmp_path, capsys):

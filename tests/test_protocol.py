@@ -1,14 +1,19 @@
 """Handshake agreement, evidence verification, framing, and the session loop."""
 
 import io
+import os
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blindsim
 from blindsim.assembler import ProgramImage, Segment, assemble, decode_image, encode_image
 from blindsim.corpus import demo_add_one
 from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
@@ -173,6 +178,20 @@ class TestHandshake:
         client = ClientHandshake(DEV_PUB, seed=1)
         with pytest.raises(ProtocolError):
             client.finish(b"\x00\x00\x00\x01\x02")
+
+    @pytest.mark.parametrize("seed", [-1, 2**256], ids=["negative", "2**256"])
+    def test_a_seed_outside_256_bits_is_a_value_error(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*256\)"):
+            make_device_keypair(seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            ClientHandshake(DEV_PUB, seed=seed)
+        with pytest.raises(ValueError, match="seed must be in"):
+            HsmResponder(DEV_PRIV, Claims(), seed=seed)
+
+    def test_the_largest_seed_still_agrees(self):
+        client_key, hsm_key = loopback(seed_c=2**256 - 1, seed_h=2**256 - 1)
+        assert client_key == hsm_key
+        assert make_device_keypair(2**256 - 1) != make_device_keypair(0)
 
 
 class TestFraming:
@@ -650,3 +669,104 @@ class TestStreamFraming:
     @pytest.mark.parametrize("data", [b"", b"\x00\x00", header(8) + b"\x06abc"])
     def test_read_frame_returns_none_on_a_short_read(self, data):
         assert read_frame(io.BytesIO(data), max_frame_length(self.MEM)) is None
+
+
+# ---------------------------------------------------------------------------
+# The cryptography stack loads on first use
+# ---------------------------------------------------------------------------
+
+_FRESH_PRELUDE = """
+import sys
+
+import blindsim
+import blindsim.cli
+
+
+def crypto_loaded():
+    return any(name.partition(".")[0] == "cryptography" for name in sys.modules)
+
+
+assert not crypto_loaded(), "importing blindsim loaded cryptography"
+"""
+
+
+def run_fresh(body: str) -> str:
+    """Run ``body`` after the prelude in a new interpreter; its stdout."""
+    src = str(Path(blindsim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_PRELUDE + body],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# Each entry point sets ``out`` to bytes.  Called first in a fresh
+# interpreter, it must load cryptography and give the bytes it gives here.
+FIRST_USES = {
+    "open-tampered-envelope": """
+from blindsim.engine import AuthError, open_envelope
+try:
+    open_envelope(bytes(32), bytes(12 + 16 + 8))
+except AuthError as exc:
+    out = str(exc).encode()
+""",
+    "client-round-trip": """
+from blindsim.engine import SessionKey, client_decrypt, client_encrypt
+key = SessionKey.from_bytes(bytes(range(32)))
+out = client_encrypt(key, (1, 2**64 - 1), counter=3)
+assert client_decrypt(key, out) == (1, 2**64 - 1)
+""",
+    "seal-and-load": """
+from blindsim.engine import EncryptionEngine, SessionKey
+engine = EncryptionEngine(bytes(32))
+engine.install_session_key(SessionKey.from_bytes(bytes(range(32))))
+sealed = engine.seal_current_key()
+engine.load_sealed_key(sealed)
+assert engine.current_key_id == sealed.key_id
+out = sealed.blob
+""",
+    "client-hello": f"""
+from blindsim.protocol import ClientHandshake
+out = ClientHandshake({DEV_PUB!r}, seed=1).hello()
+""",
+    "hsm-respond": f"""
+from blindsim.protocol import Claims, ClientHello, HsmResponder, encode_frame
+# The X25519 base point (u = 9), not a low-order point.
+hello = encode_frame(ClientHello(bytes([9]) + bytes(31)))
+reply, key = HsmResponder({DEV_PRIV!r}, Claims(), seed=2).respond(hello)
+out = reply + key.key
+""",
+}
+
+
+class TestCryptographyLoadsOnFirstUse:
+    def test_simulating_and_checking_never_load_it(self):
+        run_fresh("""
+from blindsim import (
+    MachineConfig, analyze, assemble, boot_image, check_noninterference, parse_signature, run,
+)
+from blindsim.corpus import curated_corpus
+from blindsim.protocol import make_device_keypair
+
+entry = next(e for e in curated_corpus() if e.name == "branchless-select")
+image = assemble(entry.source)
+cfg = MachineConfig(memory_words=entry.memory_words)
+assert analyze(image, parse_signature("r1=B,r2=B"), cfg).verdict.value == "compliant"
+assert check_noninterference(image, trials=5, steps=50, cfg=cfg).passed
+assert run(boot_image(image, cfg), cfg, max_steps=100).outcome.value == "halted"
+assert not crypto_loaded(), "simulating or checking loaded cryptography"
+make_device_keypair(1)
+assert crypto_loaded(), "the check cannot see cryptography load"
+""")
+
+    @pytest.mark.parametrize("body", FIRST_USES.values(), ids=FIRST_USES.keys())
+    def test_each_entry_point_loads_it_on_first_use(self, body):
+        expected = {}
+        exec(body, expected)
+        out = run_fresh(body + "assert crypto_loaded()\nprint(out.hex())\n")
+        assert out == expected["out"].hex() + "\n"

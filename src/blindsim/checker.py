@@ -25,16 +25,22 @@ pair was equivalent before the step, it suffices to compare pc, status,
 fault and whatever either side wrote.  On failure it shrinks the payload
 delta to a minimal counterexample.  With raw unblinding disabled (the
 default) the shipped semantics never fails this check; broken variants
-fail fast.  Drawing is a large share of a short trial, so a program is
-booted once per check and instruction words are drawn packed, not
-through ``DecodedInstruction`` and ``encode`` (3.8 us a word).  Every drawn word
-is built with ``model._word``: a tagged instruction word costs about
-1.0 us and a 64-bit data word about 390 ns, against 1.4 us and 740 ns
-through the ``TaggedWord`` constructor (CPython 3.11.7, 2-core x86).
-Bounded integers are drawn through ``isa._below``, ``randrange``'s own
-rejection loop on ``getrandbits`` at half its cost, and one decode slot
-serves every trial of a check.  A state's twin shares its clear words,
-so equivalence tests a shared word by identity first.
+fail fast.  Drawing is a large share of a short trial, so a trial
+redraws only blinded words: a program is booted and its blinded
+positions found once per check, a redraw writes only those positions
+and shares every clear word, and a random state is drawn in one loop
+that records its blinded positions for its twin.  Instruction words
+are drawn packed, not through ``DecodedInstruction`` and ``encode``
+(3.8 us a word).  Every drawn word is built with ``model._word``: a
+tagged instruction word costs about 1.0 us and a 64-bit data word
+about 390 ns, against 1.4 us and 740 ns through the ``TaggedWord``
+constructor (CPython 3.11.7, 2-core x86).  Bounded integers are drawn
+with ``isa._below``'s rejection loop, which is ``randrange``'s own on
+``getrandbits`` at half its cost, and one decode slot serves every
+trial of a check.  The end-of-trial cross-check reads the two
+machines' lists rather than rebuilding two ``SystemState`` values:
+about 3 us against 8 us at 64 words.  A state's twin shares its clear
+words, so equivalence tests a shared word by identity first.
 """
 
 from __future__ import annotations
@@ -55,9 +61,9 @@ from .isa import (
     Mode,
     Opcode,
     _below,
+    _instruction_word,
     decode,
     instruction_semantics,
-    random_instruction_word,
 )
 from .machine import (
     Effect,
@@ -80,6 +86,7 @@ from .model import (
     TaggedWord,
     _word,
     check_machine_size,
+    list_equiv,
     state_equiv,
 )
 
@@ -672,23 +679,43 @@ def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
 
     Payloads are biased toward small values (including zero) so that
     payload-sensitive bugs -- branching on a secret, absorbing on zero --
-    actually get exercised.  Each blinded word draws ``rng.random()``,
-    then a 64-bit payload or, as ``rng.randrange(4)`` would, a value
-    below 4; the four small payloads are shared words.
+    actually get exercised.  Each blinded word, registers first and then
+    memory, in ascending order, draws ``rng.random()``, then a 64-bit
+    payload or, as ``rng.randrange(4)`` would, a value below 4; the four
+    small payloads are shared words.  The blinded positions are found,
+    then only they are redrawn: every clear word is shared with ``s``.
     """
-    rand, getrandbits = rng.random, rng.getrandbits
+    return _redraw(s, *_blinded_positions(s), rng)
 
-    def redraw(words: Sequence[TaggedWord]) -> tuple[TaggedWord, ...]:
-        return tuple([
-            (_word(getrandbits(64), True) if rand() < 0.7
-             else _SMALL_BLINDED[_below(getrandbits, 4)])
-            if w.blinded else w
-            for w in words
-        ])
 
-    registers = RegisterFile(redraw(s.registers.regs))
-    memory = MemoryImage(redraw(s.memory.words))
+def _blinded_positions(s: SystemState) -> tuple[list[int], list[int]]:
+    """The indices of ``s``'s blinded registers and memory words, ascending."""
+    return (
+        [i for i, w in enumerate(s.registers.regs) if w.blinded],
+        [i for i, w in enumerate(s.memory.words) if w.blinded],
+    )
+
+
+def _redraw(s: SystemState, regs_at: Sequence[int], mem_at: Sequence[int], rng) -> SystemState:
+    """``s`` with fresh payloads at its blinded positions ``regs_at`` and
+    ``mem_at``, drawn in that order as :func:`rerandomize_blinded` draws
+    them; a component with no blinded word is shared with ``s``."""
+    registers, memory = s.registers, s.memory
+    if regs_at:
+        registers = RegisterFile(_redrawn(registers.regs, regs_at, rng))
+    if mem_at:
+        memory = MemoryImage(_redrawn(memory.words, mem_at, rng))
     return SystemState(s.pc, registers, memory, s.cache, s.status, s.fault)
+
+
+def _redrawn(words: tuple[TaggedWord, ...], at: Sequence[int], rng) -> tuple[TaggedWord, ...]:
+    """``words`` with a fresh blinded payload at each index in ``at``."""
+    rand, getrandbits = rng.random, rng.getrandbits
+    out = list(words)
+    for i in at:
+        out[i] = (_word(getrandbits(64), True) if rand() < 0.7
+                  else _SMALL_BLINDED[_below(getrandbits, 4)])
+    return tuple(out)
 
 
 @lru_cache(maxsize=1)
@@ -708,7 +735,10 @@ def generate_equivalent_pair(
     payloads.  Memory is biased toward valid instruction words and small
     values so that runs do something interesting before dying.
 
-    Bounded integers are drawn as ``rng.randrange`` would draw them (see
+    Memory words and then registers are drawn in one loop that records
+    the blinded positions, so the twin is :func:`rerandomize_blinded` of
+    the first state without a search for them.  Bounded integers are
+    drawn as ``rng.randrange`` would draw them (see
     :func:`~blindsim.isa.random_instruction_word`), so a seed gives the
     same pair as it always has; small-value words are shared.  Raises
     ValueError unless ``memory_words`` and ``cache_lines`` are positive."""
@@ -716,25 +746,33 @@ def generate_equivalent_pair(
     rng = random.Random(seed)
     rand, getrandbits = rng.random, rng.getrandbits
     small = _small_words(memory_words)
-
-    def data() -> TaggedWord:
-        if rand() < 0.5:
-            return small[_below(getrandbits, memory_words)][rand() < blind_p]
-        return _word(getrandbits(64), rand() < blind_p)
-
-    memory = MemoryImage(tuple([
-        _word(random_instruction_word(rng), rand() < 0.15) if rand() < 0.65 else data()
-        for _ in range(memory_words)
-    ]))
-    regs = RegisterFile(tuple([data() for _ in range(REG_COUNT)]))
+    # A word is an instruction word (memory only), a small value or a
+    # 64-bit value; the last two are the data words registers draw.
+    words: list[TaggedWord] = []
+    blinded_at: list[int] = []
+    for i in range(memory_words + REG_COUNT):
+        if i < memory_words and rand() < 0.65:
+            w = _word(_instruction_word(getrandbits), rand() < 0.15)
+        elif rand() < 0.5:
+            w = small[_below(getrandbits, memory_words)][rand() < blind_p]
+        else:
+            w = _word(getrandbits(64), rand() < blind_p)
+        if w.blinded:
+            blinded_at.append(i)
+        words.append(w)
     cache = CacheAssignments(
         tuple([_below(getrandbits, memory_words) for _ in range(cache_lines)]),
         tuple([rand() < 0.5 for _ in range(cache_lines)]),
     )
     s1 = SystemState(
-        pc=_below(getrandbits, memory_words), registers=regs, memory=memory, cache=cache
+        pc=_below(getrandbits, memory_words),
+        registers=RegisterFile(tuple(words[memory_words:])),
+        memory=MemoryImage(tuple(words[:memory_words])),
+        cache=cache,
     )
-    return s1, rerandomize_blinded(s1, rng)
+    regs_at = [i - memory_words for i in blinded_at if i >= memory_words]
+    mem_at = [i for i in blinded_at if i < memory_words]
+    return s1, _redraw(s1, regs_at, mem_at, rng)
 
 
 def _booted(image: ProgramImage, cfg: MachineConfig, blinded_regs: tuple[int, ...]) -> SystemState:
@@ -752,8 +790,10 @@ def pair_for_program(
 ) -> tuple[SystemState, SystemState]:
     """Equivalent pair over a loaded program: image-tagged words (and any
     requested registers) get independent random payloads on each side."""
-    s1 = rerandomize_blinded(_booted(image, cfg, blinded_regs), rng)
-    return s1, rerandomize_blinded(s1, rng)
+    booted = _booted(image, cfg, blinded_regs)
+    regs_at, mem_at = _blinded_positions(booted)
+    s1 = _redraw(booted, regs_at, mem_at, rng)
+    return s1, _redraw(s1, regs_at, mem_at, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -811,6 +851,19 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, e1: Effect, e2: Effect) -
     return True
 
 
+def _machines_equiv(m1: ListMachine, m2: ListMachine) -> bool:
+    """``state_equiv`` of the two machines' states, read from their lists."""
+    return (
+        m1.pc == m2.pc
+        and m1.status is m2.status
+        and m1.fault is m2.fault
+        and m1.addresses == m2.addresses
+        and m1.valid == m2.valid
+        and list_equiv(m1.registers, m2.registers)
+        and list_equiv(m1.memory, m2.memory)
+    )
+
+
 _RUNNING = Status.RUNNING  # bound once: the pair loop reads it twice a pair-step
 
 
@@ -844,7 +897,7 @@ def _lockstep_divergence(
             return k, f"trace events diverge: {e1.events!r} != {e2.events!r}"
         if not _unwinding_holds(m1, m2, e1, e2):
             return k, "successor states not equivalent"
-    if not state_equiv(m1.state(), m2.state()):
+    if not _machines_equiv(m1, m2):
         raise RuntimeError("unwinding check passed a pair that state_equiv rejects")
     return None
 
@@ -925,12 +978,14 @@ def check_noninterference(
     if trials <= 0 or steps <= 0:
         raise ValueError("trials and steps must be positive")
     rng = random.Random(seed)
-    booted = None if program is None else _booted(program, cfg, blinded_regs)
+    if program is not None:
+        booted = _booted(program, cfg, blinded_regs)
+        regs_at, mem_at = _blinded_positions(booted)
     decoded: dict = {}
     for trial in range(trials):
-        if booted is not None:
-            s1 = rerandomize_blinded(booted, rng)
-            s2 = rerandomize_blinded(s1, rng)
+        if program is not None:
+            s1 = _redraw(booted, regs_at, mem_at, rng)
+            s2 = _redraw(s1, regs_at, mem_at, rng)
         else:
             s1, s2 = generate_equivalent_pair(
                 rng.getrandbits(48),

@@ -368,6 +368,13 @@ def cmd_demo_protocol(args) -> int:
         plaintexts.append(_read_words(args.dual))
         if len(plaintexts[1]) != len(plaintext):
             raise ValueError("--dual plaintext must have the same length")
+    size = args.cfg.memory_words
+    for flag, base in (("--data-base", args.data_base), ("--result-base", args.result_base)):
+        if not 0 <= base <= size - len(plaintext):
+            raise ValueError(
+                f"{flag} region [{base:#x}, {base + len(plaintext):#x}) "
+                f"does not fit memory of {size:#x} words"
+            )
 
     if args.program:
         image = _load_image(args.program)

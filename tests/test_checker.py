@@ -604,6 +604,32 @@ class TestEquivalentPairs:
         s2 = rerandomize_blinded(s1, rng)
         assert state_equiv(s1, s2)
 
+    @pytest.mark.parametrize("blind", [False, True], ids=["no-blinded-word", "every-word-blinded"])
+    def test_redraw_is_the_word_by_word_draw(self, blind):
+        # The documented order, spelled out: registers, then memory, each
+        # blinded word drawing rng.random() and then its payload.
+        def by_word(s, rng):
+            def redraw(words):
+                return tuple(
+                    (TaggedWord(rng.getrandbits(64), True) if rng.random() < 0.7
+                     else TaggedWord(rng.randrange(4), True)) if w.blinded else w
+                    for w in words
+                )
+            return replace(
+                s, registers=replace(s.registers, regs=redraw(s.registers.regs)),
+                memory=replace(s.memory, words=redraw(s.memory.words)),
+            )
+
+        tagged, spelled = random.Random(12), random.Random(12)
+        for seed in range(20):
+            s, _ = generate_equivalent_pair(seed)
+            s = s.edit(
+                registers=[(i, TaggedWord(w.value, blind)) for i, w in enumerate(s.registers)],
+                memory=[(i, TaggedWord(w.value, blind)) for i, w in enumerate(s.memory)],
+            )
+            assert rerandomize_blinded(s, tagged) == by_word(s, spelled)
+        assert tagged.getstate() == spelled.getstate()
+
     def test_program_pair_loads_image(self):
         image = assemble(branchless_select())
         rng = random.Random(9)
@@ -913,6 +939,87 @@ class TestUnwindingMatchesFullEquivalence:
                 assemble(entry.source), 8, 200, cfg, 13, instruction_semantics, entry.blinded_regs
             )
             assert result.passed, entry.name
+
+    def test_the_end_of_trial_check_catches_a_wrong_unwinding(self, monkeypatch):
+        # ADD writes r1's payload to r3 as a clear word, which no trace
+        # event shows; with the per-step check made to pass everything,
+        # only the full comparison at the end of the trial sees it.
+        monkeypatch.setattr("blindsim.checker._unwinding_holds", lambda *args: True)
+        image = assemble("add r3, r1, r2\nhalt\n")
+        with pytest.raises(RuntimeError) as excinfo:
+            check_noninterference(
+                image, trials=10, steps=10, cfg=HW, semantics=mutants.add_drops_taint, blinded_regs=(1,)
+            )
+        assert str(excinfo.value) == "unwinding check passed a pair that state_equiv rejects"
+
+
+# A 4-word machine whose every word and register is blinded.
+ALL_BLINDED = ".word 0 blinded\n" * 4
+
+
+class TestTrialPairs:
+    """Every trial runs the pair the public functions draw from its seed:
+    :func:`pair_for_program` over a program, and otherwise
+    :func:`generate_equivalent_pair` of the next 48 bits."""
+
+    TRIALS = 4
+
+    def trial_pairs(self, monkeypatch, program, cfg, seed, blinded_regs=()):
+        pairs = []
+
+        def record(s1, s2, *rest):
+            pairs.append((s1, s2))
+            return None
+
+        monkeypatch.setattr("blindsim.checker._lockstep_divergence", record)
+        result = check_noninterference(
+            program, self.TRIALS, 10, cfg, seed=seed, blinded_regs=blinded_regs
+        )
+        assert result.passed and len(pairs) == self.TRIALS
+        return pairs
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_corpus_programs(self, monkeypatch, mode):
+        for seed, entry in enumerate(curated_corpus()):
+            image = assemble(entry.source)
+            cfg = MachineConfig(
+                mode=mode,
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+            )
+            rng = random.Random(seed)
+            expected = [pair_for_program(image, cfg, rng, entry.blinded_regs) for _ in range(self.TRIALS)]
+            assert self.trial_pairs(monkeypatch, image, cfg, seed, entry.blinded_regs) == expected, entry.name
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_random_machines(self, monkeypatch, mode):
+        for seed in range(3):
+            cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+            rng = random.Random(seed)
+            expected = [
+                generate_equivalent_pair(rng.getrandbits(48), memory_words=64, cache_lines=8)
+                for _ in range(self.TRIALS)
+            ]
+            assert self.trial_pairs(monkeypatch, None, cfg, seed) == expected
+
+    @pytest.mark.parametrize(
+        "source, memory_words, blinded_regs",
+        [(trivial_halt(), 64, ()), (ALL_BLINDED, 4, tuple(range(32)))],
+        ids=["no-blinded-word", "every-word-blinded"],
+    )
+    def test_states_with_no_and_every_word_blinded(self, monkeypatch, source, memory_words, blinded_regs):
+        image = assemble(source)
+        cfg = MachineConfig(memory_words=memory_words, cache_lines=1)
+        rng = random.Random(5)
+        expected = [pair_for_program(image, cfg, rng, blinded_regs) for _ in range(self.TRIALS)]
+        pairs = self.trial_pairs(monkeypatch, image, cfg, 5, blinded_regs)
+        assert pairs == expected
+        for s1, s2 in pairs:
+            words = (*s1.registers, *s1.memory)
+            assert all(w.blinded for w in words) if blinded_regs else not any(w.blinded for w in words)
+            assert (s1 == s2) == (not blinded_regs)
 
 
 class TestSoundnessSpotCheck:

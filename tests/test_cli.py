@@ -480,6 +480,21 @@ class TestErrorPaths:
         assert captured.err == "error: seed must be in [0, 2**256)\n"
         assert captured.out == ""
 
+    # A base is refused before any session starts unless its region of
+    # len(plaintext) words fits the machine: a negative base used to end
+    # in a struct.error traceback and one past 64 bits in an AssemblyError.
+    @pytest.mark.parametrize("flag", ["--data-base", "--result-base"])
+    @pytest.mark.parametrize("base", [-1, 1023, 2**70], ids=["negative", "last-word", "2**70"])
+    def test_a_base_whose_region_leaves_memory_is_a_usage_error(self, tmp_path, capsys, flag, base):
+        trace = tmp_path / "demo.trace"
+        assert run_cli(tmp_path, f"demo-protocol @pt.txt {DEMO} {flag} {base} --trace {trace}") == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} region [{base:#x}, {base + 2:#x}) does not fit memory of 0x400 words\n"
+        )
+        assert captured.out == ""
+        assert not trace.exists()
+
     def test_zero_trials_runs_only_the_static_analysis(self, tmp_path, capsys):
         assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials 0 --steps 0") == 0
         captured = capsys.readouterr()

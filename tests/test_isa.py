@@ -120,6 +120,28 @@ class TestDecode:
                 assert encode(d) == word
         assert accepted == 711
 
+    def test_decode_over_a_grid_is_pinned(self):
+        # Each result or DecodeError message over every opcode byte in use
+        # and its neighbours, operand bytes at the register and marker
+        # edges, each reserved-bits pattern, and both ends of the range.
+        operands = (0, 31, 32, 0xFE, 0xFF)
+        words = [
+            b0 | b1 << 8 | b2 << 16 | b3 << 24 | reserved
+            for b0 in (*range(0x13), 0xFF)
+            for b1, b2, b3 in itertools.product(operands, repeat=3)
+            for reserved in (0, 1 << 32, 1 << 63)
+        ]
+        h = hashlib.sha256()
+        for word in (*words, -1, 1 << 64):
+            try:
+                text = repr(decode(word))
+            except DecodeError as exc:
+                text = f"DecodeError: {exc}"
+            h.update(f"{text}\n".encode())
+        assert h.hexdigest() == (
+            "405ad59071ba27576c1b7219c513c82aae70561121e17832cffabe77b474c07a"
+        )
+
     @given(st.integers(0, (1 << 64) - 1))
     def test_decode_encode_identity_on_valid_words(self, word):
         try:

@@ -729,11 +729,11 @@ def generate_equivalent_pair(
     seed: int,
     memory_words: int = 64,
     cache_lines: int = 8,
-    blind_p: float = 0.3,
 ) -> tuple[SystemState, SystemState]:
     """A random state and an equivalent twin differing only in blinded
     payloads.  Memory is biased toward valid instruction words and small
-    values so that runs do something interesting before dying.
+    values so that runs do something interesting before dying; an
+    instruction word is blinded with probability 0.15, a data word 0.3.
 
     Memory words and then registers are drawn in one loop that records
     the blinded positions, so the twin is :func:`rerandomize_blinded` of
@@ -754,9 +754,9 @@ def generate_equivalent_pair(
         if i < memory_words and rand() < 0.65:
             w = _word(_instruction_word(getrandbits), rand() < 0.15)
         elif rand() < 0.5:
-            w = small[_below(getrandbits, memory_words)][rand() < blind_p]
+            w = small[_below(getrandbits, memory_words)][rand() < 0.3]
         else:
-            w = _word(getrandbits(64), rand() < blind_p)
+            w = _word(getrandbits(64), rand() < 0.3)
         if w.blinded:
             blinded_at.append(i)
         words.append(w)

@@ -178,9 +178,12 @@ class EncryptionEngine:
         A key this engine has held before resumes at its counter's mark.
         Raises EngineError while the slot holds another key: the OS seals
         it first, so no key is thrown away unsealed."""
-        if self._current is not None and self._current.key_id != key.key_id:
-            raise EngineError("the engine holds another session key; seal it first")
+        self._refuse_another_key(key.key_id)
         self._current = key
+
+    def _refuse_another_key(self, key_id: bytes) -> None:
+        if self._current is not None and self._current.key_id != key_id:
+            raise EngineError("the engine holds another session key; seal it first")
 
     def _require_key(self) -> SessionKey:
         if self._current is None:
@@ -244,7 +247,10 @@ class EncryptionEngine:
     def load_sealed_key(self, sealed: SealedKey) -> None:
         """Authenticate a sealed blob and make it the current session key.
         Its export counter is the larger of the blob's and this engine's
-        mark for the key, so a stale blob cannot make a nonce repeat."""
+        mark for the key, so a stale blob cannot make a nonce repeat.
+        Raises EngineError, leaving the slot and the marks as they were,
+        while the slot holds another key: as in
+        :meth:`install_session_key`, no key is thrown away unsealed."""
         body = open_envelope(self._root_key, sealed.blob, aad=SEAL_LABEL)
         if not hmac.compare_digest(sealed.blob[:NONCE_LEN], self._seal_iv(body)):
             raise AuthError("sealed blob nonce is not its synthetic IV")
@@ -255,5 +261,6 @@ class EncryptionEngine:
         (counter,) = struct.unpack(">Q", body[KEY_LEN + KEY_ID_LEN:])
         if key_id != key_id_for(key):
             raise AuthError("sealed key identifier mismatch")
+        self._refuse_another_key(key_id)
         self._current = SessionKey(key, key_id)
         self._counters[key_id] = max(counter, self._counters.get(key_id, 0))

@@ -49,7 +49,7 @@ cache-hit rescan are plain loops rather than ``any`` or ``next`` over a
 generator.  On the same host a two-register comprehension costs about
 235 ns against 95 ns for the display, ``tuple(zip(...))`` 400 ns against
 125 ns, and ``any`` over one range 600 ns against 165 ns.  Trace lines
-come from one table of ``%``-formats keyed by event class, so
+come from one table of ``%``-formats keyed by exact event class, so
 :func:`format_trace` makes one lookup per event instead of a chain of
 ``isinstance`` tests inside a generator.
 
@@ -230,32 +230,25 @@ _LINES: dict[type, Callable[..., str]] = {
 }
 
 
-def _line_of(e: object) -> Callable[..., str]:
-    """The line format of ``e``'s event class, or of the event class it
-    derives from; TypeError for anything else."""
-    for cls in type(e).__mro__:
-        line = _LINES.get(cls)
-        if line is not None:
-            return line
-    raise TypeError(f"unknown event {e!r}")
-
-
 def format_event(e: TraceEvent) -> str:
     """One stable line per event, without its newline; the byte-level
-    comparison unit.  The line comes from the format table keyed by
-    event class (a subclass formats as its event class); any other
-    object raises TypeError."""
-    return _line_of(e)(e)
+    comparison unit.  It is :func:`format_trace`'s line for ``e``, so
+    any object that is not an event, a subclass of an event class
+    included, raises TypeError."""
+    return format_trace((e,))[:-1]
 
 
 def format_trace(events: Sequence[TraceEvent]) -> str:
-    """Each event's :func:`format_event` line followed by a newline.  One
-    table lookup per event, by its exact class, with a fallback to
-    :func:`format_event`'s for a subclass or an unknown object."""
-    lines = _LINES.get
+    """Each event's line followed by a newline.  A line comes from the
+    format table by the event's exact class, one lookup per event;
+    anything else raises TypeError."""
+    lines = _LINES
     out: list[str] = []
-    for e in events:
-        out.append((lines(type(e)) or _line_of(e))(e))
+    try:
+        for e in events:
+            out.append(lines[type(e)](e))
+    except KeyError:
+        raise TypeError(f"unknown event {e!r}") from None
     out.append("")
     return "\n".join(out)
 
@@ -534,10 +527,10 @@ def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
     ])
 
 
-def boot_image(image, cfg: MachineConfig, pc: int | None = None) -> SystemState:
-    """Fresh all-clear-zero machine with the image loaded."""
-    s = SystemState.initial(cfg.memory_words, cfg.cache_lines)
-    return overlay_image(s, image, pc=pc)
+def boot_image(image, cfg: MachineConfig) -> SystemState:
+    """Fresh all-clear-zero machine with the image loaded, at its entry
+    point."""
+    return overlay_image(SystemState.initial(cfg.memory_words, cfg.cache_lines), image)
 
 
 # ---------------------------------------------------------------------------

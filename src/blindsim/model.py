@@ -24,7 +24,7 @@ dataclass ``__init__`` and ``__post_init__``: about 260 ns a word against
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
@@ -188,12 +188,12 @@ class SystemState:
     fault: FaultKind | None = None
 
     @classmethod
-    def initial(cls, memory_words: int, cache_lines: int = 16, pc: int = 0) -> SystemState:
-        """All words clear zeros, no valid cache line, RUNNING; raises
+    def initial(cls, memory_words: int, cache_lines: int = 16) -> SystemState:
+        """All words clear zeros, no valid cache line, pc 0, RUNNING; raises
         ValueError unless both sizes are positive."""
         check_machine_size(memory_words, cache_lines)
         regs, mem = RegisterFile.zeros(), MemoryImage.zeros(memory_words)
-        return cls(pc, regs, mem, CacheAssignments.empty(cache_lines))
+        return cls(0, regs, mem, CacheAssignments.empty(cache_lines))
 
     def edit(
         self,
@@ -289,17 +289,14 @@ def redact(s: SystemState) -> SystemState:
 
     Every blinded payload is replaced by zero; everything else is kept.
     Idempotent, and equal inputs under state_equiv redact to identical
-    values.
+    values.  Written with :meth:`SystemState.edit`: one shared blinded
+    zero goes to each blinded index, and a component with no blinded
+    word is shared with ``s``.
     """
-    def scrub(words: tuple[TaggedWord, ...]) -> tuple[TaggedWord, ...]:
-        return tuple(
-            TaggedWord(0, True) if w.blinded else w for w in words
-        )
-
-    return replace(
-        s,
-        registers=RegisterFile(scrub(s.registers.regs)),
-        memory=MemoryImage(scrub(s.memory.words)),
+    zero = TaggedWord(0, True)
+    return s.edit(
+        registers=[(i, zero) for i, w in enumerate(s.registers.regs) if w.blinded],
+        memory=[(a, zero) for a, w in enumerate(s.memory.words) if w.blinded],
     )
 
 

@@ -14,6 +14,8 @@ from blindsim.corpus import (
     rblnd_refused,
 )
 from blindsim.assembler import assemble, decode_image, encode_image
+from blindsim.checker import analyze, parse_signature
+from blindsim.machine import MachineConfig
 
 import mutants
 
@@ -57,6 +59,14 @@ class TestAsmDisasm:
         tmp, write = work
         src = write("empty.asm", "")
         assert main(["asm", src, "-o", str(tmp / "e.img")]) == 0
+
+    def test_disasm_to_stdout_reassembles(self, work, capsys):
+        tmp, write = work
+        img = write("p.img", encode_image(assemble(branchless_select())), binary=True)
+        assert main(["disasm", img]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert encode_image(assemble(captured.out)) == (tmp / "p.img").read_bytes()
 
     def test_disasm_bad_magic(self, work):
         tmp, write = work
@@ -161,6 +171,33 @@ class TestCheck:
         data = json.loads(report.read_text())
         assert data["verdict"] == "compliant"
         assert data["noninterference"]["passed"] is True
+
+    def test_report_lists_the_analysis_findings(self, work, capsys):
+        tmp, write = work
+        img = write("r.img", encode_image(assemble(rblnd_refused())), binary=True)
+        report = tmp / "report.json"
+        code = main([
+            "check", img, "--mem-words", "64", "--cache-lines", "8",
+            "--trials", "0", "--report", str(report),
+        ])
+        assert code == 1
+        capsys.readouterr()
+        data = json.loads(report.read_text())
+        cfg = MachineConfig(memory_words=64, cache_lines=8)
+        expected = analyze(assemble(rblnd_refused()), parse_signature(""), cfg)
+        assert expected.findings
+        assert data["verdict"] == expected.verdict.value
+        assert data["findings"] == [
+            {
+                "pc": f.pc,
+                "instruction": f.instruction,
+                "reason": f.reason,
+                "fault": f.fault.value if f.fault else None,
+                "definite": f.definite,
+            }
+            for f in expected.findings
+        ]
+        assert data["noninterference"] is None
 
     def test_faulting_program_exit_one(self, work, capsys):
         tmp, write = work

@@ -286,8 +286,9 @@ class TestSealing:
             engine.seal_current_key()
 
     def test_swapped_blobs_load_but_key_id_reveals_it(self):
-        # The engine accepts any authentic blob sealed under its root key;
-        # spotting a swap is the protocol layer's job, via key_id.
+        # The engine loads any authentic blob sealed under its root key
+        # into an empty slot; spotting a swap is the protocol layer's job,
+        # via key_id.
         root = b"R" * 32
         engine = EncryptionEngine(root)
         k1 = SessionKey.from_bytes(b"1" * 32)
@@ -298,8 +299,30 @@ class TestSealing:
         sealed2 = engine.seal_current_key()
         engine.load_sealed_key(sealed1)
         assert engine.current_key_id == k1.key_id != k2.key_id
+        engine.seal_current_key()
         engine.load_sealed_key(sealed2)
         assert engine.current_key_id == k2.key_id
+
+    def test_loading_over_another_key_is_refused(self):
+        # Loading A's blob while B sits unsealed in the slot would throw B
+        # away, and B could then never be installed again.
+        engine = EncryptionEngine(b"R" * 32)
+        a = SessionKey.from_bytes(b"A" * 32)
+        b = SessionKey.from_bytes(b"B" * 32)
+        engine.install_session_key(a)
+        sealed_a = engine.seal_current_key()
+        engine.install_session_key(b)
+        engine.export_region(MemoryImage.zeros(4), 0, 1)
+        with pytest.raises(EngineError, match="another session key; seal it first"):
+            engine.load_sealed_key(sealed_a)
+        assert engine.current_key_id == b.key_id and engine.export_counter == 1
+        sealed_b = engine.seal_current_key()
+        engine.load_sealed_key(sealed_a)
+        assert engine.current_key_id == a.key_id and engine.export_counter == 0
+        engine.load_sealed_key(sealed_a)  # the key it holds may be reloaded
+        engine.seal_current_key()
+        engine.load_sealed_key(sealed_b)
+        assert engine.current_key_id == b.key_id and engine.export_counter == 1
 
     def test_three_client_context_switch_scenario(self):
         root = b"Z" * 32
@@ -411,6 +434,13 @@ class TestKeyHygiene:
         key = b"Q" * 32
         assert SessionKey.from_bytes(key).key_id == key_id_for(key)
         assert len(key_id_for(key)) == 16
+
+    @pytest.mark.parametrize("length", [0, 31, 33])
+    def test_a_key_of_the_wrong_length_is_refused(self, length):
+        with pytest.raises(ValueError, match="^session key must be 32 bytes$"):
+            SessionKey.from_bytes(b"K" * length)
+        with pytest.raises(ValueError, match="^root key must be 32 bytes$"):
+            EncryptionEngine(b"R" * length)
 
 
 class TestWordCodec:

@@ -59,6 +59,10 @@ class TestEncode:
         with pytest.raises(EncodeError):
             encode(DecodedInstruction(Opcode.ADD, (32, 0), (1,)))
 
+    def test_unknown_opcode(self):
+        with pytest.raises(EncodeError, match="^unknown opcode 66$"):
+            encode(DecodedInstruction(0x42, (), ()))
+
     def test_bad_arity(self):
         with pytest.raises(EncodeError):
             encode(DecodedInstruction(Opcode.ADD, (1,), (2,)))

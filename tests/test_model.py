@@ -220,7 +220,8 @@ class TestRedact:
 
 class TestSnapshot:
     def test_golden(self):
-        s = SystemState.initial(8, cache_lines=2, pc=1).edit(
+        s = SystemState.initial(8, cache_lines=2).edit(
+            pc=1,
             registers=[(2, blinded(42)), (3, clear(7))],
             memory=[(5, clear(0x10)), (6, blinded(0))],
             lines=[(1, 0x23)],
@@ -306,7 +307,7 @@ class TestEdit:
 
     @staticmethod
     def state() -> SystemState:
-        return SystemState.initial(8, cache_lines=4, pc=2)
+        return SystemState.initial(8, cache_lines=4).edit(pc=2)
 
     @pytest.mark.parametrize(
         "component, index, value",

@@ -179,6 +179,15 @@ class TestHandshake:
         with pytest.raises(ProtocolError):
             client.finish(b"\x00\x00\x00\x01\x02")
 
+    def test_each_side_refuses_a_frame_that_is_not_the_others_hello(self):
+        client = ClientHandshake(DEV_PUB, seed=1)
+        client.hello()
+        with pytest.raises(VerifyError, match="^expected a device hello$"):
+            client.finish(encode_frame(ResultResponse(b"")))
+        responder = HsmResponder(DEV_PRIV, Claims(), seed=2)
+        with pytest.raises(ProtocolError, match="^expected a client hello$"):
+            responder.respond(encode_frame(ExportRequest(0, 0)))
+
     @pytest.mark.parametrize("seed", [-1, 2**256], ids=["negative", "2**256"])
     def test_a_seed_outside_256_bits_is_a_value_error(self, seed):
         with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*256\)"):
@@ -233,6 +242,24 @@ class TestFraming:
         frame[3] += 1
         with pytest.raises(ProtocolError):
             decode_frame(bytes(frame))
+
+    @pytest.mark.parametrize(
+        "ftype, body, message",
+        [
+            (1, bytes(31), "bad hello length"),
+            (2, bytes(32 + 4 + 32 + 64 + 1), "bad hello length"),
+            (4, bytes(11), "truncated compute frame"),
+            (4, struct.pack(">QI", 0, 3) + b"ab", "compute image length mismatch"),
+        ],
+        ids=["client-hello", "hsm-hello", "truncated-compute", "compute-image-length"],
+    )
+    def test_a_malformed_body_is_refused(self, ftype, body, message):
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            decode_frame(header(1 + len(body)) + bytes([ftype]) + body)
+
+    def test_a_non_message_cannot_be_encoded(self):
+        with pytest.raises(ProtocolError, match="^cannot encode b'hello'$"):
+            encode_frame(b"hello")
 
     @given(
         st.sampled_from(["import", "compute", "export", "result", "error"]),

@@ -66,7 +66,6 @@ from .isa import (
     instruction_semantics,
 )
 from .machine import (
-    Effect,
     Fault,
     ListMachine,
     LoadError,
@@ -817,32 +816,35 @@ class NoninterferenceResult:
     counterexample: Counterexample | None = None
 
 
-def _unwinding_holds(m1: ListMachine, m2: ListMachine, e1: Effect, e2: Effect) -> bool:
+def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple) -> bool:
     """``state_equiv`` of the post-states, given equivalent pre-states.
 
-    Only what a step wrote can have changed, so beyond pc, status and
-    fault it suffices to compare the cache lines, registers and memory
-    words that either side wrote (Goguen-Meseguer unwinding on the
-    self-composed pair).  Words are compared as ``value_equiv`` does,
-    inline, and a word shared by both sides is equivalent to itself.
+    ``out1`` and ``out2`` are what the two sides' :meth:`ListMachine.step`
+    returned, ``(events, register_writes, memory_writes, line_writes)``;
+    each step has committed exactly those writes.  Only what a step wrote
+    can have changed, so beyond pc, status and fault it suffices to
+    compare the cache lines, registers and memory words that either side
+    wrote (Goguen-Meseguer unwinding on the self-composed pair).  Words
+    are compared as ``value_equiv`` does, inline, and a word shared by
+    both sides is equivalent to itself.
     """
     if m1.pc != m2.pc or m1.status is not m2.status or m1.fault is not m2.fault:
         return False
     r1, r2 = m1.registers, m2.registers
-    for e in (e1, e2):
-        if e.lines:
-            for line, _ in e.lines:
+    for _, registers, memory, lines in (out1, out2):
+        if lines:
+            for line, _ in lines:
                 if m1.addresses[line] != m2.addresses[line] or m1.valid[line] != m2.valid[line]:
                     return False
-        for i, _ in e.registers:
+        for i, _ in registers:
             a, b = r1[i], r2[i]
             if a is b:
                 continue
             if not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
                 return False
-        if e.memory:
+        if memory:
             w1, w2 = m1.memory, m2.memory
-            for i, _ in e.memory:
+            for i, _ in memory:
                 a, b = w1[i], w2[i]
                 if a is b:
                     continue
@@ -877,10 +879,12 @@ def _lockstep_divergence(
 ) -> tuple[int, str] | None:
     """(step, reason) of the first divergence, or None.
 
-    Both sides step in place; after each step the events and
-    :func:`_unwinding_holds` stand in for a full ``state_equiv``, which
-    runs once at the end as a cross-check.  ``decoded`` is the decode
-    slot both sides use (see :class:`~blindsim.machine.ListMachine`).
+    Both sides step in place, and each step returns its events and the
+    writes it committed.  After each step the two event tuples are
+    compared, and :func:`_unwinding_holds` over both steps' writes stands
+    in for a full ``state_equiv``, which runs once at the end as a
+    cross-check.  ``decoded`` is the decode slot both sides use (see
+    :class:`~blindsim.machine.ListMachine`).
     """
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
@@ -891,11 +895,11 @@ def _lockstep_divergence(
     for k in range(steps):
         if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
-        e1 = m1.step(cfg, k, semantics)
-        e2 = m2.step(cfg, k, semantics)
-        if e1.events != e2.events:
-            return k, f"trace events diverge: {e1.events!r} != {e2.events!r}"
-        if not _unwinding_holds(m1, m2, e1, e2):
+        out1 = m1.step(cfg, k, semantics)
+        out2 = m2.step(cfg, k, semantics)
+        if out1[0] != out2[0]:
+            return k, f"trace events diverge: {out1[0]!r} != {out2[0]!r}"
+        if not _unwinding_holds(m1, m2, out1, out2):
             return k, "successor states not equivalent"
     if not _machines_equiv(m1, m2):
         raise RuntimeError("unwinding check passed a pair that state_equiv rejects")

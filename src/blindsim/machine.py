@@ -1,46 +1,46 @@
 """Single-cycle machine: fetch, decode, execute, trace.
 
-A step is split in two.  ``_effect`` is the one definition of its
-semantics: a pure function of (pc, registers, memory, cache, config) that
-returns an :class:`Effect` -- the next pc, status and fault, the register
-writes, the memory writes, the cache line assignments and the observable
-events.  It reads no opcode: the semantics gives a step's one memory
+One method holds a step's semantics: :meth:`ListMachine.step` decides
+the step, then commits it to the machine's lists in place and returns
+``(events, register_writes, memory_writes, line_writes)``.  Every check
+precedes every write: a step that traps, halts or faults sets only pc,
+status and fault and returns empty writes, so no step commits part of
+its effect.  It reads no opcode: the semantics gives a step's one memory
 operation -- a load, a store, or a tag edit, which retags a word in place
 and reaches no cache line.  Every read in a step -- the stored register,
 the loaded word, the retagged word, the cache line -- sees the state
 before it; a ``semantics`` returning more operations raises ValueError.
-:func:`step` writes an effect with :meth:`SystemState.edit`, which copies
-only the parts it writes; :func:`run` and the lockstep harness keep a
-:class:`ListMachine` and commit in place, so a store costs O(1).  A
-:class:`ListMachine` also keeps one decode slot per address, used only
-while the fetched word equals the word it was decoded from, so
-self-modifying code needs no invalidation rule.  Every instruction costs
-exactly one cycle, so execution time is data-independent by construction.
+:func:`run` and the lockstep harness keep one :class:`ListMachine`, so a
+store costs O(1); :func:`step` steps a fresh :class:`ListMachine` and
+writes the returned writes with :meth:`SystemState.edit`, so each call
+copies the state into lists and costs O(memory).  A :class:`ListMachine`
+also keeps one decode slot per address, used only while the fetched word
+equals the word it was decoded from, so self-modifying code needs no
+invalidation rule.  Every instruction costs exactly one cycle, so
+execution time is data-independent by construction.
 
 Policy violations take two shapes.  Tag violations at a branch or (in
 hardware mode) at a memory address trap to the handler at address 0: pc is
 set to 0, nothing else changes, and the fault kind is recorded in the
 trace while the machine keeps running.  Decode errors, out-of-range
 accesses, blinded stores into unblindable ranges, and refused raw untaints
-stop the machine with a FAULTED status.  Either way a step never partially
-commits: every check runs before the effect is returned, so a trap or a
-fault carries no writes.
+stop the machine with a FAULTED status.
 
 Trace events carry only observable data -- addresses, clear values, fault
 kinds -- never a blinded payload.
 
 The per-step path reads enum members through module constants, and
-builds each of its records -- the events and the :class:`Effect` -- with
-``tuple.__new__`` from a tuple of all its fields.  Under CPython 3.11 on
-a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
-8-14 ns for a module global, and a named tuple's generated ``__new__``
-300-610 ns against 150-230 ns through ``tuple.__new__``, which fills no
-default and checks no arity, so every field is given.  The records stay
-named tuples, with the same fields, reprs and public constructors.  With
-``tag_logic`` on, a word is read as stored, with no call per read, and a
-word a step makes is built with :func:`~blindsim.model._word`.
+builds each event with ``tuple.__new__`` from a tuple of all its fields.
+Under CPython 3.11 on a 2-core x86 host an ``Enum.MEMBER`` lookup costs
+110-135 ns against 8-14 ns for a module global, and a named tuple's
+generated ``__new__`` 300-610 ns against 150-230 ns through
+``tuple.__new__``, which fills no default and checks no arity, so every
+field is given.  The events stay named tuples, with the same fields,
+reprs and public constructors.  With ``tag_logic`` on, a word is read as
+stored, with no call per read, and a word a step makes is built with
+:func:`~blindsim.model._word`.
 
-A step also makes no per-call frame or iterator of its own.  With
+A step also makes no frame or iterator beyond its own.  With
 ``tag_logic`` on it reads its input registers by count -- an instruction
 has 0, 1 or 2 -- into a list display rather than a comprehension; it
 pairs its register write with a conditional rather than
@@ -48,14 +48,14 @@ pairs its register write with a conditional rather than
 cache-hit rescan are plain loops rather than ``any`` or ``next`` over a
 generator.  On the same host a two-register comprehension costs about
 235 ns against 95 ns for the display, ``tuple(zip(...))`` 400 ns against
-125 ns, and ``any`` over one range 600 ns against 165 ns.  Trace lines
-come from one table of ``%``-formats keyed by exact event class, so
-:func:`format_trace` makes one lookup per event instead of a chain of
-``isinstance`` tests inside a generator.
+125 ns, and ``any`` over one range 600 ns against 165 ns.  Its result is
+a plain tuple, unpacked by the caller, rather than a named tuple read by
+attribute.  Trace lines come from one table of ``%``-formats keyed by
+exact event class, so :func:`format_trace` makes one lookup per event
+instead of a chain of ``isinstance`` tests inside a generator.
 
-:meth:`ListMachine.step` unpacks its effect once and runs a commit loop
-only for a component the effect writes, so a step that writes nothing
-pays for three truth tests and the pc, status and fault.  Such steps
+The commit runs a loop only for a component the step writes, so a step
+that writes nothing pays for three truth tests and the pc.  Such steps
 are common in lockstep checks: over one op of the benchmark's
 ``check-corpus-64`` workload, 62 % of 23,016 steps write nothing and
 51 % are blinded-fetch traps.
@@ -254,167 +254,13 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Step: one effect, one commit
+# Step: decide, then commit
 # ---------------------------------------------------------------------------
-
-
-class Effect(NamedTuple):
-    """Everything one step does, decided before anything is written.
-
-    ``registers`` and ``memory`` are (index, word) writes in commit order
-    (a tag edit is the one memory write of its step); ``lines`` are
-    (line, address) cache assignments, each making its line valid.  A
-    step that traps, halts or faults writes nothing.  A trap is the one
-    effect that is RUNNING with a :class:`Fault` as its last event.
-    """
-
-    pc: int
-    status: Status
-    fault: FaultKind | None
-    registers: tuple[tuple[int, TaggedWord], ...]
-    memory: tuple[tuple[int, TaggedWord], ...]
-    lines: tuple[tuple[int, int], ...]
-    events: tuple[TraceEvent, ...]
-
-
-def _stop(
-    pc: int, status: Status, fault: FaultKind | None, events: tuple[TraceEvent, ...]
-) -> Effect:
-    """A step that writes nothing: a trap, a halt or a fault."""
-    return _new(Effect, (pc, status, fault, (), (), (), events))
-
-
-def _terminal(pc: int, fetch: Fetch, kind: FaultKind, refused: bool = False) -> Effect:
-    """A fault after the fetch: the machine stops at ``pc``."""
-    return _stop(pc, _FAULTED, kind, (fetch, _new(Fault, (fetch.cycle, kind, refused))))
 
 
 def _untagged(w: TaggedWord) -> TaggedWord:
     """The word as the untagged reference machine reads it: clear."""
     return _word(w.value, False) if w.blinded else w
-
-
-def _effect(
-    pc: int,
-    registers: Sequence[TaggedWord],
-    memory: Sequence[TaggedWord],
-    addresses: Sequence[int],
-    valid: Sequence[bool],
-    cfg: MachineConfig,
-    cycle: int,
-    semantics: SemanticsFn,
-    decoded: dict,
-) -> Effect:
-    """The one definition of a step's semantics; it writes no state.
-
-    With ``tag_logic`` on, every word is read as stored.  Under
-    ``tag_logic=False`` a blinded instruction word is fetched like any
-    other and every other word a step reads passes through
-    :func:`_untagged`, so no tag check fires and no tag reaches a write.
-    Every read sees the state before the step, and a step that stops
-    returns before any of its writes reach the :class:`Effect`.  A step
-    makes at most one memory operation; a semantics that returns more
-    raises ValueError.
-
-    ``decoded`` is a decode slot per address, ``{pc: (word,
-    DecodedInstruction)}``, that this step may refill.  A slot is used
-    only when the fetched word equals the stored word, so it is never a
-    state input: it skips a decode, and nothing else.
-    """
-    tags = cfg.tag_logic
-    mem_size = len(memory)
-
-    if not 0 <= pc < mem_size:
-        return _stop(pc, _FAULTED, _OUT_OF_RANGE, (_new(Fault, (cycle, _OUT_OF_RANGE, False)),))
-
-    instr = memory[pc]
-    if instr.blinded and tags:
-        # Trap to the handler at address 0; the payload never reaches the
-        # decoder, so the trace shows only the (tag-derived) fault signal.
-        return _stop(0, _RUNNING, None, (_new(Fault, (cycle, _BLINDED_FETCH, False)),))
-
-    word = instr.value
-    fetch = _new(Fetch, (cycle, pc, word))
-    slot = decoded.get(pc)
-    if slot is not None and slot[0] == word:
-        d = slot[1]
-    else:
-        try:
-            d = decode(word)
-        except DecodeError:
-            return _terminal(pc, fetch, _DECODE_ERROR)
-        decoded[pc] = (word, d)
-
-    ops = d.inputs
-    if not tags:
-        inputs = [_untagged(registers[i]) for i in ops]
-    elif len(ops) == 2:
-        inputs = [registers[ops[0]], registers[ops[1]]]
-    elif ops:
-        inputs = [registers[ops[0]]]
-    else:
-        inputs = []
-    outputs, memops, control = semantics(d, inputs, cfg.mode)
-    if len(memops) > 1:
-        raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
-
-    # Control resolution first; a trap leaves everything but pc untouched.
-    flow = control.kind
-    if flow is _FAULT_HANDLER:
-        return _stop(0, _RUNNING, None, (fetch, _new(Fault, (cycle, control.fault, False))))
-    if flow is _HALT:
-        return _stop(pc, _HALTED, None, (fetch, _new(Halt, (cycle,))))
-    next_pc = control.target if flow is _JUMP else pc + 1
-    if not 0 <= next_pc < mem_size:
-        return _terminal(pc, fetch, _OUT_OF_RANGE)
-
-    # Writes, in order: register outputs, then the memory operation.
-    # ``zip(d.outputs, outputs)`` without the iterator: an instruction has
-    # at most one output designator.
-    reg_writes = ((d.outputs[0], outputs[0]),) if outputs and d.outputs else ()
-    mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
-    lines: tuple[tuple[int, int], ...] = ()
-    events: tuple[TraceEvent, ...] = (fetch,)
-    if memops:
-        ((kind, address, register),) = memops
-        if not 0 <= address < mem_size:
-            return _terminal(pc, fetch, _OUT_OF_RANGE)
-        if kind is _MEM_STORE or kind is _MEM_LOAD:
-            # Direct-mapped: the line depends only on the (clear) address.  A repeat
-            # access reports the first valid line holding the address, which a
-            # random initial state may also place in a lower line.
-            line = address % len(addresses)
-            if valid[line] and addresses[line] == address:
-                for i in range(line + 1):
-                    if valid[i] and addresses[i] == address:
-                        line = i
-                        break
-            else:
-                lines = ((line, address),)
-            events += (
-                _new(MemAccess, (cycle, kind, address)),
-                _new(CacheUpdate, (cycle, line, address)),
-            )
-            if kind is _MEM_STORE:
-                word = registers[register]
-                if not tags:
-                    word = _untagged(word)
-                elif word.blinded and cfg.is_unblindable(address):
-                    return _terminal(pc, fetch, _BLINDED_STORE)
-                mem_writes = ((address, word),)
-                if address == cfg.mmio_console:
-                    events += (_new(MmioWrite, (cycle, word.value)),)
-            else:
-                word = memory[address]
-                reg_writes += ((register, word if tags else _untagged(word)),)
-        elif tags:
-            # A tag edit retags the word in place: it reaches no cache line
-            # and emits no event, and the untagged machine ignores it.
-            if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
-                return _terminal(pc, fetch, _DECODE_ERROR, refused=True)
-            mem_writes = ((address, _word(memory[address].value, kind is _MEM_BLIND)),)
-
-    return _new(Effect, (next_pc, _RUNNING, None, reg_writes, mem_writes, lines, events))
 
 
 def step(
@@ -427,21 +273,19 @@ def step(
 
     ``cycle`` stamps the emitted events.  ``semantics`` is pluggable so
     the test harness can study broken variants; the default implements
-    the shipped policy.  The effect is written with
-    :meth:`SystemState.edit`, so only the parts the step writes are copied
-    and a store costs O(memory) here; :func:`run` commits in place instead.
+    the shipped policy.  The step is :meth:`ListMachine.step` on a copy
+    of ``s``, which decides the step, checks everything, then commits;
+    its writes are applied to ``s`` with :meth:`SystemState.edit`, so the
+    result shares every component the step did not write.  The copy
+    makes each call O(memory); :func:`run` keeps one machine instead.
     Raises ValueError unless ``s`` fits ``cfg`` (:func:`check_state_fits`).
     """
     if s.status is not _RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
     check_state_fits(s, cfg)
-    cache = s.cache
-    eff = _effect(
-        s.pc, s.registers.regs, s.memory.words, cache.addresses, cache.valid,
-        cfg, cycle, semantics, {},
-    )
-    nxt = s.edit(eff.pc, eff.registers, eff.memory, eff.lines, eff.status, eff.fault)
-    return nxt, eff.events
+    m = ListMachine(s)
+    events, registers, memory, lines = m.step(cfg, cycle, semantics)
+    return s.edit(m.pc, registers, memory, lines, m.status, m.fault), events
 
 
 class ListMachine:
@@ -466,27 +310,152 @@ class ListMachine:
         self.fault = s.fault
         self.decoded: dict = {}
 
-    def step(self, cfg: MachineConfig, cycle: int, semantics: SemanticsFn) -> Effect:
-        """Decide one step's effect and commit it in place; requires RUNNING."""
-        eff = _effect(
-            self.pc, self.registers, self.memory, self.addresses, self.valid,
-            cfg, cycle, semantics, self.decoded,
-        )
-        self.pc, self.status, self.fault, reg_writes, mem_writes, lines, _ = eff
+    def step(self, cfg: MachineConfig, cycle: int, semantics: SemanticsFn) -> tuple:
+        """Execute one instruction in place; requires RUNNING.
+
+        Returns ``(events, register_writes, memory_writes,
+        line_writes)``: the step's trace events, its (index, word)
+        register and memory writes in commit order (a tag edit is the one
+        memory write of its step), and its (line, address) cache
+        assignments, each making its line valid.  The step decides
+        everything and runs every check before its first write.  A step
+        that traps, halts or faults sets only pc, status and fault and
+        returns empty writes; a trap is the one stop that leaves the
+        machine RUNNING, with a :class:`Fault` as its last event.
+
+        With ``tag_logic`` on, every word is read as stored.  Under
+        ``tag_logic=False`` a blinded instruction word is fetched like
+        any other and every other word a step reads passes through
+        :func:`_untagged`, so no tag check fires and no tag reaches a
+        write.  Every read sees the state before the step.  A step makes
+        at most one memory operation; a semantics that returns more
+        raises ValueError.
+
+        ``decoded`` is a decode slot per address, ``{pc: (word,
+        DecodedInstruction)}``, that this step may refill.  A slot is
+        used only when the fetched word equals the stored word, so it is
+        never a state input: it skips a decode, and nothing else.
+        """
+        tags = cfg.tag_logic
+        memory = self.memory
+        mem_size = len(memory)
+        pc = self.pc
+
+        if not 0 <= pc < mem_size:
+            self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+            return (_new(Fault, (cycle, _OUT_OF_RANGE, False)),), (), (), ()
+
+        instr = memory[pc]
+        if instr.blinded and tags:
+            # Trap to the handler at address 0; the payload never reaches the
+            # decoder, so the trace shows only the (tag-derived) fault signal.
+            self.pc = 0
+            return (_new(Fault, (cycle, _BLINDED_FETCH, False)),), (), (), ()
+
+        word = instr.value
+        fetch = _new(Fetch, (cycle, pc, word))
+        slot = self.decoded.get(pc)
+        if slot is not None and slot[0] == word:
+            d = slot[1]
+        else:
+            try:
+                d = decode(word)
+            except DecodeError:
+                self.status, self.fault = _FAULTED, _DECODE_ERROR
+                return (fetch, _new(Fault, (cycle, _DECODE_ERROR, False))), (), (), ()
+            self.decoded[pc] = (word, d)
+
+        registers = self.registers
+        ops = d.inputs
+        if not tags:
+            inputs = [_untagged(registers[i]) for i in ops]
+        elif len(ops) == 2:
+            inputs = [registers[ops[0]], registers[ops[1]]]
+        elif ops:
+            inputs = [registers[ops[0]]]
+        else:
+            inputs = []
+        outputs, memops, control = semantics(d, inputs, cfg.mode)
+        if len(memops) > 1:
+            raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
+
+        # Control resolution first; a trap leaves everything but pc untouched.
+        flow = control.kind
+        if flow is _FAULT_HANDLER:
+            self.pc = 0
+            return (fetch, _new(Fault, (cycle, control.fault, False))), (), (), ()
+        if flow is _HALT:
+            self.status = _HALTED
+            return (fetch, _new(Halt, (cycle,))), (), (), ()
+        next_pc = control.target if flow is _JUMP else pc + 1
+        if not 0 <= next_pc < mem_size:
+            self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+            return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), (), (), ()
+
+        # Writes, in order: register outputs, then the memory operation.
+        # ``zip(d.outputs, outputs)`` without the iterator: an instruction has
+        # at most one output designator.
+        reg_writes = ((d.outputs[0], outputs[0]),) if outputs and d.outputs else ()
+        mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
+        line_writes: tuple[tuple[int, int], ...] = ()
+        events: tuple[TraceEvent, ...] = (fetch,)
+        if memops:
+            ((kind, address, register),) = memops
+            if not 0 <= address < mem_size:
+                self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), (), (), ()
+            if kind is _MEM_STORE or kind is _MEM_LOAD:
+                # Direct-mapped: the line depends only on the (clear) address.  A repeat
+                # access reports the first valid line holding the address, which a
+                # random initial state may also place in a lower line.
+                addresses, valid = self.addresses, self.valid
+                line = address % len(addresses)
+                if valid[line] and addresses[line] == address:
+                    for i in range(line + 1):
+                        if valid[i] and addresses[i] == address:
+                            line = i
+                            break
+                else:
+                    line_writes = ((line, address),)
+                events += (
+                    _new(MemAccess, (cycle, kind, address)),
+                    _new(CacheUpdate, (cycle, line, address)),
+                )
+                if kind is _MEM_STORE:
+                    word = registers[register]
+                    if not tags:
+                        word = _untagged(word)
+                    elif word.blinded and cfg.is_unblindable(address):
+                        self.status, self.fault = _FAULTED, _BLINDED_STORE
+                        return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), (), (), ()
+                    mem_writes = ((address, word),)
+                    if address == cfg.mmio_console:
+                        events += (_new(MmioWrite, (cycle, word.value)),)
+                else:
+                    word = memory[address]
+                    reg_writes += ((register, word if tags else _untagged(word)),)
+            elif tags:
+                # A tag edit retags the word in place: it reaches no cache line
+                # and emits no event, and the untagged machine ignores it.
+                if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
+                    self.status, self.fault = _FAULTED, _DECODE_ERROR
+                    return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), (), (), ()
+                mem_writes = ((address, _word(memory[address].value, kind is _MEM_BLIND)),)
+
+        # Every check has passed: commit.
+        self.pc = next_pc
         if reg_writes:
-            registers = self.registers
             for i, w in reg_writes:
                 registers[i] = w
         if mem_writes:
-            memory = self.memory
             for a, w in mem_writes:
                 memory[a] = w
-        if lines:
+        if line_writes:
             addresses, valid = self.addresses, self.valid
-            for line, a in lines:
+            for line, a in line_writes:
                 addresses[line] = a
                 valid[line] = True
-        return eff
+        return events, reg_writes, mem_writes, line_writes
 
     def state(self) -> SystemState:
         return SystemState(
@@ -580,11 +549,11 @@ def run(
     trapped_before = False
     n = 0
     while n < max_steps and m.status is _RUNNING:
-        eff = m.step(cfg, n, semantics)
-        trace.extend(eff.events)
+        events, _, _, _ = m.step(cfg, n, semantics)
+        trace.extend(events)
         n += 1
         # A trap changes nothing but pc: still running, a Fault last.
-        trapped = eff.status is _RUNNING and type(eff.events[-1]) is Fault
+        trapped = m.status is _RUNNING and type(events[-1]) is Fault
         if trapped and trapped_before:
             return RunResult(m.state(), tuple(trace), RunOutcome.FAULT_LOOP, n)
         trapped_before = trapped

@@ -206,8 +206,8 @@ class SystemState:
     ) -> SystemState:
         """This state with some writes: the one way to change a state.
 
-        Writes are (index, value) pairs applied in order, as in a step's
-        effect; a line write also makes its line valid.  Each written
+        Writes are (index, value) pairs applied in order, as a step
+        returns them; a line write also makes its line valid.  Each written
         component is copied once and the others are shared; a ``pc`` given
         as None is kept.  A ``status`` sets ``fault`` with it, so a status
         without a fault means no fault; with no status both are kept, or

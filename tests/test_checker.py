@@ -860,19 +860,33 @@ def reference_check(program, trials, steps, cfg, seed, semantics, blinded_regs=(
     return True, trials, None
 
 
+def counting(semantics):
+    """``semantics`` with a call count in its ``calls`` attribute."""
+
+    def counted(d, inputs, mode):
+        counted.calls += 1
+        return semantics(d, inputs, mode)
+
+    counted.calls = 0
+    return counted
+
+
 class TestUnwindingMatchesFullEquivalence:
     """The harness compares only what each step wrote; a reference that
     calls ``state_equiv`` after every step must agree on every verdict
-    and counterexample."""
+    and counterexample, and make as many semantics calls: the harness
+    steps neither more nor less than the reference."""
 
     @staticmethod
     def assert_same_as_reference(program, trials, steps, cfg, seed, semantics, blinded_regs=()):
+        harness, reference = counting(semantics), counting(semantics)
         result = check_noninterference(
             program, trials=trials, steps=steps, cfg=cfg, seed=seed,
-            semantics=semantics, blinded_regs=blinded_regs,
+            semantics=harness, blinded_regs=blinded_regs,
         )
-        passed, n, found = reference_check(program, trials, steps, cfg, seed, semantics, blinded_regs)
+        passed, n, found = reference_check(program, trials, steps, cfg, seed, reference, blinded_regs)
         assert (result.passed, result.trials) == (passed, n)
+        assert harness.calls == reference.calls
         ce = result.counterexample
         if found is None:
             assert ce is None

@@ -130,13 +130,20 @@ class TestImportExport:
         assert e1[:12] != e2[:12]
 
     def test_range_errors(self):
+        # A negative dst, src or n would otherwise slice from the end: the
+        # import would grow memory, the exports would read the wrong words.
         engine, session = make_engine()
         mem = MemoryImage.zeros(4)
-        with pytest.raises(RangeError):
-            engine.export_region(mem, 2, 3)
-        envelope = client_encrypt(session, [0, 0, 0], counter=0)
-        with pytest.raises(RangeError):
-            engine.import_region(mem, 2, envelope)
+        before = mem.words
+        for src, n in ((2, 3), (-1, 1), (0, -1)):
+            with pytest.raises(RangeError):
+                engine.export_region(mem, src, n)
+            assert mem.words == before
+        for counter, (dst, values) in enumerate(((2, [0, 0, 0]), (-2, [7, 7, 7]))):
+            envelope = client_encrypt(session, values, counter=counter)
+            with pytest.raises(RangeError):
+                engine.import_region(mem, dst, envelope)
+            assert mem.words == before
 
     def test_no_key(self):
         engine = EncryptionEngine(b"R" * 32)

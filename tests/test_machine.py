@@ -34,7 +34,6 @@ from blindsim.isa import (
 )
 from blindsim.machine import (
     CacheUpdate,
-    Effect,
     Fault,
     Fetch,
     Halt,
@@ -204,7 +203,7 @@ class TestStep:
         assert nxt.memory == s.memory
 
     def test_step_shares_what_it_does_not_write(self):
-        # A step copies only the components its effect writes.
+        # A step copies only the components it writes.
         add = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT], regs={1: clear(4)})
         nxt, _ = step(add, CFG)
         assert nxt.memory is add.memory and nxt.cache is add.cache
@@ -702,6 +701,10 @@ class TestRecordsAreWhole:
     fail only where a missing field is read."""
 
     def test_effects_and_events_of_runs(self):
+        # A step commits in place exactly the writes it returns: applied to
+        # copies of the lists taken before the step, they give the lists
+        # after it.  The lockstep harness compares only those writes.  A
+        # step that stops writes nothing.
         kinds = set(typing.get_args(TraceEvent))
         steps = 0
         for s, cfg, max_steps in _pinned_runs():
@@ -709,10 +712,23 @@ class TestRecordsAreWhole:
             for cycle in range(max_steps):
                 if m.status is not Status.RUNNING:
                     break
-                eff = m.step(cfg, cycle, instruction_semantics)
-                _whole(eff, {Effect})
-                for e in eff.events:
+                registers, memory = list(m.registers), list(m.memory)
+                addresses, valid = list(m.addresses), list(m.valid)
+                out = m.step(cfg, cycle, instruction_semantics)
+                assert type(out) is tuple and len(out) == 4, out
+                events, reg_writes, mem_writes, line_writes = out
+                for e in events:
                     _whole(e, kinds)
+                for i, w in reg_writes:
+                    registers[i] = w
+                for a, w in mem_writes:
+                    memory[a] = w
+                for line, a in line_writes:
+                    addresses[line], valid[line] = a, True
+                assert (m.registers, m.memory) == (registers, memory)
+                assert (m.addresses, m.valid) == (addresses, valid)
+                if m.status is not Status.RUNNING or type(events[-1]) is Fault:
+                    assert (reg_writes, mem_writes, line_writes) == ((), (), ())
                 steps += 1
         assert steps > 10_000
 

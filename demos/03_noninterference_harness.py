@@ -49,10 +49,10 @@ print("== a broken ADD that drops the taint bit ==")
 
 
 def add_drops_taint(d, inputs, mode=Mode.HARDWARE):
-    outs, memops, control = instruction_semantics(d, inputs, mode)
-    if d.opcode is Opcode.ADD and outs:
-        outs = tuple(TaggedWord(w.value, False) for w in outs)
-    return outs, memops, control
+    out, memop, control = instruction_semantics(d, inputs, mode)
+    if d.opcode is Opcode.ADD and out is not None:
+        out = TaggedWord(out.value, False)
+    return out, memop, control
 
 
 result = check_noninterference(

@@ -232,7 +232,7 @@ class Verdict(Enum):
 
 @dataclass(frozen=True, slots=True)
 class Finding:
-    pc: int | None
+    pc: int
     instruction: str
     reason: str
     fault: FaultKind | None = None  # the fault class this point can raise
@@ -247,7 +247,7 @@ class Witness:
     initial: SystemState
     fault: FaultKind
     steps: int
-    pc: int | None
+    pc: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -261,9 +261,8 @@ class ComplianceReport:
     def format(self) -> str:
         lines = [f"verdict: {self.verdict.value}"]
         for f in self.findings:
-            where = f"pc={f.pc:#x}" if f.pc is not None else "pc=?"
             kind = "definite" if f.definite else "possible"
-            lines.append(f"{where} [{kind}] {f.instruction}: {f.reason}")
+            lines.append(f"pc={f.pc:#x} [{kind}] {f.instruction}: {f.reason}")
         if self.witness:
             lines.append(
                 f"witness: {self.witness.fault.value} after {self.witness.steps} steps"
@@ -535,7 +534,7 @@ class _Analysis:
             if self.iterations >= budget:
                 self.bound_exceeded = True
                 self.report(
-                    None if not worklist else worklist[0],
+                    worklist[0],
                     "<analysis>",
                     f"fixpoint iteration bound ({budget}) exceeded",
                     unresolved=True,
@@ -820,36 +819,34 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
     """``state_equiv`` of the post-states, given equivalent pre-states.
 
     ``out1`` and ``out2`` are what the two sides' :meth:`ListMachine.step`
-    returned, ``(events, register_writes, memory_writes, line_writes)``;
-    each step has committed exactly those writes.  Only what a step wrote
-    can have changed, so beyond pc, status and fault it suffices to
-    compare the cache lines, registers and memory words that either side
-    wrote (Goguen-Meseguer unwinding on the self-composed pair).  Words
-    are compared as ``value_equiv`` does, inline, and a word shared by
-    both sides is equivalent to itself.
+    returned, ``(events, register_write, memory_write, line_write)``,
+    each write an ``(index, value)`` pair or None; each step has
+    committed exactly those writes.  Only what a step wrote can have
+    changed, so beyond pc, status and fault it suffices to compare the
+    cache line, register and memory word that each side wrote
+    (Goguen-Meseguer unwinding on the self-composed pair).  Words are
+    compared as ``value_equiv`` does, inline, and a word shared by both
+    sides is equivalent to itself.
     """
     if m1.pc != m2.pc or m1.status is not m2.status or m1.fault is not m2.fault:
         return False
-    r1, r2 = m1.registers, m2.registers
-    for _, registers, memory, lines in (out1, out2):
-        if lines:
-            for line, _ in lines:
-                if m1.addresses[line] != m2.addresses[line] or m1.valid[line] != m2.valid[line]:
-                    return False
-        for i, _ in registers:
-            a, b = r1[i], r2[i]
-            if a is b:
-                continue
-            if not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
+    for _, register, memory, line in (out1, out2):
+        if line is not None:
+            i = line[0]
+            if m1.addresses[i] != m2.addresses[i] or m1.valid[i] != m2.valid[i]:
                 return False
-        if memory:
-            w1, w2 = m1.memory, m2.memory
-            for i, _ in memory:
-                a, b = w1[i], w2[i]
-                if a is b:
-                    continue
-                if not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
-                    return False
+        if register is not None:
+            a, b = m1.registers[register[0]], m2.registers[register[0]]
+            if a is not b and not (
+                b.blinded if a.blinded else not b.blinded and a.value == b.value
+            ):
+                return False
+        if memory is not None:
+            a, b = m1.memory[memory[0]], m2.memory[memory[0]]
+            if a is not b and not (
+                b.blinded if a.blinded else not b.blinded and a.value == b.value
+            ):
+                return False
     return True
 
 

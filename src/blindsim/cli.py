@@ -76,7 +76,6 @@ def _add_machine_flags(p: argparse.ArgumentParser) -> None:
         metavar="A..B", help="unblindable word-address range [A, B), repeatable",
     )
     p.add_argument("--mmio-console", type=_int, default=None, metavar="ADDR")
-    p.add_argument("--max-steps", type=_int, default=100_000)
 
 
 def _machine_config(args) -> machine.MachineConfig:
@@ -112,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a program image")
     p.add_argument("image")
     _add_machine_flags(p)
+    p.add_argument("--max-steps", type=_int, default=100_000)
     p.add_argument(
         "--blind-word", type=_blind_word, action="append", default=[],
         metavar="ADDR=VALUE", help="inject a blinded word before running",
@@ -133,6 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("plaintext", help="file of whitespace-separated words")
     _add_machine_flags(p)
+    p.add_argument("--max-steps", type=_int, default=100_000)
     p.add_argument("--program", default=None, help="program image (default: add-one)")
     p.add_argument("--dual", default=None, metavar="PATH",
                    help="second plaintext; assert both runs trace identically "

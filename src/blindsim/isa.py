@@ -357,14 +357,14 @@ def instruction_semantics(
     d: DecodedInstruction,
     inputs: Sequence[TaggedWord],
     mode: Mode = Mode.HARDWARE,
-) -> tuple[tuple[TaggedWord, ...], tuple[MemoryOperation, ...], Control]:
+) -> tuple[TaggedWord | None, MemoryOperation | None, Control]:
     """Compute an instruction's effects from its decoded form and inputs.
 
-    Returns register output values (pairing with the leading output
-    designators of ``d``; loads deliver their result through the memory
-    operation instead), memory operations, and the control outcome.  Total:
-    every violation is reported as a fault-handler control, never an
-    exception.
+    Returns ``(output, memop, control)``: the value for the register
+    output designator of ``d``, or None (a load delivers its result
+    through its memory operation instead); the step's one memory
+    operation, or None; and the control outcome.  Total: every violation
+    is reported as a fault-handler control, never an exception.
 
     The function is pure; with value-equivalent inputs it produces
     value-equivalent outputs, identical memory operations, and identical
@@ -375,38 +375,35 @@ def instruction_semantics(
         raise ValueError(f"{op.name} expects {len(d.inputs)} inputs, got {len(inputs)}")
 
     if op is _OP_HALT:
-        return (), (), HALT_CONTROL
+        return None, None, HALT_CONTROL
 
     if op in _ADDRESSED:
         addr = inputs[0]
         if addr.blinded:
             if mode is _MODEL:
-                return (), (), NEXT
-            return (), (), _ADDRESS_TRAP
+                return None, None, NEXT
+            return None, None, _ADDRESS_TRAP
         if op is _OP_STORE:
-            memop = _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1]))
-            return (), (memop,), NEXT
+            return None, _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1])), NEXT
         if op is _OP_LOAD:
-            memop = _new(MemoryOperation, (_MEM_LOAD, addr.value, d.outputs[0]))
-            return (), (memop,), NEXT
-        memop = _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0]))
-        return (), (memop,), NEXT
+            return None, _new(MemoryOperation, (_MEM_LOAD, addr.value, d.outputs[0])), NEXT
+        return None, _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0])), NEXT
 
     if op is _OP_BZ:
         cond, target = inputs
         if cond.blinded or target.blinded:
-            return (), (), _BRANCH_TRAP
+            return None, None, _BRANCH_TRAP
         if cond.value == 0:
-            return (), (), Control.jump(target.value)
-        return (), (), NEXT
+            return None, None, Control.jump(target.value)
+        return None, None, NEXT
 
     # Arithmetic.
     a, b = inputs
     if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
-        return (ZERO,), (), NEXT
+        return ZERO, None, NEXT
     if op in ZERO_ABSORBING and (
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
-        return (ZERO,), (), NEXT
+        return ZERO, None, NEXT
     value = ALU[op](a.value, b.value)
-    return (_word(value, a.blinded or b.blinded),), (), NEXT
+    return _word(value, a.blinded or b.blinded), None, NEXT

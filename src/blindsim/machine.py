@@ -2,14 +2,15 @@
 
 One method holds a step's semantics: :meth:`ListMachine.step` decides
 the step, then commits it to the machine's lists in place and returns
-``(events, register_writes, memory_writes, line_writes)``.  Every check
-precedes every write: a step that traps, halts or faults sets only pc,
-status and fault and returns empty writes, so no step commits part of
-its effect.  It reads no opcode: the semantics gives a step's one memory
-operation -- a load, a store, or a tag edit, which retags a word in place
-and reaches no cache line.  Every read in a step -- the stored register,
-the loaded word, the retagged word, the cache line -- sees the state
-before it; a ``semantics`` returning more operations raises ValueError.
+``(events, register_write, memory_write, line_write)``, each write one
+``(index, value)`` pair or None.  Every check precedes every write: a
+step that traps, halts or faults sets only pc, status and fault and
+returns no writes, so no step commits part of its effect.  It reads no
+opcode: the semantics gives a step's register output and its one memory
+operation, each or None -- a load, a store, or a tag edit, which retags
+a word in place and reaches no cache line.  Every read in a step -- the
+stored register, the loaded word, the retagged word, the cache line --
+sees the state before it.
 :func:`run` and the lockstep harness keep one :class:`ListMachine`, so a
 store costs O(1); :func:`step` steps a fresh :class:`ListMachine` and
 writes the returned writes with :meth:`SystemState.edit`, so each call
@@ -42,23 +43,21 @@ stored, with no call per read, and a word a step makes is built with
 
 A step also makes no frame or iterator beyond its own.  With
 ``tag_logic`` on it reads its input registers by count -- an instruction
-has 0, 1 or 2 -- into a list display rather than a comprehension; it
-pairs its register write with a conditional rather than
-``tuple(zip(...))``; and :meth:`MachineConfig.is_unblindable` and the
-cache-hit rescan are plain loops rather than ``any`` or ``next`` over a
-generator.  On the same host a two-register comprehension costs about
-235 ns against 95 ns for the display, ``tuple(zip(...))`` 400 ns against
-125 ns, and ``any`` over one range 600 ns against 165 ns.  Its result is
-a plain tuple, unpacked by the caller, rather than a named tuple read by
-attribute.  Trace lines come from one table of ``%``-formats keyed by
+has 0, 1 or 2 -- into a list display rather than a comprehension; and
+:meth:`MachineConfig.is_unblindable` and the cache-hit rescan are plain
+loops rather than ``any`` or ``next`` over a generator.  On the same
+host a two-register comprehension costs about 235 ns against 95 ns for
+the display, and ``any`` over one range 600 ns against 165 ns.  Its
+result is a plain tuple, unpacked by the caller, rather than a named
+tuple read by attribute.  Trace lines come from one table of ``%``-formats keyed by
 exact event class, so :func:`format_trace` makes one lookup per event
 instead of a chain of ``isinstance`` tests inside a generator.
 
-The commit runs a loop only for a component the step writes, so a step
-that writes nothing pays for three truth tests and the pc.  Such steps
-are common in lockstep checks: over one op of the benchmark's
-``check-corpus-64`` workload, 62 % of 23,016 steps write nothing and
-51 % are blinded-fetch traps.
+The commit makes one assignment for each write the step makes, so a
+step that writes nothing pays for three ``is not None`` tests and the
+pc.  Such steps are common in lockstep checks: over one op of the
+benchmark's ``check-corpus-64`` workload, 62 % of 23,016 steps write
+nothing and 51 % are blinded-fetch traps.
 
 :func:`run` and :func:`step` refuse a state whose sizes differ from the
 config's (:func:`check_state_fits`): a step reads the sizes from the
@@ -275,16 +274,18 @@ def step(
     the test harness can study broken variants; the default implements
     the shipped policy.  The step is :meth:`ListMachine.step` on a copy
     of ``s``, which decides the step, checks everything, then commits;
-    its writes are applied to ``s`` with :meth:`SystemState.edit`, so the
-    result shares every component the step did not write.  The copy
-    makes each call O(memory); :func:`run` keeps one machine instead.
+    each write it returns is applied to ``s`` with
+    :meth:`SystemState.edit`, so the result shares every component the
+    step did not write.  The copy makes each call O(memory); :func:`run`
+    keeps one machine instead.
     Raises ValueError unless ``s`` fits ``cfg`` (:func:`check_state_fits`).
     """
     if s.status is not _RUNNING:
         raise ValueError(f"machine is not running: {s.status}")
     check_state_fits(s, cfg)
     m = ListMachine(s)
-    events, registers, memory, lines = m.step(cfg, cycle, semantics)
+    events, *writes = m.step(cfg, cycle, semantics)
+    registers, memory, lines = (() if w is None else (w,) for w in writes)
     return s.edit(m.pc, registers, memory, lines, m.status, m.fault), events
 
 
@@ -313,23 +314,22 @@ class ListMachine:
     def step(self, cfg: MachineConfig, cycle: int, semantics: SemanticsFn) -> tuple:
         """Execute one instruction in place; requires RUNNING.
 
-        Returns ``(events, register_writes, memory_writes,
-        line_writes)``: the step's trace events, its (index, word)
-        register and memory writes in commit order (a tag edit is the one
-        memory write of its step), and its (line, address) cache
-        assignments, each making its line valid.  The step decides
-        everything and runs every check before its first write.  A step
-        that traps, halts or faults sets only pc, status and fault and
-        returns empty writes; a trap is the one stop that leaves the
-        machine RUNNING, with a :class:`Fault` as its last event.
+        Returns ``(events, register_write, memory_write, line_write)``:
+        the step's trace events, its (index, word) register write (the
+        output, or a load's word), its (address, word) memory write (a
+        store, or a tag edit), and its (line, address) cache assignment,
+        which makes its line valid; a write the step does not make is
+        None.  The step decides everything and runs every check before
+        its first write.  A step that traps, halts or faults sets only pc,
+        status and fault and returns three Nones; a trap is the one stop
+        that leaves the machine RUNNING, with a :class:`Fault` as its last
+        event.
 
         With ``tag_logic`` on, every word is read as stored.  Under
         ``tag_logic=False`` a blinded instruction word is fetched like
         any other and every other word a step reads passes through
         :func:`_untagged`, so no tag check fires and no tag reaches a
-        write.  Every read sees the state before the step.  A step makes
-        at most one memory operation; a semantics that returns more
-        raises ValueError.
+        write.  Every read sees the state before the step.
 
         ``decoded`` is a decode slot per address, ``{pc: (word,
         DecodedInstruction)}``, that this step may refill.  A slot is
@@ -343,14 +343,14 @@ class ListMachine:
 
         if not 0 <= pc < mem_size:
             self.status, self.fault = _FAULTED, _OUT_OF_RANGE
-            return (_new(Fault, (cycle, _OUT_OF_RANGE, False)),), (), (), ()
+            return (_new(Fault, (cycle, _OUT_OF_RANGE, False)),), None, None, None
 
         instr = memory[pc]
         if instr.blinded and tags:
             # Trap to the handler at address 0; the payload never reaches the
             # decoder, so the trace shows only the (tag-derived) fault signal.
             self.pc = 0
-            return (_new(Fault, (cycle, _BLINDED_FETCH, False)),), (), (), ()
+            return (_new(Fault, (cycle, _BLINDED_FETCH, False)),), None, None, None
 
         word = instr.value
         fetch = _new(Fetch, (cycle, pc, word))
@@ -362,7 +362,7 @@ class ListMachine:
                 d = decode(word)
             except DecodeError:
                 self.status, self.fault = _FAULTED, _DECODE_ERROR
-                return (fetch, _new(Fault, (cycle, _DECODE_ERROR, False))), (), (), ()
+                return (fetch, _new(Fault, (cycle, _DECODE_ERROR, False))), None, None, None
             self.decoded[pc] = (word, d)
 
         registers = self.registers
@@ -375,35 +375,30 @@ class ListMachine:
             inputs = [registers[ops[0]]]
         else:
             inputs = []
-        outputs, memops, control = semantics(d, inputs, cfg.mode)
-        if len(memops) > 1:
-            raise ValueError(f"a step makes at most one memory operation, got {len(memops)}")
+        output, memop, control = semantics(d, inputs, cfg.mode)
 
         # Control resolution first; a trap leaves everything but pc untouched.
         flow = control.kind
         if flow is _FAULT_HANDLER:
             self.pc = 0
-            return (fetch, _new(Fault, (cycle, control.fault, False))), (), (), ()
+            return (fetch, _new(Fault, (cycle, control.fault, False))), None, None, None
         if flow is _HALT:
             self.status = _HALTED
-            return (fetch, _new(Halt, (cycle,))), (), (), ()
+            return (fetch, _new(Halt, (cycle,))), None, None, None
         next_pc = control.target if flow is _JUMP else pc + 1
         if not 0 <= next_pc < mem_size:
             self.status, self.fault = _FAULTED, _OUT_OF_RANGE
-            return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), (), (), ()
+            return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
 
-        # Writes, in order: register outputs, then the memory operation.
-        # ``zip(d.outputs, outputs)`` without the iterator: an instruction has
-        # at most one output designator.
-        reg_writes = ((d.outputs[0], outputs[0]),) if outputs and d.outputs else ()
-        mem_writes: tuple[tuple[int, TaggedWord], ...] = ()
-        line_writes: tuple[tuple[int, int], ...] = ()
+        # At most one write of each kind; a load's write replaces the output's.
+        register_write = (d.outputs[0], output) if output is not None and d.outputs else None
+        memory_write = line_write = None
         events: tuple[TraceEvent, ...] = (fetch,)
-        if memops:
-            ((kind, address, register),) = memops
+        if memop is not None:
+            kind, address, register = memop
             if not 0 <= address < mem_size:
                 self.status, self.fault = _FAULTED, _OUT_OF_RANGE
-                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), (), (), ()
+                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
             if kind is _MEM_STORE or kind is _MEM_LOAD:
                 # Direct-mapped: the line depends only on the (clear) address.  A repeat
                 # access reports the first valid line holding the address, which a
@@ -416,7 +411,7 @@ class ListMachine:
                             line = i
                             break
                 else:
-                    line_writes = ((line, address),)
+                    line_write = (line, address)
                 events += (
                     _new(MemAccess, (cycle, kind, address)),
                     _new(CacheUpdate, (cycle, line, address)),
@@ -427,35 +422,33 @@ class ListMachine:
                         word = _untagged(word)
                     elif word.blinded and cfg.is_unblindable(address):
                         self.status, self.fault = _FAULTED, _BLINDED_STORE
-                        return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), (), (), ()
-                    mem_writes = ((address, word),)
+                        fault = _new(Fault, (cycle, _BLINDED_STORE, False))
+                        return (fetch, fault), None, None, None
+                    memory_write = (address, word)
                     if address == cfg.mmio_console:
                         events += (_new(MmioWrite, (cycle, word.value)),)
                 else:
                     word = memory[address]
-                    reg_writes += ((register, word if tags else _untagged(word)),)
+                    register_write = (register, word if tags else _untagged(word))
             elif tags:
                 # A tag edit retags the word in place: it reaches no cache line
                 # and emits no event, and the untagged machine ignores it.
                 if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
                     self.status, self.fault = _FAULTED, _DECODE_ERROR
-                    return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), (), (), ()
-                mem_writes = ((address, _word(memory[address].value, kind is _MEM_BLIND)),)
+                    return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
+                memory_write = (address, _word(memory[address].value, kind is _MEM_BLIND))
 
         # Every check has passed: commit.
         self.pc = next_pc
-        if reg_writes:
-            for i, w in reg_writes:
-                registers[i] = w
-        if mem_writes:
-            for a, w in mem_writes:
-                memory[a] = w
-        if line_writes:
-            addresses, valid = self.addresses, self.valid
-            for line, a in line_writes:
-                addresses[line] = a
-                valid[line] = True
-        return events, reg_writes, mem_writes, line_writes
+        if register_write is not None:
+            registers[register_write[0]] = register_write[1]
+        if memory_write is not None:
+            memory[memory_write[0]] = memory_write[1]
+        if line_write is not None:
+            line = line_write[0]
+            self.addresses[line] = line_write[1]
+            self.valid[line] = True
+        return events, register_write, memory_write, line_write
 
     def state(self) -> SystemState:
         return SystemState(

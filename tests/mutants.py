@@ -22,10 +22,10 @@ from blindsim.model import FaultKind, MemoryImage, TaggedWord
 
 def add_drops_taint(d, inputs, mode=Mode.HARDWARE):
     """ADD forgets to propagate the blindedness bit."""
-    outs, memops, control = instruction_semantics(d, inputs, mode)
-    if d.opcode is Opcode.ADD and outs:
-        outs = tuple(TaggedWord(w.value, False) for w in outs)
-    return outs, memops, control
+    out, memop, control = instruction_semantics(d, inputs, mode)
+    if d.opcode is Opcode.ADD and out is not None:
+        out = TaggedWord(out.value, False)
+    return out, memop, control
 
 
 def bz_ignores_blinded_condition(d, inputs, mode=Mode.HARDWARE):
@@ -34,10 +34,10 @@ def bz_ignores_blinded_condition(d, inputs, mode=Mode.HARDWARE):
     if d.opcode is Opcode.BZ:
         cond, target = inputs
         if target.blinded:
-            return (), (), Control.fault_handler(FaultKind.BLINDED_BRANCH)
+            return None, None, Control.fault_handler(FaultKind.BLINDED_BRANCH)
         if cond.value == 0:
-            return (), (), Control.jump(target.value)
-        return (), (), NEXT
+            return None, None, Control.jump(target.value)
+        return None, None, NEXT
     return instruction_semantics(d, inputs, mode)
 
 
@@ -53,7 +53,7 @@ def cache_sees_blinded_addresses(d, inputs, mode=Mode.HARDWARE):
             memop = MemoryOperation(MemKind.STORE, inputs[0].value, d.inputs[1])
         else:
             memop = MemoryOperation(MemKind.LOAD, inputs[0].value, d.outputs[0])
-        return (), (memop,), NEXT
+        return None, memop, NEXT
     return instruction_semantics(d, inputs, mode)
 
 
@@ -62,7 +62,7 @@ def tag_edit_at_blinded_address(d, inputs, mode=Mode.HARDWARE):
     secret payload names instead of doing nothing."""
     if mode is Mode.MODEL and d.opcode in (Opcode.BLND, Opcode.RBLND) and inputs[0].blinded:
         kind = MemKind.BLIND if d.opcode is Opcode.BLND else MemKind.UNBLIND
-        return (), (MemoryOperation(kind, inputs[0].value, d.inputs[0]),), NEXT
+        return None, MemoryOperation(kind, inputs[0].value, d.inputs[0]), NEXT
     return instruction_semantics(d, inputs, mode)
 
 

@@ -138,25 +138,25 @@ def test_a2_special_case_taint_rules():
     # XOR/SUB on the same register yield a clear zero despite blinded input
     for op in (Opcode.XOR, Opcode.SUB):
         w = blinded(0xDEAD)
-        outs, memops, control = semantics(op, (4, 4), (1,), [w, w])
-        assert outs == (clear(0),) and memops == () and control.kind.value == "next"
+        out, memop, control = semantics(op, (4, 4), (1,), [w, w])
+        assert out == clear(0) and memop is None and control.kind.value == "next"
         checks += 1
 
     # MUL/AND with a clear zero yield a clear zero despite the blinded side
     for op in (Opcode.MUL, Opcode.AND):
         for values in ([clear(0), blinded(77)], [blinded(77), clear(0)]):
-            outs, _, _ = semantics(op, (1, 2), (3,), values)
-            assert outs == (clear(0),)
+            out, _, _ = semantics(op, (1, 2), (3,), values)
+            assert out == clear(0)
             checks += 1
 
     # STORE/LOAD with a blinded address: no-op in model mode, fault in hardware
     store = DecodedInstruction(Opcode.STORE, (1, 2), ())
     load = DecodedInstruction(Opcode.LOAD, (1,), (2,))
     for d, values in ((store, [blinded(8), clear(5)]), (load, [blinded(8)])):
-        outs, memops, control = instruction_semantics(d, values, Mode.MODEL)
-        assert outs == () and memops == () and control.kind.value == "next"
-        _, memops, control = instruction_semantics(d, values, Mode.HARDWARE)
-        assert memops == ()
+        out, memop, control = instruction_semantics(d, values, Mode.MODEL)
+        assert out is None and memop is None and control.kind.value == "next"
+        _, memop, control = instruction_semantics(d, values, Mode.HARDWARE)
+        assert memop is None
         assert control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
         checks += 2
 

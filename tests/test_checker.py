@@ -301,6 +301,28 @@ class TestFindingPaths:
         assert report.findings == (f,)
         assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_a_definite_finding_that_no_replay_reaches(self, cfg):
+        # The bz at 4 always sees the blinded r2, but a replay gives the
+        # signature-clear r1 the value 0, so the bz at 3 always jumps past it.
+        src = """
+.entry start
+.word pool
+start:
+    load r10, r0
+    load r5, r10
+    bz r1, r5
+    bz r2, r5
+skip:
+    halt
+pool:
+    .word skip
+"""
+        report = analyze(assemble(src), parse_signature("r1=C,r2=B"), cfg)
+        f = finding(report, "blinded value controls a branch")
+        assert f.pc == 4 and f.definite and f.fault is FaultKind.BLINDED_BRANCH
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
     def test_branch_target_unresolved(self):
         # r0 is a clear zero, so the branch is taken to wherever r1 points
         report = analyze(assemble(".entry 0\nbz r0, r1\nhalt\n"), parse_signature("r1=C"), HW)
@@ -693,10 +715,10 @@ class TestNoninterference:
 
     def test_add_taint_drop_mutation_caught_with_counterexample(self):
         def broken(d, inputs, mode=Mode.HARDWARE):
-            outs, memops, control = instruction_semantics(d, inputs, mode)
-            if d.opcode is Opcode.ADD and outs:
-                outs = tuple(TaggedWord(w.value, False) for w in outs)
-            return outs, memops, control
+            out, memop, control = instruction_semantics(d, inputs, mode)
+            if d.opcode is Opcode.ADD and out is not None:
+                out = TaggedWord(out.value, False)
+            return out, memop, control
 
         result = check_noninterference(
             None, trials=3000, steps=64, cfg=HW, seed=17, semantics=broken
@@ -924,10 +946,10 @@ class TestUnwindingMatchesFullEquivalence:
         # Raw unblinding clears a tag in memory, and this variant writes a
         # register on one side only; neither shows in the trace events.
         def add_skips_write_on_odd_secret(d, inputs, mode):
-            outs, memops, control = instruction_semantics(d, inputs, mode)
+            out, memop, control = instruction_semantics(d, inputs, mode)
             if d.opcode is Opcode.ADD and any(w.blinded and w.value & 1 for w in inputs):
-                return (), memops, control
-            return outs, memops, control
+                return None, memop, control
+            return out, memop, control
 
         raw = MachineConfig(mode=mode, memory_words=64, cache_lines=8, allow_raw_unblind=True)
         cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)

@@ -538,6 +538,11 @@ class TestErrorPaths:
         assert "verdict: compliant" in captured.out and "non-interference" not in captured.out
         assert captured.err == ""
 
+    def test_check_takes_no_step_budget(self, tmp_path, capsys):
+        # check runs no program to a budget; its trials take --steps.
+        assert run_cli(tmp_path, f"check @halt.img {SMALL} --max-steps 5") == 2
+        assert capsys.readouterr().out == ""
+
     def test_a_negative_trial_count_is_a_usage_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials -3 --steps -1") == 2
         captured = capsys.readouterr()

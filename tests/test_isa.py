@@ -30,7 +30,7 @@ from blindsim.isa import (
     random_instruction,
     random_instruction_word,
 )
-from blindsim.model import REG_COUNT, FaultKind, blinded, clear, list_equiv
+from blindsim.model import REG_COUNT, FaultKind, blinded, clear, value_equiv
 
 from conftest import random_word, twin_word
 
@@ -225,51 +225,51 @@ class TestSpecialCases:
     def test_xor_same_register_blinded_yields_clear_zero(self):
         d = DecodedInstruction(Opcode.XOR, (4, 4), (1,))
         w = blinded(0xDEAD)
-        outs, memops, control = instruction_semantics(d, [w, w])
-        assert outs == (clear(0),) and memops == () and control is NEXT
+        out, memop, control = instruction_semantics(d, [w, w])
+        assert out == clear(0) and memop is None and control is NEXT
 
     def test_sub_same_register_blinded_yields_clear_zero(self):
         d = DecodedInstruction(Opcode.SUB, (7, 7), (2,))
         w = blinded(99)
-        outs, _, _ = instruction_semantics(d, [w, w])
-        assert outs == (clear(0),)
+        out, _, _ = instruction_semantics(d, [w, w])
+        assert out == clear(0)
 
     def test_sub_equal_values_different_registers_stays_blinded(self):
         d = DecodedInstruction(Opcode.SUB, (1, 2), (3,))
-        outs, _, _ = instruction_semantics(d, [blinded(5), blinded(5)])
-        assert outs == (blinded(0),)
+        out, _, _ = instruction_semantics(d, [blinded(5), blinded(5)])
+        assert out == blinded(0)
 
     def test_mul_clear_zero_absorbs_blinded(self):
         d = DecodedInstruction(Opcode.MUL, (1, 2), (3,))
-        outs, _, _ = instruction_semantics(d, [clear(0), blinded(77)])
-        assert outs == (clear(0),)
-        outs, _, _ = instruction_semantics(d, [blinded(77), clear(0)])
-        assert outs == (clear(0),)
+        out, _, _ = instruction_semantics(d, [clear(0), blinded(77)])
+        assert out == clear(0)
+        out, _, _ = instruction_semantics(d, [blinded(77), clear(0)])
+        assert out == clear(0)
 
     def test_and_clear_zero_absorbs_blinded(self):
         d = DecodedInstruction(Opcode.AND, (1, 2), (3,))
-        outs, _, _ = instruction_semantics(d, [blinded(0xFFFF), clear(0)])
-        assert outs == (clear(0),)
+        out, _, _ = instruction_semantics(d, [blinded(0xFFFF), clear(0)])
+        assert out == clear(0)
 
     def test_blinded_zero_does_not_absorb(self):
         d = DecodedInstruction(Opcode.MUL, (1, 2), (3,))
-        outs, _, _ = instruction_semantics(d, [blinded(0), clear(7)])
-        assert outs == (blinded(0),)
+        out, _, _ = instruction_semantics(d, [blinded(0), clear(7)])
+        assert out == blinded(0)
 
     def test_add_default_propagation(self):
         d = DecodedInstruction(Opcode.ADD, (1, 2), (3,))
-        outs, memops, control = instruction_semantics(d, [blinded(3), clear(4)])
-        assert outs == (blinded(7),) and memops == () and control is NEXT
+        out, memop, control = instruction_semantics(d, [blinded(3), clear(4)])
+        assert out == blinded(7) and memop is None and control is NEXT
 
     def test_add_wraps_mod_2_64(self):
         d = DecodedInstruction(Opcode.ADD, (1, 2), (3,))
-        outs, _, _ = instruction_semantics(d, [clear((1 << 64) - 1), clear(2)])
-        assert outs == (clear(1),)
+        out, _, _ = instruction_semantics(d, [clear((1 << 64) - 1), clear(2)])
+        assert out == clear(1)
 
     def test_bz_blinded_condition_traps(self):
         d = DecodedInstruction(Opcode.BZ, (1, 2), (PC,))
-        outs, memops, control = instruction_semantics(d, [blinded(0), clear(64)])
-        assert outs == () and memops == ()
+        out, memop, control = instruction_semantics(d, [blinded(0), clear(64)])
+        assert out is None and memop is None
         assert control == Control.fault_handler(FaultKind.BLINDED_BRANCH)
 
     def test_bz_blinded_target_traps_even_when_not_taken(self):
@@ -286,42 +286,43 @@ class TestSpecialCases:
 
     def test_store_blinded_address_model_noop(self):
         d = DecodedInstruction(Opcode.STORE, (1, 2), ())
-        outs, memops, control = instruction_semantics(
+        out, memop, control = instruction_semantics(
             d, [blinded(8), clear(5)], mode=Mode.MODEL
         )
-        assert outs == () and memops == () and control is NEXT
+        assert out is None and memop is None and control is NEXT
 
     def test_store_blinded_address_hardware_faults(self):
         d = DecodedInstruction(Opcode.STORE, (1, 2), ())
-        _, memops, control = instruction_semantics(
+        _, memop, control = instruction_semantics(
             d, [blinded(8), clear(5)], mode=Mode.HARDWARE
         )
-        assert memops == ()
+        assert memop is None
         assert control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
 
     def test_load_blinded_address_both_modes(self):
         d = DecodedInstruction(Opcode.LOAD, (1,), (2,))
-        _, memops, control = instruction_semantics(d, [blinded(8)], mode=Mode.MODEL)
-        assert memops == () and control is NEXT
-        _, memops, control = instruction_semantics(d, [blinded(8)], mode=Mode.HARDWARE)
-        assert control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
+        _, memop, control = instruction_semantics(d, [blinded(8)], mode=Mode.MODEL)
+        assert memop is None and control is NEXT
+        _, memop, control = instruction_semantics(d, [blinded(8)], mode=Mode.HARDWARE)
+        assert memop is None and control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
 
     def test_store_clear_address_emits_memop(self):
         d = DecodedInstruction(Opcode.STORE, (1, 2), ())
-        outs, memops, control = instruction_semantics(d, [clear(8), blinded(5)])
-        assert outs == () and control is NEXT
-        assert memops == (MemoryOperation(MemKind.STORE, 8, 2),)
+        out, memop, control = instruction_semantics(d, [clear(8), blinded(5)])
+        assert out is None and control is NEXT
+        assert memop == MemoryOperation(MemKind.STORE, 8, 2)
 
     def test_load_clear_address_emits_memop(self):
         d = DecodedInstruction(Opcode.LOAD, (1,), (2,))
-        _, memops, control = instruction_semantics(d, [clear(8)])
-        assert memops == (MemoryOperation(MemKind.LOAD, 8, 2),)
+        out, memop, control = instruction_semantics(d, [clear(8)])
+        assert out is None and control is NEXT
+        assert memop == MemoryOperation(MemKind.LOAD, 8, 2)
 
     def test_blnd_rblnd_blinded_address_follow_address_rule(self):
         for op in (Opcode.BLND, Opcode.RBLND):
             d = DecodedInstruction(op, (1,), ())
-            _, memops, control = instruction_semantics(d, [blinded(4)], Mode.MODEL)
-            assert memops == () and control is NEXT
+            _, memop, control = instruction_semantics(d, [blinded(4)], Mode.MODEL)
+            assert memop is None and control is NEXT
             _, _, control = instruction_semantics(d, [blinded(4)], Mode.HARDWARE)
             assert control == Control.fault_handler(FaultKind.BLINDED_ADDRESS)
 
@@ -330,14 +331,14 @@ class TestSpecialCases:
         for op, kind in ((Opcode.BLND, MemKind.BLIND), (Opcode.RBLND, MemKind.UNBLIND)):
             d = DecodedInstruction(op, (1,), ())
             for mode in Mode:
-                outs, memops, control = instruction_semantics(d, [clear(4)], mode)
-                assert outs == () and control is NEXT
-                assert memops == (MemoryOperation(kind, 4, 1),)
+                out, memop, control = instruction_semantics(d, [clear(4)], mode)
+                assert out is None and control is NEXT
+                assert memop == MemoryOperation(kind, 4, 1)
 
     def test_halt(self):
         d = DecodedInstruction(Opcode.HALT, (), ())
-        outs, memops, control = instruction_semantics(d, [])
-        assert outs == () and memops == ()
+        out, memop, control = instruction_semantics(d, [])
+        assert out is None and memop is None
         assert control.kind is ControlKind.HALT
 
 
@@ -366,7 +367,8 @@ class TestSemanticsSafety:
                 ins2 = _equivalent_twin_inputs(rng, ins1)
                 out1, mem1, ctl1 = instruction_semantics(d, ins1, mode)
                 out2, mem2, ctl2 = instruction_semantics(d, ins2, mode)
-                assert list_equiv(out1, out2), (d, ins1, ins2)
+                assert (out1 is None) == (out2 is None), (d, ins1, ins2)
+                assert out1 is None or value_equiv(out1, out2), (d, ins1, ins2)
                 assert mem1 == mem2, (d, ins1, ins2)
                 assert ctl1 == ctl2, (d, ins1, ins2)
 
@@ -386,8 +388,8 @@ class TestSemanticsSafety:
                 not w.blinded and w.value == 0 for w in ins
             ):
                 continue
-            outs, _, _ = instruction_semantics(d, ins)
-            assert all(w.blinded for w in outs), (d, ins)
+            out, _, _ = instruction_semantics(d, ins)
+            assert out.blinded, (d, ins)
             checked += 1
 
     def test_memops_never_carry_blinded_addresses(self):
@@ -396,10 +398,10 @@ class TestSemanticsSafety:
             d = random_instruction(rng)
             ins = _random_inputs(rng, d)
             for mode in Mode:
-                _, memops, _ = instruction_semantics(d, ins, mode)
-                if memops:
+                _, memop, _ = instruction_semantics(d, ins, mode)
+                if memop is not None:
                     assert not ins[0].blinded
-                    assert all(m.address == ins[0].value for m in memops)
+                    assert memop.address == ins[0].value
 
     def test_arity_mismatch_rejected(self):
         d = DecodedInstruction(Opcode.ADD, (1, 2), (3,))

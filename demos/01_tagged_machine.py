@@ -22,8 +22,8 @@ from blindsim import (
 )
 
 
-def instr(op, ins=(), outs=()):
-    return clear(encode(DecodedInstruction(op, tuple(ins), tuple(outs))))
+def instr(op, ins=(), out=None):
+    return clear(encode(DecodedInstruction(op, tuple(ins), out)))
 
 
 cfg = MachineConfig(memory_words=32, cache_lines=8)
@@ -31,7 +31,7 @@ cfg = MachineConfig(memory_words=32, cache_lines=8)
 print("== add two registers, store the result, halt ==")
 s = SystemState.initial(cfg.memory_words, cfg.cache_lines)
 program = [
-    instr(Opcode.ADD, (1, 2), (3,)),   # r3 = r1 + r2
+    instr(Opcode.ADD, (1, 2), 3),      # r3 = r1 + r2
     instr(Opcode.STORE, (4, 3)),       # mem[r4] = r3
     instr(Opcode.HALT),
 ]

@@ -40,7 +40,6 @@ from .checker import (
 )
 from .engine import EncryptionEngine, SealedKey, SessionKey
 from .isa import (
-    Control,
     DecodedInstruction,
     DecodeError,
     MemoryOperation,
@@ -88,7 +87,6 @@ __all__ = [
     "Claims",
     "ClientHandshake",
     "ComplianceReport",
-    "Control",
     "DecodeError",
     "DecodedInstruction",
     "EncryptionEngine",

@@ -30,7 +30,7 @@ import re
 import struct
 from dataclasses import dataclass
 
-from .isa import REG, SHAPES, DecodedInstruction, DecodeError, decode, encode
+from .isa import SHAPES, DecodedInstruction, DecodeError, decode, encode
 from .model import MASK64, REG_COUNT, TaggedWord
 
 _MNEMONICS = {op.name.lower(): op for op in SHAPES}
@@ -184,8 +184,8 @@ class _Assembler:
         if op is None:
             self.err(line_no, col, f"unknown mnemonic {head!r}")
             return
-        n_inputs, outputs = SHAPES[op]
-        arity = n_inputs + (outputs == (REG,))
+        n_inputs, writes = SHAPES[op]
+        arity = n_inputs + writes
         if len(args) != arity:
             self.err(line_no, col, f"{mnemonic} takes {arity} operand(s), got {len(args)}")
             return
@@ -195,9 +195,8 @@ class _Assembler:
             if r is None:
                 return
             regs.append(r)
-        if outputs == (REG,):
-            outputs = (regs.pop(0),)
-        self.emit(line_no, col, DecodedInstruction(op, tuple(regs), outputs))
+        output = regs.pop(0) if writes else None
+        self.emit(line_no, col, DecodedInstruction(op, tuple(regs), output))
 
     def emit(self, line_no: int, col: int, payload) -> None:
         if self.address > MASK64:
@@ -272,7 +271,7 @@ def assemble(source: str) -> ProgramImage:
 def render_instruction(d: DecodedInstruction) -> str:
     """Canonical assembly text for one decoded instruction."""
     mnemonic = d.opcode.name.lower()
-    regs = (d.outputs if SHAPES[d.opcode][1] == (REG,) else ()) + d.inputs
+    regs = d.inputs if d.output is None else (d.output, *d.inputs)
     if not regs:
         return mnemonic
     return f"{mnemonic} " + ", ".join(f"r{r}" for r in regs)

@@ -389,7 +389,7 @@ class _Analysis:
         a, b = state.regs[d.inputs[0]], state.regs[d.inputs[1]]
         value = _arith_transfer(d, a, b)
         regs = list(state.regs)
-        regs[d.outputs[0]] = value
+        regs[d.output] = value
         return self._next(pc, text, AbsState(tuple(regs), state.mem))
 
     def _next(self, pc: int, text: str, state: AbsState) -> list[tuple[int, AbsState]]:
@@ -471,7 +471,7 @@ class _Analysis:
                     )
             regs, mem = state.regs, state.mem
             if op is Opcode.LOAD:
-                dst = d.outputs[0]
+                dst = d.output
                 loaded = mem.read(addr) if known else mem.join_all()
                 regs = regs[:dst] + (loaded,) + regs[dst + 1 :]
             else:

@@ -20,16 +20,18 @@ order:
 * BZ traps when its condition or target is blinded -- secrets must never
   reach the program counter.
 
-Arithmetic is modular 2**64.
+Arithmetic is modular 2**64.  A step's control is a plain value: None
+steps to the next word, an ``int`` jumps there, a :class:`FaultKind`
+traps to the handler at address 0, and ``Status.HALTED`` halts.
 
 :func:`instruction_semantics` runs once per machine step, so it reads
 enum members through module constants and builds its named tuples with
-``tuple.__new__`` from a tuple of all their fields, as
-:meth:`Control.jump` does: under CPython 3.11 on a 2-core x86 host an
-``Enum.MEMBER`` lookup costs 110-135 ns against 8-14 ns for a module
-global, and a named tuple's generated ``__new__`` 300-610 ns against
-150-230 ns through ``tuple.__new__``, which fills no default, so every
-field is given.  An ALU result is built with :func:`~blindsim.model._word`.
+``tuple.__new__`` from a tuple of all their fields: under CPython 3.11
+on a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
+8-14 ns for a module global, and a named tuple's generated ``__new__``
+300-610 ns against 150-230 ns through ``tuple.__new__``, which fills no
+default, so every field is given.  An ALU result is built with
+:func:`~blindsim.model._word`.
 
 :func:`decode` runs once for each distinct word a machine fetches at an
 address, and a random lockstep pair fetches mostly fresh words, so it
@@ -48,9 +50,9 @@ from __future__ import annotations
 
 import random
 from enum import Enum, IntEnum
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
-from .model import MASK64, REG_COUNT, ZERO, FaultKind, TaggedWord, _word
+from .model import MASK64, REG_COUNT, ZERO, FaultKind, Status, TaggedWord, _word
 
 
 class Opcode(IntEnum):
@@ -78,11 +80,6 @@ class Mode(Enum):
     HARDWARE = "hardware"
 
 
-#: Output designator for writes to the program counter.
-PC = "pc"
-
-Designator = Union[int, str]
-
 ARITHMETIC = (Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.AND, Opcode.XOR)
 
 _ABSENT = 0xFF
@@ -97,12 +94,13 @@ class EncodeError(ValueError):
 
 
 class DecodedInstruction(NamedTuple):
-    """An opcode and its operand designators; as a named tuple it equals
-    the plain tuple of its fields."""
+    """An opcode, its input registers and its output register, or None
+    when it writes none; as a named tuple it equals the plain tuple of
+    its fields."""
 
     opcode: Opcode
     inputs: tuple[int, ...]
-    outputs: tuple[Designator, ...]
+    output: int | None
 
 
 class MemKind(Enum):
@@ -124,36 +122,9 @@ class MemoryOperation(NamedTuple):
     register: int
 
 
-class ControlKind(Enum):
-    NEXT = "next"
-    JUMP = "jump"
-    FAULT_HANDLER = "fault-handler"
-    HALT = "halt"
-
-
-_JUMP, _FAULT_HANDLER = ControlKind.JUMP, ControlKind.FAULT_HANDLER
-
 # Builds a per-step record from a tuple of all its fields, skipping the
 # named tuple's generated ``__new__`` (see the module docstring).
 _new = tuple.__new__
-
-
-class Control(NamedTuple):
-    kind: ControlKind
-    target: int | None = None
-    fault: FaultKind | None = None
-
-    @classmethod
-    def jump(cls, target: int) -> Control:
-        return _new(cls, (_JUMP, target, None))
-
-    @classmethod
-    def fault_handler(cls, fault: FaultKind) -> Control:
-        return _new(cls, (_FAULT_HANDLER, None, fault))
-
-
-NEXT = Control(ControlKind.NEXT)
-HALT_CONTROL = Control(ControlKind.HALT)
 
 
 # ---------------------------------------------------------------------------
@@ -161,36 +132,27 @@ HALT_CONTROL = Control(ControlKind.HALT)
 #
 # Little-endian byte layout within the 64-bit instruction word:
 #   byte 0: opcode
-#   byte 1: output register, 0xFF when the output is pc or absent
+#   byte 1: output register, 0xFF when absent
 #   byte 2: first input register, 0xFF when absent
 #   byte 3: second input register, 0xFF when absent
 #   bytes 4-7: reserved, must be zero
 # ---------------------------------------------------------------------------
 
-#: Marks a register output in :data:`SHAPES`.
-REG = "reg"
-
-#: Operand shape of every opcode: (input count, outputs), where outputs
-#: is (), (PC,) or (REG,).  Encoding, decoding, random instructions and
-#: assembly text all follow this table.
-SHAPES: dict[Opcode, tuple[int, tuple[str, ...]]] = {
-    Opcode.HALT: (0, ()),
-    Opcode.STORE: (2, ()),
-    Opcode.LOAD: (1, (REG,)),
-    Opcode.BZ: (2, (PC,)),
-    **{op: (2, (REG,)) for op in ARITHMETIC},
-    Opcode.BLND: (1, ()),
-    Opcode.RBLND: (1, ()),
+#: Operand shape of every opcode: (input count, writes a register).
+#: BZ writes none: its target is its second input.  Encoding, decoding,
+#: random instructions and assembly text all follow this table.
+SHAPES: dict[Opcode, tuple[int, bool]] = {
+    Opcode.HALT: (0, False),
+    Opcode.STORE: (2, False),
+    Opcode.LOAD: (1, True),
+    Opcode.BZ: (2, False),
+    **{op: (2, True) for op in ARITHMETIC},
+    Opcode.BLND: (1, False),
+    Opcode.RBLND: (1, False),
 }
 
-_BY_BYTE = {int(op): (op, n, outs) for op, (n, outs) in SHAPES.items()}
+_BY_BYTE = {int(op): (op, n, writes) for op, (n, writes) in SHAPES.items()}
 _PADDING = (_ABSENT, _ABSENT)
-
-# What :func:`decode` reads per opcode byte: a register output is None,
-# to be filled from ``_REG_OUTPUTS``, whose one-register tuples every
-# decode shares.
-_DECODE = {b: (op, n, None if outs == (REG,) else outs) for b, (op, n, outs) in _BY_BYTE.items()}
-_REG_OUTPUTS = tuple((i,) for i in range(REG_COUNT))
 
 
 def _register(i: int) -> int:
@@ -205,11 +167,11 @@ def encode(d: DecodedInstruction) -> int:
     shape = _BY_BYTE.get(d.opcode)
     if shape is None:
         raise EncodeError(f"unknown opcode {d.opcode!r}")
-    op, n_inputs, outputs = shape
-    pc_ok = outputs != (PC,) or d.outputs == (PC,)
-    if len(d.inputs) != n_inputs or len(d.outputs) != len(outputs) or not pc_ok:
-        raise EncodeError(f"{op.name.lower()} takes {n_inputs} input(s) and outputs {outputs}")
-    out = _register(d.outputs[0]) if outputs == (REG,) else _ABSENT
+    op, n_inputs, writes = shape
+    if len(d.inputs) != n_inputs or (d.output is None) is writes:
+        output = "a register" if writes else "nothing"
+        raise EncodeError(f"{op.name.lower()} takes {n_inputs} input(s) and outputs {output}")
+    out = _register(d.output) if writes else _ABSENT
     b2, b3 = (*map(_register, d.inputs), *_PADDING)[:2]
     return int(op) | (out << 8) | (b2 << 16) | (b3 << 24)
 
@@ -225,10 +187,10 @@ def decode(word: int) -> DecodedInstruction:
     """
     if not 0 <= word < 1 << 32:
         raise DecodeError(f"{word:#x} is out of range or has nonzero reserved bytes")
-    shape = _DECODE.get(word & 0xFF)
+    shape = _BY_BYTE.get(word & 0xFF)
     if shape is None:
         raise DecodeError(f"unknown opcode byte {word & 0xFF:#04x}")
-    op, n_inputs, outputs = shape
+    op, n_inputs, writes = shape
     b2 = (word >> 16) & 0xFF
     b3 = word >> 24
     if n_inputs == 2:
@@ -240,20 +202,20 @@ def decode(word: int) -> DecodedInstruction:
     if not fits:
         raise DecodeError(f"input bytes of {word:#x} do not fit {op.name.lower()}")
     out = (word >> 8) & 0xFF
-    if outputs is None:
-        if out >= REG_COUNT:
-            raise DecodeError(f"output byte of {word:#x} does not fit {op.name.lower()}")
-        outputs = _REG_OUTPUTS[out]
-    elif out != _ABSENT:
+    if writes:
+        fits = out < REG_COUNT
+    else:
+        fits, out = out == _ABSENT, None
+    if not fits:
         raise DecodeError(f"output byte of {word:#x} does not fit {op.name.lower()}")
-    return _new(DecodedInstruction, (op, inputs, outputs))
+    return _new(DecodedInstruction, (op, inputs, out))
 
 
 def _draw_plan(op: Opcode) -> tuple[int, tuple[int, ...]]:
     """``op``'s word with the undrawn operand bytes absent, and the shifts
     of the register bytes to draw: inputs, then a register output."""
-    n_inputs, outputs = SHAPES[op]
-    shifts = (16, 24)[:n_inputs] + ((8,) if outputs == (REG,) else ())
+    n_inputs, writes = SHAPES[op]
+    shifts = (16, 24)[:n_inputs] + ((8,) if writes else ())
     return int(op) | sum(_ABSENT << s for s in (8, 16, 24) if s not in shifts), shifts
 
 
@@ -349,22 +311,23 @@ _MODEL = Mode.MODEL
 _MEM_STORE, _MEM_LOAD = MemKind.STORE, MemKind.LOAD
 _TAG_EDITS = {Opcode.BLND: MemKind.BLIND, Opcode.RBLND: MemKind.UNBLIND}
 _ADDRESSED = frozenset((Opcode.STORE, Opcode.LOAD, *_TAG_EDITS))
-_ADDRESS_TRAP = Control.fault_handler(FaultKind.BLINDED_ADDRESS)
-_BRANCH_TRAP = Control.fault_handler(FaultKind.BLINDED_BRANCH)
+_HALTED = Status.HALTED
+_BLINDED_ADDRESS, _BLINDED_BRANCH = FaultKind.BLINDED_ADDRESS, FaultKind.BLINDED_BRANCH
 
 
 def instruction_semantics(
     d: DecodedInstruction,
     inputs: Sequence[TaggedWord],
     mode: Mode = Mode.HARDWARE,
-) -> tuple[TaggedWord | None, MemoryOperation | None, Control]:
+) -> tuple[TaggedWord | None, MemoryOperation | None, int | FaultKind | Status | None]:
     """Compute an instruction's effects from its decoded form and inputs.
 
-    Returns ``(output, memop, control)``: the value for the register
-    output designator of ``d``, or None (a load delivers its result
-    through its memory operation instead); the step's one memory
-    operation, or None; and the control outcome.  Total: every violation
-    is reported as a fault-handler control, never an exception.
+    Returns ``(output, memop, control)``: the value for ``d.output``, or
+    None (a load delivers its result through its memory operation
+    instead); the step's one memory operation, or None; and the control:
+    None for the next word, an ``int`` jump target, a :class:`FaultKind`
+    to trap with, or ``Status.HALTED``.  Total: every violation is
+    reported as a trap's fault kind, never an exception.
 
     The function is pure; with value-equivalent inputs it produces
     value-equivalent outputs, identical memory operations, and identical
@@ -375,35 +338,31 @@ def instruction_semantics(
         raise ValueError(f"{op.name} expects {len(d.inputs)} inputs, got {len(inputs)}")
 
     if op is _OP_HALT:
-        return None, None, HALT_CONTROL
+        return None, None, _HALTED
 
     if op in _ADDRESSED:
         addr = inputs[0]
         if addr.blinded:
-            if mode is _MODEL:
-                return None, None, NEXT
-            return None, None, _ADDRESS_TRAP
+            return None, None, None if mode is _MODEL else _BLINDED_ADDRESS
         if op is _OP_STORE:
-            return None, _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1])), NEXT
+            return None, _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1])), None
         if op is _OP_LOAD:
-            return None, _new(MemoryOperation, (_MEM_LOAD, addr.value, d.outputs[0])), NEXT
-        return None, _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0])), NEXT
+            return None, _new(MemoryOperation, (_MEM_LOAD, addr.value, d.output)), None
+        return None, _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0])), None
 
     if op is _OP_BZ:
         cond, target = inputs
         if cond.blinded or target.blinded:
-            return None, None, _BRANCH_TRAP
-        if cond.value == 0:
-            return None, None, Control.jump(target.value)
-        return None, None, NEXT
+            return None, None, _BLINDED_BRANCH
+        return None, None, target.value if cond.value == 0 else None
 
     # Arithmetic.
     a, b = inputs
     if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
-        return ZERO, None, NEXT
+        return ZERO, None, None
     if op in ZERO_ABSORBING and (
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
-        return ZERO, None, NEXT
+        return ZERO, None, None
     value = ALU[op](a.value, b.value)
-    return _word(value, a.blinded or b.blinded), None, NEXT
+    return _word(value, a.blinded or b.blinded), None, None

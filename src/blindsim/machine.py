@@ -8,9 +8,11 @@ step that traps, halts or faults sets only pc, status and fault and
 returns no writes, so no step commits part of its effect.  It reads no
 opcode: the semantics gives a step's register output and its one memory
 operation, each or None -- a load, a store, or a tag edit, which retags
-a word in place and reaches no cache line.  Every read in a step -- the
-stored register, the loaded word, the retagged word, the cache line --
-sees the state before it.
+a word in place and reaches no cache line -- and its control: None, a
+jump target, a :class:`FaultKind` to trap with, or ``Status.HALTED``.
+An output for an instruction with no output register is dropped.  Every
+read in a step -- the stored register, the loaded word, the retagged
+word, the cache line -- sees the state before it.
 :func:`run` and the lockstep harness keep one :class:`ListMachine`, so a
 store costs O(1); :func:`step` steps a fresh :class:`ListMachine` and
 writes the returned writes with :meth:`SystemState.edit`, so each call
@@ -71,14 +73,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
 
-from .isa import (
-    ControlKind,
-    DecodeError,
-    MemKind,
-    Mode,
-    decode,
-    instruction_semantics,
-)
+from .isa import DecodeError, MemKind, Mode, decode, instruction_semantics
 from .model import (
     REG_COUNT,
     CacheAssignments,
@@ -101,7 +96,6 @@ _MEM_BLIND, _MEM_UNBLIND = MemKind.BLIND, MemKind.UNBLIND
 _OUT_OF_RANGE, _DECODE_ERROR = FaultKind.OUT_OF_RANGE, FaultKind.DECODE_ERROR
 _BLINDED_FETCH = FaultKind.BLINDED_INSTRUCTION_FETCH
 _BLINDED_STORE = FaultKind.BLINDED_STORE_TO_UNBLINDABLE
-_FAULT_HANDLER, _HALT, _JUMP = ControlKind.FAULT_HANDLER, ControlKind.HALT, ControlKind.JUMP
 
 # Builds a per-step record from a tuple of all its fields, skipping the
 # named tuple's generated ``__new__`` (see the module docstring).
@@ -316,14 +310,17 @@ class ListMachine:
 
         Returns ``(events, register_write, memory_write, line_write)``:
         the step's trace events, its (index, word) register write (the
-        output, or a load's word), its (address, word) memory write (a
-        store, or a tag edit), and its (line, address) cache assignment,
-        which makes its line valid; a write the step does not make is
-        None.  The step decides everything and runs every check before
-        its first write.  A step that traps, halts or faults sets only pc,
-        status and fault and returns three Nones; a trap is the one stop
-        that leaves the machine RUNNING, with a :class:`Fault` as its last
-        event.
+        output, to ``d.output`` when both are not None, or a load's
+        word), its (address, word) memory write (a store, or a tag edit),
+        and its (line, address) cache assignment, which makes its line
+        valid; a write the step does not make is None.  The semantics'
+        control steps to the next word when None, jumps when an ``int``,
+        halts when ``Status.HALTED``, and otherwise traps with it as the
+        fault kind.  The step decides everything and runs every check
+        before its first write.  A step that traps, halts or faults sets
+        only pc, status and fault and returns three Nones; a trap is the
+        one stop that leaves the machine RUNNING, with a :class:`Fault`
+        as its last event.
 
         With ``tag_logic`` on, every word is read as stored.  Under
         ``tag_logic=False`` a blinded instruction word is fetched like
@@ -378,20 +375,23 @@ class ListMachine:
         output, memop, control = semantics(d, inputs, cfg.mode)
 
         # Control resolution first; a trap leaves everything but pc untouched.
-        flow = control.kind
-        if flow is _FAULT_HANDLER:
-            self.pc = 0
-            return (fetch, _new(Fault, (cycle, control.fault, False))), None, None, None
-        if flow is _HALT:
+        if control is None:
+            next_pc = pc + 1
+        elif type(control) is int:
+            next_pc = control
+        elif control is _HALTED:
             self.status = _HALTED
             return (fetch, _new(Halt, (cycle,))), None, None, None
-        next_pc = control.target if flow is _JUMP else pc + 1
+        else:
+            self.pc = 0
+            return (fetch, _new(Fault, (cycle, control, False))), None, None, None
         if not 0 <= next_pc < mem_size:
             self.status, self.fault = _FAULTED, _OUT_OF_RANGE
             return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
 
         # At most one write of each kind; a load's write replaces the output's.
-        register_write = (d.outputs[0], output) if output is not None and d.outputs else None
+        dst = d.output
+        register_write = (dst, output) if output is not None and dst is not None else None
         memory_write = line_write = None
         events: tuple[TraceEvent, ...] = (fetch,)
         if memop is not None:

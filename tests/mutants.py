@@ -8,15 +8,7 @@ reachable from library code.
 from __future__ import annotations
 
 from blindsim.engine import EncryptionEngine, seal_envelope, words_to_bytes
-from blindsim.isa import (
-    NEXT,
-    Control,
-    MemKind,
-    MemoryOperation,
-    Mode,
-    Opcode,
-    instruction_semantics,
-)
+from blindsim.isa import MemKind, MemoryOperation, Mode, Opcode, instruction_semantics
 from blindsim.model import FaultKind, MemoryImage, TaggedWord
 
 
@@ -34,10 +26,8 @@ def bz_ignores_blinded_condition(d, inputs, mode=Mode.HARDWARE):
     if d.opcode is Opcode.BZ:
         cond, target = inputs
         if target.blinded:
-            return None, None, Control.fault_handler(FaultKind.BLINDED_BRANCH)
-        if cond.value == 0:
-            return None, None, Control.jump(target.value)
-        return None, None, NEXT
+            return None, None, FaultKind.BLINDED_BRANCH
+        return None, None, target.value if cond.value == 0 else None
     return instruction_semantics(d, inputs, mode)
 
 
@@ -52,8 +42,8 @@ def cache_sees_blinded_addresses(d, inputs, mode=Mode.HARDWARE):
         if d.opcode is Opcode.STORE:
             memop = MemoryOperation(MemKind.STORE, inputs[0].value, d.inputs[1])
         else:
-            memop = MemoryOperation(MemKind.LOAD, inputs[0].value, d.outputs[0])
-        return None, memop, NEXT
+            memop = MemoryOperation(MemKind.LOAD, inputs[0].value, d.output)
+        return None, memop, None
     return instruction_semantics(d, inputs, mode)
 
 
@@ -62,7 +52,7 @@ def tag_edit_at_blinded_address(d, inputs, mode=Mode.HARDWARE):
     secret payload names instead of doing nothing."""
     if mode is Mode.MODEL and d.opcode in (Opcode.BLND, Opcode.RBLND) and inputs[0].blinded:
         kind = MemKind.BLIND if d.opcode is Opcode.BLND else MemKind.UNBLIND
-        return None, MemoryOperation(kind, inputs[0].value, d.inputs[0]), NEXT
+        return None, MemoryOperation(kind, inputs[0].value, d.inputs[0]), None
     return instruction_semantics(d, inputs, mode)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from blindsim.cli import main
+from blindsim.cli import _SocketTransport, main
 from blindsim.corpus import (
     blinded_branch_fault,
     blinded_store_unblindable_fault,
@@ -16,6 +16,13 @@ from blindsim.corpus import (
 from blindsim.assembler import assemble, decode_image, encode_image
 from blindsim.checker import analyze, parse_signature
 from blindsim.machine import MachineConfig
+from blindsim.protocol import (
+    ExportRequest,
+    ProtocolError,
+    encode_frame,
+    max_frame_length,
+    read_frame,
+)
 
 import mutants
 
@@ -266,6 +273,24 @@ class TestDemoProtocol:
         ])
         assert code == 0
         assert "result: 8" in capsys.readouterr().out
+
+    def test_socket_transport_refuses_a_reply_cut_mid_frame(self):
+        class HalfReplySession:
+            """Reads one request, writes the start of a reply, and closes."""
+
+            cfg = MachineConfig(memory_words=64, cache_lines=8)
+
+            def serve_stream(self, stream):
+                read_frame(stream, max_frame_length(self.cfg.memory_words))
+                stream.write((8).to_bytes(4, "big") + b"abc")
+                stream.flush()
+
+        transport = _SocketTransport(HalfReplySession())
+        try:
+            with pytest.raises(ProtocolError, match="^server closed the stream mid-frame$"):
+                transport.round_trip(encode_frame(ExportRequest(0, 1)))
+        finally:
+            transport.close()
 
     def test_custom_program_image(self, work, capsys):
         tmp, write = work

@@ -16,11 +16,6 @@ from blindsim.checker import (
 )
 from blindsim.corpus import CorpusEntry, curated_corpus, mmio_report
 from blindsim.isa import (
-    HALT_CONTROL,
-    NEXT,
-    PC,
-    Control,
-    ControlKind,
     DecodedInstruction,
     MemKind,
     MemoryOperation,
@@ -68,8 +63,8 @@ import mutants
 from conftest import random_word, twin_word
 
 
-def iw(op, ins=(), outs=()):
-    return encode(DecodedInstruction(op, tuple(ins), tuple(outs)))
+def iw(op, ins=(), out=None):
+    return encode(DecodedInstruction(op, tuple(ins), out))
 
 
 HALT = iw(Opcode.HALT)
@@ -119,7 +114,7 @@ class TestStep:
 
     def test_load_transfers_tag(self):
         s = make_state(
-            [iw(Opcode.LOAD, (1,), (2,)), HALT, blinded(0x77)],
+            [iw(Opcode.LOAD, (1,), 2), HALT, blinded(0x77)],
             regs={1: clear(2)},
         )
         nxt, _ = step(s, CFG)
@@ -128,12 +123,12 @@ class TestStep:
 
     def test_arithmetic_writes_register(self):
         s = make_state(
-            [iw(Opcode.ADD, (1, 2), (3,)), HALT],
+            [iw(Opcode.ADD, (1, 2), 3), HALT],
             regs={1: clear(4), 2: blinded(5)},
         )
         nxt, events = step(s, CFG)
         assert nxt.registers[3] == blinded(9)
-        assert events == (Fetch(0, 0, iw(Opcode.ADD, (1, 2), (3,))),)
+        assert events == (Fetch(0, 0, iw(Opcode.ADD, (1, 2), 3)),)
 
     def test_decode_error_is_terminal(self):
         s = make_state([clear(0xDEADBEEF)])
@@ -144,7 +139,7 @@ class TestStep:
 
     def test_bz_blinded_condition_traps(self):
         s = make_state(
-            [iw(Opcode.BZ, (1, 2), (PC,)), HALT],
+            [iw(Opcode.BZ, (1, 2)), HALT],
             regs={1: blinded(0), 2: clear(1)},
         )
         nxt, events = step(s, CFG)
@@ -154,7 +149,7 @@ class TestStep:
 
     def test_bz_jump(self):
         s = make_state(
-            [iw(Opcode.BZ, (1, 2), (PC,)), HALT],
+            [iw(Opcode.BZ, (1, 2)), HALT],
             regs={1: clear(0), 2: clear(5)},
         )
         nxt, _ = step(s, CFG)
@@ -162,16 +157,34 @@ class TestStep:
 
     def test_jump_out_of_range_faults(self):
         s = make_state(
-            [iw(Opcode.BZ, (1, 2), (PC,))],
+            [iw(Opcode.BZ, (1, 2))],
             regs={1: clear(0), 2: clear(32)},
         )
         nxt, events = step(s, CFG)
         assert nxt.status is Status.FAULTED and nxt.fault is FaultKind.OUT_OF_RANGE
         assert nxt.registers == s.registers and nxt.memory == s.memory
 
+    @pytest.mark.parametrize(
+        "cond, outcome",
+        [(0, RunOutcome.STEP_LIMIT), (5, RunOutcome.HALTED)],
+        ids=["taken", "not-taken"],
+    )
+    def test_bz_output_is_dropped(self, cond, outcome):
+        # bz writes no register, so an output a semantics gives it is
+        # dropped, as for every other opcode without an output register.
+        def bz_outputs_one(d, inputs, mode=Mode.HARDWARE):
+            out, memop, control = instruction_semantics(d, inputs, mode)
+            return (clear(1) if d.opcode is Opcode.BZ else out), memop, control
+
+        # Taken, the branch jumps to itself until the step budget runs out.
+        s = make_state([iw(Opcode.BZ, (1, 2)), HALT], regs={1: clear(cond), 2: clear(0)})
+        result = run(s, CFG, 8, bz_outputs_one)
+        assert result == run(s, CFG, 8)
+        assert result.outcome is outcome and result.state.registers == s.registers
+
     def test_pc_increment_out_of_range_faults(self):
         s = make_state(
-            [0] * 31 + [iw(Opcode.ADD, (1, 2), (3,))],
+            [0] * 31 + [iw(Opcode.ADD, (1, 2), 3)],
             regs={1: clear(1), 2: clear(1)},
             pc=31,
         )
@@ -204,7 +217,7 @@ class TestStep:
 
     def test_step_shares_what_it_does_not_write(self):
         # A step copies only the components it writes.
-        add = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT], regs={1: clear(4)})
+        add = make_state([iw(Opcode.ADD, (1, 2), 3), HALT], regs={1: clear(4)})
         nxt, _ = step(add, CFG)
         assert nxt.memory is add.memory and nxt.cache is add.cache
         assert nxt.registers[3] == clear(4)
@@ -342,7 +355,7 @@ def access(cache, kind, address, mem_size=64):
     if kind is MemKind.STORE:
         instr = iw(Opcode.STORE, (1, 2))
     else:
-        instr = iw(Opcode.LOAD, (1,), (2,))
+        instr = iw(Opcode.LOAD, (1,), 2)
     s = replace(make_state([instr], regs={1: clear(address)}, mem_size=mem_size), cache=cache)
     nxt, events = step(s, MachineConfig(memory_words=mem_size, cache_lines=len(cache)))
     return nxt.cache, [e for e in events if isinstance(e, CacheUpdate)]
@@ -400,7 +413,7 @@ class TestCachePolicy:
 class TestRun:
     def test_straight_line_halts_in_two_steps(self):
         s = make_state(
-            [iw(Opcode.ADD, (1, 2), (3,)), HALT],
+            [iw(Opcode.ADD, (1, 2), 3), HALT],
             regs={1: clear(1), 2: clear(2)},
         )
         r = run(s, CFG, max_steps=100)
@@ -415,7 +428,7 @@ class TestRun:
 
     def test_trap_then_halt_at_zero(self):
         s = make_state(
-            [HALT, iw(Opcode.BZ, (1, 2), (PC,))],
+            [HALT, iw(Opcode.BZ, (1, 2))],
             regs={1: blinded(0)},
             pc=1,
         )
@@ -425,7 +438,7 @@ class TestRun:
 
     def test_step_limit(self):
         # bz r0, r0 with r0 = 0 jumps to 0 forever
-        s = make_state([iw(Opcode.BZ, (0, 0), (PC,))])
+        s = make_state([iw(Opcode.BZ, (0, 0))])
         r = run(s, CFG, max_steps=17)
         assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == 17
 
@@ -434,7 +447,7 @@ class TestRun:
         [(1, RunOutcome.STEP_LIMIT), (2, RunOutcome.HALTED), (3, RunOutcome.HALTED)],
     )
     def test_halt_on_the_last_allowed_step(self, max_steps, outcome):
-        s = make_state([iw(Opcode.ADD, (1, 2), (3,)), HALT])
+        s = make_state([iw(Opcode.ADD, (1, 2), 3), HALT])
         r = run(s, CFG, max_steps=max_steps)
         assert r.outcome is outcome and r.steps == min(max_steps, 2)
         assert r.state.status is (Status.HALTED if outcome is RunOutcome.HALTED else Status.RUNNING)
@@ -487,7 +500,7 @@ class TestRun:
             run(make_state([HALT]), CFG, max_steps=0)
 
     def test_input_state_is_left_unchanged(self):
-        program = [iw(Opcode.STORE, (1, 2)), iw(Opcode.LOAD, (1,), (3,)), HALT]
+        program = [iw(Opcode.STORE, (1, 2)), iw(Opcode.LOAD, (1,), 3), HALT]
         regs = {1: clear(0x13), 2: blinded(7)}
         s = make_state(program, regs=regs)
         r = run(s, CFG, max_steps=10)
@@ -496,7 +509,7 @@ class TestRun:
 
     def test_control_trap_at_zero_fault_loops(self):
         # bz r1, r2 at pc 0 with a blinded condition traps back to itself
-        s = make_state([iw(Opcode.BZ, (1, 2), (PC,))], regs={1: blinded(0)})
+        s = make_state([iw(Opcode.BZ, (1, 2))], regs={1: blinded(0)})
         r = run(s, CFG, max_steps=100)
         assert r.outcome is RunOutcome.FAULT_LOOP and r.steps == 2
         assert r.trace == (
@@ -508,7 +521,7 @@ class TestRun:
     def test_step_between_traps_resets_the_trap_count(self):
         # pc 1 traps to 0; the add at 0 falls through to 1, which traps again
         s = make_state(
-            [iw(Opcode.ADD, (3, 4), (5,)), iw(Opcode.BZ, (1, 2), (PC,))],
+            [iw(Opcode.ADD, (3, 4), 5), iw(Opcode.BZ, (1, 2))],
             regs={1: blinded(0)},
             pc=1,
         )
@@ -533,7 +546,7 @@ class TestStateMustFitConfig:
             "4 of 8 cache lines": SystemState.initial(64, 4),
             "16 of 64 words": SystemState.initial(16, 8),
             "4 registers": replace(s, registers=RegisterFile(s.registers.regs[:4])),
-        }[case].edit(memory=[(0, clear(iw(Opcode.LOAD, (1,), (2,))))])
+        }[case].edit(memory=[(0, clear(iw(Opcode.LOAD, (1,), 2)))])
 
     @pytest.mark.parametrize("case", CASES)
     def test_run_and_step_refuse(self, case):
@@ -718,6 +731,7 @@ class TestRecordsAreWhole:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_semantics_of_random_instructions(self, mode):
+        # The control takes each of its four forms, and no other.
         rng = random.Random(14)
         controls, memops = set(), set()
         for _ in range(5000):
@@ -730,9 +744,16 @@ class TestRecordsAreWhole:
             if op is not None:
                 _whole(op, {MemoryOperation})
                 memops.add(op.kind)
-            _whole(control, {Control})
-            controls.add(control.kind)
-        assert controls == set(ControlKind) and memops == set(MemKind)
+            if control is None:
+                controls.add("next")
+            elif type(control) is int:
+                controls.add("jump")
+            elif control is Status.HALTED:
+                controls.add("halt")
+            else:
+                assert type(control) is FaultKind, control
+                controls.add("trap")
+        assert controls == {"next", "jump", "trap", "halt"} and memops == set(MemKind)
 
 
 class TestDecodeSlot:
@@ -743,12 +764,12 @@ class TestDecodeSlot:
     def test_self_modifying_code_runs_the_new_instruction(self):
         # Word 1 is an add; the loop stores an xor over it and jumps back.
         # The xor sets r7, so the branch at 3 falls through to the halt.
-        xor = iw(Opcode.XOR, (7, 4), (7,))
+        xor = iw(Opcode.XOR, (7, 4), 7)
         prog = [
-            iw(Opcode.LOAD, (5,), (1,)),
-            iw(Opcode.ADD, (3, 4), (3,)),
+            iw(Opcode.LOAD, (5,), 1),
+            iw(Opcode.ADD, (3, 4), 3),
             iw(Opcode.STORE, (6, 1)),
-            iw(Opcode.BZ, (7, 6), (PC,)),
+            iw(Opcode.BZ, (7, 6)),
             HALT,
         ]
         s = make_state(prog + [0] * 15 + [xor], regs={4: clear(1), 5: clear(20), 6: clear(1)})
@@ -763,11 +784,11 @@ class TestDecodeSlot:
     # The second add makes r3 == 2 and the branch at 3 goes to the halt.
     BLINDED_AFTER_DECODE = [
         iw(Opcode.RBLND, (6,)),
-        iw(Opcode.ADD, (3, 4), (3,)),
-        iw(Opcode.SUB, (3, 10), (9,)),
-        iw(Opcode.BZ, (9, 11), (PC,)),
+        iw(Opcode.ADD, (3, 4), 3),
+        iw(Opcode.SUB, (3, 10), 9),
+        iw(Opcode.BZ, (9, 11)),
         iw(Opcode.BLND, (6,)),
-        iw(Opcode.BZ, (7, 6), (PC,)),
+        iw(Opcode.BZ, (7, 6)),
         HALT,
     ]
     REGS = {4: clear(1), 6: clear(1), 10: clear(2), 11: clear(6)}
@@ -946,19 +967,15 @@ RECORDS = [
     (Halt(7), "Halt(cycle=7)"),
     (MemoryOperation(MemKind.LOAD, 8, 2),
      "MemoryOperation(kind=<MemKind.LOAD: 'load'>, address=8, register=2)"),
-    (Control.jump(64), "Control(kind=<ControlKind.JUMP: 'jump'>, target=64, fault=None)"),
-    (Control.fault_handler(FaultKind.BLINDED_ADDRESS),
-     "Control(kind=<ControlKind.FAULT_HANDLER: 'fault-handler'>, target=None, "
-     "fault=<FaultKind.BLINDED_ADDRESS: 'blinded-address'>)"),
     (decode(0x0302_0104),
-     "DecodedInstruction(opcode=<Opcode.ADD: 4>, inputs=(2, 3), outputs=(1,))"),
+     "DecodedInstruction(opcode=<Opcode.ADD: 4>, inputs=(2, 3), output=1)"),
 ]
 RECORD_IDS = [f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(RECORDS)]
 
 
 class TestRecordContract:
-    """Trace events, memory operations, controls and decoded instructions
-    are immutable, hashable values whose repr never changes."""
+    """Trace events, memory operations and decoded instructions are
+    immutable, hashable values whose repr never changes."""
 
     @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
     def test_golden_repr(self, record, text):
@@ -976,12 +993,10 @@ class TestRecordContract:
 
     def test_defaults_and_shared_controls(self):
         assert Fault(1, FaultKind.OUT_OF_RANGE).refused is False
-        assert Control(ControlKind.NEXT) == Control(ControlKind.NEXT, None, None)
-        assert NEXT.kind is ControlKind.NEXT and HALT_CONTROL.kind is ControlKind.HALT
-        halt = DecodedInstruction(Opcode.HALT, (), ())
-        assert instruction_semantics(halt, [])[2] is HALT_CONTROL
-        add = DecodedInstruction(Opcode.ADD, (1, 2), (3,))
-        assert instruction_semantics(add, [clear(1), clear(2)])[2] is NEXT
+        halt = DecodedInstruction(Opcode.HALT, (), None)
+        assert instruction_semantics(halt, [])[2] is Status.HALTED
+        add = DecodedInstruction(Opcode.ADD, (1, 2), 3)
+        assert instruction_semantics(add, [clear(1), clear(2)])[2] is None
 
 
 def _fields(kind) -> tuple[str, ...]:
@@ -1066,7 +1081,7 @@ class TestReferenceMachine:
     def test_blinded_operands_do_not_taint(self):
         cfg = MachineConfig(memory_words=32, cache_lines=8, tag_logic=False)
         s = make_state(
-            [iw(Opcode.ADD, (1, 2), (3,)), HALT],
+            [iw(Opcode.ADD, (1, 2), 3), HALT],
             regs={1: blinded(4), 2: clear(5)},
         )
         nxt, _ = step(s, cfg)
@@ -1077,7 +1092,7 @@ class TestReferenceMachine:
         "words, regs, where, expected",
         [
             pytest.param(
-                [iw(Opcode.LOAD, (1,), (2,)), HALT, blinded(0x77)],
+                [iw(Opcode.LOAD, (1,), 2), HALT, blinded(0x77)],
                 {1: clear(2)}, "r2", clear(0x77), id="blinded-word-loads-clear",
             ),
             pytest.param(
@@ -1110,9 +1125,9 @@ class TestReferenceMachine:
 
     def test_taint_free_program_matches_policy_machine(self):
         prog = [
-            iw(Opcode.ADD, (1, 2), (3,)),
+            iw(Opcode.ADD, (1, 2), 3),
             iw(Opcode.STORE, (4, 3)),
-            iw(Opcode.LOAD, (4,), (5,)),
+            iw(Opcode.LOAD, (4,), 5),
             HALT,
         ]
         regs = {1: clear(3), 2: clear(4), 4: clear(10)}

@@ -634,7 +634,7 @@ class TestStreamFraming:
         client = ClientHandshake(DEV_PUB, seed=21)
         key = client.finish(session.handle_frame(client.hello()))
         # Every word in a segment of its own is the largest image that loads.
-        words = [clear(encode(DecodedInstruction(Opcode.HALT, (), ())))]
+        words = [clear(encode(DecodedInstruction(Opcode.HALT, (), None)))]
         words += [clear(i) for i in range(1, self.MEM)]
         image = ProgramImage(0, tuple(Segment(i, (w,)) for i, w in enumerate(words)))
         frames = [
@@ -652,6 +652,18 @@ class TestStreamFraming:
         out = io.BytesIO(stream.out.getvalue())
         for _ in range(3):
             assert read_frame(out, max_frame_length(self.MEM)) is not None
+
+    @pytest.mark.parametrize("error", [OSError, ValueError])
+    def test_serve_stream_ends_quietly_when_a_read_fails(self, error):
+        # A reset connection raises OSError, a read from a closed file
+        # ValueError; neither has a peer left to answer.
+        class FailingStream(RecordingStream):
+            def read(self, n: int) -> bytes:
+                raise error("stream failed")
+
+        stream = FailingStream(b"")
+        self.make_session().serve_stream(stream)
+        assert stream.out.getvalue() == b""
 
     def test_a_compute_restarts_a_faulted_machine_with_no_fault(self):
         session = self.make_session()

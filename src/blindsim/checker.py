@@ -22,7 +22,11 @@ observable and differ only in blinded payloads, runs them in lockstep,
 and checks after every step that they are still equivalent and produced
 identical trace events.  Equivalence is checked by unwinding: since the
 pair was equivalent before the step, it suffices to compare pc, status,
-fault and whatever either side wrote.  On failure it shrinks the payload
+fault and whatever either side wrote.  A trial stops early at one
+fixed point: with tags on, a machine at pc 0 whose word 0 is blinded
+traps to pc 0 on every step and writes nothing, and both sides of an
+equivalent pair get there together, so the steps left could not
+diverge and would call no semantics.  On failure it shrinks the payload
 delta to a minimal counterexample.  With raw unblinding disabled (the
 default) the shipped semantics never fails this check; broken variants
 fail fast.  Drawing is a large share of a short trial, so a trial
@@ -824,13 +828,25 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
     committed exactly those writes.  Only what a step wrote can have
     changed, so beyond pc, status and fault it suffices to compare the
     cache line, register and memory word that each side wrote
-    (Goguen-Meseguer unwinding on the self-composed pair).  Words are
-    compared as ``value_equiv`` does, inline, and a word shared by both
-    sides is equivalent to itself.
+    (Goguen-Meseguer unwinding on the self-composed pair); side 2's
+    writes only when one of them is at an index that side 1 did not
+    write.  Words are compared as ``value_equiv`` does, inline, and a
+    word shared by both sides is equivalent to itself.
     """
     if m1.pc != m2.pc or m1.status is not m2.status or m1.fault is not m2.fault:
         return False
-    for _, register, memory, line in (out1, out2):
+    _, register, memory, line = out1
+    _, register2, memory2, line2 = out2
+    # Both sides nearly always write the same indices, and one comparison
+    # covers an index.
+    sides = (out1,)
+    if (
+        register2 is not None and (register is None or register2[0] != register[0])
+        or memory2 is not None and (memory is None or memory2[0] != memory[0])
+        or line2 is not None and (line is None or line2[0] != line[0])
+    ):
+        sides = (out1, out2)
+    for _, register, memory, line in sides:
         if line is not None:
             i = line[0]
             if m1.addresses[i] != m2.addresses[i] or m1.valid[i] != m2.valid[i]:
@@ -882,6 +898,14 @@ def _lockstep_divergence(
     in for a full ``state_equiv``, which runs once at the end as a
     cross-check.  ``decoded`` is the decode slot both sides use (see
     :class:`~blindsim.machine.ListMachine`).
+
+    The trial also ends, with no divergence, once both sides are RUNNING
+    at pc 0 with ``cfg.tag_logic`` on and word 0 blinded.  Equivalence
+    gives both sides that pc and that tag, and from there every step on
+    either side is ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc
+    at 0, writes nothing, and neither decodes nor calls the semantics.
+    So the remaining steps could not diverge, and the stop changes no
+    result and no call a semantics sees.
     """
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
@@ -889,9 +913,12 @@ def _lockstep_divergence(
     # Equivalent states fetch the same clear word, so one decode serves
     # both sides; the slot's value check keeps a divergent fetch correct.
     m1.decoded = m2.decoded = decoded
+    tags, memory = cfg.tag_logic, m1.memory
     for k in range(steps):
         if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
+        if tags and m1.pc == 0 and memory[0].blinded:
+            break  # the blinded-fetch fixed point: every later step traps alike
         out1 = m1.step(cfg, k, semantics)
         out2 = m2.step(cfg, k, semantics)
         if out1[0] != out2[0]:
@@ -964,6 +991,10 @@ def check_noninterference(
     successors (the Goguen-Meseguer unwinding condition on the
     self-composed pair).  A full ``state_equiv`` at the end of each
     trial cross-checks this and raises RuntimeError if it ever disagrees.
+    A trial that reaches the blinded-fetch fixed point (pc 0, word 0
+    blinded, tags on) ends there: every later step would trap alike on
+    both sides without a write or a semantics call (see
+    :func:`_lockstep_divergence`).
 
     With ``program`` given, it is booted once and each trial's pair is
     drawn as :func:`pair_for_program` draws it (blinded image words and

@@ -25,6 +25,8 @@ from blindsim.corpus import (
     add_one_pipeline,
     add_one_unrolled,
     blinded_branch_fault,
+    blinded_fetch_loop,
+    blinded_fetch_trap,
     blinded_load_fault,
     blinded_store_unblindable_fault,
     branchless_select,
@@ -34,7 +36,7 @@ from blindsim.corpus import (
     trivial_halt,
 )
 from blindsim.isa import ARITHMETIC, Mode, Opcode, instruction_semantics
-from blindsim.machine import Fault, Fetch, MachineConfig, boot_image, run, step
+from blindsim.machine import Fault, Fetch, ListMachine, MachineConfig, boot_image, run, step
 from blindsim.model import FaultKind, Status, SystemState, TaggedWord, clear, state_equiv
 
 import mutants
@@ -801,6 +803,30 @@ pool:
         assert decode_calls.count(old) == decode_calls.count(new) == 4
         assert len(decode_calls) == len({e.pc for e in fetches}) + 1 + 2 * 3
 
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    @pytest.mark.parametrize(
+        "source, steps_per_trial",
+        [(blinded_fetch_loop(), 0), (blinded_fetch_trap(), 4)],
+        ids=["word-0-blinded", "word-0-halts"],
+    )
+    def test_a_trial_ends_at_the_blinded_fetch_fixed_point(
+        self, monkeypatch, cfg, source, steps_per_trial
+    ):
+        # A machine at pc 0 whose word 0 is blinded traps to pc 0 on every
+        # step, so its trial ends before the first step.  A trap whose
+        # handler at 0 is clear runs on to the halt: two steps a side.
+        steps = []
+        real = ListMachine.step
+
+        def counted(self, *args):
+            steps.append(self.pc)
+            return real(self, *args)
+
+        monkeypatch.setattr(ListMachine, "step", counted)
+        result = check_noninterference(assemble(source), trials=5, steps=10_000, cfg=cfg)
+        assert (result.passed, result.trials) == (True, 5)
+        assert len(steps) == 5 * steps_per_trial
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             check_noninterference(None, trials=0, steps=10, cfg=HW)
@@ -974,6 +1000,27 @@ class TestUnwindingMatchesFullEquivalence:
                 assemble(entry.source), 8, 200, cfg, 13, instruction_semantics, entry.blinded_regs
             )
             assert result.passed, entry.name
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_blinded_fetch_loop_over_a_long_budget(self, mode):
+        # The reference steps every trap to the budget; the harness stops
+        # at once.  Neither calls the semantics.
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+        image = assemble(blinded_fetch_loop())
+        result = self.assert_same_as_reference(image, 3, 2_000, cfg, 4, instruction_semantics)
+        assert result.passed
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_the_untagged_machine_executes_a_blinded_word_zero(self, mode):
+        # Without tag logic the blinded word 0 is fetched like any other,
+        # so its payload shows in the Fetch event: the harness must step
+        # it and report the leak rather than stop at pc 0.
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8, tag_logic=False)
+        image = assemble(blinded_fetch_loop())
+        result = self.assert_same_as_reference(image, 20, 64, cfg, 4, instruction_semantics)
+        assert not result.passed
+        ce = result.counterexample
+        assert ce.step == 0 and ce.reason.startswith("trace events diverge: (Fetch(")
 
     def test_the_end_of_trial_check_catches_a_wrong_unwinding(self, monkeypatch):
         # ADD writes r1's payload to r3 as a clear word, which no trace

@@ -953,35 +953,40 @@ class TestTraceFormat:
 
 # One instance of each per-step record and its golden repr; a lockstep
 # divergence reason embeds the events' repr.  TestTraceFormat pins the
-# trace line of each event kind.
+# trace line of each event kind.  Each case carries its own id, so adding
+# or deleting a record renames no other case.
 RECORDS = [
-    (Fetch(3, 5, 0x3020104), "Fetch(cycle=3, pc=5, word=50462980)"),
-    (MemAccess(4, MemKind.STORE, 0x23),
-     "MemAccess(cycle=4, kind=<MemKind.STORE: 'store'>, address=35)"),
-    (CacheUpdate(4, 3, 0x23), "CacheUpdate(cycle=4, line=3, address=35)"),
-    (Fault(5, FaultKind.BLINDED_BRANCH),
-     "Fault(cycle=5, kind=<FaultKind.BLINDED_BRANCH: 'blinded-branch'>, refused=False)"),
-    (Fault(5, FaultKind.DECODE_ERROR, refused=True),
-     "Fault(cycle=5, kind=<FaultKind.DECODE_ERROR: 'decode-error'>, refused=True)"),
-    (MmioWrite(6, 0x2A), "MmioWrite(cycle=6, value=42)"),
-    (Halt(7), "Halt(cycle=7)"),
-    (MemoryOperation(MemKind.LOAD, 8, 2),
-     "MemoryOperation(kind=<MemKind.LOAD: 'load'>, address=8, register=2)"),
-    (decode(0x0302_0104),
-     "DecodedInstruction(opcode=<Opcode.ADD: 4>, inputs=(2, 3), output=1)"),
+    pytest.param(Fetch(3, 5, 0x3020104), "Fetch(cycle=3, pc=5, word=50462980)", id="Fetch-0"),
+    pytest.param(MemAccess(4, MemKind.STORE, 0x23),
+                 "MemAccess(cycle=4, kind=<MemKind.STORE: 'store'>, address=35)", id="MemAccess-1"),
+    pytest.param(CacheUpdate(4, 3, 0x23), "CacheUpdate(cycle=4, line=3, address=35)",
+                 id="CacheUpdate-2"),
+    pytest.param(Fault(5, FaultKind.BLINDED_BRANCH),
+                 "Fault(cycle=5, kind=<FaultKind.BLINDED_BRANCH: 'blinded-branch'>, refused=False)",
+                 id="Fault-3"),
+    pytest.param(Fault(5, FaultKind.DECODE_ERROR, refused=True),
+                 "Fault(cycle=5, kind=<FaultKind.DECODE_ERROR: 'decode-error'>, refused=True)",
+                 id="Fault-4"),
+    pytest.param(MmioWrite(6, 0x2A), "MmioWrite(cycle=6, value=42)", id="MmioWrite-5"),
+    pytest.param(Halt(7), "Halt(cycle=7)", id="Halt-6"),
+    pytest.param(MemoryOperation(MemKind.LOAD, 8, 2),
+                 "MemoryOperation(kind=<MemKind.LOAD: 'load'>, address=8, register=2)",
+                 id="MemoryOperation-7"),
+    pytest.param(decode(0x0302_0104),
+                 "DecodedInstruction(opcode=<Opcode.ADD: 4>, inputs=(2, 3), output=1)",
+                 id="DecodedInstruction-8"),
 ]
-RECORD_IDS = [f"{type(r).__name__}-{i}" for i, (r, _) in enumerate(RECORDS)]
 
 
 class TestRecordContract:
     """Trace events, memory operations and decoded instructions are
     immutable, hashable values whose repr never changes."""
 
-    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("record, text", RECORDS)
     def test_golden_repr(self, record, text):
         assert repr(record) == text
 
-    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    @pytest.mark.parametrize("record, text", RECORDS)
     def test_immutable_and_hashable(self, record, text):
         twin = type(record)(*(getattr(record, f) for f in _fields(type(record))))
         assert twin == record and hash(twin) == hash(record)

@@ -61,6 +61,23 @@ pc.  Such steps are common in lockstep checks: over one op of the
 benchmark's ``check-corpus-64`` workload, 62 % of 23,016 steps write
 nothing and 51 % are blinded-fetch traps.
 
+:func:`run` steps with the cyclic garbage collector off.  The
+collector untracks exact tuples but not named tuples, so the events a
+run keeps for its trace stay tracked, and a generation-0 collection
+comes every 700 net allocations: about every 600 steps of a store loop.
+A collection walks the run's young :class:`ListMachine` lists -- 65,536
+entries at the default memory size -- and the state they were copied
+from, all of which live for the whole run, so it costs O(memory) and
+frees nothing.
+Over 50 runs of a 200-store loop on a 2-core x86 host under CPython
+3.11, a generation-0 collection took 591 us on average at 65,536 words
+against 79 us at 1,024 words, and none of the 152 collections at
+65,536 words freed an object.  The caller's setting comes back when
+:func:`run` returns, and any cycle a pluggable semantics made is
+collected then.  :func:`step` and the lockstep harness keep the
+collector on: the harness keeps no trace, so its events die young, and
+:func:`step`'s machine lives for one step.
+
 :func:`run` and :func:`step` refuse a state whose sizes differ from the
 config's (:func:`check_state_fits`): a step reads the sizes from the
 state, so a mismatch would run on the state's sizes, or divide by zero
@@ -69,6 +86,7 @@ with no cache line.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -533,22 +551,37 @@ def run(
     is blinded.  Deterministic: identical inputs produce bitwise-identical
     traces.  Raises ValueError unless ``s`` fits ``cfg``
     (:func:`check_state_fits`).
+
+    The cyclic garbage collector is off for the call, from building the
+    machine to building the result, and the caller's setting comes back
+    when the call returns or raises; a refused call does not touch it.
+    A reference cycle that ``semantics`` makes is collected after the
+    run, not during it (see the module docstring).  The setting is
+    process-wide: a run that starts in another thread while this one
+    steps finds the collector off and leaves it off, and the run that
+    found it on turns it back on.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
     check_state_fits(s, cfg)
-    m = ListMachine(s)
-    trace: list[TraceEvent] = []
-    trapped_before = False
-    n = 0
-    while n < max_steps and m.status is _RUNNING:
-        events, _, _, _ = m.step(cfg, n, semantics)
-        trace.extend(events)
-        n += 1
-        # A trap changes nothing but pc: still running, a Fault last.
-        trapped = m.status is _RUNNING and type(events[-1]) is Fault
-        if trapped and trapped_before:
-            return RunResult(m.state(), tuple(trace), RunOutcome.FAULT_LOOP, n)
-        trapped_before = trapped
-    outcome = _OUTCOMES.get(m.status, RunOutcome.STEP_LIMIT)
-    return RunResult(m.state(), tuple(trace), outcome, n)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        m = ListMachine(s)
+        trace: list[TraceEvent] = []
+        trapped_before = False
+        n = 0
+        while n < max_steps and m.status is _RUNNING:
+            events, _, _, _ = m.step(cfg, n, semantics)
+            trace.extend(events)
+            n += 1
+            # A trap changes nothing but pc: still running, a Fault last.
+            trapped = m.status is _RUNNING and type(events[-1]) is Fault
+            if trapped and trapped_before:
+                return RunResult(m.state(), tuple(trace), RunOutcome.FAULT_LOOP, n)
+            trapped_before = trapped
+        outcome = _OUTCOMES.get(m.status, RunOutcome.STEP_LIMIT)
+        return RunResult(m.state(), tuple(trace), outcome, n)
+    finally:
+        if collecting:
+            gc.enable()

@@ -1,8 +1,11 @@
 """Step semantics, trace events, the direct-mapped cache, and the run driver."""
 
+import gc
 import hashlib
 import random
+import threading
 import typing
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -14,6 +17,7 @@ from blindsim.checker import (
     pair_for_program,
     shrink_pair,
 )
+from blindsim import machine
 from blindsim.corpus import CorpusEntry, curated_corpus, mmio_report
 from blindsim.isa import (
     DecodedInstruction,
@@ -528,6 +532,138 @@ class TestRun:
         r = run(s, CFG, max_steps=9)
         assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == 9
         assert sum(isinstance(e, Fault) for e in r.trace) == 5
+
+
+ADDS = [iw(Opcode.ADD, (1, 2), 3)] * 5 + [HALT]
+
+
+class _CollectorWatch:
+    """A semantics that records whether the cyclic collector is on at
+    each call, and raises at call ``raise_at`` if one is given."""
+
+    def __init__(self, raise_at=None):
+        self.seen = []
+        self.raise_at = raise_at
+
+    def __call__(self, d, inputs, mode):
+        self.seen.append(gc.isenabled())
+        if len(self.seen) == self.raise_at:
+            raise RuntimeError("semantics failed")
+        return instruction_semantics(d, inputs, mode)
+
+
+@pytest.fixture
+def collector_setting():
+    """Gives the test the collector to set as it likes, and puts the
+    setting it had back afterwards."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+class _Node:
+    pass
+
+
+class _CycleMaker:
+    """A semantics that builds one reference cycle a call and keeps only a
+    weak reference to it."""
+
+    def __init__(self):
+        self.refs = []
+        self.alive_at_call = []
+
+    def __call__(self, d, inputs, mode):
+        self.alive_at_call.append(sum(r() is not None for r in self.refs))
+        cycle = _Node()
+        cycle.me = cycle
+        self.refs.append(weakref.ref(cycle))
+        return instruction_semantics(d, inputs, mode)
+
+
+@pytest.mark.usefixtures("collector_setting")
+class TestRunSuspendsTheCollector:
+    """``run`` steps with the cyclic collector off and gives the caller's
+    setting back; ``step`` and the lockstep harness leave it alone."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_collector_is_off_for_every_step(self, enabled):
+        (gc.enable if enabled else gc.disable)()
+        watch = _CollectorWatch()
+        r = run(make_state(ADDS), CFG, max_steps=100)
+        assert run(make_state(ADDS), CFG, max_steps=100, semantics=watch) == r
+        assert watch.seen == [False] * 6
+        assert gc.isenabled() is enabled
+
+    def test_a_raising_semantics_restores_the_collector(self):
+        gc.enable()
+        watch = _CollectorWatch(raise_at=3)
+        with pytest.raises(RuntimeError, match="semantics failed"):
+            run(make_state(ADDS), CFG, max_steps=100, semantics=watch)
+        assert watch.seen == [False] * 3
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize(
+        "s, max_steps",
+        [(make_state(ADDS), 0), (make_state(ADDS, mem_size=64), 10)],
+        ids=["no-step-budget", "state-too-large"],
+    )
+    def test_a_refused_call_leaves_the_collector_alone(self, monkeypatch, s, max_steps):
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(gc, name)
+
+        monkeypatch.setattr(machine, "gc", Recorder())
+        with pytest.raises(ValueError):
+            run(s, CFG, max_steps=max_steps)
+        assert calls == []
+        run(make_state(ADDS), CFG, max_steps=10)
+        assert calls == ["isenabled", "disable", "enable"]
+
+    def test_a_run_inside_another_threads_run_leaves_the_collector_off(self):
+        gc.enable()
+        inner, outer_watch = _CollectorWatch(), _CollectorWatch()
+        threads = []
+
+        def outer(d, inputs, mode):
+            # The first step runs a whole run in another thread.
+            if not threads:
+                threads.append(threading.Thread(
+                    target=run, args=(make_state(ADDS), CFG, 100), kwargs={"semantics": inner},
+                ))
+                threads[0].start()
+                threads[0].join(timeout=10)
+                assert not threads[0].is_alive()
+            return outer_watch(d, inputs, mode)
+
+        run(make_state(ADDS), CFG, max_steps=100, semantics=outer)
+        assert inner.seen == outer_watch.seen == [False] * 6
+        assert gc.isenabled()
+
+    def test_step_and_the_lockstep_harness_keep_the_collector_on(self):
+        gc.enable()
+        watch = _CollectorWatch()
+        s = make_state(ADDS)
+        for cycle in range(6):
+            s, _ = step(s, CFG, cycle=cycle, semantics=watch)
+        image = assemble("add r3, r1, r2\nhalt\n")
+        result = check_noninterference(image, trials=5, steps=4, cfg=CFG, semantics=watch)
+        assert result.passed
+        assert len(watch.seen) > 6 and all(watch.seen)
+
+    def test_cycles_a_semantics_makes_are_collected_after_the_run(self):
+        gc.enable()
+        maker = _CycleMaker()
+        run(make_state(ADDS), CFG, max_steps=100, semantics=maker)
+        # Deferred, not collected mid-run: every earlier cycle was alive.
+        assert maker.alive_at_call == list(range(6))
+        gc.collect()
+        assert len(maker.refs) == 6 and all(r() is None for r in maker.refs)
 
 
 class TestStateMustFitConfig:

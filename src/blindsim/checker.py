@@ -19,32 +19,35 @@ with the signature, that demonstrably reaches the fault.
 
 The dynamic side generates pairs of states that agree on everything
 observable and differ only in blinded payloads, runs them in lockstep,
-and checks after every step that they are still equivalent and produced
-identical trace events.  Equivalence is checked by unwinding: since the
-pair was equivalent before the step, it suffices to compare pc, status,
-fault and whatever either side wrote.  A trial stops early at one
-fixed point: with tags on, a machine at pc 0 whose word 0 is blinded
-traps to pc 0 on every step and writes nothing, and both sides of an
-equivalent pair get there together, so the steps left could not
-diverge and would call no semantics.  On failure it shrinks the payload
-delta to a minimal counterexample.  With raw unblinding disabled (the
-default) the shipped semantics never fails this check; broken variants
-fail fast.  Drawing is a large share of a short trial, so a trial
-redraws only blinded words: a program is booted and its blinded
-positions found once per check, a redraw writes only those positions
-and shares every clear word, and a random state is drawn in one loop
-that records its blinded positions for its twin.  Instruction words
-are drawn packed, not through ``DecodedInstruction`` and ``encode``
-(3.8 us a word).  Every drawn word is built with ``model._word``: a
-tagged instruction word costs about 1.0 us and a 64-bit data word
-about 390 ns, against 1.4 us and 740 ns through the ``TaggedWord``
-constructor (CPython 3.11.7, 2-core x86).  Bounded integers are drawn
-with ``isa._below``'s rejection loop, which is ``randrange``'s own on
-``getrandbits`` at half its cost, and one decode slot serves every
-trial of a check.  The end-of-trial cross-check reads the two
-machines' lists rather than rebuilding two ``SystemState`` values:
-about 3 us against 8 us at 64 words.  A state's twin shares its clear
-words, so equivalence tests a shared word by identity first.
+and checks after every step that they are still equivalent and
+produced identical trace events.  Equivalence is checked by unwinding:
+since the pair was equivalent before the step, it suffices to compare
+pc, status, fault and whatever either side wrote, as the steps
+returned it, without reading the machines; a pair of steps that write
+at different indices (only a broken semantics does) compares the
+machines whole.  A trial stops early at one fixed point: with tags on,
+a machine at pc 0 whose word 0 is blinded traps to pc 0 on every step
+and writes nothing, and both sides of an equivalent pair get there
+together, so the steps left could not diverge and would call no
+semantics.  On failure it shrinks the payload delta to a minimal
+counterexample.  With raw unblinding disabled (the default) the
+shipped semantics never fails this check; broken variants fail fast.
+Drawing is a large share of a short trial, so a trial redraws only
+blinded words: a program is booted and its blinded positions found
+once per check, a redraw writes only those positions and shares every
+clear word, and a random state is drawn in one loop that records its
+blinded positions for its twin.  Instruction words are drawn packed,
+not through ``DecodedInstruction`` and ``encode`` (3.8 us a word).
+Every drawn word is built with ``model._word``: a tagged instruction
+word costs about 1.0 us and a 64-bit data word about 390 ns, against
+1.4 us and 740 ns through the ``TaggedWord`` constructor (CPython
+3.11.7, 2-core x86).  Bounded integers are drawn with ``isa._below``'s
+rejection loop, which is ``randrange``'s own on ``getrandbits`` at
+half its cost, and one decode slot serves every trial of a check.  The
+end-of-trial cross-check reads the two machines' lists rather than
+rebuilding two ``SystemState`` values: about 3 us against 8 us at 64
+words.  A state's twin shares its clear words, so equivalence tests a
+shared word by identity first.
 """
 
 from __future__ import annotations
@@ -826,43 +829,43 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
     returned, ``(events, register_write, memory_write, line_write)``,
     each write an ``(index, value)`` pair or None; each step has
     committed exactly those writes.  Only what a step wrote can have
-    changed, so beyond pc, status and fault it suffices to compare the
-    cache line, register and memory word that each side wrote
-    (Goguen-Meseguer unwinding on the self-composed pair); side 2's
-    writes only when one of them is at an index that side 1 did not
-    write.  Words are compared as ``value_equiv`` does, inline, and a
-    word shared by both sides is equivalent to itself.
+    changed (Goguen-Meseguer unwinding on the self-composed pair).  So
+    when both sides wrote the same register, word and line indices, it
+    suffices to compare pc, status, fault and the values the two steps
+    returned, without reading the machines.  Words are compared as
+    ``value_equiv`` does, inline, and a word shared by both sides is
+    equivalent to itself.
+
+    Equal events from equivalent states give equal indices under the
+    shipped semantics: an index is a decoded register, or an address
+    that the events show or that a clear register gives.  Only a
+    semantics that picks an index by a payload writes different ones,
+    and then the two machines are compared whole, as
+    :func:`_machines_equiv`.
     """
     if m1.pc != m2.pc or m1.status is not m2.status or m1.fault is not m2.fault:
         return False
     _, register, memory, line = out1
     _, register2, memory2, line2 = out2
-    # Both sides nearly always write the same indices, and one comparison
-    # covers an index.
-    sides = (out1,)
-    if (
-        register2 is not None and (register is None or register2[0] != register[0])
-        or memory2 is not None and (memory is None or memory2[0] != memory[0])
-        or line2 is not None and (line is None or line2[0] != line[0])
+    # With a None among them, ``x is y`` holds only when both are None.
+    if not (
+        (register is register2 if register is None or register2 is None
+         else register[0] == register2[0])
+        and (memory is memory2 if memory is None or memory2 is None
+             else memory[0] == memory2[0])
+        and (line is line2 if line is None or line2 is None else line[0] == line2[0])
     ):
-        sides = (out1, out2)
-    for _, register, memory, line in sides:
-        if line is not None:
-            i = line[0]
-            if m1.addresses[i] != m2.addresses[i] or m1.valid[i] != m2.valid[i]:
-                return False
-        if register is not None:
-            a, b = m1.registers[register[0]], m2.registers[register[0]]
-            if a is not b and not (
-                b.blinded if a.blinded else not b.blinded and a.value == b.value
-            ):
-                return False
-        if memory is not None:
-            a, b = m1.memory[memory[0]], m2.memory[memory[0]]
-            if a is not b and not (
-                b.blinded if a.blinded else not b.blinded and a.value == b.value
-            ):
-                return False
+        return _machines_equiv(m1, m2)
+    if line != line2:
+        return False
+    if register is not None:
+        a, b = register[1], register2[1]
+        if a is not b and not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
+            return False
+    if memory is not None:
+        a, b = memory[1], memory2[1]
+        if a is not b and not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
+            return False
     return True
 
 
@@ -914,13 +917,14 @@ def _lockstep_divergence(
     # both sides; the slot's value check keeps a divergent fetch correct.
     m1.decoded = m2.decoded = decoded
     tags, memory = cfg.tag_logic, m1.memory
+    step1, step2 = m1.step, m2.step
     for k in range(steps):
         if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
         if tags and m1.pc == 0 and memory[0].blinded:
             break  # the blinded-fetch fixed point: every later step traps alike
-        out1 = m1.step(cfg, k, semantics)
-        out2 = m2.step(cfg, k, semantics)
+        out1 = step1(cfg, k, semantics)
+        out2 = step2(cfg, k, semantics)
         if out1[0] != out2[0]:
             return k, f"trace events diverge: {out1[0]!r} != {out2[0]!r}"
         if not _unwinding_holds(m1, m2, out1, out2):

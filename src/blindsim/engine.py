@@ -28,14 +28,16 @@ same blob.
 
 Envelope layout: ``nonce(12) || ciphertext || tag(16)``.
 
-``cryptography`` is imported inside :func:`seal_envelope` and
-:func:`open_envelope`, not at the top of this module: ``import blindsim``
-imports this module, but simulating and checking never encrypt, and
-loading cryptography's OpenSSL bindings would cost each such process about
-6.5 MB of RSS and 20-30 ms of cold start (Python 3.11 on a 2-core x86-64
-host: a fresh ``import blindsim.cli`` peaks at 21.1 MB instead of 27.6 MB,
-and takes a median 190 ms instead of 216 ms).  A repeated import is a
-lookup in ``sys.modules``, about 1 us.
+``cryptography`` is imported by the first :func:`seal_envelope` or
+:func:`open_envelope` call, not at the top of this module: ``import
+blindsim`` imports this module, but simulating and checking never
+encrypt, and loading cryptography's OpenSSL bindings would cost each such
+process about 6.5 MB of RSS and 20-30 ms of cold start (Python 3.11 on a
+2-core x86-64 host: a fresh ``import blindsim.cli`` peaks at 21.1 MB
+instead of 27.6 MB, and takes a median 190 ms instead of 216 ms).  That
+call keeps the cipher class and ``InvalidTag`` in a module global, so a
+later seal or open reads one global rather than running an import
+statement, a ``sys.modules`` lookup of 0.5-1.3 us.
 """
 
 from __future__ import annotations
@@ -118,22 +120,32 @@ def bytes_to_words(data: bytes) -> tuple[int, ...]:
     return struct.unpack(f"<{len(data) // 8}Q", data)
 
 
-def seal_envelope(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+# (ChaCha20Poly1305, InvalidTag) once the envelope functions first need them.
+_aead: tuple | None = None
+
+
+def _load_aead() -> tuple:
+    global _aead
+    from cryptography.exceptions import InvalidTag
     from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
 
-    return nonce + ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+    _aead = ChaCha20Poly1305, InvalidTag
+    return _aead
+
+
+def seal_envelope(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
+    cipher, _ = _aead or _load_aead()
+    return nonce + cipher(key).encrypt(nonce, plaintext, aad)
 
 
 def open_envelope(key: bytes, envelope: bytes, aad: bytes = b"") -> bytes:
     if len(envelope) < NONCE_LEN + TAG_LEN:
         raise AuthError("envelope too short")
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
-
+    cipher, invalid_tag = _aead or _load_aead()
     nonce, body = envelope[:NONCE_LEN], envelope[NONCE_LEN:]
     try:
-        return ChaCha20Poly1305(key).decrypt(nonce, body, aad)
-    except InvalidTag:
+        return cipher(key).decrypt(nonce, body, aad)
+    except invalid_tag:
         raise AuthError("authentication failed") from None
 
 

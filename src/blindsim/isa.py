@@ -30,7 +30,10 @@ enum members through module constants and builds its named tuples with
 on a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
 8-14 ns for a module global, and a named tuple's generated ``__new__``
 300-610 ns against 150-230 ns through ``tuple.__new__``, which fills no
-default, so every field is given.  An ALU result is built with
+default, so every field is given.  It reads each field of its
+:class:`DecodedInstruction` at most once, by attribute: unpacking the
+named tuple reads all three and is no faster, since CPython 3.11
+specializes neither.  An ALU result is built with
 :func:`~blindsim.model._word`.
 
 :func:`decode` runs once for each distinct word a machine fetches at an
@@ -334,8 +337,9 @@ def instruction_semantics(
     control -- the property the harness checks exhaustively.
     """
     op = d.opcode
-    if len(inputs) != len(d.inputs):
-        raise ValueError(f"{op.name} expects {len(d.inputs)} inputs, got {len(inputs)}")
+    regs = d.inputs
+    if len(inputs) != len(regs):
+        raise ValueError(f"{op.name} expects {len(regs)} inputs, got {len(inputs)}")
 
     if op is _OP_HALT:
         return None, None, _HALTED
@@ -345,10 +349,10 @@ def instruction_semantics(
         if addr.blinded:
             return None, None, None if mode is _MODEL else _BLINDED_ADDRESS
         if op is _OP_STORE:
-            return None, _new(MemoryOperation, (_MEM_STORE, addr.value, d.inputs[1])), None
+            return None, _new(MemoryOperation, (_MEM_STORE, addr.value, regs[1])), None
         if op is _OP_LOAD:
             return None, _new(MemoryOperation, (_MEM_LOAD, addr.value, d.output)), None
-        return None, _new(MemoryOperation, (_TAG_EDITS[op], addr.value, d.inputs[0])), None
+        return None, _new(MemoryOperation, (_TAG_EDITS[op], addr.value, regs[0])), None
 
     if op is _OP_BZ:
         cond, target = inputs
@@ -358,7 +362,7 @@ def instruction_semantics(
 
     # Arithmetic.
     a, b = inputs
-    if op in SELF_ZEROING and d.inputs[0] == d.inputs[1]:
+    if op in SELF_ZEROING and regs[0] == regs[1]:
         return ZERO, None, None
     if op in ZERO_ABSORBING and (
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)

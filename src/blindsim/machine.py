@@ -55,11 +55,18 @@ tuple read by attribute.  Trace lines come from one table of ``%``-formats keyed
 exact event class, so :func:`format_trace` makes one lookup per event
 instead of a chain of ``isinstance`` tests inside a generator.
 
-The commit makes one assignment for each write the step makes, so a
-step that writes nothing pays for three ``is not None`` tests and the
-pc.  Such steps are common in lockstep checks: over one op of the
-benchmark's ``check-corpus-64`` workload, 62 % of 23,016 steps write
-nothing and 51 % are blinded-fetch traps.
+A step pays only for what it does.  :class:`ListMachine` keeps its
+memory size and cache line count in slots, since neither changes over
+its life, and a decode slot holds ``(word, d, d.inputs, d.output)``, read
+with one unpack, so a step reads no field of the decoded instruction
+(a named tuple's fields are slower to read than a dataclass's slots
+under CPython 3.11).  pc is in range when a step starts, so a
+fall-through checks only ``pc + 1 == size``; a jump target gets the full
+range check.  A step with no memory operation -- an ALU instruction or
+``bz`` -- commits its one register write from a short tail before any
+memory-operation code runs, and a load or store builds its three events
+as one tuple.  The commit makes one assignment for each write the step
+makes.
 
 :func:`run` steps with the cyclic garbage collector off.  The
 collector untracks exact tuples but not named tuples, so the events a
@@ -305,20 +312,26 @@ class ListMachine:
     """A state held in lists and stepped in place: a store is O(1).
 
     :func:`run` and the lockstep harness step through this; the
-    :class:`SystemState` it was built from is never modified.
-    ``decoded`` holds one decode slot per executed address (at most
-    ``memory_words``); it is not part of the state, so two machines may
-    share one.
+    :class:`SystemState` it was built from is never modified.  ``size``
+    and ``lines`` are the lengths of ``memory`` and ``addresses``, which
+    a step writes only by index.  ``decoded`` holds one decode slot per
+    executed address (at most ``memory_words``); it is not part of the
+    state, so two machines may share one.
     """
 
-    __slots__ = ("pc", "registers", "memory", "addresses", "valid", "status", "fault", "decoded")
+    __slots__ = (
+        "pc", "registers", "memory", "size", "addresses", "valid", "lines",
+        "status", "fault", "decoded",
+    )
 
     def __init__(self, s: SystemState) -> None:
         self.pc = s.pc
         self.registers = list(s.registers.regs)
         self.memory = list(s.memory.words)
+        self.size = len(self.memory)
         self.addresses = list(s.cache.addresses)
         self.valid = list(s.cache.valid)
+        self.lines = len(self.addresses)
         self.status = s.status
         self.fault = s.fault
         self.decoded: dict = {}
@@ -346,17 +359,18 @@ class ListMachine:
         :func:`_untagged`, so no tag check fires and no tag reaches a
         write.  Every read sees the state before the step.
 
-        ``decoded`` is a decode slot per address, ``{pc: (word,
-        DecodedInstruction)}``, that this step may refill.  A slot is
-        used only when the fetched word equals the stored word, so it is
-        never a state input: it skips a decode, and nothing else.
+        ``decoded`` is a decode slot per address, ``{pc: (word, d,
+        d.inputs, d.output)}`` for the :class:`DecodedInstruction` ``d``
+        of ``word``, that this step may refill.  A slot is used only when
+        the fetched word equals the stored word, so it is never a state
+        input: it skips a decode, and nothing else.
         """
         tags = cfg.tag_logic
         memory = self.memory
-        mem_size = len(memory)
+        size = self.size
         pc = self.pc
 
-        if not 0 <= pc < mem_size:
+        if not 0 <= pc < size:
             self.status, self.fault = _FAULTED, _OUT_OF_RANGE
             return (_new(Fault, (cycle, _OUT_OF_RANGE, False)),), None, None, None
 
@@ -370,18 +384,16 @@ class ListMachine:
         word = instr.value
         fetch = _new(Fetch, (cycle, pc, word))
         slot = self.decoded.get(pc)
-        if slot is not None and slot[0] == word:
-            d = slot[1]
-        else:
+        if slot is None or slot[0] != word:
             try:
                 d = decode(word)
             except DecodeError:
                 self.status, self.fault = _FAULTED, _DECODE_ERROR
                 return (fetch, _new(Fault, (cycle, _DECODE_ERROR, False))), None, None, None
-            self.decoded[pc] = (word, d)
+            slot = self.decoded[pc] = (word, d, d.inputs, d.output)
+        _, d, ops, dst = slot
 
         registers = self.registers
-        ops = d.inputs
         if not tags:
             inputs = [_untagged(registers[i]) for i in ops]
         elif len(ops) == 2:
@@ -393,9 +405,16 @@ class ListMachine:
         output, memop, control = semantics(d, inputs, cfg.mode)
 
         # Control resolution first; a trap leaves everything but pc untouched.
+        # pc is in range, so a fall-through can leave memory only at its end.
         if control is None:
             next_pc = pc + 1
+            if next_pc == size:
+                self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
         elif type(control) is int:
+            if not 0 <= control < size:
+                self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
             next_pc = control
         elif control is _HALTED:
             self.status = _HALTED
@@ -403,52 +422,55 @@ class ListMachine:
         else:
             self.pc = 0
             return (fetch, _new(Fault, (cycle, control, False))), None, None, None
-        if not 0 <= next_pc < mem_size:
-            self.status, self.fault = _FAULTED, _OUT_OF_RANGE
-            return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
 
         # At most one write of each kind; a load's write replaces the output's.
-        dst = d.output
         register_write = (dst, output) if output is not None and dst is not None else None
+        if memop is None:
+            # No memory operation: the step commits at most its register write.
+            self.pc = next_pc
+            if register_write is not None:
+                registers[dst] = output
+            return (fetch,), register_write, None, None
+
         memory_write = line_write = None
-        events: tuple[TraceEvent, ...] = (fetch,)
-        if memop is not None:
-            kind, address, register = memop
-            if not 0 <= address < mem_size:
-                self.status, self.fault = _FAULTED, _OUT_OF_RANGE
-                return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
-            if kind is _MEM_STORE or kind is _MEM_LOAD:
-                # Direct-mapped: the line depends only on the (clear) address.  A repeat
-                # access reports the first valid line holding the address, which a
-                # random initial state may also place in a lower line.
-                addresses, valid = self.addresses, self.valid
-                line = address % len(addresses)
-                if valid[line] and addresses[line] == address:
-                    for i in range(line + 1):
-                        if valid[i] and addresses[i] == address:
-                            line = i
-                            break
-                else:
-                    line_write = (line, address)
-                events += (
-                    _new(MemAccess, (cycle, kind, address)),
-                    _new(CacheUpdate, (cycle, line, address)),
-                )
-                if kind is _MEM_STORE:
-                    word = registers[register]
-                    if not tags:
-                        word = _untagged(word)
-                    elif word.blinded and cfg.is_unblindable(address):
-                        self.status, self.fault = _FAULTED, _BLINDED_STORE
-                        fault = _new(Fault, (cycle, _BLINDED_STORE, False))
-                        return (fetch, fault), None, None, None
-                    memory_write = (address, word)
-                    if address == cfg.mmio_console:
-                        events += (_new(MmioWrite, (cycle, word.value)),)
-                else:
-                    word = memory[address]
-                    register_write = (register, word if tags else _untagged(word))
-            elif tags:
+        kind, address, register = memop
+        if not 0 <= address < size:
+            self.status, self.fault = _FAULTED, _OUT_OF_RANGE
+            return (fetch, _new(Fault, (cycle, _OUT_OF_RANGE, False))), None, None, None
+        if kind is _MEM_STORE or kind is _MEM_LOAD:
+            # Direct-mapped: the line depends only on the (clear) address.  A repeat
+            # access reports the first valid line holding the address, which a
+            # random initial state may also place in a lower line.
+            addresses, valid = self.addresses, self.valid
+            line = address % self.lines
+            if valid[line] and addresses[line] == address:
+                for i in range(line + 1):
+                    if valid[i] and addresses[i] == address:
+                        line = i
+                        break
+            else:
+                line_write = (line, address)
+            events = (
+                fetch,
+                _new(MemAccess, (cycle, kind, address)),
+                _new(CacheUpdate, (cycle, line, address)),
+            )
+            if kind is _MEM_STORE:
+                word = registers[register]
+                if not tags:
+                    word = _untagged(word)
+                elif word.blinded and cfg.is_unblindable(address):
+                    self.status, self.fault = _FAULTED, _BLINDED_STORE
+                    return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), None, None, None
+                memory_write = (address, word)
+                if address == cfg.mmio_console:
+                    events += (_new(MmioWrite, (cycle, word.value)),)
+            else:
+                word = memory[address]
+                register_write = (register, word if tags else _untagged(word))
+        else:
+            events = (fetch,)
+            if tags:
                 # A tag edit retags the word in place: it reaches no cache line
                 # and emits no event, and the untagged machine ignores it.
                 if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
@@ -461,10 +483,9 @@ class ListMachine:
         if register_write is not None:
             registers[register_write[0]] = register_write[1]
         if memory_write is not None:
-            memory[memory_write[0]] = memory_write[1]
+            memory[address] = memory_write[1]
         if line_write is not None:
-            line = line_write[0]
-            self.addresses[line] = line_write[1]
+            self.addresses[line] = address
             self.valid[line] = True
         return events, register_write, memory_write, line_write
 
@@ -568,15 +589,18 @@ def run(
     gc.disable()
     try:
         m = ListMachine(s)
+        step = m.step
         trace: list[TraceEvent] = []
+        extend = trace.extend
         trapped_before = False
         n = 0
         while n < max_steps and m.status is _RUNNING:
-            events, _, _, _ = m.step(cfg, n, semantics)
-            trace.extend(events)
+            events = step(cfg, n, semantics)[0]
+            extend(events)
             n += 1
-            # A trap changes nothing but pc: still running, a Fault last.
-            trapped = m.status is _RUNNING and type(events[-1]) is Fault
+            # A trap changes nothing but pc, which it sets to 0: still
+            # running, a Fault last.
+            trapped = m.pc == 0 and m.status is _RUNNING and type(events[-1]) is Fault
             if trapped and trapped_before:
                 return RunResult(m.state(), tuple(trace), RunOutcome.FAULT_LOOP, n)
             trapped_before = trapped

@@ -56,6 +56,18 @@ def tag_edit_at_blinded_address(d, inputs, mode=Mode.HARDWARE):
     return instruction_semantics(d, inputs, mode)
 
 
+def load_target_follows_secret(d, inputs, mode=Mode.HARDWARE):
+    """ADD with a clear first operand and a blinded second one loads from
+    the first operand's address, into its output register or the one next
+    to it as the blinded payload's low bit says.  Both sides of a pair
+    emit the same events, but their register writes land at different
+    indices."""
+    if d.opcode is Opcode.ADD and not inputs[0].blinded and inputs[1].blinded:
+        register = d.output ^ (inputs[1].value & 1)
+        return None, MemoryOperation(MemKind.LOAD, inputs[0].value, register), None
+    return instruction_semantics(d, inputs, mode)
+
+
 class ExportLeaksKeyEngine(EncryptionEngine):
     """Export reuses session-key bytes as the nonce, leaking them into the
     exported artifact."""

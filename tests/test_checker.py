@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+from blindsim import checker
 from blindsim.assembler import assemble
 from blindsim.checker import (
     SigTag,
+    _unwinding_holds,
     TaintSignature,
     Verdict,
     analyze,
@@ -37,7 +39,18 @@ from blindsim.corpus import (
 )
 from blindsim.isa import ARITHMETIC, Mode, Opcode, instruction_semantics
 from blindsim.machine import Fault, Fetch, ListMachine, MachineConfig, boot_image, run, step
-from blindsim.model import FaultKind, Status, SystemState, TaggedWord, clear, state_equiv
+from blindsim.model import (
+    CacheAssignments,
+    FaultKind,
+    MemoryImage,
+    RegisterFile,
+    Status,
+    SystemState,
+    TaggedWord,
+    blinded,
+    clear,
+    state_equiv,
+)
 
 import mutants
 
@@ -747,6 +760,28 @@ class TestNoninterference:
         assert t1 == s1 and reference_lockstep(t1, t2, HW, 64, mutant) is not None
         assert 1 <= len(payload_delta(t1, t2)) < len(payload_delta(s1, wide))
 
+    def test_shrink_pair_of_states_that_differ_in_a_clear_word(self, monkeypatch):
+        # Such a pair is not equivalent, so every candidate the shrink
+        # tries "diverges" before its first step, and every blinded
+        # payload difference is reverted; the clear difference stays.
+        s1, s2 = generate_equivalent_pair(7, memory_words=64, cache_lines=8)
+        assert shrink_pair(s1, s2, HW, 64, instruction_semantics) == (s1, s2)
+        at = next(i for i, w in enumerate(s2.memory) if not w.blinded)
+        differs = s2.edit(memory=[(at, clear(s2.memory[at].value ^ 1))])
+        assert not state_equiv(s1, differs) and payload_delta(s1, differs)
+        verdicts = []
+        real = checker._lockstep_divergence
+
+        def recorded(*args):
+            verdicts.append(real(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(checker, "_lockstep_divergence", recorded)
+        t1, t2 = shrink_pair(s1, differs, HW, 64, instruction_semantics)
+        assert verdicts == [(0, "initial states not equivalent")] * len(payload_delta(s1, differs))
+        assert t1 == s1 and payload_delta(t1, t2) == []
+        assert t2 == s1.edit(memory=[(at, differs.memory[at])])
+
     @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
     def test_a_pair_shares_one_decode_per_address(self, cfg, decode_calls):
         # Both sides of a pair and every trial of one check step the same
@@ -1021,6 +1056,71 @@ class TestUnwindingMatchesFullEquivalence:
         assert not result.passed
         ce = result.counterexample
         assert ce.step == 0 and ce.reason.startswith("trace events diverge: (Fetch(")
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_writes_at_different_indices(self, mode):
+        # The mutant's register write lands at an index a blinded payload
+        # bit picks, so the two sides write different registers while
+        # their events match; comparing the two written values alone
+        # would miss that the successors differ.
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+        mutant = mutants.load_target_follows_secret
+        reasons = set()
+        for seed in range(3):
+            result = self.assert_same_as_reference(None, 200, 64, cfg, seed, mutant)
+            reasons.add(result.counterexample and result.counterexample.reason)
+        image = assemble("add r3, r1, r2\nhalt\n")
+        result = self.assert_same_as_reference(image, 20, 10, cfg, 0, mutant, blinded_regs=(2,))
+        reasons.add(result.counterexample.reason)
+        assert reasons == {None, "successor states not equivalent"}
+
+    # An equivalent pair at 4 words and 2 lines: r1 clear 5 and r2
+    # blinded (8 on one side, 9 on the other), m[1] clear 6 and m[2]
+    # clear 5, line 0 holding address 1 and line 1 invalid.
+    UNWINDING_PAIR = tuple(
+        SystemState(
+            pc=0,
+            registers=RegisterFile((clear(0), clear(5), blinded(payload)) + (clear(0),) * 29),
+            memory=MemoryImage((clear(0), clear(6), clear(5), clear(0))),
+            cache=CacheAssignments((1, 0), (True, False)),
+        )
+        for payload in (8, 9)
+    )
+    # Each side's possible writes: none, or one at index 1 or 2 of a clear
+    # word or of a blinded one; a line write of address 1 or 2 to line 0
+    # or 1.
+    WORD_WRITES = (None, (1, clear(5)), (2, clear(5)), (1, blinded(7)), (2, clear(6)))
+    LINE_WRITES = (None, (0, 1), (1, 1), (0, 2))
+
+    def test_unwinding_agrees_with_state_equiv_on_every_write_pattern(self):
+        # Both sides write any register, word and line from the tables, so
+        # the indices match in some patterns and differ in the others, the
+        # line writes included: no semantics makes those differ while the
+        # events match, since a line write follows from the address the
+        # events show and the cache both sides share.
+        s1, s2 = self.UNWINDING_PAIR
+        assert state_equiv(s1, s2)
+        patterns = [
+            (register, memory, line)
+            for register in self.WORD_WRITES
+            for memory in self.WORD_WRITES
+            for line in self.LINE_WRITES
+        ]
+        verdicts = {True: 0, False: 0}
+        for writes1 in patterns:
+            for writes2 in patterns:
+                m1, m2 = ListMachine(s1), ListMachine(s2)
+                for m, (register, memory, line) in ((m1, writes1), (m2, writes2)):
+                    if register is not None:
+                        m.registers[register[0]] = register[1]
+                    if memory is not None:
+                        m.memory[memory[0]] = memory[1]
+                    if line is not None:
+                        m.addresses[line[0]], m.valid[line[0]] = line[1], True
+                holds = _unwinding_holds(m1, m2, ((), *writes1), ((), *writes2))
+                assert holds == state_equiv(m1.state(), m2.state()), (writes1, writes2)
+                verdicts[holds] += 1
+        assert verdicts == {True: 294, False: 9706}
 
     def test_the_end_of_trial_check_catches_a_wrong_unwinding(self, monkeypatch):
         # ADD writes r1's payload to r3 as a clear word, which no trace

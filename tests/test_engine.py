@@ -5,6 +5,7 @@ The AEAD cross-checks use the independent RFC-construction oracle in
 so agreement between the two is meaningful.
 """
 
+import dis
 import hmac
 import random
 import struct
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blindsim import engine
 from blindsim.engine import (
     SEAL_LABEL,
     AuthError,
@@ -26,6 +28,7 @@ from blindsim.engine import (
     client_decrypt,
     client_encrypt,
     key_id_for,
+    open_envelope,
     seal_envelope,
     words_to_bytes,
 )
@@ -66,6 +69,30 @@ class TestOracleItself:
         out[3] ^= 1
         with pytest.raises(ValueError):
             aead_oracle.aead_decrypt(RFC_KEY, RFC_NONCE, bytes(out))
+
+
+class TestEnvelopesLoadTheCipherOnce:
+    def test_the_first_envelope_call_loads_the_cipher_and_later_ones_reuse_it(self, monkeypatch):
+        # Neither envelope function holds an import statement; the first
+        # call loads the cipher and every later seal and open, failed
+        # opens included, reads it back.
+        for function in (seal_envelope, open_envelope):
+            assert "IMPORT_NAME" not in {i.opname for i in dis.get_instructions(function)}
+        loads = []
+        real = engine._load_aead
+
+        def counted():
+            loads.append(1)
+            return real()
+
+        monkeypatch.setattr(engine, "_aead", None)
+        monkeypatch.setattr(engine, "_load_aead", counted)
+        envelope = seal_envelope(RFC_KEY, RFC_NONCE, b"8 bytes!")
+        assert seal_envelope(RFC_KEY, RFC_NONCE, b"8 bytes!") == envelope
+        assert open_envelope(RFC_KEY, envelope) == b"8 bytes!"
+        with pytest.raises(AuthError, match="authentication failed"):
+            open_envelope(RFC_KEY, envelope[:-1] + bytes([envelope[-1] ^ 1]))
+        assert loads == [1]
 
 
 class TestImportExport:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import random
+import sys
 import threading
 import typing
 import weakref
@@ -535,6 +536,159 @@ class TestRun:
 
 
 ADDS = [iw(Opcode.ADD, (1, 2), 3)] * 5 + [HALT]
+
+
+class TestRangeCheckAtTheEndOfMemory:
+    """A fall-through leaves memory only past its last word, and a jump
+    target gets the full range check; with and without tag logic, through
+    ``run`` and through the lockstep harness."""
+
+    # Seven steps load r5 = 1 (a nonzero condition), r4 = 20 (a clear
+    # address) and r7 = the target, then jump there with ``bz r0, r7`` at
+    # word 7; ``body`` is placed at ``.org``.
+    PROGRAM = """
+.entry start
+.word pool
+start:
+    load r9, r0
+    load r5, r9
+    add r9, r9, r5
+    load r4, r9
+    add r9, r9, r5
+    load r7, r9
+    bz r0, r7
+pool:
+    .word 1
+    .word 20
+    .word {target}
+.org {target}
+{body}
+"""
+    PROLOGUE_STEPS = 7
+    # Each non-jump shape; r2 is the one register the harness blinds.
+    SHAPES = {
+        "add": "add r3, r5, r2",
+        "load": "load r3, r4",
+        "store": "store r4, r2",
+        "blnd": "blnd r4",
+        "bz-not-taken": "bz r5, r4",
+    }
+
+    @staticmethod
+    def configs(tag_logic):
+        return [MachineConfig(mode=mode, memory_words=32, cache_lines=8, tag_logic=tag_logic) for mode in Mode]
+
+    @staticmethod
+    def checked(image, cfg):
+        """Semantics calls per side per trial of a passing harness check.
+        Without tag logic a blinded word is stored clear, so r2 is blinded
+        only with it."""
+        calls = []
+
+        def counted(d, inputs, mode):
+            calls.append(d)
+            return instruction_semantics(d, inputs, mode)
+
+        result = check_noninterference(
+            image, trials=4, steps=50, cfg=cfg, seed=1, semantics=counted,
+            blinded_regs=(2,) if cfg.tag_logic else (),
+        )
+        assert result.passed and result.trials == 4
+        assert len(calls) % 8 == 0
+        return len(calls) // 8
+
+    def image(self, target, body):
+        return assemble(self.PROGRAM.format(target=target, body=body))
+
+    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_a_non_jump_in_the_last_word_faults(self, shape, tag_logic):
+        image = self.image(31, shape)
+        word = image.segments[-1].words[0].value
+        n = self.PROLOGUE_STEPS + 1
+        for cfg in self.configs(tag_logic):
+            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            assert r.outcome is RunOutcome.FAULTED and r.steps == n
+            assert r.trace[-2:] == (Fetch(n - 1, 31, word), Fault(n - 1, FaultKind.OUT_OF_RANGE))
+            assert r.state.pc == 31 and r.state.fault is FaultKind.OUT_OF_RANGE
+            assert r.state.registers[3] == clear(0) and r.state.memory[20] == clear(0)
+            assert self.checked(image, cfg) == n
+
+    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
+    @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
+    def test_a_non_jump_in_the_word_before_falls_through(self, shape, tag_logic):
+        image = self.image(30, f"{shape}\nhalt")
+        n = self.PROLOGUE_STEPS + 2
+        for cfg in self.configs(tag_logic):
+            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            assert r.outcome is RunOutcome.HALTED and r.steps == n
+            assert r.trace[-2:] == (Fetch(n - 1, 31, HALT), Halt(n - 1))
+            assert self.checked(image, cfg) == n
+
+    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
+    @pytest.mark.parametrize(
+        "target, outcome, steps",
+        [(32, RunOutcome.FAULTED, PROLOGUE_STEPS), (31, RunOutcome.HALTED, PROLOGUE_STEPS + 1)],
+        ids=["to-memory-words", "to-the-last-word"],
+    )
+    def test_a_jump_to_the_end_of_memory(self, target, outcome, steps, tag_logic):
+        image = self.image(target, "halt" if target < 32 else "")
+        for cfg in self.configs(tag_logic):
+            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            assert r.outcome is outcome and r.steps == steps
+            if outcome is RunOutcome.FAULTED:
+                assert r.trace[-1] == Fault(steps - 1, FaultKind.OUT_OF_RANGE)
+                assert r.state.pc == 7 and r.state.fault is FaultKind.OUT_OF_RANGE
+            else:
+                assert r.trace[-2:] == (Fetch(steps - 1, 31, HALT), Halt(steps - 1))
+            assert self.checked(image, cfg) == steps
+
+
+class TestCallBudgetPerStep:
+    """A step makes a pinned number of Python-level calls: each step calls
+    :meth:`ListMachine.step` and the semantics, and an ALU instruction its
+    ``ALU`` entry and ``model._word``; nothing else.  A helper frame added
+    to the hot path changes a count here, not only a timing."""
+
+    # (program, calls per loop iteration): each loop is one instruction,
+    # then ``bz r0, r5`` back to word 0 (r0 = r5 = 0) but for the bz loop,
+    # which jumps to itself.  r1 = 20 is a clear address, r2 = 7.
+    LOOPS = {
+        "alu": ([iw(Opcode.ADD, (3, 2), 3)], 6),
+        "load": ([iw(Opcode.LOAD, (1,), 3)], 4),
+        "store": ([iw(Opcode.STORE, (1, 2))], 4),
+        "bz": ([], 2),
+    }
+    ITERATIONS = 50
+
+    @staticmethod
+    def calls(s, n_steps):
+        """Calls into blindsim during one run: a finalizer that the
+        collector runs before ``run`` turns it off is not counted."""
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            r = run(s, CFG, n_steps)
+        finally:
+            sys.setprofile(None)
+        assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == n_steps
+        return calls
+
+    @pytest.mark.parametrize("name", LOOPS)
+    def test_calls_per_iteration_are_pinned(self, name):
+        body, pinned = self.LOOPS[name]
+        s = make_state(body + [iw(Opcode.BZ, (0, 5))], regs={1: clear(20), 2: clear(7)})
+        # Two budgets of whole iterations: the difference leaves out
+        # what a run pays once (the machine, the first decodes, the result).
+        n = self.ITERATIONS * (len(body) + 1)
+        extra = self.calls(s, 2 * n) - self.calls(s, n)
+        assert extra == pinned * self.ITERATIONS
 
 
 class _CollectorWatch:

@@ -49,6 +49,7 @@ from blindsim.model import (
     TaggedWord,
     blinded,
     clear,
+    snapshot,
     state_equiv,
 )
 
@@ -391,7 +392,8 @@ pool:
 
     def test_arithmetic_transfers_are_pinned(self):
         # The branch on r3 reports the class of each ALU result; the digest
-        # covers every report field, the replayed witness included.
+        # covers every report field, the replayed witness included, its
+        # initial state as a snapshot.
         h = hashlib.sha256()
         for op in ARITHMETIC:
             for a in self.OPERAND_CLASSES:
@@ -399,10 +401,12 @@ pool:
                     image, sig = self.transfer_case(op.name.lower(), a, b)
                     for cfg in (HW, MODEL):
                         r = analyze(image, sig, cfg)
-                        fields = (r.verdict, r.findings, r.iterations, r.bound_exceeded, r.witness)
+                        w = r.witness
+                        witness = w and (snapshot(w.initial), w.fault, w.steps, w.pc)
+                        fields = (r.verdict, r.findings, r.iterations, r.bound_exceeded, witness)
                         h.update(repr(fields).encode())
         assert h.hexdigest() == (
-            "80c237aaaefcaf357a9f02dcb7db15419a99b2875e5b47d25c3c4bdff3df6b06"
+            "14426dd242585be390534a1f528f5d038c80ba34722202b694fa1b364458504e"
         )
 
     @pytest.mark.parametrize(
@@ -564,9 +568,10 @@ class TestSignatureParsing:
         assert not s.registers[2].blinded
 
     def test_signature_states_are_pinned(self):
-        # Every draw signature_state makes, in order, and what it builds:
-        # a change to either changes this digest.  A clear segment keeps
-        # each word's payload and drops its tag.
+        # Every draw signature_state makes, in order, and what it builds,
+        # as a snapshot (exact at each entry's sizes): a change to either
+        # changes this digest.  A clear segment keeps each word's payload
+        # and drops its tag.
         h = hashlib.sha256()
         rng = random.Random(2025)
         cleared = 0
@@ -581,7 +586,7 @@ class TestSignatureParsing:
                 for text in sigs:
                     for randomize_clear in (False, True):
                         s = signature_state(image, parse_signature(text), cfg, rng, randomize_clear)
-                        h.update(repr(s).encode())
+                        h.update(snapshot(s).encode())
                         if text == "s0=C":
                             seg = image.segments[0]
                             for offset, w in enumerate(seg.words):
@@ -590,7 +595,7 @@ class TestSignatureParsing:
         h.update(repr(rng.random()).encode())
         assert cleared > 0
         assert h.hexdigest() == (
-            "e5e018c00d3b44898d0ce81cdccead0795a340f8e3105f6b4e2d168d450bf7e9"
+            "d95a5586920e30c7dbc4f546cf7adb4826f5010f0df7db5e4ed7d10f6f9dbe53"
         )
 
 
@@ -676,11 +681,15 @@ class TestEquivalentPairs:
 
     def test_pair_draws_are_pinned(self):
         # Every draw the harness makes, in order: a change to the draw
-        # order (or to what a draw builds) changes this digest.
+        # order (or to what a draw builds) changes this digest.  A state
+        # enters as its snapshot, which is exact at fixed sizes.
+        def pair_text(pair):
+            return "".join(map(snapshot, pair)).encode()
+
         h = hashlib.sha256()
         for seed in range(200):
-            h.update(repr(generate_equivalent_pair(seed)).encode())
-            h.update(repr(generate_equivalent_pair(seed, 1024, 16)).encode())
+            h.update(pair_text(generate_equivalent_pair(seed)))
+            h.update(pair_text(generate_equivalent_pair(seed, 1024, 16)))
         rng = random.Random(2024)
         for entry in curated_corpus():
             image = assemble(entry.source)
@@ -693,11 +702,10 @@ class TestEquivalentPairs:
                     mmio_console=entry.mmio_console,
                 )
                 for _ in range(3):
-                    pair = pair_for_program(image, cfg, rng, entry.blinded_regs)
-                    h.update(repr(pair).encode())
+                    h.update(pair_text(pair_for_program(image, cfg, rng, entry.blinded_regs)))
         h.update(repr(rng.random()).encode())
         assert h.hexdigest() == (
-            "769f90de540f9e54993dfc46925e106ef79e7f423f4c63589f60fb455b8605e2"
+            "6b525b328bc2253709eac64399d409e237c33ef6db25642c896695e10adfb789"
         )
 
 

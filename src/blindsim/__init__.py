@@ -62,10 +62,8 @@ from .machine import (
 from .model import (
     MASK64,
     REG_COUNT,
-    CacheAssignments,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
@@ -83,7 +81,6 @@ __all__ = [
     "MASK64",
     "REG_COUNT",
     "AssemblyError",
-    "CacheAssignments",
     "Claims",
     "ClientHandshake",
     "ComplianceReport",
@@ -98,7 +95,6 @@ __all__ = [
     "Mode",
     "Opcode",
     "ProgramImage",
-    "RegisterFile",
     "RunOutcome",
     "RunResult",
     "SealedKey",

@@ -44,10 +44,10 @@ word costs about 1.0 us and a 64-bit data word about 390 ns, against
 3.11.7, 2-core x86).  Bounded integers are drawn with ``isa._below``'s
 rejection loop, which is ``randrange``'s own on ``getrandbits`` at
 half its cost, and one decode slot serves every trial of a check.  The
-end-of-trial cross-check reads the two machines' lists rather than
-rebuilding two ``SystemState`` values: about 3 us against 8 us at 64
-words.  A state's twin shares its clear words, so equivalence tests a
-shared word by identity first.
+end-of-trial cross-check is ``state_equiv`` of the two machines, which
+reads their lists rather than rebuilding two ``SystemState`` values:
+about 3 us against 8 us at 64 words.  A state's twin shares its clear
+words, so equivalence tests a shared word by identity first.
 """
 
 from __future__ import annotations
@@ -75,24 +75,21 @@ from .isa import (
 from .machine import (
     Fault,
     ListMachine,
-    LoadError,
     MachineConfig,
     boot_image,
+    check_image_fits,
     check_state_fits,
     run,
 )
 from .model import (
     REG_COUNT,
-    CacheAssignments,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
     _word,
     check_machine_size,
-    list_equiv,
     state_equiv,
 )
 
@@ -611,10 +608,7 @@ def _replay_candidate(
 ) -> Witness | None:
     rng = random.Random(seed)
     for _ in range(4):  # a few payload draws
-        try:
-            initial = signature_state(image, sig, cfg, rng)
-        except LoadError:
-            return None  # image does not fit this machine; stay MAY_FAULT
+        initial = signature_state(image, sig, cfg, rng)
         result = run(initial, cfg, 10_000)
         for event in result.trace:
             if isinstance(event, Fault) and event.kind is finding.fault:
@@ -635,8 +629,11 @@ def analyze(
     MAY_FAULT: something was unresolvable or only possibly faulting.
     DEFINITELY_FAULTS: a finding was confirmed by concretely replaying a
     signature-consistent input to the fault; the witness is attached.
-    Raises ValueError when the signature names a segment the image lacks.
+    Raises :class:`~blindsim.machine.LoadError` when the image does not
+    fit ``cfg``'s memory, as loading it would, and ValueError when the
+    signature names a segment the image lacks.
     """
+    check_image_fits(image, cfg.memory_words)
     _check_segments(image, sig)
     analysis = _Analysis(image, sig, cfg)
     analysis.run(max_iterations)
@@ -696,7 +693,7 @@ def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
 def _blinded_positions(s: SystemState) -> tuple[list[int], list[int]]:
     """The indices of ``s``'s blinded registers and memory words, ascending."""
     return (
-        [i for i, w in enumerate(s.registers.regs) if w.blinded],
+        [i for i, w in enumerate(s.registers) if w.blinded],
         [i for i, w in enumerate(s.memory.words) if w.blinded],
     )
 
@@ -707,10 +704,10 @@ def _redraw(s: SystemState, regs_at: Sequence[int], mem_at: Sequence[int], rng) 
     them; a component with no blinded word is shared with ``s``."""
     registers, memory = s.registers, s.memory
     if regs_at:
-        registers = RegisterFile(_redrawn(registers.regs, regs_at, rng))
+        registers = _redrawn(registers, regs_at, rng)
     if mem_at:
         memory = MemoryImage(_redrawn(memory.words, mem_at, rng))
-    return SystemState(s.pc, registers, memory, s.cache, s.status, s.fault)
+    return SystemState(s.pc, registers, memory, s.addresses, s.valid, s.status, s.fault)
 
 
 def _redrawn(words: tuple[TaggedWord, ...], at: Sequence[int], rng) -> tuple[TaggedWord, ...]:
@@ -765,15 +762,14 @@ def generate_equivalent_pair(
         if w.blinded:
             blinded_at.append(i)
         words.append(w)
-    cache = CacheAssignments(
-        tuple([_below(getrandbits, memory_words) for _ in range(cache_lines)]),
-        tuple([rand() < 0.5 for _ in range(cache_lines)]),
-    )
+    addresses = tuple([_below(getrandbits, memory_words) for _ in range(cache_lines)])
+    valid = tuple([rand() < 0.5 for _ in range(cache_lines)])
     s1 = SystemState(
         pc=_below(getrandbits, memory_words),
-        registers=RegisterFile(tuple(words[memory_words:])),
+        registers=tuple(words[memory_words:]),
         memory=MemoryImage(tuple(words[:memory_words])),
-        cache=cache,
+        addresses=addresses,
+        valid=valid,
     )
     regs_at = [i - memory_words for i in blinded_at if i >= memory_words]
     mem_at = [i for i in blinded_at if i < memory_words]
@@ -840,8 +836,7 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
     shipped semantics: an index is a decoded register, or an address
     that the events show or that a clear register gives.  Only a
     semantics that picks an index by a payload writes different ones,
-    and then the two machines are compared whole, as
-    :func:`_machines_equiv`.
+    and then the two machines are compared whole by ``state_equiv``.
     """
     if m1.pc != m2.pc or m1.status is not m2.status or m1.fault is not m2.fault:
         return False
@@ -855,7 +850,7 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
              else memory[0] == memory2[0])
         and (line is line2 if line is None or line2 is None else line[0] == line2[0])
     ):
-        return _machines_equiv(m1, m2)
+        return state_equiv(m1, m2)
     if line != line2:
         return False
     if register is not None:
@@ -867,19 +862,6 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
         if a is not b and not (b.blinded if a.blinded else not b.blinded and a.value == b.value):
             return False
     return True
-
-
-def _machines_equiv(m1: ListMachine, m2: ListMachine) -> bool:
-    """``state_equiv`` of the two machines' states, read from their lists."""
-    return (
-        m1.pc == m2.pc
-        and m1.status is m2.status
-        and m1.fault is m2.fault
-        and m1.addresses == m2.addresses
-        and m1.valid == m2.valid
-        and list_equiv(m1.registers, m2.registers)
-        and list_equiv(m1.memory, m2.memory)
-    )
 
 
 _RUNNING = Status.RUNNING  # bound once: the pair loop reads it twice a pair-step
@@ -898,9 +880,9 @@ def _lockstep_divergence(
     Both sides step in place, and each step returns its events and the
     writes it committed.  After each step the two event tuples are
     compared, and :func:`_unwinding_holds` over both steps' writes stands
-    in for a full ``state_equiv``, which runs once at the end as a
-    cross-check.  ``decoded`` is the decode slot both sides use (see
-    :class:`~blindsim.machine.ListMachine`).
+    in for a full ``state_equiv``, which runs once at the end, on the two
+    machines, as a cross-check.  ``decoded`` is the decode slot both sides
+    use (see :class:`~blindsim.machine.ListMachine`).
 
     The trial also ends, with no divergence, once both sides are RUNNING
     at pc 0 with ``cfg.tag_logic`` on and word 0 blinded.  Equivalence
@@ -929,7 +911,7 @@ def _lockstep_divergence(
             return k, f"trace events diverge: {out1[0]!r} != {out2[0]!r}"
         if not _unwinding_holds(m1, m2, out1, out2):
             return k, "successor states not equivalent"
-    if not _machines_equiv(m1, m2):
+    if not state_equiv(m1, m2):
         raise RuntimeError("unwinding check passed a pair that state_equiv rejects")
     return None
 

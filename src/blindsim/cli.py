@@ -206,7 +206,6 @@ def cmd_check(args) -> int:
         raise ValueError("--trials must not be negative")
     image = _load_image(args.image)
     sig = checker.parse_signature(args.sig)
-    machine.boot_image(image, cfg)  # an image that does not fit is a usage error
     report = checker.analyze(image, sig, cfg, seed=args.seed)
 
     # Both halves run before anything is printed, so a bad --steps

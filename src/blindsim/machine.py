@@ -101,10 +101,8 @@ from typing import Callable, NamedTuple, Sequence
 from .isa import DecodeError, MemKind, Mode, decode, instruction_semantics
 from .model import (
     REG_COUNT,
-    CacheAssignments,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
@@ -169,7 +167,7 @@ class MachineConfig:
 def check_state_fits(s: SystemState, cfg: MachineConfig) -> None:
     """Raise ValueError unless ``s`` has ``cfg.memory_words`` words,
     ``cfg.cache_lines`` cache lines and :data:`REG_COUNT` registers."""
-    words, lines, regs = len(s.memory), len(s.cache), len(s.registers)
+    words, lines, regs = len(s.memory), len(s.addresses), len(s.registers)
     if (words, lines, regs) != (cfg.memory_words, cfg.cache_lines, REG_COUNT):
         raise ValueError(
             f"a state of {words} words, {lines} cache lines and {regs} registers does not fit "
@@ -312,7 +310,9 @@ class ListMachine:
     """A state held in lists and stepped in place: a store is O(1).
 
     :func:`run` and the lockstep harness step through this; the
-    :class:`SystemState` it was built from is never modified.  ``size``
+    :class:`SystemState` it was built from is never modified.  Its state
+    fields have that class's names, so
+    :func:`~blindsim.model.state_equiv` compares two machines.  ``size``
     and ``lines`` are the lengths of ``memory`` and ``addresses``, which
     a step writes only by index.  ``decoded`` holds one decode slot per
     executed address (at most ``memory_words``); it is not part of the
@@ -326,11 +326,11 @@ class ListMachine:
 
     def __init__(self, s: SystemState) -> None:
         self.pc = s.pc
-        self.registers = list(s.registers.regs)
+        self.registers = list(s.registers)
         self.memory = list(s.memory.words)
         self.size = len(self.memory)
-        self.addresses = list(s.cache.addresses)
-        self.valid = list(s.cache.valid)
+        self.addresses = list(s.addresses)
+        self.valid = list(s.valid)
         self.lines = len(self.addresses)
         self.status = s.status
         self.fault = s.fault
@@ -491,12 +491,8 @@ class ListMachine:
 
     def state(self) -> SystemState:
         return SystemState(
-            pc=self.pc,
-            registers=RegisterFile(tuple(self.registers)),
-            memory=MemoryImage(tuple(self.memory)),
-            cache=CacheAssignments(tuple(self.addresses), tuple(self.valid)),
-            status=self.status,
-            fault=self.fault,
+            self.pc, tuple(self.registers), MemoryImage(tuple(self.memory)),
+            tuple(self.addresses), tuple(self.valid), self.status, self.fault,
         )
 
 
@@ -509,11 +505,9 @@ class LoadError(ValueError):
     """Program image does not fit the configured memory."""
 
 
-def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
-    """Write an image's segments over existing memory; pc defaults to the
-    image's entry point.  Registers, cache, status and untouched words
-    remain."""
-    size = len(s.memory)
+def check_image_fits(image, size: int, pc: int | None = None) -> int:
+    """Raise LoadError unless every segment of ``image`` and its entry pc
+    (``pc`` when given) lie in a memory of ``size`` words; return that pc."""
     for seg in image.segments:
         if seg.base + len(seg.words) > size:
             raise LoadError(
@@ -523,6 +517,14 @@ def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
     entry = image.entry_pc if pc is None else pc
     if not 0 <= entry < size:
         raise LoadError(f"entry pc {entry:#x} out of range")
+    return entry
+
+
+def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
+    """Write an image's segments over existing memory; pc defaults to the
+    image's entry point.  Registers, cache, status and untouched words
+    remain.  Raises LoadError as :func:`check_image_fits`."""
+    entry = check_image_fits(image, len(s.memory), pc)
     return s.edit(pc=entry, memory=[
         (address, w) for seg in image.segments for address, w in enumerate(seg.words, seg.base)
     ])

@@ -8,10 +8,15 @@ everything an observer could see: program counter, cache line assignments,
 halt/fault status, the tag bits themselves, and the payloads of clear
 words.  Blinded payloads are free to differ.
 
-All state types here are immutable.  :meth:`SystemState.edit` is the one
-way to change a state: it returns a new state that copies each written
-component once and shares the others, and it sets status and fault
-together.  Every state has :data:`REG_COUNT` registers.
+All state types here are immutable.  A :class:`SystemState` holds its
+registers and its cache line ``addresses`` and ``valid`` bits as plain
+tuples, named as :class:`~blindsim.machine.ListMachine` names its lists,
+and its memory as a :class:`MemoryImage`.  :meth:`SystemState.edit` is
+the one way to change a state: it returns a new state that copies each
+written component once and shares the others, and it sets status and
+fault together.  Every state has :data:`REG_COUNT` registers.
+:func:`state_equiv` reads only the fields both shapes share, so it
+judges two states or two machines alike.
 
 :func:`_word` is how the hot paths build a word -- an ALU result, a tag
 edit, every word a random pair draws.  It runs the range check of
@@ -97,26 +102,6 @@ ZERO = TaggedWord(0, False)
 
 
 @dataclass(frozen=True, slots=True)
-class RegisterFile:
-    """The :data:`REG_COUNT` tagged registers of a machine state."""
-
-    regs: tuple[TaggedWord, ...]
-
-    @classmethod
-    def zeros(cls) -> RegisterFile:
-        return cls((ZERO,) * REG_COUNT)
-
-    def __len__(self) -> int:
-        return len(self.regs)
-
-    def __iter__(self) -> Iterator[TaggedWord]:
-        return iter(self.regs)
-
-    def __getitem__(self, index: int) -> TaggedWord:
-        return self.regs[index]
-
-
-@dataclass(frozen=True, slots=True)
 class MemoryImage:
     """Word-addressed tagged memory.
 
@@ -148,21 +133,6 @@ class MemoryImage:
         return MemoryImage(w[:address] + (word,) + w[address + 1:])
 
 
-@dataclass(frozen=True, slots=True)
-class CacheAssignments:
-    """Per-line address assignments; addresses only, never data payloads."""
-
-    addresses: tuple[int, ...]
-    valid: tuple[bool, ...]
-
-    @classmethod
-    def empty(cls, lines: int) -> CacheAssignments:
-        return cls((0,) * lines, (False,) * lines)
-
-    def __len__(self) -> int:
-        return len(self.addresses)
-
-
 def check_machine_size(memory_words: int, cache_lines: int) -> None:
     """Raise ValueError unless a machine has at least one memory word and
     one cache line: a load or store with no line has nowhere to go."""
@@ -175,15 +145,18 @@ class SystemState:
     """Complete machine state between steps.
 
     ``pc`` is a plain integer, deliberately untaggable: control flow is
-    visible state and may never hold secrets.  A step moves ``status``
-    only from RUNNING to HALTED or FAULTED (a server restarts a machine
-    with :meth:`edit`); ``fault`` is set exactly when status is FAULTED.
+    visible state and may never hold secrets.  Cache line ``i`` holds
+    ``addresses[i]`` when ``valid[i]``: addresses only, never data
+    payloads.  A step moves ``status`` only from RUNNING to HALTED or
+    FAULTED (a server restarts a machine with :meth:`edit`); ``fault`` is
+    set exactly when status is FAULTED.
     """
 
     pc: int
-    registers: RegisterFile
+    registers: tuple[TaggedWord, ...]
     memory: MemoryImage
-    cache: CacheAssignments
+    addresses: tuple[int, ...]
+    valid: tuple[bool, ...]
     status: Status = Status.RUNNING
     fault: FaultKind | None = None
 
@@ -192,8 +165,8 @@ class SystemState:
         """All words clear zeros, no valid cache line, pc 0, RUNNING; raises
         ValueError unless both sizes are positive."""
         check_machine_size(memory_words, cache_lines)
-        regs, mem = RegisterFile.zeros(), MemoryImage.zeros(memory_words)
-        return cls(0, regs, mem, CacheAssignments.empty(cache_lines))
+        regs, mem = (ZERO,) * REG_COUNT, MemoryImage.zeros(memory_words)
+        return cls(0, regs, mem, (0,) * cache_lines, (False,) * cache_lines)
 
     def edit(
         self,
@@ -219,17 +192,16 @@ class SystemState:
             status, fault = self.status, (self.fault if fault is None else fault)
         if (status is Status.FAULTED) != (fault is not None):
             raise ValueError(f"status {status.value} does not fit fault {fault and fault.value}")
-        regs, mem, cache = self.registers, self.memory, self.cache
+        regs, mem, addresses, valid = self.registers, self.memory, self.addresses, self.valid
         if registers:
-            regs = RegisterFile(_written(regs.regs, registers))
+            regs = _written(regs, registers)
         if memory:
             mem = MemoryImage(_written(mem.words, memory))
         if lines:
-            cache = CacheAssignments(
-                _written(cache.addresses, lines),
-                _written(cache.valid, [(line, True) for line, _ in lines]),
-            )
-        return SystemState(self.pc if pc is None else pc, regs, mem, cache, status, fault)
+            addresses = _written(addresses, lines)
+            valid = _written(valid, [(line, True) for line, _ in lines])
+        pc = self.pc if pc is None else pc
+        return SystemState(pc, regs, mem, addresses, valid, status, fault)
 
 
 def _written(items: tuple, writes: Sequence[tuple[int, object]]) -> tuple:
@@ -255,8 +227,10 @@ def value_equiv(a: TaggedWord, b: TaggedWord) -> bool:
 
 
 def list_equiv(xs: Sequence[TaggedWord], ys: Sequence[TaggedWord]) -> bool:
-    """Pointwise value equivalence; lengths must match.  A shared word is
-    equivalent without reading its fields."""
+    """Pointwise value equivalence; lengths must match.  Either side may
+    be any sized iterable of words: a tuple, a list or a
+    :class:`MemoryImage`.  A shared word is equivalent without reading its
+    fields."""
     if len(xs) != len(ys):
         return False
     for a, b in zip(xs, ys):
@@ -270,17 +244,21 @@ def list_equiv(xs: Sequence[TaggedWord], ys: Sequence[TaggedWord]) -> bool:
 def state_equiv(s1: SystemState, s2: SystemState) -> bool:
     """States are equivalent when an observer could not tell them apart.
 
-    Equal pc, status, and cache assignments (address-for-address, including
-    validity); registers and memory pointwise value-equivalent.  Only
-    blinded payloads may differ.
+    Equal pc, status, fault and cache assignments (address-for-address,
+    including validity); registers and memory pointwise value-equivalent.
+    Only blinded payloads may differ.  A
+    :class:`~blindsim.machine.ListMachine` has these fields under the same
+    names, as lists, so two machines compare as two states do; a state is
+    never equivalent to a machine, as a tuple never equals a list.
     """
     return (
         s1.pc == s2.pc
-        and s1.status == s2.status
-        and s1.fault == s2.fault
-        and s1.cache == s2.cache
-        and list_equiv(s1.registers.regs, s2.registers.regs)
-        and list_equiv(s1.memory.words, s2.memory.words)
+        and s1.status is s2.status
+        and s1.fault is s2.fault
+        and s1.addresses == s2.addresses
+        and s1.valid == s2.valid
+        and list_equiv(s1.registers, s2.registers)
+        and list_equiv(s1.memory, s2.memory)
     )
 
 
@@ -295,7 +273,7 @@ def redact(s: SystemState) -> SystemState:
     """
     zero = TaggedWord(0, True)
     return s.edit(
-        registers=[(i, zero) for i, w in enumerate(s.registers.regs) if w.blinded],
+        registers=[(i, zero) for i, w in enumerate(s.registers) if w.blinded],
         memory=[(a, zero) for a, w in enumerate(s.memory.words) if w.blinded],
     )
 
@@ -319,7 +297,7 @@ def snapshot(s: SystemState) -> str:
     for a, w in enumerate(s.memory):
         if w.blinded or w.value != 0:
             lines.append(f"m{a}={'B' if w.blinded else 'C'}:{w.value:#x}")
-    for line, (addr, valid) in enumerate(zip(s.cache.addresses, s.cache.valid)):
+    for line, (addr, valid) in enumerate(zip(s.addresses, s.valid)):
         if valid or addr != 0:
             lines.append(f"cache{line}={1 if valid else 0}:{addr:#x}")
     if s.status is Status.FAULTED:

@@ -207,7 +207,7 @@ def test_a3_violation_classes():
                 # no partial commit at the violating step
                 assert s.registers == before.registers
                 assert s.memory == before.memory
-                assert s.cache == before.cache
+                assert (s.addresses, s.valid) == (before.addresses, before.valid)
                 seen = expected
                 break
         assert seen is expected, f"{name}: fault {expected.value} not observed"
@@ -554,7 +554,8 @@ pool:
         words = tuple(rng.getrandbits(64) for _ in range(n))
         memory = engine.import_region(base.memory, 32, client_encrypt(key, words, i))
         state = base.__class__(
-            pc=base.pc, registers=base.registers, memory=memory, cache=base.cache
+            pc=base.pc, registers=base.registers, memory=memory,
+            addresses=base.addresses, valid=base.valid,
         )
         result = run(state, cfg, 200)
         envelope = engine.export_region(result.state.memory, 32, n)

@@ -38,12 +38,19 @@ from blindsim.corpus import (
     trivial_halt,
 )
 from blindsim.isa import ARITHMETIC, Mode, Opcode, instruction_semantics
-from blindsim.machine import Fault, Fetch, ListMachine, MachineConfig, boot_image, run, step
+from blindsim.machine import (
+    Fault,
+    Fetch,
+    ListMachine,
+    LoadError,
+    MachineConfig,
+    boot_image,
+    run,
+    step,
+)
 from blindsim.model import (
-    CacheAssignments,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
@@ -475,14 +482,28 @@ pool:
         assert report.verdict is Verdict.DEFINITELY_FAULTS
         assert_witness_replays(report, HW)
 
-    def test_image_too_large_to_replay_stays_may_fault(self):
-        # The blinded branch is a definite finding, but the segment at 100
-        # does not fit a 64-word machine, so no witness can be booted.
-        image = assemble(".entry 0\nbz r1, r0\n.org 100\n.word 5\n")
-        report = analyze(image, parse_signature("r1=B"), HW)
-        f = finding(report, "blinded value controls a branch")
-        assert f.fault is FaultKind.BLINDED_BRANCH and f.definite
-        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+    @pytest.mark.parametrize(
+        "source, sig, message",
+        [
+            (
+                ".entry 0\nbz r1, r0\n.org 100\n.word 5\n", "r1=B",
+                r"segment \[0x64, 0x65\) exceeds memory of 0x40 words",
+            ),
+            (".entry 100\n.org 100\nhalt\n", "", r"segment \[0x64, 0x65\) exceeds memory of 0x40 words"),
+            (".entry 70\nhalt\n", "", r"entry pc 0x46 out of range"),
+        ],
+        ids=["definite-finding", "segment", "entry"],
+    )
+    def test_an_image_that_cannot_load_is_refused(self, source, sig, message):
+        # No verdict holds for an image the machine cannot load: the first
+        # would be a definite finding with no witness to boot, and the
+        # others, analysed alone, are a lone halt.  Each is refused with
+        # the error that loading it raises.
+        image = assemble(source)
+        with pytest.raises(LoadError, match=message):
+            boot_image(image, HW)
+        with pytest.raises(LoadError, match=message):
+            analyze(image, parse_signature(sig), HW)
 
 
 class TestJoin:
@@ -657,7 +678,7 @@ class TestEquivalentPairs:
                     for w in words
                 )
             return replace(
-                s, registers=replace(s.registers, regs=redraw(s.registers.regs)),
+                s, registers=redraw(s.registers),
                 memory=replace(s.memory, words=redraw(s.memory.words)),
             )
 
@@ -1088,9 +1109,10 @@ class TestUnwindingMatchesFullEquivalence:
     UNWINDING_PAIR = tuple(
         SystemState(
             pc=0,
-            registers=RegisterFile((clear(0), clear(5), blinded(payload)) + (clear(0),) * 29),
+            registers=(clear(0), clear(5), blinded(payload)) + (clear(0),) * 29,
             memory=MemoryImage((clear(0), clear(6), clear(5), clear(0))),
-            cache=CacheAssignments((1, 0), (True, False)),
+            addresses=(1, 0),
+            valid=(True, False),
         )
         for payload in (8, 9)
     )
@@ -1141,6 +1163,65 @@ class TestUnwindingMatchesFullEquivalence:
                 image, trials=10, steps=10, cfg=HW, semantics=mutants.add_drops_taint, blinded_regs=(1,)
             )
         assert str(excinfo.value) == "unwinding check passed a pair that state_equiv rejects"
+
+
+class TestOneEquivalenceForStatesAndMachines:
+    """``state_equiv`` judges two :class:`ListMachine` values as it judges
+    the two states they hold, wherever a pair-step leaves them."""
+
+    SEMANTICS = (
+        instruction_semantics,
+        mutants.add_drops_taint,
+        mutants.bz_ignores_blinded_condition,
+        mutants.cache_sees_blinded_addresses,
+        mutants.tag_edit_at_blinded_address,
+        mutants.load_target_follows_secret,
+    )
+
+    @staticmethod
+    def pairs(mode):
+        """(config, pair): seeded random pairs, three pairs of each corpus
+        program, and pairs of programs that compute on blinded registers."""
+        cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
+        out = [(cfg, generate_equivalent_pair(seed)) for seed in range(100)]
+        rng = random.Random(27)
+        for source, blinded_regs in (
+            (blinded_branch_fault(), ()),
+            (blinded_load_fault(), ()),
+            ("add r3, r1, r2\nhalt\n", (2,)),
+        ):
+            image = assemble(source)
+            out += [(cfg, pair_for_program(image, cfg, rng, blinded_regs)) for _ in range(10)]
+        for entry in curated_corpus():
+            cfg = MachineConfig(
+                mode=mode,
+                memory_words=entry.memory_words,
+                cache_lines=8,
+                unblindable_ranges=entry.unblindable,
+                mmio_console=entry.mmio_console,
+            )
+            image = assemble(entry.source)
+            out += [(cfg, pair_for_program(image, cfg, rng, entry.blinded_regs)) for _ in range(3)]
+        return out
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_after_every_pair_step(self, mode):
+        verdicts = set()
+        pairs = self.pairs(mode)
+        for semantics in self.SEMANTICS:
+            for cfg, (s1, s2) in pairs:
+                m1, m2 = ListMachine(s1), ListMachine(s2)
+                for k in range(48):
+                    if m1.status is not Status.RUNNING or m2.status is not Status.RUNNING:
+                        break
+                    m1.step(cfg, k, semantics)
+                    m2.step(cfg, k, semantics)
+                    verdict = state_equiv(m1, m2)
+                    assert verdict == state_equiv(m1.state(), m2.state()), (semantics, k)
+                    # The shipped semantics keeps every pair equivalent.
+                    assert verdict or semantics is not instruction_semantics
+                    verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 # A 4-word machine whose every word and register is blinded.

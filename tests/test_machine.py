@@ -51,10 +51,9 @@ from blindsim.machine import (
     step,
 )
 from blindsim.model import (
-    CacheAssignments,
+    REG_COUNT,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
@@ -81,9 +80,10 @@ def make_state(words, regs=None, mem_size=32, pc=0):
         mem[i] = w if isinstance(w, TaggedWord) else clear(w)
     return SystemState(
         pc=pc,
-        registers=RegisterFile.zeros(),
+        registers=(clear(0),) * REG_COUNT,
         memory=MemoryImage(tuple(mem)),
-        cache=CacheAssignments.empty(8),
+        addresses=(0,) * 8,
+        valid=(False,) * 8,
     ).edit(registers=list((regs or {}).items()))
 
 
@@ -224,7 +224,8 @@ class TestStep:
         # A step copies only the components it writes.
         add = make_state([iw(Opcode.ADD, (1, 2), 3), HALT], regs={1: clear(4)})
         nxt, _ = step(add, CFG)
-        assert nxt.memory is add.memory and nxt.cache is add.cache
+        assert nxt.memory is add.memory
+        assert nxt.addresses is add.addresses and nxt.valid is add.valid
         assert nxt.registers[3] == clear(4)
         store = make_state([iw(Opcode.STORE, (1, 2)), HALT], regs={1: clear(0x13)})
         nxt, _ = step(store, CFG)
@@ -232,7 +233,7 @@ class TestStep:
         trap = make_state([HALT, blinded(0)], pc=1)
         nxt, _ = step(trap, CFG)
         assert nxt.registers is trap.registers and nxt.memory is trap.memory
-        assert nxt.cache is trap.cache
+        assert nxt.addresses is trap.addresses and nxt.valid is trap.valid
 
     def test_requires_running(self):
         s = make_state([HALT])
@@ -354,37 +355,44 @@ class TestTagEdits:
         assert not mutant.passed and mutant.counterexample.step == 0
 
 
+def empty_cache(lines):
+    """``(addresses, valid)`` of ``lines`` cache lines, none valid."""
+    return (0,) * lines, (False,) * lines
+
+
 def access(cache, kind, address, mem_size=64):
     """One LOAD or STORE of ``address`` through ``step`` with the given
-    cache; returns the new cache and the CacheUpdate events."""
+    cache ``(addresses, valid)``; returns the new ``(addresses, valid)``
+    and the CacheUpdate events."""
     if kind is MemKind.STORE:
         instr = iw(Opcode.STORE, (1, 2))
     else:
         instr = iw(Opcode.LOAD, (1,), 2)
-    s = replace(make_state([instr], regs={1: clear(address)}, mem_size=mem_size), cache=cache)
-    nxt, events = step(s, MachineConfig(memory_words=mem_size, cache_lines=len(cache)))
-    return nxt.cache, [e for e in events if isinstance(e, CacheUpdate)]
+    addresses, valid = cache
+    s = make_state([instr], regs={1: clear(address)}, mem_size=mem_size)
+    s = replace(s, addresses=addresses, valid=valid)
+    nxt, events = step(s, MachineConfig(memory_words=mem_size, cache_lines=len(addresses)))
+    return (nxt.addresses, nxt.valid), [e for e in events if isinstance(e, CacheUpdate)]
 
 
 class TestCachePolicy:
     def test_direct_mapped_example(self):
-        cache = CacheAssignments.empty(16)
-        new, updates = access(cache, MemKind.STORE, 0x23)
-        assert new.addresses[3] == 0x23 and new.valid[3]
+        new, updates = access(empty_cache(16), MemKind.STORE, 0x23)
+        addresses, valid = new
+        assert addresses[3] == 0x23 and valid[3]
         # no other line touched
-        assert new == CacheAssignments(
-            (0,) * 3 + (0x23,) + (0,) * 12, (False,) * 3 + (True,) + (False,) * 12
-        )
+        assert new == ((0,) * 3 + (0x23,) + (0,) * 12, (False,) * 3 + (True,) + (False,) * 12)
         assert updates == [CacheUpdate(0, 3, 0x23)]
 
     def test_same_line_overwrites(self):
-        cache, first = access(CacheAssignments.empty(8), MemKind.LOAD, 0x08)
+        cache, first = access(empty_cache(8), MemKind.LOAD, 0x08)
         cache, second = access(cache, MemKind.STORE, 0x10)
-        assert cache.addresses[0] == 0x10
+        addresses, _ = cache
+        assert addresses[0] == 0x10
         assert first == [CacheUpdate(0, 0, 0x08)] and second == [CacheUpdate(0, 0, 0x10)]
 
     def test_kind_agnostic(self):
-        cache = CacheAssignments.empty(8)
+        cache = empty_cache(8)
         assert access(cache, MemKind.LOAD, 0x0C) == access(cache, MemKind.STORE, 0x0C)
 
     @pytest.mark.parametrize(
@@ -397,12 +405,10 @@ class TestCachePolicy:
     )
     def test_line_reported_when_address_held_twice(self, lower_valid, home_address, line):
         # 0x0B % 8 == 3; line 1 also holds 0x0B, as a random state may.
-        cache = CacheAssignments(
-            (0, 0x0B, 0, home_address, 0, 0, 0, 0),
-            (False, lower_valid, False, True, False, False, False, False),
-        )
+        valid = (False, lower_valid, False, True, False, False, False, False)
+        cache = (0, 0x0B, 0, home_address, 0, 0, 0, 0), valid
         new, updates = access(cache, MemKind.LOAD, 0x0B)
-        assert new == CacheAssignments((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), cache.valid)
+        assert new == ((0, 0x0B, 0, 0x0B, 0, 0, 0, 0), valid)
         assert updates == [CacheUpdate(0, line, 0x0B)]
 
     def test_repeat_access_still_traces(self):
@@ -492,9 +498,10 @@ class TestRun:
         regs = tuple(random_word(rng, blind_p=0.3) for _ in range(32))
         s = SystemState(
             pc=rng.randrange(32),
-            registers=RegisterFile(regs),
+            registers=regs,
             memory=MemoryImage(mem),
-            cache=CacheAssignments.empty(8),
+            addresses=(0,) * 8,
+            valid=(False,) * 8,
         )
         mode = rng.choice([Mode.MODEL, Mode.HARDWARE])
         cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8)
@@ -832,10 +839,10 @@ class TestStateMustFitConfig:
     def misfit(case: str) -> SystemState:
         s = SystemState.initial(64, 8)
         return {
-            "no cache line": replace(s, cache=CacheAssignments((), ())),
+            "no cache line": replace(s, addresses=(), valid=()),
             "4 of 8 cache lines": SystemState.initial(64, 4),
             "16 of 64 words": SystemState.initial(16, 8),
-            "4 registers": replace(s, registers=RegisterFile(s.registers.regs[:4])),
+            "4 registers": replace(s, registers=s.registers[:4]),
         }[case].edit(memory=[(0, clear(iw(Opcode.LOAD, (1,), 2)))])
 
     @pytest.mark.parametrize("case", CASES)
@@ -1136,13 +1143,11 @@ class TestStepSafety:
             mem2.append(twin_word(rng, w))
         regs1 = [random_word(rng, blind_p=0.35) for _ in range(32)]
         regs2 = [twin_word(rng, w) for w in regs1]
-        cache = CacheAssignments(
-            tuple(rng.randrange(mem_size) for _ in range(lines)),
-            tuple(rng.random() < 0.5 for _ in range(lines)),
-        )
+        addresses = tuple(rng.randrange(mem_size) for _ in range(lines))
+        valid = tuple(rng.random() < 0.5 for _ in range(lines))
         pc = rng.randrange(mem_size)
-        s1 = SystemState(pc, RegisterFile(tuple(regs1)), MemoryImage(tuple(mem1)), cache)
-        s2 = SystemState(pc, RegisterFile(tuple(regs2)), MemoryImage(tuple(mem2)), cache)
+        s1 = SystemState(pc, tuple(regs1), MemoryImage(tuple(mem1)), addresses, valid)
+        s2 = SystemState(pc, tuple(regs2), MemoryImage(tuple(mem2)), addresses, valid)
         return s1, s2
 
     @pytest.mark.parametrize("mode", [Mode.HARDWARE, Mode.MODEL])

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from blindsim.model import (
     MASK64,
     REG_COUNT,
-    CacheAssignments,
     FaultKind,
     MemoryImage,
-    RegisterFile,
     Status,
     SystemState,
     TaggedWord,
@@ -59,12 +57,10 @@ def random_state(rng: random.Random, regs: int = 8, mem: int = 16, lines: int = 
     fault = rng.choice(list(FaultKind)) if status is Status.FAULTED else None
     return SystemState(
         pc=rng.randrange(mem),
-        registers=RegisterFile(tuple(w() for _ in range(regs))),
+        registers=tuple(w() for _ in range(regs)),
         memory=MemoryImage(tuple(w() for _ in range(mem))),
-        cache=CacheAssignments(
-            tuple(rng.getrandbits(16) for _ in range(lines)),
-            tuple(rng.random() < 0.5 for _ in range(lines)),
-        ),
+        addresses=tuple(rng.getrandbits(16) for _ in range(lines)),
+        valid=tuple(rng.random() < 0.5 for _ in range(lines)),
         status=status,
         fault=fault,
     )
@@ -79,9 +75,10 @@ def equivalent_twin(rng: random.Random, s: SystemState) -> SystemState:
 
     return SystemState(
         pc=s.pc,
-        registers=RegisterFile(twin(s.registers.regs)),
+        registers=twin(s.registers),
         memory=MemoryImage(twin(s.memory.words)),
-        cache=s.cache,
+        addresses=s.addresses,
+        valid=s.valid,
         status=s.status,
         fault=s.fault,
     )
@@ -196,7 +193,8 @@ class TestRedact:
         r = redact(s)
         assert r.registers[3] == blinded(0)
         assert r.registers[0] == clear(0)
-        assert r.memory == s.memory and r.cache == s.cache and r.pc == s.pc
+        assert r.memory == s.memory and r.pc == s.pc
+        assert (r.addresses, r.valid) == (s.addresses, s.valid)
 
     def test_identity_on_clear_states(self):
         s = SystemState.initial(8, 2)
@@ -330,21 +328,22 @@ class TestEdit:
             memory=[(7, blinded(1)), (0, clear(2)), (7, clear(3))],
             lines=[(3, 0x23), (3, 0x0B)],
         )
-        assert s.registers == RegisterFile((clear(0), blinded(6)) + (clear(0),) * (REG_COUNT - 2))
+        assert s.registers == (clear(0), blinded(6)) + (clear(0),) * (REG_COUNT - 2)
         assert s.memory == MemoryImage((clear(2),) + (clear(0),) * 6 + (clear(3),))
-        assert s.cache == CacheAssignments((0, 0, 0, 0x0B), (False, False, False, True))
+        assert (s.addresses, s.valid) == ((0, 0, 0, 0x0B), (False, False, False, True))
         assert s.pc == 2 and s.status is Status.RUNNING
 
     def test_line_write_makes_the_line_valid(self):
         s = self.state().edit(lines=[(1, 0)])
-        assert s.cache == CacheAssignments((0,) * 4, (False, True, False, False))
+        assert (s.addresses, s.valid) == ((0,) * 4, (False, True, False, False))
 
     def test_input_unchanged_and_unwritten_components_shared(self):
         s = random_state(random.Random(3))
         t = s.edit(memory=[(2, clear(9))])
         assert s == random_state(random.Random(3))
         assert t.memory[2] == clear(9) and t.memory[0] is s.memory[0]
-        assert t.registers is s.registers and t.cache is s.cache
+        assert t.registers is s.registers
+        assert t.addresses is s.addresses and t.valid is s.valid
         u = s.edit(pc=1, registers=[(0, clear(1))], lines=[(0, 5)])
         assert u.memory is s.memory and (u.status, u.fault) == (s.status, s.fault)
         assert s.edit() == s and s.edit().memory is s.memory
@@ -352,7 +351,9 @@ class TestEdit:
     def test_status_and_fault_are_set_or_kept(self):
         s = self.state().edit(status=Status.FAULTED, fault=FaultKind.OUT_OF_RANGE)
         assert (s.pc, s.status, s.fault) == (2, Status.FAULTED, FaultKind.OUT_OF_RANGE)
-        assert s.edit(pc=0) == SystemState(0, s.registers, s.memory, s.cache, s.status, s.fault)
+        assert s.edit(pc=0) == SystemState(
+            0, s.registers, s.memory, s.addresses, s.valid, s.status, s.fault
+        )
 
     def test_a_status_without_a_fault_clears_the_fault(self):
         faulted = self.state().edit(status=Status.FAULTED, fault=FaultKind.OUT_OF_RANGE)
@@ -372,7 +373,7 @@ class TestEdit:
             self.state().edit(status=Status.FAULTED)
 
     def test_every_state_has_reg_count_registers(self):
-        assert len(self.state().registers) == REG_COUNT == len(RegisterFile.zeros())
+        assert len(self.state().registers) == REG_COUNT == len(SystemState.initial(1, 1).registers)
         with pytest.raises(TypeError):
             SystemState.initial(8, 2, registers=4)
 

@@ -1,13 +1,12 @@
 """Encryption engine: the only sanctioned way secrets cross the tag boundary.
 
 The engine holds one session key at a time.  *Import* authenticates and
-decrypts a ciphertext and writes the plaintext into machine memory with
-every word tagged blinded, as a single indivisible update -- no
-intermediate state ever shows the plaintext clear.  *Export* reads a
-memory region and returns an authenticated ciphertext; ciphertext is
-ordinary clear data.  On a context switch the OS can *seal* the current
-key (encrypt it under a device-internal root key) and later load a sealed
-key back; it never sees key material in the clear.
+decrypts a ciphertext and returns writes that put the plaintext in
+memory, all blinded, for one :meth:`~blindsim.model.SystemState.edit`:
+no state ever shows it clear.  *Export* encrypts a region of any word
+sequence; ciphertext is ordinary clear data.  On a context switch the OS
+can *seal* the current key (encrypt it under a device-internal root key)
+and later load it back; it never sees key material in the clear.
 
 Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Session
 nonces are counter-derived and direction-scoped so client and engine never
@@ -47,7 +46,7 @@ import hmac
 import struct
 from dataclasses import dataclass
 
-from .model import MemoryImage, TaggedWord
+from .model import TaggedWord
 
 AEAD_SCHEME = "chacha20poly1305"
 KEY_LEN = 32
@@ -204,13 +203,15 @@ class EncryptionEngine:
 
     # -- data path ---------------------------------------------------------
 
-    def import_region(self, memory: MemoryImage, dst: int, envelope: bytes) -> MemoryImage:
-        """Decrypt and taint: plaintext words land at ``dst`` all blinded.
+    def import_region(self, memory, dst: int, envelope: bytes) -> list[tuple[int, TaggedWord]]:
+        """Decrypt and taint: the writes that land the plaintext at ``dst``.
 
-        Returns the updated memory; the input memory is untouched on any
-        failure, and no intermediate state with clear plaintext exists.
-        Only a client-direction nonce for the current key is accepted, so
-        the engine's own export cannot be reflected back into memory.
+        Returns ``(address, blinded word)`` pairs from ``dst`` on, as
+        :meth:`SystemState.edit` takes them; the caller commits them with
+        one edit, and a refused import raises before it returns any.
+        ``memory``, any word sequence, is read only for its length.  Only a
+        client-direction nonce for the current key is accepted, so the
+        engine's own export cannot be reflected back into memory.
         """
         key = self._require_key()
         if envelope[:4] != bytes([_DIR_CLIENT]) + key.key_id[:3]:
@@ -223,21 +224,18 @@ class EncryptionEngine:
             raise RangeError(
                 f"import of {len(values)} words at {dst:#x} exceeds memory"
             )
-        words = list(memory.words)
-        words[dst: dst + len(values)] = [TaggedWord(v, True) for v in values]
-        return MemoryImage(tuple(words))
+        return [(a, TaggedWord(v, True)) for a, v in enumerate(values, dst)]
 
-    def export_region(self, memory: MemoryImage, src: int, n: int) -> bytes:
-        """Encrypt and untaint: ciphertext of ``n`` words starting at ``src``.
-
-        Tags are ignored on read -- encrypting data the observer already
-        knows reveals nothing, so mixed regions are legal.  Each export
-        uses a fresh counter-derived nonce.
+    def export_region(self, memory, src: int, n: int) -> bytes:
+        """Encrypt and untaint: ciphertext of ``n`` words of ``memory``, any
+        word sequence, from ``src``.  Tags are ignored on read -- encrypting
+        data the observer already knows reveals nothing, so mixed regions
+        are legal.  Each export uses a fresh counter-derived nonce.
         """
         key = self._require_key()
         if src < 0 or n < 0 or src + n > len(memory):
             raise RangeError(f"export of {n} words at {src:#x} exceeds memory")
-        payload = words_to_bytes(w.value for w in memory.words[src: src + n])
+        payload = words_to_bytes(w.value for w in memory[src: src + n])
         counter = self._counters.get(key.key_id, 0)
         self._counters[key.key_id] = counter + 1
         return seal_envelope(key.key, _nonce(_DIR_ENGINE, key.key_id, counter), payload)

@@ -107,6 +107,8 @@ class MemoryImage:
 
     Addresses are word indices in [0, len); callers are responsible for
     bounds checks (the machine turns violations into faults, never wraps).
+    A class rather than a plain tuple for one remaining reason: the
+    benchmark's traced step replays each store with :meth:`store`.
     """
 
     words: tuple[TaggedWord, ...]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING
 
@@ -504,7 +504,9 @@ class ServerSession:
     import and export are refused unless the engine holds that key.  A
     handshake is refused while the engine holds another key, so switching
     sessions is the OS's job: it seals the current key before another
-    session's handshake, and loads a sealed key to switch back.
+    session's handshake, and loads a sealed key to switch back.  An
+    import commits the engine's writes with one :meth:`SystemState.edit`;
+    a refused import leaves :attr:`state` the same object.
     """
 
     def __init__(
@@ -547,11 +549,8 @@ class ServerSession:
                     ErrorResponse(f"{type(msg).__name__} while the engine holds another key")
                 )
             if isinstance(msg, ImportRequest):
-                self.state = replace(
-                    self.state,
-                    memory=self.engine.import_region(
-                        self.state.memory, msg.dst, msg.ciphertext
-                    ),
+                self.state = self.state.edit(
+                    memory=self.engine.import_region(self.state.memory, msg.dst, msg.ciphertext)
                 )
                 return encode_frame(ResultResponse(b""))
             if isinstance(msg, ComputeRequest):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from blindsim.engine import EncryptionEngine, seal_envelope, words_to_bytes
 from blindsim.isa import MemKind, MemoryOperation, Mode, Opcode, instruction_semantics
-from blindsim.model import FaultKind, MemoryImage, TaggedWord
+from blindsim.model import FaultKind, TaggedWord
 
 
 def add_drops_taint(d, inputs, mode=Mode.HARDWARE):
@@ -72,9 +72,9 @@ class ExportLeaksKeyEngine(EncryptionEngine):
     """Export reuses session-key bytes as the nonce, leaking them into the
     exported artifact."""
 
-    def export_region(self, memory: MemoryImage, src: int, n: int) -> bytes:
+    def export_region(self, memory, src: int, n: int) -> bytes:
         key = self._require_key()
-        payload = words_to_bytes(w.value for w in memory.words[src: src + n])
+        payload = words_to_bytes(w.value for w in memory[src: src + n])
         nonce = key.key[:12]
         return seal_envelope(key.key, nonce, payload)
 
@@ -82,10 +82,6 @@ class ExportLeaksKeyEngine(EncryptionEngine):
 class ImportWritesClearEngine(EncryptionEngine):
     """Import decrypts correctly but forgets to set the blindedness tags."""
 
-    def import_region(self, memory: MemoryImage, dst: int, envelope: bytes) -> MemoryImage:
-        tainted = super().import_region(memory, dst, envelope)
-        words = list(tainted.words)
-        for i, w in enumerate(words):
-            if w.blinded and not memory.words[i].blinded:
-                words[i] = TaggedWord(w.value, False)
-        return MemoryImage(tuple(words))
+    def import_region(self, memory, dst: int, envelope: bytes) -> list:
+        writes = super().import_region(memory, dst, envelope)
+        return [(a, TaggedWord(w.value, False)) for a, w in writes]

@@ -281,14 +281,15 @@ def test_a5_protocol_roundtrip():
     engine = EncryptionEngine(b"\x22" * 32)
     key = SessionKey.from_bytes(b"\x33" * 32)
     engine.install_session_key(key)
-    from blindsim.model import MemoryImage
+    from blindsim.model import SystemState
 
     blocks = 0
+    empty = SystemState.initial(64, 1)
     for _ in range(200):
         n = rng.randint(1, 16)
         words = tuple(rng.getrandbits(64) for _ in range(n))
-        mem = MemoryImage.zeros(64)
-        mem = engine.import_region(mem, 8, client_encrypt(key, words, counter=blocks))
+        writes = engine.import_region(empty.memory, 8, client_encrypt(key, words, counter=blocks))
+        mem = empty.edit(memory=writes).memory
         assert all(w.blinded for w in mem.words[8: 8 + n])
         assert tuple(w.value for w in mem.words[8: 8 + n]) == words
         assert client_decrypt(key, engine.export_region(mem, 8, n)) == words
@@ -552,10 +553,8 @@ pool:
     for i in range(10_000):
         n = rng.randint(1, 4)
         words = tuple(rng.getrandbits(64) for _ in range(n))
-        memory = engine.import_region(base.memory, 32, client_encrypt(key, words, i))
-        state = base.__class__(
-            pc=base.pc, registers=base.registers, memory=memory,
-            addresses=base.addresses, valid=base.valid,
+        state = base.edit(
+            memory=engine.import_region(base.memory, 32, client_encrypt(key, words, i))
         )
         result = run(state, cfg, 200)
         envelope = engine.export_region(result.state.memory, 32, n)

@@ -11,7 +11,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blindsim import engine
@@ -32,7 +32,7 @@ from blindsim.engine import (
     seal_envelope,
     words_to_bytes,
 )
-from blindsim.model import MemoryImage, blinded, clear
+from blindsim.model import MemoryImage, SystemState, blinded, clear
 
 import aead_oracle
 from conftest import MUTATIONS, mutated
@@ -103,10 +103,11 @@ class TestImportExport:
         mem = MemoryImage(tuple(clear(v) for v in range(16)))
         words = client_decrypt(session, engine.export_region(mem, src=4, n=3))
         envelope = client_encrypt(session, words, counter=0)
-        out = engine.import_region(mem, dst=10, envelope=envelope)
-        assert [w.value for w in out.words[10:13]] == [4, 5, 6]
-        assert all(w.blinded for w in out.words[10:13])
-        assert out.words[:10] == mem.words[:10]
+        writes = engine.import_region(mem, dst=10, envelope=envelope)
+        assert [w.value for _, w in writes] == [4, 5, 6]
+        assert all(w.blinded for _, w in writes)
+        # words 10..12 and no others: everything below 10 stays as it was
+        assert [a for a, _ in writes] == [10, 11, 12]
 
     def test_flipped_tag_bit_leaves_memory_unchanged(self):
         engine, session = make_engine()
@@ -124,8 +125,8 @@ class TestImportExport:
         body = aead_oracle.aead_encrypt(
             session.key, nonce, words_to_bytes([1, 2, 3])
         )
-        out = engine.import_region(mem, 2, nonce + body)
-        assert out.words[2:5] == (blinded(1), blinded(2), blinded(3))
+        writes = engine.import_region(mem, 2, nonce + body)
+        assert writes == [(2, blinded(1)), (3, blinded(2)), (4, blinded(3))]
 
     def test_client_encrypt_matches_oracle(self):
         _, session = make_engine()
@@ -189,9 +190,10 @@ class TestImportExport:
         engine, session = make_engine()
         mem = MemoryImage(tuple(clear(v) for v in range(8)))
         envelope = client_encrypt(session, range(4), counter=0)
-        out = engine.import_region(mem, 4, envelope)
+        writes = engine.import_region(mem, 4, envelope)
         # the full region is blinded; no partially-clear plaintext exists
-        assert all(w.blinded for w in out.words[4:8])
+        assert [a for a, _ in writes] == [4, 5, 6, 7]
+        assert all(w.blinded for _, w in writes)
 
     def test_reflected_export_is_refused(self):
         # The engine's own export authenticates under the session key, but
@@ -211,6 +213,43 @@ class TestImportExport:
         envelope = seal_envelope(session.key, nonce, words_to_bytes([1, 2]))
         with pytest.raises(AuthError):
             engine.import_region(MemoryImage.zeros(4), 0, envelope)
+
+
+WORD = st.integers(0, (1 << 64) - 1)
+
+
+class TestWordContract:
+    """Import returns its writes and export reads a slice, over any
+    sequence of words: a tuple, a machine's list or a MemoryImage."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(WORD, max_size=12), st.integers(0, 12), st.integers(0, 12))
+    @example([], 3, 0)  # no words, at the end of memory
+    @example([1, 2], 2, 0)  # a region ending at the last word
+    def test_import_writes_exactly_its_region(self, values, dst, after):
+        engine, session = make_engine()
+        envelope = client_encrypt(session, values, counter=0)
+        words = tuple(clear(a) for a in range(dst + len(values) + after))
+        for memory in (words, list(words), MemoryImage(words)):
+            writes = engine.import_region(memory, dst, envelope)
+            assert writes == [(dst + i, blinded(v)) for i, v in enumerate(values)]
+            # one word past the end of memory
+            with pytest.raises(RangeError):
+                engine.import_region(memory, dst + after + 1, envelope)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(WORD, st.booleans()), max_size=12), st.data())
+    def test_export_of_any_word_sequence_opens_to_the_same_values(self, pairs, data):
+        engine, session = make_engine()
+        words = tuple(blinded(v) if b else clear(v) for v, b in pairs)
+        src = data.draw(st.integers(0, len(words)))
+        n = data.draw(st.integers(0, len(words) - src))
+        expected = tuple(w.value for w in words[src: src + n])
+        for memory in (words, list(words), MemoryImage(words)):
+            # each export seals under a fresh counter: compare what opens
+            assert client_decrypt(session, engine.export_region(memory, src, n)) == expected
+            with pytest.raises(RangeError):
+                engine.export_region(memory, src + 1, len(words) - src)
 
 
 class TestNonceDiscipline:
@@ -368,19 +407,20 @@ class TestSealing:
             data = tuple(rng.getrandbits(64) for _ in range(4))
             clients.append({"key": key, "data": data, "sealed": None, "ct": None})
 
-        # round 1: each client imports its data, then is switched out
-        mem = MemoryImage.zeros(32)
+        # round 1: each client imports its data into one state, as a
+        # session commits an import, then is switched out
+        state = SystemState.initial(32, 1)
         for i, c in enumerate(clients):
             engine.install_session_key(c["key"])
             envelope = client_encrypt(c["key"], c["data"], counter=0)
-            mem = engine.import_region(mem, 8 * i, envelope)
+            state = state.edit(memory=engine.import_region(state.memory, 8 * i, envelope))
             c["sealed"] = engine.seal_current_key()
 
         # round 2: interleaved wake-ups export their own regions
         for i in (2, 0, 1):
             c = clients[i]
             engine.load_sealed_key(c["sealed"])
-            c["ct"] = engine.export_region(mem, 8 * i, 4)
+            c["ct"] = engine.export_region(state.memory, 8 * i, 4)
             c["sealed"] = engine.seal_current_key()
 
         for c in clients:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import blindsim
 from blindsim.assembler import ProgramImage, Segment, assemble, decode_image, encode_image
 from blindsim.corpus import demo_add_one
-from blindsim.engine import EncryptionEngine, client_decrypt, client_encrypt
+from blindsim.engine import EncryptionEngine, SessionKey, client_decrypt, client_encrypt
 from blindsim.isa import DecodedInstruction, Mode, Opcode, encode
 from blindsim import machine
 from blindsim.machine import MachineConfig, RunOutcome
@@ -45,7 +45,7 @@ from blindsim.protocol import (
     read_frame,
     _transcript_hash,
 )
-from blindsim.model import Status, clear
+from blindsim.model import Status, blinded, clear
 
 from conftest import MUTATIONS, mutated
 
@@ -420,6 +420,65 @@ class TestServerSession:
         assert a.engine.current_key_id == client_b.finish(accepted).key_id == b.key_id
         fresh = ServerSession(DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32), cfg, seed=4)
         assert fresh.handle_frame(ClientHandshake(DEV_PUB, seed=22).hello()) == accepted
+
+    REFUSALS = {
+        "flipped-tag-bit": "AuthError",
+        "reflected-export": "AuthError",
+        "dst-leaves-memory": "RangeError",
+        "before-handshake": "handshake",
+        "another-key": "another key",
+    }
+
+    @pytest.mark.parametrize("reason", list(REFUSALS))
+    def test_a_refused_import_leaves_the_state_the_same_object(self, reason):
+        session, cfg = self.make_session()
+        if reason == "before-handshake":
+            key = SessionKey.from_bytes(b"K" * 32)
+        else:
+            client = ClientHandshake(DEV_PUB, seed=21)
+            key = client.finish(session.handle_frame(client.hello()))
+        dst, envelope = 0x100, client_encrypt(key, (1, 2), counter=0)
+        if reason == "flipped-tag-bit":
+            envelope = envelope[:-1] + bytes([envelope[-1] ^ 1])
+        elif reason == "reflected-export":
+            export = encode_frame(ExportRequest(0x100, 2))
+            envelope = decode_frame(session.handle_frame(export)).payload
+        elif reason == "dst-leaves-memory":
+            dst = cfg.memory_words - 1
+        elif reason == "another-key":
+            session.engine.seal_current_key()
+            other = ServerSession(DEV_PRIV, Claims(), session.engine, cfg, seed=4)
+            other_client = ClientHandshake(DEV_PUB, seed=22)
+            other_client.finish(other.handle_frame(other_client.hello()))
+        before = session.state
+        reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(dst, envelope))))
+        assert isinstance(reply, ErrorResponse) and self.REFUSALS[reason] in reply.message
+        assert session.state is before
+
+    def test_an_accepted_import_is_one_edit_of_the_imported_words(self):
+        # After a compute the registers, cache and status are not the
+        # initial ones, so sharing them is not sharing the zero state.
+        session, _ = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
+        session.handle_frame(encode_frame(ImportRequest(0x100, client_encrypt(key, (5, 10), 0))))
+        image = assemble(demo_add_one(2, data_base=0x100, result_base=0x180))
+        session.handle_frame(encode_frame(ComputeRequest(image.entry_pc, encode_image(image))))
+        before = session.state
+        assert before.status is Status.HALTED and any(before.valid)
+
+        words = (0, 7, 0xFFFFFFFFFFFFFFFF)
+        ct = client_encrypt(key, words, counter=1)
+        reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(0x200, ct))))
+        assert isinstance(reply, ResultResponse)
+        after = session.state
+        changed = [a for a, (x, y) in enumerate(zip(before.memory, after.memory)) if x != y]
+        assert changed == [0x200, 0x201, 0x202]
+        assert after.memory[0x200: 0x203] == tuple(blinded(v) for v in words)
+        assert len(after.memory) == len(before.memory)
+        assert after.registers is before.registers
+        assert after.addresses is before.addresses and after.valid is before.valid
+        assert (after.pc, after.status, after.fault) == (before.pc, before.status, before.fault)
 
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()

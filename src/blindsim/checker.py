@@ -35,18 +35,21 @@ shipped semantics never fails this check; broken variants fail fast.
 Drawing is a large share of a short trial, so a trial redraws only
 blinded words: a program is booted and its blinded positions found
 once per check, a redraw writes only those positions and shares every
-clear word, and a random state is drawn in one loop that records its
-blinded positions for its twin.  Instruction words are drawn packed,
-not through ``DecodedInstruction`` and ``encode`` (3.8 us a word).
-Every drawn word is built with ``model._word``: a tagged instruction
-word costs about 1.0 us and a 64-bit data word about 390 ns, against
-1.4 us and 740 ns through the ``TaggedWord`` constructor (CPython
-3.11.7, 2-core x86).  Bounded integers are drawn with ``isa._below``'s
-rejection loop, which is ``randrange``'s own on ``getrandbits`` at
-half its cost, and one decode slot serves every trial of a check.  The
-end-of-trial cross-check is ``state_equiv`` of the two machines, which
-reads their lists rather than rebuilding two ``SystemState`` values:
-about 3 us against 8 us at 64 words.  A state's twin shares its clear
+clear word, and a random state is drawn by one loop body that records
+each component's blinded positions for its twin.  Instruction words
+are drawn packed, not through ``DecodedInstruction`` and ``encode``
+(3.8 us a word).  Bounded integers are drawn with ``isa._below``'s
+rejection loop, which is ``randrange``'s own on ``getrandbits`` at half
+its cost.  The pair generator and the redraw run that loop and the
+instruction draw inline and fill each word's two slots directly, with
+no frame per word: a pair makes at most 11 Python calls whatever its
+size, and takes about 0.83 of the time of the same draws made word by
+word through ``model._word`` and ``isa._below`` (medians of 40
+interleaved runs at 64 and at 1024 words, CPython 3.11.7, 2-core x86).
+One decode slot serves every trial of a check.  The end-of-trial
+cross-check is ``state_equiv`` of the two machines, which reads their
+lists rather than rebuilding two ``SystemState`` values: about 3 us
+against 8 us at 64 words.  A state's twin shares its clear
 words, so equivalence tests a shared word by identity first.
 """
 
@@ -67,8 +70,11 @@ from .isa import (
     DecodedInstruction,
     Mode,
     Opcode,
+    _DRAWS,
+    _DRAWS_BITS,
+    _N_DRAWS,
+    _REG_BITS,
     _below,
-    _instruction_word,
     decode,
     instruction_semantics,
 )
@@ -82,13 +88,16 @@ from .machine import (
     run,
 )
 from .model import (
+    MASK64,
     REG_COUNT,
     FaultKind,
     MemoryImage,
     Status,
     SystemState,
     TaggedWord,
-    _word,
+    _new_object,
+    _set_blinded,
+    _set_value,
     check_machine_size,
     state_equiv,
 )
@@ -295,7 +304,7 @@ def _arith_transfer(d: DecodedInstruction, a: AbsWord, b: AbsWord) -> AbsWord:
     if op in ZERO_ABSORBING and (a == 0 or b == 0):
         return 0
     if type(a) is int and type(b) is int:
-        return ALU[op](a, b)
+        return ALU[op](a, b) & MASK64
     if a is BLINDED or b is BLINDED:
         # a CLEAR or TOP partner might be a clear zero, which would clear the
         # product; a nonzero constant or blinded partner keeps it blinded
@@ -323,14 +332,19 @@ class _Analysis:
     def report(
         self,
         pc: int,
-        instruction: str,
+        instruction: str | DecodedInstruction,
         reason: str,
         fault: FaultKind | None = None,
         definite: bool = False,
         unresolved: bool = False,
     ) -> None:
+        """Record a finding unless one with its ``(pc, reason)`` is known.
+        A decoded instruction is rendered only then: most abstract steps
+        report nothing new."""
         key = (pc, reason)
         if key not in self.findings:
+            if type(instruction) is not str:
+                instruction = render_instruction(instruction)
             self.findings[key] = Finding(pc, instruction, reason, fault, definite, unresolved)
 
     # -- entry state --------------------------------------------------------
@@ -380,32 +394,31 @@ class _Analysis:
                 definite=True,
             )
             return []
-        text = render_instruction(d)
         op = d.opcode
 
         if op is Opcode.HALT:
             return []
         if op in _ADDRESS_KIND:
-            return self._flow_addressed(pc, d, text, state)
+            return self._flow_addressed(pc, d, state)
         if op is Opcode.BZ:
-            return self._flow_branch(pc, d, text, state)
+            return self._flow_branch(pc, d, state)
         # arithmetic
         a, b = state.regs[d.inputs[0]], state.regs[d.inputs[1]]
         value = _arith_transfer(d, a, b)
         regs = list(state.regs)
         regs[d.output] = value
-        return self._next(pc, text, AbsState(tuple(regs), state.mem))
+        return self._next(pc, d, AbsState(tuple(regs), state.mem))
 
-    def _next(self, pc: int, text: str, state: AbsState) -> list[tuple[int, AbsState]]:
+    def _next(self, pc: int, d: DecodedInstruction, state: AbsState) -> list[tuple[int, AbsState]]:
         if pc + 1 >= self.cfg.memory_words:
             self.report(
-                pc, text, "execution runs off the end of memory",
+                pc, d, "execution runs off the end of memory",
                 fault=FaultKind.OUT_OF_RANGE, definite=True,
             )
             return []
         return [(pc + 1, state)]
 
-    def _flow_addressed(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
+    def _flow_addressed(self, pc, d, state) -> list[tuple[int, AbsState]]:
         """STORE, LOAD, BLND and RBLND under the address rule: a secret
         never chooses an address, and the address must be in range."""
         addr = state.regs[d.inputs[0]]
@@ -413,15 +426,15 @@ class _Analysis:
         if addr is BLINDED:
             if hardware:
                 self.report(
-                    pc, text, "blinded value used as a memory address",
+                    pc, d, "blinded value used as a memory address",
                     fault=FaultKind.BLINDED_ADDRESS, definite=True,
                 )
                 return [(0, state)]
             self.report(
-                pc, text,
+                pc, d,
                 "blinded value used as a memory address (no-op in model mode)",
             )
-            return self._next(pc, text, state)
+            return self._next(pc, d, state)
         out: list[tuple[int, AbsState]] = []
         # A TOP address may be blinded: a possible trap in hardware mode, a
         # possible no-op in model mode, whose unchanged state is one more
@@ -430,12 +443,12 @@ class _Analysis:
         if addr is TOP:
             if hardware:
                 self.report(
-                    pc, text, "memory address may be blinded",
+                    pc, d, "memory address may be blinded",
                     fault=FaultKind.BLINDED_ADDRESS,
                 )
                 out.append((0, state))
             else:
-                self.report(pc, text, "memory address may be blinded (no-op in model mode)")
+                self.report(pc, d, "memory address may be blinded (no-op in model mode)")
                 maybe_noop = True
 
         op = d.opcode
@@ -444,33 +457,33 @@ class _Analysis:
         value = state.regs[d.inputs[1]] if op is Opcode.STORE else None
         if known and addr >= self.cfg.memory_words:
             self.report(
-                pc, text, f"{kind} address out of range",
+                pc, d, f"{kind} address out of range",
                 fault=FaultKind.OUT_OF_RANGE, definite=True,
             )
         elif op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
             self.report(
-                pc, text, "raw unblinding is disabled and faults",
+                pc, d, "raw unblinding is disabled and faults",
                 fault=FaultKind.DECODE_ERROR, definite=addr is not TOP,
             )
         elif (
             value is BLINDED and known and self.cfg.is_unblindable(addr)
         ):
             self.report(
-                pc, text, "blinded store into an unblindable range",
+                pc, d, "blinded store into an unblindable range",
                 fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE, definite=True,
             )
         else:
             if not known:
-                self.report(pc, text, f"{kind} address unresolved", unresolved=True)
+                self.report(pc, d, f"{kind} address unresolved", unresolved=True)
             if value is BLINDED or value is TOP:
                 if known and self.cfg.is_unblindable(addr):
                     self.report(
-                        pc, text, "possibly blinded store into an unblindable range",
+                        pc, d, "possibly blinded store into an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
                     )
                 elif not known and self.cfg.unblindable_ranges:
                     self.report(
-                        pc, text, "possibly blinded store may hit an unblindable range",
+                        pc, d, "possibly blinded store may hit an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
                     )
             regs, mem = state.regs, state.mem
@@ -486,24 +499,24 @@ class _Analysis:
                     old = mem.read(addr) if known else CLEAR
                     value = old if type(old) is int else CLEAR
                 mem = mem.write(addr, value) if known else mem.weak_write_everywhere(value)
-            out.extend(self._next(pc, text, AbsState(regs, mem)))
+            out.extend(self._next(pc, d, AbsState(regs, mem)))
         if maybe_noop:
-            out.extend(self._next(pc, text, state))
+            out.extend(self._next(pc, d, state))
         return out
 
-    def _flow_branch(self, pc, d, text, state) -> list[tuple[int, AbsState]]:
+    def _flow_branch(self, pc, d, state) -> list[tuple[int, AbsState]]:
         cond = state.regs[d.inputs[0]]
         target = state.regs[d.inputs[1]]
         out: list[tuple[int, AbsState]] = []
         if cond is BLINDED or target is BLINDED:
             self.report(
-                pc, text, "blinded value controls a branch",
+                pc, d, "blinded value controls a branch",
                 fault=FaultKind.BLINDED_BRANCH, definite=True,
             )
             return [(0, state)]
         if cond is TOP or target is TOP:
             self.report(
-                pc, text, "branch condition or target may be blinded",
+                pc, d, "branch condition or target may be blinded",
                 fault=FaultKind.BLINDED_BRANCH,
             )
             out.append((0, state))
@@ -514,16 +527,16 @@ class _Analysis:
             if type(target) is int:
                 if target >= self.cfg.memory_words:
                     self.report(
-                        pc, text, "branch target out of range",
+                        pc, d, "branch target out of range",
                         fault=FaultKind.OUT_OF_RANGE,
                         definite=not may_fall,
                     )
                 else:
                     out.append((target, state))
             else:
-                self.report(pc, text, "branch target unresolved", unresolved=True)
+                self.report(pc, d, "branch target unresolved", unresolved=True)
         if may_fall:
-            out.extend(self._next(pc, text, state))
+            out.extend(self._next(pc, d, state))
         return out
 
     # -- fixpoint -----------------------------------------------------------
@@ -711,12 +724,23 @@ def _redraw(s: SystemState, regs_at: Sequence[int], mem_at: Sequence[int], rng) 
 
 
 def _redrawn(words: tuple[TaggedWord, ...], at: Sequence[int], rng) -> tuple[TaggedWord, ...]:
-    """``words`` with a fresh blinded payload at each index in ``at``."""
+    """``words`` with a fresh blinded payload at each index in ``at``: a
+    64-bit payload with probability 0.7, else a shared small one drawn as
+    ``_below(getrandbits, 4)`` draws it (see :func:`generate_equivalent_pair`)."""
     rand, getrandbits = rng.random, rng.getrandbits
+    new, set_value, set_blinded = _new_object, _set_value, _set_blinded
     out = list(words)
     for i in at:
-        out[i] = (_word(getrandbits(64), True) if rand() < 0.7
-                  else _SMALL_BLINDED[_below(getrandbits, 4)])
+        if rand() < 0.7:
+            w = new(TaggedWord)
+            set_value(w, getrandbits(64))
+            set_blinded(w, True)
+        else:
+            r = getrandbits(3)
+            while r >= 4:
+                r = getrandbits(3)
+            w = _SMALL_BLINDED[r]
+        out[i] = w
     return tuple(out)
 
 
@@ -737,42 +761,76 @@ def generate_equivalent_pair(
     values so that runs do something interesting before dying; an
     instruction word is blinded with probability 0.15, a data word 0.3.
 
-    Memory words and then registers are drawn in one loop that records
-    the blinded positions, so the twin is :func:`rerandomize_blinded` of
-    the first state without a search for them.  Bounded integers are
-    drawn as ``rng.randrange`` would draw them (see
-    :func:`~blindsim.isa.random_instruction_word`), so a seed gives the
-    same pair as it always has; small-value words are shared.  Raises
-    ValueError unless ``memory_words`` and ``cache_lines`` are positive."""
+    Memory words and then registers are drawn by one loop body, which
+    records each component's blinded positions as it draws them, so the
+    twin is :func:`rerandomize_blinded` of the first state without a
+    search for them.  Bounded integers are drawn as ``rng.randrange``
+    would draw them, by :func:`~blindsim.isa._below`'s rejection loop run
+    inline, and an instruction word as
+    :func:`~blindsim.isa.random_instruction_word` draws it, so a seed
+    gives the same pair as it always has.  Each word is built inline with
+    the slot setters, its value in range by construction, and small-value
+    words are shared: a pair makes the same few Python calls whatever its
+    size.  Raises ValueError unless ``memory_words`` and ``cache_lines``
+    are positive."""
     check_machine_size(memory_words, cache_lines)
     rng = random.Random(seed)
     rand, getrandbits = rng.random, rng.getrandbits
+    new, set_value, set_blinded = _new_object, _set_value, _set_blinded
     small = _small_words(memory_words)
-    # A word is an instruction word (memory only), a small value or a
-    # 64-bit value; the last two are the data words registers draw.
-    words: list[TaggedWord] = []
-    blinded_at: list[int] = []
-    for i in range(memory_words + REG_COUNT):
-        if i < memory_words and rand() < 0.65:
-            w = _word(_instruction_word(getrandbits), rand() < 0.15)
-        elif rand() < 0.5:
-            w = small[_below(getrandbits, memory_words)][rand() < 0.3]
-        else:
-            w = _word(getrandbits(64), rand() < 0.3)
-        if w.blinded:
-            blinded_at.append(i)
-        words.append(w)
-    addresses = tuple([_below(getrandbits, memory_words) for _ in range(cache_lines)])
+    index_bits = memory_words.bit_length()
+    drawn = []
+    # A memory word is an instruction word, a small value or a 64-bit
+    # value; a register is one of the last two.
+    for count, instructions in ((memory_words, True), (REG_COUNT, False)):
+        words: list[TaggedWord] = []
+        blinded_at: list[int] = []
+        for i in range(count):
+            if instructions and rand() < 0.65:
+                r = getrandbits(_DRAWS_BITS)
+                while r >= _N_DRAWS:
+                    r = getrandbits(_DRAWS_BITS)
+                value, shifts = _DRAWS[r]
+                for shift in shifts:
+                    r = getrandbits(_REG_BITS)
+                    while r >= REG_COUNT:
+                        r = getrandbits(_REG_BITS)
+                    value |= r << shift
+                blind = rand() < 0.15
+            elif rand() < 0.5:
+                r = getrandbits(index_bits)
+                while r >= memory_words:
+                    r = getrandbits(index_bits)
+                blind = rand() < 0.3
+                words.append(small[r][blind])
+                if blind:
+                    blinded_at.append(i)
+                continue
+            else:
+                value = getrandbits(64)
+                blind = rand() < 0.3
+            w = new(TaggedWord)
+            set_value(w, value)
+            set_blinded(w, blind)
+            words.append(w)
+            if blind:
+                blinded_at.append(i)
+        drawn.append((words, blinded_at))
+    (memory, mem_at), (registers, regs_at) = drawn
+    addresses = []
+    for _ in range(cache_lines):
+        r = getrandbits(index_bits)
+        while r >= memory_words:
+            r = getrandbits(index_bits)
+        addresses.append(r)
     valid = tuple([rand() < 0.5 for _ in range(cache_lines)])
     s1 = SystemState(
         pc=_below(getrandbits, memory_words),
-        registers=tuple(words[memory_words:]),
-        memory=MemoryImage(tuple(words[:memory_words])),
-        addresses=addresses,
+        registers=tuple(registers),
+        memory=MemoryImage(tuple(memory)),
+        addresses=tuple(addresses),
         valid=valid,
     )
-    regs_at = [i - memory_words for i in blinded_at if i >= memory_words]
-    mem_at = [i for i in blinded_at if i < memory_words]
     return s1, _redraw(s1, regs_at, mem_at, rng)
 
 

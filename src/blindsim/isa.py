@@ -33,8 +33,12 @@ on a 2-core x86 host an ``Enum.MEMBER`` lookup costs 110-135 ns against
 default, so every field is given.  It reads each field of its
 :class:`DecodedInstruction` at most once, by attribute: unpacking the
 named tuple reads all three and is no faster, since CPython 3.11
-specializes neither.  An ALU result is built with
-:func:`~blindsim.model._word`.
+specializes neither.  An ALU result comes from :data:`ALU`, a table of
+C operator functions masked to 64 bits, and its word is built inline
+with the two slot setters, as :func:`~blindsim.model._word` builds one
+but without its frame or its range check: a masked value is in range by
+construction.  So an ALU step makes no Python frame beyond the step and
+the semantics.
 
 :func:`decode` runs once for each distinct word a machine fetches at an
 address, and a random lockstep pair fetches mostly fresh words, so it
@@ -43,7 +47,7 @@ checks the operand bytes by the opcode's input count rather than with
 named tuple, through ``tuple.__new__`` as every per-step record is
 built: 0.36-0.43 us for that construction against 0.47-0.52 us through
 a frozen dataclass's slot setters (best of 7 ``timeit`` repeats, 3
-runs).  :func:`_instruction_word` draws a random instruction with
+runs).  :func:`random_instruction_word` draws a random instruction with
 :func:`_below`'s rejection loop inline, about 0.43 us a word against
 0.55 us through ``_below`` (medians of 5 runs).  All on CPython 3.11.7,
 2-core x86.
@@ -51,11 +55,22 @@ runs).  :func:`_instruction_word` draws a random instruction with
 
 from __future__ import annotations
 
+import operator
 import random
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
-from .model import MASK64, REG_COUNT, ZERO, FaultKind, Status, TaggedWord, _word
+from .model import (
+    MASK64,
+    REG_COUNT,
+    ZERO,
+    FaultKind,
+    Status,
+    TaggedWord,
+    _new_object,
+    _set_blinded,
+    _set_value,
+)
 
 
 class Opcode(IntEnum):
@@ -253,14 +268,16 @@ _DRAWS_BITS = _N_DRAWS.bit_length()
 _REG_BITS = REG_COUNT.bit_length()
 
 
-def _instruction_word(getrandbits) -> int:
-    """:func:`random_instruction_word` through ``rng``'s bound ``getrandbits``.
+def random_instruction_word(rng: random.Random) -> int:
+    """The word of a uniformly random well-formed instruction, drawn in the
+    one defined order: the opcode, then the register indices in operand
+    order (inputs before outputs), so a seeded ``rng`` yields one stream.
 
-    The one instruction draw order: the opcode, then the register indices
-    in operand order (inputs before outputs).  Each index is drawn with
-    :func:`_below`'s rejection loop, run inline with its bit width
-    computed once, so the stream is the one ``rng.choice(_DRAWS)`` then
-    ``rng.randrange(REG_COUNT)`` per register would give."""
+    Each index is drawn with :func:`_below`'s rejection loop, run inline
+    with its bit width computed once, so the stream is the one
+    ``rng.choice(_DRAWS)`` then ``rng.randrange(REG_COUNT)`` per register
+    would give.  The checker's pair generator runs the same loop inline."""
+    getrandbits = rng.getrandbits
     r = getrandbits(_DRAWS_BITS)
     while r >= _N_DRAWS:
         r = getrandbits(_DRAWS_BITS)
@@ -273,19 +290,6 @@ def _instruction_word(getrandbits) -> int:
     return word
 
 
-def random_instruction_word(rng: random.Random) -> int:
-    """The word of a uniformly random well-formed instruction, drawn in the
-    one defined order: the opcode, then the register indices in operand
-    order (inputs before outputs), so a seeded ``rng`` yields one stream.
-
-    Every index is drawn as :func:`_below` draws it (see
-    :func:`_instruction_word`, which this calls and which the checker's
-    pair generator calls with a bound ``getrandbits``), so the stream is
-    the one ``rng.choice(_DRAWS)`` then ``rng.randrange(REG_COUNT)`` per
-    register would give."""
-    return _instruction_word(rng.getrandbits)
-
-
 def random_instruction(rng: random.Random) -> DecodedInstruction:
     """:func:`random_instruction_word`, decoded."""
     return decode(random_instruction_word(rng))
@@ -295,12 +299,14 @@ def random_instruction(rng: random.Random) -> DecodedInstruction:
 # Semantics
 # ---------------------------------------------------------------------------
 
+#: The arithmetic of each ALU opcode on two payloads, before the result is
+#: masked to 64 bits (``& MASK64``; arithmetic is modular 2**64).
 ALU = {
-    Opcode.ADD: lambda a, b: (a + b) & MASK64,
-    Opcode.SUB: lambda a, b: (a - b) & MASK64,
-    Opcode.MUL: lambda a, b: (a * b) & MASK64,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.ADD: operator.add,
+    Opcode.SUB: operator.sub,
+    Opcode.MUL: operator.mul,
+    Opcode.AND: operator.and_,
+    Opcode.XOR: operator.xor,
 }
 
 #: SUB/XOR of a register with itself, and MUL/AND with a clear zero operand, give a clear zero.
@@ -368,5 +374,7 @@ def instruction_semantics(
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
         return ZERO, None, None
-    value = ALU[op](a.value, b.value)
-    return _word(value, a.blinded or b.blinded), None, None
+    out = _new_object(TaggedWord)
+    _set_value(out, ALU[op](a.value, b.value) & MASK64)
+    _set_blinded(out, a.blinded or b.blinded)
+    return out, None, None

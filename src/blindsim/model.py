@@ -18,13 +18,16 @@ fault together.  Every state has :data:`REG_COUNT` registers.
 :func:`state_equiv` reads only the fields both shapes share, so it
 judges two states or two machines alike.
 
-:func:`_word` is how the hot paths build a word -- an ALU result, a tag
-edit, every word a random pair draws.  It runs the range check of
+:func:`_word` is how the machine builds a word on its hot paths -- a
+tag edit, the untagged machine's read.  It runs the range check of
 :class:`TaggedWord` and then fills the two slots directly, skipping the
 dataclass ``__init__`` and ``__post_init__``: about 260 ns a word against
 440-470 ns through the constructor (CPython 3.11.7, 2-core x86, best of
 7 ``timeit`` repeats).  The word it returns is a plain
-:class:`TaggedWord`, equal, hashed and printed as one.
+:class:`TaggedWord`, equal, hashed and printed as one.  Where a value is
+in range by construction -- a masked ALU result, every word a random
+pair draws -- the caller fills the slots inline with ``_new_object``,
+``_set_value`` and ``_set_blinded``, without ``_word``'s frame.
 """
 
 from __future__ import annotations

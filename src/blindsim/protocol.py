@@ -31,11 +31,12 @@ Wire format, shared by handshake and session traffic:
 
 All multi-byte integers big-endian; parsers reject trailing bytes.
 
-As in :mod:`blindsim.engine`, ``cryptography`` is imported inside the
-functions that derive, sign and verify, so that importing this module
-(which ``import blindsim`` and the CLI do) loads none of it: a process that
-only simulates or checks saves about 6.5 MB of RSS and 20-30 ms of cold
-start.
+As in :mod:`blindsim.engine`, ``cryptography`` is loaded the first time
+a function derives, signs or verifies, and its names are kept in a module
+global, so that importing this module (which ``import blindsim`` and the
+CLI do) loads none of it: a process that only simulates or checks saves
+about 6.5 MB of RSS and 20-30 ms of cold start.  Later handshakes run no
+import statement.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import machine
@@ -294,11 +296,39 @@ def _seed_bytes(seed: int) -> bytes:
     return seed.to_bytes(32, "big")
 
 
-def _derive_private(seed: bytes, label: bytes) -> X25519PrivateKey:
-    from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+# The ``cryptography`` names the handshake uses, once it first needs them.
+_crypto: SimpleNamespace | None = None
 
+
+def _load_crypto() -> SimpleNamespace:
+    global _crypto
+    from cryptography.exceptions import InvalidSignature
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+        Ed25519PrivateKey,
+        Ed25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.asymmetric.x25519 import (
+        X25519PrivateKey,
+        X25519PublicKey,
+    )
+    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
+    _crypto = SimpleNamespace(
+        InvalidSignature=InvalidSignature,
+        hashes=hashes,
+        Ed25519PrivateKey=Ed25519PrivateKey,
+        Ed25519PublicKey=Ed25519PublicKey,
+        X25519PrivateKey=X25519PrivateKey,
+        X25519PublicKey=X25519PublicKey,
+        HKDF=HKDF,
+    )
+    return _crypto
+
+
+def _derive_private(seed: bytes, label: bytes) -> X25519PrivateKey:
     material = hashlib.sha256(label + seed).digest()
-    return X25519PrivateKey.from_private_bytes(material)
+    return (_crypto or _load_crypto()).X25519PrivateKey.from_private_bytes(material)
 
 
 def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
@@ -306,10 +336,8 @@ def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
 
     Here and in the handshake endpoints a seed outside ``[0, 2**256)`` is a
     ``ValueError``."""
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
     material = hashlib.sha256(b"device-key" + _seed_bytes(seed)).digest()
-    private = Ed25519PrivateKey.from_private_bytes(material)
+    private = (_crypto or _load_crypto()).Ed25519PrivateKey.from_private_bytes(material)
     return private.private_bytes_raw(), private.public_key().public_bytes_raw()
 
 
@@ -323,11 +351,9 @@ def _transcript_hash(client_hello_frame: bytes, hsm_eph: bytes, claims: Claims) 
 
 
 def _derive_session_key(shared: bytes, transcript_hash: bytes) -> SessionKey:
-    from cryptography.hazmat.primitives import hashes
-    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-    kdf = HKDF(
-        algorithm=hashes.SHA256(),
+    crypto = _crypto or _load_crypto()
+    kdf = crypto.HKDF(
+        algorithm=crypto.hashes.SHA256(),
         length=32,
         salt=transcript_hash,
         info=_SESSION_INFO + AEAD_SCHEME.encode(),
@@ -356,9 +382,8 @@ class ClientHandshake:
         seed: int,
         required_mode: Mode | None = None,
     ):
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
-
-        self._device_public = Ed25519PublicKey.from_public_bytes(device_public)
+        crypto = _crypto or _load_crypto()
+        self._device_public = crypto.Ed25519PublicKey.from_public_bytes(device_public)
         self._private = _derive_private(_seed_bytes(seed), b"client-eph")
         self._required_mode = required_mode
         self._hello_frame: bytes | None = None
@@ -369,9 +394,7 @@ class ClientHandshake:
         return self._hello_frame
 
     def finish(self, hsm_hello_frame: bytes) -> SessionKey:
-        from cryptography.exceptions import InvalidSignature
-        from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
-
+        crypto = _crypto or _load_crypto()
         if self._hello_frame is None:
             raise ProtocolError("finish() before hello()")
         try:
@@ -397,10 +420,10 @@ class ClientHandshake:
             self._device_public.verify(
                 ev.signature, _EVIDENCE_LABEL + claims.encode() + ev.transcript_hash
             )
-        except InvalidSignature:
+        except crypto.InvalidSignature:
             raise VerifyError("evidence signature invalid") from None
 
-        peer = X25519PublicKey.from_public_bytes(msg.ephemeral_public)
+        peer = crypto.X25519PublicKey.from_public_bytes(msg.ephemeral_public)
         try:
             shared = self._private.exchange(peer)
         except ValueError:  # an all-zero shared secret
@@ -425,17 +448,15 @@ class HsmResponder:
         seed: int,
         engine: EncryptionEngine | None = None,
     ):
-        from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
-
-        self._private = Ed25519PrivateKey.from_private_bytes(device_private)
+        crypto = _crypto or _load_crypto()
+        self._private = crypto.Ed25519PrivateKey.from_private_bytes(device_private)
         self._claims = claims
         self._seed = _seed_bytes(seed)
         self._engine = engine
         self._sessions = 0
 
     def respond(self, client_hello_frame: bytes) -> tuple[bytes, SessionKey]:
-        from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
-
+        crypto = _crypto or _load_crypto()
         try:
             msg = decode_frame(client_hello_frame)
         except ProtocolError as exc:
@@ -448,7 +469,7 @@ class HsmResponder:
         eph_public = private.public_key().public_bytes_raw()
 
         transcript_hash = _transcript_hash(client_hello_frame, eph_public, self._claims)
-        peer = X25519PublicKey.from_public_bytes(msg.ephemeral_public)
+        peer = crypto.X25519PublicKey.from_public_bytes(msg.ephemeral_public)
         try:
             shared = private.exchange(peer)
         except ValueError:  # an all-zero shared secret

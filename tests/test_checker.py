@@ -1,7 +1,9 @@
 """Static analysis verdicts, witness replay, and the lockstep harness."""
 
 import hashlib
+import itertools
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -60,6 +62,7 @@ from blindsim.model import (
     state_equiv,
 )
 
+import draw_reference
 import mutants
 
 HW = MachineConfig(memory_words=64, cache_lines=8)
@@ -728,6 +731,115 @@ class TestEquivalentPairs:
         assert h.hexdigest() == (
             "6b525b328bc2253709eac64399d409e237c33ef6db25642c896695e10adfb789"
         )
+
+
+class TestDrawsMatchTheReference:
+    """The shipped pair draws against the word-by-word originals kept in
+    ``draw_reference``: the same states and snapshots, the caller's
+    generator left in the same state, and the same words shared."""
+
+    SIZES = (1, 2, 3, 24, 63, 64, 65, 1024, 4096)
+    LINES = (1, 3, 8, 16)
+
+    @staticmethod
+    def assert_same(ours, theirs):
+        assert ours == theirs
+        assert list(map(snapshot, ours)) == list(map(snapshot, theirs))
+
+    @staticmethod
+    def assert_shared_alike(ours, theirs, memory_words):
+        """Each word of ``ours`` is a shared object exactly where the same
+        word of ``theirs`` is: a small value is its ``_small_words`` entry
+        on side 1 and a redrawn one its ``_SMALL_BLINDED`` entry on the
+        twin, and every clear word of the twin is side 1's.  Returns how
+        many small values side 1 shares."""
+        small = checker._small_words(memory_words)
+        shared_small = 0
+        for component in ("registers", "memory"):
+            first, twin = (tuple(getattr(s, component)) for s in ours)
+            ref_first, ref_twin = (tuple(getattr(s, component)) for s in theirs)
+            for a, b, ra, rb in zip(first, twin, ref_first, ref_twin):
+                if a.value < memory_words:
+                    entry = small[a.value][a.blinded]
+                    assert (a is entry) == (ra is entry)
+                    shared_small += a is entry
+                if not b.blinded:
+                    assert b is a
+                elif b.value < 4:
+                    entry = checker._SMALL_BLINDED[b.value]
+                    assert (b is entry) == (rb is entry)
+        return shared_small
+
+    def test_random_pairs_and_redraws_match(self):
+        shared_small = 0
+        for words in self.SIZES:
+            for lines in self.LINES:
+                for seed in range(min(48, 4096 // words)):
+                    ours = generate_equivalent_pair(seed, words, lines)
+                    theirs = draw_reference.generate_equivalent_pair(seed, words, lines)
+                    self.assert_same(ours, theirs)
+                    shared_small += self.assert_shared_alike(ours, theirs, words)
+                    s1 = ours[0]
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    redrawn = rerandomize_blinded(s1, rng)
+                    expected = draw_reference._redraw(
+                        s1, *checker._blinded_positions(s1), ref_rng
+                    )
+                    self.assert_same((redrawn,), (expected,))
+                    assert rng.getstate() == ref_rng.getstate()
+        assert shared_small > 0
+
+    def test_program_pairs_match(self):
+        rng, ref_rng = random.Random(31), random.Random(31)
+        lines = itertools.cycle(self.LINES)
+        for entry in curated_corpus():
+            image = assemble(entry.source)
+            for words in self.SIZES:
+                if words < entry.memory_words:
+                    continue
+                cfg = MachineConfig(
+                    mode=Mode.MODEL,
+                    memory_words=words,
+                    cache_lines=next(lines),
+                    unblindable_ranges=entry.unblindable,
+                    mmio_console=entry.mmio_console,
+                )
+                ours = pair_for_program(image, cfg, rng, entry.blinded_regs)
+                booted = checker._booted(image, cfg, entry.blinded_regs)
+                at = checker._blinded_positions(booted)
+                s1 = draw_reference._redraw(booted, *at, ref_rng)
+                theirs = (s1, draw_reference._redraw(s1, *at, ref_rng))
+                self.assert_same(ours, theirs)
+                for ours_w, s1_w in zip(ours[1].memory, ours[0].memory):
+                    if not ours_w.blinded:
+                        assert ours_w is s1_w
+                assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("memory_words", [64, 1024])
+    def test_calls_per_pair_are_pinned(self, memory_words):
+        # A pair makes the same Python-level calls into blindsim whatever
+        # its size: the function, the size check, the valid-bit list, the
+        # pc draw, two SystemState and two MemoryImage constructions,
+        # _redraw and one _redrawn per component.  A per-word helper frame
+        # changes this count, not only a timing.
+        def calls(seed):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
+                    count += 1
+
+            sys.setprofile(profile)
+            try:
+                generate_equivalent_pair(seed, memory_words, 8)
+            finally:
+                sys.setprofile(None)
+            return count
+
+        generate_equivalent_pair(0, memory_words, 8)  # fills the small-word cache
+        # Seeds whose pairs have blinded registers and blinded memory.
+        assert [calls(seed) for seed in range(5)] == [11] * 5
 
 
 class TestNoninterference:

@@ -25,7 +25,18 @@ from blindsim.isa import (
     random_instruction,
     random_instruction_word,
 )
-from blindsim.model import REG_COUNT, FaultKind, Status, blinded, clear, value_equiv
+from blindsim.model import (
+    MASK64,
+    REG_COUNT,
+    ZERO,
+    FaultKind,
+    Status,
+    TaggedWord,
+    _word,
+    blinded,
+    clear,
+    value_equiv,
+)
 
 from conftest import random_word, twin_word
 
@@ -336,6 +347,53 @@ class TestSpecialCases:
         out, memop, control = instruction_semantics(d, [])
         assert out is None and memop is None
         assert control is Status.HALTED
+
+
+# The arithmetic as it was before ``ALU`` held C operator functions: one
+# lambda per opcode, its result word built by ``model._word``.
+_ORACLE_ALU = {
+    Opcode.ADD: lambda a, b: (a + b) & MASK64,
+    Opcode.SUB: lambda a, b: (a - b) & MASK64,
+    Opcode.MUL: lambda a, b: (a * b) & MASK64,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.XOR: lambda a, b: a ^ b,
+}
+
+
+def _oracle_arithmetic(d, inputs):
+    op = d.opcode
+    a, b = inputs
+    if op in (Opcode.SUB, Opcode.XOR) and d.inputs[0] == d.inputs[1]:
+        return ZERO, None, None
+    if op in (Opcode.MUL, Opcode.AND) and (
+        (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
+    ):
+        return ZERO, None, None
+    return _word(_ORACLE_ALU[op](a.value, b.value), a.blinded or b.blinded), None, None
+
+
+class TestArithmeticOracle:
+    def test_every_operand_class_pair_matches_the_oracle(self):
+        # Clear 0, 1, 2**63, MASK64 and random, blinded 0 and random, as
+        # either operand, from the same register and from two.
+        rng = random.Random(2029)
+        cases = 0
+        for _ in range(8):
+            classes = [
+                clear(0), clear(1), clear(2**63), clear(MASK64), clear(rng.getrandbits(64)),
+                blinded(0), blinded(rng.getrandbits(64)),
+            ]
+            for op, mode, regs in itertools.product(ARITHMETIC, Mode, ((3, 3), (3, 4))):
+                d = DecodedInstruction(op, regs, 5)
+                for a, b in itertools.product(classes, classes):
+                    out, memop, control = instruction_semantics(d, [a, b], mode)
+                    expected, expected_memop, expected_control = _oracle_arithmetic(d, [a, b])
+                    assert type(out) is TaggedWord
+                    assert (out.value, out.blinded) == (expected.value, expected.blinded)
+                    assert 0 <= out.value <= MASK64
+                    assert memop == expected_memop and control == expected_control
+                    cases += 1
+        assert cases == 8 * len(ARITHMETIC) * 2 * 2 * 49
 
 
 def _random_inputs(rng, d):

@@ -653,15 +653,16 @@ pool:
 
 class TestCallBudgetPerStep:
     """A step makes a pinned number of Python-level calls: each step calls
-    :meth:`ListMachine.step` and the semantics, and an ALU instruction its
-    ``ALU`` entry and ``model._word``; nothing else.  A helper frame added
-    to the hot path changes a count here, not only a timing."""
+    :meth:`ListMachine.step` and the semantics; nothing else, an ALU
+    instruction included (its ``ALU`` entry is a C function and its word
+    is built inline).  A helper frame added to the hot path changes a
+    count here, not only a timing."""
 
     # (program, calls per loop iteration): each loop is one instruction,
     # then ``bz r0, r5`` back to word 0 (r0 = r5 = 0) but for the bz loop,
     # which jumps to itself.  r1 = 20 is a clear address, r2 = 7.
     LOOPS = {
-        "alu": ([iw(Opcode.ADD, (3, 2), 3)], 6),
+        "alu": ([iw(Opcode.ADD, (3, 2), 3)], 4),
         "load": ([iw(Opcode.LOAD, (1,), 3)], 4),
         "store": ([iw(Opcode.STORE, (1, 2))], 4),
         "bz": ([], 2),

@@ -1,5 +1,6 @@
 """Handshake agreement, evidence verification, framing, and the session loop."""
 
+import builtins
 import io
 import os
 import random
@@ -201,6 +202,26 @@ class TestHandshake:
         client_key, hsm_key = loopback(seed_c=2**256 - 1, seed_h=2**256 - 1)
         assert client_key == hsm_key
         assert make_device_keypair(2**256 - 1) != make_device_keypair(0)
+
+    def test_a_second_handshake_runs_no_cryptography_import(self, monkeypatch):
+        # The handshake's cryptography names are loaded once: a later
+        # handshake, device key included, runs no import statement of it
+        # in blindsim (cryptography's own lazy imports are not counted).
+        loopback()
+        imports = []
+        real_import = builtins.__import__
+
+        def counting(name, globals=None, locals=None, fromlist=(), level=0):
+            importer = (globals or {}).get("__name__", "")
+            if name.partition(".")[0] == "cryptography" and importer.startswith("blindsim"):
+                imports.append(name)
+            return real_import(name, globals, locals, fromlist, level)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        make_device_keypair(seed=8)
+        client_key, hsm_key = loopback(seed_c=3, seed_h=4)
+        assert client_key.key == hsm_key.key
+        assert imports == []
 
 
 class TestFraming:

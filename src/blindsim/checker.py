@@ -25,13 +25,20 @@ since the pair was equivalent before the step, it suffices to compare
 pc, status, fault and whatever either side wrote, as the steps
 returned it, without reading the machines; a pair of steps that write
 at different indices (only a broken semantics does) compares the
-machines whole.  A trial stops early at one fixed point: with tags on,
-a machine at pc 0 whose word 0 is blinded traps to pc 0 on every step
-and writes nothing, and both sides of an equivalent pair get there
-together, so the steps left could not diverge and would call no
-semantics.  On failure it shrinks the payload delta to a minimal
-counterexample.  With raw unblinding disabled (the default) the
-shipped semantics never fails this check; broken variants fail fast.
+machines whole.  Unwinding needs equivalent pre-states, not a proof of
+them per trial: a pair the harness draws is equivalent by construction
+and runs with no start-of-trial ``state_equiv`` (``_run_pair``), while
+a pair a caller supplies (``shrink_pair``) is gated by one first
+(``_lockstep_divergence``).  A check reports the pair-steps it stepped
+and why each trial stopped: halted, faulted, the fixed point below,
+the step budget, or a divergence.  A trial stops early at one fixed
+point: with tags on, a machine at pc 0 whose word 0 is blinded traps
+to pc 0 on every step and writes nothing, and both sides of an
+equivalent pair get there together, so the steps left could not
+diverge and would call no semantics.  On failure it shrinks the
+payload delta to a minimal counterexample.  With raw unblinding
+disabled (the default) the shipped semantics never fails this check;
+broken variants fail fast.
 Drawing is a large share of a short trial, so a trial redraws only
 blinded words: a program is booted and its blinded positions found
 once per check, a redraw writes only those positions and shares every
@@ -871,9 +878,18 @@ class Counterexample:
 
 @dataclass(frozen=True, slots=True)
 class NoninterferenceResult:
+    """A check's verdict and what it ran: ``pair_steps`` is the pair-steps
+    stepped over every trial run, and ``stops`` holds one reason per trial
+    run, in order: ``halted``, ``faulted``, ``fixed-point`` (the
+    blinded-fetch fixed point), ``budget`` (``steps`` ran out), or
+    ``diverged`` for the failing trial.  A diverged trial counts the step
+    that diverged."""
+
     passed: bool
     trials: int
     counterexample: Counterexample | None = None
+    pair_steps: int = 0
+    stops: tuple[str, ...] = ()
 
 
 def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple) -> bool:
@@ -935,23 +951,53 @@ def _lockstep_divergence(
 ) -> tuple[int, str] | None:
     """(step, reason) of the first divergence, or None.
 
+    The entry for a pair a caller supplies (:func:`shrink_pair` and its
+    re-runs): the pair is first gated by a full ``state_equiv``, and a
+    pair that fails it diverges at step 0 with ``"initial states not
+    equivalent"``.  An equivalent pair then runs in :func:`_run_pair`.
+    """
+    if not state_equiv(s1, s2):
+        return 0, "initial states not equivalent"
+    pair_steps, _, reason = _run_pair(s1, s2, cfg, steps, semantics, decoded)
+    return None if reason is None else (pair_steps - 1, reason)
+
+
+def _run_pair(
+    s1: SystemState,
+    s2: SystemState,
+    cfg: MachineConfig,
+    steps: int,
+    semantics,
+    decoded: dict,
+) -> tuple[int, str, str | None]:
+    """(pair-steps stepped, stop, divergence reason or None) of the pair
+    ``s1``, ``s2``, whose equivalence is not checked here: unwinding
+    needs equivalent pre-states, and a pair drawn equivalent by
+    construction is not proved so again.  :func:`check_noninterference`
+    calls this on its drawn pairs; :func:`_lockstep_divergence` gates
+    a supplied pair first.
+
     Both sides step in place, and each step returns its events and the
     writes it committed.  After each step the two event tuples are
     compared, and :func:`_unwinding_holds` over both steps' writes stands
     in for a full ``state_equiv``, which runs once at the end, on the two
-    machines, as a cross-check.  ``decoded`` is the decode slot both sides
-    use (see :class:`~blindsim.machine.ListMachine`).
+    machines, as a cross-check: it raises RuntimeError if the unwinding
+    check passed a pair it rejects, which also reports a pre-state
+    difference that lasts to the end of the trial.  ``decoded`` is the
+    decode slot both sides use (see :class:`~blindsim.machine.ListMachine`).
 
-    The trial also ends, with no divergence, once both sides are RUNNING
-    at pc 0 with ``cfg.tag_logic`` on and word 0 blinded.  Equivalence
-    gives both sides that pc and that tag, and from there every step on
-    either side is ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc
-    at 0, writes nothing, and neither decodes nor calls the semantics.
-    So the remaining steps could not diverge, and the stop changes no
-    result and no call a semantics sees.
+    The stop comes from the loop's exit and the machines' status, with no
+    work per pair-step: ``diverged`` (the step that diverged is counted),
+    ``halted`` or ``faulted`` (side 1's status), ``fixed-point`` or
+    ``budget``.  The trial ends at ``fixed-point``, with no divergence,
+    once both sides are RUNNING at pc 0 with ``cfg.tag_logic`` on and
+    word 0 blinded.  Equivalence gives both sides that pc and that tag,
+    and from there every step on either side is
+    ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc at 0, writes
+    nothing, and neither decodes nor calls the semantics.  So the
+    remaining steps could not diverge, and the stop changes no result and
+    no call a semantics sees.
     """
-    if not state_equiv(s1, s2):
-        return 0, "initial states not equivalent"
     m1, m2 = ListMachine(s1), ListMachine(s2)
     # Equivalent states fetch the same clear word, so one decode serves
     # both sides; the slot's value check keeps a divergent fetch correct.
@@ -966,12 +1012,17 @@ def _lockstep_divergence(
         out1 = step1(cfg, k, semantics)
         out2 = step2(cfg, k, semantics)
         if out1[0] != out2[0]:
-            return k, f"trace events diverge: {out1[0]!r} != {out2[0]!r}"
+            return k + 1, "diverged", f"trace events diverge: {out1[0]!r} != {out2[0]!r}"
         if not _unwinding_holds(m1, m2, out1, out2):
-            return k, "successor states not equivalent"
+            return k + 1, "diverged", "successor states not equivalent"
+    else:
+        k = steps
     if not state_equiv(m1, m2):
         raise RuntimeError("unwinding check passed a pair that state_equiv rejects")
-    return None
+    status = m1.status
+    if status is not _RUNNING:
+        return k, status._value_, None
+    return k, "budget" if k == steps else "fixed-point", None
 
 
 def _payload_delta(s1: SystemState, s2: SystemState) -> list[tuple[str, int]]:
@@ -1038,13 +1089,23 @@ def check_noninterference(
     A trial that reaches the blinded-fetch fixed point (pc 0, word 0
     blinded, tags on) ends there: every later step would trap alike on
     both sides without a write or a semantics call (see
-    :func:`_lockstep_divergence`).
+    :func:`_run_pair`).
 
     With ``program`` given, it is booted once and each trial's pair is
     drawn as :func:`pair_for_program` draws it (blinded image words and
     ``blinded_regs`` get fresh payloads); without it, fully random
-    machines are generated.  A failure is shrunk to a minimal payload
-    delta before reporting.
+    machines are generated.  A drawn pair is equivalent by construction,
+    so it runs in :func:`_run_pair` with no start-of-trial ``state_equiv``
+    gate; a broken draw is still reported by the end-of-trial
+    cross-check when its difference lasts, and the draws themselves are
+    pinned and checked against a reference in the tests.  A failure is
+    shrunk to a minimal payload delta before reporting; the shrink's
+    candidates are gated (:func:`_lockstep_divergence`).
+
+    The result says what ran: ``pair_steps`` over all trials run and
+    one stop per trial run (see :class:`NoninterferenceResult`), both
+    read from each trial's loop exit, so counting them costs no work per
+    pair-step.
 
     One decode slot serves both sides and every trial of the call,
     shrinking included: a slot is used only while the fetched word
@@ -1058,6 +1119,8 @@ def check_noninterference(
         booted = _booted(program, cfg, blinded_regs)
         regs_at, mem_at = _blinded_positions(booted)
     decoded: dict = {}
+    pair_steps = 0
+    stops: list[str] = []
     for trial in range(trials):
         if program is not None:
             s1 = _redraw(booted, regs_at, mem_at, rng)
@@ -1068,19 +1131,24 @@ def check_noninterference(
                 memory_words=cfg.memory_words,
                 cache_lines=cfg.cache_lines,
             )
-        divergence = _lockstep_divergence(s1, s2, cfg, steps, semantics, decoded)
-        if divergence is not None:
-            at_step, reason = divergence
+        ran, stop, reason = _run_pair(s1, s2, cfg, steps, semantics, decoded)
+        pair_steps += ran
+        stops.append(stop)
+        if reason is not None:
             m1, m2 = _shrink(s1, s2, cfg, steps, semantics, decoded)
             return NoninterferenceResult(
                 passed=False,
                 trials=trial + 1,
                 counterexample=Counterexample(
                     trial=trial,
-                    step=at_step,
+                    step=ran - 1,
                     reason=reason,
                     initial_pair=(m1, m2),
                     delta_words=len(_payload_delta(m1, m2)),
                 ),
+                pair_steps=pair_steps,
+                stops=tuple(stops),
             )
-    return NoninterferenceResult(passed=True, trials=trials)
+    return NoninterferenceResult(
+        passed=True, trials=trials, pair_steps=pair_steps, stops=tuple(stops)
+    )

@@ -312,31 +312,6 @@ pool:
 """
 
 
-def mmio_report(mmio_addr: int = 48, data_addr: int = 32) -> str:
-    """Adds one to an (imported, blinded) word and tries to print it to
-    the console.  Under the policy this faults; it exists to catch broken
-    import paths that forget to taint."""
-    return f"""
-.entry start
-.word pool
-start:
-    load r10, r0
-    load r11, r10       # constant 1
-    add  r10, r10, r11
-    load r12, r10       # data address
-    add  r10, r10, r11
-    load r13, r10       # console address
-    load r2, r12
-    add  r3, r2, r11
-    store r13, r3       # faults when r3 is blinded
-    halt
-pool:
-    .word 1
-    .word {data_addr:#x}
-    .word {mmio_addr:#x}
-"""
-
-
 def curated_corpus() -> tuple[CorpusEntry, ...]:
     """The standing program set for the non-interference harness."""
     return (

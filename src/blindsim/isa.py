@@ -290,11 +290,6 @@ def random_instruction_word(rng: random.Random) -> int:
     return word
 
 
-def random_instruction(rng: random.Random) -> DecodedInstruction:
-    """:func:`random_instruction_word`, decoded."""
-    return decode(random_instruction_word(rng))
-
-
 # ---------------------------------------------------------------------------
 # Semantics
 # ---------------------------------------------------------------------------

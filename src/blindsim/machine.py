@@ -246,14 +246,6 @@ _LINES: dict[type, Callable[..., str]] = {
 }
 
 
-def format_event(e: TraceEvent) -> str:
-    """One stable line per event, without its newline; the byte-level
-    comparison unit.  It is :func:`format_trace`'s line for ``e``, so
-    any object that is not an event, a subclass of an event class
-    included, raises TypeError."""
-    return format_trace((e,))[:-1]
-
-
 def format_trace(events: Sequence[TraceEvent]) -> str:
     """Each event's line followed by a newline.  A line comes from the
     format table by the event's exact class, one lookup per event;

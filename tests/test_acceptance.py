@@ -16,7 +16,6 @@ from blindsim.corpus import (
     blinded_load_fault,
     blinded_store_unblindable_fault,
     curated_corpus,
-    mmio_report,
 )
 from blindsim.engine import (
     EncryptionEngine,
@@ -57,6 +56,7 @@ from blindsim.protocol import (
 )
 
 import mutants
+from helpers import mmio_report
 
 
 def verdict_line(name: str, ok: bool, detail: str) -> None:

@@ -17,11 +17,12 @@ from blindsim.assembler import (
     encode_image,
 )
 from blindsim.corpus import curated_corpus
-from blindsim.isa import decode, random_instruction, random_instruction_word
+from blindsim.isa import decode, random_instruction_word
 from blindsim.machine import LoadError, MachineConfig, boot_image
 from blindsim.model import TaggedWord, blinded, clear
 
 from conftest import MUTATIONS, mutated
+from helpers import random_instruction
 
 
 def diag_positions(source):

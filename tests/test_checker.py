@@ -1352,9 +1352,9 @@ class TestTrialPairs:
 
         def record(s1, s2, *rest):
             pairs.append((s1, s2))
-            return None
+            return 0, "budget", None
 
-        monkeypatch.setattr("blindsim.checker._lockstep_divergence", record)
+        monkeypatch.setattr("blindsim.checker._run_pair", record)
         result = check_noninterference(
             program, self.TRIALS, 10, cfg, seed=seed, blinded_regs=blinded_regs
         )
@@ -1403,6 +1403,147 @@ class TestTrialPairs:
             words = (*s1.registers, *s1.memory)
             assert all(w.blinded for w in words) if blinded_regs else not any(w.blinded for w in words)
             assert (s1 == s2) == (not blinded_regs)
+
+
+def blindsim_calls(fn, *args, **kwargs) -> int:
+    """The Python-level calls into ``blindsim`` that ``fn(*args, **kwargs)`` makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestBrokenDrawsAreReported:
+    """A drawn pair runs with no start-of-trial equivalence gate, so a
+    draw whose twin differs from side 1 in a clear word must still fail
+    the check.  With the gate, the check fails with "initial states not
+    equivalent"; without it, a difference that lasts to the end of the
+    trial fails the end-of-trial cross-check, and one that a step reads
+    makes the trial diverge.  A difference that a step overwrites goes
+    unseen by the check; the pinned draw digests and the reference
+    draws guard against that."""
+
+    @staticmethod
+    def assert_reported(check):
+        try:
+            result = check()
+        except RuntimeError as e:
+            assert str(e) == "unwinding check passed a pair that state_equiv rejects"
+        else:
+            assert not result.passed
+            assert result.counterexample is not None
+
+    def test_a_program_twin_that_differs_in_a_clear_register(self, monkeypatch):
+        real = checker._redraw
+        draws = []
+
+        def broken(s, regs_at, mem_at, rng):
+            out = real(s, regs_at, mem_at, rng)
+            draws.append(out)
+            if len(draws) % 2:
+                return out  # side 1
+            # r31 is clear and trivial_halt never names it.
+            assert not out.registers[31].blinded
+            return out.edit(registers=[(31, clear(out.registers[31].value ^ 1))])
+
+        monkeypatch.setattr(checker, "_redraw", broken)
+        image = assemble(trivial_halt())
+        self.assert_reported(lambda: check_noninterference(image, trials=3, steps=8, cfg=HW))
+        assert draws
+
+    def test_a_random_twin_that_differs_in_a_clear_register(self, monkeypatch):
+        # At seed 0, r0 of the first pair is clear and the trial neither
+        # reads nor writes it, so the difference lasts to the end.
+        real = checker.generate_equivalent_pair
+        draws = []
+
+        def broken(*args, **kwargs):
+            s1, s2 = real(*args, **kwargs)
+            draws.append(s1)
+            assert not s2.registers[0].blinded
+            return s1, s2.edit(registers=[(0, clear(s2.registers[0].value ^ 1))])
+
+        monkeypatch.setattr(checker, "generate_equivalent_pair", broken)
+        self.assert_reported(lambda: check_noninterference(None, trials=1, steps=64, cfg=HW, seed=0))
+        assert len(draws) == 1
+
+
+class TestWhatACheckRan:
+    """A check reports the pair-steps it stepped and one stop per trial,
+    read from each trial's loop exit."""
+
+    def test_halted(self):
+        result = check_noninterference(assemble(trivial_halt()), trials=10, steps=10, cfg=HW)
+        assert (result.passed, result.pair_steps, result.stops) == (True, 10, ("halted",) * 10)
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_faulted(self, cfg):
+        image = assemble(blinded_branch_fault())
+        length = run(boot_image(image, cfg), cfg, 100).steps
+        result = check_noninterference(image, trials=4, steps=100, cfg=cfg)
+        assert result.passed
+        assert (result.pair_steps, result.stops) == (4 * length, ("faulted",) * 4)
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_fixed_point(self, cfg):
+        result = check_noninterference(assemble(blinded_fetch_loop()), trials=5, steps=100, cfg=cfg)
+        assert (result.passed, result.pair_steps, result.stops) == (True, 0, ("fixed-point",) * 5)
+
+    def test_budget(self):
+        image = assemble(add_one_pipeline(4, (10, 20, 30, 40)))
+        assert run(boot_image(image, HW), HW, 1000).steps > 7
+        result = check_noninterference(image, trials=3, steps=7, cfg=HW, seed=1)
+        assert (result.passed, result.pair_steps, result.stops) == (True, 21, ("budget",) * 3)
+
+    def test_a_halt_on_the_last_step_is_halted(self):
+        image = assemble(trivial_halt())
+        result = check_noninterference(image, trials=2, steps=1, cfg=HW)
+        assert (result.pair_steps, result.stops) == (2, ("halted",) * 2)
+
+    @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
+    def test_pair_steps_are_the_program_length_per_trial(self, cfg):
+        # The identity the benchmark's ni-loop-1k invariant checks.
+        image = assemble(add_one_pipeline(4, (10, 20, 30, 40)))
+        length = run(boot_image(image, cfg), cfg, 1000).steps
+        result = check_noninterference(image, trials=6, steps=1000, cfg=cfg, seed=3)
+        assert result.passed
+        assert (result.pair_steps, result.stops) == (6 * length, ("halted",) * 6)
+
+    def test_a_failing_check_ends_with_diverged(self):
+        result = check_noninterference(
+            None, trials=200, steps=64, cfg=HW, seed=0, semantics=mutants.add_drops_taint
+        )
+        assert not result.passed
+        assert len(result.stops) == result.trials
+        assert result.stops[-1] == "diverged"
+        assert "diverged" not in result.stops[:-1]
+        assert result.pair_steps >= result.counterexample.step + 1
+
+    def test_the_fields_have_defaults(self):
+        result = checker.NoninterferenceResult(passed=True, trials=3)
+        assert (result.counterexample, result.pair_steps, result.stops) == (None, 0, ())
+
+    def test_calls_per_drawn_trial_are_pinned(self):
+        # A drawn trial runs no start-of-trial state_equiv (7 calls with
+        # its list_equiv and MemoryImage calls), and counting its
+        # pair-steps and stop adds no call.  Host load cannot move these.
+        image = assemble(trivial_halt())
+        check_noninterference(image, trials=1, steps=8, cfg=HW, seed=0)
+        check_noninterference(None, trials=1, steps=8, cfg=HW, seed=0)
+        assert [
+            blindsim_calls(check_noninterference, image, trials=trials, steps=8, cfg=HW, seed=0)
+            for trials in (1, 2, 3)
+        ] == [39, 54, 69]
+        assert blindsim_calls(check_noninterference, None, trials=1, steps=8, cfg=HW, seed=0) == 36
 
 
 class TestSoundnessSpotCheck:

@@ -10,7 +10,6 @@ from blindsim.corpus import (
     blinded_store_unblindable_fault,
     branchless_select,
     demo_add_one,
-    mmio_report,
     rblnd_refused,
 )
 from blindsim.assembler import assemble, decode_image, encode_image
@@ -25,6 +24,7 @@ from blindsim.protocol import (
 )
 
 import mutants
+from helpers import mmio_report
 
 
 @pytest.fixture

@@ -14,11 +14,12 @@ from blindsim.corpus import (
     branchless_select,
     compare_accumulate,
     curated_corpus,
-    mmio_report,
     rblnd_refused,
 )
 from blindsim.machine import Fault, MachineConfig, Mode, RunOutcome, boot_image, run
 from blindsim.model import MASK64, FaultKind, blinded
+
+from helpers import mmio_report
 
 
 def run_program(source, mode=Mode.HARDWARE, regs=None, mem=64, max_steps=500,

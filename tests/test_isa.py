@@ -22,7 +22,6 @@ from blindsim.isa import (
     decode,
     encode,
     instruction_semantics,
-    random_instruction,
     random_instruction_word,
 )
 from blindsim.model import (
@@ -39,6 +38,7 @@ from blindsim.model import (
 )
 
 from conftest import random_word, twin_word
+from helpers import random_instruction
 
 
 class TestEncode:

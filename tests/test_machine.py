@@ -19,7 +19,7 @@ from blindsim.checker import (
     shrink_pair,
 )
 from blindsim import machine
-from blindsim.corpus import CorpusEntry, curated_corpus, mmio_report
+from blindsim.corpus import CorpusEntry, curated_corpus
 from blindsim.isa import (
     DecodedInstruction,
     MemKind,
@@ -29,7 +29,6 @@ from blindsim.isa import (
     decode,
     encode,
     instruction_semantics,
-    random_instruction,
     random_instruction_word,
 )
 from blindsim.machine import (
@@ -45,7 +44,6 @@ from blindsim.machine import (
     RunResult,
     TraceEvent,
     boot_image,
-    format_event,
     format_trace,
     run,
     step,
@@ -65,6 +63,7 @@ from blindsim.model import (
 
 import mutants
 from conftest import random_word, twin_word
+from helpers import format_event, mmio_report, random_instruction
 
 
 def iw(op, ins=(), out=None):

@@ -17,47 +17,33 @@ than guessing.  A DEFINITELY_FAULTS verdict is only ever claimed after a
 concrete replay: the reported witness is an initial state, consistent
 with the signature, that demonstrably reaches the fault.
 
-The dynamic side generates pairs of states that agree on everything
+The dynamic side draws pairs of states that agree on everything
 observable and differ only in blinded payloads, runs them in lockstep,
-and checks after every step that they are still equivalent and
-produced identical trace events.  Equivalence is checked by unwinding:
-since the pair was equivalent before the step, it suffices to compare
-pc, status, fault and whatever either side wrote, as the steps
-returned it, without reading the machines; a pair of steps that write
-at different indices (only a broken semantics does) compares the
-machines whole.  Unwinding needs equivalent pre-states, not a proof of
-them per trial: a pair the harness draws is equivalent by construction
-and runs with no start-of-trial ``state_equiv`` (``_run_pair``), while
-a pair a caller supplies (``shrink_pair``) is gated by one first
-(``_lockstep_divergence``).  A check reports the pair-steps it stepped
-and why each trial stopped: halted, faulted, the fixed point below,
-the step budget, or a divergence.  A trial stops early at one fixed
-point: with tags on, a machine at pc 0 whose word 0 is blinded traps
-to pc 0 on every step and writes nothing, and both sides of an
-equivalent pair get there together, so the steps left could not
-diverge and would call no semantics.  On failure it shrinks the
-payload delta to a minimal counterexample.  With raw unblinding
+and checks after every step that they produced identical trace events
+and are still equivalent.  Equivalence is checked by unwinding: since
+the pair was equivalent before the step, it suffices to compare pc,
+status, fault and whatever either side wrote, as the steps returned
+it; a pair of steps that write at different indices (only a broken
+semantics does) compares the machines whole, and a full
+``state_equiv`` of the two machines ends every trial as a cross-check.
+Unwinding needs equivalent pre-states, not a re-proof of them: a pair
+the harness draws is equivalent by construction and runs with no
+start-of-trial ``state_equiv`` (``_run_pair``), while a pair a caller
+supplies (``shrink_pair``) is checked first (``_lockstep_divergence``).
+A trial stops when both sides halt or fault, at the step budget, or at
+the blinded-fetch fixed point: with tags on, a machine at pc 0 whose
+word 0 is blinded traps to pc 0 on every step and writes nothing, and
+both sides of an equivalent pair get there together.  A check reports
+the pair-steps it ran and each trial's stop.  On failure it shrinks
+the payload delta to a minimal counterexample.  With raw unblinding
 disabled (the default) the shipped semantics never fails this check;
 broken variants fail fast.
+
 Drawing is a large share of a short trial, so a trial redraws only
-blinded words: a program is booted and its blinded positions found
-once per check, a redraw writes only those positions and shares every
-clear word, and a random state is drawn by one loop body that records
-each component's blinded positions for its twin.  Instruction words
-are drawn packed, not through ``DecodedInstruction`` and ``encode``
-(3.8 us a word).  Bounded integers are drawn with ``isa._below``'s
-rejection loop, which is ``randrange``'s own on ``getrandbits`` at half
-its cost.  The pair generator and the redraw run that loop and the
-instruction draw inline and fill each word's two slots directly, with
-no frame per word: a pair makes at most 11 Python calls whatever its
-size, and takes about 0.83 of the time of the same draws made word by
-word through ``model._word`` and ``isa._below`` (medians of 40
-interleaved runs at 64 and at 1024 words, CPython 3.11.7, 2-core x86).
-One decode slot serves every trial of a check.  The end-of-trial
-cross-check is ``state_equiv`` of the two machines, which reads their
-lists rather than rebuilding two ``SystemState`` values: about 3 us
-against 8 us at 64 words.  A state's twin shares its clear
-words, so equivalence tests a shared word by identity first.
+blinded words and a pair is drawn with no frame per word (see
+``generate_equivalent_pair``).  One decode slot serves every trial of
+a check.  A state's twin shares its clear words, so equivalence tests
+a shared word by identity first.
 """
 
 from __future__ import annotations
@@ -878,12 +864,10 @@ class Counterexample:
 
 @dataclass(frozen=True, slots=True)
 class NoninterferenceResult:
-    """A check's verdict and what it ran: ``pair_steps`` is the pair-steps
-    stepped over every trial run, and ``stops`` holds one reason per trial
-    run, in order: ``halted``, ``faulted``, ``fixed-point`` (the
-    blinded-fetch fixed point), ``budget`` (``steps`` ran out), or
-    ``diverged`` for the failing trial.  A diverged trial counts the step
-    that diverged."""
+    """A check's verdict, the pair-steps it stepped over all trials run,
+    and one stop per trial run: ``halted``, ``faulted``, ``fixed-point``,
+    ``budget`` (``steps`` ran out) or ``diverged`` (the failing trial,
+    its diverging step counted)."""
 
     passed: bool
     trials: int
@@ -949,13 +933,10 @@ def _lockstep_divergence(
     semantics,
     decoded: dict,
 ) -> tuple[int, str] | None:
-    """(step, reason) of the first divergence, or None.
-
-    The entry for a pair a caller supplies (:func:`shrink_pair` and its
-    re-runs): the pair is first gated by a full ``state_equiv``, and a
-    pair that fails it diverges at step 0 with ``"initial states not
-    equivalent"``.  An equivalent pair then runs in :func:`_run_pair`.
-    """
+    """(step, reason) of the first divergence, or None, for a pair a
+    caller supplies (:func:`shrink_pair`): a pair that fails the
+    ``state_equiv`` gate diverges at step 0, and one that passes runs in
+    :func:`_run_pair`."""
     if not state_equiv(s1, s2):
         return 0, "initial states not equivalent"
     pair_steps, _, reason = _run_pair(s1, s2, cfg, steps, semantics, decoded)
@@ -970,30 +951,23 @@ def _run_pair(
     semantics,
     decoded: dict,
 ) -> tuple[int, str, str | None]:
-    """(pair-steps stepped, stop, divergence reason or None) of the pair
-    ``s1``, ``s2``, whose equivalence is not checked here: unwinding
-    needs equivalent pre-states, and a pair drawn equivalent by
-    construction is not proved so again.  :func:`check_noninterference`
-    calls this on its drawn pairs; :func:`_lockstep_divergence` gates
-    a supplied pair first.
+    """(pair-steps, stop, divergence reason or None) for the pair ``s1``,
+    ``s2``, taken as equivalent: no gate runs here.
 
     Both sides step in place, and each step returns its events and the
     writes it committed.  After each step the two event tuples are
     compared, and :func:`_unwinding_holds` over both steps' writes stands
     in for a full ``state_equiv``, which runs once at the end, on the two
-    machines, as a cross-check: it raises RuntimeError if the unwinding
-    check passed a pair it rejects, which also reports a pre-state
-    difference that lasts to the end of the trial.  ``decoded`` is the
+    machines, as a cross-check that raises RuntimeError; it also catches
+    a pre-state difference that lasts to the end.  ``decoded`` is the
     decode slot both sides use (see :class:`~blindsim.machine.ListMachine`).
 
-    The stop comes from the loop's exit and the machines' status, with no
-    work per pair-step: ``diverged`` (the step that diverged is counted),
-    ``halted`` or ``faulted`` (side 1's status), ``fixed-point`` or
-    ``budget``.  The trial ends at ``fixed-point``, with no divergence,
-    once both sides are RUNNING at pc 0 with ``cfg.tag_logic`` on and
-    word 0 blinded.  Equivalence gives both sides that pc and that tag,
-    and from there every step on either side is
-    ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc at 0, writes
+    The stop is read from the loop's exit and side 1's status, with no
+    work per pair-step.  The trial ends at ``fixed-point``, with no
+    divergence, once both sides are RUNNING at pc 0 with
+    ``cfg.tag_logic`` on and word 0 blinded.  Equivalence gives both
+    sides that pc and that tag, and from there every step on either side
+    is ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc at 0, writes
     nothing, and neither decodes nor calls the semantics.  So the
     remaining steps could not diverge, and the stop changes no result and
     no call a semantics sees.
@@ -1095,17 +1069,11 @@ def check_noninterference(
     drawn as :func:`pair_for_program` draws it (blinded image words and
     ``blinded_regs`` get fresh payloads); without it, fully random
     machines are generated.  A drawn pair is equivalent by construction,
-    so it runs in :func:`_run_pair` with no start-of-trial ``state_equiv``
-    gate; a broken draw is still reported by the end-of-trial
-    cross-check when its difference lasts, and the draws themselves are
-    pinned and checked against a reference in the tests.  A failure is
-    shrunk to a minimal payload delta before reporting; the shrink's
-    candidates are gated (:func:`_lockstep_divergence`).
-
-    The result says what ran: ``pair_steps`` over all trials run and
-    one stop per trial run (see :class:`NoninterferenceResult`), both
-    read from each trial's loop exit, so counting them costs no work per
-    pair-step.
+    so it runs with no start-of-trial ``state_equiv``; a broken draw
+    whose difference lasts fails the end-of-trial cross-check.  A
+    failure is shrunk to a minimal payload delta before reporting.  The
+    result's ``pair_steps`` and ``stops`` come from each trial's loop
+    exit (:func:`_run_pair`).
 
     One decode slot serves both sides and every trial of the call,
     shrinking included: a slot is used only while the fetched word

@@ -27,9 +27,9 @@ it; a pair of steps that write at different indices (only a broken
 semantics does) compares the machines whole, and a full
 ``state_equiv`` of the two machines ends every trial as a cross-check.
 Unwinding needs equivalent pre-states, not a re-proof of them: a pair
-the harness draws is equivalent by construction and runs with no
-start-of-trial ``state_equiv`` (``_run_pair``), while a pair a caller
-supplies (``shrink_pair``) is checked first (``_lockstep_divergence``).
+the harness draws is equivalent by construction, and so is each
+candidate of a shrink, which copies one blinded payload across; only a
+pair a caller passes to ``shrink_pair`` is checked, once.
 A trial stops when both sides halt or fault, at the step budget, or at
 the blinded-fetch fixed point: with tags on, a machine at pc 0 whose
 word 0 is blinded traps to pc 0 on every step and writes nothing, and
@@ -759,9 +759,9 @@ def generate_equivalent_pair(
     twin is :func:`rerandomize_blinded` of the first state without a
     search for them.  Bounded integers are drawn as ``rng.randrange``
     would draw them, by :func:`~blindsim.isa._below`'s rejection loop run
-    inline, and an instruction word as
-    :func:`~blindsim.isa.random_instruction_word` draws it, so a seed
-    gives the same pair as it always has.  Each word is built inline with
+    inline, and an instruction word as the opcode, then its registers in
+    operand order (inputs before a register output), from
+    :data:`~blindsim.isa._DRAWS`.  Each word is built inline with
     the slot setters, its value in range by construction, and small-value
     words are shared: a pair makes the same few Python calls whatever its
     size.  Raises ValueError unless ``memory_words`` and ``cache_lines``
@@ -925,24 +925,6 @@ def _unwinding_holds(m1: ListMachine, m2: ListMachine, out1: tuple, out2: tuple)
 _RUNNING = Status.RUNNING  # bound once: the pair loop reads it twice a pair-step
 
 
-def _lockstep_divergence(
-    s1: SystemState,
-    s2: SystemState,
-    cfg: MachineConfig,
-    steps: int,
-    semantics,
-    decoded: dict,
-) -> tuple[int, str] | None:
-    """(step, reason) of the first divergence, or None, for a pair a
-    caller supplies (:func:`shrink_pair`): a pair that fails the
-    ``state_equiv`` gate diverges at step 0, and one that passes runs in
-    :func:`_run_pair`."""
-    if not state_equiv(s1, s2):
-        return 0, "initial states not equivalent"
-    pair_steps, _, reason = _run_pair(s1, s2, cfg, steps, semantics, decoded)
-    return None if reason is None else (pair_steps - 1, reason)
-
-
 def _run_pair(
     s1: SystemState,
     s2: SystemState,
@@ -1025,18 +1007,22 @@ def shrink_pair(
 ) -> tuple[SystemState, SystemState]:
     """Greedy minimization: revert blinded payload differences one at a
     time while the pair still diverges.  Raises ValueError unless both
-    states fit ``cfg``."""
+    states fit ``cfg`` and are equivalent."""
     check_state_fits(s1, cfg)
     check_state_fits(s2, cfg)
+    if not state_equiv(s1, s2):
+        raise ValueError("states are not equivalent")
     return _shrink(s1, s2, cfg, steps, semantics, {})
 
 
 def _shrink(s1, s2, cfg, steps, semantics, decoded: dict) -> tuple[SystemState, SystemState]:
-    """:func:`shrink_pair`, its re-runs sharing the decode slot ``decoded``."""
+    """:func:`shrink_pair`, its re-runs sharing the decode slot ``decoded``.
+    A candidate copies one payload that is blinded on both sides, so it
+    stays equivalent and runs in :func:`_run_pair` with no gate."""
     current = s2
     for kind, index in _payload_delta(s1, s2):
         candidate = _with_payload_from(current, s1, kind, index)
-        if _lockstep_divergence(s1, candidate, cfg, steps, semantics, decoded) is not None:
+        if _run_pair(s1, candidate, cfg, steps, semantics, decoded)[2] is not None:
             current = candidate
     return s1, current
 

@@ -47,16 +47,12 @@ checks the operand bytes by the opcode's input count rather than with
 named tuple, through ``tuple.__new__`` as every per-step record is
 built: 0.36-0.43 us for that construction against 0.47-0.52 us through
 a frozen dataclass's slot setters (best of 7 ``timeit`` repeats, 3
-runs).  :func:`random_instruction_word` draws a random instruction with
-:func:`_below`'s rejection loop inline, about 0.43 us a word against
-0.55 us through ``_below`` (medians of 5 runs).  All on CPython 3.11.7,
-2-core x86.
+runs).  All on CPython 3.11.7, 2-core x86.
 """
 
 from __future__ import annotations
 
 import operator
-import random
 from enum import Enum, IntEnum
 from typing import NamedTuple, Sequence
 
@@ -266,28 +262,6 @@ def _below(getrandbits, n: int) -> int:
 _N_DRAWS = len(_DRAWS)
 _DRAWS_BITS = _N_DRAWS.bit_length()
 _REG_BITS = REG_COUNT.bit_length()
-
-
-def random_instruction_word(rng: random.Random) -> int:
-    """The word of a uniformly random well-formed instruction, drawn in the
-    one defined order: the opcode, then the register indices in operand
-    order (inputs before outputs), so a seeded ``rng`` yields one stream.
-
-    Each index is drawn with :func:`_below`'s rejection loop, run inline
-    with its bit width computed once, so the stream is the one
-    ``rng.choice(_DRAWS)`` then ``rng.randrange(REG_COUNT)`` per register
-    would give.  The checker's pair generator runs the same loop inline."""
-    getrandbits = rng.getrandbits
-    r = getrandbits(_DRAWS_BITS)
-    while r >= _N_DRAWS:
-        r = getrandbits(_DRAWS_BITS)
-    word, shifts = _DRAWS[r]
-    for shift in shifts:
-        r = getrandbits(_REG_BITS)
-        while r >= REG_COUNT:
-            r = getrandbits(_REG_BITS)
-        word |= r << shift
-    return word
 
 
 # ---------------------------------------------------------------------------

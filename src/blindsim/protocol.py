@@ -492,7 +492,6 @@ class HsmResponder:
 # Server session: the request loop behind the protocol demo
 # ---------------------------------------------------------------------------
 
-_KEPT_TRACES = 16  # a session keeps the traces of its latest computes only
 
 # An outcome's byte is its place in RunOutcome: halted 0, faulted 1,
 # fault-loop 2, step-limit 3.
@@ -516,9 +515,9 @@ def _error_frame(exc: Exception) -> bytes:
 class ServerSession:
     """One client's session: handshake once, then import/compute/export.
 
-    Owns a machine state and an engine; the traces of the latest
-    ``_KEPT_TRACES`` compute runs are kept in :attr:`traces`, oldest
-    first (this is exactly what an observer at the server can see).
+    Owns a machine state and an engine; the trace of its latest compute
+    run is kept as the one text in :attr:`traces` (this is exactly what
+    an observer at the server can see).
     Import, compute and export are refused until this session's own
     handshake has succeeded, even if the engine already holds a key from
     another session.  The handshake records the session's key id, and
@@ -581,8 +580,7 @@ class ServerSession:
                 )
                 result = machine.run(self.state, self.cfg, self.max_steps)
                 self.state = result.state
-                self.traces.append(machine.format_trace(result.trace))
-                del self.traces[:-_KEPT_TRACES]
+                self.traces = [machine.format_trace(result.trace)]
                 return encode_frame(
                     ResultResponse(
                         encode_compute_result(result.outcome.value, result.steps)

@@ -4,8 +4,9 @@
 verbatim, with the instruction draw ``_instruction_word`` they called,
 so that a test can compare the shipped draws with them word for word:
 every word goes through ``model._word`` and every bounded integer
-through ``isa._below`` or its loop.  Test-only; nothing in ``src/``
-imports it.
+through ``isa._below`` or its loop.  The tests that draw a random
+instruction word call ``_instruction_word`` too.  Test-only; nothing in
+``src/`` imports it.
 """
 
 from __future__ import annotations

@@ -1,19 +1,38 @@
-"""Helpers that only the tests call: a decoded random instruction, one
-event's trace line and the console-report program.  Nothing in
-``src/`` imports this module.
+"""Helpers that only the tests call: a decoded random instruction, a
+count of calls into ``blindsim``, one event's trace line and the
+console-report program.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
-from blindsim.isa import DecodedInstruction, decode, random_instruction_word
+from blindsim.isa import DecodedInstruction, decode
 from blindsim.machine import TraceEvent, format_trace
+from draw_reference import _instruction_word
 
 
 def random_instruction(rng: random.Random) -> DecodedInstruction:
-    """:func:`~blindsim.isa.random_instruction_word`, decoded."""
-    return decode(random_instruction_word(rng))
+    """The pair draw's instruction word from ``rng``, decoded."""
+    return decode(_instruction_word(rng.getrandbits))
+
+
+def blindsim_calls(fn, *args, **kwargs) -> int:
+    """The Python-level calls into ``blindsim`` that ``fn(*args, **kwargs)`` makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return count
 
 
 def format_event(e: TraceEvent) -> str:

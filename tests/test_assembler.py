@@ -17,11 +17,12 @@ from blindsim.assembler import (
     encode_image,
 )
 from blindsim.corpus import curated_corpus
-from blindsim.isa import decode, random_instruction_word
+from blindsim.isa import decode
 from blindsim.machine import LoadError, MachineConfig, boot_image
 from blindsim.model import TaggedWord, blinded, clear
 
 from conftest import MUTATIONS, mutated
+from draw_reference import _instruction_word
 from helpers import random_instruction
 
 
@@ -220,7 +221,7 @@ class TestDisassemble:
             words = []
             for _ in range(rng.randint(1, 12)):
                 if rng.random() < 0.6:
-                    words.append(TaggedWord(random_instruction_word(rng), False))
+                    words.append(TaggedWord(_instruction_word(rng.getrandbits), False))
                 else:
                     words.append(
                         TaggedWord(rng.getrandbits(64), rng.random() < 0.3)

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import random
-import sys
 from dataclasses import replace
 
 import pytest
@@ -64,6 +63,7 @@ from blindsim.model import (
 
 import draw_reference
 import mutants
+from helpers import blindsim_calls
 
 HW = MachineConfig(memory_words=64, cache_lines=8)
 MODEL = MachineConfig(mode=Mode.MODEL, memory_words=64, cache_lines=8)
@@ -822,24 +822,11 @@ class TestDrawsMatchTheReference:
         # pc draw, two SystemState and two MemoryImage constructions,
         # _redraw and one _redrawn per component.  A per-word helper frame
         # changes this count, not only a timing.
-        def calls(seed):
-            count = 0
-
-            def profile(frame, event, arg):
-                nonlocal count
-                if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
-                    count += 1
-
-            sys.setprofile(profile)
-            try:
-                generate_equivalent_pair(seed, memory_words, 8)
-            finally:
-                sys.setprofile(None)
-            return count
-
         generate_equivalent_pair(0, memory_words, 8)  # fills the small-word cache
         # Seeds whose pairs have blinded registers and blinded memory.
-        assert [calls(seed) for seed in range(5)] == [11] * 5
+        assert [
+            blindsim_calls(generate_equivalent_pair, seed, memory_words, 8) for seed in range(5)
+        ] == [11] * 5
 
 
 class TestNoninterference:
@@ -901,27 +888,37 @@ class TestNoninterference:
         assert t1 == s1 and reference_lockstep(t1, t2, HW, 64, mutant) is not None
         assert 1 <= len(payload_delta(t1, t2)) < len(payload_delta(s1, wide))
 
-    def test_shrink_pair_of_states_that_differ_in_a_clear_word(self, monkeypatch):
-        # Such a pair is not equivalent, so every candidate the shrink
-        # tries "diverges" before its first step, and every blinded
-        # payload difference is reverted; the clear difference stays.
+    def test_shrink_pair_of_states_that_differ_in_a_clear_word(self):
+        # Such a pair is not equivalent, so there is nothing to shrink:
+        # the shrink refuses it before its first run.
         s1, s2 = generate_equivalent_pair(7, memory_words=64, cache_lines=8)
         assert shrink_pair(s1, s2, HW, 64, instruction_semantics) == (s1, s2)
         at = next(i for i, w in enumerate(s2.memory) if not w.blinded)
         differs = s2.edit(memory=[(at, clear(s2.memory[at].value ^ 1))])
         assert not state_equiv(s1, differs) and payload_delta(s1, differs)
-        verdicts = []
-        real = checker._lockstep_divergence
+        with pytest.raises(ValueError, match="states are not equivalent"):
+            shrink_pair(s1, differs, HW, 64, instruction_semantics)
 
-        def recorded(*args):
-            verdicts.append(real(*args))
-            return verdicts[-1]
+    def test_a_shrink_checks_equivalence_once(self, monkeypatch):
+        # A candidate copies one payload blinded on both sides, so it is
+        # not re-checked: the gate up front, and one end-of-trial
+        # cross-check for the one candidate that does not diverge.
+        mutant = mutants.add_drops_taint
+        result = check_noninterference(None, trials=200, steps=64, cfg=HW, seed=0, semantics=mutant)
+        s1, _ = result.counterexample.initial_pair
+        wide = rerandomize_blinded(s1, random.Random(0))
+        assert len(payload_delta(s1, wide)) == 24
+        calls = []
+        real = checker.state_equiv
 
-        monkeypatch.setattr(checker, "_lockstep_divergence", recorded)
-        t1, t2 = shrink_pair(s1, differs, HW, 64, instruction_semantics)
-        assert verdicts == [(0, "initial states not equivalent")] * len(payload_delta(s1, differs))
-        assert t1 == s1 and payload_delta(t1, t2) == []
-        assert t2 == s1.edit(memory=[(at, differs.memory[at])])
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(checker, "state_equiv", counted)
+        t1, t2 = shrink_pair(s1, wide, HW, 64, mutant)
+        assert len(calls) == 2
+        assert t1 == s1 and len(payload_delta(t1, t2)) == 1
 
     @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])
     def test_a_pair_shares_one_decode_per_address(self, cfg, decode_calls):
@@ -1405,30 +1402,12 @@ class TestTrialPairs:
             assert (s1 == s2) == (not blinded_regs)
 
 
-def blindsim_calls(fn, *args, **kwargs) -> int:
-    """The Python-level calls into ``blindsim`` that ``fn(*args, **kwargs)`` makes."""
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args, **kwargs)
-    finally:
-        sys.setprofile(None)
-    return count
-
-
 class TestBrokenDrawsAreReported:
     """A drawn pair runs with no start-of-trial equivalence gate, so a
     draw whose twin differs from side 1 in a clear word must still fail
-    the check.  With the gate, the check fails with "initial states not
-    equivalent"; without it, a difference that lasts to the end of the
-    trial fails the end-of-trial cross-check, and one that a step reads
-    makes the trial diverge.  A difference that a step overwrites goes
+    the check: a difference that lasts to the end of the trial fails the
+    end-of-trial cross-check, and one that a step reads makes the trial
+    diverge.  A difference that a step overwrites goes
     unseen by the check; the pinned draw digests and the reference
     draws guard against that."""
 

@@ -22,7 +22,6 @@ from blindsim.isa import (
     decode,
     encode,
     instruction_semantics,
-    random_instruction_word,
 )
 from blindsim.model import (
     MASK64,
@@ -38,6 +37,7 @@ from blindsim.model import (
 )
 
 from conftest import random_word, twin_word
+from draw_reference import _instruction_word
 from helpers import random_instruction
 
 
@@ -187,7 +187,7 @@ class TestRandomInstruction:
 
         words, decoded, spelled = (random.Random(31) for _ in range(3))
         for _ in range(10_000):
-            word = random_instruction_word(words)
+            word = _instruction_word(words.getrandbits)
             assert word == encode(random_instruction(decoded)) == by_shape(spelled)
         assert words.getstate() == decoded.getstate() == spelled.getstate()
 

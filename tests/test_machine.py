@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import random
-import sys
 import threading
 import typing
 import weakref
@@ -29,7 +28,6 @@ from blindsim.isa import (
     decode,
     encode,
     instruction_semantics,
-    random_instruction_word,
 )
 from blindsim.machine import (
     CacheUpdate,
@@ -63,7 +61,8 @@ from blindsim.model import (
 
 import mutants
 from conftest import random_word, twin_word
-from helpers import format_event, mmio_report, random_instruction
+from draw_reference import _instruction_word
+from helpers import blindsim_calls, format_event, mmio_report, random_instruction
 
 
 def iw(op, ins=(), out=None):
@@ -489,7 +488,7 @@ class TestRun:
     def _random_run(seed):
         rng = random.Random(seed)
         mem = tuple(
-            TaggedWord(random_instruction_word(rng), rng.random() < 0.1)
+            TaggedWord(_instruction_word(rng.getrandbits), rng.random() < 0.1)
             if rng.random() < 0.7
             else random_word(rng, blind_p=0.2)
             for _ in range(32)
@@ -672,20 +671,9 @@ class TestCallBudgetPerStep:
     def calls(s, n_steps):
         """Calls into blindsim during one run: a finalizer that the
         collector runs before ``run`` turns it off is not counted."""
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_globals.get("__name__", "").startswith("blindsim."):
-                calls += 1
-
-        sys.setprofile(profile)
-        try:
-            r = run(s, CFG, n_steps)
-        finally:
-            sys.setprofile(None)
+        r = run(s, CFG, n_steps)
         assert r.outcome is RunOutcome.STEP_LIMIT and r.steps == n_steps
-        return calls
+        return blindsim_calls(run, s, CFG, n_steps)
 
     @pytest.mark.parametrize("name", LOOPS)
     def test_calls_per_iteration_are_pinned(self, name):
@@ -1136,7 +1124,7 @@ class TestStepSafety:
         instr_blind_p = 0.12
         for _ in range(mem_size):
             if rng.random() < 0.65:
-                w = TaggedWord(random_instruction_word(rng), rng.random() < instr_blind_p)
+                w = TaggedWord(_instruction_word(rng.getrandbits), rng.random() < instr_blind_p)
             else:
                 w = random_word(rng, blind_p=0.35)
             mem1.append(w)

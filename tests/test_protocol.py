@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -537,12 +538,16 @@ class TestServerSession:
         client = ClientHandshake(DEV_PUB, seed=21)
         client.finish(session.handle_frame(client.hello()))
         image = assemble(".entry 0\nhalt\n")
+        texts = []
         for _ in range(3):
             session.handle_frame(
                 encode_frame(ComputeRequest(0, encode_image(image)))
             )
-        assert len(session.traces) == 3
-        assert all(t == session.traces[0] for t in session.traces)
+            texts.append(session.traces[-1])
+            # Each compute's text replaces the last one's.
+            assert session.traces == [texts[-1]]
+        assert all(t == texts[0] for t in texts) and texts[1] is not texts[0]
+        assert texts[0].count("kind=fetch") == 1
 
     def test_only_the_newest_traces_are_kept(self):
         session, _ = self.make_session()
@@ -552,10 +557,31 @@ class TestServerSession:
             # n adds before the halt: each compute leaves a longer trace.
             image = assemble("add r1, r1, r1\n" * n + "halt\n")
             session.handle_frame(encode_frame(ComputeRequest(0, encode_image(image))))
-        assert len(session.traces) == 16
-        # The 5th through the 20th compute, oldest first: n + 1 fetches each.
-        assert [t.count("kind=fetch") for t in session.traces] == list(range(6, 22))
+        # The 20th compute only: 21 fetches.
+        assert [t.count("kind=fetch") for t in session.traces] == [21]
         assert isinstance(session.traces, list)
+
+    def test_retained_trace_memory_is_bounded(self):
+        # An endless clear jump to 0 runs the whole budget: each compute's
+        # text is about 0.4 MB, and the session holds the latest one only.
+        session = ServerSession(
+            DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
+            MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=10_000,
+        )
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
+        frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
+        tracemalloc.start()
+        try:
+            session.handle_frame(frame)
+            after_first, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                session.handle_frame(frame)
+            after_fourth, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(session.traces) == 1
+        assert after_fourth - after_first < len(session.traces[0])
 
     @pytest.mark.parametrize("kind", ["result", "hsm-hello"])
     def test_a_reply_frame_from_the_client_is_unexpected(self, kind):

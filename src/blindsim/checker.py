@@ -63,12 +63,9 @@ from .isa import (
     DecodedInstruction,
     Mode,
     Opcode,
-    _DRAWS,
-    _DRAWS_BITS,
-    _N_DRAWS,
-    _REG_BITS,
-    _below,
+    SHAPES,
     decode,
+    encode,
     instruction_semantics,
 )
 from .machine import (
@@ -719,7 +716,7 @@ def _redraw(s: SystemState, regs_at: Sequence[int], mem_at: Sequence[int], rng) 
 def _redrawn(words: tuple[TaggedWord, ...], at: Sequence[int], rng) -> tuple[TaggedWord, ...]:
     """``words`` with a fresh blinded payload at each index in ``at``: a
     64-bit payload with probability 0.7, else a shared small one drawn as
-    ``_below(getrandbits, 4)`` draws it (see :func:`generate_equivalent_pair`)."""
+    ``rng.randrange(4)`` draws it (see :func:`generate_equivalent_pair`)."""
     rand, getrandbits = rng.random, rng.getrandbits
     new, set_value, set_blinded = _new_object, _set_value, _set_blinded
     out = list(words)
@@ -744,6 +741,22 @@ def _small_words(memory_words: int) -> tuple[tuple[TaggedWord, TaggedWord], ...]
     return tuple((TaggedWord(v, False), TaggedWord(v, True)) for v in range(memory_words))
 
 
+def _draw_plan(op: Opcode) -> tuple[int, tuple[int, ...]]:
+    """``op``'s word with its register bytes zero, and the shifts of the
+    register bytes to draw: inputs, then a register output."""
+    n_inputs, writes = SHAPES[op]
+    shifts = (16, 24)[:n_inputs] + ((8,) if writes else ())
+    return encode(DecodedInstruction(op, (0,) * n_inputs, 0 if writes else None)), shifts
+
+
+# The draw plan of each opcode, in ``Opcode`` order, and the bounds and
+# bit widths of the opcode and register draws as ``randrange`` takes them.
+_DRAWS = tuple(_draw_plan(op) for op in Opcode)
+_N_DRAWS = len(_DRAWS)
+_DRAWS_BITS = _N_DRAWS.bit_length()
+_REG_BITS = REG_COUNT.bit_length()
+
+
 def generate_equivalent_pair(
     seed: int,
     memory_words: int = 64,
@@ -757,11 +770,11 @@ def generate_equivalent_pair(
     Memory words and then registers are drawn by one loop body, which
     records each component's blinded positions as it draws them, so the
     twin is :func:`rerandomize_blinded` of the first state without a
-    search for them.  Bounded integers are drawn as ``rng.randrange``
-    would draw them, by :func:`~blindsim.isa._below`'s rejection loop run
+    search for them.  Every bounded integer is drawn as ``rng.randrange``
+    would draw it, by CPython's rejection loop on ``getrandbits`` run
     inline, and an instruction word as the opcode, then its registers in
     operand order (inputs before a register output), from
-    :data:`~blindsim.isa._DRAWS`.  Each word is built inline with
+    :data:`_DRAWS`.  Each word is built inline with
     the slot setters, its value in range by construction, and small-value
     words are shared: a pair makes the same few Python calls whatever its
     size.  Raises ValueError unless ``memory_words`` and ``cache_lines``
@@ -817,8 +830,11 @@ def generate_equivalent_pair(
             r = getrandbits(index_bits)
         addresses.append(r)
     valid = tuple([rand() < 0.5 for _ in range(cache_lines)])
+    r = getrandbits(index_bits)
+    while r >= memory_words:
+        r = getrandbits(index_bits)
     s1 = SystemState(
-        pc=_below(getrandbits, memory_words),
+        pc=r,
         registers=tuple(registers),
         memory=MemoryImage(tuple(memory)),
         addresses=tuple(addresses),

@@ -35,10 +35,9 @@ default, so every field is given.  It reads each field of its
 named tuple reads all three and is no faster, since CPython 3.11
 specializes neither.  An ALU result comes from :data:`ALU`, a table of
 C operator functions masked to 64 bits, and its word is built inline
-with the two slot setters, as :func:`~blindsim.model._word` builds one
-but without its frame or its range check: a masked value is in range by
-construction.  So an ALU step makes no Python frame beyond the step and
-the semantics.
+with the two slot setters, without the constructor's range check: a
+masked value is in range by construction.  So an ALU step makes no
+Python frame beyond the step and the semantics.
 
 :func:`decode` runs once for each distinct word a machine fetches at an
 address, and a random lockstep pair fetches mostly fresh words, so it
@@ -223,45 +222,6 @@ def decode(word: int) -> DecodedInstruction:
     if not fits:
         raise DecodeError(f"output byte of {word:#x} does not fit {op.name.lower()}")
     return _new(DecodedInstruction, (op, inputs, out))
-
-
-def _draw_plan(op: Opcode) -> tuple[int, tuple[int, ...]]:
-    """``op``'s word with the undrawn operand bytes absent, and the shifts
-    of the register bytes to draw: inputs, then a register output."""
-    n_inputs, writes = SHAPES[op]
-    shifts = (16, 24)[:n_inputs] + ((8,) if writes else ())
-    return int(op) | sum(_ABSENT << s for s in (8, 16, 24) if s not in shifts), shifts
-
-
-_DRAWS = tuple(_draw_plan(op) for op in Opcode)
-
-
-def _below(getrandbits, n: int) -> int:
-    """``rng.randrange(n)`` through ``rng``'s bound ``getrandbits``.
-
-    CPython's ``_randbelow`` rejection loop: draw ``n.bit_length()`` bits
-    until the draw is below ``n``.  It gives the same value and leaves the
-    generator in the same state as ``randrange(n)`` (and
-    ``choice(seq)`` is ``seq[_below(getrandbits, len(seq))]``), without
-    ``randrange``'s argument handling: about 170 ns a draw against
-    300-340 ns for ``randrange(32)`` (CPython 3.11, 2-core x86).  Raises
-    ValueError for ``n <= 0``, as ``randrange`` does, where the bare loop
-    would never end.
-    """
-    if n <= 0:
-        raise ValueError(f"empty range for a draw below {n}")
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-# Bounds and bit widths of the opcode and register draws, as :func:`_below`
-# computes them.
-_N_DRAWS = len(_DRAWS)
-_DRAWS_BITS = _N_DRAWS.bit_length()
-_REG_BITS = REG_COUNT.bit_length()
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,7 @@ generated ``__new__`` 300-610 ns against 150-230 ns through
 ``tuple.__new__``, which fills no default and checks no arity, so every
 field is given.  The events stay named tuples, with the same fields,
 reprs and public constructors.  With ``tag_logic`` on, a word is read as
-stored, with no call per read, and a word a step makes is built with
-:func:`~blindsim.model._word`.
+stored, with no call per read.
 
 A step also makes no frame or iterator beyond its own.  With
 ``tag_logic`` on it reads its input registers by count -- an instruction
@@ -106,7 +105,6 @@ from .model import (
     Status,
     SystemState,
     TaggedWord,
-    _word,
     check_machine_size,
 )
 
@@ -268,7 +266,7 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
 
 def _untagged(w: TaggedWord) -> TaggedWord:
     """The word as the untagged reference machine reads it: clear."""
-    return _word(w.value, False) if w.blinded else w
+    return TaggedWord(w.value, False) if w.blinded else w
 
 
 def step(
@@ -468,7 +466,7 @@ class ListMachine:
                 if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
                     self.status, self.fault = _FAULTED, _DECODE_ERROR
                     return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
-                memory_write = (address, _word(memory[address].value, kind is _MEM_BLIND))
+                memory_write = (address, TaggedWord(memory[address].value, kind is _MEM_BLIND))
 
         # Every check has passed: commit.
         self.pc = next_pc

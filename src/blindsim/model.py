@@ -18,16 +18,11 @@ fault together.  Every state has :data:`REG_COUNT` registers.
 :func:`state_equiv` reads only the fields both shapes share, so it
 judges two states or two machines alike.
 
-:func:`_word` is how the machine builds a word on its hot paths -- a
-tag edit, the untagged machine's read.  It runs the range check of
-:class:`TaggedWord` and then fills the two slots directly, skipping the
-dataclass ``__init__`` and ``__post_init__``: about 260 ns a word against
-440-470 ns through the constructor (CPython 3.11.7, 2-core x86, best of
-7 ``timeit`` repeats).  The word it returns is a plain
-:class:`TaggedWord`, equal, hashed and printed as one.  Where a value is
-in range by construction -- a masked ALU result, every word a random
-pair draws -- the caller fills the slots inline with ``_new_object``,
-``_set_value`` and ``_set_blinded``, without ``_word``'s frame.
+Where a value is in range by construction -- a masked ALU result,
+every word a random pair draws -- the caller builds its word inline
+with ``_new_object``, ``_set_value`` and ``_set_blinded``, skipping the
+dataclass ``__init__`` and ``__post_init__``'s range check; the word is
+a plain :class:`TaggedWord`, equal, hashed and printed as one.
 """
 
 from __future__ import annotations
@@ -78,17 +73,6 @@ class TaggedWord:
 _new_object = object.__new__
 _set_value = TaggedWord.value.__set__
 _set_blinded = TaggedWord.blinded.__set__
-
-
-def _word(value: int, blinded: bool) -> TaggedWord:
-    """``TaggedWord(value, blinded)`` without the dataclass ``__init__``;
-    raises the constructor's ValueError for a value outside 64 bits."""
-    if not 0 <= value <= MASK64:
-        raise ValueError(f"word out of range: {value:#x}")
-    w = _new_object(TaggedWord)
-    _set_value(w, value)
-    _set_blinded(w, blinded)
-    return w
 
 
 def clear(value: int) -> TaggedWord:

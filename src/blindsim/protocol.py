@@ -517,7 +517,8 @@ class ServerSession:
 
     Owns a machine state and an engine; the trace of its latest compute
     run is kept as the one text in :attr:`traces` (this is exactly what
-    an observer at the server can see).
+    an observer at the server can see).  A compute empties it before it
+    runs, so the last text is not held through the run's peak.
     Import, compute and export are refused until this session's own
     handshake has succeeded, even if the engine already holds a key from
     another session.  The handshake records the session's key id, and
@@ -578,6 +579,7 @@ class ServerSession:
                 self.state = machine.overlay_image(self.state, image, pc=msg.entry).edit(
                     status=Status.RUNNING
                 )
+                self.traces = []  # free the last text before the run peaks
                 result = machine.run(self.state, self.cfg, self.max_steps)
                 self.state = result.state
                 self.traces = [machine.format_trace(result.trace)]

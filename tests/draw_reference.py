@@ -1,12 +1,12 @@
 """The lockstep pair draws as they were written before they were inlined.
 
 ``generate_equivalent_pair``, ``_redraw`` and ``_redrawn`` are kept here
-verbatim, with the instruction draw ``_instruction_word`` they called,
-so that a test can compare the shipped draws with them word for word:
-every word goes through ``model._word`` and every bounded integer
-through ``isa._below`` or its loop.  The tests that draw a random
-instruction word call ``_instruction_word`` too.  Test-only; nothing in
-``src/`` imports it.
+in that form, with the instruction draw ``_instruction_word`` they
+called, so that a test can compare the shipped draws with them word for
+word: every word goes through the ``TaggedWord`` constructor and every
+bounded integer through ``_below``, the ``randrange`` reference, or its
+loop.  The tests that draw a random instruction word call
+``_instruction_word`` too.  Test-only; nothing in ``src/`` imports it.
 """
 
 from __future__ import annotations
@@ -14,9 +14,26 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from blindsim.checker import _SMALL_BLINDED, _small_words
-from blindsim.isa import _DRAWS, _DRAWS_BITS, _N_DRAWS, _REG_BITS, _below
-from blindsim.model import REG_COUNT, MemoryImage, SystemState, TaggedWord, _word, check_machine_size
+from blindsim.checker import _DRAWS, _DRAWS_BITS, _N_DRAWS, _REG_BITS, _SMALL_BLINDED, _small_words
+from blindsim.model import REG_COUNT, MemoryImage, SystemState, TaggedWord, check_machine_size
+
+
+def _below(getrandbits, n: int) -> int:
+    """``rng.randrange(n)`` through ``rng``'s bound ``getrandbits``.
+
+    CPython's ``_randbelow`` rejection loop: draw ``n.bit_length()`` bits
+    until the draw is below ``n``.  It gives the same value and leaves the
+    generator in the same state as ``randrange(n)`` (and ``choice(seq)``
+    is ``seq[_below(getrandbits, len(seq))]``).  Raises ValueError for
+    ``n <= 0``, as ``randrange`` does, where the bare loop would never end.
+    """
+    if n <= 0:
+        raise ValueError(f"empty range for a draw below {n}")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def _instruction_word(getrandbits) -> int:
@@ -45,7 +62,7 @@ def _redrawn(words: tuple[TaggedWord, ...], at: Sequence[int], rng) -> tuple[Tag
     rand, getrandbits = rng.random, rng.getrandbits
     out = list(words)
     for i in at:
-        out[i] = (_word(getrandbits(64), True) if rand() < 0.7
+        out[i] = (TaggedWord(getrandbits(64), True) if rand() < 0.7
                   else _SMALL_BLINDED[_below(getrandbits, 4)])
     return tuple(out)
 
@@ -65,11 +82,11 @@ def generate_equivalent_pair(
     blinded_at: list[int] = []
     for i in range(memory_words + REG_COUNT):
         if i < memory_words and rand() < 0.65:
-            w = _word(_instruction_word(getrandbits), rand() < 0.15)
+            w = TaggedWord(_instruction_word(getrandbits), rand() < 0.15)
         elif rand() < 0.5:
             w = small[_below(getrandbits, memory_words)][rand() < 0.3]
         else:
-            w = _word(getrandbits(64), rand() < 0.3)
+            w = TaggedWord(getrandbits(64), rand() < 0.3)
         if w.blinded:
             blinded_at.append(i)
         words.append(w)

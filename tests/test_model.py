@@ -1,7 +1,6 @@
 """Properties of tagged words, state equivalence, and redaction."""
 
 import random
-from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from blindsim.model import (
     Status,
     SystemState,
     TaggedWord,
-    _word,
     blinded,
     clear,
     list_equiv,
@@ -255,27 +253,6 @@ class TestContainers:
             TaggedWord(1 << 64)
         with pytest.raises(ValueError):
             TaggedWord(-1)
-
-    @pytest.mark.parametrize("blind", [False, True])
-    def test_word_builder_makes_a_tagged_word(self, blind):
-        rng = random.Random(11)
-        for value in [0, MASK64, *(rng.getrandbits(64) for _ in range(100)), *range(8)]:
-            w, ref = _word(value, blind), TaggedWord(value, blind)
-            assert type(w) is TaggedWord
-            assert (repr(w), hash(w)) == (repr(ref), hash(ref)) and w == ref
-            with pytest.raises(FrozenInstanceError):
-                w.value = 1
-            with pytest.raises(FrozenInstanceError):
-                w.blinded = not blind
-
-    @pytest.mark.parametrize("blind", [False, True])
-    @pytest.mark.parametrize("value", [-1, 1 << 64])
-    def test_word_builder_refuses_what_the_constructor_refuses(self, value, blind):
-        with pytest.raises(ValueError) as ref:
-            TaggedWord(value, blind)
-        with pytest.raises(ValueError) as built:
-            _word(value, blind)
-        assert str(built.value) == str(ref.value)
 
     def test_constructors_mask(self):
         assert clear(1 << 64).value == 0

@@ -583,6 +583,29 @@ class TestServerSession:
         assert len(session.traces) == 1
         assert after_fourth - after_first < len(session.traces[0])
 
+    def test_a_compute_frees_the_previous_trace_before_it_runs(self):
+        # The second compute's peak, over one baseline taken before the
+        # first, would hold the first text too if the session kept it
+        # through the run.
+        session = ServerSession(
+            DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
+            MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=20_000,
+        )
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
+        frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
+        peaks = []
+        tracemalloc.start()
+        try:
+            baseline, _ = tracemalloc.get_traced_memory()
+            for _ in range(3):
+                tracemalloc.reset_peak()
+                session.handle_frame(frame)
+                peaks.append(tracemalloc.get_traced_memory()[1] - baseline)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] - peaks[0] < len(session.traces[0]) // 2
+
     @pytest.mark.parametrize("kind", ["result", "hsm-hello"])
     def test_a_reply_frame_from_the_client_is_unexpected(self, kind):
         session, _ = self.make_session()

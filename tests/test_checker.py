@@ -630,6 +630,17 @@ class TestEquivalentPairs:
             assert state_equiv(s1, s2)
             assert s1.status is Status.RUNNING
 
+    @pytest.mark.parametrize("words, lines", [(64, 8), (1024, 16)])
+    def test_drawn_words_are_tagged_words(self, words, lines):
+        # Both states' words are built inline with the slot setters, the
+        # twin's redrawn ones too; each must be the constructor's word.
+        for seed in range(20):
+            for s in generate_equivalent_pair(seed, words, lines):
+                for w in (*s.registers, *s.memory):
+                    ref = TaggedWord(w.value, w.blinded)
+                    assert type(w) is TaggedWord and type(w.blinded) is bool
+                    assert (repr(w), hash(w)) == (repr(ref), hash(ref)) and w == ref
+
     def test_no_blinded_means_bitwise_identical(self):
         s = SystemState.initial(64, 8).edit(
             pc=5, registers=[(1, clear(7))], memory=[(3, clear(9))], lines=[(2, 3)]

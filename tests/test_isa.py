@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
@@ -391,6 +392,26 @@ class TestArithmeticOracle:
                     assert memop == expected_memop and control == expected_control
                     cases += 1
         assert cases == 8 * len(ARITHMETIC) * 2 * 2 * 49
+
+
+    @pytest.mark.parametrize("b_blind", [False, True])
+    @pytest.mark.parametrize("a_blind", [False, True])
+    def test_alu_word_is_a_tagged_word(self, a_blind, b_blind):
+        # The ALU word is built inline with the slot setters; it must be
+        # the constructor's word, frozen, tagged as the join of its inputs.
+        rng = random.Random(2031)
+        for op, mode in itertools.product(ARITHMETIC, Mode):
+            d = DecodedInstruction(op, (3, 4), 5)
+            for _ in range(20):
+                # Nonzero operands from two registers reach the ALU itself.
+                a = TaggedWord(rng.getrandbits(64) | 1, a_blind)
+                b = TaggedWord(rng.getrandbits(64) | 1, b_blind)
+                out, _, _ = instruction_semantics(d, [a, b], mode)
+                ref = TaggedWord(out.value, a_blind or b_blind)
+                assert type(out) is TaggedWord
+                assert (repr(out), hash(out)) == (repr(ref), hash(ref)) and out == ref
+                with pytest.raises(FrozenInstanceError):
+                    out.value = 1
 
 
 def _random_inputs(rng, d):

@@ -1,6 +1,7 @@
 """Properties of tagged words, state equivalence, and redaction."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from blindsim.model import (
     Status,
     SystemState,
     TaggedWord,
+    _new_object,
+    _set_blinded,
+    _set_value,
     blinded,
     clear,
     list_equiv,
@@ -253,6 +257,23 @@ class TestContainers:
             TaggedWord(1 << 64)
         with pytest.raises(ValueError):
             TaggedWord(-1)
+
+    @pytest.mark.parametrize("blind", [False, True])
+    def test_slot_built_word_is_a_tagged_word(self, blind):
+        # The inline build that the ALU word and the pair draw use: a word
+        # whose slots are filled without __init__ is the constructor's word.
+        rng = random.Random(11)
+        for value in [0, MASK64, *(rng.getrandbits(64) for _ in range(100)), *range(8)]:
+            w = _new_object(TaggedWord)
+            _set_value(w, value)
+            _set_blinded(w, blind)
+            ref = TaggedWord(value, blind)
+            assert type(w) is TaggedWord
+            assert (repr(w), hash(w)) == (repr(ref), hash(ref)) and w == ref
+            with pytest.raises(FrozenInstanceError):
+                w.value = 1
+            with pytest.raises(FrozenInstanceError):
+                w.blinded = not blind
 
     def test_constructors_mask(self):
         assert clear(1 << 64).value == 0

@@ -101,8 +101,12 @@ class _Assembler:
         self.diags.append(Diagnostic(line, col, msg))
 
     def parse_value(self, tok: str, line: int, col: int, allow_label: bool):
-        """Integer literal or (when allowed) a label name; None on error."""
+        """Integer literal or (when allowed) a label name; None on error.
+        A literal's digits are ASCII: ``int()`` alone reads any Unicode
+        decimal digit."""
         try:
+            if not tok.isascii():
+                raise ValueError(tok)
             value = int(tok, 0)
         except ValueError:
             if _NAME_RE.match(tok):
@@ -120,7 +124,8 @@ class _Assembler:
     def parse_register(self, tok: str, line: int, col: int) -> int | None:
         # Leading zeros are allowed (r01 is r1), so only the last two
         # digits may be nonzero; int() never sees a long digit string.
-        m = re.match(r"^r(\d+)$", tok)
+        # The digits are ASCII: ``\d`` alone matches any Unicode digit.
+        m = re.match(r"^r(\d+)$", tok, re.ASCII)
         if not m or any(map(int, m.group(1)[:-2])) or int(m.group(1)[-2:]) >= REG_COUNT:
             self.err(line, col, f"bad register {tok!r} (expected r0..r{REG_COUNT - 1})")
             return None

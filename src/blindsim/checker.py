@@ -31,9 +31,9 @@ the harness draws is equivalent by construction, and so is each
 candidate of a shrink, which copies one blinded payload across; only a
 pair a caller passes to ``shrink_pair`` is checked, once.
 A trial stops when both sides halt or fault, at the step budget, or at
-the blinded-fetch fixed point: with tags on, a machine at pc 0 whose
-word 0 is blinded traps to pc 0 on every step and writes nothing, and
-both sides of an equivalent pair get there together.  A check reports
+the blinded-fetch fixed point: a machine at pc 0 whose word 0 is
+blinded traps to pc 0 on every step and writes nothing, and both
+sides of an equivalent pair get there together.  A check reports
 the pair-steps it ran and each trial's stop.  On failure it shrinks
 the payload delta to a minimal counterexample.  With raw unblinding
 disabled (the default) the shipped semantics never fails this check;
@@ -209,7 +209,7 @@ def parse_signature(text: str) -> TaintSignature:
                 raise ValueError(f"bad taint tag {tag_text!r} in {part!r}") from None
             name = name.strip().lower()
             kind, digits = name[:1], name[1:]
-            if kind not in ("r", "s") or not digits.isdecimal():
+            if kind not in ("r", "s") or not (digits.isascii() and digits.isdecimal()):
                 raise ValueError(f"bad signature entry {part!r}")
             if kind == "r":
                 table, limit, what = registers, REG_COUNT, "register"
@@ -962,11 +962,11 @@ def _run_pair(
 
     The stop is read from the loop's exit and side 1's status, with no
     work per pair-step.  The trial ends at ``fixed-point``, with no
-    divergence, once both sides are RUNNING at pc 0 with
-    ``cfg.tag_logic`` on and word 0 blinded.  Equivalence gives both
-    sides that pc and that tag, and from there every step on either side
-    is ``Fault(k, BLINDED_INSTRUCTION_FETCH)``: it leaves pc at 0, writes
-    nothing, and neither decodes nor calls the semantics.  So the
+    divergence, once both sides are RUNNING at pc 0 with word 0
+    blinded.  Equivalence gives both sides that pc and that tag, and
+    from there every step on either side is ``Fault(k,
+    BLINDED_INSTRUCTION_FETCH)``: it leaves pc at 0, writes nothing, and
+    neither decodes nor calls the semantics.  So the
     remaining steps could not diverge, and the stop changes no result and
     no call a semantics sees.
     """
@@ -974,12 +974,12 @@ def _run_pair(
     # Equivalent states fetch the same clear word, so one decode serves
     # both sides; the slot's value check keeps a divergent fetch correct.
     m1.decoded = m2.decoded = decoded
-    tags, memory = cfg.tag_logic, m1.memory
+    memory = m1.memory
     step1, step2 = m1.step, m2.step
     for k in range(steps):
         if m1.status is not _RUNNING or m2.status is not _RUNNING:
             break  # both stopped (equivalence already guarantees same way)
-        if tags and m1.pc == 0 and memory[0].blinded:
+        if m1.pc == 0 and memory[0].blinded:
             break  # the blinded-fetch fixed point: every later step traps alike
         out1 = step1(cfg, k, semantics)
         out2 = step2(cfg, k, semantics)
@@ -1063,8 +1063,8 @@ def check_noninterference(
     self-composed pair).  A full ``state_equiv`` at the end of each
     trial cross-checks this and raises RuntimeError if it ever disagrees.
     A trial that reaches the blinded-fetch fixed point (pc 0, word 0
-    blinded, tags on) ends there: every later step would trap alike on
-    both sides without a write or a semantics call (see
+    blinded) ends there: every later step would trap alike on both
+    sides without a write or a semantics call (see
     :func:`_run_pair`).
 
     With ``program`` given, it is booted once and each trial's pair is

@@ -13,6 +13,7 @@ import json
 import socket
 import sys
 import threading
+from collections import Counter
 
 from . import checker, corpus, machine
 from .assembler import (
@@ -249,7 +250,12 @@ def cmd_check(args) -> int:
             ],
             "noninterference": None
             if dynamic is None
-            else {"passed": dynamic.passed, "trials": dynamic.trials},
+            else {
+                "passed": dynamic.passed,
+                "trials": dynamic.trials,
+                "pair_steps": dynamic.pair_steps,
+                "stops": dict(sorted(Counter(dynamic.stops).items())),
+            },
         }
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2)

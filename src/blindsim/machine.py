@@ -39,12 +39,11 @@ Under CPython 3.11 on a 2-core x86 host an ``Enum.MEMBER`` lookup costs
 generated ``__new__`` 300-610 ns against 150-230 ns through
 ``tuple.__new__``, which fills no default and checks no arity, so every
 field is given.  The events stay named tuples, with the same fields,
-reprs and public constructors.  With ``tag_logic`` on, a word is read as
-stored, with no call per read.
+reprs and public constructors.
 
-A step also makes no frame or iterator beyond its own.  With
-``tag_logic`` on it reads its input registers by count -- an instruction
-has 0, 1 or 2 -- into a list display rather than a comprehension; and
+A step also makes no frame or iterator beyond its own.  It reads its
+input registers by count -- an instruction has 0, 1 or 2 -- into a list
+display rather than a comprehension; and
 :meth:`MachineConfig.is_unblindable` and the cache-hit rescan are plain
 loops rather than ``any`` or ``next`` over a generator.  On the same
 host a two-register comprehension costs about 235 ns against 95 ns for
@@ -130,9 +129,7 @@ class MachineConfig:
     ``unblindable_ranges`` are half-open word-address intervals that may
     never receive blinded data (memory-mapped peripherals).  If
     ``mmio_console`` is set it must lie inside one of them; clear stores
-    to it show up in the trace as console output.  ``tag_logic=False``
-    turns the machine into a plain untagged reference machine (used to
-    demonstrate that tag-free programs behave identically).
+    to it show up in the trace as console output.
     """
 
     mode: Mode = Mode.HARDWARE
@@ -141,7 +138,6 @@ class MachineConfig:
     cache_lines: int = 16
     unblindable_ranges: tuple[tuple[int, int], ...] = ()
     mmio_console: int | None = None
-    tag_logic: bool = True
 
     def __post_init__(self) -> None:
         check_machine_size(self.memory_words, self.cache_lines)
@@ -264,11 +260,6 @@ def format_trace(events: Sequence[TraceEvent]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _untagged(w: TaggedWord) -> TaggedWord:
-    """The word as the untagged reference machine reads it: clear."""
-    return TaggedWord(w.value, False) if w.blinded else w
-
-
 def step(
     s: SystemState,
     cfg: MachineConfig,
@@ -343,11 +334,8 @@ class ListMachine:
         one stop that leaves the machine RUNNING, with a :class:`Fault`
         as its last event.
 
-        With ``tag_logic`` on, every word is read as stored.  Under
-        ``tag_logic=False`` a blinded instruction word is fetched like
-        any other and every other word a step reads passes through
-        :func:`_untagged`, so no tag check fires and no tag reaches a
-        write.  Every read sees the state before the step.
+        Every word is read as stored, and every read sees the state
+        before the step.
 
         ``decoded`` is a decode slot per address, ``{pc: (word, d,
         d.inputs, d.output)}`` for the :class:`DecodedInstruction` ``d``
@@ -355,7 +343,6 @@ class ListMachine:
         the fetched word equals the stored word, so it is never a state
         input: it skips a decode, and nothing else.
         """
-        tags = cfg.tag_logic
         memory = self.memory
         size = self.size
         pc = self.pc
@@ -365,7 +352,7 @@ class ListMachine:
             return (_new(Fault, (cycle, _OUT_OF_RANGE, False)),), None, None, None
 
         instr = memory[pc]
-        if instr.blinded and tags:
+        if instr.blinded:
             # Trap to the handler at address 0; the payload never reaches the
             # decoder, so the trace shows only the (tag-derived) fault signal.
             self.pc = 0
@@ -384,9 +371,7 @@ class ListMachine:
         _, d, ops, dst = slot
 
         registers = self.registers
-        if not tags:
-            inputs = [_untagged(registers[i]) for i in ops]
-        elif len(ops) == 2:
+        if len(ops) == 2:
             inputs = [registers[ops[0]], registers[ops[1]]]
         elif ops:
             inputs = [registers[ops[0]]]
@@ -447,26 +432,22 @@ class ListMachine:
             )
             if kind is _MEM_STORE:
                 word = registers[register]
-                if not tags:
-                    word = _untagged(word)
-                elif word.blinded and cfg.is_unblindable(address):
+                if word.blinded and cfg.is_unblindable(address):
                     self.status, self.fault = _FAULTED, _BLINDED_STORE
                     return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), None, None, None
                 memory_write = (address, word)
                 if address == cfg.mmio_console:
                     events += (_new(MmioWrite, (cycle, word.value)),)
             else:
-                word = memory[address]
-                register_write = (register, word if tags else _untagged(word))
+                register_write = (register, memory[address])
         else:
+            # A tag edit retags the word in place: it reaches no cache line
+            # and emits no event.
             events = (fetch,)
-            if tags:
-                # A tag edit retags the word in place: it reaches no cache line
-                # and emits no event, and the untagged machine ignores it.
-                if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
-                    self.status, self.fault = _FAULTED, _DECODE_ERROR
-                    return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
-                memory_write = (address, TaggedWord(memory[address].value, kind is _MEM_BLIND))
+            if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
+                self.status, self.fault = _FAULTED, _DECODE_ERROR
+                return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
+            memory_write = (address, TaggedWord(memory[address].value, kind is _MEM_BLIND))
 
         # Every check has passed: commit.
         self.pc = next_pc

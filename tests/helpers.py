@@ -1,6 +1,7 @@
 """Helpers that only the tests call: a decoded random instruction, a
-count of calls into ``blindsim``, one event's trace line and the
-console-report program.  Nothing in ``src/`` imports this module.
+count of calls into ``blindsim``, one event's trace line, the
+console-report program and the ISA's reference semantics without its
+tag policy.  Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -8,8 +9,9 @@ from __future__ import annotations
 import random
 import sys
 
-from blindsim.isa import DecodedInstruction, decode
+from blindsim.isa import DecodedInstruction, MemKind, MemoryOperation, Mode, Opcode, decode
 from blindsim.machine import TraceEvent, format_trace
+from blindsim.model import MASK64, Status, TaggedWord
 from draw_reference import _instruction_word
 
 
@@ -66,3 +68,40 @@ pool:
     .word {data_addr:#x}
     .word {mmio_addr:#x}
 """
+
+
+# The arithmetic, one lambda per opcode.  The reference semantics and the
+# policy oracle of ``test_isa`` take it from here, not from ``isa.ALU``, so
+# neither shares code with the semantics under test.
+ORACLE_ALU = {
+    Opcode.ADD: lambda a, b: (a + b) & MASK64,
+    Opcode.SUB: lambda a, b: (a - b) & MASK64,
+    Opcode.MUL: lambda a, b: (a * b) & MASK64,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.XOR: lambda a, b: a ^ b,
+}
+
+
+def untagged_semantics(d: DecodedInstruction, inputs, mode: Mode):
+    """The ISA without its tag policy, in the shape of
+    :func:`~blindsim.isa.instruction_semantics`: it reads payloads only,
+    every output is clear, ``blnd`` and ``rblnd`` edit nothing and ``bz``
+    jumps on values, so ``mode`` changes nothing.  Passed to ``run`` as
+    ``semantics=`` it makes the reference machine for a state with no
+    blinded word: no word ever becomes blinded, so the machine's own tag
+    checks (a blinded fetch, a blinded store into an unblindable range)
+    never fire."""
+    op = d.opcode
+    values = [w.value for w in inputs]
+    if op is Opcode.HALT:
+        return None, None, Status.HALTED
+    if op is Opcode.STORE:
+        return None, MemoryOperation(MemKind.STORE, values[0], d.inputs[1]), None
+    if op is Opcode.LOAD:
+        return None, MemoryOperation(MemKind.LOAD, values[0], d.output), None
+    if op is Opcode.BZ:
+        condition, target = values
+        return None, None, target if condition == 0 else None
+    if op is Opcode.BLND or op is Opcode.RBLND:
+        return None, None, None
+    return TaggedWord(ORACLE_ALU[op](*values), False), None, None

@@ -56,7 +56,7 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import mmio_report
+from helpers import mmio_report, untagged_semantics
 
 
 def verdict_line(name: str, ok: bool, detail: str) -> None:
@@ -478,7 +478,7 @@ def test_a7_checker_soundness():
 
 
 # ---------------------------------------------------------------------------
-# A8: tag-free compatibility against the reference machine
+# A8: tag-free compatibility against the plain ISA's semantics
 # ---------------------------------------------------------------------------
 
 
@@ -491,19 +491,12 @@ def test_a8_compatibility():
         image = assemble(source)
         for mode in Mode:
             cfg = corpus_config(entry, mode)
-            ref_cfg = MachineConfig(
-                mode=mode,
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-                tag_logic=False,
-            )
             # same inputs, just not blinded
             s = boot_image(image, cfg).edit(registers=[(i, clear(13)) for i in entry.blinded_regs])
+            assert not any(w.blinded for w in (*s.registers, *s.memory.words)), entry.name
 
             policy = run(s, cfg, 1000)
-            reference = run(s, ref_cfg, 1000)
+            reference = run(s, cfg, 1000, semantics=untagged_semantics)
             assert format_trace(policy.trace) == format_trace(reference.trace), entry.name
             assert policy.state == reference.state, entry.name
             assert snapshot(policy.state) == snapshot(reference.state)

@@ -113,11 +113,31 @@ class TestDiagnostics:
         [(line, col, msg)] = diag_positions("halt\nadd r1, r2, r" + "9" * 5000 + "\n")
         assert (line, col) == (2, 13) and "bad register" in msg
 
-    @pytest.mark.parametrize(
-        "name", ["r01", "r" + "0" * 5000 + "1", "r\u0661"], ids=["r01", "r0...01", "arabic-indic"]
-    )
-    def test_leading_zeros_and_unicode_digits_name_a_register(self, name):
+    @pytest.mark.parametrize("name", ["r01", "r" + "0" * 5000 + "1"], ids=["r01", "r0...01"])
+    def test_leading_zeros_name_a_register(self, name):
         assert assemble(f"add {name}, r2, r3\n") == assemble("add r1, r2, r3\n")
+
+    # The grammar's numerals are ASCII: ``\d`` and ``int()`` alone would
+    # read any Unicode decimal digit, so ``r\u0663`` would name r3 and
+    # ``\u0661\u0662`` (Arabic-Indic) or ``\uff11\uff12`` (fullwidth)
+    # would be 12.
+    @pytest.mark.parametrize(
+        "source, position, message",
+        [
+            ("add r1, r2, r\u0663\n", (1, 13), "bad register 'r\u0663'"),
+            ("halt\nadd r\u0661, r2, r3\n", (2, 5), "bad register 'r\u0661'"),
+            ("halt\nstore r1, r\uff12\n", (2, 11), "bad register 'r\uff12'"),
+            (".word \u0661\u0662\n", (1, 7), "bad value '\u0661\u0662'"),
+            ("halt\n.word \uff11\uff12\n", (2, 7), "bad value '\uff11\uff12'"),
+            (".org 1\u0662\n", (1, 6), "bad value '1\u0662'"),
+            (".entry \u0660\nhalt\n", (1, 8), "bad value '\u0660'"),
+        ],
+        ids=["register", "register-leading", "fullwidth-register", "word", "fullwidth-word",
+             "org", "entry"],
+    )
+    def test_non_ascii_numerals_are_refused(self, source, position, message):
+        [(line, col, msg)] = diag_positions(source)
+        assert (line, col) == position and msg.startswith(message), msg
 
     def test_duplicate_label(self):
         [(line, col, msg)] = diag_positions("x:\nhalt\nx:\n")

@@ -170,14 +170,17 @@ class TestCheck:
         code = main([
             "check", img, "--sig", "r1=B,r2=B",
             "--mem-words", "64", "--cache-lines", "8",
-            "--trials", "25", "--report", str(report),
+            "--trials", "25", "--seed", "0", "--steps", "200", "--report", str(report),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "verdict: compliant" in out and "non-interference: pass" in out
         data = json.loads(report.read_text())
         assert data["verdict"] == "compliant"
-        assert data["noninterference"]["passed"] is True
+        # The harness's counts: 325 pair-steps over 25 trials, each of which halts.
+        assert data["noninterference"] == {
+            "passed": True, "trials": 25, "pair_steps": 325, "stops": {"halted": 25},
+        }
 
     def test_report_lists_the_analysis_findings(self, work, capsys):
         tmp, write = work

@@ -37,7 +37,7 @@ from blindsim.model import (
 
 from conftest import random_word, twin_word
 from draw_reference import _below, _instruction_word
-from helpers import random_instruction
+from helpers import ORACLE_ALU, random_instruction, untagged_semantics
 
 
 class TestEncode:
@@ -347,17 +347,8 @@ class TestSpecialCases:
         assert control is Status.HALTED
 
 
-# The arithmetic as it was before ``ALU`` held C operator functions: one
-# lambda per opcode, its result word built by the ``TaggedWord`` constructor.
-_ORACLE_ALU = {
-    Opcode.ADD: lambda a, b: (a + b) & MASK64,
-    Opcode.SUB: lambda a, b: (a - b) & MASK64,
-    Opcode.MUL: lambda a, b: (a * b) & MASK64,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.XOR: lambda a, b: a ^ b,
-}
-
-
+# The policy's arithmetic over ``ORACLE_ALU``, its result word built by the
+# ``TaggedWord`` constructor.
 def _oracle_arithmetic(d, inputs):
     op = d.opcode
     a, b = inputs
@@ -367,7 +358,7 @@ def _oracle_arithmetic(d, inputs):
         (not a.blinded and a.value == 0) or (not b.blinded and b.value == 0)
     ):
         return ZERO, None, None
-    return TaggedWord(_ORACLE_ALU[op](a.value, b.value), a.blinded or b.blinded), None, None
+    return TaggedWord(ORACLE_ALU[op](a.value, b.value), a.blinded or b.blinded), None, None
 
 
 class TestArithmeticOracle:
@@ -412,6 +403,60 @@ class TestArithmeticOracle:
                 assert (repr(out), hash(out)) == (repr(ref), hash(ref)) and out == ref
                 with pytest.raises(FrozenInstanceError):
                     out.value = 1
+
+
+class TestPolicyIsThePlainIsaOnClearWords:
+    """On clear inputs the shipped semantics is the ISA without its tag
+    policy (``helpers.untagged_semantics``) for every opcode but ``blnd``
+    and ``rblnd``, which are tag edits by definition.  So the precision
+    cases ``SELF_ZEROING`` and ``ZERO_ABSORBING`` never change a clear
+    result."""
+
+    TAG_EDITS = (Opcode.BLND, Opcode.RBLND)
+
+    @staticmethod
+    def assert_plain(d, values, mode):
+        """Both semantics agree on ``d`` with register ``r`` holding clear
+        ``values[r]``; the inputs of a same-register instruction are equal."""
+        inputs = [clear(values[r]) for r in d.inputs]
+        policy = instruction_semantics(d, inputs, mode)
+        plain = untagged_semantics(d, inputs, mode)
+        assert policy == plain and type(policy[2]) is type(plain[2]), (d, inputs, mode)
+
+    def test_every_operand_class(self):
+        # Clear 0, 1, 2**63, MASK64 and random in each input register, the
+        # registers the same and two.
+        rng = random.Random(2034)
+        cases = 0
+        for _ in range(8):
+            classes = [0, 1, 2**63, MASK64, rng.getrandbits(64)]
+            for op, mode in itertools.product(Opcode, Mode):
+                if op in self.TAG_EDITS:
+                    continue
+                n_inputs, writes = SHAPES[op]
+                for regs in sorted({(3, 3)[:n_inputs], (3, 4)[:n_inputs]}):
+                    d = DecodedInstruction(op, regs, 5 if writes else None)
+                    for combo in itertools.product(classes, repeat=len(set(regs))):
+                        self.assert_plain(d, dict(zip((3, 4), combo)), mode)
+                        cases += 1
+        # Per mode: halt 1, load 5, and store, bz and the five arithmetic
+        # opcodes 5 + 25 each.
+        assert cases == 8 * 2 * (1 + 5 + 7 * 30)
+
+    def test_random_instructions(self):
+        rng = random.Random(2035)
+        opcodes, same_register = set(), 0
+        for i in range(2000):
+            d = random_instruction(rng)
+            while d.opcode in self.TAG_EDITS:
+                d = random_instruction(rng)
+            values = {
+                r: rng.choice((0, 1, 2**63, MASK64, rng.getrandbits(64))) for r in d.inputs
+            }
+            self.assert_plain(d, values, Mode.MODEL if i % 2 else Mode.HARDWARE)
+            opcodes.add(d.opcode)
+            same_register += len(set(d.inputs)) < len(d.inputs)
+        assert opcodes == set(Opcode) - set(self.TAG_EDITS) and same_register > 0
 
 
 def _random_inputs(rng, d):

@@ -62,7 +62,13 @@ from blindsim.model import (
 import mutants
 from conftest import random_word, twin_word
 from draw_reference import _instruction_word
-from helpers import blindsim_calls, format_event, mmio_report, random_instruction
+from helpers import (
+    blindsim_calls,
+    format_event,
+    mmio_report,
+    random_instruction,
+    untagged_semantics,
+)
 
 
 def iw(op, ins=(), out=None):
@@ -545,8 +551,8 @@ ADDS = [iw(Opcode.ADD, (1, 2), 3)] * 5 + [HALT]
 
 class TestRangeCheckAtTheEndOfMemory:
     """A fall-through leaves memory only past its last word, and a jump
-    target gets the full range check; with and without tag logic, through
-    ``run`` and through the lockstep harness."""
+    target gets the full range check, through ``run`` and through the
+    lockstep harness."""
 
     # Seven steps load r5 = 1 (a nonzero condition), r4 = 20 (a clear
     # address) and r7 = the target, then jump there with ``bz r0, r7`` at
@@ -579,15 +585,12 @@ pool:
         "bz-not-taken": "bz r5, r4",
     }
 
-    @staticmethod
-    def configs(tag_logic):
-        return [MachineConfig(mode=mode, memory_words=32, cache_lines=8, tag_logic=tag_logic) for mode in Mode]
+    CONFIGS = [MachineConfig(mode=mode, memory_words=32, cache_lines=8) for mode in Mode]
 
     @staticmethod
     def checked(image, cfg):
-        """Semantics calls per side per trial of a passing harness check.
-        Without tag logic a blinded word is stored clear, so r2 is blinded
-        only with it."""
+        """Semantics calls per side per trial of a passing harness check
+        with r2 blinded."""
         calls = []
 
         def counted(d, inputs, mode):
@@ -596,7 +599,7 @@ pool:
 
         result = check_noninterference(
             image, trials=4, steps=50, cfg=cfg, seed=1, semantics=counted,
-            blinded_regs=(2,) if cfg.tag_logic else (),
+            blinded_regs=(2,),
         )
         assert result.passed and result.trials == 4
         assert len(calls) % 8 == 0
@@ -605,13 +608,12 @@ pool:
     def image(self, target, body):
         return assemble(self.PROGRAM.format(target=target, body=body))
 
-    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-    def test_a_non_jump_in_the_last_word_faults(self, shape, tag_logic):
+    def test_a_non_jump_in_the_last_word_faults(self, shape):
         image = self.image(31, shape)
         word = image.segments[-1].words[0].value
         n = self.PROLOGUE_STEPS + 1
-        for cfg in self.configs(tag_logic):
+        for cfg in self.CONFIGS:
             r = run(boot_image(image, cfg), cfg, max_steps=50)
             assert r.outcome is RunOutcome.FAULTED and r.steps == n
             assert r.trace[-2:] == (Fetch(n - 1, 31, word), Fault(n - 1, FaultKind.OUT_OF_RANGE))
@@ -619,26 +621,24 @@ pool:
             assert r.state.registers[3] == clear(0) and r.state.memory[20] == clear(0)
             assert self.checked(image, cfg) == n
 
-    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-    def test_a_non_jump_in_the_word_before_falls_through(self, shape, tag_logic):
+    def test_a_non_jump_in_the_word_before_falls_through(self, shape):
         image = self.image(30, f"{shape}\nhalt")
         n = self.PROLOGUE_STEPS + 2
-        for cfg in self.configs(tag_logic):
+        for cfg in self.CONFIGS:
             r = run(boot_image(image, cfg), cfg, max_steps=50)
             assert r.outcome is RunOutcome.HALTED and r.steps == n
             assert r.trace[-2:] == (Fetch(n - 1, 31, HALT), Halt(n - 1))
             assert self.checked(image, cfg) == n
 
-    @pytest.mark.parametrize("tag_logic", [True, False], ids=["tags", "no-tags"])
     @pytest.mark.parametrize(
         "target, outcome, steps",
         [(32, RunOutcome.FAULTED, PROLOGUE_STEPS), (31, RunOutcome.HALTED, PROLOGUE_STEPS + 1)],
         ids=["to-memory-words", "to-the-last-word"],
     )
-    def test_a_jump_to_the_end_of_memory(self, target, outcome, steps, tag_logic):
+    def test_a_jump_to_the_end_of_memory(self, target, outcome, steps):
         image = self.image(target, "halt" if target < 32 else "")
-        for cfg in self.configs(tag_logic):
+        for cfg in self.CONFIGS:
             r = run(boot_image(image, cfg), cfg, max_steps=50)
             assert r.outcome is outcome and r.steps == steps
             if outcome is RunOutcome.FAULTED:
@@ -878,9 +878,8 @@ class TestRunMatchesStepFold:
     the same final state, trace, outcome and step count."""
 
     CONFIGS = [
-        dict(mode=mode, tag_logic=tag_logic, allow_raw_unblind=raw)
+        dict(mode=mode, allow_raw_unblind=raw)
         for mode in Mode
-        for tag_logic in (True, False)
         for raw in (False, True)
     ]
 
@@ -964,7 +963,7 @@ class TestRunDigest:
             kinds.update(map(type, r.trace))
         assert kinds == set(typing.get_args(TraceEvent))
         assert h.hexdigest() == (
-            "058fbb13097d3a8b091ac68bf537fd4b0a82b2d232d182ec2a395206dfcefe88"
+            "ec1a237bfa0d18d382f0d153ab72485495946f468920f366c6ae358135b27a85"
         )
 
 
@@ -1080,22 +1079,19 @@ class TestDecodeSlot:
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
-        "tag_logic, raw, outcome, traps",
+        "raw, outcome",
         [
-            pytest.param(True, True, RunOutcome.HALTED, 1, id="rblnd-runs-it-again"),
-            pytest.param(True, False, RunOutcome.FAULTED, 1, id="rblnd-refused"),
-            pytest.param(False, False, RunOutcome.HALTED, 0, id="no-tag-logic"),
+            pytest.param(True, RunOutcome.HALTED, id="rblnd-runs-it-again"),
+            pytest.param(False, RunOutcome.FAULTED, id="rblnd-refused"),
         ],
     )
-    def test_word_blinded_after_decode_traps(self, mode, tag_logic, raw, outcome, traps):
-        cfg = MachineConfig(
-            mode=mode, memory_words=32, cache_lines=8, tag_logic=tag_logic, allow_raw_unblind=raw
-        )
+    def test_word_blinded_after_decode_traps(self, mode, raw, outcome):
+        cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8, allow_raw_unblind=raw)
         s = make_state(self.BLINDED_AFTER_DECODE, regs=self.REGS, pc=1)
         r = run(s, cfg, max_steps=50)
         assert r.outcome is outcome
         faults = [e.kind for e in r.trace if isinstance(e, Fault)]
-        assert faults.count(FaultKind.BLINDED_INSTRUCTION_FETCH) == traps
+        assert faults.count(FaultKind.BLINDED_INSTRUCTION_FETCH) == 1
         if outcome is RunOutcome.HALTED:
             assert r.state.registers[3] == clear(2)
         else:
@@ -1315,15 +1311,13 @@ class TestEventEqualityIsExact:
         assert shared == [{Fetch, CacheUpdate}]
 
     @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize("tag_logic", [True, False])
-    def test_single_steps_from_random_pairs(self, mode, tag_logic):
+    def test_single_steps_from_random_pairs(self, mode):
         cfg = MachineConfig(
             mode=mode,
             memory_words=64,
             cache_lines=8,
             unblindable_ranges=((40, 48),),
             mmio_console=41,
-            tag_logic=tag_logic,
         )
         seen = set()
         for seed in range(400):
@@ -1358,58 +1352,8 @@ class TestEventEqualityIsExact:
 
 
 class TestReferenceMachine:
-    """tag_logic=False ignores tags entirely."""
-
-    def test_blinded_fetch_executes(self):
-        cfg = MachineConfig(memory_words=32, cache_lines=8, tag_logic=False)
-        s = make_state([TaggedWord(HALT, True)])
-        nxt, events = step(s, cfg)
-        assert nxt.status is Status.HALTED
-
-    def test_blinded_operands_do_not_taint(self):
-        cfg = MachineConfig(memory_words=32, cache_lines=8, tag_logic=False)
-        s = make_state(
-            [iw(Opcode.ADD, (1, 2), 3), HALT],
-            regs={1: blinded(4), 2: clear(5)},
-        )
-        nxt, _ = step(s, cfg)
-        assert nxt.registers[3] == clear(9)
-
-    @pytest.mark.parametrize("mode", list(Mode))
-    @pytest.mark.parametrize(
-        "words, regs, where, expected",
-        [
-            pytest.param(
-                [iw(Opcode.LOAD, (1,), 2), HALT, blinded(0x77)],
-                {1: clear(2)}, "r2", clear(0x77), id="blinded-word-loads-clear",
-            ),
-            pytest.param(
-                [iw(Opcode.STORE, (1, 2)), HALT],
-                {1: clear(25), 2: blinded(7)}, "m25", clear(7), id="store-to-unblindable",
-            ),
-            pytest.param(
-                [iw(Opcode.BLND, (1,)), HALT, clear(0x55)],
-                {1: clear(2)}, "m2", clear(0x55), id="blnd-no-tag-edit",
-            ),
-            pytest.param(
-                [iw(Opcode.RBLND, (1,)), HALT, blinded(0x55)],
-                {1: clear(2)}, "m2", blinded(0x55), id="rblnd-not-refused",
-            ),
-        ],
-    )
-    def test_tag_policy_does_not_apply(self, mode, words, regs, where, expected):
-        cfg = MachineConfig(
-            mode=mode,
-            memory_words=32,
-            cache_lines=8,
-            unblindable_ranges=((24, 28),),
-            tag_logic=False,
-        )
-        nxt, events = step(make_state(words, regs=regs), cfg)
-        assert nxt.status is Status.RUNNING and nxt.pc == 1
-        assert not any(isinstance(e, Fault) for e in events)
-        store = nxt.registers if where[0] == "r" else nxt.memory
-        assert store[int(where[1:])] == expected
+    """A program with no blinded word runs under the tag policy as under
+    the plain ISA (``helpers.untagged_semantics``)."""
 
     def test_taint_free_program_matches_policy_machine(self):
         prog = [
@@ -1421,6 +1365,6 @@ class TestReferenceMachine:
         regs = {1: clear(3), 2: clear(4), 4: clear(10)}
         s = make_state(prog, regs=regs)
         r_policy = run(s, CFG, max_steps=20)
-        r_ref = run(s, MachineConfig(memory_words=32, cache_lines=8, tag_logic=False), max_steps=20)
+        r_ref = run(s, CFG, max_steps=20, semantics=untagged_semantics)
         assert format_trace(r_policy.trace) == format_trace(r_ref.trace)
         assert r_policy.state == r_ref.state

@@ -552,7 +552,8 @@ ADDS = [iw(Opcode.ADD, (1, 2), 3)] * 5 + [HALT]
 class TestRangeCheckAtTheEndOfMemory:
     """A fall-through leaves memory only past its last word, and a jump
     target gets the full range check, through ``run`` and through the
-    lockstep harness."""
+    lockstep harness.  The check is the machine's, not the policy's, so it
+    holds alike under the plain ISA (``helpers.untagged_semantics``)."""
 
     # Seven steps load r5 = 1 (a nonzero condition), r4 = 20 (a clear
     # address) and r7 = the target, then jump there with ``bz r0, r7`` at
@@ -586,20 +587,24 @@ pool:
     }
 
     CONFIGS = [MachineConfig(mode=mode, memory_words=32, cache_lines=8) for mode in Mode]
+    SEMANTICS = pytest.mark.parametrize(
+        "semantics", [instruction_semantics, untagged_semantics], ids=["tags", "no-tags"]
+    )
 
     @staticmethod
-    def checked(image, cfg):
-        """Semantics calls per side per trial of a passing harness check
-        with r2 blinded."""
+    def checked(image, cfg, semantics):
+        """Semantics calls per side per trial of a passing harness check.
+        The plain ISA reads a blinded word's payload, so r2 is blinded
+        only under the policy."""
         calls = []
 
         def counted(d, inputs, mode):
             calls.append(d)
-            return instruction_semantics(d, inputs, mode)
+            return semantics(d, inputs, mode)
 
         result = check_noninterference(
             image, trials=4, steps=50, cfg=cfg, seed=1, semantics=counted,
-            blinded_regs=(2,),
+            blinded_regs=(2,) if semantics is instruction_semantics else (),
         )
         assert result.passed and result.trials == 4
         assert len(calls) % 8 == 0
@@ -608,45 +613,48 @@ pool:
     def image(self, target, body):
         return assemble(self.PROGRAM.format(target=target, body=body))
 
+    @SEMANTICS
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-    def test_a_non_jump_in_the_last_word_faults(self, shape):
+    def test_a_non_jump_in_the_last_word_faults(self, shape, semantics):
         image = self.image(31, shape)
         word = image.segments[-1].words[0].value
         n = self.PROLOGUE_STEPS + 1
         for cfg in self.CONFIGS:
-            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            r = run(boot_image(image, cfg), cfg, max_steps=50, semantics=semantics)
             assert r.outcome is RunOutcome.FAULTED and r.steps == n
             assert r.trace[-2:] == (Fetch(n - 1, 31, word), Fault(n - 1, FaultKind.OUT_OF_RANGE))
             assert r.state.pc == 31 and r.state.fault is FaultKind.OUT_OF_RANGE
             assert r.state.registers[3] == clear(0) and r.state.memory[20] == clear(0)
-            assert self.checked(image, cfg) == n
+            assert self.checked(image, cfg, semantics) == n
 
+    @SEMANTICS
     @pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES.keys())
-    def test_a_non_jump_in_the_word_before_falls_through(self, shape):
+    def test_a_non_jump_in_the_word_before_falls_through(self, shape, semantics):
         image = self.image(30, f"{shape}\nhalt")
         n = self.PROLOGUE_STEPS + 2
         for cfg in self.CONFIGS:
-            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            r = run(boot_image(image, cfg), cfg, max_steps=50, semantics=semantics)
             assert r.outcome is RunOutcome.HALTED and r.steps == n
             assert r.trace[-2:] == (Fetch(n - 1, 31, HALT), Halt(n - 1))
-            assert self.checked(image, cfg) == n
+            assert self.checked(image, cfg, semantics) == n
 
+    @SEMANTICS
     @pytest.mark.parametrize(
         "target, outcome, steps",
         [(32, RunOutcome.FAULTED, PROLOGUE_STEPS), (31, RunOutcome.HALTED, PROLOGUE_STEPS + 1)],
         ids=["to-memory-words", "to-the-last-word"],
     )
-    def test_a_jump_to_the_end_of_memory(self, target, outcome, steps):
+    def test_a_jump_to_the_end_of_memory(self, target, outcome, steps, semantics):
         image = self.image(target, "halt" if target < 32 else "")
         for cfg in self.CONFIGS:
-            r = run(boot_image(image, cfg), cfg, max_steps=50)
+            r = run(boot_image(image, cfg), cfg, max_steps=50, semantics=semantics)
             assert r.outcome is outcome and r.steps == steps
             if outcome is RunOutcome.FAULTED:
                 assert r.trace[-1] == Fault(steps - 1, FaultKind.OUT_OF_RANGE)
                 assert r.state.pc == 7 and r.state.fault is FaultKind.OUT_OF_RANGE
             else:
                 assert r.trace[-2:] == (Fetch(steps - 1, 31, HALT), Halt(steps - 1))
-            assert self.checked(image, cfg) == steps
+            assert self.checked(image, cfg, semantics) == steps
 
 
 class TestCallBudgetPerStep:
@@ -849,14 +857,14 @@ class TestStateMustFitConfig:
                 shrink_pair(*pair, self.CFG, 3, instruction_semantics)
 
 
-def fold_of_step(s, cfg, max_steps):
+def fold_of_step(s, cfg, max_steps, semantics=instruction_semantics):
     """Reference ``run``: a fold of the copying :func:`step`, with the
     trap-loop rule stated over whole states."""
     trace = []
     trapped_unchanged = 0
     n = 0
     while n < max_steps and s.status is Status.RUNNING:
-        nxt, events = step(s, cfg, cycle=n)
+        nxt, events = step(s, cfg, cycle=n, semantics=semantics)
         trace.extend(events)
         trapped = (
             nxt.pc == 0
@@ -875,7 +883,8 @@ def fold_of_step(s, cfg, max_steps):
 
 class TestRunMatchesStepFold:
     """``run`` commits in place; a fold of ``step`` copies.  Both must give
-    the same final state, trace, outcome and step count."""
+    the same final state, trace, outcome and step count, under the policy
+    and under the plain ISA (``helpers.untagged_semantics``)."""
 
     CONFIGS = [
         dict(mode=mode, allow_raw_unblind=raw)
@@ -883,8 +892,13 @@ class TestRunMatchesStepFold:
         for raw in (False, True)
     ]
 
+    SEMANTICS = pytest.mark.parametrize(
+        "semantics", [instruction_semantics, untagged_semantics], ids=["tags", "no-tags"]
+    )
+
+    @SEMANTICS
     @pytest.mark.parametrize("options", CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
-    def test_random_states(self, options):
+    def test_random_states(self, options, semantics):
         cfg = MachineConfig(
             memory_words=64,
             cache_lines=8,
@@ -895,13 +909,14 @@ class TestRunMatchesStepFold:
         outcomes = set()
         for seed in range(60):
             s, _ = generate_equivalent_pair(seed, memory_words=64, cache_lines=8)
-            r = run(s, cfg, max_steps=120)
-            assert r == fold_of_step(s, cfg, max_steps=120), seed
+            r = run(s, cfg, max_steps=120, semantics=semantics)
+            assert r == fold_of_step(s, cfg, max_steps=120, semantics=semantics), seed
             outcomes.add(r.outcome)
         assert len(outcomes) >= 2
 
+    @SEMANTICS
     @pytest.mark.parametrize("options", CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
-    def test_corpus_programs(self, options):
+    def test_corpus_programs(self, options, semantics):
         rng = random.Random(41)
         for entry in curated_corpus():
             cfg = MachineConfig(
@@ -912,8 +927,8 @@ class TestRunMatchesStepFold:
                 **options,
             )
             s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
-            r = run(s, cfg, max_steps=400)
-            assert r == fold_of_step(s, cfg, max_steps=400), entry.name
+            r = run(s, cfg, max_steps=400, semantics=semantics)
+            assert r == fold_of_step(s, cfg, max_steps=400, semantics=semantics), entry.name
 
 
 def _pinned_runs():
@@ -1077,26 +1092,29 @@ class TestDecodeSlot:
     ]
     REGS = {4: clear(1), 6: clear(1), 10: clear(2), 11: clear(6)}
 
+    # Under the plain ISA the blnd at 4 edits nothing, so word 1 is never
+    # blinded: the jump back runs it from its slot without a trap.
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
-        "raw, outcome",
+        "semantics, raw, outcome, traps",
         [
-            pytest.param(True, RunOutcome.HALTED, id="rblnd-runs-it-again"),
-            pytest.param(False, RunOutcome.FAULTED, id="rblnd-refused"),
+            pytest.param(instruction_semantics, True, RunOutcome.HALTED, 1, id="rblnd-runs-it-again"),
+            pytest.param(instruction_semantics, False, RunOutcome.FAULTED, 1, id="rblnd-refused"),
+            pytest.param(untagged_semantics, False, RunOutcome.HALTED, 0, id="no-tag-logic"),
         ],
     )
-    def test_word_blinded_after_decode_traps(self, mode, raw, outcome):
+    def test_word_blinded_after_decode_traps(self, mode, semantics, raw, outcome, traps):
         cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8, allow_raw_unblind=raw)
         s = make_state(self.BLINDED_AFTER_DECODE, regs=self.REGS, pc=1)
-        r = run(s, cfg, max_steps=50)
+        r = run(s, cfg, max_steps=50, semantics=semantics)
         assert r.outcome is outcome
         faults = [e.kind for e in r.trace if isinstance(e, Fault)]
-        assert faults.count(FaultKind.BLINDED_INSTRUCTION_FETCH) == 1
+        assert faults.count(FaultKind.BLINDED_INSTRUCTION_FETCH) == traps
         if outcome is RunOutcome.HALTED:
             assert r.state.registers[3] == clear(2)
         else:
             assert r.state.fault is FaultKind.DECODE_ERROR and r.state.pc == 0
-        assert r == fold_of_step(s, cfg, max_steps=50)
+        assert r == fold_of_step(s, cfg, max_steps=50, semantics=semantics)
 
     def test_run_decodes_each_executed_address_once(self, decode_calls):
         cfg = MachineConfig(memory_words=64, cache_lines=8)
@@ -1311,7 +1329,10 @@ class TestEventEqualityIsExact:
         assert shared == [{Fetch, CacheUpdate}]
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_single_steps_from_random_pairs(self, mode):
+    @pytest.mark.parametrize(
+        "semantics", [instruction_semantics, untagged_semantics], ids=["tags", "no-tags"]
+    )
+    def test_single_steps_from_random_pairs(self, mode, semantics):
         cfg = MachineConfig(
             mode=mode,
             memory_words=64,
@@ -1322,7 +1343,7 @@ class TestEventEqualityIsExact:
         seen = set()
         for seed in range(400):
             for s in generate_equivalent_pair(seed, memory_words=64, cache_lines=8):
-                _, events = step(s, cfg, cycle=seed)
+                _, events = step(s, cfg, cycle=seed, semantics=semantics)
                 _step_events_are_ordered(events)
                 seen.update(map(type, events))
         assert {Fetch, MemAccess, CacheUpdate, Fault, Halt} <= seen
@@ -1354,6 +1375,32 @@ class TestEventEqualityIsExact:
 class TestReferenceMachine:
     """A program with no blinded word runs under the tag policy as under
     the plain ISA (``helpers.untagged_semantics``)."""
+
+    def test_blinded_operands_do_not_taint(self):
+        # The reference reads payloads only, and its every output is clear.
+        s = make_state(
+            [iw(Opcode.ADD, (1, 2), 3), HALT],
+            regs={1: blinded(4), 2: clear(5)},
+        )
+        nxt, _ = step(s, CFG, semantics=untagged_semantics)
+        assert nxt.registers[3] == clear(9)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "words, expected",
+        [
+            pytest.param([iw(Opcode.BLND, (1,)), HALT, clear(0x55)], clear(0x55), id="blnd-no-tag-edit"),
+            pytest.param([iw(Opcode.RBLND, (1,)), HALT, blinded(0x55)], blinded(0x55), id="rblnd-not-refused"),
+        ],
+    )
+    def test_tag_edits_do_not_apply(self, mode, words, expected):
+        # Without ``allow_raw_unblind`` the policy refuses the rblnd; the
+        # plain ISA has no tag edit to refuse.
+        cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8)
+        nxt, events = step(make_state(words, regs={1: clear(2)}), cfg, semantics=untagged_semantics)
+        assert nxt.status is Status.RUNNING and nxt.pc == 1
+        assert events == (Fetch(0, 0, words[0]),)
+        assert nxt.memory[2] == expected
 
     def test_taint_free_program_matches_policy_machine(self):
         prog = [

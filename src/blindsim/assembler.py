@@ -9,7 +9,7 @@ Grammar, one statement per line, ``#`` starts a comment:
     bz    rC, rT               if rC == 0 jump to rT
     add|sub|mul|and|xor rD, rA, rB
     blnd  rA                   set the tag of mem[rA]
-    rblnd rA                   clear the tag of mem[rA] (usually refused)
+    rblnd rA                   clear the tag of mem[rA] (always refused)
     .org ADDR                  place following words at ADDR
     .word VALUE [blinded]      a data word, optionally tagged
     .entry ADDR|LABEL          initial pc (defaults to 0)

@@ -35,9 +35,8 @@ the blinded-fetch fixed point: a machine at pc 0 whose word 0 is
 blinded traps to pc 0 on every step and writes nothing, and both
 sides of an equivalent pair get there together.  A check reports
 the pair-steps it ran and each trial's stop.  On failure it shrinks
-the payload delta to a minimal counterexample.  With raw unblinding
-disabled (the default) the shipped semantics never fails this check;
-broken variants fail fast.
+the payload delta to a minimal counterexample.  The shipped semantics
+never fails this check; broken variants fail fast.
 
 Drawing is a large share of a short trial, so a trial redraws only
 blinded words and a pair is drawn with no frame per word (see
@@ -450,7 +449,7 @@ class _Analysis:
                 pc, d, f"{kind} address out of range",
                 fault=FaultKind.OUT_OF_RANGE, definite=True,
             )
-        elif op is Opcode.RBLND and not self.cfg.allow_raw_unblind:
+        elif op is Opcode.RBLND:
             self.report(
                 pc, d, "raw unblinding is disabled and faults",
                 fault=FaultKind.DECODE_ERROR, definite=addr is not TOP,
@@ -484,10 +483,6 @@ class _Analysis:
             else:
                 if op is Opcode.BLND:
                     value = BLINDED
-                elif op is Opcode.RBLND:
-                    # raw unblinding keeps a known constant and clears any other
-                    old = mem.read(addr) if known else CLEAR
-                    value = old if type(old) is int else CLEAR
                 mem = mem.write(addr, value) if known else mem.weak_write_everywhere(value)
             out.extend(self._next(pc, d, AbsState(regs, mem)))
         if maybe_noop:

@@ -50,6 +50,9 @@ FAILURE = 1
 
 
 def _int(text: str) -> int:
+    # int() takes any Unicode decimal digit; the CLI takes ASCII only.
+    if not text.isascii():
+        raise ValueError(f"invalid literal for int() with base 0: {text!r}")
     return int(text, 0)
 
 
@@ -57,19 +60,18 @@ def _range(text: str) -> tuple[int, int]:
     start, sep, end = text.partition("..")
     if not sep:
         raise argparse.ArgumentTypeError("expected START..END")
-    return int(start, 0), int(end, 0)
+    return _int(start), _int(end)
 
 
 def _blind_word(text: str) -> tuple[int, int]:
     addr, sep, value = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError("expected ADDR=VALUE")
-    return int(addr, 0), int(value, 0)
+    return _int(addr), _int(value)
 
 
 def _add_machine_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=["model", "hardware"], default="hardware")
-    p.add_argument("--allow-raw-unblind", action="store_true")
     p.add_argument("--mem-words", type=_int, default=65536)
     p.add_argument("--cache-lines", type=_int, default=16)
     p.add_argument(
@@ -86,7 +88,6 @@ def _machine_config(args) -> machine.MachineConfig:
         ranges.append((mmio, mmio + 1))
     return machine.MachineConfig(
         mode=Mode(args.mode),
-        allow_raw_unblind=args.allow_raw_unblind,
         memory_words=args.mem_words,
         cache_lines=args.cache_lines,
         unblindable_ranges=tuple(sorted(ranges)),
@@ -274,7 +275,7 @@ def cmd_check(args) -> int:
 
 def _read_words(path: str) -> tuple[int, ...]:
     with open(path) as fh:
-        return tuple(int(tok, 0) & (1 << 64) - 1 for tok in fh.read().split())
+        return tuple(_int(tok) & (1 << 64) - 1 for tok in fh.read().split())
 
 
 class _MemoryTransport:

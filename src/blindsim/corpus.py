@@ -304,7 +304,7 @@ def rblnd_refused() -> str:
 .word pool
 start:
     load r1, r0
-    rblnd r1            # refused unless raw unblinding is enabled
+    rblnd r1            # always refused
     halt
 .org 9
 pool:

@@ -26,8 +26,8 @@ Policy violations take two shapes.  Tag violations at a branch or (in
 hardware mode) at a memory address trap to the handler at address 0: pc is
 set to 0, nothing else changes, and the fault kind is recorded in the
 trace while the machine keeps running.  Decode errors, out-of-range
-accesses, blinded stores into unblindable ranges, and refused raw untaints
-stop the machine with a FAULTED status.
+accesses, blinded stores into unblindable ranges, and every ``rblnd``
+(raw untainting is always refused) stop the machine with a FAULTED status.
 
 Trace events carry only observable data -- addresses, clear values, fault
 kinds -- never a blinded payload.
@@ -112,7 +112,7 @@ SemanticsFn = Callable[..., tuple]
 # Enum members the per-step path reads, bound once (see the module docstring).
 _RUNNING, _HALTED, _FAULTED = Status.RUNNING, Status.HALTED, Status.FAULTED
 _MEM_STORE, _MEM_LOAD = MemKind.STORE, MemKind.LOAD
-_MEM_BLIND, _MEM_UNBLIND = MemKind.BLIND, MemKind.UNBLIND
+_MEM_UNBLIND = MemKind.UNBLIND
 _OUT_OF_RANGE, _DECODE_ERROR = FaultKind.OUT_OF_RANGE, FaultKind.DECODE_ERROR
 _BLINDED_FETCH = FaultKind.BLINDED_INSTRUCTION_FETCH
 _BLINDED_STORE = FaultKind.BLINDED_STORE_TO_UNBLINDABLE
@@ -133,7 +133,6 @@ class MachineConfig:
     """
 
     mode: Mode = Mode.HARDWARE
-    allow_raw_unblind: bool = False
     memory_words: int = 65536
     cache_lines: int = 16
     unblindable_ranges: tuple[tuple[int, int], ...] = ()
@@ -441,13 +440,13 @@ class ListMachine:
             else:
                 register_write = (register, memory[address])
         else:
-            # A tag edit retags the word in place: it reaches no cache line
-            # and emits no event.
+            # A blnd retags the word in place: it reaches no cache line and
+            # emits no event.  An rblnd is always refused.
             events = (fetch,)
-            if kind is _MEM_UNBLIND and not cfg.allow_raw_unblind:
+            if kind is _MEM_UNBLIND:
                 self.status, self.fault = _FAULTED, _DECODE_ERROR
                 return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
-            memory_write = (address, TaggedWord(memory[address].value, kind is _MEM_BLIND))
+            memory_write = (address, TaggedWord(memory[address].value, True))
 
         # Every check has passed: commit.
         self.pc = next_pc

@@ -132,8 +132,6 @@ pool:
     def test_rblnd_gating(self):
         image = assemble(rblnd_refused())
         assert analyze(image, EMPTY_SIG, HW).verdict is Verdict.DEFINITELY_FAULTS
-        allowed = MachineConfig(memory_words=64, cache_lines=8, allow_raw_unblind=True)
-        assert analyze(image, EMPTY_SIG, allowed).verdict is Verdict.COMPLIANT
 
     def test_looped_pipeline_is_conservative_may_fault(self):
         report = analyze(assemble(add_one_pipeline(4, (1, 2, 3, 4))), EMPTY_SIG, HW)
@@ -294,23 +292,25 @@ class TestFindingPaths:
             assert report.witness.fault is FaultKind.BLINDED_BRANCH
             assert_witness_replays(report, cfg)
 
-    @pytest.mark.parametrize(
-        "instruction, next_fetch",
-        [
-            ("blnd r1", "instruction fetch may read a blinded word"),
-            ("rblnd r1", "instruction word unresolved"),
-        ],
-    )
-    def test_tag_edit_address_unresolved(self, instruction, next_fetch):
+    @pytest.mark.parametrize("instruction", ["blnd r1", "rblnd r1"])
+    def test_tag_edit_address_unresolved(self, instruction):
         # A clear address the analysis cannot pin down may edit any word,
-        # the next instruction included: blnd may blind it, rblnd leaves it
-        # clear but unknown.
-        cfg = replace(HW, allow_raw_unblind=True)
+        # the next instruction included: blnd may blind it.  An rblnd is
+        # refused wherever it points.
         image = assemble(f".entry 0\n{instruction}\nhalt\n")
-        report = analyze(image, parse_signature("r1=C"), cfg)
+        report = analyze(image, parse_signature("r1=C"), HW)
+        if instruction == "rblnd r1":
+            f = finding(report, "raw unblinding is disabled and faults")
+            assert f.fault is FaultKind.DECODE_ERROR and f.definite
+            assert report.findings == (f,)
+            assert report.verdict is Verdict.DEFINITELY_FAULTS
+            assert report.witness.fault is FaultKind.DECODE_ERROR
+            assert_witness_replays(report, HW)
+            return
         f = finding(report, "tag-edit address unresolved")
         assert f.unresolved and f.fault is None and not f.definite
-        (f,) = [x for x in report.findings if x.reason == next_fetch and x.pc == 1]
+        fetch = "instruction fetch may read a blinded word"
+        (f,) = [x for x in report.findings if x.reason == fetch and x.pc == 1]
         assert not f.definite
         assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
@@ -1160,22 +1160,18 @@ class TestUnwindingMatchesFullEquivalence:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_divergence_only_the_state_shows(self, mode):
-        # Raw unblinding clears a tag in memory, and this variant writes a
-        # register on one side only; neither shows in the trace events.
+        # This variant writes a register on one side only, which does not
+        # show in the trace events.
         def add_skips_write_on_odd_secret(d, inputs, mode):
             out, memop, control = instruction_semantics(d, inputs, mode)
             if d.opcode is Opcode.ADD and any(w.blinded and w.value & 1 for w in inputs):
                 return None, memop, control
             return out, memop, control
 
-        raw = MachineConfig(mode=mode, memory_words=64, cache_lines=8, allow_raw_unblind=True)
         cfg = MachineConfig(mode=mode, memory_words=64, cache_lines=8)
-        reasons = set()
         for seed in range(3):
-            for c, semantics in ((raw, instruction_semantics), (cfg, add_skips_write_on_odd_secret)):
-                result = self.assert_same_as_reference(None, 200, 64, c, seed, semantics)
-                reasons.add(result.counterexample and result.counterexample.reason)
-        assert "successor states not equivalent" in reasons
+            result = self.assert_same_as_reference(None, 200, 64, cfg, seed, add_skips_write_on_odd_secret)
+            assert result.counterexample.reason == "successor states not equivalent", seed
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_passing_corpus_programs(self, mode):

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file outputs."""
 
+import functools
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from blindsim.corpus import (
     rblnd_refused,
 )
 from blindsim.assembler import assemble, decode_image, encode_image
+from blindsim import checker
 from blindsim.checker import analyze, parse_signature
 from blindsim.machine import MachineConfig
 from blindsim.protocol import (
@@ -331,6 +333,24 @@ class TestDemoProtocol:
             assert differ not in captured.out
             assert captured.err == "error: computation did not halt: faulted after 9 steps\n"
 
+    @pytest.mark.parametrize("mode", ["model", "hardware"])
+    def test_an_rblnd_of_imported_data_is_refused(self, work, capsys, mode):
+        # The program unblinds the first imported word and branches on it.
+        # The rblnd is refused before the branch, so the first session ends
+        # in an error and no traces are compared.
+        tmp, write = work
+        img = write("leak.img", encode_image(assemble(BRANCHES_ON_IMPORT)), binary=True)
+        pt1 = self._plain(write, "a.txt", [0, 5])
+        pt2 = self._plain(write, "b.txt", [1, 5])
+        code = main([
+            "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "1024",
+            "--mode", mode,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: computation did not halt: faulted")
+        assert "TRACES DIFFER" not in captured.out
+
     @pytest.mark.parametrize("transport", ["memory", "socket"])
     def test_dual_reports_states_that_differ(self, work, capsys, monkeypatch, transport):
         # The add-one program never reaches the console, so an import that
@@ -428,7 +448,11 @@ class TestMachineFlags:
         assert main(["run", img, *flags, "--blind-word", "32=5"]) == 1
         assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("word", ["0x40=1", "5"], ids=["out-of-range", "no-value"])
+    @pytest.mark.parametrize(
+        "word",
+        ["0x40=1", "5", "\u0661=5", "1=\u0665"],
+        ids=["out-of-range", "no-value", "non-ascii-address", "non-ascii-value"],
+    )
     def test_bad_blind_word(self, work, capsys, word):
         tmp, write = work
         img = assembled(write, tmp, ".entry 0\nhalt\n")
@@ -437,15 +461,39 @@ class TestMachineFlags:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
-    def test_allow_raw_unblind_fails_noninterference(self, work, capsys):
+    # No machine setting switches the tag policy off: rblnd is always
+    # refused, so no flag allows it.  int() reads any Unicode decimal
+    # digit; the CLI reads ASCII only.
+    @pytest.mark.parametrize(
+        "command, flags, error",
+        [
+            ("run", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
+            ("check", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
+            ("demo-protocol", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
+            ("run", ["--mem-words", "\u0666\u0664", "--cache-lines", "8"], "argument --mem-words"),
+            ("run", ["--mem-words", "64", "--cache-lines", "\uff18"], "argument --cache-lines"),
+            ("run", ["--unblindable", "\u0661..\u0662"], "argument --unblindable"),
+            ("run", ["--mmio-console", "\u0664\u0668"], "argument --mmio-console"),
+            ("run", ["--max-steps", "\u0663"], "argument --max-steps"),
+            ("check", ["--seed", "\u0663", "--trials", "2"], "argument --seed"),
+            ("check", ["--trials", "\u0662"], "argument --trials"),
+            ("demo-protocol", ["--data-base", "\u0663\u0662"], "argument --data-base"),
+        ],
+        ids=[
+            "run-allow-raw-unblind", "check-allow-raw-unblind", "demo-allow-raw-unblind",
+            "mem-words", "cache-lines-fullwidth", "unblindable", "mmio-console", "max-steps",
+            "seed", "trials", "data-base",
+        ],
+    )
+    def test_a_refused_flag_is_a_usage_error(self, work, capsys, command, flags, error):
         tmp, write = work
-        img = assembled(write, tmp, rblnd_refused())
+        target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
+            assembled(write, tmp, rblnd_refused())
+        )
         capsys.readouterr()
-        code = main(["check", img, *self.SMALL, "--allow-raw-unblind", "--trials", "20"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert out.startswith("verdict: compliant\n")
-        assert "non-interference: FAIL at trial 0 step 1" in out
+        assert main([command, target, *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {error}" in captured.err and captured.out == ""
 
 
 ERROR_FILES = {
@@ -458,6 +506,7 @@ ERROR_FILES = {
     "pt3.txt": b"1 2 3\n",
     "empty.txt": b"\n",
     "words.txt": b"1 xyz\n",
+    "arabic.txt": "\u0661 2\n".encode(),
 }
 SMALL = "--mem-words 64 --cache-lines 8"
 DEMO = "--mem-words 1024"
@@ -499,6 +548,7 @@ class TestErrorPaths:
             (f"check @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
             ("demo-protocol @missing.txt", 2, NO_FILE.format("missing.txt")),
             ("demo-protocol @words.txt", 2, "error: invalid literal for int() with base 0: 'xyz'"),
+            ("demo-protocol @arabic.txt", 2, "error: invalid literal for int() with base 0: '\u0661'"),
             ("demo-protocol @empty.txt", 2, "error: empty plaintext"),
             (f"demo-protocol @pt.txt --program @missing.img {DEMO}", 2, NO_FILE.format("missing.img")),
             (f"demo-protocol @pt.txt --program @bad.img {DEMO}", 2, "error: bad magic"),
@@ -588,7 +638,9 @@ class TestErrorPaths:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
-        "dual", ["missing.txt", "words.txt", "pt3.txt"], ids=["missing", "bad-word", "other-length"]
+        "dual",
+        ["missing.txt", "words.txt", "arabic.txt", "pt3.txt"],
+        ids=["missing", "bad-word", "non-ascii-word", "other-length"],
     )
     def test_dual_inputs_are_checked_before_any_session(self, tmp_path, capsys, dual):
         trace = tmp_path / "demo.trace"
@@ -597,26 +649,63 @@ class TestErrorPaths:
         assert not trace.exists()
 
 
-# Stores a secret register word, unblinds it with a raw RBLND, loads it
-# back and branches on it: its control flow depends on r1.
-LEAKS_R1 = "store r12, r1\nrblnd r12\nload r2, r12\nbz r2, r13\nhalt\n"
+# Unblinds the first imported word (0x100), loads it and branches on it.
+BRANCHES_ON_IMPORT = """
+.entry start
+.word pool
+start:
+    load r1, r0
+    load r2, r1
+    add r3, r1, r2
+    load r4, r3
+    add r3, r3, r2
+    load r5, r3
+    rblnd r4
+    load r6, r4
+    bz r6, r5
+    halt
+target:
+    halt
+pool:
+    .word 1
+    .word 0x100
+    .word target
+"""
+
+# Stores r1 + r1: under a semantics whose add drops the taint, the stored
+# word differs between the two sides when r1 is blinded.
+STORES_R1_TWICE = "add r2, r1, r1\nstore r12, r2\nhalt\n"
 
 
 class TestCheckSignature:
-    def test_blinded_signature_registers_vary_in_the_lockstep(self, work, capsys):
-        tmp, write = work
-        img = assembled(write, tmp, LEAKS_R1)
-        capsys.readouterr()
-        flags = ["--allow-raw-unblind", "--mem-words", "64", "--cache-lines", "8"]
-        assert main(["check", img, *flags, "--sig", "r1=B"]) == 1
-        assert "non-interference: FAIL at trial 0" in capsys.readouterr().out
-        assert main(["check", img, *flags, "--sig", "r1=T"]) == 1
-        assert "non-interference: FAIL at trial 0" in capsys.readouterr().out
+    """The lockstep check varies exactly the signature's blinded and TOP
+    registers, shown against a semantics whose add drops the taint."""
 
-    def test_clear_signature_registers_stay_fixed(self, work, capsys):
+    @pytest.fixture
+    def leaky(self, work, monkeypatch, capsys):
+        monkeypatch.setattr(
+            checker, "check_noninterference",
+            functools.partial(checker.check_noninterference, semantics=mutants.add_drops_taint),
+        )
         tmp, write = work
-        img = assembled(write, tmp, LEAKS_R1)
+        img = assembled(write, tmp, STORES_R1_TWICE)
         capsys.readouterr()
-        flags = ["--allow-raw-unblind", "--mem-words", "64", "--cache-lines", "8"]
-        main(["check", img, *flags, "--sig", "r1=C"])
+        return [img, "--mem-words", "64", "--cache-lines", "8"]
+
+    def test_a_failing_check_prints_its_counterexample(self, leaky, capsys):
+        assert main(["check", *leaky, "--sig", "r1=B", "--trials", "20"]) == 1
+        assert capsys.readouterr().out == (
+            "verdict: compliant\n"
+            "non-interference: FAIL at trial 0 step 0: successor states not equivalent "
+            "(minimized to 1 differing word(s))\n"
+        )
+
+    def test_blinded_signature_registers_vary_in_the_lockstep(self, leaky, capsys):
+        assert main(["check", *leaky, "--sig", "r1=B"]) == 1
+        assert "non-interference: FAIL at trial 0 step 0" in capsys.readouterr().out
+        assert main(["check", *leaky, "--sig", "r1=T"]) == 1
+        assert "non-interference: FAIL at trial 0 step 0" in capsys.readouterr().out
+
+    def test_clear_signature_registers_stay_fixed(self, leaky, capsys):
+        assert main(["check", *leaky, "--sig", "r1=C"]) == 0
         assert "non-interference: pass (200 trials)" in capsys.readouterr().out

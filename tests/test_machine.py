@@ -317,15 +317,6 @@ class TestTagEdits:
         assert nxt.memory[2] == blinded(0x55)
         assert events[-1] == Fault(0, FaultKind.DECODE_ERROR, refused=True)
 
-    def test_rblnd_allowed_when_configured(self):
-        cfg = MachineConfig(memory_words=32, cache_lines=8, allow_raw_unblind=True)
-        s = make_state(
-            [iw(Opcode.RBLND, (1,)), HALT, blinded(0x55)],
-            regs={1: clear(2)},
-        )
-        nxt, _ = step(s, cfg)
-        assert nxt.memory[2] == clear(0x55)
-
     def test_blnd_blinded_address_is_noop_in_model_mode(self):
         # Payload is far out of range; a no-op must not even bounds-check it.
         s = make_state(
@@ -886,11 +877,7 @@ class TestRunMatchesStepFold:
     the same final state, trace, outcome and step count, under the policy
     and under the plain ISA (``helpers.untagged_semantics``)."""
 
-    CONFIGS = [
-        dict(mode=mode, allow_raw_unblind=raw)
-        for mode in Mode
-        for raw in (False, True)
-    ]
+    CONFIGS = [dict(mode=mode) for mode in Mode]
 
     SEMANTICS = pytest.mark.parametrize(
         "semantics", [instruction_semantics, untagged_semantics], ids=["tags", "no-tags"]
@@ -978,7 +965,7 @@ class TestRunDigest:
             kinds.update(map(type, r.trace))
         assert kinds == set(typing.get_args(TraceEvent))
         assert h.hexdigest() == (
-            "ec1a237bfa0d18d382f0d153ab72485495946f468920f366c6ae358135b27a85"
+            "76404ac4d8c46687c6a072c9e3b045aa9c65402dddfeacb1057b2d3c1e27f0fc"
         )
 
 
@@ -1079,33 +1066,36 @@ class TestDecodeSlot:
         assert r == fold_of_step(s, CFG, max_steps=50)
 
     # Word 1 adds one to r3 and is then blinded by the blnd at 4; the jump
-    # back fetches it blinded, so it traps to 0, whose rblnd unblinds it.
-    # The second add makes r3 == 2 and the branch at 3 goes to the halt.
+    # back fetches it blinded, so it traps to the handler at 0.  A handler
+    # that stores the clear add word (r12) back over word 1 lets its slot
+    # serve it again: the second add makes r3 == 2 and the branch at 3 goes
+    # to the halt.  An rblnd handler is refused.
+    ADD = iw(Opcode.ADD, (3, 4), 3)
     BLINDED_AFTER_DECODE = [
-        iw(Opcode.RBLND, (6,)),
-        iw(Opcode.ADD, (3, 4), 3),
+        ADD,
         iw(Opcode.SUB, (3, 10), 9),
         iw(Opcode.BZ, (9, 11)),
         iw(Opcode.BLND, (6,)),
         iw(Opcode.BZ, (7, 6)),
         HALT,
     ]
-    REGS = {4: clear(1), 6: clear(1), 10: clear(2), 11: clear(6)}
+    REGS = {4: clear(1), 6: clear(1), 10: clear(2), 11: clear(6), 12: clear(ADD)}
+    RESTORE, RBLND = iw(Opcode.STORE, (6, 12)), iw(Opcode.RBLND, (6,))
 
     # Under the plain ISA the blnd at 4 edits nothing, so word 1 is never
     # blinded: the jump back runs it from its slot without a trap.
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
-        "semantics, raw, outcome, traps",
+        "semantics, handler, outcome, traps",
         [
-            pytest.param(instruction_semantics, True, RunOutcome.HALTED, 1, id="rblnd-runs-it-again"),
-            pytest.param(instruction_semantics, False, RunOutcome.FAULTED, 1, id="rblnd-refused"),
-            pytest.param(untagged_semantics, False, RunOutcome.HALTED, 0, id="no-tag-logic"),
+            pytest.param(instruction_semantics, RESTORE, RunOutcome.HALTED, 1, id="store-runs-it-again"),
+            pytest.param(instruction_semantics, RBLND, RunOutcome.FAULTED, 1, id="rblnd-refused"),
+            pytest.param(untagged_semantics, RBLND, RunOutcome.HALTED, 0, id="no-tag-logic"),
         ],
     )
-    def test_word_blinded_after_decode_traps(self, mode, semantics, raw, outcome, traps):
-        cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8, allow_raw_unblind=raw)
-        s = make_state(self.BLINDED_AFTER_DECODE, regs=self.REGS, pc=1)
+    def test_word_blinded_after_decode_traps(self, mode, semantics, handler, outcome, traps):
+        cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8)
+        s = make_state([handler, *self.BLINDED_AFTER_DECODE], regs=self.REGS, pc=1)
         r = run(s, cfg, max_steps=50, semantics=semantics)
         assert r.outcome is outcome
         faults = [e.kind for e in r.trace if isinstance(e, Fault)]
@@ -1174,16 +1164,6 @@ class TestStepSafety:
         s1, _ = self._random_pair(rng)
         cfg = MachineConfig(memory_words=24, cache_lines=4)
         assert step(s1, cfg, cycle=3) == step(s1, cfg, cycle=3)
-
-    def test_raw_unblind_breaks_equivalence_which_is_why_it_is_gated(self):
-        cfg = MachineConfig(memory_words=32, cache_lines=8, allow_raw_unblind=True)
-        prog = [iw(Opcode.RBLND, (1,)), HALT]
-        s1 = make_state(prog + [blinded(0x11)], regs={1: clear(2)})
-        s2 = s1.edit(memory=[(2, blinded(0x22))])
-        assert state_equiv(s1, s2)
-        n1, _ = step(s1, cfg)
-        n2, _ = step(s2, cfg)
-        assert not state_equiv(n1, n2)
 
 
 class TestTraceFormat:
@@ -1394,8 +1374,8 @@ class TestReferenceMachine:
         ],
     )
     def test_tag_edits_do_not_apply(self, mode, words, expected):
-        # Without ``allow_raw_unblind`` the policy refuses the rblnd; the
-        # plain ISA has no tag edit to refuse.
+        # The policy refuses every rblnd; the plain ISA has no tag edit to
+        # refuse.
         cfg = MachineConfig(mode=mode, memory_words=32, cache_lines=8)
         nxt, events = step(make_state(words, regs={1: clear(2)}), cfg, semantics=untagged_semantics)
         assert nxt.status is Status.RUNNING and nxt.pc == 1

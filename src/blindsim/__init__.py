@@ -38,7 +38,7 @@ from .checker import (
     generate_equivalent_pair,
     parse_signature,
 )
-from .engine import EncryptionEngine, SealedKey, SessionKey
+from .engine import EncryptionEngine, SessionKey
 from .isa import (
     DecodedInstruction,
     DecodeError,
@@ -97,7 +97,6 @@ __all__ = [
     "ProgramImage",
     "RunOutcome",
     "RunResult",
-    "SealedKey",
     "Segment",
     "ServerSession",
     "SessionKey",

@@ -96,7 +96,13 @@ def _machine_config(args) -> machine.MachineConfig:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        # A refused argument is one ``error:`` line, as main() prints its
+        # own errors; the subcommands' parsers are built from this class.
+        def error(self, message):
+            self.exit(USAGE_ERROR, f"error: {message}\n")
+
+    parser = Parser(
         prog="blindsim",
         description="taint-tracking machine simulator and protocol harness",
     )

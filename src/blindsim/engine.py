@@ -6,7 +6,10 @@ memory, all blinded, for one :meth:`~blindsim.model.SystemState.edit`:
 no state ever shows it clear.  *Export* encrypts a region of any word
 sequence; ciphertext is ordinary clear data.  On a context switch the OS
 can *seal* the current key (encrypt it under a device-internal root key)
-and later load it back; it never sees key material in the clear.
+and later load it back; it never sees key material in the clear.  A
+sealed key is its blob: the bytes :meth:`EncryptionEngine.seal_current_key`
+returns and :meth:`EncryptionEngine.load_sealed_key` takes, whose key id
+is read from the authenticated body.
 
 Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Session
 nonces are counter-derived and direction-scoped so client and engine never
@@ -27,16 +30,17 @@ same blob.
 
 Envelope layout: ``nonce(12) || ciphertext || tag(16)``.
 
-``cryptography`` is imported by the first :func:`seal_envelope` or
-:func:`open_envelope` call, not at the top of this module: ``import
-blindsim`` imports this module, but simulating and checking never
-encrypt, and loading cryptography's OpenSSL bindings would cost each such
-process about 6.5 MB of RSS and 20-30 ms of cold start (Python 3.11 on a
-2-core x86-64 host: a fresh ``import blindsim.cli`` peaks at 21.1 MB
-instead of 27.6 MB, and takes a median 190 ms instead of 216 ms).  That
-call keeps the cipher class and ``InvalidTag`` in a module global, so a
-later seal or open reads one global rather than running an import
-statement, a ``sys.modules`` lookup of 0.5-1.3 us.
+``cryptography`` is imported by the first :func:`crypto` call, which the
+envelope functions here and the handshake in :mod:`blindsim.protocol`
+make, not at the top of this module: ``import blindsim`` imports this
+module, but simulating and checking never encrypt, and loading
+cryptography's OpenSSL bindings would cost each such process about 6.5 MB
+of RSS and 20-30 ms of cold start (Python 3.11 on a 2-core x86-64 host: a
+fresh ``import blindsim.cli`` peaks at 21.1 MB instead of 27.6 MB, and
+takes a median 190 ms instead of 216 ms).  That call keeps the names it
+loads in a module global, so a later seal, open or handshake reads one
+global rather than running an import statement, a ``sys.modules`` lookup
+of 0.5-1.3 us.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ import hashlib
 import hmac
 import struct
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .model import TaggedWord
 
@@ -99,12 +104,6 @@ class SessionKey:
         return f"SessionKey(key_id={self.key_id.hex()})"
 
 
-@dataclass(frozen=True, slots=True)
-class SealedKey:
-    blob: bytes
-    key_id: bytes
-
-
 def _nonce(direction: int, key_id: bytes, counter: int) -> bytes:
     return bytes([direction]) + key_id[:3] + struct.pack(">Q", counter)
 
@@ -119,32 +118,54 @@ def bytes_to_words(data: bytes) -> tuple[int, ...]:
     return struct.unpack(f"<{len(data) // 8}Q", data)
 
 
-# (ChaCha20Poly1305, InvalidTag) once the envelope functions first need them.
-_aead: tuple | None = None
+# The ``cryptography`` names blindsim uses, once :func:`crypto` first runs.
+_crypto: SimpleNamespace | None = None
 
 
-def _load_aead() -> tuple:
-    global _aead
-    from cryptography.exceptions import InvalidTag
-    from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+def crypto() -> SimpleNamespace:
+    """The ``cryptography`` names of the engine and the handshake, imported
+    by the first call and read from a module global after it."""
+    global _crypto
+    if _crypto is None:
+        from cryptography.exceptions import InvalidSignature, InvalidTag
+        from cryptography.hazmat.primitives import hashes
+        from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+            Ed25519PrivateKey,
+            Ed25519PublicKey,
+        )
+        from cryptography.hazmat.primitives.asymmetric.x25519 import (
+            X25519PrivateKey,
+            X25519PublicKey,
+        )
+        from cryptography.hazmat.primitives.ciphers.aead import ChaCha20Poly1305
+        from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-    _aead = ChaCha20Poly1305, InvalidTag
-    return _aead
+        _crypto = SimpleNamespace(
+            ChaCha20Poly1305=ChaCha20Poly1305,
+            InvalidTag=InvalidTag,
+            InvalidSignature=InvalidSignature,
+            hashes=hashes,
+            Ed25519PrivateKey=Ed25519PrivateKey,
+            Ed25519PublicKey=Ed25519PublicKey,
+            X25519PrivateKey=X25519PrivateKey,
+            X25519PublicKey=X25519PublicKey,
+            HKDF=HKDF,
+        )
+    return _crypto
 
 
 def seal_envelope(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    cipher, _ = _aead or _load_aead()
-    return nonce + cipher(key).encrypt(nonce, plaintext, aad)
+    return nonce + crypto().ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
 
 
 def open_envelope(key: bytes, envelope: bytes, aad: bytes = b"") -> bytes:
     if len(envelope) < NONCE_LEN + TAG_LEN:
         raise AuthError("envelope too short")
-    cipher, invalid_tag = _aead or _load_aead()
+    c = crypto()
     nonce, body = envelope[:NONCE_LEN], envelope[NONCE_LEN:]
     try:
-        return cipher(key).decrypt(nonce, body, aad)
-    except invalid_tag:
+        return c.ChaCha20Poly1305(key).decrypt(nonce, body, aad)
+    except c.InvalidTag:
         raise AuthError("authentication failed") from None
 
 
@@ -245,24 +266,25 @@ class EncryptionEngine:
     def _seal_iv(self, body: bytes) -> bytes:
         return bytes([_DIR_SEAL]) + hmac.digest(self._seal_iv_key, SEAL_LABEL + body, "sha256")[:11]
 
-    def seal_current_key(self) -> SealedKey:
+    def seal_current_key(self) -> bytes:
         """Encrypt the session key (and its export counter) under the root
-        key and clear the slot."""
+        key, clear the slot and return the sealed blob."""
         key = self._require_key()
         body = key.key + key.key_id + struct.pack(">Q", self.export_counter)
         blob = seal_envelope(self._root_key, self._seal_iv(body), body, aad=SEAL_LABEL)
         self._current = None
-        return SealedKey(blob=blob, key_id=key.key_id)
+        return blob
 
-    def load_sealed_key(self, sealed: SealedKey) -> None:
-        """Authenticate a sealed blob and make it the current session key.
+    def load_sealed_key(self, blob: bytes) -> None:
+        """Authenticate a sealed blob and make it the current session key,
+        whose id is read from the blob's authenticated body.
         Its export counter is the larger of the blob's and this engine's
         mark for the key, so a stale blob cannot make a nonce repeat.
         Raises EngineError, leaving the slot and the marks as they were,
         while the slot holds another key: as in
         :meth:`install_session_key`, no key is thrown away unsealed."""
-        body = open_envelope(self._root_key, sealed.blob, aad=SEAL_LABEL)
-        if not hmac.compare_digest(sealed.blob[:NONCE_LEN], self._seal_iv(body)):
+        body = open_envelope(self._root_key, blob, aad=SEAL_LABEL)
+        if not hmac.compare_digest(blob[:NONCE_LEN], self._seal_iv(body)):
             raise AuthError("sealed blob nonce is not its synthetic IV")
         if len(body) != KEY_LEN + KEY_ID_LEN + 8:
             raise AuthError("sealed blob has the wrong shape")

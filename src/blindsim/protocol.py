@@ -31,12 +31,11 @@ Wire format, shared by handshake and session traffic:
 
 All multi-byte integers big-endian; parsers reject trailing bytes.
 
-As in :mod:`blindsim.engine`, ``cryptography`` is loaded the first time
-a function derives, signs or verifies, and its names are kept in a module
-global, so that importing this module (which ``import blindsim`` and the
-CLI do) loads none of it: a process that only simulates or checks saves
-about 6.5 MB of RSS and 20-30 ms of cold start.  Later handshakes run no
-import statement.
+``cryptography`` comes from :func:`blindsim.engine.crypto`, the first
+time a function derives, signs or verifies, so that importing this module
+(which ``import blindsim`` and the CLI do) loads none of it: a process
+that only simulates or checks saves about 6.5 MB of RSS and 20-30 ms of
+cold start.  Later handshakes run no import statement.
 """
 
 from __future__ import annotations
@@ -45,12 +44,11 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import machine
 from .assembler import decode_image
-from .engine import AEAD_SCHEME, EncryptionEngine, SessionKey
+from .engine import AEAD_SCHEME, EncryptionEngine, SessionKey, crypto
 from .isa import Mode
 from .model import Status, SystemState
 
@@ -120,21 +118,18 @@ class Claims:
 
 
 @dataclass(frozen=True, slots=True)
-class AttestationEvidence:
-    claims: Claims
-    transcript_hash: bytes
-    signature: bytes
-
-
-@dataclass(frozen=True, slots=True)
 class ClientHello:
     ephemeral_public: bytes
 
 
 @dataclass(frozen=True, slots=True)
 class HsmHello:
+    """The device's ephemeral and its signed evidence."""
+
     ephemeral_public: bytes
-    evidence: AttestationEvidence
+    claims: Claims
+    transcript_hash: bytes
+    signature: bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,14 +180,8 @@ def encode_frame(msg: Message) -> bytes:
     if isinstance(msg, ClientHello):
         ftype, body = FrameType.CLIENT_HELLO, msg.ephemeral_public
     elif isinstance(msg, HsmHello):
-        ev = msg.evidence
         ftype = FrameType.HSM_HELLO
-        body = (
-            msg.ephemeral_public
-            + ev.claims.encode()
-            + ev.transcript_hash
-            + ev.signature
-        )
+        body = msg.ephemeral_public + msg.claims.encode() + msg.transcript_hash + msg.signature
     elif isinstance(msg, ImportRequest):
         ftype = FrameType.IMPORT
         body = struct.pack(">QI", msg.dst, len(msg.ciphertext)) + msg.ciphertext
@@ -226,12 +215,7 @@ def decode_frame(frame: bytes) -> Message:
     if ftype == FrameType.HSM_HELLO:
         if len(body) != 32 + 4 + 32 + 64:
             raise ProtocolError("bad hello length")
-        return HsmHello(
-            body[:32],
-            AttestationEvidence(
-                Claims.parse(body[32:36]), body[36:68], bytes(body[68:])
-            ),
-        )
+        return HsmHello(body[:32], Claims.parse(body[32:36]), body[36:68], bytes(body[68:]))
     if ftype == FrameType.IMPORT:
         if len(body) < 12:
             raise ProtocolError("truncated import frame")
@@ -296,39 +280,9 @@ def _seed_bytes(seed: int) -> bytes:
     return seed.to_bytes(32, "big")
 
 
-# The ``cryptography`` names the handshake uses, once it first needs them.
-_crypto: SimpleNamespace | None = None
-
-
-def _load_crypto() -> SimpleNamespace:
-    global _crypto
-    from cryptography.exceptions import InvalidSignature
-    from cryptography.hazmat.primitives import hashes
-    from cryptography.hazmat.primitives.asymmetric.ed25519 import (
-        Ed25519PrivateKey,
-        Ed25519PublicKey,
-    )
-    from cryptography.hazmat.primitives.asymmetric.x25519 import (
-        X25519PrivateKey,
-        X25519PublicKey,
-    )
-    from cryptography.hazmat.primitives.kdf.hkdf import HKDF
-
-    _crypto = SimpleNamespace(
-        InvalidSignature=InvalidSignature,
-        hashes=hashes,
-        Ed25519PrivateKey=Ed25519PrivateKey,
-        Ed25519PublicKey=Ed25519PublicKey,
-        X25519PrivateKey=X25519PrivateKey,
-        X25519PublicKey=X25519PublicKey,
-        HKDF=HKDF,
-    )
-    return _crypto
-
-
 def _derive_private(seed: bytes, label: bytes) -> X25519PrivateKey:
     material = hashlib.sha256(label + seed).digest()
-    return (_crypto or _load_crypto()).X25519PrivateKey.from_private_bytes(material)
+    return crypto().X25519PrivateKey.from_private_bytes(material)
 
 
 def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
@@ -337,7 +291,7 @@ def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
     Here and in the handshake endpoints a seed outside ``[0, 2**256)`` is a
     ``ValueError``."""
     material = hashlib.sha256(b"device-key" + _seed_bytes(seed)).digest()
-    private = (_crypto or _load_crypto()).Ed25519PrivateKey.from_private_bytes(material)
+    private = crypto().Ed25519PrivateKey.from_private_bytes(material)
     return private.private_bytes_raw(), private.public_key().public_bytes_raw()
 
 
@@ -350,12 +304,23 @@ def _transcript_hash(client_hello_frame: bytes, hsm_eph: bytes, claims: Claims) 
     return h.digest()
 
 
-def _derive_session_key(shared: bytes, transcript_hash: bytes) -> SessionKey:
-    crypto = _crypto or _load_crypto()
-    kdf = crypto.HKDF(
-        algorithm=crypto.hashes.SHA256(),
+def _agree(
+    private: X25519PrivateKey, peer_public: bytes, salt: bytes, refusal: type[Exception], peer: str
+) -> SessionKey:
+    """The session key: X25519 with the peer's ephemeral, then HKDF-SHA256
+    with ``salt``, the transcript hash.  A low-order peer point, which
+    gives the all-zero shared secret (RFC 7748 section 6.1), raises
+    ``refusal``."""
+    c = crypto()
+    peer_key = c.X25519PublicKey.from_public_bytes(peer_public)
+    try:
+        shared = private.exchange(peer_key)
+    except ValueError:  # an all-zero shared secret
+        raise refusal(f"{peer} ephemeral is a low-order point") from None
+    kdf = c.HKDF(
+        algorithm=c.hashes.SHA256(),
         length=32,
-        salt=transcript_hash,
+        salt=salt,
         info=_SESSION_INFO + AEAD_SCHEME.encode(),
     )
     return SessionKey.from_bytes(kdf.derive(shared))
@@ -382,8 +347,7 @@ class ClientHandshake:
         seed: int,
         required_mode: Mode | None = None,
     ):
-        crypto = _crypto or _load_crypto()
-        self._device_public = crypto.Ed25519PublicKey.from_public_bytes(device_public)
+        self._device_public = crypto().Ed25519PublicKey.from_public_bytes(device_public)
         self._private = _derive_private(_seed_bytes(seed), b"client-eph")
         self._required_mode = required_mode
         self._hello_frame: bytes | None = None
@@ -394,7 +358,6 @@ class ClientHandshake:
         return self._hello_frame
 
     def finish(self, hsm_hello_frame: bytes) -> SessionKey:
-        crypto = _crypto or _load_crypto()
         if self._hello_frame is None:
             raise ProtocolError("finish() before hello()")
         try:
@@ -403,9 +366,8 @@ class ClientHandshake:
             raise VerifyError(f"malformed reply: {exc}") from None
         if not isinstance(msg, HsmHello):
             raise VerifyError("expected a device hello")
-        ev = msg.evidence
 
-        claims = ev.claims
+        claims = msg.claims
         if not claims.has_taint_extensions:
             raise VerifyError("device lacks taint-tracking extensions")
         if not claims.os_certified:
@@ -414,21 +376,15 @@ class ClientHandshake:
             raise VerifyError(f"device runs {claims.policy_mode.value} mode")
 
         expected_hash = _transcript_hash(self._hello_frame, msg.ephemeral_public, claims)
-        if ev.transcript_hash != expected_hash:
+        if msg.transcript_hash != expected_hash:
             raise VerifyError("transcript hash mismatch")
         try:
             self._device_public.verify(
-                ev.signature, _EVIDENCE_LABEL + claims.encode() + ev.transcript_hash
+                msg.signature, _EVIDENCE_LABEL + claims.encode() + msg.transcript_hash
             )
-        except crypto.InvalidSignature:
+        except crypto().InvalidSignature:
             raise VerifyError("evidence signature invalid") from None
-
-        peer = crypto.X25519PublicKey.from_public_bytes(msg.ephemeral_public)
-        try:
-            shared = self._private.exchange(peer)
-        except ValueError:  # an all-zero shared secret
-            raise VerifyError("device ephemeral is a low-order point") from None
-        return _derive_session_key(shared, ev.transcript_hash)
+        return _agree(self._private, msg.ephemeral_public, msg.transcript_hash, VerifyError, "device")
 
 
 class HsmResponder:
@@ -448,15 +404,13 @@ class HsmResponder:
         seed: int,
         engine: EncryptionEngine | None = None,
     ):
-        crypto = _crypto or _load_crypto()
-        self._private = crypto.Ed25519PrivateKey.from_private_bytes(device_private)
+        self._private = crypto().Ed25519PrivateKey.from_private_bytes(device_private)
         self._claims = claims
         self._seed = _seed_bytes(seed)
         self._engine = engine
         self._sessions = 0
 
     def respond(self, client_hello_frame: bytes) -> tuple[bytes, SessionKey]:
-        crypto = _crypto or _load_crypto()
         try:
             msg = decode_frame(client_hello_frame)
         except ProtocolError as exc:
@@ -469,23 +423,14 @@ class HsmResponder:
         eph_public = private.public_key().public_bytes_raw()
 
         transcript_hash = _transcript_hash(client_hello_frame, eph_public, self._claims)
-        peer = crypto.X25519PublicKey.from_public_bytes(msg.ephemeral_public)
-        try:
-            shared = private.exchange(peer)
-        except ValueError:  # an all-zero shared secret
-            raise ProtocolError("client ephemeral is a low-order point") from None
-        key = _derive_session_key(shared, transcript_hash)
+        key = _agree(private, msg.ephemeral_public, transcript_hash, ProtocolError, "client")
         if self._engine is not None:
             self._engine.install_session_key(key)
         self._sessions += 1
         signature = self._private.sign(
             _EVIDENCE_LABEL + self._claims.encode() + transcript_hash
         )
-        hello = HsmHello(
-            eph_public,
-            AttestationEvidence(self._claims, transcript_hash, signature),
-        )
-        return encode_frame(hello), key
+        return encode_frame(HsmHello(eph_public, self._claims, transcript_hash, signature)), key
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +472,9 @@ class ServerSession:
     sessions is the OS's job: it seals the current key before another
     session's handshake, and loads a sealed key to switch back.  An
     import commits the engine's writes with one :meth:`SystemState.edit`;
-    a refused import leaves :attr:`state` the same object.
+    a refused import leaves :attr:`state` the same object.  The claims
+    must attest the machine's own mode, or the session is refused with a
+    ValueError: the mode a client checks is the mode its data runs in.
     """
 
     def __init__(
@@ -540,6 +487,10 @@ class ServerSession:
         max_steps: int = 100_000,
     ):
         assert isinstance(cfg, machine.MachineConfig)
+        if claims.policy_mode is not cfg.mode:
+            raise ValueError(
+                f"claims attest {claims.policy_mode.value} mode, the machine runs {cfg.mode.value}"
+            )
         if max_steps <= 0:
             raise ValueError("max_steps must be positive")
         self.cfg = cfg

@@ -470,6 +470,7 @@ class TestMachineFlags:
             ("run", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
             ("check", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
             ("demo-protocol", ["--allow-raw-unblind"], "unrecognized arguments: --allow-raw-unblind"),
+            ("run", ["--mem-words", "xyz"], "argument --mem-words: invalid _int value: 'xyz'"),
             ("run", ["--mem-words", "\u0666\u0664", "--cache-lines", "8"], "argument --mem-words"),
             ("run", ["--mem-words", "64", "--cache-lines", "\uff18"], "argument --cache-lines"),
             ("run", ["--unblindable", "\u0661..\u0662"], "argument --unblindable"),
@@ -481,7 +482,7 @@ class TestMachineFlags:
         ],
         ids=[
             "run-allow-raw-unblind", "check-allow-raw-unblind", "demo-allow-raw-unblind",
-            "mem-words", "cache-lines-fullwidth", "unblindable", "mmio-console", "max-steps",
+            "mem-words-xyz", "mem-words", "cache-lines-fullwidth", "unblindable", "mmio-console", "max-steps",
             "seed", "trials", "data-base",
         ],
     )
@@ -493,7 +494,21 @@ class TestMachineFlags:
         capsys.readouterr()
         assert main([command, target, *flags]) == 2
         captured = capsys.readouterr()
-        assert f"error: {error}" in captured.err and captured.out == ""
+        # One line, as main() prints its own errors: no usage block.
+        assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [[], ["run"], ["frobnicate"]], ids=["no-command", "no-image", "unknown-command"])
+    def test_a_missing_or_unknown_argument_is_one_error_line(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=["top", "run"])
+    def test_help_still_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: blindsim")
 
 
 ERROR_FILES = {

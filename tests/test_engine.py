@@ -22,7 +22,6 @@ from blindsim.engine import (
     EngineError,
     NoKeyError,
     RangeError,
-    SealedKey,
     SessionKey,
     bytes_to_words,
     client_decrypt,
@@ -74,25 +73,20 @@ class TestOracleItself:
 class TestEnvelopesLoadTheCipherOnce:
     def test_the_first_envelope_call_loads_the_cipher_and_later_ones_reuse_it(self, monkeypatch):
         # Neither envelope function holds an import statement; the first
-        # call loads the cipher and every later seal and open, failed
-        # opens included, reads it back.
+        # call loads cryptography through engine.crypto(), and every later
+        # seal and open, failed opens included, reads back the names it
+        # loaded: a second load would build a new namespace.
         for function in (seal_envelope, open_envelope):
             assert "IMPORT_NAME" not in {i.opname for i in dis.get_instructions(function)}
-        loads = []
-        real = engine._load_aead
-
-        def counted():
-            loads.append(1)
-            return real()
-
-        monkeypatch.setattr(engine, "_aead", None)
-        monkeypatch.setattr(engine, "_load_aead", counted)
+        monkeypatch.setattr(engine, "_crypto", None)
         envelope = seal_envelope(RFC_KEY, RFC_NONCE, b"8 bytes!")
+        loaded = engine._crypto
+        assert loaded is not None
         assert seal_envelope(RFC_KEY, RFC_NONCE, b"8 bytes!") == envelope
         assert open_envelope(RFC_KEY, envelope) == b"8 bytes!"
         with pytest.raises(AuthError, match="authentication failed"):
             open_envelope(RFC_KEY, envelope[:-1] + bytes([envelope[-1] ^ 1]))
-        assert loads == [1]
+        assert engine._crypto is loaded
 
 
 class TestImportExport:
@@ -333,7 +327,6 @@ class TestSealing:
         engine, session = make_engine()
         sealed = engine.seal_current_key()
         assert engine.current_key_id is None
-        assert sealed.key_id == session.key_id
         engine.load_sealed_key(sealed)
         assert engine.current_key_id == session.key_id
         mem = MemoryImage(tuple(clear(v) for v in range(4)))
@@ -351,7 +344,7 @@ class TestSealing:
         engine, _ = make_engine()
         sealed = engine.seal_current_key()
         with pytest.raises(AuthError):
-            engine.load_sealed_key(SealedKey(sealed.blob[:-4], sealed.key_id))
+            engine.load_sealed_key(sealed[:-4])
 
     def test_seal_without_key_fails(self):
         engine = EncryptionEngine(b"R" * 32)
@@ -429,8 +422,8 @@ class TestSealing:
     def test_engines_sharing_a_root_seal_under_different_nonces(self):
         # Two fresh (or restarted) engines must not reuse a nonce under
         # the root key for different keys.
-        blob_a = make_engine(key=b"A" * 32)[0].seal_current_key().blob
-        blob_b = make_engine(key=b"B" * 32)[0].seal_current_key().blob
+        blob_a = make_engine(key=b"A" * 32)[0].seal_current_key()
+        blob_b = make_engine(key=b"B" * 32)[0].seal_current_key()
         assert blob_a[0] == blob_b[0] == 0x53
         assert blob_a[:12] != blob_b[:12]
 
@@ -441,9 +434,9 @@ class TestSealing:
         engine, session = make_engine(root=root)
         other = make_engine(root=root, key=b"O" * 32)[0].seal_current_key()
         body = session.key + session.key_id + struct.pack(">Q", 0)
-        forged = seal_envelope(root, other.blob[:12], body, aad=SEAL_LABEL)
+        forged = seal_envelope(root, other[:12], body, aad=SEAL_LABEL)
         with pytest.raises(AuthError):
-            engine.load_sealed_key(SealedKey(forged, session.key_id))
+            engine.load_sealed_key(forged)
 
     def test_same_body_seals_to_same_blob(self):
         # A synthetic IV is a function of the body: sealing is deterministic.
@@ -454,7 +447,7 @@ class TestSealing:
         mem = MemoryImage(tuple(clear(v) for v in range(4)))
         engine.load_sealed_key(first)
         engine.export_region(mem, 0, 4)
-        assert engine.seal_current_key().blob != first.blob  # the counter moved
+        assert engine.seal_current_key() != first  # the counter moved
 
 
 def sealed_under(root, body):
@@ -473,7 +466,7 @@ class TestSealedBody:
     def test_construction_matches_the_engine(self):
         engine, session = make_engine(root=self.ROOT)
         body = session.key + session.key_id + struct.pack(">Q", 0)
-        assert sealed_under(self.ROOT, body) == engine.seal_current_key().blob
+        assert sealed_under(self.ROOT, body) == engine.seal_current_key()
 
     @pytest.mark.parametrize(
         "body, message",
@@ -487,7 +480,7 @@ class TestSealedBody:
         engine, session = make_engine(root=self.ROOT, key=b"S" * 32)
         engine.export_region(MemoryImage.zeros(4), 0, 4)
         with pytest.raises(AuthError, match=message):
-            engine.load_sealed_key(SealedKey(sealed_under(self.ROOT, body), session.key_id))
+            engine.load_sealed_key(sealed_under(self.ROOT, body))
         assert engine.current_key_id == session.key_id and engine.export_counter == 1
 
 
@@ -541,9 +534,9 @@ class TestSealedBlobFuzz:
     @given(st.lists(MUTATIONS, min_size=1, max_size=4))
     def test_mutated_blob_is_refused_or_loads_the_original_key(self, mutations):
         engine = EncryptionEngine(FUZZ_ROOT)
-        blob = bytes(mutated(FUZZ_SEALED.blob, mutations))
+        blob = bytes(mutated(FUZZ_SEALED, mutations))
         try:
-            engine.load_sealed_key(SealedKey(blob, FUZZ_SEALED.key_id))
+            engine.load_sealed_key(blob)
         except EngineError:
             assert engine.current_key_id is None
             return

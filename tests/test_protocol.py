@@ -1,6 +1,7 @@
 """Handshake agreement, evidence verification, framing, and the session loop."""
 
 import builtins
+import dataclasses
 import io
 import os
 import random
@@ -24,7 +25,6 @@ from blindsim import machine
 from blindsim.machine import MachineConfig, RunOutcome
 from blindsim.protocol import (
     _EVIDENCE_LABEL,
-    AttestationEvidence,
     Claims,
     ClientHello,
     ClientHandshake,
@@ -170,9 +170,7 @@ class TestHandshake:
         signature = Ed25519PrivateKey.from_private_bytes(DEV_PRIV).sign(
             _EVIDENCE_LABEL + claims.encode() + transcript
         )
-        reply = encode_frame(
-            HsmHello(bytes(32), AttestationEvidence(claims, transcript, signature))
-        )
+        reply = encode_frame(HsmHello(bytes(32), claims, transcript, signature))
         with pytest.raises(VerifyError, match="low-order"):
             client.finish(reply)
 
@@ -386,6 +384,25 @@ class TestServerSession:
         session.handle_frame(LOW_ORDER_HELLO)
         reply = decode_frame(session.handle_frame(encode_frame(ExportRequest(0, 1))))
         assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
+
+    @pytest.mark.parametrize("attested, runs", [(Mode.HARDWARE, Mode.MODEL), (Mode.MODEL, Mode.HARDWARE)])
+    def test_claims_that_disagree_with_the_machine_are_refused(self, attested, runs):
+        # A client that requires the attested mode must get that mode.
+        cfg = MachineConfig(mode=runs, memory_words=1024, cache_lines=16)
+        message = f"^claims attest {attested.value} mode, the machine runs {runs.value}$"
+        with pytest.raises(ValueError, match=message):
+            ServerSession(DEV_PRIV, Claims(policy_mode=attested), EncryptionEngine(b"T" * 32), cfg, seed=3)
+        ServerSession(DEV_PRIV, Claims(policy_mode=runs), EncryptionEngine(b"T" * 32), cfg, seed=3)
+
+    def test_every_machine_field_is_attested_or_named_by_the_threat_model(self):
+        # `mode` is attested and bound by the check above; README's threat
+        # model must name every other field as one that only sizes the
+        # machine or adds refusals.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (bullet,) = [b for b in readme.split("\n* ") if "sizes the machine or adds refusals" in b]
+        names = [f.name for f in dataclasses.fields(MachineConfig)]
+        assert "mode" in names
+        assert [name for name in names if name != "mode" and f"`{name}`" not in bullet] == []
 
     def test_handshake_is_per_session_not_per_engine(self):
         # Two sessions on one engine: one handshake serves only its own.
@@ -892,11 +909,11 @@ assert client_decrypt(key, out) == (1, 2**64 - 1)
     "seal-and-load": """
 from blindsim.engine import EncryptionEngine, SessionKey
 engine = EncryptionEngine(bytes(32))
-engine.install_session_key(SessionKey.from_bytes(bytes(range(32))))
-sealed = engine.seal_current_key()
-engine.load_sealed_key(sealed)
-assert engine.current_key_id == sealed.key_id
-out = sealed.blob
+key = SessionKey.from_bytes(bytes(range(32)))
+engine.install_session_key(key)
+out = engine.seal_current_key()
+engine.load_sealed_key(out)
+assert engine.current_key_id == key.key_id
 """,
     "client-hello": f"""
 from blindsim.protocol import ClientHandshake

@@ -10,10 +10,16 @@ per register and per memory word.  A known clear constant is held as its
 ``int`` and every other class as its ``SigTag`` member, the tag a
 signature names it by.  Constant tracking is load-bearing: it
 resolves branch targets (the ISA has no immediates, so targets come from
-constant pools) and models the clear-zero absorption of MUL/AND.  The
-analysis is deliberately conservative -- whenever it cannot resolve an
-instruction word, address, or branch target it reports MAY_FAULT rather
-than guessing.  A DEFINITELY_FAULTS verdict is only ever claimed after a
+constant pools) and models the clear-zero absorption of MUL/AND.  An
+abstract state is canonical plain data (``AbsState``): no memory cell it
+lists holds the value of ``rest``, its summary of every other word, so
+two states are equal exactly when they read alike at every register and
+address, and the fixpoint compares them with ``==``.  The fixpoint has
+a fixed budget of 16 iterations per image word, at least 256; past it
+the analysis stops and reports MAY_FAULT.  The analysis is
+deliberately conservative -- whenever it cannot resolve an instruction
+word, address, or branch target it reports MAY_FAULT rather than
+guessing.  A DEFINITELY_FAULTS verdict is only ever claimed after a
 concrete replay: the reported witness is an initial state, consistent
 with the signature, that demonstrably reaches the fault.
 
@@ -50,8 +56,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from typing import Mapping, Sequence
+from functools import lru_cache, reduce
+from typing import Mapping, NamedTuple, Sequence
 
 from .assembler import ProgramImage, render_instruction
 from .isa import (
@@ -118,59 +124,33 @@ def join(a: AbsWord, b: AbsWord) -> AbsWord:
 
 
 # ---------------------------------------------------------------------------
-# Abstract memory: known cells plus a summary for every other address
+# Abstract state: registers, known memory cells and a summary of the rest
 # ---------------------------------------------------------------------------
 
 
-class AbsMemory:
-    __slots__ = ("cells", "rest")
+class AbsState(NamedTuple):
+    """The registers, the memory words known apart from ``rest``, and
+    ``rest``, what every other word holds.  Canonical: ``cells`` holds no
+    value equal to ``rest`` and is never changed once built, so equal
+    states are the states that read alike."""
 
-    def __init__(self, cells: dict[int, AbsWord], rest: AbsWord):
-        self.cells = cells
-        self.rest = rest
-
-    def read(self, address: int) -> AbsWord:
-        return self.cells.get(address, self.rest)
-
-    def write(self, address: int, value: AbsWord) -> AbsMemory:
-        cells = dict(self.cells)
-        cells[address] = value
-        return AbsMemory(cells, self.rest)
-
-    def weak_write_everywhere(self, value: AbsWord) -> AbsMemory:
-        cells = {a: join(v, value) for a, v in self.cells.items()}
-        return AbsMemory(cells, join(self.rest, value))
-
-    def join_all(self) -> AbsWord:
-        out = self.rest
-        for v in self.cells.values():
-            out = join(out, v)
-        return out
-
-    def merge(self, other: AbsMemory) -> AbsMemory:
-        keys = set(self.cells) | set(other.cells)
-        cells = {a: join(self.read(a), other.read(a)) for a in keys}
-        return AbsMemory(cells, join(self.rest, other.rest))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AbsMemory):
-            return NotImplemented
-        if self.rest != other.rest:
-            return False
-        keys = set(self.cells) | set(other.cells)
-        return all(self.read(a) == other.read(a) for a in keys)
-
-
-@dataclass(frozen=True)
-class AbsState:
     regs: tuple[AbsWord, ...]
-    mem: AbsMemory
+    cells: dict[int, AbsWord]
+    rest: AbsWord
 
-    def merge(self, other: AbsState) -> AbsState:
-        return AbsState(
-            tuple(join(a, b) for a, b in zip(self.regs, other.regs)),
-            self.mem.merge(other.mem),
-        )
+
+def _state(regs: tuple[AbsWord, ...], cells: dict[int, AbsWord], rest: AbsWord) -> AbsState:
+    """The canonical state: ``cells`` without the words that read as ``rest``."""
+    return AbsState(regs, {a: v for a, v in cells.items() if v != rest}, rest)
+
+
+def _merge(s: AbsState, t: AbsState) -> AbsState:
+    """The join of two states, register by register and word by word."""
+    cells = {
+        a: join(s.cells.get(a, s.rest), t.cells.get(a, t.rest))
+        for a in s.cells.keys() | t.cells.keys()
+    }
+    return _state(tuple(map(join, s.regs, t.regs)), cells, join(s.rest, t.rest))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +333,13 @@ class _Analysis:
                 else:
                     value = word.value
                 cells[seg.base + offset] = value
-        return AbsState(tuple(regs), AbsMemory(cells, 0))
+        return _state(tuple(regs), cells, 0)
 
     # -- transfer -----------------------------------------------------------
 
     def flow(self, pc: int, state: AbsState) -> list[tuple[int, AbsState]]:
         """Successor (pc, state) pairs for one abstract step."""
-        word = state.mem.read(pc)
+        word = state.cells.get(pc, state.rest)
         if word is BLINDED or word is TOP:
             self.report(
                 pc,
@@ -392,11 +372,9 @@ class _Analysis:
         if op is Opcode.BZ:
             return self._flow_branch(pc, d, state)
         # arithmetic
-        a, b = state.regs[d.inputs[0]], state.regs[d.inputs[1]]
-        value = _arith_transfer(d, a, b)
-        regs = list(state.regs)
-        regs[d.output] = value
-        return self._next(pc, d, AbsState(tuple(regs), state.mem))
+        regs, dst = state.regs, d.output
+        value = _arith_transfer(d, regs[d.inputs[0]], regs[d.inputs[1]])
+        return self._next(pc, d, state._replace(regs=regs[:dst] + (value,) + regs[dst + 1 :]))
 
     def _next(self, pc: int, d: DecodedInstruction, state: AbsState) -> list[tuple[int, AbsState]]:
         if pc + 1 >= self.cfg.memory_words:
@@ -475,16 +453,20 @@ class _Analysis:
                         pc, d, "possibly blinded store may hit an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
                     )
-            regs, mem = state.regs, state.mem
+            regs, cells, rest = state
             if op is Opcode.LOAD:
+                # An unresolved load may read any word.
                 dst = d.output
-                loaded = mem.read(addr) if known else mem.join_all()
-                regs = regs[:dst] + (loaded,) + regs[dst + 1 :]
+                loaded = cells.get(addr, rest) if known else reduce(join, cells.values(), rest)
+                succ = state._replace(regs=regs[:dst] + (loaded,) + regs[dst + 1 :])
             else:
                 if op is Opcode.BLND:
                     value = BLINDED
-                mem = mem.write(addr, value) if known else mem.weak_write_everywhere(value)
-            out.extend(self._next(pc, d, AbsState(regs, mem)))
+                if known:
+                    succ = _state(regs, {**cells, addr: value}, rest)
+                else:  # a weak write: any word may now hold ``value``
+                    succ = _state(regs, {a: join(v, value) for a, v in cells.items()}, join(rest, value))
+            out.extend(self._next(pc, d, succ))
         if maybe_noop:
             out.extend(self._next(pc, d, state))
         return out
@@ -526,10 +508,9 @@ class _Analysis:
 
     # -- fixpoint -----------------------------------------------------------
 
-    def run(self, max_iterations: int | None = None) -> None:
+    def run(self) -> None:
         entry = self.image.entry_pc
-        words = max(self.image.word_count(), 16)
-        budget = words * 4 * 4 if max_iterations is None else max_iterations
+        budget = max(self.image.word_count(), 16) * 16
         self.states[entry] = self.entry_state()
         worklist = [entry]
         while worklist:
@@ -547,7 +528,7 @@ class _Analysis:
             state = self.states[pc]
             for succ_pc, succ_state in self.flow(pc, state):
                 known = self.states.get(succ_pc)
-                merged = succ_state if known is None else known.merge(succ_state)
+                merged = succ_state if known is None else _merge(known, succ_state)
                 if known is None or merged != known:
                     self.states[succ_pc] = merged
                     if succ_pc not in worklist:
@@ -568,15 +549,14 @@ def signature_state(
     sig: TaintSignature,
     cfg: MachineConfig,
     rng: random.Random,
-    randomize_clear: bool = False,
 ) -> SystemState:
     """A concrete state consistent with the signature.
 
-    Signature-clear registers get value 0 by default or a random clear
-    value with ``randomize_clear`` (any clear value is consistent); a
-    signature-clear segment keeps its payloads and drops its tags.  Every
-    other named register and word gets a fresh blinded payload.  Raises
-    ValueError when the signature names a segment the image lacks.
+    Signature-clear registers keep their boot value, a clear 0 (any clear
+    value is consistent); a signature-clear segment keeps its payloads and
+    drops its tags.  Every other named register and word gets a fresh
+    blinded payload.  Raises ValueError when the signature names a segment
+    the image lacks.
     """
     _check_segments(image, sig)
     memory = []
@@ -590,9 +570,9 @@ def signature_state(
             else:
                 memory.append((addr, TaggedWord(rng.getrandbits(64), True)))
     registers = [
-        (index, TaggedWord(rng.getrandbits(64) if randomize_clear else 0, False)
-         if tag is SigTag.CLEAR else TaggedWord(rng.getrandbits(64), True))
+        (index, TaggedWord(rng.getrandbits(64), True))
         for index, tag in sig.registers.items()
+        if tag is not SigTag.CLEAR
     ]
     return boot_image(image, cfg).edit(registers=registers, memory=memory)
 
@@ -619,7 +599,6 @@ def analyze(
     sig: TaintSignature,
     cfg: MachineConfig,
     seed: int = 0,
-    max_iterations: int | None = None,
 ) -> ComplianceReport:
     """Abstractly interpret the program under the signature.
 
@@ -634,7 +613,7 @@ def analyze(
     check_image_fits(image, cfg.memory_words)
     _check_segments(image, sig)
     analysis = _Analysis(image, sig, cfg)
-    analysis.run(max_iterations)
+    analysis.run()
     findings = tuple(analysis.findings.values())
 
     witness = None

@@ -1,7 +1,8 @@
 """Helpers that only the tests call: a decoded random instruction, a
 count of calls into ``blindsim``, one event's trace line, the
-console-report program and the ISA's reference semantics without its
-tag policy.  Nothing in ``src/`` imports this module.
+console-report program, a loop past the checker's fixpoint budget and
+the ISA's reference semantics without its tag policy.  Nothing in
+``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -67,6 +68,31 @@ pool:
     .word 1
     .word {data_addr:#x}
     .word {mmio_addr:#x}
+"""
+
+
+def widening_loop() -> str:
+    """A 33-word loop whose abstract fixpoint needs more than its budget of
+    16 iterations per image word: r1 counts up, and each pass copies it one
+    register further down the chain r2 ... r24, so each pass widens one
+    more register from a constant to CLEAR."""
+    chain = "\n".join(f"    add r{i}, r{i - 1}, r0" for i in range(24, 1, -1))
+    return f"""
+.entry start
+.word pool
+start:
+    load r30, r0        # pool pointer
+    load r31, r30       # constant 1
+    add  r30, r30, r31
+    load r29, r30       # loop address
+loop:
+{chain}
+    add  r1, r1, r31
+    bz   r0, r29
+    halt
+pool:
+    .word 1
+    .word loop
 """
 
 

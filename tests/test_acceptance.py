@@ -452,7 +452,7 @@ def test_a7_checker_soundness():
 
         if report.verdict is checker.Verdict.COMPLIANT:
             for _ in range(1000):
-                s = checker.signature_state(image, sig, cfg, rng, randomize_clear=False)
+                s = checker.signature_state(image, sig, cfg, rng)
                 s = checker.rerandomize_blinded(s, rng)
                 result = run(s, cfg, 1000)
                 faults = [e for e in result.trace if isinstance(e, Fault)]

@@ -26,7 +26,7 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import mmio_report
+from helpers import mmio_report, widening_loop
 
 
 @pytest.fixture
@@ -210,6 +210,21 @@ class TestCheck:
             for f in expected.findings
         ]
         assert data["noninterference"] is None
+
+    def test_fixpoint_bound_exceeded(self, work, capsys):
+        tmp, write = work
+        img = write("w.img", encode_image(assemble(widening_loop())), binary=True)
+        report = tmp / "r.json"
+        code = main([
+            "check", img, "--mem-words", "64", "--cache-lines", "8",
+            "--trials", "0", "--report", str(report),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "verdict: may-fault\n" in out
+        assert "pc=0x1d [possible] <analysis>: fixpoint iteration bound (528) exceeded\n" in out
+        data = json.loads(report.read_text())
+        assert data["bound_exceeded"] is True and data["iterations"] == 528
 
     def test_faulting_program_exit_one(self, work, capsys):
         tmp, write = work

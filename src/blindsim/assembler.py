@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 
 from .isa import SHAPES, DecodedInstruction, DecodeError, decode, encode
-from .model import MASK64, REG_COUNT, TaggedWord
+from .model import MASK64, REG_COUNT, TaggedWord, word_value
 
 _MNEMONICS = {op.name.lower(): op for op in SHAPES}
 
@@ -116,10 +116,11 @@ class _Assembler:
             else:
                 self.err(line, col, f"bad value {tok!r}")
             return None
-        if not -(1 << 63) <= value <= MASK64:
+        try:
+            return word_value(value)
+        except ValueError:
             self.err(line, col, f"value out of 64-bit range: {tok}")
             return None
-        return value & MASK64
 
     def parse_register(self, tok: str, line: int, col: int) -> int | None:
         # Leading zeros are allowed (r01 is r1), so only the last two

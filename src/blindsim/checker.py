@@ -34,8 +34,7 @@ semantics does) compares the machines whole, and a full
 ``state_equiv`` of the two machines ends every trial as a cross-check.
 Unwinding needs equivalent pre-states, not a re-proof of them: a pair
 the harness draws is equivalent by construction, and so is each
-candidate of a shrink, which copies one blinded payload across; only a
-pair a caller passes to ``shrink_pair`` is checked, once.
+candidate of a shrink, which copies one blinded payload across.
 A trial stops when both sides halt or fault, at the step budget, or at
 the blinded-fetch fixed point: a machine at pc 0 whose word 0 is
 blinded traps to pc 0 on every step and writes nothing, and both
@@ -79,7 +78,6 @@ from .machine import (
     MachineConfig,
     boot_image,
     check_image_fits,
-    check_state_fits,
     run,
 )
 from .model import (
@@ -653,20 +651,6 @@ def analyze(
 _SMALL_BLINDED = tuple(TaggedWord(v, True) for v in range(4))
 
 
-def rerandomize_blinded(s: SystemState, rng: random.Random) -> SystemState:
-    """Fresh payload for every blinded word; equivalent by construction.
-
-    Payloads are biased toward small values (including zero) so that
-    payload-sensitive bugs -- branching on a secret, absorbing on zero --
-    actually get exercised.  Each blinded word, registers first and then
-    memory, in ascending order, draws ``rng.random()``, then a 64-bit
-    payload or, as ``rng.randrange(4)`` would, a value below 4; the four
-    small payloads are shared words.  The blinded positions are found,
-    then only they are redrawn: every clear word is shared with ``s``.
-    """
-    return _redraw(s, *_blinded_positions(s), rng)
-
-
 def _blinded_positions(s: SystemState) -> tuple[list[int], list[int]]:
     """The indices of ``s``'s blinded registers and memory words, ascending."""
     return (
@@ -676,9 +660,17 @@ def _blinded_positions(s: SystemState) -> tuple[list[int], list[int]]:
 
 
 def _redraw(s: SystemState, regs_at: Sequence[int], mem_at: Sequence[int], rng) -> SystemState:
-    """``s`` with fresh payloads at its blinded positions ``regs_at`` and
-    ``mem_at``, drawn in that order as :func:`rerandomize_blinded` draws
-    them; a component with no blinded word is shared with ``s``."""
+    """``s`` with a fresh payload at each of its blinded positions
+    ``regs_at`` and ``mem_at`` (see :func:`_blinded_positions`);
+    equivalent to ``s`` by construction.
+
+    Payloads are biased toward small values (including zero) so that
+    payload-sensitive bugs -- branching on a secret, absorbing on zero --
+    actually get exercised.  Each blinded word, registers first and then
+    memory, in ascending order, draws ``rng.random()``, then a 64-bit
+    payload or, as ``rng.randrange(4)`` would, a value below 4; the four
+    small payloads are shared words.  Every clear word is shared with
+    ``s``, and so is a component with no blinded word."""
     registers, memory = s.registers, s.memory
     if regs_at:
         registers = _redrawn(registers, regs_at, rng)
@@ -743,8 +735,8 @@ def generate_equivalent_pair(
 
     Memory words and then registers are drawn by one loop body, which
     records each component's blinded positions as it draws them, so the
-    twin is :func:`rerandomize_blinded` of the first state without a
-    search for them.  Every bounded integer is drawn as ``rng.randrange``
+    twin is :func:`_redraw` of the first state without a search for
+    them.  Every bounded integer is drawn as ``rng.randrange``
     would draw it, by CPython's rejection loop on ``getrandbits`` run
     inline, and an instruction word as the opcode, then its registers in
     operand order (inputs before a register output), from
@@ -988,27 +980,12 @@ def _with_payload_from(s2: SystemState, s1: SystemState, kind: str, index: int) 
     return s2.edit(memory=[(index, s1.memory[index])])
 
 
-def shrink_pair(
-    s1: SystemState,
-    s2: SystemState,
-    cfg: MachineConfig,
-    steps: int,
-    semantics,
-) -> tuple[SystemState, SystemState]:
-    """Greedy minimization: revert blinded payload differences one at a
-    time while the pair still diverges.  Raises ValueError unless both
-    states fit ``cfg`` and are equivalent."""
-    check_state_fits(s1, cfg)
-    check_state_fits(s2, cfg)
-    if not state_equiv(s1, s2):
-        raise ValueError("states are not equivalent")
-    return _shrink(s1, s2, cfg, steps, semantics, {})
-
-
 def _shrink(s1, s2, cfg, steps, semantics, decoded: dict) -> tuple[SystemState, SystemState]:
-    """:func:`shrink_pair`, its re-runs sharing the decode slot ``decoded``.
-    A candidate copies one payload that is blinded on both sides, so it
-    stays equivalent and runs in :func:`_run_pair` with no gate."""
+    """Greedy minimization of a diverging equivalent pair: revert blinded
+    payload differences one at a time while the pair still diverges, the
+    re-runs sharing the decode slot ``decoded``.  A candidate copies one
+    payload that is blinded on both sides, so it stays equivalent and
+    runs in :func:`_run_pair` with no gate."""
     current = s2
     for kind, index in _payload_delta(s1, s2):
         candidate = _with_payload_from(current, s1, kind, index)

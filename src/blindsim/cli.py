@@ -9,6 +9,7 @@ All commands are deterministic given the same inputs and seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import socket
 import sys
@@ -25,7 +26,7 @@ from .assembler import (
 )
 from .engine import EncryptionEngine, client_decrypt, client_encrypt
 from .isa import Mode
-from .model import SystemState, blinded, snapshot, state_equiv
+from .model import SystemState, blinded, snapshot, state_equiv, word_value
 from .protocol import (
     Claims,
     ClientHandshake,
@@ -197,7 +198,7 @@ def cmd_run(args) -> int:
     for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
             raise ValueError(f"--blind-word address {addr:#x} out of range")
-    state = state.edit(memory=[(addr, blinded(value)) for addr, value in args.blind_word])
+    state = state.edit(memory=[(addr, blinded(word_value(value))) for addr, value in args.blind_word])
 
     result = machine.run(state, cfg, args.max_steps)
     if args.trace:
@@ -212,12 +213,14 @@ def cmd_check(args) -> int:
     cfg = args.cfg
     if args.trials < 0:
         raise ValueError("--trials must not be negative")
+    if args.steps < 1:
+        raise ValueError("--steps must be positive")
     image = _load_image(args.image)
     sig = checker.parse_signature(args.sig)
     report = checker.analyze(image, sig, cfg, seed=args.seed)
 
-    # Both halves run before anything is printed, so a bad --steps
-    # leaves stdout empty; --trials 0 runs only the static analysis.
+    # Both halves run before anything is printed; --trials 0 runs only
+    # the static analysis.
     dynamic = None
     if args.trials > 0:
         # Registers that may be blinded get fresh payloads on each side.
@@ -281,54 +284,40 @@ def cmd_check(args) -> int:
 
 def _read_words(path: str) -> tuple[int, ...]:
     with open(path) as fh:
-        return tuple(_int(tok) & (1 << 64) - 1 for tok in fh.read().split())
+        return tuple(word_value(_int(tok)) for tok in fh.read().split())
 
 
-class _MemoryTransport:
-    """Client-side transport that calls the server directly."""
+@contextlib.contextmanager
+def _socket_round_trip(session: ServerSession):
+    """Yield a round-trip function over a loopback socket pair whose other
+    end a thread serves; on exit both ends are closed and the thread joined."""
+    client_sock, server_sock = socket.socketpair()
+    client_file, server_file = client_sock.makefile("rwb"), server_sock.makefile("rwb")
+    max_length = max_frame_length(session.cfg.memory_words)
 
-    def __init__(self, session: ServerSession):
-        self.session = session
+    def serve():
+        try:
+            session.serve_stream(server_file)
+        finally:
+            server_file.close()
+            server_sock.close()
 
-    def round_trip(self, frame: bytes) -> bytes:
-        return self.session.handle_frame(frame)
-
-    def close(self) -> None:
-        pass
-
-
-class _SocketTransport:
-    """Loopback byte-stream transport; the server runs on a thread."""
-
-    def __init__(self, session: ServerSession):
-        client_sock, server_sock = socket.socketpair()
-        self._client = client_sock
-        self._file = client_sock.makefile("rwb")
-        self._max_length = max_frame_length(session.cfg.memory_words)
-        server_file = server_sock.makefile("rwb")
-
-        def serve():
-            try:
-                session.serve_stream(server_file)
-            finally:
-                server_file.close()
-                server_sock.close()
-
-        self._thread = threading.Thread(target=serve, daemon=True)
-        self._thread.start()
-
-    def round_trip(self, frame: bytes) -> bytes:
-        self._file.write(frame)
-        self._file.flush()
-        reply = read_frame(self._file, self._max_length)
+    def round_trip(frame: bytes) -> bytes:
+        client_file.write(frame)
+        client_file.flush()
+        reply = read_frame(client_file, max_length)
         if reply is None:
             raise ProtocolError("server closed the stream mid-frame")
         return reply
 
-    def close(self) -> None:
-        self._file.close()
-        self._client.close()
-        self._thread.join(timeout=5)
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield round_trip
+    finally:
+        client_file.close()
+        client_sock.close()
+        thread.join(timeout=5)
 
 
 def _demo_session(
@@ -344,16 +333,16 @@ def _demo_session(
         device_priv, claims, engine, cfg, seed=args.seed, max_steps=args.max_steps
     )
     transport = (
-        _SocketTransport(session)
+        _socket_round_trip(session)
         if args.transport == "socket"
-        else _MemoryTransport(session)
+        else contextlib.nullcontext(session.handle_frame)
     )
-    try:
+    with transport as round_trip:
         client = ClientHandshake(device_pub, seed=args.seed + 1, required_mode=cfg.mode)
-        key = client.finish(transport.round_trip(client.hello()))
+        key = client.finish(round_trip(client.hello()))
 
         def request(msg):
-            reply = decode_frame(transport.round_trip(encode_frame(msg)))
+            reply = decode_frame(round_trip(encode_frame(msg)))
             if isinstance(reply, ErrorResponse):
                 raise VerifyError(f"server: {reply.message}")
             assert isinstance(reply, ResultResponse)
@@ -367,8 +356,6 @@ def _demo_session(
             raise VerifyError(f"computation did not halt: {outcome} after {steps} steps")
         envelope = request(ExportRequest(args.result_base, len(plaintext)))
         output = client_decrypt(key, envelope)
-    finally:
-        transport.close()
     return output, session.traces[-1], session.state
 
 

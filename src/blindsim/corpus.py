@@ -187,23 +187,15 @@ def demo_add_one(n: int, data_base: int = 0x100, result_base: int = 0x180) -> st
     return _add_one_loop(n, f"{data_base:#x}", f"{result_base:#x}")
 
 
-def add_one_unrolled(n: int = 3, values: tuple[int, ...] | None = None) -> str:
-    """Straight-line variant of the pipeline: every address is a pool
-    constant, which the static checker can fully resolve."""
-    if values is None:
-        values = tuple(range(1, n + 1))
-    assert len(values) == n
-    body = []
-    for _ in range(n):
-        body.append(
-            """
+def add_one_unrolled() -> str:
+    """Straight-line variant of the pipeline over blinded 1, 2, 3: every
+    address is a pool constant, which the static checker can fully resolve."""
+    body = """
     load r2, r12
     add  r3, r2, r11
     store r13, r3
     add  r12, r12, r11
     add  r13, r13, r11"""
-        )
-    data_words = "\n".join(f"    .word {v:#x} blinded" for v in values)
     return f"""
 .entry start
 .word pool
@@ -214,16 +206,20 @@ start:
     load r12, r10       # data pointer
     add  r10, r10, r11
     load r13, r10       # result pointer
-{"".join(body)}
+{body * 3}
     halt
 pool:
     .word 1
     .word data
     .word result
 data:
-{data_words}
+    .word 0x1 blinded
+    .word 0x2 blinded
+    .word 0x3 blinded
 result:
-{chr(10).join("    .word 0" for _ in range(n))}
+    .word 0
+    .word 0
+    .word 0
 """
 
 
@@ -264,8 +260,8 @@ pool:
 """
 
 
-def blinded_store_unblindable_fault(mmio_addr: int = 48) -> str:
-    return f"""
+def blinded_store_unblindable_fault() -> str:
+    return """
 .entry start
 .word pool
 start:
@@ -280,7 +276,7 @@ start:
 pool:
     .word 1
     .word 7 blinded
-    .word {mmio_addr:#x}
+    .word 0x30
 """
 
 
@@ -325,7 +321,7 @@ def curated_corpus() -> tuple[CorpusEntry, ...]:
         CorpusEntry("fault-blinded-load", blinded_load_fault(), safe=False),
         CorpusEntry(
             "fault-blinded-store-unblindable",
-            blinded_store_unblindable_fault(48),
+            blinded_store_unblindable_fault(),
             unblindable=((48, 52),),
             safe=False,
         ),

@@ -75,6 +75,15 @@ _set_value = TaggedWord.value.__set__
 _set_blinded = TaggedWord.blinded.__set__
 
 
+def word_value(value: int) -> int:
+    """``value`` as a 64-bit word, a negative one in two's complement.
+    Raises ValueError unless -2**63 <= value <= 2**64 - 1: the range a
+    word written in source or on the command line may take."""
+    if not -(1 << 63) <= value <= MASK64:
+        raise ValueError(f"value out of 64-bit range: {value}")
+    return value & MASK64
+
+
 def clear(value: int) -> TaggedWord:
     """An observable word."""
     return TaggedWord(value & MASK64, False)

@@ -11,7 +11,9 @@ recomputes the transcript from what it actually sent.
 
 The device-to-engine hand-off of the agreed key is a direct trusted call
 (:meth:`EncryptionEngine.install_session_key`); both ends live inside the
-simulator's trust boundary.
+simulator's trust boundary.  The session key passes from the HSM to the
+engine only: the server session learns its public key id from the
+engine, and no other object here holds the key.
 
 Wire format, shared by handshake and session traffic:
 
@@ -391,26 +393,21 @@ class HsmResponder:
     """Device side: answer hellos with signed evidence and derive the key.
 
     Each response uses a fresh ephemeral (a replayed hello still yields a
-    new session key).  The derived key is handed straight to the engine
-    when one is attached; while the engine holds another key the hello is
-    refused with its ``EngineError``, before anything is signed and
-    without using up an ephemeral.
+    new session key).  The derived key goes to the engine and nowhere
+    else: :meth:`respond` installs it and returns only the reply frame.
+    While the engine holds another key the hello is refused with its
+    ``EngineError``, before anything is signed and without using up an
+    ephemeral.
     """
 
-    def __init__(
-        self,
-        device_private: bytes,
-        claims: Claims,
-        seed: int,
-        engine: EncryptionEngine | None = None,
-    ):
+    def __init__(self, device_private: bytes, claims: Claims, seed: int, engine: EncryptionEngine):
         self._private = crypto().Ed25519PrivateKey.from_private_bytes(device_private)
         self._claims = claims
         self._seed = _seed_bytes(seed)
         self._engine = engine
         self._sessions = 0
 
-    def respond(self, client_hello_frame: bytes) -> tuple[bytes, SessionKey]:
+    def respond(self, client_hello_frame: bytes) -> bytes:
         try:
             msg = decode_frame(client_hello_frame)
         except ProtocolError as exc:
@@ -423,14 +420,14 @@ class HsmResponder:
         eph_public = private.public_key().public_bytes_raw()
 
         transcript_hash = _transcript_hash(client_hello_frame, eph_public, self._claims)
-        key = _agree(private, msg.ephemeral_public, transcript_hash, ProtocolError, "client")
-        if self._engine is not None:
-            self._engine.install_session_key(key)
+        self._engine.install_session_key(
+            _agree(private, msg.ephemeral_public, transcript_hash, ProtocolError, "client")
+        )
         self._sessions += 1
         signature = self._private.sign(
             _EVIDENCE_LABEL + self._claims.encode() + transcript_hash
         )
-        return encode_frame(HsmHello(eph_public, self._claims, transcript_hash, signature)), key
+        return encode_frame(HsmHello(eph_public, self._claims, transcript_hash, signature))
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +463,9 @@ class ServerSession:
     runs, so the last text is not held through the run's peak.
     Import, compute and export are refused until this session's own
     handshake has succeeded, even if the engine already holds a key from
-    another session.  The handshake records the session's key id, and
-    import and export are refused unless the engine holds that key.  A
+    another session.  The handshake records the session's key id, read
+    from the engine (the session never holds the key), and import and
+    export are refused unless the engine holds that key.  A
     handshake is refused while the engine holds another key, so switching
     sessions is the OS's job: it seals the current key before another
     session's handshake, and loads a sealed key to switch back.  An
@@ -509,8 +507,8 @@ class ServerSession:
             _check_length(len(frame) - 4, max_frame_length(self.cfg.memory_words))
             msg = decode_frame(frame)
             if isinstance(msg, ClientHello):
-                reply, key = self.responder.respond(frame)
-                self.key_id = key.key_id
+                reply = self.responder.respond(frame)
+                self.key_id = self.engine.current_key_id
                 return reply
             requests = (ImportRequest, ComputeRequest, ExportRequest)
             if isinstance(msg, requests) and self.key_id is None:

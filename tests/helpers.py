@@ -1,7 +1,8 @@
 """Helpers that only the tests call: a decoded random instruction, a
 count of calls into ``blindsim``, one event's trace line, the
-console-report program, a loop past the checker's fixpoint budget and
-the ISA's reference semantics without its tag policy.  Nothing in
+console-report program, a loop past the checker's fixpoint budget, the
+ISA's reference semantics without its tag policy and the harness's twin
+of any state.  Nothing in
 ``src/`` imports this module.
 """
 
@@ -10,9 +11,10 @@ from __future__ import annotations
 import random
 import sys
 
+from blindsim import checker
 from blindsim.isa import DecodedInstruction, MemKind, MemoryOperation, Mode, Opcode, decode
 from blindsim.machine import TraceEvent, format_trace
-from blindsim.model import MASK64, Status, TaggedWord
+from blindsim.model import MASK64, Status, SystemState, TaggedWord
 from draw_reference import _instruction_word
 
 
@@ -131,3 +133,8 @@ def untagged_semantics(d: DecodedInstruction, inputs, mode: Mode):
     if op is Opcode.BLND or op is Opcode.RBLND:
         return None, None, None
     return TaggedWord(ORACLE_ALU[op](*values), False), None, None
+
+
+def redraw_blinded(s: SystemState, rng: random.Random) -> SystemState:
+    """``s`` with a fresh payload for every blinded word, drawn as the harness draws a twin."""
+    return checker._redraw(s, *checker._blinded_positions(s), rng)

@@ -56,7 +56,7 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import mmio_report, untagged_semantics
+from helpers import mmio_report, redraw_blinded, untagged_semantics
 
 
 def verdict_line(name: str, ok: bool, detail: str) -> None:
@@ -182,7 +182,7 @@ def test_a3_violation_classes():
         ("blinded load address", blinded_load_fault(), (), FaultKind.BLINDED_ADDRESS),
         (
             "blinded store to unblindable MMIO",
-            blinded_store_unblindable_fault(48),
+            blinded_store_unblindable_fault(),
             ((48, 52),),
             FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
         ),
@@ -272,7 +272,7 @@ def test_a5_protocol_roundtrip():
         engine = EncryptionEngine(b"\x11" * 32)
         responder = HsmResponder(device_priv, Claims(), seed=seed, engine=engine)
         client = ClientHandshake(device_pub, seed=seed + 100_000)
-        key = client.finish(responder.respond(client.hello())[0])
+        key = client.finish(responder.respond(client.hello()))
         assert engine.current_key_id == key.key_id
         agreements += 1
 
@@ -301,14 +301,16 @@ def test_a5_protocol_roundtrip():
     for i in range(fuzz_cases):
         fuzz_rng = random.Random(52_000 + i)
         client = ClientHandshake(device_pub, seed=fuzz_rng.getrandbits(64))
-        responder = HsmResponder(device_priv, Claims(), seed=fuzz_rng.getrandbits(64))
+        responder = HsmResponder(
+            device_priv, Claims(), seed=fuzz_rng.getrandbits(64), engine=EncryptionEngine(b"\x11" * 32)
+        )
         hello = client.hello()
         if i % 2 == 0:
             tampered = bytearray(hello)
             bit = fuzz_rng.randrange(len(tampered) * 8)
             tampered[bit // 8] ^= 1 << (bit % 8)
             try:
-                reply, _ = responder.respond(bytes(tampered))
+                reply = responder.respond(bytes(tampered))
             except ProtocolError:
                 aborts += 1
                 continue
@@ -317,7 +319,7 @@ def test_a5_protocol_roundtrip():
             except VerifyError:
                 aborts += 1
         else:
-            reply, _ = responder.respond(hello)
+            reply = responder.respond(hello)
             tampered = bytearray(reply)
             bit = fuzz_rng.randrange(len(tampered) * 8)
             tampered[bit // 8] ^= 1 << (bit % 8)
@@ -453,7 +455,7 @@ def test_a7_checker_soundness():
         if report.verdict is checker.Verdict.COMPLIANT:
             for _ in range(1000):
                 s = checker.signature_state(image, sig, cfg, rng)
-                s = checker.rerandomize_blinded(s, rng)
+                s = redraw_blinded(s, rng)
                 result = run(s, cfg, 1000)
                 faults = [e for e in result.trace if isinstance(e, Fault)]
                 assert not faults, (entry.name, faults[:3])

@@ -20,8 +20,6 @@ from blindsim.checker import (
     join,
     pair_for_program,
     parse_signature,
-    rerandomize_blinded,
-    shrink_pair,
     signature_state,
 )
 from blindsim.corpus import (
@@ -63,7 +61,7 @@ from blindsim.model import (
 
 import draw_reference
 import mutants
-from helpers import blindsim_calls, widening_loop
+from helpers import blindsim_calls, redraw_blinded, widening_loop
 
 HW = MachineConfig(memory_words=64, cache_lines=8)
 MODEL = MachineConfig(mode=Mode.MODEL, memory_words=64, cache_lines=8)
@@ -125,7 +123,7 @@ pool:
 
     def test_unblindable_store_definitely_faults(self):
         cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),))
-        report = analyze(assemble(blinded_store_unblindable_fault(48)), EMPTY_SIG, cfg)
+        report = analyze(assemble(blinded_store_unblindable_fault()), EMPTY_SIG, cfg)
         assert report.verdict is Verdict.DEFINITELY_FAULTS
         assert report.witness.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE
 
@@ -207,7 +205,7 @@ class TestWitnessValidity:
             (blinded_branch_fault(), HW),
             (blinded_load_fault(), HW),
             (
-                blinded_store_unblindable_fault(48),
+                blinded_store_unblindable_fault(),
                 MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),)),
             ),
         ]:
@@ -652,7 +650,7 @@ class TestEquivalentPairs:
         s = SystemState.initial(64, 8).edit(
             pc=5, registers=[(1, clear(7))], memory=[(3, clear(9))], lines=[(2, 3)]
         )
-        assert rerandomize_blinded(s, random.Random(3)) == s
+        assert redraw_blinded(s, random.Random(3)) == s
 
     def test_distribution_pairs_differ(self):
         differing = 0
@@ -684,7 +682,7 @@ class TestEquivalentPairs:
     def test_rerandomize_preserves_equivalence(self):
         rng = random.Random(8)
         s1, _ = generate_equivalent_pair(5)
-        s2 = rerandomize_blinded(s1, rng)
+        s2 = redraw_blinded(s1, rng)
         assert state_equiv(s1, s2)
 
     @pytest.mark.parametrize("blind", [False, True], ids=["no-blinded-word", "every-word-blinded"])
@@ -710,7 +708,7 @@ class TestEquivalentPairs:
                 registers=[(i, TaggedWord(w.value, blind)) for i, w in enumerate(s.registers)],
                 memory=[(i, TaggedWord(w.value, blind)) for i, w in enumerate(s.memory)],
             )
-            assert rerandomize_blinded(s, tagged) == by_word(s, spelled)
+            assert redraw_blinded(s, tagged) == by_word(s, spelled)
         assert tagged.getstate() == spelled.getstate()
 
     def test_program_pair_loads_image(self):
@@ -799,7 +797,7 @@ class TestDrawsMatchTheReference:
                     shared_small += self.assert_shared_alike(ours, theirs, words)
                     s1 = ours[0]
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    redrawn = rerandomize_blinded(s1, rng)
+                    redrawn = redraw_blinded(s1, rng)
                     expected = draw_reference._redraw(
                         s1, *checker._blinded_positions(s1), ref_rng
                     )
@@ -896,36 +894,25 @@ class TestNoninterference:
         mutant = mutants.add_drops_taint
         result = check_noninterference(None, trials=200, steps=64, cfg=HW, seed=0, semantics=mutant)
         s1, s2 = result.counterexample.initial_pair
-        assert shrink_pair(s1, s2, HW, 64, mutant) == (s1, s2)
+        assert checker._shrink(s1, s2, HW, 64, mutant, {}) == (s1, s2)
         assert reference_lockstep(s1, s2, HW, 64, mutant) is not None
         assert len(payload_delta(s1, s2)) == result.counterexample.delta_words >= 1
         # Every blinded payload redrawn: the shrunk pair still diverges on
         # fewer differing words.
-        wide = rerandomize_blinded(s1, random.Random(0))
+        wide = redraw_blinded(s1, random.Random(0))
         assert reference_lockstep(s1, wide, HW, 64, mutant) is not None
-        t1, t2 = shrink_pair(s1, wide, HW, 64, mutant)
+        t1, t2 = checker._shrink(s1, wide, HW, 64, mutant, {})
         assert t1 == s1 and reference_lockstep(t1, t2, HW, 64, mutant) is not None
         assert 1 <= len(payload_delta(t1, t2)) < len(payload_delta(s1, wide))
 
-    def test_shrink_pair_of_states_that_differ_in_a_clear_word(self):
-        # Such a pair is not equivalent, so there is nothing to shrink:
-        # the shrink refuses it before its first run.
-        s1, s2 = generate_equivalent_pair(7, memory_words=64, cache_lines=8)
-        assert shrink_pair(s1, s2, HW, 64, instruction_semantics) == (s1, s2)
-        at = next(i for i, w in enumerate(s2.memory) if not w.blinded)
-        differs = s2.edit(memory=[(at, clear(s2.memory[at].value ^ 1))])
-        assert not state_equiv(s1, differs) and payload_delta(s1, differs)
-        with pytest.raises(ValueError, match="states are not equivalent"):
-            shrink_pair(s1, differs, HW, 64, instruction_semantics)
-
     def test_a_shrink_checks_equivalence_once(self, monkeypatch):
         # A candidate copies one payload blinded on both sides, so it is
-        # not re-checked: the gate up front, and one end-of-trial
-        # cross-check for the one candidate that does not diverge.
+        # not re-checked: one end-of-trial cross-check, for the one
+        # candidate that does not diverge.
         mutant = mutants.add_drops_taint
         result = check_noninterference(None, trials=200, steps=64, cfg=HW, seed=0, semantics=mutant)
         s1, _ = result.counterexample.initial_pair
-        wide = rerandomize_blinded(s1, random.Random(0))
+        wide = redraw_blinded(s1, random.Random(0))
         assert len(payload_delta(s1, wide)) == 24
         calls = []
         real = checker.state_equiv
@@ -935,8 +922,8 @@ class TestNoninterference:
             return real(*args)
 
         monkeypatch.setattr(checker, "state_equiv", counted)
-        t1, t2 = shrink_pair(s1, wide, HW, 64, mutant)
-        assert len(calls) == 2
+        t1, t2 = checker._shrink(s1, wide, HW, 64, mutant, {})
+        assert len(calls) == 1
         assert t1 == s1 and len(payload_delta(t1, t2)) == 1
 
     @pytest.mark.parametrize("cfg", [HW, MODEL], ids=["hardware", "model"])

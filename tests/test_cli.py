@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from blindsim.cli import _SocketTransport, main
+from blindsim.cli import _socket_round_trip, main
 from blindsim.corpus import (
     blinded_branch_fault,
     blinded_store_unblindable_fault,
@@ -305,12 +305,9 @@ class TestDemoProtocol:
                 stream.write((8).to_bytes(4, "big") + b"abc")
                 stream.flush()
 
-        transport = _SocketTransport(HalfReplySession())
-        try:
+        with _socket_round_trip(HalfReplySession()) as round_trip:
             with pytest.raises(ProtocolError, match="^server closed the stream mid-frame$"):
-                transport.round_trip(encode_frame(ExportRequest(0, 1)))
-        finally:
-            transport.close()
+                round_trip(encode_frame(ExportRequest(0, 1)))
 
     def test_custom_program_image(self, work, capsys):
         tmp, write = work
@@ -447,7 +444,7 @@ class TestMachineFlags:
 
     def test_unblindable_range(self, work, capsys):
         tmp, write = work
-        img = assembled(write, tmp, blinded_store_unblindable_fault(48))
+        img = assembled(write, tmp, blinded_store_unblindable_fault())
         assert main(["run", img, *self.SMALL]) == 0
         assert main(["run", img, *self.SMALL, "--unblindable", "48..52"]) == 1
         assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
@@ -537,6 +534,8 @@ ERROR_FILES = {
     "empty.txt": b"\n",
     "words.txt": b"1 xyz\n",
     "arabic.txt": "\u0661 2\n".encode(),
+    "wide.txt": b"18446744073709551617 -1 5\n",
+    "edges.txt": b"-1 -0x8000000000000000 0xffffffffffffffff\n",
 }
 SMALL = "--mem-words 64 --cache-lines 8"
 DEMO = "--mem-words 1024"
@@ -601,20 +600,46 @@ class TestErrorPaths:
         "command, line",
         [
             ("run @halt.img --max-steps 0", "error: max_steps must be positive"),
-            ("check @halt.img --steps 0", "error: trials and steps must be positive"),
+            ("check @halt.img --steps 0", "error: --steps must be positive"),
+            (f"check @halt.img {SMALL} --trials 0 --steps 0", "error: --steps must be positive"),
+            (f"check @halt.img {SMALL} --trials 0 --steps -1", "error: --steps must be positive"),
             (f"demo-protocol @pt.txt {DEMO} --max-steps 0", "error: max_steps must be positive"),
             (
                 f"demo-protocol @pt.txt {DEMO} --max-steps 0 --transport socket",
                 "error: max_steps must be positive",
             ),
         ],
-        ids=["run", "check", "demo-memory", "demo-socket"],
+        ids=["run", "check", "check-no-trials", "check-no-trials-negative", "demo-memory", "demo-socket"],
     )
     def test_a_step_budget_below_one_is_a_usage_error(self, tmp_path, capsys, command, line):
         assert run_cli(tmp_path, command) == 2
         captured = capsys.readouterr()
         assert captured.err == line + "\n"
         assert captured.out == ""
+
+    # A word takes the range `.word` takes, -2**63 to 2**64 - 1; past it
+    # the CLI used to wrap the value to 64 bits and run on.
+    @pytest.mark.parametrize(
+        "command, value",
+        [
+            (f"demo-protocol @wide.txt {DEMO}", 2**64 + 1),
+            (f"demo-protocol @pt3.txt --dual @wide.txt {DEMO}", 2**64 + 1),
+            (f"run @halt.img {SMALL} --blind-word 40=0x1ffffffffffffffff", 2**65 - 1),
+            (f"run @halt.img {SMALL} --blind-word 40=-0x8000000000000001", -(2**63) - 1),
+        ],
+        ids=["plaintext", "dual-plaintext", "blind-word", "blind-word-negative"],
+    )
+    def test_a_word_outside_64_bits_is_a_usage_error(self, tmp_path, capsys, command, value):
+        assert run_cli(tmp_path, command) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: value out of 64-bit range: {value}\n"
+        assert captured.out == ""
+
+    def test_a_word_at_the_edges_of_64_bits_is_taken(self, tmp_path, capsys):
+        assert run_cli(tmp_path, f"demo-protocol @edges.txt {DEMO}") == 0
+        assert capsys.readouterr().out == f"result: 0 {2**63 + 1} 0\n"
+        assert run_cli(tmp_path, f"run @halt.img {SMALL} --blind-word 40=-1") == 0
+        assert f"{2**64 - 1:#x}" in capsys.readouterr().out
 
     # The client's seed is SEED + 1, so 2**256 - 1 is out of range too.
     @pytest.mark.parametrize("transport", ["memory", "socket"])
@@ -641,7 +666,7 @@ class TestErrorPaths:
         assert not trace.exists()
 
     def test_zero_trials_runs_only_the_static_analysis(self, tmp_path, capsys):
-        assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials 0 --steps 0") == 0
+        assert run_cli(tmp_path, f"check @halt.img {SMALL} --trials 0") == 0
         captured = capsys.readouterr()
         assert "verdict: compliant" in captured.out and "non-interference" not in captured.out
         assert captured.err == ""

@@ -15,7 +15,6 @@ from blindsim.checker import (
     check_noninterference,
     generate_equivalent_pair,
     pair_for_program,
-    shrink_pair,
 )
 from blindsim import machine
 from blindsim.corpus import CorpusEntry, curated_corpus
@@ -815,9 +814,9 @@ class TestRunSuspendsTheCollector:
 
 
 class TestStateMustFitConfig:
-    """``run``, ``step`` and ``shrink_pair`` take a machine's sizes from its
-    config; a state of other sizes ran on its own sizes, and one with no
-    cache line crashed at its first load with ZeroDivisionError."""
+    """``run`` and ``step`` take a machine's sizes from its config; a
+    state of other sizes ran on its own sizes, and one with no cache line
+    crashed at its first load with ZeroDivisionError."""
 
     CFG = MachineConfig(memory_words=64, cache_lines=8)
     CASES = ["no cache line", "4 of 8 cache lines", "16 of 64 words", "4 registers"]
@@ -839,13 +838,6 @@ class TestStateMustFitConfig:
             run(s, self.CFG, 3)
         with pytest.raises(ValueError, match="does not fit"):
             step(s, self.CFG)
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_shrink_pair_refuses(self, case):
-        fits = SystemState.initial(64, 8)
-        for pair in ((self.misfit(case), fits), (fits, self.misfit(case))):
-            with pytest.raises(ValueError, match="does not fit"):
-                shrink_pair(*pair, self.CFG, 3, instruction_semantics)
 
 
 def fold_of_step(s, cfg, max_steps, semantics=instruction_semantics):

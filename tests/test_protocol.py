@@ -57,32 +57,40 @@ LOW_ORDER_HELLO = encode_frame(ClientHello(bytes(32)))
 
 
 def loopback(seed_c=1, seed_h=2, claims=Claims(), **client_kwargs):
+    """One handshake; the client's key and the engine the responder
+    installed its key into."""
     client = ClientHandshake(DEV_PUB, seed=seed_c, **client_kwargs)
-    responder = HsmResponder(DEV_PRIV, claims, seed=seed_h)
-    hello = client.hello()
-    reply, hsm_key = responder.respond(hello)
-    client_key = client.finish(reply)
-    return client_key, hsm_key
+    engine = EncryptionEngine(b"R" * 32)
+    responder = HsmResponder(DEV_PRIV, claims, seed=seed_h, engine=engine)
+    client_key = client.finish(responder.respond(client.hello()))
+    return client_key, engine
+
+
+def assert_engine_holds(key: SessionKey, engine: EncryptionEngine) -> None:
+    """The engine holds ``key``: the same key id, and ``key`` opens an
+    export the engine made."""
+    assert engine.current_key_id == key.key_id
+    words = (1, 2**64 - 1, 5)
+    assert client_decrypt(key, engine.export_region([clear(w) for w in words], 0, 3)) == words
 
 
 class TestHandshake:
     def test_loopback_agreement(self):
-        client_key, hsm_key = loopback()
-        assert client_key.key_id == hsm_key.key_id
-        assert client_key.key == hsm_key.key
+        client_key, engine = loopback()
+        assert_engine_holds(client_key, engine)
 
     def test_agreement_over_100_seeds(self):
         ids = set()
         for seed in range(100):
-            ck, hk = loopback(seed_c=seed, seed_h=seed + 1000)
-            assert ck.key_id == hk.key_id
+            ck, engine = loopback(seed_c=seed, seed_h=seed + 1000)
+            assert_engine_holds(ck, engine)
             ids.add(ck.key_id)
         assert len(ids) == 100  # every session key distinct
 
     def test_signature_flip_rejected(self):
         client = ClientHandshake(DEV_PUB, seed=1)
-        responder = HsmResponder(DEV_PRIV, Claims(), seed=2)
-        reply, _ = responder.respond(client.hello())
+        responder = HsmResponder(DEV_PRIV, Claims(), seed=2, engine=EncryptionEngine(b"R" * 32))
+        reply = responder.respond(client.hello())
         tampered = bytearray(reply)
         tampered[-1] ^= 1
         with pytest.raises(VerifyError, match="signature"):
@@ -111,8 +119,8 @@ class TestHandshake:
     def test_wrong_device_key_rejected(self):
         _, other_pub = make_device_keypair(seed=99)
         client = ClientHandshake(other_pub, seed=1)
-        responder = HsmResponder(DEV_PRIV, Claims(), seed=2)
-        reply, _ = responder.respond(client.hello())
+        responder = HsmResponder(DEV_PRIV, Claims(), seed=2, engine=EncryptionEngine(b"R" * 32))
+        reply = responder.respond(client.hello())
         with pytest.raises(VerifyError, match="signature"):
             client.finish(reply)
 
@@ -123,11 +131,14 @@ class TestHandshake:
 
     def test_replayed_hello_gets_fresh_key(self):
         client = ClientHandshake(DEV_PUB, seed=5)
-        responder = HsmResponder(DEV_PRIV, Claims(), seed=6)
+        engine = EncryptionEngine(b"R" * 32)
+        responder = HsmResponder(DEV_PRIV, Claims(), seed=6, engine=engine)
         hello = client.hello()
-        _, key_a = responder.respond(hello)
-        _, key_b = responder.respond(hello)  # replay
-        assert key_a.key_id != key_b.key_id
+        responder.respond(hello)
+        key_a = engine.current_key_id
+        engine.seal_current_key()  # the OS frees the slot for the replay
+        responder.respond(hello)
+        assert engine.current_key_id not in (None, key_a)
 
     def test_key_depends_on_transcript(self):
         # same DH inputs, different claims -> different transcript -> key
@@ -142,12 +153,14 @@ class TestHandshake:
         rng = random.Random(11)
         for _ in range(50):
             client = ClientHandshake(DEV_PUB, seed=rng.getrandbits(32))
-            responder = HsmResponder(DEV_PRIV, Claims(), seed=rng.getrandbits(32))
+            responder = HsmResponder(
+                DEV_PRIV, Claims(), seed=rng.getrandbits(32), engine=EncryptionEngine(b"R" * 32)
+            )
             hello = bytearray(client.hello())
             bit = rng.randrange(len(hello) * 8)
             hello[bit // 8] ^= 1 << (bit % 8)
             try:
-                reply, _ = responder.respond(bytes(hello))
+                reply = responder.respond(bytes(hello))
             except ProtocolError:
                 continue  # responder aborted: fine
             with pytest.raises(VerifyError):
@@ -157,9 +170,8 @@ class TestHandshake:
         engine = EncryptionEngine(b"R" * 32)
         responder = HsmResponder(DEV_PRIV, Claims(), seed=2, engine=engine)
         client = ClientHandshake(DEV_PUB, seed=1)
-        reply, _ = responder.respond(client.hello())
-        key = client.finish(reply)
-        assert engine.current_key_id == key.key_id
+        key = client.finish(responder.respond(client.hello()))
+        assert_engine_holds(key, engine)
 
     def test_low_order_device_ephemeral_rejected(self):
         # correctly signed evidence over an all-zero device ephemeral
@@ -184,7 +196,7 @@ class TestHandshake:
         client.hello()
         with pytest.raises(VerifyError, match="^expected a device hello$"):
             client.finish(encode_frame(ResultResponse(b"")))
-        responder = HsmResponder(DEV_PRIV, Claims(), seed=2)
+        responder = HsmResponder(DEV_PRIV, Claims(), seed=2, engine=EncryptionEngine(b"R" * 32))
         with pytest.raises(ProtocolError, match="^expected a client hello$"):
             responder.respond(encode_frame(ExportRequest(0, 0)))
 
@@ -195,11 +207,11 @@ class TestHandshake:
         with pytest.raises(ValueError, match="seed must be in"):
             ClientHandshake(DEV_PUB, seed=seed)
         with pytest.raises(ValueError, match="seed must be in"):
-            HsmResponder(DEV_PRIV, Claims(), seed=seed)
+            HsmResponder(DEV_PRIV, Claims(), seed=seed, engine=EncryptionEngine(b"R" * 32))
 
     def test_the_largest_seed_still_agrees(self):
-        client_key, hsm_key = loopback(seed_c=2**256 - 1, seed_h=2**256 - 1)
-        assert client_key == hsm_key
+        client_key, engine = loopback(seed_c=2**256 - 1, seed_h=2**256 - 1)
+        assert_engine_holds(client_key, engine)
         assert make_device_keypair(2**256 - 1) != make_device_keypair(0)
 
     def test_a_second_handshake_runs_no_cryptography_import(self, monkeypatch):
@@ -218,8 +230,8 @@ class TestHandshake:
 
         monkeypatch.setattr(builtins, "__import__", counting)
         make_device_keypair(seed=8)
-        client_key, hsm_key = loopback(seed_c=3, seed_h=4)
-        assert client_key.key == hsm_key.key
+        client_key, engine = loopback(seed_c=3, seed_h=4)
+        assert_engine_holds(client_key, engine)
         assert imports == []
 
 
@@ -378,6 +390,24 @@ class TestServerSession:
         reply = decode_frame(session.handle_frame(frame))
         assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
         assert session.traces == []
+
+    def test_the_session_key_goes_from_the_hsm_to_the_engine_only(self):
+        # The responder returns the reply frame alone and installs the key
+        # in its engine; after a handshake neither the server session nor
+        # its responder holds a SessionKey.
+        engine = EncryptionEngine(b"T" * 32)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        reply = HsmResponder(DEV_PRIV, Claims(), seed=3, engine=engine).respond(client.hello())
+        assert type(reply) is bytes
+        assert_engine_holds(client.finish(reply), engine)
+
+        session, _ = self.make_session()
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
+        assert_engine_holds(key, session.engine)
+        assert session.key_id == key.key_id
+        for holder in (session, session.responder):
+            assert [name for name, v in vars(holder).items() if isinstance(v, SessionKey)] == []
 
     def test_a_refused_hello_is_no_handshake(self):
         session, _ = self.make_session()
@@ -629,7 +659,8 @@ class TestServerSession:
         if kind == "result":
             frame = encode_frame(ResultResponse(b""))
         else:
-            frame, _ = HsmResponder(DEV_PRIV, Claims(), seed=2).respond(ClientHandshake(DEV_PUB, seed=1).hello())
+            responder = HsmResponder(DEV_PRIV, Claims(), seed=2, engine=EncryptionEngine(b"R" * 32))
+            frame = responder.respond(ClientHandshake(DEV_PUB, seed=1).hello())
         reply = decode_frame(session.handle_frame(frame))
         assert isinstance(reply, ErrorResponse) and "unexpected message" in reply.message
 
@@ -920,11 +951,13 @@ from blindsim.protocol import ClientHandshake
 out = ClientHandshake({DEV_PUB!r}, seed=1).hello()
 """,
     "hsm-respond": f"""
+from blindsim.engine import EncryptionEngine
 from blindsim.protocol import Claims, ClientHello, HsmResponder, encode_frame
 # The X25519 base point (u = 9), not a low-order point.
 hello = encode_frame(ClientHello(bytes([9]) + bytes(31)))
-reply, key = HsmResponder({DEV_PRIV!r}, Claims(), seed=2).respond(hello)
-out = reply + key.key
+engine = EncryptionEngine(bytes(32))
+out = HsmResponder({DEV_PRIV!r}, Claims(), seed=2, engine=engine).respond(hello)
+out += engine.seal_current_key()
 """,
 }
 

@@ -21,7 +21,9 @@ deliberately conservative -- whenever it cannot resolve an instruction
 word, address, or branch target it reports MAY_FAULT rather than
 guessing.  A DEFINITELY_FAULTS verdict is only ever claimed after a
 concrete replay: the reported witness is an initial state, consistent
-with the signature, that demonstrably reaches the fault.
+with the signature, that demonstrably reaches the fault.  One seeded
+draw, run once, confirms every definite finding: another draw differs
+only in blinded payloads, so by non-interference its trace is the same.
 
 The dynamic side draws pairs of states that agree on everything
 observable and differ only in blinded payloads, runs them in lockstep,
@@ -575,23 +577,6 @@ def signature_state(
     return boot_image(image, cfg).edit(registers=registers, memory=memory)
 
 
-def _replay_candidate(
-    image: ProgramImage,
-    sig: TaintSignature,
-    cfg: MachineConfig,
-    finding: Finding,
-    seed: int,
-) -> Witness | None:
-    rng = random.Random(seed)
-    for _ in range(4):  # a few payload draws
-        initial = signature_state(image, sig, cfg, rng)
-        result = run(initial, cfg, 10_000)
-        for event in result.trace:
-            if isinstance(event, Fault) and event.kind is finding.fault:
-                return Witness(initial, event.kind, result.steps, finding.pc)
-    return None
-
-
 def analyze(
     image: ProgramImage,
     sig: TaintSignature,
@@ -603,7 +588,8 @@ def analyze(
     COMPLIANT: no reachable program point can fault under the policy.
     MAY_FAULT: something was unresolvable or only possibly faulting.
     DEFINITELY_FAULTS: a finding was confirmed by concretely replaying a
-    signature-consistent input to the fault; the witness is attached.
+    signature-consistent input to the fault; the witness is attached.  It
+    is the first definite finding whose fault the one seeded run raises.
     Raises :class:`~blindsim.machine.LoadError` when the image does not
     fit ``cfg``'s memory, as loading it would, and ValueError when the
     signature names a segment the image lacks.
@@ -614,19 +600,27 @@ def analyze(
     analysis.run()
     findings = tuple(analysis.findings.values())
 
-    witness = None
+    # Plain loops: before Python 3.12 a comprehension is a call of its own.
+    definite = []
     for finding in findings:
         if finding.definite and finding.fault is not None:
-            witness = _replay_candidate(image, sig, cfg, finding, seed)
-            if witness is not None:
+            definite.append(finding)
+    witness = None
+    if definite:
+        initial = signature_state(image, sig, cfg, random.Random(seed))
+        result = run(initial, cfg, 10_000)
+        raised = set()
+        for event in result.trace:
+            if isinstance(event, Fault):
+                raised.add(event.kind)
+        for finding in definite:
+            if finding.fault in raised:
+                witness = Witness(initial, finding.fault, result.steps, finding.pc)
                 break
 
     if witness is not None:
         verdict = Verdict.DEFINITELY_FAULTS
-    elif (
-        any(f.fault is not None or f.unresolved for f in findings)
-        or analysis.bound_exceeded
-    ):
+    elif any(f.fault is not None or f.unresolved for f in findings):
         verdict = Verdict.MAY_FAULT
     else:
         # informational findings only (e.g. model-mode no-ops): no fault

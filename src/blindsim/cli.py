@@ -255,6 +255,7 @@ def cmd_check(args) -> int:
                     "reason": f.reason,
                     "fault": f.fault.value if f.fault else None,
                     "definite": f.definite,
+                    "unresolved": f.unresolved,
                 }
                 for f in report.findings
             ],

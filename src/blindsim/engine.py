@@ -8,8 +8,8 @@ sequence; ciphertext is ordinary clear data.  On a context switch the OS
 can *seal* the current key (encrypt it under a device-internal root key)
 and later load it back; it never sees key material in the clear.  A
 sealed key is its blob: the bytes :meth:`EncryptionEngine.seal_current_key`
-returns and :meth:`EncryptionEngine.load_sealed_key` takes, whose key id
-is read from the authenticated body.
+returns and :meth:`EncryptionEngine.load_sealed_key` takes.  Its body is
+``key(32) || counter u64 BE``; loading derives the key id from the key.
 
 Cipher: ChaCha20-Poly1305 with 256-bit keys and 96-bit nonces.  Session
 nonces are counter-derived and direction-scoped so client and engine never
@@ -270,14 +270,14 @@ class EncryptionEngine:
         """Encrypt the session key (and its export counter) under the root
         key, clear the slot and return the sealed blob."""
         key = self._require_key()
-        body = key.key + key.key_id + struct.pack(">Q", self.export_counter)
+        body = key.key + struct.pack(">Q", self.export_counter)
         blob = seal_envelope(self._root_key, self._seal_iv(body), body, aad=SEAL_LABEL)
         self._current = None
         return blob
 
     def load_sealed_key(self, blob: bytes) -> None:
         """Authenticate a sealed blob and make it the current session key,
-        whose id is read from the blob's authenticated body.
+        whose id is derived from the key in the blob's authenticated body.
         Its export counter is the larger of the blob's and this engine's
         mark for the key, so a stale blob cannot make a nonce repeat.
         Raises EngineError, leaving the slot and the marks as they were,
@@ -286,13 +286,11 @@ class EncryptionEngine:
         body = open_envelope(self._root_key, blob, aad=SEAL_LABEL)
         if not hmac.compare_digest(blob[:NONCE_LEN], self._seal_iv(body)):
             raise AuthError("sealed blob nonce is not its synthetic IV")
-        if len(body) != KEY_LEN + KEY_ID_LEN + 8:
+        if len(body) != KEY_LEN + 8:
             raise AuthError("sealed blob has the wrong shape")
         key = body[:KEY_LEN]
-        key_id = body[KEY_LEN: KEY_LEN + KEY_ID_LEN]
-        (counter,) = struct.unpack(">Q", body[KEY_LEN + KEY_ID_LEN:])
-        if key_id != key_id_for(key):
-            raise AuthError("sealed key identifier mismatch")
+        (counter,) = struct.unpack(">Q", body[KEY_LEN:])
+        key_id = key_id_for(key)
         self._refuse_another_key(key_id)
         self._current = SessionKey(key, key_id)
         self._counters[key_id] = max(counter, self._counters.get(key_id, 0))

@@ -470,9 +470,11 @@ class ServerSession:
     sessions is the OS's job: it seals the current key before another
     session's handshake, and loads a sealed key to switch back.  An
     import commits the engine's writes with one :meth:`SystemState.edit`;
-    a refused import leaves :attr:`state` the same object.  The claims
-    must attest the machine's own mode, or the session is refused with a
-    ValueError: the mode a client checks is the mode its data runs in.
+    one that overlaps an unblindable range, where blinded data may never
+    land, is refused, and a refused import leaves :attr:`state` the same
+    object.  The claims must attest the machine's own mode, or the
+    session is refused with a ValueError: the mode a client checks is the
+    mode its data runs in.
     """
 
     def __init__(
@@ -519,9 +521,12 @@ class ServerSession:
                     ErrorResponse(f"{type(msg).__name__} while the engine holds another key")
                 )
             if isinstance(msg, ImportRequest):
-                self.state = self.state.edit(
-                    memory=self.engine.import_region(self.state.memory, msg.dst, msg.ciphertext)
-                )
+                writes = self.engine.import_region(self.state.memory, msg.dst, msg.ciphertext)
+                dst, end = msg.dst, msg.dst + len(writes)
+                for start, stop in self.cfg.unblindable_ranges:
+                    if max(start, dst) < min(stop, end):
+                        raise ValueError(f"import [{dst:#x}, {end:#x}) overlaps an unblindable range")
+                self.state = self.state.edit(memory=writes)
                 return encode_frame(ResultResponse(b""))
             if isinstance(msg, ComputeRequest):
                 image = decode_image(msg.image)

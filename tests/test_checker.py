@@ -211,6 +211,48 @@ class TestWitnessValidity:
         ]:
             assert_witness_replays(analyze(assemble(source), EMPTY_SIG, cfg), cfg)
 
+    def test_one_run_confirms_every_definite_finding(self, monkeypatch):
+        # Two definite findings, one per side of a branch on a clear input.
+        # The witness's r1 is 0, so only the second finding's fault occurs:
+        # one run shows it, and the first finding needs no run of its own.
+        source = """
+.entry start
+.word pool
+start:
+    load r10, r0        # pool base
+    load r11, r10       # constant 1
+    add  r10, r10, r11
+    load r2, r10        # blinded secret
+    add  r10, r10, r11
+    load r3, r10        # &taken
+    add  r10, r10, r11
+    load r5, r10        # unblindable address
+    bz   r1, r3         # clear input, 0 in the witness: taken
+    store r5, r2        # not taken: blinded store to unblindable
+    halt
+taken:
+    .word 0x29          # does not decode
+pool:
+    .word 1
+    .word 7 blinded
+    .word taken
+    .word 0x30
+"""
+        image, sig = assemble(source), parse_signature("r1=C")
+        cfg = replace(HW, unblindable_ranges=((0x30, 0x34),))
+        runs = []
+        monkeypatch.setattr(checker, "run", lambda *args: runs.append(args) or run(*args))
+        report = analyze(image, sig, cfg)
+        assert [(f.pc, f.fault, f.definite) for f in report.findings] == [
+            (10, FaultKind.BLINDED_STORE_TO_UNBLINDABLE, True),
+            (12, FaultKind.DECODE_ERROR, True),
+        ]
+        assert len(runs) == 1
+        assert report.verdict is Verdict.DEFINITELY_FAULTS
+        w = report.witness
+        assert (w.fault, w.steps, w.pc) == (FaultKind.DECODE_ERROR, 10, 12)
+        assert snapshot(w.initial) == snapshot(signature_state(image, sig, cfg, random.Random(0)))
+
 
 def pool_program(body, pool_words):
     """``body`` runs with r1 = pool base and r2 = the first pool word."""
@@ -1614,6 +1656,19 @@ class TestRandomPrograms:
         assert h.hexdigest() == (
             "c59737615baa983264e2e8bdecea648cb3417f18be42752596797da6bd7572ad"
         )
+
+    def test_analyze_runs_at_most_one_replay(self, monkeypatch):
+        # One draw confirms every definite finding, so a report with one
+        # costs one run and a report without one costs none.
+        runs = []
+        monkeypatch.setattr(checker, "run", lambda *args: runs.append(args) or run(*args))
+        replayed = 0
+        for source, cfg, image, sig, r in self.reports():
+            definite = any(f.definite and f.fault is not None for f in r.findings)
+            assert len(runs) == definite, source
+            replayed += definite
+            runs.clear()
+        assert replayed > 0
 
     def test_fixpoint_states_are_canonical(self):
         # No state keeps a word that reads as its summary, so the

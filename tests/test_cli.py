@@ -206,6 +206,7 @@ class TestCheck:
                 "reason": f.reason,
                 "fault": f.fault.value if f.fault else None,
                 "definite": f.definite,
+                "unresolved": f.unresolved,
             }
             for f in expected.findings
         ]
@@ -225,6 +226,10 @@ class TestCheck:
         assert "pc=0x1d [possible] <analysis>: fixpoint iteration bound (528) exceeded\n" in out
         data = json.loads(report.read_text())
         assert data["bound_exceeded"] is True and data["iterations"] == 528
+        # The bound is the one unresolved finding, the reason for may-fault.
+        assert [f["reason"] for f in data["findings"] if f["unresolved"]] == [
+            "fixpoint iteration bound (528) exceeded"
+        ]
 
     def test_faulting_program_exit_one(self, work, capsys):
         tmp, write = work
@@ -267,6 +272,18 @@ class TestDemoProtocol:
         ])
         assert code == 0
         assert "result: 2 3 4" in capsys.readouterr().out
+
+    def test_an_import_into_the_console_range_is_refused(self, work, capsys):
+        # The console word is unblindable, and the data region starts there.
+        tmp, write = work
+        pt = self._plain(write, "pt.txt", [1, 2, 3])
+        code = main(["demo-protocol", pt, "--mem-words", "1024", "--mmio-console", "0x100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "result:" not in captured.out
+        assert captured.err == (
+            "error: server: ValueError: import [0x100, 0x103) overlaps an unblindable range\n"
+        )
 
     def test_dual_traces_identical(self, work, capsys):
         tmp, write = work

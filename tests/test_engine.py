@@ -465,16 +465,17 @@ class TestSealedBody:
 
     def test_construction_matches_the_engine(self):
         engine, session = make_engine(root=self.ROOT)
-        body = session.key + session.key_id + struct.pack(">Q", 0)
+        body = session.key + struct.pack(">Q", 0)
         assert sealed_under(self.ROOT, body) == engine.seal_current_key()
 
     @pytest.mark.parametrize(
         "body, message",
         [
             (b"K" * 32 + key_id_for(b"K" * 32) + struct.pack(">Q", 0) + b"\0", "wrong shape"),
-            (b"K" * 32 + key_id_for(b"O" * 32) + struct.pack(">Q", 0), "key identifier mismatch"),
+            # The old layout, key || key id || counter: a body holds no id.
+            (b"K" * 32 + key_id_for(b"K" * 32) + struct.pack(">Q", 0), "wrong shape"),
         ],
-        ids=["wrong-length", "key-id-mismatch"],
+        ids=["wrong-length", "stored-key-id"],
     )
     def test_bad_body_is_refused_and_the_slot_kept(self, body, message):
         engine, session = make_engine(root=self.ROOT, key=b"S" * 32)

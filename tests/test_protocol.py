@@ -342,8 +342,8 @@ class TestFraming:
 
 
 class TestServerSession:
-    def make_session(self, seed=3, mem=1024):
-        cfg = MachineConfig(memory_words=mem, cache_lines=16)
+    def make_session(self, seed=3, mem=1024, unblindable=()):
+        cfg = MachineConfig(memory_words=mem, cache_lines=16, unblindable_ranges=unblindable)
         engine = EncryptionEngine(b"T" * 32)
         return ServerSession(DEV_PRIV, Claims(), engine, cfg, seed=seed), cfg
 
@@ -496,11 +496,14 @@ class TestServerSession:
         "dst-leaves-memory": "RangeError",
         "before-handshake": "handshake",
         "another-key": "another key",
+        "unblindable-range": "ValueError: import [0x100, 0x102) overlaps an unblindable range",
     }
 
     @pytest.mark.parametrize("reason", list(REFUSALS))
     def test_a_refused_import_leaves_the_state_the_same_object(self, reason):
-        session, cfg = self.make_session()
+        # The unblindable range covers the region's last word only.
+        unblindable = ((0x101, 0x108),) if reason == "unblindable-range" else ()
+        session, cfg = self.make_session(unblindable=unblindable)
         if reason == "before-handshake":
             key = SessionKey.from_bytes(b"K" * 32)
         else:
@@ -523,6 +526,19 @@ class TestServerSession:
         reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(dst, envelope))))
         assert isinstance(reply, ErrorResponse) and self.REFUSALS[reason] in reply.message
         assert session.state is before
+
+    @pytest.mark.parametrize("dst", [0x2E, 0x34])
+    def test_an_import_beside_an_unblindable_range_lands(self, dst):
+        # Ranges are half-open: [0x30, 0x34) takes neither [0x2E, 0x30)
+        # nor [0x34, 0x36), and an empty import at 0x30 writes nothing.
+        session, _ = self.make_session(unblindable=((0x30, 0x34),))
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
+        for counter, (at, words) in enumerate([(dst, (7, 8)), (0x30, ())]):
+            frame = encode_frame(ImportRequest(at, client_encrypt(key, words, counter)))
+            assert isinstance(decode_frame(session.handle_frame(frame)), ResultResponse)
+        assert session.state.memory[dst: dst + 2] == (blinded(7), blinded(8))
+        assert not any(w.blinded for w in session.state.memory[0x30: 0x34])
 
     def test_an_accepted_import_is_one_edit_of_the_imported_words(self):
         # After a compute the registers, cache and status are not the

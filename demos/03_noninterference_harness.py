@@ -30,13 +30,7 @@ print("== shipped semantics: the curated corpus, both modes ==")
 for entry in curated_corpus():
     image = assemble(entry.source)
     for mode in Mode:
-        entry_cfg = MachineConfig(
-            mode=mode,
-            memory_words=entry.memory_words,
-            cache_lines=8,
-            unblindable_ranges=entry.unblindable,
-            mmio_console=entry.mmio_console,
-        )
+        entry_cfg = entry.config(mode)
         r = check_noninterference(
             image, trials=100, steps=200, cfg=entry_cfg,
             seed=2, blinded_regs=entry.blinded_regs,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import socket
 import sys
@@ -198,7 +199,9 @@ def cmd_run(args) -> int:
     for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
             raise ValueError(f"--blind-word address {addr:#x} out of range")
-    state = state.edit(memory=[(addr, blinded(word_value(value))) for addr, value in args.blind_word])
+        if cfg.is_unblindable(addr):
+            raise ValueError(f"--blind-word address {addr:#x} is in an unblindable range")
+    state = state.edit(memory=[(addr, blinded(value)) for addr, value in args.blind_word])
 
     result = machine.run(state, cfg, args.max_steps)
     if args.trace:
@@ -249,14 +252,7 @@ def cmd_check(args) -> int:
             "iterations": report.iterations,
             "bound_exceeded": report.bound_exceeded,
             "findings": [
-                {
-                    "pc": f.pc,
-                    "instruction": f.instruction,
-                    "reason": f.reason,
-                    "fault": f.fault.value if f.fault else None,
-                    "definite": f.definite,
-                    "unresolved": f.unresolved,
-                }
+                {**dataclasses.asdict(f), "fault": f.fault and f.fault.value}
                 for f in report.findings
             ],
             "noninterference": None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .machine import MachineConfig, Mode
 from .model import MASK64
 
 
@@ -28,6 +29,10 @@ class CorpusEntry:
     mmio_console: int | None = None
     safe: bool = True  # runs to HALT without policy faults
     memory_words: int = 64
+
+    def config(self, mode: Mode) -> MachineConfig:
+        """The machine this entry expects, with 8 cache lines, in ``mode``."""
+        return MachineConfig(mode, self.memory_words, 8, self.unblindable, self.mmio_console)
 
 
 def trivial_halt() -> str:

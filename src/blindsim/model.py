@@ -85,13 +85,14 @@ def word_value(value: int) -> int:
 
 
 def clear(value: int) -> TaggedWord:
-    """An observable word."""
-    return TaggedWord(value & MASK64, False)
+    """An observable word: ``value`` read as :func:`word_value` reads it."""
+    return TaggedWord(word_value(value), False)
 
 
 def blinded(value: int) -> TaggedWord:
-    """A secret word; its payload is invisible to equivalence."""
-    return TaggedWord(value & MASK64, True)
+    """A secret word, read as :func:`clear` reads it; its payload is
+    invisible to equivalence."""
+    return TaggedWord(word_value(value), True)
 
 
 ZERO = TaggedWord(0, False)

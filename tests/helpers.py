@@ -12,6 +12,7 @@ import random
 import sys
 
 from blindsim import checker
+from blindsim.corpus import CorpusEntry
 from blindsim.isa import DecodedInstruction, MemKind, MemoryOperation, Mode, Opcode, decode
 from blindsim.machine import TraceEvent, format_trace
 from blindsim.model import MASK64, Status, SystemState, TaggedWord
@@ -48,11 +49,10 @@ def format_event(e: TraceEvent) -> str:
     return format_trace((e,))[:-1]
 
 
-def mmio_report(mmio_addr: int = 48, data_addr: int = 32) -> str:
-    """Adds one to an (imported, blinded) word and tries to print it to
-    the console.  Under the policy this faults; it exists to catch broken
-    import paths that forget to taint."""
-    return f"""
+#: Adds one to the (imported, blinded) word at 32 and tries to print it
+#: to the console at 48.  Under the policy this faults; it exists to catch
+#: broken import paths that forget to taint.
+MMIO_REPORT = CorpusEntry("mmio-report", """
 .entry start
 .word pool
 start:
@@ -68,9 +68,9 @@ start:
     halt
 pool:
     .word 1
-    .word {data_addr:#x}
-    .word {mmio_addr:#x}
-"""
+    .word 0x20
+    .word 0x30
+""", unblindable=((48, 52),), mmio_console=48)
 
 
 def widening_loop() -> str:

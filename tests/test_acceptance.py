@@ -56,22 +56,12 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import mmio_report, redraw_blinded, untagged_semantics
+from helpers import MMIO_REPORT, redraw_blinded, untagged_semantics
 
 
 def verdict_line(name: str, ok: bool, detail: str) -> None:
     print(f"{name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"{name} failed: {detail}"
-
-
-def corpus_config(entry, mode: Mode) -> MachineConfig:
-    return MachineConfig(
-        mode=mode,
-        memory_words=entry.memory_words,
-        cache_lines=8,
-        unblindable_ranges=entry.unblindable,
-        mmio_console=entry.mmio_console,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +85,7 @@ def test_a1_noninterference():
     for entry in curated_corpus():
         image = assemble(entry.source)
         for mode_index, mode in enumerate(Mode):
-            cfg = corpus_config(entry, mode)
+            cfg = entry.config(mode)
             result = checker.check_noninterference(
                 image,
                 trials=210,
@@ -345,16 +335,10 @@ def _dual_mmio_traces(engine_cls) -> tuple[str, str]:
     """Run the console-report program over two different imported inputs
     and return both server traces."""
     device_priv, device_pub = make_device_keypair(seed=66)
-    source = mmio_report(mmio_addr=48, data_addr=32)
-    image = assemble(source)
+    image = assemble(MMIO_REPORT.source)
     traces = []
     for plaintext in ((5,), (900,)):
-        cfg = MachineConfig(
-            memory_words=64,
-            cache_lines=8,
-            unblindable_ranges=((48, 52),),
-            mmio_console=48,
-        )
+        cfg = MMIO_REPORT.config(Mode.HARDWARE)
         engine = engine_cls(b"\x44" * 32)
         session = ServerSession(device_priv, Claims(), engine, cfg, seed=67)
         client = ClientHandshake(device_pub, seed=68)
@@ -445,7 +429,7 @@ def test_a7_checker_soundness():
     rng = random.Random(70)
 
     for entry in curated_corpus():
-        cfg = corpus_config(entry, Mode.HARDWARE)
+        cfg = entry.config(Mode.HARDWARE)
         image = assemble(entry.source)
         sig = checker.TaintSignature(
             registers={i: checker.SigTag.BLINDED for i in entry.blinded_regs}
@@ -492,7 +476,7 @@ def test_a8_compatibility():
         source = entry.source.replace(" blinded", "")
         image = assemble(source)
         for mode in Mode:
-            cfg = corpus_config(entry, mode)
+            cfg = entry.config(mode)
             # same inputs, just not blinded
             s = boot_image(image, cfg).edit(registers=[(i, clear(13)) for i in entry.blinded_regs])
             assert not any(w.blinded for w in (*s.registers, *s.memory.words)), entry.name

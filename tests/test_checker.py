@@ -776,13 +776,7 @@ class TestEquivalentPairs:
         for entry in curated_corpus():
             image = assemble(entry.source)
             for mode in Mode:
-                cfg = MachineConfig(
-                    mode=mode,
-                    memory_words=entry.memory_words,
-                    cache_lines=8,
-                    unblindable_ranges=entry.unblindable,
-                    mmio_console=entry.mmio_console,
-                )
+                cfg = entry.config(mode)
                 for _ in range(3):
                     h.update(pair_text(pair_for_program(image, cfg, rng, entry.blinded_regs)))
         h.update(repr(rng.random()).encode())
@@ -898,13 +892,7 @@ class TestNoninterference:
         for entry in curated_corpus():
             image = assemble(entry.source)
             for mode in Mode:
-                cfg = MachineConfig(
-                    mode=mode,
-                    memory_words=entry.memory_words,
-                    cache_lines=8,
-                    unblindable_ranges=entry.unblindable,
-                    mmio_console=entry.mmio_console,
-                )
+                cfg = entry.config(mode)
                 result = check_noninterference(
                     image, trials=30, steps=200, cfg=cfg,
                     seed=11, blinded_regs=entry.blinded_regs,
@@ -1061,12 +1049,7 @@ pool:
 
         rng = random.Random(21)
         for entry in curated_corpus():
-            cfg = MachineConfig(
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-            )
+            cfg = entry.config(Mode.HARDWARE)
             image = assemble(entry.source)
             for _ in range(20):
                 s1, s2 = pair_for_program(image, cfg, rng, entry.blinded_regs)
@@ -1206,13 +1189,7 @@ class TestUnwindingMatchesFullEquivalence:
     @pytest.mark.parametrize("mode", list(Mode))
     def test_passing_corpus_programs(self, mode):
         for entry in curated_corpus():
-            cfg = MachineConfig(
-                mode=mode,
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-            )
+            cfg = entry.config(mode)
             result = self.assert_same_as_reference(
                 assemble(entry.source), 8, 200, cfg, 13, instruction_semantics, entry.blinded_regs
             )
@@ -1334,13 +1311,7 @@ class TestOneEquivalenceForStatesAndMachines:
             image = assemble(source)
             out += [(cfg, pair_for_program(image, cfg, rng, blinded_regs)) for _ in range(10)]
         for entry in curated_corpus():
-            cfg = MachineConfig(
-                mode=mode,
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-            )
+            cfg = entry.config(mode)
             image = assemble(entry.source)
             out += [(cfg, pair_for_program(image, cfg, rng, entry.blinded_regs)) for _ in range(3)]
         return out
@@ -1394,13 +1365,7 @@ class TestTrialPairs:
     def test_corpus_programs(self, monkeypatch, mode):
         for seed, entry in enumerate(curated_corpus()):
             image = assemble(entry.source)
-            cfg = MachineConfig(
-                mode=mode,
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-            )
+            cfg = entry.config(mode)
             rng = random.Random(seed)
             expected = [pair_for_program(image, cfg, rng, entry.blinded_regs) for _ in range(self.TRIALS)]
             assert self.trial_pairs(monkeypatch, image, cfg, seed, entry.blinded_regs) == expected, entry.name
@@ -1612,19 +1577,27 @@ RANDOM_OPCODES = (
 class TestRandomPrograms:
     PROGRAMS = 1000
 
+    @pytest.fixture(scope="class")
     def reports(self):
-        """(source, cfg, image, sig, report) for each seeded random
+        """(source, cfg, image, sig, report, runs) for each seeded random
         program, in a drawn mode, with or without an unblindable range
-        over its first data words."""
-        rng = random.Random(37)
-        for _ in range(self.PROGRAMS):
-            source, sig, base = random_program(rng)
-            ranges = ((base, base + 3),) if rng.random() < 0.5 else ()
-            cfg = MachineConfig(rng.choice(list(Mode)), 64, 8, unblindable_ranges=ranges)
-            image = assemble(source)
-            yield source, cfg, image, sig, analyze(image, sig, cfg)
+        over its first data words; ``runs`` counts the analysis's calls
+        of ``checker.run``.  Each program is analyzed once per class."""
+        records, runs = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checker, "run", lambda *args: runs.append(args) or run(*args))
+            rng = random.Random(37)
+            for _ in range(self.PROGRAMS):
+                source, sig, base = random_program(rng)
+                ranges = ((base, base + 3),) if rng.random() < 0.5 else ()
+                cfg = MachineConfig(rng.choice(list(Mode)), 64, 8, unblindable_ranges=ranges)
+                image = assemble(source)
+                runs.clear()
+                report = analyze(image, sig, cfg)
+                records.append((source, cfg, image, sig, report, len(runs)))
+        return records
 
-    def test_reports_are_pinned(self):
+    def test_reports_are_pinned(self, reports):
         # Every report field, the witness's initial state as a snapshot,
         # over programs that load, store, edit tags and branch on every
         # operand class a signature can name.  On a subset, each witness
@@ -1633,7 +1606,7 @@ class TestRandomPrograms:
         h = hashlib.sha256()
         verdicts = dict.fromkeys(Verdict, 0)
         rng = random.Random(38)
-        for n, (source, cfg, image, sig, r) in enumerate(self.reports()):
+        for n, (source, cfg, image, sig, r, _) in enumerate(reports):
             verdicts[r.verdict] += 1
             w = r.witness
             witness = w and (snapshot(w.initial), w.fault, w.steps, w.pc)
@@ -1657,17 +1630,14 @@ class TestRandomPrograms:
             "c59737615baa983264e2e8bdecea648cb3417f18be42752596797da6bd7572ad"
         )
 
-    def test_analyze_runs_at_most_one_replay(self, monkeypatch):
+    def test_analyze_runs_at_most_one_replay(self, reports):
         # One draw confirms every definite finding, so a report with one
         # costs one run and a report without one costs none.
-        runs = []
-        monkeypatch.setattr(checker, "run", lambda *args: runs.append(args) or run(*args))
         replayed = 0
-        for source, cfg, image, sig, r in self.reports():
+        for source, cfg, image, sig, r, runs in reports:
             definite = any(f.definite and f.fault is not None for f in r.findings)
-            assert len(runs) == definite, source
+            assert runs == definite, source
             replayed += definite
-            runs.clear()
         assert replayed > 0
 
     def test_fixpoint_states_are_canonical(self):

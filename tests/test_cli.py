@@ -15,7 +15,6 @@ from blindsim.corpus import (
 )
 from blindsim.assembler import assemble, decode_image, encode_image
 from blindsim import checker
-from blindsim.checker import analyze, parse_signature
 from blindsim.machine import MachineConfig
 from blindsim.protocol import (
     ExportRequest,
@@ -26,7 +25,7 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import mmio_report, widening_loop
+from helpers import MMIO_REPORT, widening_loop
 
 
 @pytest.fixture
@@ -40,6 +39,18 @@ def work(tmp_path):
         return str(path)
 
     return tmp_path, write
+
+
+#: The flags of the 64-word, 8-line machine most tests run on.
+SMALL_FLAGS = ["--mem-words", "64", "--cache-lines", "8"]
+
+
+def assembled(work, source):
+    """The path of ``source``'s image, assembled by ``blindsim asm``."""
+    tmp, write = work
+    img = str(tmp / "p.img")
+    assert main(["asm", write("p.asm", source), "-o", img]) == 0
+    return img
 
 
 class TestAsmDisasm:
@@ -78,53 +89,36 @@ class TestAsmDisasm:
         assert encode_image(assemble(captured.out)) == (tmp / "p.img").read_bytes()
 
     def test_disasm_bad_magic(self, work):
-        tmp, write = work
+        _, write = work
         img = write("bad.img", b"NOPE", binary=True)
         assert main(["disasm", img]) == 2
 
 
 class TestRun:
     def test_halting_program_exit_zero(self, work, capsys):
-        tmp, write = work
-        src = write("p.asm", ".entry 0\nhalt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, ".entry 0\nhalt\n")
         assert main(["run", img, "--mem-words", "16", "--cache-lines", "2"]) == 0
         out = capsys.readouterr().out
         assert "outcome: halted after 1 step(s)" in out
         assert "status=halted" in out
 
     def test_fault_program_exit_nonzero_with_trace(self, work):
-        tmp, write = work
-        src = write("f.asm", blinded_branch_fault())
-        img = str(tmp / "f.img")
-        main(["asm", src, "-o", img])
+        tmp, _ = work
+        img = assembled(work, blinded_branch_fault())
         trace = tmp / "f.trace"
-        code = main([
-            "run", img, "--mem-words", "64", "--cache-lines", "8",
-            "--trace", str(trace),
-        ])
-        assert code == 1
+        assert main(["run", img, *SMALL_FLAGS, "--trace", str(trace)]) == 1
         assert "kind=fault fault=blinded-branch" in trace.read_text()
 
     def test_determinism_two_runs_identical(self, work):
-        tmp, write = work
-        src = write("p.asm", branchless_select())
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        tmp, _ = work
+        img = assembled(work, branchless_select())
         t1, t2 = tmp / "a.trace", tmp / "b.trace"
         for t in (t1, t2):
-            assert main([
-                "run", img, "--mem-words", "64", "--cache-lines", "8",
-                "--blind-word", "0x30=5", "--trace", str(t),
-            ]) == 0
+            assert main(["run", img, *SMALL_FLAGS, "--blind-word", "0x30=5", "--trace", str(t)]) == 0
         assert t1.read_text() == t2.read_text()
 
     def test_blind_word_injection_visible_in_snapshot(self, work, capsys):
-        tmp, write = work
-        src = write("p.asm", ".entry 0\nhalt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, ".entry 0\nhalt\n")
         assert main([
             "run", img, "--mem-words", "16", "--cache-lines", "2",
             "--blind-word", "5=0x2a",
@@ -132,22 +126,14 @@ class TestRun:
         assert "m5=B:0x2a" in capsys.readouterr().out
 
     def test_model_mode_flag(self, work, capsys):
-        tmp, write = work
         from blindsim.corpus import blinded_load_fault
 
-        src = write("p.asm", blinded_load_fault())
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
-        assert main([
-            "run", img, "--mode", "model", "--mem-words", "64", "--cache-lines", "8",
-        ]) == 0  # no-op semantics: halts cleanly
+        img = assembled(work, blinded_load_fault())
+        assert main(["run", img, "--mode", "model", *SMALL_FLAGS]) == 0  # no-op semantics: halts cleanly
 
     def test_golden_run_output(self, work, capsys):
         # hand-computed expected output for a two-instruction program
-        tmp, write = work
-        src = write("p.asm", "add r3, r1, r2\nhalt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, "add r3, r1, r2\nhalt\n")
         assert main([
             "run", img, "--mem-words", "16", "--cache-lines", "2",
             "--blind-word", "5=0x2a",
@@ -164,14 +150,11 @@ class TestRun:
 
 class TestCheck:
     def test_compliant_exit_zero_and_report(self, work, capsys):
-        tmp, write = work
-        src = write("p.asm", branchless_select())
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        tmp, _ = work
+        img = assembled(work, branchless_select())
         report = tmp / "report.json"
         code = main([
-            "check", img, "--sig", "r1=B,r2=B",
-            "--mem-words", "64", "--cache-lines", "8",
+            "check", img, "--sig", "r1=B,r2=B", *SMALL_FLAGS,
             "--trials", "25", "--seed", "0", "--steps", "200", "--report", str(report),
         ])
         assert code == 0
@@ -188,39 +171,22 @@ class TestCheck:
         tmp, write = work
         img = write("r.img", encode_image(assemble(rblnd_refused())), binary=True)
         report = tmp / "report.json"
-        code = main([
-            "check", img, "--mem-words", "64", "--cache-lines", "8",
-            "--trials", "0", "--report", str(report),
-        ])
-        assert code == 1
+        assert main(["check", img, *SMALL_FLAGS, "--trials", "0", "--report", str(report)]) == 1
         capsys.readouterr()
-        data = json.loads(report.read_text())
-        cfg = MachineConfig(memory_words=64, cache_lines=8)
-        expected = analyze(assemble(rblnd_refused()), parse_signature(""), cfg)
-        assert expected.findings
-        assert data["verdict"] == expected.verdict.value
-        assert data["findings"] == [
-            {
-                "pc": f.pc,
-                "instruction": f.instruction,
-                "reason": f.reason,
-                "fault": f.fault.value if f.fault else None,
-                "definite": f.definite,
-                "unresolved": f.unresolved,
-            }
-            for f in expected.findings
-        ]
-        assert data["noninterference"] is None
+        # Finding's fields in their order, the fault by its value.
+        assert report.read_text().startswith(
+            '{\n  "verdict": "definitely-faults",\n  "iterations": 2,\n  "bound_exceeded": false,\n'
+            '  "findings": [\n    {\n      "pc": 2,\n      "instruction": "rblnd r1",\n'
+            '      "reason": "raw unblinding is disabled and faults",\n      "fault": "decode-error",\n'
+            '      "definite": true,\n      "unresolved": false\n    }\n  ],\n'
+        )
+        assert json.loads(report.read_text())["noninterference"] is None
 
     def test_fixpoint_bound_exceeded(self, work, capsys):
         tmp, write = work
         img = write("w.img", encode_image(assemble(widening_loop())), binary=True)
         report = tmp / "r.json"
-        code = main([
-            "check", img, "--mem-words", "64", "--cache-lines", "8",
-            "--trials", "0", "--report", str(report),
-        ])
-        assert code == 1
+        assert main(["check", img, *SMALL_FLAGS, "--trials", "0", "--report", str(report)]) == 1
         out = capsys.readouterr().out
         assert "verdict: may-fault\n" in out
         assert "pc=0x1d [possible] <analysis>: fixpoint iteration bound (528) exceeded\n" in out
@@ -232,51 +198,34 @@ class TestCheck:
         ]
 
     def test_faulting_program_exit_one(self, work, capsys):
-        tmp, write = work
-        src = write("f.asm", blinded_branch_fault())
-        img = str(tmp / "f.img")
-        main(["asm", src, "-o", img])
-        code = main([
-            "check", img, "--mem-words", "64", "--cache-lines", "8", "--trials", "10",
-        ])
-        assert code == 1
+        img = assembled(work, blinded_branch_fault())
+        assert main(["check", img, *SMALL_FLAGS, "--trials", "10"]) == 1
         assert "definitely-faults" in capsys.readouterr().out
 
     def test_bad_signature_usage_error(self, work):
-        tmp, write = work
-        src = write("p.asm", ".entry 0\nhalt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, ".entry 0\nhalt\n")
         assert main(["check", img, "--sig", "bogus"]) == 2
 
 
     def test_signature_naming_an_absent_segment_usage_error(self, work, capsys):
-        tmp, write = work
-        src = write("p.asm", ".entry 0\nhalt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, ".entry 0\nhalt\n")
         assert main(["check", img, "--sig", "s7=B"]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "s7" in captured.err
         assert "verdict" not in captured.out
 
 class TestDemoProtocol:
-    def _plain(self, write, name, words):
-        return write(name, " ".join(str(w) for w in words) + "\n")
+    def _plain(self, work, name, words):
+        return work[1](name, " ".join(str(w) for w in words) + "\n")
 
     def test_add_one_pipeline(self, work, capsys):
-        tmp, write = work
-        pt = self._plain(write, "pt.txt", [1, 2, 3])
-        code = main([
-            "demo-protocol", pt, "--mem-words", "1024", "--cache-lines", "16",
-        ])
-        assert code == 0
+        pt = self._plain(work, "pt.txt", [1, 2, 3])
+        assert main(["demo-protocol", pt, "--mem-words", "1024", "--cache-lines", "16"]) == 0
         assert "result: 2 3 4" in capsys.readouterr().out
 
     def test_an_import_into_the_console_range_is_refused(self, work, capsys):
         # The console word is unblindable, and the data region starts there.
-        tmp, write = work
-        pt = self._plain(write, "pt.txt", [1, 2, 3])
+        pt = self._plain(work, "pt.txt", [1, 2, 3])
         code = main(["demo-protocol", pt, "--mem-words", "1024", "--mmio-console", "0x100"])
         assert code == 1
         captured = capsys.readouterr()
@@ -286,9 +235,9 @@ class TestDemoProtocol:
         )
 
     def test_dual_traces_identical(self, work, capsys):
-        tmp, write = work
-        pt1 = self._plain(write, "a.txt", [1, 2, 3])
-        pt2 = self._plain(write, "b.txt", [900, 800, 700])
+        tmp, _ = work
+        pt1 = self._plain(work, "a.txt", [1, 2, 3])
+        pt2 = self._plain(work, "b.txt", [900, 800, 700])
         trace = tmp / "demo.trace"
         code = main([
             "demo-protocol", pt1, "--dual", pt2,
@@ -303,12 +252,8 @@ class TestDemoProtocol:
         assert trace.read_text()  # non-empty
 
     def test_socket_transport(self, work, capsys):
-        tmp, write = work
-        pt = self._plain(write, "pt.txt", [7])
-        code = main([
-            "demo-protocol", pt, "--transport", "socket", "--mem-words", "1024",
-        ])
-        assert code == 0
+        pt = self._plain(work, "pt.txt", [7])
+        assert main(["demo-protocol", pt, "--transport", "socket", "--mem-words", "1024"]) == 0
         assert "result: 8" in capsys.readouterr().out
 
     def test_socket_transport_refuses_a_reply_cut_mid_frame(self):
@@ -327,10 +272,10 @@ class TestDemoProtocol:
                 round_trip(encode_frame(ExportRequest(0, 1)))
 
     def test_custom_program_image(self, work, capsys):
-        tmp, write = work
+        _, write = work
         image = assemble(demo_add_one(2, data_base=0x40, result_base=0x50))
         img = write("prog.img", encode_image(image), binary=True)
-        pt = self._plain(write, "pt.txt", [10, 20])
+        pt = self._plain(work, "pt.txt", [10, 20])
         code = main([
             "demo-protocol", pt, "--program", img,
             "--data-base", "0x40", "--result-base", "0x50",
@@ -345,10 +290,10 @@ class TestDemoProtocol:
         # imported word, so the two sessions' traces differ.
         if leaky:
             monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
-        tmp, write = work
-        img = write("report.img", encode_image(assemble(mmio_report(48, 32))), binary=True)
-        pt1 = self._plain(write, "a.txt", [5])
-        pt2 = self._plain(write, "b.txt", [900])
+        _, write = work
+        img = write("report.img", encode_image(assemble(MMIO_REPORT.source)), binary=True)
+        pt1 = self._plain(work, "a.txt", [5])
+        pt2 = self._plain(work, "b.txt", [900])
         code = main([
             "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "64",
             "--mmio-console", "48", "--data-base", "32", "--result-base", "40",
@@ -367,10 +312,10 @@ class TestDemoProtocol:
         # The program unblinds the first imported word and branches on it.
         # The rblnd is refused before the branch, so the first session ends
         # in an error and no traces are compared.
-        tmp, write = work
+        _, write = work
         img = write("leak.img", encode_image(assemble(BRANCHES_ON_IMPORT)), binary=True)
-        pt1 = self._plain(write, "a.txt", [0, 5])
-        pt2 = self._plain(write, "b.txt", [1, 5])
+        pt1 = self._plain(work, "a.txt", [0, 5])
+        pt2 = self._plain(work, "b.txt", [1, 5])
         code = main([
             "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "1024",
             "--mode", mode,
@@ -386,22 +331,17 @@ class TestDemoProtocol:
         # forgets to blind leaves both traces identical; the final states
         # still hold the plaintexts in clear words.
         monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
-        tmp, write = work
-        pt1 = self._plain(write, "a.txt", [1, 2, 3])
-        pt2 = self._plain(write, "b.txt", [900, 800, 700])
-        code = main([
-            "demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024", "--transport", transport,
-        ])
-        assert code == 1
+        pt1 = self._plain(work, "a.txt", [1, 2, 3])
+        pt2 = self._plain(work, "b.txt", [900, 800, 700])
+        assert main(["demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024", "--transport", transport]) == 1
         assert capsys.readouterr().out == (
             "result: 2 3 4\nresult2: 901 801 701\n"
             "STATES DIFFER: blinded data reached clear state\n"
         )
 
     def test_length_mismatch_usage_error(self, work):
-        tmp, write = work
-        pt1 = self._plain(write, "a.txt", [1, 2])
-        pt2 = self._plain(write, "b.txt", [1, 2, 3])
+        pt1 = self._plain(work, "a.txt", [1, 2])
+        pt2 = self._plain(work, "b.txt", [1, 2, 3])
         assert main(["demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024"]) == 2
 
     def test_missing_plaintext(self, work):
@@ -409,7 +349,7 @@ class TestDemoProtocol:
         assert main(["demo-protocol", str(tmp / "none.txt")]) == 2
 
     def test_empty_plaintext(self, work):
-        tmp, write = work
+        _, write = work
         pt = write("empty.txt", "\n")
         assert main(["demo-protocol", pt]) == 2
 
@@ -422,22 +362,11 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
     def test_bad_flag_value(self, work):
-        tmp, write = work
-        src = write("p.asm", "halt\n")
-        img = str(tmp / "p.img")
-        main(["asm", src, "-o", img])
+        img = assembled(work, "halt\n")
         assert main(["run", img, "--unblindable", "badrange"]) == 2
 
 
-def assembled(write, tmp, source):
-    img = str(tmp / "p.img")
-    assert main(["asm", write("p.asm", source), "-o", img]) == 0
-    return img
-
-
 class TestMachineFlags:
-    SMALL = ["--mem-words", "64", "--cache-lines", "8"]
-
     @pytest.mark.parametrize(
         "flags",
         [
@@ -450,9 +379,9 @@ class TestMachineFlags:
     )
     @pytest.mark.parametrize("command", ["run", "check", "demo-protocol"])
     def test_invalid_machine_is_a_usage_error(self, work, capsys, command, flags):
-        tmp, write = work
+        _, write = work
         target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
-            assembled(write, tmp, ".entry 0\nhalt\n")
+            assembled(work, ".entry 0\nhalt\n")
         )
         capsys.readouterr()
         assert main([command, target, *flags]) == 2
@@ -460,17 +389,16 @@ class TestMachineFlags:
         assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_unblindable_range(self, work, capsys):
-        tmp, write = work
-        img = assembled(write, tmp, blinded_store_unblindable_fault())
-        assert main(["run", img, *self.SMALL]) == 0
-        assert main(["run", img, *self.SMALL, "--unblindable", "48..52"]) == 1
+        img = assembled(work, blinded_store_unblindable_fault())
+        assert main(["run", img, *SMALL_FLAGS]) == 0
+        assert main(["run", img, *SMALL_FLAGS, "--unblindable", "48..52"]) == 1
         assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
 
     def test_mmio_console_is_unblindable_on_its_own(self, work, capsys):
-        tmp, write = work
-        img = assembled(write, tmp, mmio_report(48, 32))
+        tmp, _ = work
+        img = assembled(work, MMIO_REPORT.source)
         trace = tmp / "console.trace"
-        flags = [*self.SMALL, "--mmio-console", "48"]
+        flags = [*SMALL_FLAGS, "--mmio-console", "48"]
         assert main(["run", img, *flags, "--trace", str(trace)]) == 0
         assert "kind=mmio value=0x1" in trace.read_text()
         capsys.readouterr()
@@ -483,10 +411,9 @@ class TestMachineFlags:
         ids=["out-of-range", "no-value", "non-ascii-address", "non-ascii-value"],
     )
     def test_bad_blind_word(self, work, capsys, word):
-        tmp, write = work
-        img = assembled(write, tmp, ".entry 0\nhalt\n")
+        img = assembled(work, ".entry 0\nhalt\n")
         capsys.readouterr()
-        assert main(["run", img, *self.SMALL, "--blind-word", word]) == 2
+        assert main(["run", img, *SMALL_FLAGS, "--blind-word", word]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
@@ -516,9 +443,9 @@ class TestMachineFlags:
         ],
     )
     def test_a_refused_flag_is_a_usage_error(self, work, capsys, command, flags, error):
-        tmp, write = work
+        _, write = work
         target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
-            assembled(write, tmp, rblnd_refused())
+            assembled(work, rblnd_refused())
         )
         capsys.readouterr()
         assert main([command, target, *flags]) == 2
@@ -546,6 +473,7 @@ ERROR_FILES = {
     "bad.img": b"NOPE",
     "short.img": encode_image(assemble("halt\n"))[:-3],
     "fault.img": encode_image(assemble(".entry 0\n.word 0x7f\n")),
+    "console.img": encode_image(assemble(".entry 0x300\n.org 0x100\n.word 5 blinded\n.org 0x300\nhalt\n")),
     "pt.txt": b"1 2\n",
     "pt3.txt": b"1 2 3\n",
     "empty.txt": b"\n",
@@ -554,7 +482,7 @@ ERROR_FILES = {
     "wide.txt": b"18446744073709551617 -1 5\n",
     "edges.txt": b"-1 -0x8000000000000000 0xffffffffffffffff\n",
 }
-SMALL = "--mem-words 64 --cache-lines 8"
+SMALL = " ".join(SMALL_FLAGS)
 DEMO = "--mem-words 1024"
 NO_FILE = "error: [Errno 2] No such file or directory: '@{}'"
 
@@ -581,6 +509,10 @@ class TestErrorPaths:
             ("run @short.img", 2, "error: truncated image"),
             (f"run @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
             (f"run @halt.img {SMALL} --blind-word 0x40=1", 2, "error: --blind-word address 0x40 out of range"),
+            (
+                f"run @halt.img {SMALL} --unblindable 48..52 --mmio-console 48 --blind-word 48=5", 2,
+                "error: --blind-word address 0x30 is in an unblindable range",
+            ),
             ("run @halt.img --mem-words 0", 2, "error: memory_words and cache_lines must be positive"),
             ("check @missing.img", 2, NO_FILE.format("missing.img")),
             ("check @bad.img", 2, "error: bad magic"),
@@ -607,11 +539,18 @@ class TestErrorPaths:
                 f"demo-protocol @pt.txt --program @big.img {DEMO}", 1,
                 "error: server: LoadError: segment [0x800, 0x801) exceeds memory of 0x400 words",
             ),
+            (
+                f"demo-protocol @pt.txt --program @console.img {DEMO} --mmio-console 0x100"
+                " --data-base 0x200 --result-base 0x280", 1,
+                "error: server: ValueError: image segment [0x100, 0x101) overlaps an unblindable range",
+            ),
         ],
     )
     def test_one_error_line_and_exit_code(self, tmp_path, capsys, command, code, line):
         assert run_cli(tmp_path, command) == code
-        assert capsys.readouterr().err == line.replace("@", f"{tmp_path}/") + "\n"
+        captured = capsys.readouterr()
+        assert captured.err == line.replace("@", f"{tmp_path}/") + "\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "command, line",
@@ -759,10 +698,9 @@ class TestCheckSignature:
             checker, "check_noninterference",
             functools.partial(checker.check_noninterference, semantics=mutants.add_drops_taint),
         )
-        tmp, write = work
-        img = assembled(write, tmp, STORES_R1_TWICE)
+        img = assembled(work, STORES_R1_TWICE)
         capsys.readouterr()
-        return [img, "--mem-words", "64", "--cache-lines", "8"]
+        return [img, *SMALL_FLAGS]
 
     def test_a_failing_check_prints_its_counterexample(self, leaky, capsys):
         assert main(["check", *leaky, "--sig", "r1=B", "--trials", "20"]) == 1

@@ -17,7 +17,7 @@ from blindsim.checker import (
     pair_for_program,
 )
 from blindsim import machine
-from blindsim.corpus import CorpusEntry, curated_corpus
+from blindsim.corpus import curated_corpus
 from blindsim.isa import (
     DecodedInstruction,
     MemKind,
@@ -62,9 +62,9 @@ import mutants
 from conftest import random_word, twin_word
 from draw_reference import _instruction_word
 from helpers import (
+    MMIO_REPORT,
     blindsim_calls,
     format_event,
-    mmio_report,
     random_instruction,
     untagged_semantics,
 )
@@ -871,6 +871,14 @@ class TestRunMatchesStepFold:
 
     CONFIGS = [dict(mode=mode) for mode in Mode]
 
+    @staticmethod
+    def random_config(options) -> MachineConfig:
+        """The machine of the random 64-word states: two unblindable
+        ranges, the console in the first."""
+        return MachineConfig(
+            memory_words=64, cache_lines=8, unblindable_ranges=((40, 48), (60, 62)), mmio_console=41, **options
+        )
+
     SEMANTICS = pytest.mark.parametrize(
         "semantics", [instruction_semantics, untagged_semantics], ids=["tags", "no-tags"]
     )
@@ -878,13 +886,7 @@ class TestRunMatchesStepFold:
     @SEMANTICS
     @pytest.mark.parametrize("options", CONFIGS, ids=lambda o: "-".join(map(str, o.values())))
     def test_random_states(self, options, semantics):
-        cfg = MachineConfig(
-            memory_words=64,
-            cache_lines=8,
-            unblindable_ranges=((40, 48), (60, 62)),
-            mmio_console=41,
-            **options,
-        )
+        cfg = self.random_config(options)
         outcomes = set()
         for seed in range(60):
             s, _ = generate_equivalent_pair(seed, memory_words=64, cache_lines=8)
@@ -898,13 +900,7 @@ class TestRunMatchesStepFold:
     def test_corpus_programs(self, options, semantics):
         rng = random.Random(41)
         for entry in curated_corpus():
-            cfg = MachineConfig(
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-                **options,
-            )
+            cfg = entry.config(**options)
             s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
             r = run(s, cfg, max_steps=400, semantics=semantics)
             assert r == fold_of_step(s, cfg, max_steps=400, semantics=semantics), entry.name
@@ -912,31 +908,18 @@ class TestRunMatchesStepFold:
 
 def _pinned_runs():
     """(state, config, step budget) for both sides of seeded 64-word pairs
-    and of the pair of every corpus program and of ``mmio_report`` (no
+    and of the pair of every corpus program and of ``MMIO_REPORT`` (no
     corpus entry has a console), under each of TestRunMatchesStepFold's
     configs; together they reach every event kind."""
-    console = CorpusEntry("mmio-report", mmio_report(48), unblindable=((48, 52),), mmio_console=48)
-    images = [(entry, assemble(entry.source)) for entry in (*curated_corpus(), console)]
+    images = [(entry, assemble(entry.source)) for entry in (*curated_corpus(), MMIO_REPORT)]
     for options in TestRunMatchesStepFold.CONFIGS:
-        cfg = MachineConfig(
-            memory_words=64,
-            cache_lines=8,
-            unblindable_ranges=((40, 48), (60, 62)),
-            mmio_console=41,
-            **options,
-        )
+        cfg = TestRunMatchesStepFold.random_config(options)
         for seed in range(100):
             for s in generate_equivalent_pair(seed, memory_words=64, cache_lines=8):
                 yield s, cfg, 120
         rng = random.Random(41)
         for entry, image in images:
-            cfg = MachineConfig(
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-                **options,
-            )
+            cfg = entry.config(**options)
             for s in pair_for_program(image, cfg, rng, entry.blinded_regs):
                 yield s, cfg, 400
 
@@ -1325,13 +1308,7 @@ class TestEventEqualityIsExact:
         rng = random.Random(5)
         seen = set()
         for entry in curated_corpus():
-            cfg = MachineConfig(
-                mode=mode,
-                memory_words=entry.memory_words,
-                cache_lines=8,
-                unblindable_ranges=entry.unblindable,
-                mmio_console=entry.mmio_console,
-            )
+            cfg = entry.config(mode)
             s, _ = pair_for_program(assemble(entry.source), cfg, rng, entry.blinded_regs)
             r = run(s, cfg, max_steps=400)
             by_cycle: dict[int, list] = {}

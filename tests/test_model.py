@@ -276,8 +276,12 @@ class TestContainers:
                 w.blinded = not blind
 
     def test_constructors_mask(self):
-        assert clear(1 << 64).value == 0
-        assert blinded(-1).value == MASK64
+        # A negative value is taken in two's complement, as word_value
+        # takes it; a value outside [-2**63, 2**64) is refused, not wrapped.
+        assert blinded(-1).value == MASK64 and clear(-1) == clear(MASK64)
+        for make, value in [(clear, 1 << 64), (blinded, 1 << 64), (clear, -(1 << 63) - 1)]:
+            with pytest.raises(ValueError, match="out of 64-bit range"):
+                make(value)
 
     def test_memory_store_out_of_range(self):
         m = MemoryImage.zeros(4)

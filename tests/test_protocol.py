@@ -66,6 +66,12 @@ def loopback(seed_c=1, seed_h=2, claims=Claims(), **client_kwargs):
     return client_key, engine
 
 
+def handshake(session: ServerSession, seed: int = 21) -> SessionKey:
+    """The session key of a client's handshake with ``session``."""
+    client = ClientHandshake(DEV_PUB, seed=seed)
+    return client.finish(session.handle_frame(client.hello()))
+
+
 def assert_engine_holds(key: SessionKey, engine: EncryptionEngine) -> None:
     """The engine holds ``key``: the same key id, and ``key`` opens an
     export the engine made."""
@@ -342,15 +348,14 @@ class TestFraming:
 
 
 class TestServerSession:
-    def make_session(self, seed=3, mem=1024, unblindable=()):
-        cfg = MachineConfig(memory_words=mem, cache_lines=16, unblindable_ranges=unblindable)
+    def make_session(self, seed=3, mem=1024, unblindable=(), mmio=None):
+        cfg = MachineConfig(memory_words=mem, cache_lines=16, unblindable_ranges=unblindable, mmio_console=mmio)
         engine = EncryptionEngine(b"T" * 32)
         return ServerSession(DEV_PRIV, Claims(), engine, cfg, seed=seed), cfg
 
     def test_full_session_add_one(self):
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
 
         words = (5, 10, 0xFFFFFFFFFFFFFFFF)
         ct = client_encrypt(key, words, counter=0)
@@ -402,8 +407,7 @@ class TestServerSession:
         assert_engine_holds(client.finish(reply), engine)
 
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         assert_engine_holds(key, session.engine)
         assert session.key_id == key.key_id
         for holder in (session, session.responder):
@@ -438,8 +442,7 @@ class TestServerSession:
         # Two sessions on one engine: one handshake serves only its own.
         first, cfg = self.make_session()
         second = ServerSession(DEV_PRIV, Claims(), first.engine, cfg, seed=4)
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(first.handle_frame(client.hello()))
+        handshake(first)
         reply = decode_frame(second.handle_frame(encode_frame(ExportRequest(0, 1))))
         assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
         reply = decode_frame(first.handle_frame(encode_frame(ExportRequest(0, 1))))
@@ -450,13 +453,12 @@ class TestServerSession:
         # under which A's export would leave for client B to read.
         a, cfg = self.make_session()
         b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
-        client_a, client_b = ClientHandshake(DEV_PUB, seed=21), ClientHandshake(DEV_PUB, seed=22)
-        key_a = client_a.finish(a.handle_frame(client_a.hello()))
+        key_a = handshake(a)
         envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
         reply = decode_frame(a.handle_frame(encode_frame(ImportRequest(8, envelope))))
         assert isinstance(reply, ResultResponse)
         sealed_a = a.engine.seal_current_key()
-        client_b.finish(b.handle_frame(client_b.hello()))
+        handshake(b, seed=22)
         for request_ in (ExportRequest(8, 2), ImportRequest(16, envelope)):
             reply = decode_frame(a.handle_frame(encode_frame(request_)))
             assert isinstance(reply, ErrorResponse) and "another key" in reply.message
@@ -472,8 +474,7 @@ class TestServerSession:
         # B's hello on A's engine would throw A's key away unsealed.
         a, cfg = self.make_session()
         b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
-        client_a = ClientHandshake(DEV_PUB, seed=21)
-        key_a = client_a.finish(a.handle_frame(client_a.hello()))
+        key_a = handshake(a)
         envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
         a.handle_frame(encode_frame(ImportRequest(8, envelope)))
         reply = decode_frame(b.handle_frame(ClientHandshake(DEV_PUB, seed=22).hello()))
@@ -507,8 +508,7 @@ class TestServerSession:
         if reason == "before-handshake":
             key = SessionKey.from_bytes(b"K" * 32)
         else:
-            client = ClientHandshake(DEV_PUB, seed=21)
-            key = client.finish(session.handle_frame(client.hello()))
+            key = handshake(session)
         dst, envelope = 0x100, client_encrypt(key, (1, 2), counter=0)
         if reason == "flipped-tag-bit":
             envelope = envelope[:-1] + bytes([envelope[-1] ^ 1])
@@ -520,8 +520,7 @@ class TestServerSession:
         elif reason == "another-key":
             session.engine.seal_current_key()
             other = ServerSession(DEV_PRIV, Claims(), session.engine, cfg, seed=4)
-            other_client = ClientHandshake(DEV_PUB, seed=22)
-            other_client.finish(other.handle_frame(other_client.hello()))
+            handshake(other, seed=22)
         before = session.state
         reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(dst, envelope))))
         assert isinstance(reply, ErrorResponse) and self.REFUSALS[reason] in reply.message
@@ -532,20 +531,44 @@ class TestServerSession:
         # Ranges are half-open: [0x30, 0x34) takes neither [0x2E, 0x30)
         # nor [0x34, 0x36), and an empty import at 0x30 writes nothing.
         session, _ = self.make_session(unblindable=((0x30, 0x34),))
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         for counter, (at, words) in enumerate([(dst, (7, 8)), (0x30, ())]):
             frame = encode_frame(ImportRequest(at, client_encrypt(key, words, counter)))
             assert isinstance(decode_frame(session.handle_frame(frame)), ResultResponse)
         assert session.state.memory[dst: dst + 2] == (blinded(7), blinded(8))
         assert not any(w.blinded for w in session.state.memory[0x30: 0x34])
 
+    @pytest.mark.parametrize(
+        "data, refused",
+        [
+            (".org 0x30\n.word 7 blinded\n.word 8 blinded", "[0x30, 0x32)"),
+            (".org 0x2F\n.word 1 blinded\n.word 7 blinded", "[0x2f, 0x31)"),
+            (".org 0x33\n.word 7 blinded\n.word 0", "[0x33, 0x35)"),
+            (".org 0x2E\n.word 7 blinded\n.word 8 blinded\n.word 9", None),
+            (".org 0x30\n.word 7\n.word 8\n.word 9\n.word 10\n.word 11 blinded", None),
+        ],
+        ids=["in-range", "last-word-in", "first-word-in", "clear-word-in", "blinded-word-after"],
+    )
+    def test_a_compute_image_puts_no_blinded_word_in_an_unblindable_range(self, data, refused):
+        # As an import may not: a refused compute runs nothing and leaves
+        # the state and the last trace as they were.
+        session, _ = self.make_session(unblindable=((0x30, 0x34),), mmio=0x30)
+        handshake(session)
+        image = assemble(f".entry 0x40\n{data}\n.org 0x40\nhalt\n")
+        before, traces = session.state, session.traces
+        reply = decode_frame(session.handle_frame(encode_frame(ComputeRequest(0x40, encode_image(image)))))
+        if refused:
+            assert reply == ErrorResponse(f"ValueError: image segment {refused} overlaps an unblindable range")
+            assert session.state is before and session.traces is traces
+        else:
+            assert parse_compute_result(reply.payload) == ("halted", 1)
+            assert not any(w.blinded for w in session.state.memory[0x30:0x34])
+
     def test_an_accepted_import_is_one_edit_of_the_imported_words(self):
         # After a compute the registers, cache and status are not the
         # initial ones, so sharing them is not sharing the zero state.
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         session.handle_frame(encode_frame(ImportRequest(0x100, client_encrypt(key, (5, 10), 0))))
         image = assemble(demo_add_one(2, data_base=0x100, result_base=0x180))
         session.handle_frame(encode_frame(ComputeRequest(image.entry_pc, encode_image(image))))
@@ -567,8 +590,7 @@ class TestServerSession:
 
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         ct = bytearray(client_encrypt(key, (1, 2), counter=0))
         ct[-1] ^= 1
         reply = decode_frame(
@@ -578,8 +600,7 @@ class TestServerSession:
 
     def test_out_of_range_export_errors(self):
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         reply = decode_frame(session.handle_frame(encode_frame(ExportRequest(2000, 4))))
         assert isinstance(reply, ErrorResponse) and "RangeError" in reply.message
 
@@ -592,14 +613,12 @@ class TestServerSession:
         session, _ = self.make_session()
         reply = decode_frame(session.handle_frame(LOW_ORDER_HELLO))
         assert isinstance(reply, ErrorResponse) and "low-order" in reply.message
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         assert session.engine.current_key_id == key.key_id
 
     def test_computes_are_observable_per_run(self):
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         image = assemble(".entry 0\nhalt\n")
         texts = []
         for _ in range(3):
@@ -614,8 +633,7 @@ class TestServerSession:
 
     def test_only_the_newest_traces_are_kept(self):
         session, _ = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         for n in range(1, 21):
             # n adds before the halt: each compute leaves a longer trace.
             image = assemble("add r1, r1, r1\n" * n + "halt\n")
@@ -631,8 +649,7 @@ class TestServerSession:
             DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
             MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=10_000,
         )
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
         tracemalloc.start()
         try:
@@ -654,8 +671,7 @@ class TestServerSession:
             DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
             MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=20_000,
         )
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
         peaks = []
         tracemalloc.start()
@@ -709,8 +725,7 @@ FUZZ_CFG = MachineConfig(memory_words=128, cache_lines=8)
 def fuzz_session():
     engine = EncryptionEngine(b"F" * 32)
     session = ServerSession(DEV_PRIV, Claims(), engine, FUZZ_CFG, seed=3, max_steps=500)
-    client = ClientHandshake(DEV_PUB, seed=21)
-    return session, client.finish(session.handle_frame(client.hello()))
+    return session, handshake(session)
 
 
 _, FUZZ_KEY = fuzz_session()
@@ -824,8 +839,7 @@ class TestStreamFraming:
 
     def test_largest_legal_frames_get_normal_replies(self):
         session = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        key = client.finish(session.handle_frame(client.hello()))
+        key = handshake(session)
         # Every word in a segment of its own is the largest image that loads.
         words = [clear(encode(DecodedInstruction(Opcode.HALT, (), None)))]
         words += [clear(i) for i in range(1, self.MEM)]
@@ -860,8 +874,7 @@ class TestStreamFraming:
 
     def test_a_compute_restarts_a_faulted_machine_with_no_fault(self):
         session = self.make_session()
-        client = ClientHandshake(DEV_PUB, seed=21)
-        client.finish(session.handle_frame(client.hello()))
+        handshake(session)
         for source, outcome in (("rblnd r1\nhalt\n", "faulted"), ("halt\n", "halted")):
             image = assemble(source)
             reply = decode_frame(session.handle_frame(encode_frame(ComputeRequest(0, encode_image(image)))))

@@ -193,15 +193,25 @@ def cmd_disasm(args) -> int:
     return 0
 
 
+def _boot(path: str, cfg: machine.MachineConfig):
+    """The image at ``path`` and the machine booted with it; an image
+    that puts a blinded word in an unblindable range is refused."""
+    image = _load_image(path)
+    state = machine.boot_image(image, cfg)
+    for seg in image.segments:
+        cfg.refuse_blinded("image segment", state.memory, seg.base, len(seg.words))
+    return image, state
+
+
 def cmd_run(args) -> int:
     cfg = args.cfg
-    state = machine.boot_image(_load_image(args.image), cfg)
+    _, state = _boot(args.image, cfg)
     for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
             raise ValueError(f"--blind-word address {addr:#x} out of range")
-        if cfg.is_unblindable(addr):
-            raise ValueError(f"--blind-word address {addr:#x} is in an unblindable range")
     state = state.edit(memory=[(addr, blinded(value)) for addr, value in args.blind_word])
+    for addr, _ in args.blind_word:
+        cfg.refuse_blinded("--blind-word", state.memory, addr, 1)
 
     result = machine.run(state, cfg, args.max_steps)
     if args.trace:
@@ -218,7 +228,7 @@ def cmd_check(args) -> int:
         raise ValueError("--trials must not be negative")
     if args.steps < 1:
         raise ValueError("--steps must be positive")
-    image = _load_image(args.image)
+    image, _ = _boot(args.image, cfg)
     sig = checker.parse_signature(args.sig)
     report = checker.analyze(image, sig, cfg, seed=args.seed)
 

@@ -156,6 +156,14 @@ class MachineConfig:
                 return True
         return False
 
+    def refuse_blinded(self, what: str, memory, base: int, n: int) -> None:
+        """Raise ValueError if ``memory``, any word sequence, holds a
+        blinded word in ``[base, base + n)`` inside an unblindable range.
+        Each range is tested once, on its slice of that window."""
+        for start, end in self.unblindable_ranges:
+            if any(w.blinded for w in memory[max(start, base):min(end, base + n)]):
+                raise ValueError(f"{what} [{base:#x}, {base + n:#x}) overlaps an unblindable range")
+
 
 def check_state_fits(s: SystemState, cfg: MachineConfig) -> None:
     """Raise ValueError unless ``s`` has ``cfg.memory_words`` words,

@@ -99,7 +99,14 @@ class Claims:
     policy_mode: Mode = Mode.HARDWARE
 
     def encode(self) -> bytes:
-        return bytes([self.has_taint_extensions, self.os_certified, _MODE_IDS[self.policy_mode], _SCHEME_ID])
+        return bytes(
+            [
+                1 if self.has_taint_extensions else 0,
+                1 if self.os_certified else 0,
+                _MODE_IDS[self.policy_mode],
+                _SCHEME_ID,
+            ]
+        )
 
     @classmethod
     def parse(cls, data: bytes) -> Claims:
@@ -211,18 +218,20 @@ def decode_frame(frame: bytes) -> Message:
         if len(body) != 32 + 4 + 32 + 64:
             raise ProtocolError("bad hello length")
         return HsmHello(body[:32], Claims.parse(body[32:36]), body[36:68], bytes(body[68:]))
-    if ftype == FrameType.IMPORT or ftype == FrameType.COMPUTE:
-        # Both are address u64 || length u32 || that many bytes.
-        name, payload, cls = (
-            ("import", "ciphertext", ImportRequest) if ftype == FrameType.IMPORT
-            else ("compute", "image", ComputeRequest)
-        )
+    if ftype == FrameType.IMPORT:
         if len(body) < 12:
-            raise ProtocolError(f"truncated {name} frame")
-        address, length = struct.unpack(">QI", body[:12])
-        if len(body) != 12 + length:
-            raise ProtocolError(f"{name} {payload} length mismatch")
-        return cls(address, body[12:])
+            raise ProtocolError("truncated import frame")
+        dst, ct_len = struct.unpack(">QI", body[:12])
+        if len(body) != 12 + ct_len:
+            raise ProtocolError("import ciphertext length mismatch")
+        return ImportRequest(dst, body[12:])
+    if ftype == FrameType.COMPUTE:
+        if len(body) < 12:
+            raise ProtocolError("truncated compute frame")
+        entry, img_len = struct.unpack(">QI", body[:12])
+        if len(body) != 12 + img_len:
+            raise ProtocolError("compute image length mismatch")
+        return ComputeRequest(entry, body[12:])
     if ftype == FrameType.EXPORT:
         if len(body) != 16:
             raise ProtocolError("bad export frame")
@@ -289,7 +298,12 @@ def make_device_keypair(seed: int) -> tuple[bytes, bytes]:
 
 
 def _transcript_hash(client_hello_frame: bytes, hsm_eph: bytes, claims: Claims) -> bytes:
-    return hashlib.sha256(_TRANSCRIPT_LABEL + client_hello_frame + hsm_eph + claims.encode()).digest()
+    h = hashlib.sha256()
+    h.update(_TRANSCRIPT_LABEL)
+    h.update(client_hello_frame)
+    h.update(hsm_eph)
+    h.update(claims.encode())
+    return h.digest()
 
 
 def _agree(
@@ -457,11 +471,11 @@ class ServerSession:
     session's handshake, and loads a sealed key to switch back.  An
     import commits the engine's writes with one :meth:`SystemState.edit`.
     An import, or a compute whose image puts a blinded word in an
-    unblindable range, where blinded data may never land, is refused; a
-    refused import or compute leaves :attr:`state` the same object and
-    runs nothing.  The claims must attest the machine's own mode, or the
-    session is refused with a ValueError: the mode a client checks is the
-    mode its data runs in.
+    unblindable range, where blinded data may never land, is refused
+    (:meth:`MachineConfig.refuse_blinded`); a refused import or compute
+    runs nothing and leaves :attr:`state` the same object.  The claims
+    must attest the machine's own mode, or the session is refused with a
+    ValueError: the mode a client checks is the mode its data runs in.
     """
 
     def __init__(
@@ -509,18 +523,18 @@ class ServerSession:
                 )
             if isinstance(msg, ImportRequest):
                 writes = self.engine.import_region(self.state.memory, msg.dst, msg.ciphertext)
+                state = self.state.edit(memory=writes)
                 if self.cfg.unblindable_ranges:
-                    self._refuse_unblindable("import", msg.dst, [w for _, w in writes])
-                self.state = self.state.edit(memory=writes)
+                    self.cfg.refuse_blinded("import", state.memory, msg.dst, len(writes))
+                self.state = state
                 return encode_frame(ResultResponse(b""))
             if isinstance(msg, ComputeRequest):
                 image = decode_image(msg.image)
+                state = machine.overlay_image(self.state, image, pc=msg.entry)
                 if self.cfg.unblindable_ranges:
                     for seg in image.segments:
-                        self._refuse_unblindable("image segment", seg.base, seg.words)
-                self.state = machine.overlay_image(self.state, image, pc=msg.entry).edit(
-                    status=Status.RUNNING
-                )
+                        self.cfg.refuse_blinded("image segment", state.memory, seg.base, len(seg.words))
+                self.state = state.edit(status=Status.RUNNING)
                 self.traces = []  # free the last text before the run peaks
                 result = machine.run(self.state, self.cfg, self.max_steps)
                 self.state = result.state
@@ -538,12 +552,6 @@ class ServerSession:
             return encode_frame(ErrorResponse(f"unexpected message {type(msg).__name__}"))
         except Exception as exc:
             return _error_frame(exc)
-
-    def _refuse_unblindable(self, what: str, base: int, words) -> None:
-        """Raise ValueError if a blinded word of ``words``, placed from
-        ``base`` on, would land in an unblindable range."""
-        if any(w.blinded and self.cfg.is_unblindable(a) for a, w in enumerate(words, base)):
-            raise ValueError(f"{what} [{base:#x}, {base + len(words):#x}) overlaps an unblindable range")
 
     def serve_stream(self, stream) -> None:
         """Answer frames from a duplex binary stream until it closes; an

@@ -41,18 +41,6 @@ def work(tmp_path):
     return tmp_path, write
 
 
-#: The flags of the 64-word, 8-line machine most tests run on.
-SMALL_FLAGS = ["--mem-words", "64", "--cache-lines", "8"]
-
-
-def assembled(work, source):
-    """The path of ``source``'s image, assembled by ``blindsim asm``."""
-    tmp, write = work
-    img = str(tmp / "p.img")
-    assert main(["asm", write("p.asm", source), "-o", img]) == 0
-    return img
-
-
 class TestAsmDisasm:
     def test_roundtrip_via_files(self, work):
         tmp, write = work
@@ -89,36 +77,53 @@ class TestAsmDisasm:
         assert encode_image(assemble(captured.out)) == (tmp / "p.img").read_bytes()
 
     def test_disasm_bad_magic(self, work):
-        _, write = work
+        tmp, write = work
         img = write("bad.img", b"NOPE", binary=True)
         assert main(["disasm", img]) == 2
 
 
 class TestRun:
     def test_halting_program_exit_zero(self, work, capsys):
-        img = assembled(work, ".entry 0\nhalt\n")
+        tmp, write = work
+        src = write("p.asm", ".entry 0\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main(["run", img, "--mem-words", "16", "--cache-lines", "2"]) == 0
         out = capsys.readouterr().out
         assert "outcome: halted after 1 step(s)" in out
         assert "status=halted" in out
 
     def test_fault_program_exit_nonzero_with_trace(self, work):
-        tmp, _ = work
-        img = assembled(work, blinded_branch_fault())
+        tmp, write = work
+        src = write("f.asm", blinded_branch_fault())
+        img = str(tmp / "f.img")
+        main(["asm", src, "-o", img])
         trace = tmp / "f.trace"
-        assert main(["run", img, *SMALL_FLAGS, "--trace", str(trace)]) == 1
+        code = main([
+            "run", img, "--mem-words", "64", "--cache-lines", "8",
+            "--trace", str(trace),
+        ])
+        assert code == 1
         assert "kind=fault fault=blinded-branch" in trace.read_text()
 
     def test_determinism_two_runs_identical(self, work):
-        tmp, _ = work
-        img = assembled(work, branchless_select())
+        tmp, write = work
+        src = write("p.asm", branchless_select())
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         t1, t2 = tmp / "a.trace", tmp / "b.trace"
         for t in (t1, t2):
-            assert main(["run", img, *SMALL_FLAGS, "--blind-word", "0x30=5", "--trace", str(t)]) == 0
+            assert main([
+                "run", img, "--mem-words", "64", "--cache-lines", "8",
+                "--blind-word", "0x30=5", "--trace", str(t),
+            ]) == 0
         assert t1.read_text() == t2.read_text()
 
     def test_blind_word_injection_visible_in_snapshot(self, work, capsys):
-        img = assembled(work, ".entry 0\nhalt\n")
+        tmp, write = work
+        src = write("p.asm", ".entry 0\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main([
             "run", img, "--mem-words", "16", "--cache-lines", "2",
             "--blind-word", "5=0x2a",
@@ -126,14 +131,22 @@ class TestRun:
         assert "m5=B:0x2a" in capsys.readouterr().out
 
     def test_model_mode_flag(self, work, capsys):
+        tmp, write = work
         from blindsim.corpus import blinded_load_fault
 
-        img = assembled(work, blinded_load_fault())
-        assert main(["run", img, "--mode", "model", *SMALL_FLAGS]) == 0  # no-op semantics: halts cleanly
+        src = write("p.asm", blinded_load_fault())
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
+        assert main([
+            "run", img, "--mode", "model", "--mem-words", "64", "--cache-lines", "8",
+        ]) == 0  # no-op semantics: halts cleanly
 
     def test_golden_run_output(self, work, capsys):
         # hand-computed expected output for a two-instruction program
-        img = assembled(work, "add r3, r1, r2\nhalt\n")
+        tmp, write = work
+        src = write("p.asm", "add r3, r1, r2\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main([
             "run", img, "--mem-words", "16", "--cache-lines", "2",
             "--blind-word", "5=0x2a",
@@ -150,11 +163,14 @@ class TestRun:
 
 class TestCheck:
     def test_compliant_exit_zero_and_report(self, work, capsys):
-        tmp, _ = work
-        img = assembled(work, branchless_select())
+        tmp, write = work
+        src = write("p.asm", branchless_select())
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         report = tmp / "report.json"
         code = main([
-            "check", img, "--sig", "r1=B,r2=B", *SMALL_FLAGS,
+            "check", img, "--sig", "r1=B,r2=B",
+            "--mem-words", "64", "--cache-lines", "8",
             "--trials", "25", "--seed", "0", "--steps", "200", "--report", str(report),
         ])
         assert code == 0
@@ -171,7 +187,11 @@ class TestCheck:
         tmp, write = work
         img = write("r.img", encode_image(assemble(rblnd_refused())), binary=True)
         report = tmp / "report.json"
-        assert main(["check", img, *SMALL_FLAGS, "--trials", "0", "--report", str(report)]) == 1
+        code = main([
+            "check", img, "--mem-words", "64", "--cache-lines", "8",
+            "--trials", "0", "--report", str(report),
+        ])
+        assert code == 1
         capsys.readouterr()
         # Finding's fields in their order, the fault by its value.
         assert report.read_text().startswith(
@@ -186,7 +206,11 @@ class TestCheck:
         tmp, write = work
         img = write("w.img", encode_image(assemble(widening_loop())), binary=True)
         report = tmp / "r.json"
-        assert main(["check", img, *SMALL_FLAGS, "--trials", "0", "--report", str(report)]) == 1
+        code = main([
+            "check", img, "--mem-words", "64", "--cache-lines", "8",
+            "--trials", "0", "--report", str(report),
+        ])
+        assert code == 1
         out = capsys.readouterr().out
         assert "verdict: may-fault\n" in out
         assert "pc=0x1d [possible] <analysis>: fixpoint iteration bound (528) exceeded\n" in out
@@ -198,34 +222,51 @@ class TestCheck:
         ]
 
     def test_faulting_program_exit_one(self, work, capsys):
-        img = assembled(work, blinded_branch_fault())
-        assert main(["check", img, *SMALL_FLAGS, "--trials", "10"]) == 1
+        tmp, write = work
+        src = write("f.asm", blinded_branch_fault())
+        img = str(tmp / "f.img")
+        main(["asm", src, "-o", img])
+        code = main([
+            "check", img, "--mem-words", "64", "--cache-lines", "8", "--trials", "10",
+        ])
+        assert code == 1
         assert "definitely-faults" in capsys.readouterr().out
 
     def test_bad_signature_usage_error(self, work):
-        img = assembled(work, ".entry 0\nhalt\n")
+        tmp, write = work
+        src = write("p.asm", ".entry 0\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main(["check", img, "--sig", "bogus"]) == 2
 
 
     def test_signature_naming_an_absent_segment_usage_error(self, work, capsys):
-        img = assembled(work, ".entry 0\nhalt\n")
+        tmp, write = work
+        src = write("p.asm", ".entry 0\nhalt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main(["check", img, "--sig", "s7=B"]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and "s7" in captured.err
         assert "verdict" not in captured.out
 
 class TestDemoProtocol:
-    def _plain(self, work, name, words):
-        return work[1](name, " ".join(str(w) for w in words) + "\n")
+    def _plain(self, write, name, words):
+        return write(name, " ".join(str(w) for w in words) + "\n")
 
     def test_add_one_pipeline(self, work, capsys):
-        pt = self._plain(work, "pt.txt", [1, 2, 3])
-        assert main(["demo-protocol", pt, "--mem-words", "1024", "--cache-lines", "16"]) == 0
+        tmp, write = work
+        pt = self._plain(write, "pt.txt", [1, 2, 3])
+        code = main([
+            "demo-protocol", pt, "--mem-words", "1024", "--cache-lines", "16",
+        ])
+        assert code == 0
         assert "result: 2 3 4" in capsys.readouterr().out
 
     def test_an_import_into_the_console_range_is_refused(self, work, capsys):
         # The console word is unblindable, and the data region starts there.
-        pt = self._plain(work, "pt.txt", [1, 2, 3])
+        tmp, write = work
+        pt = self._plain(write, "pt.txt", [1, 2, 3])
         code = main(["demo-protocol", pt, "--mem-words", "1024", "--mmio-console", "0x100"])
         assert code == 1
         captured = capsys.readouterr()
@@ -235,9 +276,9 @@ class TestDemoProtocol:
         )
 
     def test_dual_traces_identical(self, work, capsys):
-        tmp, _ = work
-        pt1 = self._plain(work, "a.txt", [1, 2, 3])
-        pt2 = self._plain(work, "b.txt", [900, 800, 700])
+        tmp, write = work
+        pt1 = self._plain(write, "a.txt", [1, 2, 3])
+        pt2 = self._plain(write, "b.txt", [900, 800, 700])
         trace = tmp / "demo.trace"
         code = main([
             "demo-protocol", pt1, "--dual", pt2,
@@ -252,8 +293,12 @@ class TestDemoProtocol:
         assert trace.read_text()  # non-empty
 
     def test_socket_transport(self, work, capsys):
-        pt = self._plain(work, "pt.txt", [7])
-        assert main(["demo-protocol", pt, "--transport", "socket", "--mem-words", "1024"]) == 0
+        tmp, write = work
+        pt = self._plain(write, "pt.txt", [7])
+        code = main([
+            "demo-protocol", pt, "--transport", "socket", "--mem-words", "1024",
+        ])
+        assert code == 0
         assert "result: 8" in capsys.readouterr().out
 
     def test_socket_transport_refuses_a_reply_cut_mid_frame(self):
@@ -272,10 +317,10 @@ class TestDemoProtocol:
                 round_trip(encode_frame(ExportRequest(0, 1)))
 
     def test_custom_program_image(self, work, capsys):
-        _, write = work
+        tmp, write = work
         image = assemble(demo_add_one(2, data_base=0x40, result_base=0x50))
         img = write("prog.img", encode_image(image), binary=True)
-        pt = self._plain(work, "pt.txt", [10, 20])
+        pt = self._plain(write, "pt.txt", [10, 20])
         code = main([
             "demo-protocol", pt, "--program", img,
             "--data-base", "0x40", "--result-base", "0x50",
@@ -290,10 +335,10 @@ class TestDemoProtocol:
         # imported word, so the two sessions' traces differ.
         if leaky:
             monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
-        _, write = work
+        tmp, write = work
         img = write("report.img", encode_image(assemble(MMIO_REPORT.source)), binary=True)
-        pt1 = self._plain(work, "a.txt", [5])
-        pt2 = self._plain(work, "b.txt", [900])
+        pt1 = self._plain(write, "a.txt", [5])
+        pt2 = self._plain(write, "b.txt", [900])
         code = main([
             "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "64",
             "--mmio-console", "48", "--data-base", "32", "--result-base", "40",
@@ -312,10 +357,10 @@ class TestDemoProtocol:
         # The program unblinds the first imported word and branches on it.
         # The rblnd is refused before the branch, so the first session ends
         # in an error and no traces are compared.
-        _, write = work
+        tmp, write = work
         img = write("leak.img", encode_image(assemble(BRANCHES_ON_IMPORT)), binary=True)
-        pt1 = self._plain(work, "a.txt", [0, 5])
-        pt2 = self._plain(work, "b.txt", [1, 5])
+        pt1 = self._plain(write, "a.txt", [0, 5])
+        pt2 = self._plain(write, "b.txt", [1, 5])
         code = main([
             "demo-protocol", pt1, "--dual", pt2, "--program", img, "--mem-words", "1024",
             "--mode", mode,
@@ -331,17 +376,22 @@ class TestDemoProtocol:
         # forgets to blind leaves both traces identical; the final states
         # still hold the plaintexts in clear words.
         monkeypatch.setattr("blindsim.cli.EncryptionEngine", mutants.ImportWritesClearEngine)
-        pt1 = self._plain(work, "a.txt", [1, 2, 3])
-        pt2 = self._plain(work, "b.txt", [900, 800, 700])
-        assert main(["demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024", "--transport", transport]) == 1
+        tmp, write = work
+        pt1 = self._plain(write, "a.txt", [1, 2, 3])
+        pt2 = self._plain(write, "b.txt", [900, 800, 700])
+        code = main([
+            "demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024", "--transport", transport,
+        ])
+        assert code == 1
         assert capsys.readouterr().out == (
             "result: 2 3 4\nresult2: 901 801 701\n"
             "STATES DIFFER: blinded data reached clear state\n"
         )
 
     def test_length_mismatch_usage_error(self, work):
-        pt1 = self._plain(work, "a.txt", [1, 2])
-        pt2 = self._plain(work, "b.txt", [1, 2, 3])
+        tmp, write = work
+        pt1 = self._plain(write, "a.txt", [1, 2])
+        pt2 = self._plain(write, "b.txt", [1, 2, 3])
         assert main(["demo-protocol", pt1, "--dual", pt2, "--mem-words", "1024"]) == 2
 
     def test_missing_plaintext(self, work):
@@ -349,7 +399,7 @@ class TestDemoProtocol:
         assert main(["demo-protocol", str(tmp / "none.txt")]) == 2
 
     def test_empty_plaintext(self, work):
-        _, write = work
+        tmp, write = work
         pt = write("empty.txt", "\n")
         assert main(["demo-protocol", pt]) == 2
 
@@ -362,11 +412,22 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
 
     def test_bad_flag_value(self, work):
-        img = assembled(work, "halt\n")
+        tmp, write = work
+        src = write("p.asm", "halt\n")
+        img = str(tmp / "p.img")
+        main(["asm", src, "-o", img])
         assert main(["run", img, "--unblindable", "badrange"]) == 2
 
 
+def assembled(write, tmp, source):
+    img = str(tmp / "p.img")
+    assert main(["asm", write("p.asm", source), "-o", img]) == 0
+    return img
+
+
 class TestMachineFlags:
+    SMALL = ["--mem-words", "64", "--cache-lines", "8"]
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -379,9 +440,9 @@ class TestMachineFlags:
     )
     @pytest.mark.parametrize("command", ["run", "check", "demo-protocol"])
     def test_invalid_machine_is_a_usage_error(self, work, capsys, command, flags):
-        _, write = work
+        tmp, write = work
         target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
-            assembled(work, ".entry 0\nhalt\n")
+            assembled(write, tmp, ".entry 0\nhalt\n")
         )
         capsys.readouterr()
         assert main([command, target, *flags]) == 2
@@ -389,16 +450,17 @@ class TestMachineFlags:
         assert captured.err.startswith("error: ") and captured.out == ""
 
     def test_unblindable_range(self, work, capsys):
-        img = assembled(work, blinded_store_unblindable_fault())
-        assert main(["run", img, *SMALL_FLAGS]) == 0
-        assert main(["run", img, *SMALL_FLAGS, "--unblindable", "48..52"]) == 1
+        tmp, write = work
+        img = assembled(write, tmp, blinded_store_unblindable_fault())
+        assert main(["run", img, *self.SMALL]) == 0
+        assert main(["run", img, *self.SMALL, "--unblindable", "48..52"]) == 1
         assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
 
     def test_mmio_console_is_unblindable_on_its_own(self, work, capsys):
-        tmp, _ = work
-        img = assembled(work, MMIO_REPORT.source)
+        tmp, write = work
+        img = assembled(write, tmp, MMIO_REPORT.source)
         trace = tmp / "console.trace"
-        flags = [*SMALL_FLAGS, "--mmio-console", "48"]
+        flags = [*self.SMALL, "--mmio-console", "48"]
         assert main(["run", img, *flags, "--trace", str(trace)]) == 0
         assert "kind=mmio value=0x1" in trace.read_text()
         capsys.readouterr()
@@ -411,9 +473,10 @@ class TestMachineFlags:
         ids=["out-of-range", "no-value", "non-ascii-address", "non-ascii-value"],
     )
     def test_bad_blind_word(self, work, capsys, word):
-        img = assembled(work, ".entry 0\nhalt\n")
+        tmp, write = work
+        img = assembled(write, tmp, ".entry 0\nhalt\n")
         capsys.readouterr()
-        assert main(["run", img, *SMALL_FLAGS, "--blind-word", word]) == 2
+        assert main(["run", img, *self.SMALL, "--blind-word", word]) == 2
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
@@ -443,9 +506,9 @@ class TestMachineFlags:
         ],
     )
     def test_a_refused_flag_is_a_usage_error(self, work, capsys, command, flags, error):
-        _, write = work
+        tmp, write = work
         target = write("pt.txt", "1 2\n") if command == "demo-protocol" else (
-            assembled(work, rblnd_refused())
+            assembled(write, tmp, rblnd_refused())
         )
         capsys.readouterr()
         assert main([command, target, *flags]) == 2
@@ -474,6 +537,7 @@ ERROR_FILES = {
     "short.img": encode_image(assemble("halt\n"))[:-3],
     "fault.img": encode_image(assemble(".entry 0\n.word 0x7f\n")),
     "console.img": encode_image(assemble(".entry 0x300\n.org 0x100\n.word 5 blinded\n.org 0x300\nhalt\n")),
+    "console64.img": encode_image(assemble(".entry 0x10\n.org 0x30\n.word 5 blinded\n.org 0x10\nhalt\n")),
     "pt.txt": b"1 2\n",
     "pt3.txt": b"1 2 3\n",
     "empty.txt": b"\n",
@@ -482,7 +546,8 @@ ERROR_FILES = {
     "wide.txt": b"18446744073709551617 -1 5\n",
     "edges.txt": b"-1 -0x8000000000000000 0xffffffffffffffff\n",
 }
-SMALL = " ".join(SMALL_FLAGS)
+SMALL = "--mem-words 64 --cache-lines 8"
+CONSOLE = "--unblindable 48..52 --mmio-console 48"
 DEMO = "--mem-words 1024"
 NO_FILE = "error: [Errno 2] No such file or directory: '@{}'"
 
@@ -510,9 +575,10 @@ class TestErrorPaths:
             (f"run @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
             (f"run @halt.img {SMALL} --blind-word 0x40=1", 2, "error: --blind-word address 0x40 out of range"),
             (
-                f"run @halt.img {SMALL} --unblindable 48..52 --mmio-console 48 --blind-word 48=5", 2,
-                "error: --blind-word address 0x30 is in an unblindable range",
+                f"run @halt.img {SMALL} {CONSOLE} --blind-word 48=5", 2,
+                "error: --blind-word [0x30, 0x31) overlaps an unblindable range",
             ),
+            (f"run @console64.img {SMALL} {CONSOLE}", 2, "error: image segment [0x30, 0x31) overlaps an unblindable range"),
             ("run @halt.img --mem-words 0", 2, "error: memory_words and cache_lines must be positive"),
             ("check @missing.img", 2, NO_FILE.format("missing.img")),
             ("check @bad.img", 2, "error: bad magic"),
@@ -524,6 +590,10 @@ class TestErrorPaths:
                 id="check-register-past-int-digit-limit",
             ),
             (f"check @big.img {SMALL}", 2, "error: segment [0x800, 0x801) exceeds memory of 0x40 words"),
+            (
+                f"check @console64.img {SMALL} {CONSOLE} --trials 5", 2,
+                "error: image segment [0x30, 0x31) overlaps an unblindable range",
+            ),
             ("demo-protocol @missing.txt", 2, NO_FILE.format("missing.txt")),
             ("demo-protocol @words.txt", 2, "error: invalid literal for int() with base 0: 'xyz'"),
             ("demo-protocol @arabic.txt", 2, "error: invalid literal for int() with base 0: '\u0661'"),
@@ -698,9 +768,10 @@ class TestCheckSignature:
             checker, "check_noninterference",
             functools.partial(checker.check_noninterference, semantics=mutants.add_drops_taint),
         )
-        img = assembled(work, STORES_R1_TWICE)
+        tmp, write = work
+        img = assembled(write, tmp, STORES_R1_TWICE)
         capsys.readouterr()
-        return [img, *SMALL_FLAGS]
+        return [img, "--mem-words", "64", "--cache-lines", "8"]
 
     def test_a_failing_check_prints_its_counterexample(self, leaky, capsys):
         assert main(["check", *leaky, "--sig", "r1=B", "--trials", "20"]) == 1

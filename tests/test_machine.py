@@ -295,6 +295,22 @@ class TestUnblindableAndMmio:
         bare = MachineConfig(memory_words=64, cache_lines=8)
         assert not any(bare.is_unblindable(a) for a in range(-1, 65))
 
+    def test_refuse_blinded_reads_only_the_window_in_each_range(self):
+        # One blinded word at each address in turn: refused exactly when it
+        # lies in both the window [20, 44) and a range.
+        cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((40, 48), (8, 24)))
+        refused = []
+        for a in range(64):
+            memory = [clear(a)] * 64
+            memory[a] = blinded(a)
+            try:
+                cfg.refuse_blinded("window", memory, 20, 24)
+            except ValueError as exc:
+                assert str(exc) == "window [0x14, 0x2c) overlaps an unblindable range"
+                refused.append(a)
+        assert refused == [20, 21, 22, 23, 40, 41, 42, 43]
+        MachineConfig(memory_words=64, cache_lines=8).refuse_blinded("window", [blinded(1)] * 64, 0, 64)
+
 
 class TestTagEdits:
     def test_blnd_sets_tag(self):

@@ -66,12 +66,6 @@ def loopback(seed_c=1, seed_h=2, claims=Claims(), **client_kwargs):
     return client_key, engine
 
 
-def handshake(session: ServerSession, seed: int = 21) -> SessionKey:
-    """The session key of a client's handshake with ``session``."""
-    client = ClientHandshake(DEV_PUB, seed=seed)
-    return client.finish(session.handle_frame(client.hello()))
-
-
 def assert_engine_holds(key: SessionKey, engine: EncryptionEngine) -> None:
     """The engine holds ``key``: the same key id, and ``key`` opens an
     export the engine made."""
@@ -355,7 +349,8 @@ class TestServerSession:
 
     def test_full_session_add_one(self):
         session, _ = self.make_session()
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
 
         words = (5, 10, 0xFFFFFFFFFFFFFFFF)
         ct = client_encrypt(key, words, counter=0)
@@ -407,7 +402,8 @@ class TestServerSession:
         assert_engine_holds(client.finish(reply), engine)
 
         session, _ = self.make_session()
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         assert_engine_holds(key, session.engine)
         assert session.key_id == key.key_id
         for holder in (session, session.responder):
@@ -442,7 +438,8 @@ class TestServerSession:
         # Two sessions on one engine: one handshake serves only its own.
         first, cfg = self.make_session()
         second = ServerSession(DEV_PRIV, Claims(), first.engine, cfg, seed=4)
-        handshake(first)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(first.handle_frame(client.hello()))
         reply = decode_frame(second.handle_frame(encode_frame(ExportRequest(0, 1))))
         assert isinstance(reply, ErrorResponse) and "handshake" in reply.message
         reply = decode_frame(first.handle_frame(encode_frame(ExportRequest(0, 1))))
@@ -453,12 +450,13 @@ class TestServerSession:
         # under which A's export would leave for client B to read.
         a, cfg = self.make_session()
         b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
-        key_a = handshake(a)
+        client_a, client_b = ClientHandshake(DEV_PUB, seed=21), ClientHandshake(DEV_PUB, seed=22)
+        key_a = client_a.finish(a.handle_frame(client_a.hello()))
         envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
         reply = decode_frame(a.handle_frame(encode_frame(ImportRequest(8, envelope))))
         assert isinstance(reply, ResultResponse)
         sealed_a = a.engine.seal_current_key()
-        handshake(b, seed=22)
+        client_b.finish(b.handle_frame(client_b.hello()))
         for request_ in (ExportRequest(8, 2), ImportRequest(16, envelope)):
             reply = decode_frame(a.handle_frame(encode_frame(request_)))
             assert isinstance(reply, ErrorResponse) and "another key" in reply.message
@@ -474,7 +472,8 @@ class TestServerSession:
         # B's hello on A's engine would throw A's key away unsealed.
         a, cfg = self.make_session()
         b = ServerSession(DEV_PRIV, Claims(), a.engine, cfg, seed=4)
-        key_a = handshake(a)
+        client_a = ClientHandshake(DEV_PUB, seed=21)
+        key_a = client_a.finish(a.handle_frame(client_a.hello()))
         envelope = client_encrypt(key_a, [0xA11CE, 0x5EC7E7], counter=0)
         a.handle_frame(encode_frame(ImportRequest(8, envelope)))
         reply = decode_frame(b.handle_frame(ClientHandshake(DEV_PUB, seed=22).hello()))
@@ -508,7 +507,8 @@ class TestServerSession:
         if reason == "before-handshake":
             key = SessionKey.from_bytes(b"K" * 32)
         else:
-            key = handshake(session)
+            client = ClientHandshake(DEV_PUB, seed=21)
+            key = client.finish(session.handle_frame(client.hello()))
         dst, envelope = 0x100, client_encrypt(key, (1, 2), counter=0)
         if reason == "flipped-tag-bit":
             envelope = envelope[:-1] + bytes([envelope[-1] ^ 1])
@@ -520,7 +520,8 @@ class TestServerSession:
         elif reason == "another-key":
             session.engine.seal_current_key()
             other = ServerSession(DEV_PRIV, Claims(), session.engine, cfg, seed=4)
-            handshake(other, seed=22)
+            other_client = ClientHandshake(DEV_PUB, seed=22)
+            other_client.finish(other.handle_frame(other_client.hello()))
         before = session.state
         reply = decode_frame(session.handle_frame(encode_frame(ImportRequest(dst, envelope))))
         assert isinstance(reply, ErrorResponse) and self.REFUSALS[reason] in reply.message
@@ -531,7 +532,8 @@ class TestServerSession:
         # Ranges are half-open: [0x30, 0x34) takes neither [0x2E, 0x30)
         # nor [0x34, 0x36), and an empty import at 0x30 writes nothing.
         session, _ = self.make_session(unblindable=((0x30, 0x34),))
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         for counter, (at, words) in enumerate([(dst, (7, 8)), (0x30, ())]):
             frame = encode_frame(ImportRequest(at, client_encrypt(key, words, counter)))
             assert isinstance(decode_frame(session.handle_frame(frame)), ResultResponse)
@@ -553,7 +555,8 @@ class TestServerSession:
         # As an import may not: a refused compute runs nothing and leaves
         # the state and the last trace as they were.
         session, _ = self.make_session(unblindable=((0x30, 0x34),), mmio=0x30)
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         image = assemble(f".entry 0x40\n{data}\n.org 0x40\nhalt\n")
         before, traces = session.state, session.traces
         reply = decode_frame(session.handle_frame(encode_frame(ComputeRequest(0x40, encode_image(image)))))
@@ -568,7 +571,8 @@ class TestServerSession:
         # After a compute the registers, cache and status are not the
         # initial ones, so sharing them is not sharing the zero state.
         session, _ = self.make_session()
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         session.handle_frame(encode_frame(ImportRequest(0x100, client_encrypt(key, (5, 10), 0))))
         image = assemble(demo_add_one(2, data_base=0x100, result_base=0x180))
         session.handle_frame(encode_frame(ComputeRequest(image.entry_pc, encode_image(image))))
@@ -590,7 +594,8 @@ class TestServerSession:
 
     def test_tampered_ciphertext_errors(self):
         session, _ = self.make_session()
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         ct = bytearray(client_encrypt(key, (1, 2), counter=0))
         ct[-1] ^= 1
         reply = decode_frame(
@@ -600,7 +605,8 @@ class TestServerSession:
 
     def test_out_of_range_export_errors(self):
         session, _ = self.make_session()
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         reply = decode_frame(session.handle_frame(encode_frame(ExportRequest(2000, 4))))
         assert isinstance(reply, ErrorResponse) and "RangeError" in reply.message
 
@@ -613,12 +619,14 @@ class TestServerSession:
         session, _ = self.make_session()
         reply = decode_frame(session.handle_frame(LOW_ORDER_HELLO))
         assert isinstance(reply, ErrorResponse) and "low-order" in reply.message
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         assert session.engine.current_key_id == key.key_id
 
     def test_computes_are_observable_per_run(self):
         session, _ = self.make_session()
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         image = assemble(".entry 0\nhalt\n")
         texts = []
         for _ in range(3):
@@ -633,7 +641,8 @@ class TestServerSession:
 
     def test_only_the_newest_traces_are_kept(self):
         session, _ = self.make_session()
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         for n in range(1, 21):
             # n adds before the halt: each compute leaves a longer trace.
             image = assemble("add r1, r1, r1\n" * n + "halt\n")
@@ -649,7 +658,8 @@ class TestServerSession:
             DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
             MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=10_000,
         )
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
         tracemalloc.start()
         try:
@@ -671,7 +681,8 @@ class TestServerSession:
             DEV_PRIV, Claims(), EncryptionEngine(b"T" * 32),
             MachineConfig(memory_words=4096, cache_lines=16), seed=3, max_steps=20_000,
         )
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         frame = encode_frame(ComputeRequest(0, encode_image(assemble(".entry 0\nbz r0, r0\n"))))
         peaks = []
         tracemalloc.start()
@@ -725,7 +736,8 @@ FUZZ_CFG = MachineConfig(memory_words=128, cache_lines=8)
 def fuzz_session():
     engine = EncryptionEngine(b"F" * 32)
     session = ServerSession(DEV_PRIV, Claims(), engine, FUZZ_CFG, seed=3, max_steps=500)
-    return session, handshake(session)
+    client = ClientHandshake(DEV_PUB, seed=21)
+    return session, client.finish(session.handle_frame(client.hello()))
 
 
 _, FUZZ_KEY = fuzz_session()
@@ -839,7 +851,8 @@ class TestStreamFraming:
 
     def test_largest_legal_frames_get_normal_replies(self):
         session = self.make_session()
-        key = handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        key = client.finish(session.handle_frame(client.hello()))
         # Every word in a segment of its own is the largest image that loads.
         words = [clear(encode(DecodedInstruction(Opcode.HALT, (), None)))]
         words += [clear(i) for i in range(1, self.MEM)]
@@ -874,7 +887,8 @@ class TestStreamFraming:
 
     def test_a_compute_restarts_a_faulted_machine_with_no_fault(self):
         session = self.make_session()
-        handshake(session)
+        client = ClientHandshake(DEV_PUB, seed=21)
+        client.finish(session.handle_frame(client.hello()))
         for source, outcome in (("rblnd r1\nhalt\n", "faulted"), ("halt\n", "halted")):
             image = assemble(source)
             reply = decode_frame(session.handle_frame(encode_frame(ComputeRequest(0, encode_image(image)))))

@@ -16,6 +16,16 @@ under ``cProfile`` instead, and prints, per workload, each layer of
 its calls per op.  The times include the profiler's overhead, so they
 compare layers and commits on one host, not against a plain run; the
 calls are exact.
+
+``python tests/op_counts.py --bytecodes`` prints the call counts and,
+beside them, the bytecodes that op 0 of each workload executes in
+``src/blindsim``: the ``sys.settrace`` "opcode" events of frames whose
+code lies there, after the same warm-up.  A bytecode count sees work
+inside a call that a call count cannot, but not work done in C: AEAD,
+X25519 and tuple copies.  It also prints each workload's untraced time
+of op 0 in nanoseconds per bytecode, the fastest of three runs; the
+ratio is highest where C does the work.  ``tests/op_counts.json`` pins
+the bytecodes of ``BYTECODE_PINS``; the others are printed only.
 """
 
 from __future__ import annotations
@@ -26,12 +36,16 @@ import importlib
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = str(SRC / "blindsim") + os.sep
 OPS = 4
+# The workloads whose op-0 bytecodes are pinned: traced, the three take
+# under a second together, while one op of check-corpus-64 takes seconds.
+BYTECODE_PINS = ("run-store-64k", "ni-loop-1k", "session-4k")
 
 # Each layer and the functions whose own time and calls it sums, by
 # module and qualified name.
@@ -60,25 +74,71 @@ def warmed_workloads():
         yield name, workload
 
 
-def op_counts() -> dict:
+def calls(workload, k: int) -> int:
+    """The calls into ``src/blindsim`` that op ``k`` makes."""
+    n = 0
+
+    def profile(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
+            n += 1
+
+    sys.setprofile(profile)
+    try:
+        workload.run_op(k)
+    finally:
+        sys.setprofile(None)
+    return n
+
+
+def bytecodes(workload, k: int) -> int:
+    """The bytecodes that op ``k`` executes in ``src/blindsim``."""
+    n = 0
+
+    def opcode(frame, event, arg):
+        nonlocal n
+        if event == "opcode":
+            n += 1
+        return opcode
+
+    def call(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_opcodes = True
+            return opcode
+        return None
+
+    sys.settrace(call)
+    try:
+        workload.run_op(k)
+    finally:
+        sys.settrace(None)
+    return n
+
+
+def op_ns(workload, k: int) -> int:
+    """The fastest of three untraced runs of op ``k``, in nanoseconds."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter_ns()
+        workload.run_op(k)
+        times.append(time.perf_counter_ns() - start)
+    return min(times)
+
+
+def op_counts(with_bytecodes: bool = False) -> dict:
     counts: dict[str, list[int]] = {}
+    codes: dict[str, int] = {}
+    ns_per_bytecode: dict[str, float] = {}
     for name, workload in warmed_workloads():
-        counts[name] = []
-        for k in range(OPS):
-            n = 0
-
-            def profile(frame, event, arg):
-                nonlocal n
-                if event == "call" and frame.f_code.co_filename.startswith(PACKAGE):
-                    n += 1
-
-            sys.setprofile(profile)
-            try:
-                workload.run_op(k)
-            finally:
-                sys.setprofile(None)
-            counts[name].append(n)
-    return {"python": "{}.{}".format(*sys.version_info[:2]), "counts": counts}
+        counts[name] = [calls(workload, k) for k in range(OPS)]
+        if with_bytecodes:
+            codes[name] = bytecodes(workload, 0)
+            ns_per_bytecode[name] = round(op_ns(workload, 0) / codes[name], 2)
+    out = {"python": "{}.{}".format(*sys.version_info[:2]), "counts": counts}
+    if with_bytecodes:
+        out["bytecodes"] = codes
+        out["ns_per_bytecode"] = ns_per_bytecode
+    return out
 
 
 def layer_codes() -> dict[str, list]:
@@ -124,5 +184,9 @@ if __name__ == "__main__":
         "--profile", action="store_true",
         help="own time per call and calls per op of each layer, under cProfile",
     )
+    parser.add_argument(
+        "--bytecodes", action="store_true",
+        help="also op 0's bytecodes in src/blindsim and untraced ns per bytecode",
+    )
     args = parser.parse_args()
-    print(json.dumps(op_profile() if args.profile else op_counts()))
+    print(json.dumps(op_profile() if args.profile else op_counts(args.bytecodes)))

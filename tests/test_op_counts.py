@@ -1,8 +1,10 @@
-"""The calls into ``src/blindsim`` per benchmark op, against their pins.
+"""The calls and bytecodes in ``src/blindsim`` per benchmark op, against
+their pins.
 
-``tests/op_counts.py`` counts them; ``tests/op_counts.json`` pins them.
-A change that moves a count re-pins it and says why in CHANGES.md.  Its
-``--profile`` reading is checked for shape: every layer is reached.
+``tests/op_counts.py --bytecodes`` counts them; ``tests/op_counts.json``
+pins them.  A change that moves a count re-pins it and says why in
+CHANGES.md.  Its ``--profile`` reading is checked for shape: every layer
+is reached.
 """
 
 import json
@@ -18,18 +20,35 @@ HERE = Path(__file__).resolve().parent
 PINNED = json.loads((HERE / "op_counts.json").read_text())
 
 
-# From Python 3.12 a comprehension makes no call (PEP 709), so the counts
-# hold on the minor version they were taken on only.
-@pytest.mark.skipif(
+# From Python 3.12 a comprehension makes no call (PEP 709), and the
+# bytecode changes with every minor version, so the counts hold on the
+# minor version they were taken on only.
+pinned_python = pytest.mark.skipif(
     "{}.{}".format(*sys.version_info[:2]) != PINNED["python"],
-    reason=f"call counts are pinned on Python {PINNED['python']}",
+    reason=f"counts are pinned on Python {PINNED['python']}",
 )
-def test_calls_per_op_are_pinned():
+
+
+@pytest.fixture(scope="module")
+def counted() -> dict:
     out = subprocess.run(
-        [sys.executable, str(HERE / "op_counts.py")],
+        [sys.executable, str(HERE / "op_counts.py"), "--bytecodes"],
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
-    assert json.loads(out) == PINNED
+    return json.loads(out)
+
+
+@pinned_python
+def test_calls_per_op_are_pinned(counted):
+    assert (counted["python"], counted["counts"]) == (PINNED["python"], PINNED["counts"])
+
+
+@pinned_python
+def test_bytecodes_per_op_are_pinned(counted):
+    assert {name: counted["bytecodes"][name] for name in op_counts.BYTECODE_PINS} == PINNED["bytecodes"]
+    # Every workload is counted and timed, the unpinned one included.
+    assert set(counted["bytecodes"]) == set(counted["ns_per_bytecode"]) == set(PINNED["counts"])
+    assert all(ns > 0 for ns in counted["ns_per_bytecode"].values())
 
 
 def test_the_profile_reaches_every_layer():

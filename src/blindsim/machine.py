@@ -487,11 +487,10 @@ def check_image_fits(image, size: int, pc: int | None = None) -> int:
     """Raise LoadError unless every segment of ``image`` and its entry pc
     (``pc`` when given) lie in a memory of ``size`` words; return that pc."""
     for seg in image.segments:
-        if seg.base + len(seg.words) > size:
-            raise LoadError(
-                f"segment [{seg.base:#x}, {seg.base + len(seg.words):#x}) "
-                f"exceeds memory of {size:#x} words"
-            )
+        end = seg.base + len(seg.words)
+        if seg.base < 0 or end > size:
+            where = "starts below address 0" if seg.base < 0 else f"exceeds memory of {size:#x} words"
+            raise LoadError(f"segment [{seg.base:#x}, {end:#x}) {where}")
     entry = image.entry_pc if pc is None else pc
     if not 0 <= entry < size:
         raise LoadError(f"entry pc {entry:#x} out of range")

@@ -18,7 +18,7 @@ from blindsim.assembler import (
 )
 from blindsim.corpus import curated_corpus
 from blindsim.isa import decode
-from blindsim.machine import LoadError, MachineConfig, boot_image
+from blindsim.machine import LoadError, MachineConfig, boot_image, overlay_image
 from blindsim.model import TaggedWord, blinded, clear
 
 from conftest import MUTATIONS, mutated
@@ -365,6 +365,17 @@ class TestLoading:
         image = assemble(".entry 100\nhalt\n")
         with pytest.raises(LoadError):
             boot_image(image, MachineConfig(memory_words=16, cache_lines=2))
+
+    @pytest.mark.parametrize("load", ["boot", "overlay"])
+    def test_segment_below_address_zero_fails(self, load):
+        # A negative base would index memory from its end.
+        image = ProgramImage(0, (Segment(-1, (clear(1), clear(2))),))
+        cfg = MachineConfig(memory_words=64, cache_lines=8)
+        with pytest.raises(LoadError, match=r"segment \[-0x1, 0x1\) starts below address 0"):
+            if load == "boot":
+                boot_image(image, cfg)
+            else:
+                overlay_image(boot_image(ProgramImage(0, ()), cfg), image)
 
 
 @settings(max_examples=60)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from blindsim import checker
-from blindsim.assembler import assemble
+from blindsim.assembler import ProgramImage, Segment, assemble
 from blindsim.checker import (
     SigTag,
     _unwinding_holds,
@@ -551,6 +551,12 @@ pool:
             boot_image(image, HW)
         with pytest.raises(LoadError, match=message):
             analyze(image, parse_signature(sig), HW)
+
+    def test_a_segment_below_address_zero_is_refused(self):
+        # The assembler makes no such image; the library takes one as given.
+        image = ProgramImage(0, (Segment(-1, (clear(1), clear(2))),))
+        with pytest.raises(LoadError, match=r"segment \[-0x1, 0x1\) starts below address 0"):
+            analyze(image, parse_signature(""), HW)
 
 
 class TestJoin:

@@ -79,7 +79,6 @@ from .machine import (
     ListMachine,
     MachineConfig,
     boot_image,
-    check_image_fits,
     run,
 )
 from .model import (
@@ -421,7 +420,11 @@ class _Analysis:
         op = d.opcode
         kind = _ADDRESS_KIND[op]
         known = type(addr) is int
-        value = state.regs[d.inputs[1]] if op is Opcode.STORE else None
+        # The word a store or a tag edit writes; a load writes none.
+        if op is Opcode.STORE:
+            value = state.regs[d.inputs[1]]
+        else:
+            value = BLINDED if op is Opcode.BLND else None
         if known and addr >= self.cfg.memory_words:
             self.report(
                 pc, d, f"{kind} address out of range",
@@ -436,7 +439,7 @@ class _Analysis:
             value is BLINDED and known and self.cfg.is_unblindable(addr)
         ):
             self.report(
-                pc, d, "blinded store into an unblindable range",
+                pc, d, f"blinded {kind} into an unblindable range",
                 fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE, definite=True,
             )
         else:
@@ -450,7 +453,7 @@ class _Analysis:
                     )
                 elif not known and self.cfg.unblindable_ranges:
                     self.report(
-                        pc, d, "possibly blinded store may hit an unblindable range",
+                        pc, d, f"possibly blinded {kind} may hit an unblindable range",
                         fault=FaultKind.BLINDED_STORE_TO_UNBLINDABLE,
                     )
             regs, cells, rest = state
@@ -459,13 +462,10 @@ class _Analysis:
                 dst = d.output
                 loaded = cells.get(addr, rest) if known else reduce(join, cells.values(), rest)
                 succ = state._replace(regs=regs[:dst] + (loaded,) + regs[dst + 1 :])
-            else:
-                if op is Opcode.BLND:
-                    value = BLINDED
-                if known:
-                    succ = _state(regs, {**cells, addr: value}, rest)
-                else:  # a weak write: any word may now hold ``value``
-                    succ = _state(regs, {a: join(v, value) for a, v in cells.items()}, join(rest, value))
+            elif known:
+                succ = _state(regs, {**cells, addr: value}, rest)
+            else:  # a weak write: any word may now hold ``value``
+                succ = _state(regs, {a: join(v, value) for a, v in cells.items()}, join(rest, value))
             out.extend(self._next(pc, d, succ))
         if maybe_noop:
             out.extend(self._next(pc, d, state))
@@ -590,11 +590,13 @@ def analyze(
     DEFINITELY_FAULTS: a finding was confirmed by concretely replaying a
     signature-consistent input to the fault; the witness is attached.  It
     is the first definite finding whose fault the one seeded run raises.
-    Raises :class:`~blindsim.machine.LoadError` when the image does not
-    fit ``cfg``'s memory, as loading it would, and ValueError when the
+    The image is booted first, so this raises what
+    :func:`~blindsim.machine.boot_image` raises: LoadError when the image
+    does not fit ``cfg``'s memory, and ValueError when it puts a blinded
+    word in an unblindable range.  It raises ValueError too when the
     signature names a segment the image lacks.
     """
-    check_image_fits(image, cfg.memory_words)
+    boot_image(image, cfg)
     _check_segments(image, sig)
     analysis = _Analysis(image, sig, cfg)
     analysis.run()
@@ -1012,7 +1014,8 @@ def check_noninterference(
     sides without a write or a semantics call (see
     :func:`_run_pair`).
 
-    With ``program`` given, it is booted once and each trial's pair is
+    With ``program`` given, it is booted once, raising what
+    :func:`~blindsim.machine.boot_image` raises, and each trial's pair is
     drawn as :func:`pair_for_program` draws it (blinded image words and
     ``blinded_regs`` get fresh payloads); without it, fully random
     machines are generated.  A drawn pair is equivalent by construction,

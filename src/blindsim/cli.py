@@ -193,19 +193,9 @@ def cmd_disasm(args) -> int:
     return 0
 
 
-def _boot(path: str, cfg: machine.MachineConfig):
-    """The image at ``path`` and the machine booted with it; an image
-    that puts a blinded word in an unblindable range is refused."""
-    image = _load_image(path)
-    state = machine.boot_image(image, cfg)
-    for seg in image.segments:
-        cfg.refuse_blinded("image segment", state.memory, seg.base, len(seg.words))
-    return image, state
-
-
 def cmd_run(args) -> int:
     cfg = args.cfg
-    _, state = _boot(args.image, cfg)
+    state = machine.boot_image(_load_image(args.image), cfg)
     for addr, _ in args.blind_word:
         if not 0 <= addr < cfg.memory_words:
             raise ValueError(f"--blind-word address {addr:#x} out of range")
@@ -228,7 +218,7 @@ def cmd_check(args) -> int:
         raise ValueError("--trials must not be negative")
     if args.steps < 1:
         raise ValueError("--steps must be positive")
-    image, _ = _boot(args.image, cfg)
+    image = _load_image(args.image)
     sig = checker.parse_signature(args.sig)
     report = checker.analyze(image, sig, cfg, seed=args.seed)
 

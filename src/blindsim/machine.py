@@ -26,8 +26,9 @@ Policy violations take two shapes.  Tag violations at a branch or (in
 hardware mode) at a memory address trap to the handler at address 0: pc is
 set to 0, nothing else changes, and the fault kind is recorded in the
 trace while the machine keeps running.  Decode errors, out-of-range
-accesses, blinded stores into unblindable ranges, and every ``rblnd``
-(raw untainting is always refused) stop the machine with a FAULTED status.
+accesses, blinded writes into unblindable ranges (a store's or a
+``blnd``'s, tested at one gate), and every ``rblnd`` (raw untainting is
+always refused) stop the machine with a FAULTED status.
 
 Trace events carry only observable data -- addresses, clear values, fault
 kinds -- never a blinded payload.
@@ -439,12 +440,7 @@ class ListMachine:
             )
             if kind is _MEM_STORE:
                 word = registers[register]
-                if word.blinded and cfg.is_unblindable(address):
-                    self.status, self.fault = _FAULTED, _BLINDED_STORE
-                    return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), None, None, None
                 memory_write = (address, word)
-                if address == cfg.mmio_console:
-                    events += (_new(MmioWrite, (cycle, word.value)),)
             else:
                 register_write = (register, memory[address])
         else:
@@ -454,7 +450,17 @@ class ListMachine:
             if kind is _MEM_UNBLIND:
                 self.status, self.fault = _FAULTED, _DECODE_ERROR
                 return (fetch, _new(Fault, (cycle, _DECODE_ERROR, True))), None, None, None
-            memory_write = (address, TaggedWord(memory[address].value, True))
+            word = TaggedWord(memory[address].value, True)
+            memory_write = (address, word)
+        if memory_write is not None:
+            # The one gate on a write, a store's or a tag edit's: no blinded
+            # word enters an unblindable range.  A clear word may reach the
+            # console.
+            if word.blinded and cfg.is_unblindable(address):
+                self.status, self.fault = _FAULTED, _BLINDED_STORE
+                return (fetch, _new(Fault, (cycle, _BLINDED_STORE, False))), None, None, None
+            if address == cfg.mmio_console:
+                events += (_new(MmioWrite, (cycle, word.value)),)
 
         # Every check has passed: commit.
         self.pc = next_pc
@@ -509,8 +515,14 @@ def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
 
 def boot_image(image, cfg: MachineConfig) -> SystemState:
     """Fresh all-clear-zero machine with the image loaded, at its entry
-    point."""
-    return overlay_image(SystemState.initial(cfg.memory_words, cfg.cache_lines), image)
+    point.  Raises LoadError as :func:`check_image_fits`, and ValueError
+    as :meth:`MachineConfig.refuse_blinded` if a segment puts a blinded
+    word in an unblindable range: every booted image keeps them clear."""
+    s = overlay_image(SystemState.initial(cfg.memory_words, cfg.cache_lines), image)
+    if cfg.unblindable_ranges:
+        for seg in image.segments:
+            cfg.refuse_blinded("image segment", s.memory, seg.base, len(seg.words))
+    return s
 
 
 # ---------------------------------------------------------------------------

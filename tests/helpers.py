@@ -1,6 +1,6 @@
 """Helpers that only the tests call: a decoded random instruction, a
 count of calls into ``blindsim``, one event's trace line, the
-console-report program, a loop past the checker's fixpoint budget, the
+console-report program, the two console-word probes, a loop past the checker's fixpoint budget, the
 ISA's reference semantics without its tag policy and the harness's twin
 of any state.  Nothing in
 ``src/`` imports this module.
@@ -71,6 +71,24 @@ pool:
     .word 0x20
     .word 0x30
 """, unblindable=((48, 52),), mmio_console=48)
+
+
+#: Retags the clear console word at 48 with ``blnd``.  Under the policy
+#: the tag edit faults before its write, as a blinded store there does.
+BLND_CONSOLE = CorpusEntry("blnd-console", """
+.entry start
+.word 0x30
+start:
+    load r1, r0
+    blnd r1
+    halt
+""", unblindable=((48, 52),), mmio_console=48, safe=False)
+
+#: Boots a blinded word at the console word 48: every loader refuses it.
+BLINDED_CONSOLE_IMAGE = CorpusEntry(
+    "blinded-console-image", ".entry 0x10\n.org 0x30\n.word 5 blinded\n.org 0x10\nhalt\n",
+    unblindable=((48, 52),), mmio_console=48, safe=False,
+)
 
 
 def widening_loop() -> str:

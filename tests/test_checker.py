@@ -61,7 +61,7 @@ from blindsim.model import (
 
 import draw_reference
 import mutants
-from helpers import blindsim_calls, redraw_blinded, widening_loop
+from helpers import BLINDED_CONSOLE_IMAGE, BLND_CONSOLE, blindsim_calls, redraw_blinded, widening_loop
 
 HW = MachineConfig(memory_words=64, cache_lines=8)
 MODEL = MachineConfig(mode=Mode.MODEL, memory_words=64, cache_lines=8)
@@ -521,6 +521,25 @@ pool:
         assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and not f.definite
         assert report.verdict is Verdict.MAY_FAULT and report.witness is None
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_blnd_into_an_unblindable_range_definitely_faults(self, mode):
+        # A tag edit's value is blinded: the store's range findings cover it.
+        cfg = BLND_CONSOLE.config(mode)
+        report = analyze(assemble(BLND_CONSOLE.source), EMPTY_SIG, cfg)
+        f = finding(report, "blinded tag-edit into an unblindable range")
+        assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and f.definite
+        assert report.verdict is Verdict.DEFINITELY_FAULTS
+        assert report.witness.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE
+        assert_witness_replays(report, cfg)
+
+    def test_blnd_may_hit_an_unblindable_range(self):
+        cfg = MachineConfig(memory_words=64, cache_lines=8, unblindable_ranges=((48, 52),))
+        report = analyze(assemble(".entry 0\nblnd r1\nhalt\n"), parse_signature("r1=C"), cfg)
+        assert finding(report, "tag-edit address unresolved").unresolved
+        f = finding(report, "possibly blinded tag-edit may hit an unblindable range")
+        assert f.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE and not f.definite
+        assert report.verdict is Verdict.MAY_FAULT and report.witness is None
+
     def test_execution_runs_off_the_end_of_memory(self):
         image = assemble(".entry 63\n.org 63\nxor r1, r1, r1\n")
         report = analyze(image, EMPTY_SIG, HW)
@@ -551,6 +570,23 @@ pool:
             boot_image(image, HW)
         with pytest.raises(LoadError, match=message):
             analyze(image, parse_signature(sig), HW)
+
+    @pytest.mark.parametrize(
+        "load",
+        [
+            lambda image, cfg: boot_image(image, cfg),
+            lambda image, cfg: analyze(image, EMPTY_SIG, cfg),
+            lambda image, cfg: check_noninterference(image, trials=5, steps=10, cfg=cfg),
+            lambda image, cfg: pair_for_program(image, cfg, random.Random(0)),
+        ],
+        ids=["boot_image", "analyze", "check_noninterference", "pair_for_program"],
+    )
+    def test_an_image_with_a_blinded_word_in_an_unblindable_range_is_refused(self, load):
+        # Each boots the image, and booting refuses it as the CLI and the
+        # session do.
+        cfg = BLINDED_CONSOLE_IMAGE.config(Mode.HARDWARE)
+        with pytest.raises(ValueError, match=r"^image segment \[0x30, 0x31\) overlaps an unblindable range$"):
+            load(assemble(BLINDED_CONSOLE_IMAGE.source), cfg)
 
     def test_a_segment_below_address_zero_is_refused(self):
         # The assembler makes no such image; the library takes one as given.
@@ -1588,7 +1624,9 @@ class TestRandomPrograms:
         """(source, cfg, image, sig, report, runs) for each seeded random
         program, in a drawn mode, with or without an unblindable range
         over its first data words; ``runs`` counts the analysis's calls
-        of ``checker.run``.  Each program is analyzed once per class."""
+        of ``checker.run``.  ``report`` is the ValueError's message when
+        booting refuses the image, which puts a blinded word in the
+        range.  Each program is analyzed once per class."""
         records, runs = [], []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(checker, "run", lambda *args: runs.append(args) or run(*args))
@@ -1599,7 +1637,10 @@ class TestRandomPrograms:
                 cfg = MachineConfig(rng.choice(list(Mode)), 64, 8, unblindable_ranges=ranges)
                 image = assemble(source)
                 runs.clear()
-                report = analyze(image, sig, cfg)
+                try:
+                    report = analyze(image, sig, cfg)
+                except ValueError as refused:
+                    report = str(refused)
                 records.append((source, cfg, image, sig, report, len(runs)))
         return records
 
@@ -1608,11 +1649,17 @@ class TestRandomPrograms:
         # over programs that load, store, edit tags and branch on every
         # operand class a signature can name.  On a subset, each witness
         # replays to its fault and each compliant program runs without a
-        # fault from states with any clear values in its C registers.
+        # fault from states with any clear values in its C registers.  A
+        # refused image is hashed with its message.
         h = hashlib.sha256()
         verdicts = dict.fromkeys(Verdict, 0)
+        refused = 0
         rng = random.Random(38)
         for n, (source, cfg, image, sig, r, _) in enumerate(reports):
+            if isinstance(r, str):
+                refused += 1
+                h.update(repr((source, r)).encode())
+                continue
             verdicts[r.verdict] += 1
             w = r.witness
             witness = w and (snapshot(w.initial), w.fault, w.steps, w.pc)
@@ -1631,9 +1678,9 @@ class TestRandomPrograms:
                     )
                     result = run(s, cfg, 500)
                     assert not any(isinstance(e, Fault) for e in result.trace), (source, snapshot(s))
-        assert list(verdicts.values()) == [348, 225, 427]
+        assert (list(verdicts.values()), refused) == ([268, 166, 334], 232)
         assert h.hexdigest() == (
-            "c59737615baa983264e2e8bdecea648cb3417f18be42752596797da6bd7572ad"
+            "568bde598e5c1b25e9256103110b6f966e463be5c0f9eb647aecebbd8d70cf88"
         )
 
     def test_analyze_runs_at_most_one_replay(self, reports):
@@ -1641,6 +1688,9 @@ class TestRandomPrograms:
         # costs one run and a report without one costs none.
         replayed = 0
         for source, cfg, image, sig, r, runs in reports:
+            if isinstance(r, str):  # refused before any analysis
+                assert runs == 0, source
+                continue
             definite = any(f.definite and f.fault is not None for f in r.findings)
             assert runs == definite, source
             replayed += definite

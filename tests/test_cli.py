@@ -25,7 +25,7 @@ from blindsim.protocol import (
 )
 
 import mutants
-from helpers import MMIO_REPORT, widening_loop
+from helpers import BLND_CONSOLE, MMIO_REPORT, widening_loop
 
 
 @pytest.fixture
@@ -466,6 +466,17 @@ class TestMachineFlags:
         capsys.readouterr()
         assert main(["run", img, *flags, "--blind-word", "32=5"]) == 1
         assert "status=faulted:blinded-store-to-unblindable" in capsys.readouterr().out
+
+    def test_a_program_cannot_blnd_the_console_word(self, work, capsys):
+        tmp, write = work
+        img = assembled(write, tmp, BLND_CONSOLE.source)
+        flags = [*self.SMALL, "--unblindable", "48..52", "--mmio-console", "48"]
+        capsys.readouterr()
+        assert main(["run", img, *flags]) == 1
+        out = capsys.readouterr().out
+        assert "status=faulted:blinded-store-to-unblindable" in out and "m48=B" not in out
+        assert main(["check", img, *flags, "--trials", "5"]) == 1
+        assert "[definite] blnd r1: blinded tag-edit into an unblindable range" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "word",

@@ -62,6 +62,7 @@ import mutants
 from conftest import random_word, twin_word
 from draw_reference import _instruction_word
 from helpers import (
+    BLND_CONSOLE,
     MMIO_REPORT,
     blindsim_calls,
     format_event,
@@ -263,6 +264,36 @@ class TestUnblindableAndMmio:
         assert nxt.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE
         assert nxt.memory == s.memory  # write suppressed
         assert events[-1] == Fault(0, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+
+    @pytest.mark.parametrize("address", [24, 26], ids=["console", "range"])
+    def test_blnd_into_unblindable_faults(self, address):
+        # A tag edit meets the store's gate before its write.
+        s = make_state([iw(Opcode.BLND, (1,)), HALT], regs={1: clear(address)})
+        nxt, events = step(s, self.CFG_MMIO)
+        assert (nxt.status, nxt.fault) == (Status.FAULTED, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+        assert nxt.memory == s.memory
+        assert events == (Fetch(0, 0, s.memory[0].value), Fault(0, FaultKind.BLINDED_STORE_TO_UNBLINDABLE))
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_a_program_cannot_blnd_the_console_word(self, mode):
+        cfg = BLND_CONSOLE.config(mode)
+        result = run(boot_image(assemble(BLND_CONSOLE.source), cfg), cfg, 10)
+        assert result.outcome is RunOutcome.FAULTED and result.steps == 2
+        assert result.state.fault is FaultKind.BLINDED_STORE_TO_UNBLINDABLE
+        assert result.state.memory[48] == clear(0)
+        assert result.trace[-1] == Fault(1, FaultKind.BLINDED_STORE_TO_UNBLINDABLE)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_no_step_blinds_a_word_in_an_unblindable_range(self, mode):
+        # Random states whose range words are clear: whatever the step
+        # does, they stay clear.  A store or a blnd there is one of the
+        # draws' memory operations.
+        cfg = MachineConfig(mode, 24, 4, ((20, 22),), mmio_console=20)
+        for seed in range(10_000):
+            s, _ = generate_equivalent_pair(seed, 24, 4)
+            s = s.edit(memory=[(a, clear(s.memory[a].value)) for a in (20, 21)])
+            nxt, _ = step(s, cfg)
+            assert not any(w.blinded for w in nxt.memory[20:22]), seed
 
     def test_clear_store_to_console_traces_value(self):
         s = make_state(

@@ -1,9 +1,9 @@
 """Helpers that only the tests call: a decoded random instruction, a
 count of calls into ``blindsim``, one event's trace line, the
-console-report program, the two console-word probes, a loop past the checker's fixpoint budget, the
-ISA's reference semantics without its tag policy and the harness's twin
-of any state.  Nothing in
-``src/`` imports this module.
+console-report program, the two console-word probes, a loop past the
+checker's fixpoint budget, the ISA's reference semantics without its
+tag policy and the harness's twin of any state.  Nothing in ``src/``
+imports this module.
 """
 
 from __future__ import annotations

@@ -556,9 +556,15 @@ def signature_state(
     value is consistent); a signature-clear segment keeps its payloads and
     drops its tags.  Every other named register and word gets a fresh
     blinded payload.  Raises ValueError when the signature names a segment
-    the image lacks.
+    the image lacks, and what :func:`~blindsim.machine.boot_image` raises.
     """
     _check_segments(image, sig)
+    return _signed(boot_image(image, cfg), image, sig, rng)
+
+
+def _signed(booted: SystemState, image: ProgramImage, sig: TaintSignature, rng) -> SystemState:
+    """``booted``, the image's boot state, edited as :func:`signature_state`
+    edits it, with the same draws in the same order."""
     memory = []
     for seg_index, seg in enumerate(image.segments):
         tag = sig.segments.get(seg_index)
@@ -574,7 +580,7 @@ def signature_state(
         for index, tag in sig.registers.items()
         if tag is not SigTag.CLEAR
     ]
-    return boot_image(image, cfg).edit(registers=registers, memory=memory)
+    return booted.edit(registers=registers, memory=memory)
 
 
 def analyze(
@@ -590,13 +596,14 @@ def analyze(
     DEFINITELY_FAULTS: a finding was confirmed by concretely replaying a
     signature-consistent input to the fault; the witness is attached.  It
     is the first definite finding whose fault the one seeded run raises.
-    The image is booted first, so this raises what
-    :func:`~blindsim.machine.boot_image` raises: LoadError when the image
-    does not fit ``cfg``'s memory, and ValueError when it puts a blinded
-    word in an unblindable range.  It raises ValueError too when the
-    signature names a segment the image lacks.
+    The image is booted once, first, and the witness draw edits that boot
+    state, so this raises what :func:`~blindsim.machine.boot_image`
+    raises: LoadError when the image does not fit ``cfg``'s memory, and
+    ValueError when it puts a blinded word in an unblindable range.  It
+    raises ValueError too when the signature names a segment the image
+    lacks.
     """
-    boot_image(image, cfg)
+    booted = boot_image(image, cfg)
     _check_segments(image, sig)
     analysis = _Analysis(image, sig, cfg)
     analysis.run()
@@ -609,7 +616,7 @@ def analyze(
             definite.append(finding)
     witness = None
     if definite:
-        initial = signature_state(image, sig, cfg, random.Random(seed))
+        initial = _signed(booted, image, sig, random.Random(seed))
         result = run(initial, cfg, 10_000)
         raised = set()
         for event in result.trace:

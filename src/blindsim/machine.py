@@ -503,26 +503,27 @@ def check_image_fits(image, size: int, pc: int | None = None) -> int:
     return entry
 
 
-def overlay_image(s: SystemState, image, pc: int | None = None) -> SystemState:
+def overlay_image(s: SystemState, image, pc: int | None = None, cfg=None) -> SystemState:
     """Write an image's segments over existing memory; pc defaults to the
     image's entry point.  Registers, cache, status and untouched words
-    remain.  Raises LoadError as :func:`check_image_fits`."""
+    remain.  Raises LoadError as :func:`check_image_fits`, and, given
+    ``cfg``, ValueError as :meth:`MachineConfig.refuse_blinded` if a
+    segment puts a blinded word in one of its unblindable ranges: every
+    image loaded for a machine keeps them clear."""
     entry = check_image_fits(image, len(s.memory), pc)
-    return s.edit(pc=entry, memory=[
+    s = s.edit(pc=entry, memory=[
         (address, w) for seg in image.segments for address, w in enumerate(seg.words, seg.base)
     ])
+    if cfg is not None and cfg.unblindable_ranges:
+        for seg in image.segments:
+            cfg.refuse_blinded("image segment", s.memory, seg.base, len(seg.words))
+    return s
 
 
 def boot_image(image, cfg: MachineConfig) -> SystemState:
     """Fresh all-clear-zero machine with the image loaded, at its entry
-    point.  Raises LoadError as :func:`check_image_fits`, and ValueError
-    as :meth:`MachineConfig.refuse_blinded` if a segment puts a blinded
-    word in an unblindable range: every booted image keeps them clear."""
-    s = overlay_image(SystemState.initial(cfg.memory_words, cfg.cache_lines), image)
-    if cfg.unblindable_ranges:
-        for seg in image.segments:
-            cfg.refuse_blinded("image segment", s.memory, seg.base, len(seg.words))
-    return s
+    point.  Raises what :func:`overlay_image` raises given ``cfg``."""
+    return overlay_image(SystemState.initial(cfg.memory_words, cfg.cache_lines), image, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -470,9 +470,11 @@ class ServerSession:
     sessions is the OS's job: it seals the current key before another
     session's handshake, and loads a sealed key to switch back.  An
     import commits the engine's writes with one :meth:`SystemState.edit`.
-    An import, or a compute whose image puts a blinded word in an
-    unblindable range, where blinded data may never land, is refused
-    (:meth:`MachineConfig.refuse_blinded`); a refused import or compute
+    An import that puts a blinded word in an unblindable range, where
+    blinded data may never land, is refused
+    (:meth:`MachineConfig.refuse_blinded`), and so is a compute whose
+    image does (:func:`machine.overlay_image`, the loader's gate given
+    the session's config); a refused import or compute
     runs nothing and leaves :attr:`state` the same object.  The claims
     must attest the machine's own mode, or the session is refused with a
     ValueError: the mode a client checks is the mode its data runs in.
@@ -530,10 +532,7 @@ class ServerSession:
                 return encode_frame(ResultResponse(b""))
             if isinstance(msg, ComputeRequest):
                 image = decode_image(msg.image)
-                state = machine.overlay_image(self.state, image, pc=msg.entry)
-                if self.cfg.unblindable_ranges:
-                    for seg in image.segments:
-                        self.cfg.refuse_blinded("image segment", state.memory, seg.base, len(seg.words))
+                state = machine.overlay_image(self.state, image, pc=msg.entry, cfg=self.cfg)
                 self.state = state.edit(status=Status.RUNNING)
                 self.traces = []  # free the last text before the run peaks
                 result = machine.run(self.state, self.cfg, self.max_steps)

@@ -5,10 +5,18 @@ Run from anywhere as ``python tests/op_counts.py``.  For each workload of
 ``run_op(0)`` (the first op of a process fills one-time caches), and then
 counts the ``sys.setprofile`` "call" events whose code lies in
 ``src/blindsim`` over ops 0-3.  Host load moves a timing but not these
-counts, so a change in one is a change in the work an op does.  Prints
-one JSON object: the Python minor version and, per workload, the four
-counts.  ``tests/op_counts.json`` pins them; ``tests/test_op_counts.py``
-compares.  It imports ``bench/workloads.py`` and changes nothing there.
+counts, so a change in one is a change in the work an op does.  Beside
+them it counts the bytecodes that op 0 of each workload executes in
+``src/blindsim``: the ``sys.settrace`` "opcode" events of frames whose
+code lies there, after the same warm-up.  A bytecode count sees work
+inside a call that a call count cannot, but not work done in C: AEAD,
+X25519 and tuple copies.  It also times op 0 untraced, the fastest of
+three runs, in nanoseconds per bytecode; the ratio is highest where C
+does the work.  Prints one JSON object: the Python minor version and,
+per workload, the four call counts, op 0's bytecodes and its ns per
+bytecode.  ``tests/op_counts.json`` pins the calls and the bytecodes of
+``BYTECODE_PINS``; ``tests/test_op_counts.py`` compares.  It imports
+``bench/workloads.py`` and changes nothing there.
 
 ``python tests/op_counts.py --profile`` runs the same warm-up and ops
 under ``cProfile`` instead, and prints, per workload, each layer of
@@ -16,16 +24,6 @@ under ``cProfile`` instead, and prints, per workload, each layer of
 its calls per op.  The times include the profiler's overhead, so they
 compare layers and commits on one host, not against a plain run; the
 calls are exact.
-
-``python tests/op_counts.py --bytecodes`` prints the call counts and,
-beside them, the bytecodes that op 0 of each workload executes in
-``src/blindsim``: the ``sys.settrace`` "opcode" events of frames whose
-code lies there, after the same warm-up.  A bytecode count sees work
-inside a call that a call count cannot, but not work done in C: AEAD,
-X25519 and tuple copies.  It also prints each workload's untraced time
-of op 0 in nanoseconds per bytecode, the fastest of three runs; the
-ratio is highest where C does the work.  ``tests/op_counts.json`` pins
-the bytecodes of ``BYTECODE_PINS``; the others are printed only.
 """
 
 from __future__ import annotations
@@ -125,20 +123,20 @@ def op_ns(workload, k: int) -> int:
     return min(times)
 
 
-def op_counts(with_bytecodes: bool = False) -> dict:
+def op_counts() -> dict:
     counts: dict[str, list[int]] = {}
     codes: dict[str, int] = {}
     ns_per_bytecode: dict[str, float] = {}
     for name, workload in warmed_workloads():
         counts[name] = [calls(workload, k) for k in range(OPS)]
-        if with_bytecodes:
-            codes[name] = bytecodes(workload, 0)
-            ns_per_bytecode[name] = round(op_ns(workload, 0) / codes[name], 2)
-    out = {"python": "{}.{}".format(*sys.version_info[:2]), "counts": counts}
-    if with_bytecodes:
-        out["bytecodes"] = codes
-        out["ns_per_bytecode"] = ns_per_bytecode
-    return out
+        codes[name] = bytecodes(workload, 0)
+        ns_per_bytecode[name] = round(op_ns(workload, 0) / codes[name], 2)
+    return {
+        "python": "{}.{}".format(*sys.version_info[:2]),
+        "counts": counts,
+        "bytecodes": codes,
+        "ns_per_bytecode": ns_per_bytecode,
+    }
 
 
 def layer_codes() -> dict[str, list]:
@@ -184,9 +182,5 @@ if __name__ == "__main__":
         "--profile", action="store_true",
         help="own time per call and calls per op of each layer, under cProfile",
     )
-    parser.add_argument(
-        "--bytecodes", action="store_true",
-        help="also op 0's bytecodes in src/blindsim and untraced ns per bytecode",
-    )
     args = parser.parse_args()
-    print(json.dumps(op_profile() if args.profile else op_counts(args.bytecodes)))
+    print(json.dumps(op_profile() if args.profile else op_counts()))

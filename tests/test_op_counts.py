@@ -1,7 +1,7 @@
 """The calls and bytecodes in ``src/blindsim`` per benchmark op, against
 their pins.
 
-``tests/op_counts.py --bytecodes`` counts them; ``tests/op_counts.json``
+``tests/op_counts.py`` counts them; ``tests/op_counts.json``
 pins them.  A change that moves a count re-pins it and says why in
 CHANGES.md.  Its ``--profile`` reading is checked for shape: every layer
 is reached.
@@ -32,7 +32,7 @@ pinned_python = pytest.mark.skipif(
 @pytest.fixture(scope="module")
 def counted() -> dict:
     out = subprocess.run(
-        [sys.executable, str(HERE / "op_counts.py"), "--bytecodes"],
+        [sys.executable, str(HERE / "op_counts.py")],
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
     return json.loads(out)
